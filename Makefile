@@ -16,7 +16,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # set so gated code faces the same checks as the default build.
 BUILD_TAGS := loadsmoke scalesmoke
 
-.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
+.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test contracts shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
 
 all: build
 
@@ -79,6 +79,36 @@ lint: vet fmt iotml-lint
 
 test:
 	$(GO) test ./...
+
+# contracts runs the CI test job's "Assert …" steps one-to-one, in order.
+# scripts/contract.sh fails a check when any |-alternative of its -run
+# pattern matches no test: plain go test passes such a check as "[no tests
+# to run]", so a renamed test would silently void its contract.
+CONTRACT := bash scripts/contract.sh
+
+contracts:
+	$(CONTRACT) 'TestBlockGram' ./internal/kernel
+	$(CONTRACT) 'TestScoreVectorizedVsExact' ./internal/mkl
+	$(CONTRACT) 'TestVectorizedAndPairwiseSelectSamePartition' ./internal/core
+	$(CONTRACT) 'TestFoldPlanMatchesKFold' ./internal/stats
+	$(CONTRACT) 'TestFastPathMatchesReference' ./internal/mkl
+	$(CONTRACT) 'TestGoldenArtifactLoadsAndReproducesScores|TestSaveLoadRoundTripIsBitIdentical' ./internal/model
+	$(CONTRACT) 'TestArtifactRoundTripIsBitIdentical' ./internal/core
+	$(CONTRACT) 'TestPredictMatchesInMemoryScoresBitIdentically' ./internal/serve
+	$(CONTRACT) 'TestFitMatchesPartitionDrivenMKL' ./internal/core
+	$(CONTRACT) 'TestFitDefaultsMatchDeprecatedEntryPoint|TestFitCSVRoundTripReproducesSelection' .
+	$(CONTRACT) 'TestRunContextCancellation|TestDoContextCancellation' ./internal/parsearch -race
+	$(CONTRACT) 'TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
+	$(CONTRACT) 'TestSearchCoreDeterminism|TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
+	$(CONTRACT) 'TestFitCancellationReturnsPartialResult|TestFitGreedyCancelledBeforeSearchReturnsEmptyPartial|TestFitPreCancelled' ./internal/core
+	$(CONTRACT) 'TestFaultMatrixSelectionBitIdentical' ./internal/distsearch
+	$(CONTRACT) 'TestNystromFactorFullRankExact|TestRFFMapApproximatesRBF|TestPrimalDualRidgeEquivalence' ./internal/linalg
+	$(CONTRACT) 'TestApprox|TestBlockGramCache' ./internal/kernel -race
+	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact' ./internal/mkl
+	$(CONTRACT) '.' ./internal/engine
+	$(CONTRACT) 'TestBackend' ./internal/mkl
+	$(CONTRACT) 'TestSpecBackendSpellings|TestWorkerDatasetCacheSkipsReingest' ./internal/distsearch
+	$(CONTRACT) 'TestWithBackend|TestWithGramApproxIsBackendSugar|TestAutoBackendFacade' .
 
 # shuffle re-runs the suite with randomized test and subtest order, so
 # inter-test state dependencies fail loudly instead of hiding behind
@@ -177,4 +207,4 @@ bench-json:
 		&& mv BENCH_gram.json.tmp BENCH_gram.json && rm -f $$out
 	@echo "wrote BENCH_gram.json"
 
-ci: build lint test shuffle race bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke
+ci: build lint test contracts shuffle race bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke

@@ -275,12 +275,7 @@ func benchChainSearch(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *mkl.Result
-		if workers == 1 {
-			res, err = mkl.ChainSearch(e, seed, mkl.BestOfChain)
-		} else {
-			res, err = mkl.ChainSearchParallel(e, seed, mkl.BestOfChain)
-		}
+		res, err := mkl.ChainSearch(e, seed, mkl.BestOfChain)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -331,12 +326,7 @@ func benchExhaustiveCone(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var res *mkl.Result
-		if workers == 1 {
-			res, err = mkl.ExhaustiveCone(e, seed)
-		} else {
-			res, err = mkl.ExhaustiveConeParallel(e, seed)
-		}
+		res, err := mkl.ExhaustiveCone(e, seed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,7 +413,7 @@ func benchGramSearch(b *testing.B, workers int, exact bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mkl.ChainSearchParallel(e, seed, mkl.BestOfChain); err != nil {
+		if _, err := mkl.ChainSearch(e, seed, mkl.BestOfChain); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("faceted workload: %d features in %d facets, %d train / %d test\n\n",
 		train.D(), len(train.Views), train.N(), test.N())
 
-	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: 3})
+	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: 3, Parallelism: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

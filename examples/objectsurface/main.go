@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("object-surface workload: %d color + %d texture + %d background features\n\n",
 		cfg.ColorD, cfg.TexureD, cfg.BackgroundD)
 
-	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: 7})
+	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: 7, Parallelism: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

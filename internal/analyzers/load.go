@@ -72,7 +72,8 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	}
 
 	var out []*Package
-	for _, t := range topoSort(targets) {
+	order := topoSort(targets)
+	for _, t := range order {
 		merged, err := ld.checkFiles(t.ImportPath, t.Dir, append(append([]string{}, t.GoFiles...), t.TestGoFiles...), true)
 		if err != nil {
 			return nil, err
@@ -81,6 +82,12 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		// test packages (and later targets) see in-package test helpers.
 		ld.cache[t.ImportPath] = merged.Types
 		out = append(out, merged)
+	}
+	// An external test package may import packages that import the one it
+	// tests (a legal test-only cycle), so external tests are checked once
+	// every merged variant is registered: each then sees one consistent
+	// instance of every package.
+	for _, t := range order {
 		if len(t.XTestGoFiles) > 0 {
 			xt, err := ld.checkFiles(t.ImportPath+"_test", t.Dir, t.XTestGoFiles, true)
 			if err != nil {
@@ -103,7 +110,6 @@ type listPkg struct {
 	XTestGoFiles []string
 	Imports      []string
 	TestImports  []string
-	XTestImports []string
 	Error        *struct{ Err string }
 }
 
@@ -154,10 +160,11 @@ func moduleInfo(dir string) (path, root string, err error) {
 }
 
 // topoSort orders targets so every target is checked after the targets it
-// (or its test files) imports: the merged test-inclusive variant of a
-// dependency must be registered before a dependent resolves it. Ties and
-// any residue (test-only cycles are legal in Go) break in path order, so
-// the load order — like everything else in this repo — is deterministic.
+// (or its in-package test files) imports: the merged test-inclusive variant
+// of a dependency must be registered before a dependent resolves it.
+// External test imports add no edge — Load checks external tests last.
+// Ties and any residue break in path order, so the load order — like
+// everything else in this repo — is deterministic.
 func topoSort(targets []*listPkg) []*listPkg {
 	byPath := make(map[string]*listPkg, len(targets))
 	for _, t := range targets {
@@ -168,7 +175,7 @@ func topoSort(targets []*listPkg) []*listPkg {
 	for _, t := range targets {
 		indeg[t.ImportPath] += 0
 		seen := map[string]bool{}
-		for _, imp := range concat(t.Imports, t.TestImports, t.XTestImports) {
+		for _, imp := range concat(t.Imports, t.TestImports) {
 			if imp == t.ImportPath || seen[imp] || byPath[imp] == nil {
 				continue
 			}

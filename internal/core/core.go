@@ -31,9 +31,9 @@ import (
 // scoring with kernel ridge.
 //
 // Parallelism is configured through MKL.Parallelism: 0 (the default) uses
-// runtime.GOMAXPROCS(0) workers, 1 forces the sequential strategies, and
-// n > 1 uses n workers. The parallel strategies are deterministic — the
-// selected partition and score are identical at every setting.
+// runtime.GOMAXPROCS(0) workers, 1 is the exact sequential search, and
+// n > 1 uses n workers. The search is deterministic — the selected
+// partition and score are identical at every setting.
 //
 // Candidate scoring runs on the vectorized block-Gram engine (dense matrix
 // kernels per partition block — see internal/kernel/blockgram.go): exact
@@ -213,51 +213,31 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	e.SetContext(ctx)
-	// The *Parallel strategies fall back to their sequential counterparts
-	// themselves when the configured parallelism resolves to one worker.
 	var search mkl.SearchFunc
 	switch cfg.Search {
 	case SearchGreedy:
-		search = mkl.GreedyRefineParallel
+		search = mkl.GreedyRefine
 	case SearchExhaustive:
-		search = mkl.ExhaustiveConeParallel
+		search = mkl.ExhaustiveCone
 	case SearchChainFirstImprovement:
 		search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-			return mkl.ChainSearchParallel(e, s, mkl.FirstImprovement)
+			return mkl.ChainSearch(e, s, mkl.FirstImprovement)
 		}
 	default:
 		search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-			return mkl.ChainSearchParallel(e, s, mkl.BestOfChain)
+			return mkl.ChainSearch(e, s, mkl.BestOfChain)
 		}
 	}
 	if distributed {
-		// The distributed strategies mirror the parallel ones shard by
-		// shard: the coordinator scores candidate batches across the
-		// fleet and the reduction stays a canonical-order scan, so the
-		// selection is identical to the in-process strategies.
+		// The coordinator scores each candidate batch across the fleet in
+		// place of the in-process pool; the reduction stays the same
+		// canonical-order scan, so the selection is identical.
 		coord, cerr := distsearch.NewCoordinator(d, *cfg.Dist)
 		if cerr != nil {
 			return nil, fmt.Errorf("core: %w", cerr)
 		}
 		coord.SetEmitter(e.EmitDistEvent)
-		switch cfg.Search {
-		case SearchGreedy:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.GreedyRefineWith(e, s, coord)
-			}
-		case SearchExhaustive:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.ExhaustiveConeWith(e, s, coord)
-			}
-		case SearchChainFirstImprovement:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.ChainSearchWith(e, s, mkl.FirstImprovement, coord)
-			}
-		default:
-			search = func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-				return mkl.ChainSearchWith(e, s, mkl.BestOfChain, coord)
-			}
-		}
+		e.SetScorer(coord)
 	}
 	backend, berr := cfg.MKL.EffectiveBackend()
 	if berr != nil {

@@ -242,9 +242,9 @@ type shardResult struct {
 // ScoreCandidates implements mkl.CandidateScorer: scores[i] belongs to
 // cands[i], with an index-aligned error slice (nil when clean). The
 // candidate batch is scored remotely shard by shard; candidates a dead
-// fleet left behind are scored locally. Only a cancelled context or a
-// local scoring failure produces candidate errors — fleet trouble is
-// handled, not reported.
+// fleet left behind are scored locally, through the fallback evaluator's
+// in-process pool. Only a cancelled context or a local scoring failure
+// produces candidate errors — fleet trouble is handled, not reported.
 func (c *Coordinator) ScoreCandidates(ctx context.Context, cands []partition.Partition) ([]float64, []error) {
 	scores := make([]float64, len(cands))
 	var errs []error
@@ -323,14 +323,16 @@ func (c *Coordinator) ScoreCandidates(ctx context.Context, cands []partition.Par
 		}
 	}
 
-	// Score whatever the fleet did not finish locally, in index order.
+	// Score whatever the fleet did not finish locally.
 	var leftover []int
+	var local []partition.Partition
 	for si, sh := range shards {
 		if done[si] {
 			continue
 		}
 		for i := sh.lo; i < sh.hi; i++ {
 			leftover = append(leftover, i)
+			local = append(local, cands[i])
 		}
 	}
 	if len(leftover) > 0 {
@@ -351,22 +353,26 @@ func (c *Coordinator) ScoreCandidates(ctx context.Context, cands []partition.Par
 			}
 			return scores, errs
 		}
-		eval.SetContext(ctx)
-		for _, i := range leftover {
-			s, err := eval.Score(cands[i])
-			if err != nil {
-				noteErr(i, err)
-				continue
+		lScores, lErrs := eval.ScoreCandidates(ctx, local)
+		for j, i := range leftover {
+			scores[i] = lScores[j]
+			if lErrs != nil && lErrs[j] != nil {
+				noteErr(i, lErrs[j])
 			}
-			scores[i] = s
 		}
 	}
 	return scores, errs
 }
 
+// BatchSize implements mkl.CandidateScorer: the coordinator takes whole
+// candidate sets, since a dispatch round trip amortizes over the shards
+// of a large batch (a greedy step ships its entire cover set).
+func (c *Coordinator) BatchSize() int { return 0 }
+
 // localEvaluator lazily builds the in-process fallback evaluator from the
 // same Spec the workers run, so fallback scores are bit-identical to
-// remote ones. Its caches persist across batches.
+// remote ones. It scores on the same in-process pool a search worker's
+// ScoreShard uses, and its caches persist across batches.
 func (c *Coordinator) localEvaluator() (*mkl.Evaluator, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

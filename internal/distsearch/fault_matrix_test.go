@@ -195,7 +195,8 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					coord.SetEmitter(e.EmitDistEvent)
-					res, err := mkl.ChainSearchWith(e, seed, mkl.BestOfChain, coord)
+					e.SetScorer(coord)
+					res, err := mkl.ChainSearch(e, seed, mkl.BestOfChain)
 					if err != nil {
 						t.Fatalf("distributed search failed under %s: %v", fault.name, err)
 					}
@@ -243,7 +244,8 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := mkl.GreedyRefineWith(e, seed, coord); err != nil {
+		e.SetScorer(coord)
+		if res, err := mkl.GreedyRefine(e, seed); err != nil {
 			t.Fatal(err)
 		} else if !res.Best.Equal(greedyTruth.best) || res.Score != greedyTruth.score {
 			t.Fatalf("greedy selected (%v, %v), sequential (%v, %v)", res.Best, res.Score, greedyTruth.best, greedyTruth.score)
@@ -252,7 +254,8 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res, err := mkl.ExhaustiveConeWith(e2, seed, coord); err != nil {
+		e2.SetScorer(coord)
+		if res, err := mkl.ExhaustiveCone(e2, seed); err != nil {
 			t.Fatal(err)
 		} else if !res.Best.Equal(exhaustiveTruth.best) || res.Score != exhaustiveTruth.score {
 			t.Fatalf("exhaustive selected (%v, %v), sequential (%v, %v)", res.Best, res.Score, exhaustiveTruth.best, exhaustiveTruth.score)
@@ -298,7 +301,8 @@ func TestDeadWorkerShardRedispatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mkl.ChainSearchWith(e, seed, mkl.BestOfChain, coord)
+	e.SetScorer(coord)
+	res, err := mkl.ChainSearch(e, seed, mkl.BestOfChain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +367,8 @@ func TestWorkerRestartReinstallsJob(t *testing.T) {
 		}
 	}
 	lt.Workers[addrs[0]] = &WorkerServer{Parallelism: 1}
-	res, err := mkl.ChainSearchWith(e, seed, mkl.BestOfChain, coord)
+	e.SetScorer(coord)
+	res, err := mkl.ChainSearch(e, seed, mkl.BestOfChain)
 	if err != nil {
 		t.Fatalf("search after worker restart failed: %v", err)
 	}

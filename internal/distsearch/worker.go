@@ -1,6 +1,7 @@
 // The worker side of the distributed search: a small HTTP server that
 // accepts job installs and scores candidate shards with the existing
-// evaluation machinery (mkl.ScoreShard over scratch evaluators). One
+// evaluation machinery (mkl.ScoreShard: the evaluator's cache front over
+// an in-process pool of scratch evaluators). One
 // evaluator lives per installed job, so its score and Gram-block caches
 // persist across shard requests — a greedy climb re-dispatching an
 // already-seen candidate to the same worker is a cache hit, not a

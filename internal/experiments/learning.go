@@ -51,9 +51,11 @@ func SearchCost(maxN int) (*Table, error) {
 		seed := partition.Coarsest(m)
 		// The three strategies keep separate evaluators (so each row's eval
 		// counts stay per-strategy) but share one Gram-block cache over d.
+		// Every learning experiment searches with Parallelism 1: the
+		// tables print the sequential cost (rows already run concurrently).
 		factory := kernel.RBFFactory(1.0)
 		gramCache := kernel.NewBlockGramCache(d.X, factory, 0)
-		rowCfg := mkl.Config{Objective: mkl.KernelAlignment, Seed: 1, Factory: factory, GramCache: gramCache}
+		rowCfg := mkl.Config{Objective: mkl.KernelAlignment, Seed: 1, Factory: factory, GramCache: gramCache, Parallelism: 1}
 
 		eChain, err := mkl.NewEvaluator(d, rowCfg)
 		if err != nil {
@@ -142,7 +144,7 @@ func HeadlineMKL(seed int64) (*Table, error) {
 	newEval := func() (*mkl.Evaluator, error) {
 		return mkl.NewEvaluator(train, mkl.Config{
 			Objective: mkl.CVAccuracy, Folds: 4, Seed: seed,
-			Factory: factory, GramCache: gramCache,
+			Factory: factory, GramCache: gramCache, Parallelism: 1,
 		})
 	}
 	seedPart := partition.Coarsest(train.D())
@@ -230,7 +232,7 @@ func RoughSeeding(seed int64) (*Table, error) {
 		}
 		e, err := mkl.NewEvaluator(train, mkl.Config{
 			Objective: mkl.CVAccuracy, Folds: 4, Seed: seed,
-			Factory: factory, GramCache: gramCache,
+			Factory: factory, GramCache: gramCache, Parallelism: 1,
 		})
 		if err != nil {
 			return err
@@ -268,7 +270,7 @@ func MultiViewFamily(seed int64) (*Table, error) {
 	train, test := facetWorkload(160, seed)
 
 	// MKL via chain search.
-	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: seed})
+	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: seed, Parallelism: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +365,7 @@ func AblationAscentRule(seed int64) (*Table, error) {
 		name string
 		r    mkl.AscentRule
 	}{{"best-of-chain", mkl.BestOfChain}, {"first-improvement", mkl.FirstImprovement}} {
-		e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: seed})
+		e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: seed, Parallelism: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -415,7 +417,7 @@ func AblationChainSource(seed int64) (*Table, error) {
 		s := sources[i]
 		e, err := mkl.NewEvaluator(train, mkl.Config{
 			Objective: mkl.CVAccuracy, Folds: 4, Seed: seed,
-			Factory: factory, GramCache: gramCache,
+			Factory: factory, GramCache: gramCache, Parallelism: 1,
 		})
 		if err != nil {
 			return err
@@ -459,7 +461,7 @@ func ObjectSurface(seed int64) (*Table, error) {
 	test := dataset.SyntheticObjectSurface(cfg, stats.NewRNG(seed+1000))
 	test.Standardize()
 
-	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: seed})
+	e, err := mkl.NewEvaluator(train, mkl.Config{Objective: mkl.CVAccuracy, Folds: 4, Seed: seed, Parallelism: 1})
 	if err != nil {
 		return nil, err
 	}

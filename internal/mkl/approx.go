@@ -238,8 +238,8 @@ func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, lam flo
 }
 
 // SearchFunc is a lattice-search strategy over one evaluator — the shape of
-// ExhaustiveConeParallel, ChainSearchParallel, etc. as consumed by
-// BudgetedSearch.
+// ExhaustiveCone, GreedyRefine, or a ChainSearch closure over its rule, as
+// consumed by BudgetedSearch.
 type SearchFunc func(e *Evaluator, seed partition.Partition) (*Result, error)
 
 // BudgetedSearch runs search on the approximate evaluator to score the

@@ -72,7 +72,7 @@ func TestApproxParallelDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ExhaustiveConeParallel(e, seedPart)
+			res, err := ExhaustiveCone(e, seedPart)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestBudgetedSearchAgreesWithExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := BudgetedSearch(approxEval, rescoreEval, seedPart, func(e *Evaluator, s partition.Partition) (*Result, error) {
-		return ExhaustiveConeParallel(e, s)
+		return ExhaustiveCone(e, s)
 	}, 8)
 	if err != nil {
 		t.Fatal(err)

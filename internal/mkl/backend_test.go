@@ -38,18 +38,18 @@ var backendStrategies = []struct {
 		name: "chain", dims: 9, stableEvals: true,
 		seq: func(e *Evaluator, s partition.Partition) (*Result, error) { return ChainSearch(e, s, BestOfChain) },
 		par: func(e *Evaluator, s partition.Partition) (*Result, error) {
-			return ChainSearchParallel(e, s, BestOfChain)
+			return ChainSearch(e, s, BestOfChain)
 		},
 	},
 	{
 		name: "exhaustive", dims: 5, stableEvals: true,
 		seq: ExhaustiveCone,
-		par: ExhaustiveConeParallel,
+		par: ExhaustiveCone,
 	},
 	{
 		name: "greedy", dims: 7,
 		seq: GreedyRefine,
-		par: GreedyRefineParallel,
+		par: GreedyRefine,
 	},
 }
 

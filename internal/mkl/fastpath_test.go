@@ -52,11 +52,11 @@ func TestFastPathMatchesReference(t *testing.T) {
 					fast := mk(trainer)
 					ref := mk(refTrainer{trainer})
 					p := partition.Coarsest(d.D())
-					fastRes, err := ChainSearchParallel(fast, p, BestOfChain)
+					fastRes, err := ChainSearch(fast, p, BestOfChain)
 					if err != nil {
 						t.Fatal(err)
 					}
-					refRes, err := ChainSearchParallel(ref, p, BestOfChain)
+					refRes, err := ChainSearch(ref, p, BestOfChain)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -91,7 +91,7 @@ func TestFoldPlanSharedAcrossWorkersRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ChainSearchParallel(e, partition.Coarsest(d.D()), BestOfChain)
+	res, err := ChainSearch(e, partition.Coarsest(d.D()), BestOfChain)
 	if err != nil {
 		t.Fatal(err)
 	}

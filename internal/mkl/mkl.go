@@ -65,11 +65,15 @@ type Config struct {
 	Seed      int64
 	Objective Objective
 
-	// Parallelism selects the worker count of the parallel search
-	// strategies (ExhaustiveConeParallel, ChainSearchParallel,
-	// GreedyRefineParallel): 0 means runtime.GOMAXPROCS(0), 1 forces the
-	// single-worker path, n > 1 uses n workers. Results are deterministic
-	// and identical to the sequential strategies at every setting.
+	// Parallelism sizes the in-process worker pool every search strategy
+	// and ScoreShard score candidates on when no scorer is attached (see
+	// SetScorer): 0 means runtime.GOMAXPROCS(0), 1 is the exact sequential
+	// path — one Score call per candidate, in canonical order, so
+	// Result.Evaluations is the paper's sequential cost — and n > 1 uses n
+	// workers. Best, Score, Trace and the candidate progress events are
+	// identical at every setting; only the stoppable searches
+	// (GreedyRefine and the FirstImprovement chains) may score a bounded
+	// number of extra candidates past their stop.
 	Parallelism int
 
 	// GramCacheBlocks bounds the per-dataset Gram-block cache that lets
@@ -195,9 +199,9 @@ type Evaluator struct {
 	// evaluator aborts within one candidate evaluation (SetContext).
 	ctx context.Context
 
-	// shared lets scratch evaluators of one parallel search pool their
-	// score cache (nil on a standalone evaluator).
-	shared *sharedScores
+	// scorer, when non-nil, scores every candidate batch of a search in
+	// place of the in-process pool (SetScorer).
+	scorer CandidateScorer
 	// gramCache memoizes per-block Gram matrices; shared across the scratch
 	// evaluators of a parallel search (the cache is concurrency-safe).
 	gramCache *kernel.BlockGramCache
@@ -344,15 +348,15 @@ func (e *Evaluator) workers() int { return parsearch.Workers(e.cfg.Parallelism) 
 
 // SetContext binds ctx to the evaluator: once ctx is done, Score refuses
 // new candidate evaluations with ctx.Err(), so every search strategy over
-// this evaluator — sequential or parallel — returns within one candidate
-// evaluation of the cancellation, carrying the partial result accumulated
-// so far. A nil ctx (the default) disables the check. Scratch clones of a
-// parallel search inherit the binding, and the parallel worker pool
-// additionally stops claiming candidates once ctx is done.
+// this evaluator returns within one candidate evaluation of the
+// cancellation (one batch, on an attached scorer), carrying the partial
+// result accumulated so far. A nil ctx (the default) disables the check.
+// The in-process worker pool stops claiming candidates once ctx is done,
+// and an attached scorer receives ctx with every batch.
 func (e *Evaluator) SetContext(ctx context.Context) { e.ctx = ctx }
 
 // searchCtx returns the bound context, or a background context when none
-// was bound (the worker pool needs a non-nil context to poll).
+// was bound (the scorers need a non-nil context to poll).
 func (e *Evaluator) searchCtx() context.Context {
 	if e.ctx != nil {
 		return e.ctx
@@ -360,12 +364,13 @@ func (e *Evaluator) searchCtx() context.Context {
 	return context.Background()
 }
 
-// scratchClone returns a worker-owned evaluator for a parallel search: it
-// shares the dataset, configuration, Gram-block cache, and pooled score
-// cache, but owns its counters and scratch Gram buffers, so concurrent
-// workers never contend on per-candidate allocations.
-func (e *Evaluator) scratchClone(shared *sharedScores) *Evaluator {
-	return &Evaluator{cfg: e.cfg, data: e.data, shared: shared, gramCache: e.gramCache, approxCache: e.approxCache, d32: e.d32, xm: e.xm, folds: e.folds, ctx: e.ctx}
+// scratchClone returns a worker-owned evaluator for the in-process pool:
+// it shares the dataset, configuration, and block caches, but owns its
+// scratch Gram buffers, so concurrent workers never contend on
+// per-candidate allocations. Pool workers only compute (scoreConfig); the
+// parent's cache front does the caching and counting.
+func (e *Evaluator) scratchClone() *Evaluator {
+	return &Evaluator{cfg: e.cfg, data: e.data, gramCache: e.gramCache, approxCache: e.approxCache, d32: e.d32, xm: e.xm, folds: e.folds}
 }
 
 // Evaluations returns the number of kernel configurations actually
@@ -396,36 +401,29 @@ func (e *Evaluator) Score(p partition.Partition) (float64, error) {
 			return 0, err
 		}
 	}
-	if p.N() != e.data.D() {
-		return 0, fmt.Errorf("mkl: partition over %d features, dataset has %d", p.N(), e.data.D())
+	if err := e.checkDims(p); err != nil {
+		return 0, err
 	}
 	e.calls++
 	key := p.Key()
 	if s, ok := e.cache[key]; ok {
 		return s, nil
 	}
-	if e.shared != nil {
-		if s, ok := e.shared.get(key); ok {
-			if e.cache == nil {
-				e.cache = map[string]float64{}
-			}
-			e.cache[key] = s
-			return s, nil
-		}
-	}
 	score, err := e.scoreConfig(p)
 	if err != nil {
 		return 0, err
 	}
 	e.evals++
-	if e.cache == nil {
-		e.cache = map[string]float64{}
-	}
 	e.cache[key] = score
-	if e.shared != nil {
-		e.shared.put(key, score)
-	}
 	return score, nil
+}
+
+// checkDims rejects a partition over the wrong number of features.
+func (e *Evaluator) checkDims(p partition.Partition) error {
+	if p.N() != e.data.D() {
+		return fmt.Errorf("mkl: partition over %d features, dataset has %d", p.N(), e.data.D())
+	}
+	return nil
 }
 
 // scoreConfig computes the objective value of one kernel configuration —
@@ -686,31 +684,22 @@ func freeBlockOf(seed partition.Partition) (int, []int) {
 // obtained by refining its largest block in all possible ways (Bell(m)
 // configurations for a free block of m features) and returns the best.
 //
-// Like every search strategy, on error — including cancellation of a
-// context bound with Evaluator.SetContext — it returns the partial Result
-// accumulated so far alongside the error.
+// Like every search strategy, it scores through the evaluator's search
+// core (see scorer.go) — sequentially, on a pool of Config.Parallelism
+// workers, or on an attached scorer — with an identical outcome. On error,
+// including cancellation of a context bound with Evaluator.SetContext, it
+// returns the partial Result accumulated so far alongside the error.
 func ExhaustiveCone(e *Evaluator, seed partition.Partition) (*Result, error) {
 	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
-	res := &Result{Score: -1}
-	var subs []partition.Partition
-	if m == 1 {
-		subs = []partition.Partition{partition.Finest(1)}
-	} else {
-		subs = partition.All(m)
+	subs := []partition.Partition{partition.Finest(1)}
+	if len(freeElems) > 1 {
+		subs = partition.All(len(freeElems))
 	}
-	for _, q := range subs {
-		full := coneToFull(seed, freeBlock, freeElems, q)
-		s, err := e.Score(full)
-		if err != nil {
-			res.Evaluations = e.Calls() - start
-			return res, err
-		}
-		e.observe(res, full, s)
+	cands := make([]partition.Partition, len(subs))
+	for i, q := range subs {
+		cands[i] = coneToFull(seed, freeBlock, freeElems, q)
 	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
+	return scanCandidates(e, cands, BestOfChain)
 }
 
 // AscentRule selects how ChainSearch consumes its chain.
@@ -735,29 +724,36 @@ const (
 // To make the canonical chain data-adaptive, the free features are first
 // ordered by decreasing single-feature kernel-target alignment; the chain
 // then merges the most informative features first.
+//
+// Under FirstImprovement on more than one worker (or an attached scorer)
+// the chain is scored ahead in batches of the scorer's BatchSize, so
+// Result.Evaluations may exceed the sequential count while the selection
+// and trace stay identical.
 func ChainSearch(e *Evaluator, seed partition.Partition, rule AscentRule) (*Result, error) {
 	freeBlock, freeElems := freeBlockOf(seed)
-	m := len(freeElems)
-	start := e.Calls()
-
 	ordered := alignmentOrder(e, freeElems)
-
-	chain := principalChain(m)
-	res := &Result{Score: -1}
+	chain := principalChain(len(freeElems))
+	cands := make([]partition.Partition, len(chain))
 	for i, q := range chain {
 		// Remap q's canonical elements through the alignment ordering.
-		full := coneToFull(seed, freeBlock, ordered, q)
-		s, err := e.Score(full)
-		if err != nil {
-			res.Evaluations = e.Calls() - start
-			return res, err
-		}
-		if !e.observe(res, full, s) && rule == FirstImprovement && i > 0 {
-			break
-		}
+		cands[i] = coneToFull(seed, freeBlock, ordered, q)
 	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
+	return scanCandidates(e, cands, rule)
+}
+
+// scanCandidates scores cands in canonical order and keeps the best under
+// rule: BestOfChain observes every candidate, FirstImprovement stops at
+// the first one after the start that fails to improve. It is the
+// reduction of every strategy that walks a fixed candidate list
+// (ChainSearch, ExhaustiveCone, DendrogramSearch, ChainBeamSearch).
+func scanCandidates(e *Evaluator, cands []partition.Partition, rule AscentRule) (*Result, error) {
+	r := e.beginSearch()
+	res := &Result{Score: -1}
+	err := r.sweep(cands, rule == BestOfChain, func(i int, s float64) bool {
+		return e.observe(res, cands[i], s) || rule != FirstImprovement || i == 0
+	})
+	res.Evaluations = r.evaluations()
+	return res, err
 }
 
 // principalChain returns the full-span symmetric chain of Π_m used by
@@ -819,48 +815,50 @@ func PrincipalChainMatchesLDD(m int) bool {
 }
 
 // GreedyRefine hill-climbs from the seed through lower covers (splitting
-// one block into two) until no split improves the score.
+// one block into two) until no split improves the score, taking the first
+// improving cover in canonical order at every step.
+//
+// With more than one worker (or an attached scorer) each step's covers are
+// scored ahead in batches of the scorer's BatchSize — a large block has
+// exponentially many covers and the climb usually improves early — so
+// Result.Evaluations may exceed the sequential count by up to one batch
+// per step while the selection and trace stay identical.
 func GreedyRefine(e *Evaluator, seed partition.Partition) (*Result, error) {
-	start := e.Calls()
-	cur := seed
-	curScore, err := e.Score(cur)
-	if err != nil {
+	r := e.beginSearch()
+	res := &Result{Score: -1}
+	if err := r.sweep([]partition.Partition{seed}, true, func(_ int, s float64) bool {
+		res.Best, res.Score, res.Trace = seed, s, []Step{{seed, s}}
+		return true
+	}); err != nil {
 		// Nothing evaluated (e.g. cancellation before the seed): an empty
 		// partial keeps the every-search-returns-a-partial contract.
-		return &Result{Score: -1, Evaluations: e.Calls() - start}, err
+		res.Evaluations = r.evaluations()
+		return res, err
 	}
-	res := &Result{Best: cur, Score: curScore, Trace: []Step{{cur, curScore}}}
-	e.emit(EventCandidateEvaluated, cur, curScore, res)
-	for {
-		improved := false
-		for _, cand := range cur.LowerCovers() {
-			s, err := e.Score(cand)
-			if err != nil {
-				res.Best, res.Score = cur, curScore
-				res.Evaluations = e.Calls() - start
-				return res, err
-			}
-			res.Trace = append(res.Trace, Step{cand, s})
+	e.emit(EventCandidateEvaluated, seed, res.Score, res)
+	for improved := true; improved; {
+		improved = false
+		cands := res.Best.LowerCovers()
+		err := r.sweep(cands, false, func(i int, s float64) bool {
+			res.Trace = append(res.Trace, Step{cands[i], s})
 			// Advance the incumbent before emitting, so the candidate
 			// event carries the post-event best (the Event contract).
-			if s > curScore+1e-12 {
-				cur, curScore = cand, s
-				res.Best, res.Score = cur, curScore
-				improved = true
-			}
-			e.emit(EventCandidateEvaluated, cand, s, res)
+			improved = s > res.Score+1e-12
 			if improved {
-				e.emit(EventBestImproved, cand, s, res)
-				break // first-improvement descent
+				res.Best, res.Score = cands[i], s
 			}
-		}
-		if !improved {
-			break
+			e.emit(EventCandidateEvaluated, cands[i], s, res)
+			if improved {
+				e.emit(EventBestImproved, cands[i], s, res)
+			}
+			return !improved // first-improvement descent
+		})
+		if err != nil {
+			res.Evaluations = r.evaluations()
+			return res, err
 		}
 	}
-	res.Best = cur
-	res.Score = curScore
-	res.Evaluations = e.Calls() - start
+	res.Evaluations = r.evaluations()
 	return res, nil
 }
 

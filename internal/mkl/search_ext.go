@@ -25,20 +25,7 @@ func DendrogramSearch(e *Evaluator, link cluster.Linkage, rule AscentRule) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("mkl: feature clustering: %w", err)
 	}
-	start := e.Calls()
-	res := &Result{Score: -1}
-	for i, p := range den.Chain {
-		s, err := e.Score(p)
-		if err != nil {
-			res.Evaluations = e.Calls() - start
-			return res, err
-		}
-		if !e.observe(res, p, s) && rule == FirstImprovement && i > 0 {
-			break
-		}
-	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
+	return scanCandidates(e, den.Chain, rule)
 }
 
 // ChainBeamSearch walks `beam` distinct full-span chains through the cone
@@ -58,11 +45,9 @@ func ChainBeamSearch(e *Evaluator, seed partition.Partition, beam int) (*Result,
 	if beam > m {
 		beam = m
 	}
-	start := e.Calls()
-
 	ordered := alignmentOrder(e, freeElems)
 	chain := principalChain(m)
-	res := &Result{Score: -1}
+	cands := make([]partition.Partition, 0, beam*m)
 	for b := 0; b < beam; b++ {
 		// Rotate the ordering so each beam merges a different tail first.
 		rot := make([]int, m)
@@ -70,17 +55,10 @@ func ChainBeamSearch(e *Evaluator, seed partition.Partition, beam int) (*Result,
 			rot[i] = ordered[(i+b)%m]
 		}
 		for _, q := range chain {
-			full := coneToFull(seed, freeBlock, rot, q)
-			s, err := e.Score(full)
-			if err != nil {
-				res.Evaluations = e.Calls() - start
-				return res, err
-			}
-			e.observe(res, full, s)
+			cands = append(cands, coneToFull(seed, freeBlock, rot, q))
 		}
 	}
-	res.Evaluations = e.Calls() - start
-	return res, nil
+	return scanCandidates(e, cands, BestOfChain)
 }
 
 // alignmentOrder ranks the given 1-based features by decreasing centered

@@ -75,7 +75,7 @@ func TestScaleSmoke_Nystrom10k(t *testing.T) {
 
 	start := time.Now()
 	res, err := mkl.BudgetedSearch(approx, exact, seed, func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
-		return mkl.ChainSearchParallel(e, s, mkl.BestOfChain)
+		return mkl.ChainSearch(e, s, mkl.BestOfChain)
 	}, topK)
 	if err != nil {
 		t.Fatal(err)
