@@ -95,8 +95,8 @@ contracts:
 	$(CONTRACT) 'TestGoldenArtifactLoadsAndReproducesScores|TestSaveLoadRoundTripIsBitIdentical' ./internal/model
 	$(CONTRACT) 'TestArtifactRoundTripIsBitIdentical' ./internal/core
 	$(CONTRACT) 'TestPredictMatchesInMemoryScoresBitIdentically' ./internal/serve
-	$(CONTRACT) 'TestFitMatchesPartitionDrivenMKL' ./internal/core
-	$(CONTRACT) 'TestFitDefaultsMatchDeprecatedEntryPoint|TestFitCSVRoundTripReproducesSelection' .
+	$(CONTRACT) 'TestFitSelectionIdenticalAcrossWorkers' ./internal/core
+	$(CONTRACT) 'TestFitCSVRoundTripReproducesSelection' .
 	$(CONTRACT) 'TestRunContextCancellation|TestDoContextCancellation' ./internal/parsearch -race
 	$(CONTRACT) 'TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
 	$(CONTRACT) 'TestSearchCoreDeterminism|TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
@@ -108,7 +108,7 @@ contracts:
 	$(CONTRACT) '.' ./internal/engine
 	$(CONTRACT) 'TestBackend' ./internal/mkl
 	$(CONTRACT) 'TestSpecBackendSpellings|TestWorkerDatasetCacheSkipsReingest' ./internal/distsearch
-	$(CONTRACT) 'TestWithBackend|TestWithGramApproxIsBackendSugar|TestAutoBackendFacade' .
+	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
 
 # shuffle re-runs the suite with randomized test and subtest order, so
 # inter-test state dependencies fail loudly instead of hiding behind
@@ -136,7 +136,7 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # serve-smoke drives the model lifecycle end to end: fit a tiny model,
-# start `iotml serve`, assert /healthz plus golden /predict responses
+# start `iotml serve`, assert /v1/healthz plus golden /v1 predict responses
 # (batched == single == committed fixture), then SIGTERM the server and
 # assert a clean drain (exit 0). Mirrors the CI serve-smoke job.
 serve-smoke:
@@ -167,7 +167,7 @@ load-smoke:
 	$(GO) test -tags loadsmoke -run TestLoadSmoke -count=1 -v ./internal/serve/
 
 # scale-smoke exercises the approximate Gram engine at real scale: a
-# synthetic n=10k fit under -gram nystrom:256 must finish inside a
+# synthetic n=10k fit under the nystrom:256 backend must finish inside a
 # wall-clock and RSS budget, its top-K exact re-score must select the
 # committed golden partition, and the budgeted search at n=1k must beat the
 # exact exhaustive cone by the promised factor. Tag-gated like load-smoke

@@ -23,52 +23,6 @@ func TestWithBackendDefaultBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWithGramApproxIsBackendSugar: the deprecated WithGramApprox/WithBudget
-// shims select bit-identically to their WithBackend spellings, and the two
-// option spellings override each other in order (last wins).
-func TestWithGramApproxIsBackendSugar(t *testing.T) {
-	d := publicFitData(t, 6)
-	// (Deprecated-use exemption: same-package tests may exercise the shim.)
-	old, err := Fit(context.Background(), d, WithCVSeed(1),
-		WithGramApprox(GramNystrom, 16), WithBudget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBackend, err := Fit(context.Background(), d, WithCVSeed(1),
-		WithBackend(NystromBackend(16)), WithBudget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viaBackend.Best.Equal(old.Best) || viaBackend.Score != old.Score || viaBackend.Evaluations != old.Evaluations {
-		t.Fatalf("WithBackend(NystromBackend(16)) selected (%v, %v, %d), WithGramApprox (%v, %v, %d) — must be bit-identical",
-			viaBackend.Best, viaBackend.Score, viaBackend.Evaluations, old.Best, old.Score, old.Evaluations)
-	}
-	// Last option wins in both directions: a WithBackend after
-	// WithGramApprox (and vice versa) fully replaces the earlier choice.
-	reset, err := Fit(context.Background(), d, WithCVSeed(1),
-		WithGramApprox(GramRFF, 8), WithBackend(Float64Backend))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Fit(context.Background(), d, WithCVSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reset.Best.Equal(plain.Best) || reset.Score != plain.Score {
-		t.Fatalf("WithBackend after WithGramApprox did not win: (%v, %v) vs default (%v, %v)",
-			reset.Best, reset.Score, plain.Best, plain.Score)
-	}
-	over, err := Fit(context.Background(), d, WithCVSeed(1),
-		WithBackend(Float32Backend), WithGramApprox(GramNystrom, 16), WithBudget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !over.Best.Equal(old.Best) || over.Score != old.Score {
-		t.Fatalf("WithGramApprox after WithBackend did not win: (%v, %v) vs (%v, %v)",
-			over.Best, over.Score, old.Best, old.Score)
-	}
-}
-
 // TestAutoBackendFacade: the one-line facade follows the documented
 // selection table and always returns a concrete backend ParseBackend
 // round-trips.

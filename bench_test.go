@@ -723,27 +723,6 @@ func gramApproxData(n int) *dataset.Dataset {
 	return d
 }
 
-func benchGramApproxCone(b *testing.B, n int, mode mkl.GramMode, rank int) {
-	d := gramApproxData(n)
-	seed := partition.Coarsest(5)
-	for i := 0; i < b.N; i++ {
-		e, err := mkl.NewEvaluator(d, mkl.Config{
-			Objective: mkl.KernelAlignment, Seed: 1, Parallelism: 1,
-			GramMode: mode, GramRank: rank,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := mkl.ExhaustiveCone(e, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Evaluations != 52 { // Bell(5) candidates per cone
-			b.Fatalf("cone evaluated %d candidates, want 52", res.Evaluations)
-		}
-	}
-}
-
 // --- numeric backends (ISSUE 9 / ROADMAP item 4) ---
 //
 // BenchmarkBackend_* measures the three numeric backends on the same
@@ -778,11 +757,9 @@ func BenchmarkBackend_F64Cone1k(b *testing.B)    { benchBackendCone(b, 1000, eng
 func BenchmarkBackend_F32Cone1k(b *testing.B)    { benchBackendCone(b, 1000, engine.Float32) }
 func BenchmarkBackend_ApproxCone1k(b *testing.B) { benchBackendCone(b, 1000, engine.Nystrom(32)) }
 
-func BenchmarkGramApprox_Exact1k(b *testing.B) { benchGramApproxCone(b, 1000, mkl.GramExact, 0) }
-func BenchmarkGramApprox_Nystrom1k(b *testing.B) {
-	benchGramApproxCone(b, 1000, mkl.GramNystrom, 32)
-}
-func BenchmarkGramApprox_RFF1k(b *testing.B) { benchGramApproxCone(b, 1000, mkl.GramRFF, 64) }
+func BenchmarkGramApprox_Exact1k(b *testing.B)   { benchBackendCone(b, 1000, engine.Float64) }
+func BenchmarkGramApprox_Nystrom1k(b *testing.B) { benchBackendCone(b, 1000, engine.Nystrom(32)) }
+func BenchmarkGramApprox_RFF1k(b *testing.B)     { benchBackendCone(b, 1000, engine.RFF(64)) }
 func BenchmarkGramApprox_Nystrom10k(b *testing.B) {
-	benchGramApproxCone(b, 10000, mkl.GramNystrom, 32)
+	benchBackendCone(b, 10000, engine.Nystrom(32))
 }

@@ -190,8 +190,8 @@ commands:
                      for real data; -backend exact|f32|nystrom:256|rff:128|auto
                      picks the numeric backend (f32 halves Gram memory
                      traffic, nystrom/rff score on low-rank factors for
-                     large n, auto picks from the workload size; -gram is
-                     a deprecated alias), -budget-topk 8 re-scores the top
+                     large n, auto picks from the workload size),
+                     -budget-topk 8 re-scores the top
                      survivors exactly; -v streams live progress,
                      -progress-jsonl FILE captures the event stream;
                      Ctrl-C aborts at the next candidate; see fit -h)
@@ -199,14 +199,13 @@ commands:
                      from -in file or stdin, writes {"scores","labels"})
   serve -m m.iotml   serve the batched HTTP inference API on -addr (default
                      :8080): GET /v1/healthz, GET /v1/models,
-                     POST /v1/models/{id}/predict, GET /v1/metrics, plus the
-                     legacy /healthz /model /predict /metrics aliases;
+                     POST /v1/models/{id}/predict, GET /v1/metrics;
                      SIGINT/SIGTERM drains in-flight batches and exits 0
   serve -models dir/ serve every *.iotml artifact in dir (model id = file
                      name); the directory is polled (-reload, default 2s)
                      and changed artifacts hot-swap atomically with zero
-                     dropped requests; -default picks the legacy-route
-                     model, -queue/-global-queue bound load shedding
+                     dropped requests; -queue/-global-queue bound load
+                     shedding
   search-worker      run one distributed-search worker on -addr (default
                      :7600); "fit -dist-workers host:port,..." shards
                      candidate scoring across such workers with retry,

@@ -264,8 +264,7 @@ func runFit(args []string, workers int) error {
 	gamma := fs.Float64("gamma", 1.0, "RBF base bandwidth (gamma/|block|)")
 	combiner := fs.String("combiner", "sum", "block combiner: sum|product")
 	search := fs.String("search", "chain", "lattice search: chain|chain-first|greedy|exhaustive")
-	backendSpec := fs.String("backend", "", "numeric backend: exact|f32|nystrom[:rank]|rff[:rank]|auto (auto picks from the workload size)")
-	gram := fs.String("gram", "exact", "deprecated alias of -backend (exact|nystrom[:rank]|rff[:rank])")
+	backendSpec := fs.String("backend", "exact", "numeric backend: exact|f32|nystrom[:rank]|rff[:rank]|auto (auto picks from the workload size)")
 	budgetTopK := fs.Int("budget-topk", 0, "with an approximate backend: re-score the top K candidates exactly before selecting (0 = off)")
 	folds := fs.Int("folds", 0, "CV folds (0 = default 4)")
 	verbose := fs.Bool("v", false, "stream live search progress to stderr")
@@ -311,21 +310,12 @@ func runFit(args []string, workers int) error {
 	} else if *combiner != "sum" {
 		return fmt.Errorf("fit: unknown combiner %q (sum|product)", *combiner)
 	}
-	setFlags := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if setFlags["backend"] && setFlags["gram"] {
-		return fmt.Errorf("fit: -backend and the deprecated -gram name the same choice; set only one")
-	}
-	spelling := *gram // the deprecated alias, default "exact"
-	if setFlags["backend"] {
-		spelling = *backendSpec
-	}
 	var backend iotml.Backend
-	if spelling == "auto" {
+	if *backendSpec == "auto" {
 		// Resolve against the loaded workload so a distributed fleet is
 		// handed a concrete spelling, never "auto".
 		backend = iotml.AutoBackend(d, iotml.CVAccuracy)
-	} else if backend, err = iotml.ParseBackend(spelling); err != nil {
+	} else if backend, err = iotml.ParseBackend(*backendSpec); err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}
 	progress, closeSink, err := progressSink(*verbose, *progressJSONL)
@@ -483,7 +473,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	mpath := fs.String("m", "", "model artifact path (serves it as model id \"default\")")
 	modelsDir := fs.String("models", "", "directory of *.iotml artifacts to serve and watch for changes")
-	defaultModel := fs.String("default", "", "model id the legacy /predict and /model routes resolve to (defaults to the only model when one is registered)")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxBatch := fs.Int("max-batch", 0, "max instances per scoring batch (0 = default 64)")
 	flush := fs.Duration("flush", 0, "batch flush interval (0 = default 2ms)")
@@ -507,9 +496,6 @@ func runServe(args []string) error {
 		serve.WithGlobalQueueDepth(*globalQueue),
 		serve.WithDrainTimeout(*drain),
 		serve.WithReloadInterval(*reload),
-	}
-	if *defaultModel != "" {
-		opts = append(opts, serve.WithDefaultModel(*defaultModel))
 	}
 	reg := serve.NewRegistry()
 	if *mpath != "" {
@@ -537,8 +523,7 @@ func runServe(args []string) error {
 			fmt.Printf("  model %s: %s, %d features, fingerprint %s\n", id, info.LearnerKind, info.Dim, info.Fingerprint)
 		}
 	}
-	fmt.Printf("endpoints: GET /v1/healthz  GET /v1/models  GET /v1/models/{id}  POST /v1/models/{id}/predict  GET /v1/metrics\n")
-	fmt.Printf("legacy aliases: GET /healthz  GET /model  POST /predict  GET /metrics  (SIGINT/SIGTERM drains and exits 0)\n")
+	fmt.Printf("endpoints: GET /v1/healthz  GET /v1/models  GET /v1/models/{id}  POST /v1/models/{id}/predict  GET /v1/metrics  (SIGINT/SIGTERM drains and exits 0)\n")
 	if err := srv.ListenAndServeContext(ctx, *addr); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}

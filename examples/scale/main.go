@@ -44,7 +44,7 @@ func main() {
 	t0 := time.Now()
 	res, err := iotml.Fit(context.Background(), train,
 		iotml.WithObjective(iotml.KernelAlignment),
-		iotml.WithGramApprox(iotml.GramNystrom, rank),
+		iotml.WithBackend(iotml.NystromBackend(rank)),
 		iotml.WithBudget(2),
 		iotml.WithProgress(func(ev iotml.Event) {
 			if ev.Kind == iotml.EventBestImproved {

@@ -8,7 +8,7 @@
 //
 //	iotml fit -o models/face.iotml -workload biometric -seed 1
 //	iotml fit -o models/gait.iotml -workload biometric -seed 2
-//	iotml serve -models models/ -default face -addr :8080 &
+//	iotml serve -models models/ -addr :8080 &
 //	curl -s localhost:8080/v1/models
 //	curl -s -X POST localhost:8080/v1/models/gait/predict -d '{"instances": [[...]]}'
 //	iotml fit -o models/face.iotml -seed 3   # watched dir: hot-swaps live
@@ -93,7 +93,6 @@ func main() {
 	srv, err := iotml.Serve(ctx, reg,
 		iotml.WithModelDir(dir),
 		iotml.WithReloadInterval(100*time.Millisecond),
-		iotml.WithDefaultModel("face"),
 		iotml.WithWorkers(2),
 	)
 	if err != nil {
@@ -102,17 +101,14 @@ func main() {
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
-	fmt.Printf("serving: %s (models %v, default %q)\n", hs.URL, reg.IDs(), srv.DefaultModel())
+	fmt.Printf("serving: %s (models %v)\n", hs.URL, reg.IDs())
 
-	// 3. Route: each model answers under /v1/models/{id}/predict; the
-	// legacy /predict alias resolves to the default model.
+	// 3. Route: each model answers under /v1/models/{id}/predict.
 	query := queryRow(n)
 	for _, id := range reg.IDs() {
 		pr := mustPredict(hs.URL+"/v1/models/"+id+"/predict", query)
 		fmt.Printf("predict: model %-4s -> score %+.4f label %+d\n", id, pr.Scores[0], pr.Labels[0])
 	}
-	legacy := mustPredict(hs.URL+"/predict", query)
-	fmt.Printf("predict: legacy /predict (alias of %q) -> score %+.4f\n", srv.DefaultModel(), legacy.Scores[0])
 
 	// 4. Hot-swap: refit the face model and overwrite its artifact. The
 	// watcher fingerprints the new file and swaps it in atomically — the

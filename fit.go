@@ -1,10 +1,9 @@
 // The context-first fit API: Fit(ctx, data, options...) is the package's
-// primary entry point. Functional options replace the nested FitConfig
-// struct of the original API (which remains as a deprecated shim), the
-// context cancels or deadlines the lattice search at candidate-evaluation
-// granularity, and WithProgress streams the fit's event sequence for live
-// display or machine-readable logging. (Package documentation lives in
-// iotml.go.)
+// entry point. Functional options configure it (WithConfig accepts a whole
+// FitConfig struct), the context cancels or deadlines the lattice search
+// at candidate-evaluation granularity, and WithProgress streams the fit's
+// event sequence for live display or machine-readable logging. (Package
+// documentation lives in iotml.go.)
 
 package iotml
 
@@ -121,13 +120,14 @@ var (
 )
 
 // NystromBackend returns the Nyström landmark backend with the given
-// per-block rank (0 selects the default, 64) — WithBackend's spelling of
-// WithGramApprox(GramNystrom, rank).
+// per-block rank (0 selects the default, 64): candidates are scored on
+// seeded landmark factors, exact to ≤1e-9 at rank = n.
 func NystromBackend(rank int) Backend { return engine.Nystrom(rank) }
 
 // RFFBackend returns the random-Fourier-feature backend with the given
-// per-block rank (0 selects the default, 64) — WithBackend's spelling of
-// WithGramApprox(GramRFF, rank).
+// per-block rank (0 selects the default, 64): RBF blocks are scored on
+// seeded random-Fourier-feature factors, other blocks fall back to
+// Nyström.
 func RFFBackend(rank int) Backend { return engine.RFF(rank) }
 
 // ParseBackend parses the CLI spelling of a backend — "exact", "f32",
@@ -144,14 +144,8 @@ func ParseBackend(s string) (Backend, error) { return engine.Parse(s) }
 // stays exact float64 whatever backend scored the search. Approximate
 // backends require the (default) sum combiner; Float32Backend and the
 // approximate backends are mutually exclusive with WithExactGram.
-//
-// WithBackend and the deprecated WithGramApprox override each other in
-// option order, last one wins.
 func WithBackend(b Backend) Option {
-	return func(c *core.FitConfig) {
-		c.MKL.Backend = b
-		c.MKL.GramMode, c.MKL.GramRank = GramExact, 0
-	}
+	return func(c *core.FitConfig) { c.MKL.Backend = b }
 }
 
 // AutoBackend picks a backend from the workload — the one-line selection
@@ -169,44 +163,15 @@ func AutoBackend(d *Dataset, obj Objective) Backend {
 	return engine.Auto(d.N(), obj == KernelAlignment)
 }
 
-// WithGramApprox selects an approximate Gram backend for the lattice
-// search: GramNystrom scores candidates on seeded landmark factors (exact
-// to ≤1e-9 at rank = n), GramRFF on random-Fourier-feature factors for RBF
-// blocks (Nyström fallback elsewhere). rank is the per-block rank —
-// landmark or feature count — with 0 selecting the default (64). The
-// deployment fit behind Deploy/Artifact always stays exact; combine with
-// WithBudget to re-score the top survivors exactly before selecting.
-// GramExact restores the default bit-identical path. Approximate modes
-// require the (default) sum combiner and are mutually exclusive with
-// WithExactGram.
-//
-// Deprecated: WithGramApprox is thin sugar over WithBackend —
-// WithGramApprox(GramNystrom, r) ≡ WithBackend(NystromBackend(r)) and
-// WithGramApprox(GramRFF, r) ≡ WithBackend(RFFBackend(r)), bit-identically
-// (asserted in CI). It remains for source compatibility; new code should
-// spell the backend.
-func WithGramApprox(mode GramMode, rank int) Option {
-	return func(c *core.FitConfig) {
-		c.MKL.Backend = Backend{}
-		c.MKL.GramMode = mode
-		c.MKL.GramRank = rank
-	}
-}
-
 // WithBudget enables the budgeted search mode on top of an approximate
 // Gram backend: the whole lattice is scored with the cheap approximation
 // and only the topK best distinct candidates are re-scored exactly, with
 // the exact scores deciding the final selection (see mkl.BudgetedSearch).
-// Values <= 0 disable re-scoring; without WithGramApprox the option has no
-// effect.
+// Values <= 0 disable re-scoring; without an approximate WithBackend the
+// option has no effect.
 func WithBudget(topK int) Option {
 	return func(c *core.FitConfig) { c.MKL.BudgetTopK = topK }
 }
-
-// ParseGramMode parses the CLI spelling of a Gram backend — "exact",
-// "nystrom[:rank]", or "rff[:rank]" — into the (mode, rank) pair
-// WithGramApprox consumes.
-func ParseGramMode(s string) (GramMode, int, error) { return mkl.ParseGramMode(s) }
 
 // Distributed search: the coordinator/worker types of internal/distsearch.
 type (
@@ -259,10 +224,6 @@ func WithConfig(cfg FitConfig) Option {
 // leaking goroutines, and returns the partial FitResult accumulated so far
 // (best-so-far configuration, score, evaluation count) alongside an error
 // wrapping ctx.Err().
-//
-// With default options Fit is bit-identical to the deprecated
-// PartitionDrivenMKL entry point (asserted in CI across strategies and
-// worker counts).
 func Fit(ctx context.Context, d *Dataset, opts ...Option) (*FitResult, error) {
 	var cfg core.FitConfig
 	for _, o := range opts {
@@ -281,20 +242,14 @@ type (
 	Combiner = kernel.Combiner
 	// Objective selects the candidate-scoring objective.
 	Objective = mkl.Objective
-	// GramMode selects the Gram backend of the lattice search (see
-	// WithGramApprox).
-	GramMode = mkl.GramMode
 )
 
-// Combiners, objectives, and Gram backends.
+// Combiners and objectives.
 const (
 	CombineSum      = kernel.CombineSum
 	CombineProduct  = kernel.CombineProduct
 	CVAccuracy      = mkl.CVAccuracy
 	KernelAlignment = mkl.KernelAlignment
-	GramExact       = mkl.GramExact
-	GramNystrom     = mkl.GramNystrom
-	GramRFF         = mkl.GramRFF
 )
 
 // RidgeLearner returns kernel ridge regression with the given

@@ -16,27 +16,6 @@ func publicFitData(t testing.TB, seed int64) *Dataset {
 	return d
 }
 
-// TestFitDefaultsMatchDeprecatedEntryPoint: the public compat contract —
-// Fit(ctx, d) with default options selects exactly what
-// PartitionDrivenMKL(d, FitConfig{}) selects. (The full strategy × worker
-// matrix runs in internal/core's TestFitMatchesPartitionDrivenMKL.)
-func TestFitDefaultsMatchDeprecatedEntryPoint(t *testing.T) {
-	d := publicFitData(t, 1)
-	// (Deprecated-use exemption: same-package tests may exercise the shim.)
-	old, err := PartitionDrivenMKL(d, FitConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Fit(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Best.Equal(old.Best) || got.Score != old.Score || got.Evaluations != old.Evaluations {
-		t.Fatalf("Fit selected (%v, %v, %d evals), PartitionDrivenMKL (%v, %v, %d evals)",
-			got.Best, got.Score, got.Evaluations, old.Best, old.Score, old.Evaluations)
-	}
-}
-
 // TestFitOptionsApply: options reach the engine — the progress stream
 // fires, parallelism keeps the selection identical, and the option-built
 // configuration matches the equivalent struct configuration.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,7 +53,7 @@ func TestArtifactRoundTripIsBitIdentical(t *testing.T) {
 			t.Run(lname+"/"+cname, func(t *testing.T) {
 				for seed := int64(1); seed <= 3; seed++ {
 					d := tinyWorkload(seed)
-					res, err := PartitionDrivenMKL(d, FitConfig{
+					res, err := Fit(context.Background(), d, FitConfig{
 						MKL: mkl.Config{
 							Trainer:     trainer,
 							Combiner:    combiner,
@@ -125,7 +126,7 @@ func TestArtifactRequiresFitProvenance(t *testing.T) {
 // exactly as mkl.HoldoutAccuracy's internal model does.
 func TestArtifactModelMatchesHoldoutModel(t *testing.T) {
 	d := tinyWorkload(9)
-	res, err := PartitionDrivenMKL(d, FitConfig{MKL: mkl.Config{Parallelism: 1}})
+	res, err := Fit(context.Background(), d, FitConfig{MKL: mkl.Config{Parallelism: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

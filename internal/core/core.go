@@ -25,7 +25,7 @@ import (
 	"repro/internal/rough"
 )
 
-// FitConfig configures Fit (and its historical alias PartitionDrivenMKL).
+// FitConfig configures Fit.
 // Zero values select the paper's defaults: rough-set accuracy seeding with
 // K up to 2 features, chain search with the best-of-chain rule, 4-fold CV
 // scoring with kernel ridge.
@@ -59,7 +59,7 @@ type FitConfig struct {
 	// (internal/distsearch). The evaluator configuration is then derived
 	// from Dist.Spec — the serializable form coordinator and workers
 	// expand identically — overriding MKL's Factory/Trainer/Combiner/
-	// Folds/Seed/Objective/Gram fields (Parallelism, Progress, and the
+	// Folds/Seed/Objective/Backend fields (Parallelism, Progress, and the
 	// Gram cache bound are kept: they are local orchestration, not
 	// scoring semantics). Selection is bit-identical to the in-process
 	// strategies; dead or hung workers are retried, re-dispatched, and
@@ -84,7 +84,7 @@ const (
 	SearchExhaustive
 )
 
-// FitResult is the outcome of Fit (or PartitionDrivenMKL).
+// FitResult is the outcome of Fit.
 type FitResult struct {
 	// Seed is the rough-set-selected two-block partition (K, S-K).
 	Seed partition.Partition
@@ -159,11 +159,8 @@ func (r *FitResult) Artifact() (*model.Artifact, error) {
 // Progress, when cfg.MKL.Progress is set, streams the fit's event
 // sequence: seed selection, one event per candidate evaluated,
 // best-so-far improvements, and search/fit completion markers. The stream
-// is identical at every worker count.
-//
-// With a background context and no progress callback, Fit is bit-identical
-// to the historical PartitionDrivenMKL entry point (asserted by
-// TestFitMatchesPartitionDrivenMKL in CI).
+// is identical at every worker count, and so is the selection (asserted
+// by TestFitSelectionIdenticalAcrossWorkers in CI).
 func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -239,19 +236,14 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		coord.SetEmitter(e.EmitDistEvent)
 		e.SetScorer(coord)
 	}
-	backend, berr := cfg.MKL.EffectiveBackend()
-	if berr != nil {
-		return nil, fmt.Errorf("core: %w", berr)
-	}
 	var res *mkl.Result
-	if backend.IsApprox() && cfg.MKL.BudgetTopK > 0 {
+	if cfg.MKL.Backend.IsApprox() && cfg.MKL.BudgetTopK > 0 {
 		// Budgeted mode: the approximate evaluator scores the lattice, an
 		// exact twin re-scores the top-K survivors and decides the final
 		// selection. The deployment fit (FitResult.Artifact, Deploy) is
 		// always exact regardless of mode.
 		exactCfg := cfg.MKL
 		exactCfg.Backend = engine.Backend{}
-		exactCfg.GramMode, exactCfg.GramRank = mkl.GramExact, 0
 		// The exact twin runs cache-free: it only ever scores the top-K
 		// survivors, and retaining n×n blocks across them would cost
 		// O(blocks·n²) memory at exactly the scale budgeted mode targets
@@ -295,14 +287,6 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		data:        d,
 		cfg:         cfg,
 	}, nil
-}
-
-// PartitionDrivenMKL runs the paper's Section III procedure end to end on
-// a faceted dataset. It is Fit with a background (never-cancelled)
-// context, retained as the historical entry point; new code should call
-// Fit, which adds cancellation and progress streaming.
-func PartitionDrivenMKL(d *dataset.Dataset, cfg FitConfig) (*FitResult, error) {
-	return Fit(context.Background(), d, cfg)
 }
 
 // Deploy retrains the chosen configuration on train and reports holdout

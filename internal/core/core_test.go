@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -16,10 +17,10 @@ func workload(n int, seed int64) *dataset.Dataset {
 	return d
 }
 
-func TestPartitionDrivenMKLEndToEnd(t *testing.T) {
+func TestFitEndToEnd(t *testing.T) {
 	train := workload(120, 1)
 	test := workload(80, 2)
-	res, err := PartitionDrivenMKL(train, FitConfig{
+	res, err := Fit(context.Background(), train, FitConfig{
 		MKL: mkl.Config{Objective: mkl.KernelAlignment, Seed: 1},
 	})
 	if err != nil {
@@ -43,10 +44,10 @@ func TestPartitionDrivenMKLEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPartitionDrivenMKLStrategies(t *testing.T) {
+func TestFitStrategies(t *testing.T) {
 	train := workload(80, 3)
 	for _, s := range []SearchStrategy{SearchChain, SearchChainFirstImprovement, SearchGreedy} {
-		res, err := PartitionDrivenMKL(train, FitConfig{
+		res, err := Fit(context.Background(), train, FitConfig{
 			Search: s,
 			MKL:    mkl.Config{Objective: mkl.KernelAlignment, Seed: 1},
 		})
@@ -59,9 +60,9 @@ func TestPartitionDrivenMKLStrategies(t *testing.T) {
 	}
 }
 
-func TestPartitionDrivenMKLValidation(t *testing.T) {
+func TestFitValidation(t *testing.T) {
 	bad := &dataset.Dataset{X: [][]float64{{1}}, Y: []int{1, -1}}
-	if _, err := PartitionDrivenMKL(bad, FitConfig{}); err == nil {
+	if _, err := Fit(context.Background(), bad, FitConfig{}); err == nil {
 		t.Error("invalid dataset accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/distsearch"
+	"repro/internal/engine"
 	"repro/internal/mkl"
 	"repro/internal/retry"
 )
@@ -130,7 +131,7 @@ func TestFitDistributedDeadFleetFallsBack(t *testing.T) {
 func TestFitDistributedRejectsBudget(t *testing.T) {
 	d := fitTestData(t)
 	_, err := Fit(context.Background(), d, FitConfig{
-		MKL: mkl.Config{Seed: 1, BudgetTopK: 4, GramMode: mkl.GramNystrom},
+		MKL: mkl.Config{Seed: 1, BudgetTopK: 4, Backend: engine.Nystrom(0)},
 		Dist: &distsearch.Options{
 			Workers: []string{"127.0.0.1:9"},
 			Spec:    distsearch.Spec{CVSeed: 1},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mkl"
@@ -8,7 +9,7 @@ import (
 
 // TestVectorizedAndPairwiseSelectSamePartition is the end-to-end contract of
 // the vectorized Gram engine: for every search strategy and worker count,
-// PartitionDrivenMKL must select the same partition (and seed) whether
+// Fit must select the same partition (and seed) whether
 // candidate Grams come from the dense block path or the scalar pairwise
 // path (ExactGram). Scores may differ within the RBF tolerance, so only the
 // selection — the decision the engine exists to make — is compared.
@@ -21,7 +22,7 @@ func TestVectorizedAndPairwiseSelectSamePartition(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			run := func(exact bool) *FitResult {
 				t.Helper()
-				res, err := PartitionDrivenMKL(train, FitConfig{
+				res, err := Fit(context.Background(), train, FitConfig{
 					Search: s,
 					MKL: mkl.Config{
 						Objective:   mkl.KernelAlignment,
@@ -56,7 +57,7 @@ func TestExactGramNoCacheSelectionMatches(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		run := func(exact bool) *FitResult {
 			t.Helper()
-			res, err := PartitionDrivenMKL(train, FitConfig{
+			res, err := Fit(context.Background(), train, FitConfig{
 				MKL: mkl.Config{
 					Objective:       mkl.KernelAlignment,
 					Seed:            1,

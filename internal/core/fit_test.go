@@ -25,11 +25,11 @@ func fitTestData(t testing.TB) *dataset.Dataset {
 	return d
 }
 
-// TestFitMatchesPartitionDrivenMKL is the compat contract of the API
-// redesign: Fit with a background context is bit-identical to the
-// historical PartitionDrivenMKL entry point across every search strategy
-// and worker count (CI runs this on every push).
-func TestFitMatchesPartitionDrivenMKL(t *testing.T) {
+// TestFitSelectionIdenticalAcrossWorkers is the parallel-determinism
+// contract of Fit: at every search strategy and worker count it selects
+// the same partition, score, and rough-set seed as the sequential
+// (Parallelism=1) fit (CI runs this on every push).
+func TestFitSelectionIdenticalAcrossWorkers(t *testing.T) {
 	d := fitTestData(t)
 	strategies := map[string]SearchStrategy{
 		"chain":      SearchChain,
@@ -37,29 +37,25 @@ func TestFitMatchesPartitionDrivenMKL(t *testing.T) {
 		"exhaustive": SearchExhaustive,
 	}
 	for name, strat := range strategies {
-		for _, workers := range []int{1, 2, 8} {
+		seq, err := Fit(context.Background(), d, FitConfig{Search: strat, MKL: mkl.Config{Seed: 1, Parallelism: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				cfg := FitConfig{
+				got, err := Fit(context.Background(), d, FitConfig{
 					Search: strat,
 					MKL:    mkl.Config{Seed: 1, Parallelism: workers},
-				}
-				old, err := PartitionDrivenMKL(d, cfg)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Fit(context.Background(), d, cfg)
-				if err != nil {
-					t.Fatal(err)
+				if !got.Best.Equal(seq.Best) || got.Score != seq.Score {
+					t.Fatalf("workers=%d selected (%v, %v), sequential (%v, %v)",
+						workers, got.Best, got.Score, seq.Best, seq.Score)
 				}
-				if !got.Best.Equal(old.Best) || got.Score != old.Score {
-					t.Fatalf("Fit selected (%v, %v), PartitionDrivenMKL (%v, %v)",
-						got.Best, got.Score, old.Best, old.Score)
-				}
-				if !got.Seed.Equal(old.Seed) || !reflect.DeepEqual(got.SeedAttrs, old.SeedAttrs) {
-					t.Fatalf("seeds diverge: (%v, %v) vs (%v, %v)", got.Seed, got.SeedAttrs, old.Seed, old.SeedAttrs)
-				}
-				if got.Evaluations != old.Evaluations {
-					t.Fatalf("evaluations diverge: %d vs %d", got.Evaluations, old.Evaluations)
+				if !got.Seed.Equal(seq.Seed) || !reflect.DeepEqual(got.SeedAttrs, seq.SeedAttrs) {
+					t.Fatalf("seeds diverge: (%v, %v) vs (%v, %v)", got.Seed, got.SeedAttrs, seq.Seed, seq.SeedAttrs)
 				}
 			})
 		}

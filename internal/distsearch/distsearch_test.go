@@ -1,6 +1,10 @@
 package distsearch
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,6 +76,29 @@ func TestJobVerifyRejectsTampering(t *testing.T) {
 	if err := job.Verify(); err == nil {
 		t.Fatal("Verify accepted a tampered dataset")
 	}
+
+	// A job from a coordinator speaking an older spec — one still carrying
+	// the removed "gram" field — is refused at install with a 400 envelope
+	// naming the field, not as an opaque fingerprint mismatch.
+	job, err = NewJob(d, Spec{Backend: "nystrom:64"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = bytes.Replace(body, []byte(`"spec":{`), []byte(`"spec":{"gram":"nystrom:64",`), 1)
+	var w WorkerServer
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/job", bytes.NewReader(body)))
+	var env errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("install reply is not the error envelope: %v (%s)", err, rec.Body)
+	}
+	if rec.Code != http.StatusBadRequest || env.Code != errCodeBadRequest || !strings.Contains(env.Error, `"gram"`) {
+		t.Fatalf("job with a removed spec field answered %d %+v, want 400 %s naming \"gram\"", rec.Code, env, errCodeBadRequest)
+	}
 }
 
 // TestSpecConfigRejectsUnknown: bad spellings fail loudly, never default
@@ -83,7 +110,6 @@ func TestSpecConfigRejectsUnknown(t *testing.T) {
 		{Kernel: "cubic"},
 		{Combiner: "max"},
 		{Objective: "auc"},
-		{Gram: "sketch:9"},
 		{Backend: "sketch"},
 		{Backend: "auto"}, // must be resolved coordinator-side first
 		{Backend: "nystrom:0"},
@@ -99,9 +125,7 @@ func TestSpecConfigRejectsUnknown(t *testing.T) {
 }
 
 // TestSpecBackendSpellings: the Backend field expands to the engine
-// backend the coordinator resolved, and the deprecated Gram spelling
-// expands to the same evaluator configuration (NewEvaluator normalizes
-// the two spellings; a disagreement fails loudly there).
+// backend the coordinator resolved.
 func TestSpecBackendSpellings(t *testing.T) {
 	cfg, err := Spec{Backend: "f32"}.Config()
 	if err != nil {
@@ -116,21 +140,6 @@ func TestSpecBackendSpellings(t *testing.T) {
 	}
 	if cfg.Backend != engine.Nystrom(64) {
 		t.Fatalf("Backend \"nystrom:64\" expanded to %v", cfg.Backend)
-	}
-	legacy, err := Spec{Gram: "nystrom:64"}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb, err := cfg.EffectiveBackend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := legacy.EffectiveBackend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eb != lb {
-		t.Fatalf("Backend and Gram spellings of nystrom:64 resolve to %v vs %v", eb, lb)
 	}
 }
 

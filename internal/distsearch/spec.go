@@ -68,13 +68,6 @@ type Spec struct {
 	// dataset before the spec is built, so every worker expands the same
 	// backend; unknown spellings fail job install loudly on both sides.
 	Backend string `json:"backend,omitempty"`
-	// Gram selects the Gram backend in CLI spelling: "exact" (default),
-	// "nystrom[:rank]", or "rff[:rank]".
-	//
-	// Deprecated spelling: Backend subsumes it ("nystrom:256" means the
-	// same in either field). Setting both to disagreeing backends fails
-	// evaluator construction loudly.
-	Gram string `json:"gram,omitempty"`
 	// ExactGram forces the scalar pairwise Gram path (strict reproduction
 	// runs).
 	ExactGram bool `json:"exact_gram,omitempty"`
@@ -139,13 +132,6 @@ func (s Spec) Config() (mkl.Config, error) {
 			return cfg, fmt.Errorf("distsearch: %w", err)
 		}
 		cfg.Backend = b
-	}
-	if s.Gram != "" {
-		mode, rank, err := mkl.ParseGramMode(s.Gram)
-		if err != nil {
-			return cfg, fmt.Errorf("distsearch: %w", err)
-		}
-		cfg.GramMode, cfg.GramRank = mode, rank
 	}
 	cfg.Folds = s.Folds
 	cfg.Seed = s.CVSeed

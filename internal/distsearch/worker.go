@@ -98,8 +98,14 @@ func (w *WorkerServer) handleJob(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, errCodeBadRequest, "POST only")
 		return
 	}
+	// Unknown fields fail the install by name: a job from a coordinator
+	// speaking a different spec version (say, one still carrying a removed
+	// field) is rejected with a message naming the field, rather than as
+	// an opaque fingerprint mismatch once the spec is re-encoded.
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<30))
+	dec.DisallowUnknownFields()
 	var job Job
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<30)).Decode(&job); err != nil {
+	if err := dec.Decode(&job); err != nil {
 		writeError(rw, http.StatusBadRequest, errCodeBadRequest, fmt.Sprintf("decoding job: %v", err))
 		return
 	}

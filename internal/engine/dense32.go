@@ -1,8 +1,7 @@
-// Dense32 is the Float32 backend's Gram assembly: a concurrency-safe
-// per-block float32 Gram cache mirroring kernel.BlockGramCache (same block
-// keys, same FIFO retention semantics, same combine order), plus the
-// worker-owned assembly scratch and ridge solver the evaluator threads
-// through it.
+// Dense32 is the Float32 backend's Gram assembly: a kernel.BlockCache of
+// per-block float32 Grams (the one block cache, with its one retention
+// policy), plus the worker-owned assembly scratch and ridge solver the
+// evaluator threads through it.
 //
 // Determinism: each block Gram is produced by one deterministic routine
 // over the cached float32 column block — two workers racing on a cold
@@ -14,8 +13,6 @@ package engine
 
 import (
 	"math"
-	"strconv"
-	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/partition"
@@ -25,113 +22,45 @@ import (
 // and block-kernel factory. Safe for concurrent use; cached matrices are
 // shared read-only and must be combined into a separate output buffer.
 type Dense32 struct {
+	*kernel.BlockCache[*M32]
 	x       [][]float64
 	factory kernel.BlockKernelFactory
-	limit   int
-
-	mu sync.RWMutex
-	// order tracks insertion order of the Gram map's keys for FIFO
-	// eviction once limit is exceeded.
-	order []string
-	m     map[string]*M32
-	// xm caches the contiguous float32 column blocks feeding the
+	// cols caches the contiguous float32 column blocks feeding the
 	// vectorized routines — the dataset is narrowed to f32 once per block,
 	// not per candidate.
-	xm map[string]*M32
+	cols *kernel.BlockCache[*M32]
 }
+
+// Scratch32 is the per-caller scratch of GramForPartitionScratch.
+type Scratch32 = kernel.BlockScratch[*M32]
 
 // NewDense32 returns a float32 block-Gram cache over dataset rows x using
 // factory to build each block kernel. limit follows
-// kernel.NewBlockGramCache: 0 selects kernel.DefaultGramCacheBlocks,
+// kernel.NewBlockCache: 0 selects kernel.DefaultGramCacheBlocks,
 // negative disables retention (every block is recomputed).
 func NewDense32(x [][]float64, factory kernel.BlockKernelFactory, limit int) *Dense32 {
-	if limit == 0 {
-		limit = kernel.DefaultGramCacheBlocks
-	}
-	return &Dense32{
-		x: x, factory: factory, limit: limit,
-		m:  map[string]*M32{},
-		xm: map[string]*M32{},
-	}
+	c := &Dense32{x: x, factory: factory}
+	c.BlockCache = kernel.NewBlockCache(limit, m32Bytes, c.computeBlock)
+	c.cols = kernel.NewBlockCache(limit, m32Bytes, func(_ []byte, feats []int) (*M32, error) {
+		sub := NewM32(len(x), len(feats))
+		for i, r := range x {
+			dstRow := sub.Data[i*len(feats) : (i+1)*len(feats)]
+			for k, f := range feats {
+				dstRow[k] = float32(r[f])
+			}
+		}
+		return sub, nil
+	})
+	return c
 }
 
-// blockMatrix returns the contiguous float32 column block of the given
-// 0-based feature indices, extracting and caching it on first use.
+// m32Bytes is the cache footprint of a float32 matrix.
+func m32Bytes(m *M32) int64 { return int64(len(m.Data)) * 4 }
+
+// blockMatrix returns the cached contiguous float32 column block of feats.
 func (c *Dense32) blockMatrix(feats []int) *M32 {
-	key := blockKey32(feats)
-	c.mu.RLock()
-	sub, ok := c.xm[key]
-	c.mu.RUnlock()
-	if ok {
-		return sub
-	}
-	sub = NewM32(len(c.x), len(feats))
-	for i, r := range c.x {
-		dstRow := sub.Data[i*len(feats) : (i+1)*len(feats)]
-		for k, f := range feats {
-			dstRow[k] = float32(r[f])
-		}
-	}
-	c.mu.Lock()
-	if prev, ok := c.xm[key]; ok {
-		sub = prev
-	} else if len(c.xm) < c.limit {
-		c.xm[key] = sub
-	}
-	c.mu.Unlock()
-	return sub
-}
-
-// blockKey32 fingerprints a block by its sorted 0-based feature indices —
-// the same canonical key format as the float64 cache.
-func blockKey32(feats []int) string {
-	buf := make([]byte, 0, 4*len(feats))
-	for i, f := range feats {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(f), 10)
-	}
-	return string(buf)
-}
-
-// BlockGram returns the float32 Gram matrix of the block kernel on the
-// given 0-based feature indices, computing and caching it on first use.
-// The returned matrix is shared and must not be mutated.
-func (c *Dense32) BlockGram(feats []int) *M32 {
-	return c.blockGram([]byte(blockKey32(feats)), feats)
-}
-
-// blockGram is BlockGram keyed by a caller-owned byte fingerprint, so the
-// hot cache-hit path allocates nothing (the no-alloc map[string] byte-slice
-// lookup, as in kernel.BlockGramCache.blockGram).
-func (c *Dense32) blockGram(key []byte, feats []int) *M32 {
-	c.mu.RLock()
-	g, ok := c.m[string(key)]
-	c.mu.RUnlock()
-	if ok {
-		return g
-	}
-	// Compute outside the lock on a private copy of feats (factories retain
-	// their feature slice; feats may be caller-reused scratch). Racing
-	// workers compute identical blocks and the first store wins.
-	feats = append([]int(nil), feats...)
-	g = c.computeBlock(c.factory(feats), feats)
-	c.mu.Lock()
-	if prev, ok := c.m[string(key)]; ok {
-		g = prev
-	} else if c.limit > 0 {
-		ks := string(key)
-		c.m[ks] = g
-		c.order = append(c.order, ks)
-		for len(c.order) > 1 && len(c.m) > c.limit {
-			old := c.order[0]
-			c.order = c.order[1:]
-			delete(c.m, old)
-		}
-	}
-	c.mu.Unlock()
-	return g
+	m, _ := c.cols.Block(feats) // column extraction never fails
+	return m
 }
 
 // computeBlock builds one block's float32 Gram: the elementary kernels run
@@ -139,13 +68,14 @@ func (c *Dense32) blockGram(key []byte, feats []int) *M32 {
 // column block; kernels without a native f32 routine fall back to the
 // scalar float64 reference and truncate once per entry — still within the
 // tolerance contract, just without the memory-traffic win.
-func (c *Dense32) computeBlock(base kernel.Kernel, feats []int) *M32 {
+func (c *Dense32) computeBlock(_ []byte, feats []int) (*M32, error) {
+	base := c.factory(feats)
 	out := NewM32(len(c.x), len(c.x))
 	if c.gramInto32(out, base, feats) {
-		return out
+		return out, nil
 	}
 	g := kernel.GramPairwise(kernel.Subspace{Base: base, Features: feats}, c.x)
-	return From64(out, g)
+	return From64(out, g), nil
 }
 
 // gramInto32 fills dst with the block kernel's Gram through the native f32
@@ -207,16 +137,6 @@ func (c *Dense32) gramInto32(dst *M32, k kernel.Kernel, feats []int) bool {
 	}
 }
 
-// Scratch32 holds the reusable per-caller buffers of
-// GramForPartitionScratch. The zero value is ready; a scratch belongs to
-// one goroutine — each worker evaluator owns its own while sharing the
-// concurrency-safe cache.
-type Scratch32 struct {
-	feats  []int
-	keyBuf []byte
-	grams  []*M32
-}
-
 // GramForPartitionScratch assembles the full float32 Gram of the
 // multiple-kernel configuration induced by p from the cached per-block
 // Grams, writing into out (reshaped) and returning it. Blocks are combined
@@ -228,25 +148,7 @@ type Scratch32 struct {
 func (c *Dense32) GramForPartitionScratch(p partition.Partition, combiner kernel.Combiner, out *M32, sc *Scratch32) *M32 {
 	n := len(c.x)
 	out = Reshape32(out, n, n)
-	d := p.N()
-	sc.grams = sc.grams[:0]
-	for b := 0; b < p.NumBlocks(); b++ {
-		sc.feats = sc.feats[:0]
-		for e := 1; e <= d; e++ {
-			if p.BlockOf(e) == b {
-				sc.feats = append(sc.feats, e-1)
-			}
-		}
-		sc.keyBuf = sc.keyBuf[:0]
-		for i, f := range sc.feats {
-			if i > 0 {
-				sc.keyBuf = append(sc.keyBuf, ',')
-			}
-			sc.keyBuf = strconv.AppendInt(sc.keyBuf, int64(f), 10)
-		}
-		sc.grams = append(sc.grams, c.blockGram(sc.keyBuf, sc.feats))
-	}
-	grams := sc.grams
+	grams, _ := c.Blocks(p, sc) // f32 builds never fail
 	if combiner == kernel.CombineProduct {
 		for i := 0; i < n*n; i++ {
 			acc := 1.0

@@ -172,33 +172,6 @@ func (k evalOnly) Eval(a, b []float64) float64 {
 
 func (k evalOnly) String() string { return "evalOnly" }
 
-func TestDense32BlockCacheReusesAndEvicts(t *testing.T) {
-	x := synthRows(10, 4, 7)
-	c := NewDense32(x, kernel.RBFFactory(1.0), 2)
-	a := c.BlockGram([]int{0, 1})
-	if b := c.BlockGram([]int{0, 1}); b != a {
-		t.Fatal("expected cache hit to return the stored block")
-	}
-	c.BlockGram([]int{2})
-	c.BlockGram([]int{3}) // evicts {0,1} (FIFO, limit 2)
-	if len(c.m) > 2 {
-		t.Fatalf("cache holds %d blocks, limit 2", len(c.m))
-	}
-	// Recomputation after eviction is bit-identical.
-	a2 := c.BlockGram([]int{0, 1})
-	for i := range a.Data {
-		if a.Data[i] != a2.Data[i] {
-			t.Fatal("recomputed block differs from original")
-		}
-	}
-	// Negative limit disables retention entirely.
-	nc := NewDense32(x, kernel.RBFFactory(1.0), -1)
-	nc.BlockGram([]int{0})
-	if len(nc.m) != 0 {
-		t.Fatal("negative limit must not retain blocks")
-	}
-}
-
 func TestGather32MatchesGatherInto(t *testing.T) {
 	src64 := linalg.FromRows(synthRows(12, 12, 9))
 	src32 := From64(nil, src64)

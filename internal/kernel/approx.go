@@ -1,18 +1,17 @@
 // Approximate Gram engine: per-feature-block low-rank factors (Nyström
-// landmarks, random Fourier features for the RBF family) cached and reused
-// across lattice-search candidates exactly like BlockGramCache reuses exact
-// blocks. A candidate's approximate Gram K̂ = Σ_b w·F_b·F_bᵀ is never
-// materialized — FactorForPartitionScratch assembles the concatenated
-// factor [√w·F_1 … √w·F_k] (n×Σr_b) and downstream paths train on it
-// directly (primal ridge, alignment from the factor) or materialize F·Fᵀ
-// once for learners without a primal form.
+// landmarks, random Fourier features for the RBF family), held in the same
+// BlockCache as the exact backend's block Grams (see blockcache.go for the
+// one retention policy). A candidate's approximate Gram K̂ = Σ_b w·F_b·F_bᵀ
+// is never materialized — FactorForPartitionScratch assembles the
+// concatenated factor [√w·F_1 … √w·F_k] (n×Σr_b) and downstream paths
+// train on it directly (primal ridge, alignment from the factor) or
+// materialize F·Fᵀ once for learners without a primal form.
 //
 // Determinism contract: landmark indices and RFF frequencies for a block
 // are drawn from a stream seeded by (cache seed, block fingerprint) alone —
-// independent of evaluation order, worker count, and test shuffling — so
-// the factor of a block is bit-identical wherever and whenever it is
-// computed. Two workers racing on a cold block both compute that identical
-// factor and the first store wins, mirroring BlockGramCache.
+// independent of evaluation order, worker count, eviction, and test
+// shuffling — so the factor of a block is bit-identical wherever and
+// whenever it is computed.
 package kernel
 
 import (
@@ -21,8 +20,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/partition"
@@ -55,19 +52,17 @@ const (
 )
 
 // ApproxGramCache memoizes per-block low-rank factors for one fixed dataset
-// and block-kernel factory — the approximate twin of BlockGramCache. It is
-// safe for concurrent use; cached factors are shared read-only.
+// and block-kernel factory — the approximate twin of BlockGramCache, with
+// the same BlockCache retention. It is safe for concurrent use; cached
+// factors are shared read-only.
 type ApproxGramCache struct {
+	*BlockCache[*linalg.Matrix]
 	x       [][]float64
 	factory BlockKernelFactory
 	kind    ApproxKind
 	rank    int
 	seed    int64
-	limit   int
-
-	mu sync.RWMutex
-	f  map[string]*linalg.Matrix
-	xm map[string]*linalg.Matrix
+	cols    *BlockCache[*linalg.Matrix]
 }
 
 // NewApproxGramCache returns a factor cache over dataset rows x. rank is
@@ -79,25 +74,14 @@ func NewApproxGramCache(x [][]float64, factory BlockKernelFactory, kind ApproxKi
 	if rank <= 0 {
 		rank = DefaultApproxRank
 	}
-	if limit == 0 {
-		limit = DefaultGramCacheBlocks
-	}
-	return &ApproxGramCache{
-		x: x, factory: factory, kind: kind, rank: rank, seed: seed, limit: limit,
-		f:  map[string]*linalg.Matrix{},
-		xm: map[string]*linalg.Matrix{},
-	}
+	c := &ApproxGramCache{x: x, factory: factory, kind: kind, rank: rank, seed: seed}
+	c.BlockCache = NewBlockCache(limit, matrixBytes, c.buildFactor)
+	c.cols = newColumnCache(x, limit)
+	return c
 }
 
 // Rank returns the configured per-block rank.
 func (c *ApproxGramCache) Rank() int { return c.rank }
-
-// Len reports how many block factors are currently cached.
-func (c *ApproxGramCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.f)
-}
 
 // blockSeed derives the per-block RNG seed from the cache seed and the
 // block's canonical fingerprint, so draws depend on the block identity
@@ -108,68 +92,13 @@ func blockSeed(seed int64, key []byte) int64 {
 	return seed + int64(h.Sum64())
 }
 
-// blockMatrix returns the cached contiguous column block of feats,
-// extracting it on first use (shared read-only).
-func (c *ApproxGramCache) blockMatrix(key string, feats []int) *linalg.Matrix {
-	c.mu.RLock()
-	sub, ok := c.xm[key]
-	c.mu.RUnlock()
-	if ok {
-		return sub
-	}
-	sub = linalg.FromRowsCols(c.x, feats)
-	c.mu.Lock()
-	if prev, ok := c.xm[key]; ok {
-		sub = prev
-	} else if len(c.xm) < c.limit {
-		c.xm[key] = sub
-	}
-	c.mu.Unlock()
-	return sub
-}
-
-// BlockFactor returns the low-rank factor F (n×r) of the block kernel on
-// the given 0-based feature indices, with F·Fᵀ ≈ K_block, computing and
-// caching it on first use. The returned matrix is shared and must not be
-// mutated.
-func (c *ApproxGramCache) BlockFactor(feats []int) (*linalg.Matrix, error) {
-	return c.blockFactor([]byte(blockKey(feats)), feats)
-}
-
-// blockFactor is BlockFactor keyed by a caller-owned byte fingerprint (the
-// no-alloc hot-path lookup, mirroring BlockGramCache.blockGram). The cold
-// path computes outside the lock; racing workers produce bit-identical
-// factors and the first store wins.
-func (c *ApproxGramCache) blockFactor(key []byte, feats []int) (*linalg.Matrix, error) {
-	c.mu.RLock()
-	f, ok := c.f[string(key)]
-	c.mu.RUnlock()
-	if ok {
-		return f, nil
-	}
-	// feats may be a caller-reused scratch buffer; factories retain their
-	// feature slice and the cache outlives the call, so compute on a copy.
-	feats = append([]int(nil), feats...)
-	f, err := c.computeFactor(string(key), feats)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if prev, ok := c.f[string(key)]; ok {
-		f = prev
-	} else if len(c.f) < c.limit {
-		c.f[string(key)] = f
-	}
-	c.mu.Unlock()
-	return f, nil
-}
-
-// computeFactor builds the factor of one block: RFF for RBF base kernels in
-// ApproxRFF mode, seeded-landmark Nyström otherwise.
-func (c *ApproxGramCache) computeFactor(key string, feats []int) (*linalg.Matrix, error) {
+// buildFactor builds the factor F (n×r, F·Fᵀ ≈ K_block) of one block: RFF
+// for RBF base kernels in ApproxRFF mode, seeded-landmark Nyström
+// otherwise.
+func (c *ApproxGramCache) buildFactor(key []byte, feats []int) (*linalg.Matrix, error) {
 	base := c.factory(feats)
-	xb := c.blockMatrix(key, feats)
-	rng := rand.New(rand.NewSource(blockSeed(c.seed, []byte(key))))
+	xb, _ := c.cols.lookup(key, feats) // column extraction never fails
+	rng := rand.New(rand.NewSource(blockSeed(c.seed, key)))
 	if c.kind == ApproxRFF {
 		if r, ok := base.(RBF); ok {
 			return rffFactor(xb, r.Gamma, c.rank, rng), nil
@@ -259,9 +188,8 @@ func (c *ApproxGramCache) FactorForPartition(p partition.Partition, combiner Com
 // cached per-block factors, so F·Fᵀ = Σ_b w·F_b·F_bᵀ approximates the
 // configuration's Gram matrix. It writes into out (reallocated if nil or
 // mis-sized) and returns it; block features and cache keys are re-derived
-// into the caller-owned scratch by the same RGS scan as
-// BlockGramCache.GramForPartitionScratch, so a warm candidate assembles
-// with no allocation beyond the output resize.
+// into the caller-owned scratch by BlockCache.Blocks, so a warm candidate
+// assembles with no allocation beyond the output resize.
 //
 // Only CombineSum has this concatenation structure; CombineProduct is
 // rejected (an elementwise product of low-rank Grams has no low-rank
@@ -271,36 +199,18 @@ func (c *ApproxGramCache) FactorForPartitionScratch(p partition.Partition, combi
 		return nil, fmt.Errorf("kernel: approximate Gram engine supports CombineSum only (a product of low-rank Grams has no low-rank factor)")
 	}
 	n := len(c.x)
-	d := p.N()
-	sc.grams = sc.grams[:0]
-	for b := 0; b < p.NumBlocks(); b++ {
-		sc.feats = sc.feats[:0]
-		for e := 1; e <= d; e++ {
-			if p.BlockOf(e) == b {
-				sc.feats = append(sc.feats, e-1)
-			}
-		}
-		sc.keyBuf = sc.keyBuf[:0]
-		for i, f := range sc.feats {
-			if i > 0 {
-				sc.keyBuf = append(sc.keyBuf, ',')
-			}
-			sc.keyBuf = strconv.AppendInt(sc.keyBuf, int64(f), 10)
-		}
-		f, err := c.blockFactor(sc.keyBuf, sc.feats)
-		if err != nil {
-			return nil, err
-		}
-		sc.grams = append(sc.grams, f)
+	factors, err := c.Blocks(p, sc)
+	if err != nil {
+		return nil, err
 	}
 	total := 0
-	for _, f := range sc.grams {
+	for _, f := range factors {
 		total += f.Cols
 	}
 	out = linalg.Reshape(out, n, total)
-	w := math.Sqrt(1 / float64(len(sc.grams)))
+	w := math.Sqrt(1 / float64(len(factors)))
 	off := 0
-	for _, f := range sc.grams {
+	for _, f := range factors {
 		r := f.Cols
 		for i := 0; i < n; i++ {
 			src := f.Data[i*r : (i+1)*r]

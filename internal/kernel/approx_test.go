@@ -169,8 +169,8 @@ func TestApproxFactorsDeterministicAcrossOrderAndWorkers(t *testing.T) {
 func TestApproxSeedChangesDraws(t *testing.T) {
 	x := randomRows(30, 4, 26)
 	factory := RBFFactory(1.0)
-	a, err1 := NewApproxGramCache(x, factory, ApproxNystrom, 4, 1, 0).BlockFactor([]int{0, 1})
-	b, err2 := NewApproxGramCache(x, factory, ApproxNystrom, 4, 2, 0).BlockFactor([]int{0, 1})
+	a, err1 := NewApproxGramCache(x, factory, ApproxNystrom, 4, 1, 0).Block([]int{0, 1})
+	b, err2 := NewApproxGramCache(x, factory, ApproxNystrom, 4, 2, 0).Block([]int{0, 1})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -191,11 +191,11 @@ func TestApproxSeedChangesDraws(t *testing.T) {
 func TestApproxFactorReuseAcrossCandidates(t *testing.T) {
 	x := randomRows(12, 4, 27)
 	approx := NewApproxGramCache(x, RBFFactory(1.0), ApproxNystrom, 6, 1, 0)
-	f1, err := approx.BlockFactor([]int{0, 2})
+	f1, err := approx.Block([]int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := approx.BlockFactor([]int{0, 2})
+	f2, err := approx.Block([]int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

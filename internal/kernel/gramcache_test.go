@@ -67,13 +67,13 @@ func TestBlockGramCacheLimit(t *testing.T) {
 	x := randomRows(8, 6, 4)
 	cache := NewBlockGramCache(x, RBFFactory(1.0), 3)
 	for f := 0; f < 6; f++ {
-		cache.BlockGram([]int{f})
+		cache.Block([]int{f})
 	}
 	if got := cache.Len(); got != 3 {
 		t.Errorf("cache holds %d blocks, want limit 3", got)
 	}
 	// Beyond the limit the cache still returns correct (uncached) Grams.
-	g := cache.BlockGram([]int{5})
+	g, _ := cache.Block([]int{5})
 	want := Gram(Subspace{Base: RBFFactory(1.0)([]int{5}), Features: []int{5}}, x)
 	for i := range want.Data {
 		if g.Data[i] != want.Data[i] {

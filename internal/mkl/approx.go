@@ -1,6 +1,6 @@
 // Approximate Gram scoring and the budgeted search mode.
 //
-// Under GramNystrom / GramRFF the evaluator never assembles an n×n Gram per
+// Under the Nyström and RFF backends the evaluator never assembles an n×n Gram per
 // candidate: kernel.ApproxGramCache hands it the concatenated low-rank
 // factor F (n×R, with F·Fᵀ ≈ K and R = Σ per-block ranks), and the
 // objectives run directly on the factor — primal ridge in O(n·R² + R³) per
@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/kernelmachine"
 	"repro/internal/linalg"
@@ -26,65 +24,11 @@ import (
 	"repro/internal/stats"
 )
 
-// GramMode selects the Gram backend of an evaluator.
-type GramMode int
-
-const (
-	// GramExact materializes exact Gram matrices — the PR 2/3
-	// bit-identical reference path and the default.
-	GramExact GramMode = iota
-	// GramNystrom scores on Nyström landmark factors (exact to ≤1e-9 at
-	// full rank; see kernel.ApproxNystrom).
-	GramNystrom
-	// GramRFF scores on random-Fourier-feature factors for RBF blocks
-	// (Nyström fallback elsewhere; see kernel.ApproxRFF).
-	GramRFF
-)
-
-func (m GramMode) String() string {
-	switch m {
-	case GramNystrom:
-		return "nystrom"
-	case GramRFF:
-		return "rff"
-	default:
-		return "exact"
-	}
-}
-
 // DefaultBudgetTopK is the survivor count used when a budgeted search is
 // requested without an explicit K.
 const DefaultBudgetTopK = 8
 
-// ParseGramMode parses the CLI/Fit-option spelling of a Gram backend:
-// "exact", "nystrom", "rff", or "nystrom:256" / "rff:512" with an explicit
-// per-block rank (0 rank selects kernel.DefaultApproxRank).
-func ParseGramMode(s string) (GramMode, int, error) {
-	name, rankStr, hasRank := strings.Cut(s, ":")
-	rank := 0
-	if hasRank {
-		r, err := strconv.Atoi(rankStr)
-		if err != nil || r <= 0 {
-			return GramExact, 0, fmt.Errorf("mkl: invalid gram rank %q (want a positive integer)", rankStr)
-		}
-		rank = r
-	}
-	switch name {
-	case "exact":
-		if hasRank {
-			return GramExact, 0, fmt.Errorf("mkl: gram mode exact takes no rank")
-		}
-		return GramExact, 0, nil
-	case "nystrom":
-		return GramNystrom, rank, nil
-	case "rff":
-		return GramRFF, rank, nil
-	default:
-		return GramExact, 0, fmt.Errorf("mkl: unknown gram mode %q (want exact, nystrom[:rank], or rff[:rank])", name)
-	}
-}
-
-// scoreApprox is the cache-miss scoring body under an approximate GramMode:
+// scoreApprox is the cache-miss scoring body under an approximate backend:
 // assemble the candidate's concatenated factor from the shared block-factor
 // cache, then run the objective on it.
 func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {

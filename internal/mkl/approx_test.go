@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/kernel"
 	"repro/internal/kernelmachine"
 	"repro/internal/partition"
 )
 
-// At full rank (GramRank = n) the Nyström backend must reproduce the exact
+// At full rank (rank = n) the Nyström backend must reproduce the exact
 // evaluator's scores to within the 1e-9 reconstruction budget, for both
 // objectives, across seeds — the evaluator-level face of the exactness
 // contract.
@@ -26,7 +27,7 @@ func TestApproxFullRankScoresMatchExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			approx, err := NewEvaluator(d, Config{Objective: obj, Seed: seed, GramMode: GramNystrom, GramRank: d.N()})
+			approx, err := NewEvaluator(d, Config{Objective: obj, Seed: seed, Backend: engine.Nystrom(d.N())})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,10 +66,10 @@ func TestApproxParallelDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []GramMode{GramNystrom, GramRFF} {
+	for _, backend := range []engine.Backend{engine.Nystrom(16), engine.RFF(16)} {
 		var ref *Result
 		for _, workers := range []int{1, 2, 8} {
-			e, err := NewEvaluator(d, Config{Seed: 7, GramMode: mode, GramRank: 16, Parallelism: workers})
+			e, err := NewEvaluator(d, Config{Seed: 7, Backend: backend, Parallelism: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,15 +82,15 @@ func TestApproxParallelDeterministicAcrossWorkers(t *testing.T) {
 				continue
 			}
 			if !res.Best.Equal(ref.Best) || res.Score != ref.Score {
-				t.Fatalf("mode %v workers %d: best %v score %v, want %v score %v (bitwise)",
-					mode, workers, res.Best, res.Score, ref.Best, ref.Score)
+				t.Fatalf("backend %v workers %d: best %v score %v, want %v score %v (bitwise)",
+					backend, workers, res.Best, res.Score, ref.Best, ref.Score)
 			}
 			if len(res.Trace) != len(ref.Trace) {
-				t.Fatalf("mode %v workers %d: trace length %d, want %d", mode, workers, len(res.Trace), len(ref.Trace))
+				t.Fatalf("backend %v workers %d: trace length %d, want %d", backend, workers, len(res.Trace), len(ref.Trace))
 			}
 			for i := range ref.Trace {
 				if !res.Trace[i].Partition.Equal(ref.Trace[i].Partition) || res.Trace[i].Score != ref.Trace[i].Score {
-					t.Fatalf("mode %v workers %d: trace[%d] diverged", mode, workers, i)
+					t.Fatalf("backend %v workers %d: trace[%d] diverged", backend, workers, i)
 				}
 			}
 		}
@@ -113,7 +114,7 @@ func TestBudgetedSearchAgreesWithExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approxEval, err := NewEvaluator(d, Config{Seed: 3, GramMode: GramNystrom, GramRank: 32})
+	approxEval, err := NewEvaluator(d, Config{Seed: 3, Backend: engine.Nystrom(32)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,46 +142,13 @@ func TestBudgetedSearchAgreesWithExact(t *testing.T) {
 	}
 }
 
-func TestParseGramMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		mode GramMode
-		rank int
-		ok   bool
-	}{
-		{"exact", GramExact, 0, true},
-		{"nystrom", GramNystrom, 0, true},
-		{"nystrom:256", GramNystrom, 256, true},
-		{"rff:512", GramRFF, 512, true},
-		{"rff", GramRFF, 0, true},
-		{"exact:4", GramExact, 0, false},
-		{"nystrom:0", GramExact, 0, false},
-		{"nystrom:x", GramExact, 0, false},
-		{"banana", GramExact, 0, false},
-	}
-	for _, c := range cases {
-		mode, rank, err := ParseGramMode(c.in)
-		if c.ok != (err == nil) {
-			t.Fatalf("ParseGramMode(%q) err = %v, want ok=%v", c.in, err, c.ok)
-		}
-		if c.ok && (mode != c.mode || rank != c.rank) {
-			t.Fatalf("ParseGramMode(%q) = (%v, %d), want (%v, %d)", c.in, mode, rank, c.mode, c.rank)
-		}
-	}
-	for m, s := range map[GramMode]string{GramExact: "exact", GramNystrom: "nystrom", GramRFF: "rff"} {
-		if m.String() != s {
-			t.Fatalf("GramMode(%d).String() = %q, want %q", m, m.String(), s)
-		}
-	}
-}
-
 // Incompatible configurations must fail construction loudly.
 func TestApproxConfigValidation(t *testing.T) {
 	d := smallFacetData(20, 1)
-	if _, err := NewEvaluator(d, Config{GramMode: GramNystrom, ExactGram: true}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+	if _, err := NewEvaluator(d, Config{Backend: engine.Nystrom(0), ExactGram: true}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("ExactGram + nystrom: err = %v, want mutually-exclusive error", err)
 	}
-	if _, err := NewEvaluator(d, Config{GramMode: GramRFF, Combiner: kernel.CombineProduct}); err == nil || !strings.Contains(err.Error(), "CombineSum") {
+	if _, err := NewEvaluator(d, Config{Backend: engine.RFF(0), Combiner: kernel.CombineProduct}); err == nil || !strings.Contains(err.Error(), "CombineSum") {
 		t.Fatalf("product + rff: err = %v, want CombineSum-only error", err)
 	}
 }
@@ -194,7 +162,7 @@ func TestApproxNonRidgeTrainerMaterializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := NewEvaluator(d, Config{Trainer: kernelmachine.SVM{C: 1}, Seed: 2, GramMode: GramNystrom, GramRank: d.N()})
+	approx, err := NewEvaluator(d, Config{Trainer: kernelmachine.SVM{C: 1}, Seed: 2, Backend: engine.Nystrom(d.N())})
 	if err != nil {
 		t.Fatal(err)
 	}

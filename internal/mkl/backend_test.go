@@ -7,8 +7,6 @@
 //     reference (alignment scores within 5e-4, CV accuracies within 0.05
 //     on these workloads) and is itself bit-identical across worker
 //     counts.
-//   - Backend and the deprecated GramMode/GramRank spellings of the same
-//     approximation select bit-identically, and disagreements fail loudly.
 package mkl
 
 import (
@@ -196,53 +194,6 @@ func TestBackendFloat32ScoreTolerancePerCandidate(t *testing.T) {
 				t.Errorf("%s %v: f32 score %v vs f64 %v (|Δ|=%g > %g)", tc.name, p, got, want, diff, tc.tol)
 			}
 		}
-	}
-}
-
-// TestBackendSpellingEquivalence: Backend and the deprecated
-// GramMode/GramRank spell the same approximation bit-identically, the
-// two spellings may agree redundantly, and a disagreement fails loudly.
-func TestBackendSpellingEquivalence(t *testing.T) {
-	d := parallelTestDataDim(t, 5, 60, 53)
-	start := partition.Coarsest(d.D())
-	for _, tc := range []struct {
-		name    string
-		backend engine.Backend
-		mode    GramMode
-	}{
-		{"nystrom", engine.Nystrom(16), GramNystrom},
-		{"rff", engine.RFF(16), GramRFF},
-	} {
-		eNew, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1, Backend: tc.backend})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eOld, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1, GramMode: tc.mode, GramRank: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ExhaustiveCone(eNew, start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ExhaustiveCone(eOld, start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Best.Equal(want.Best) || got.Score != want.Score {
-			t.Errorf("%s: Backend spelling (%v, %v), GramMode spelling (%v, %v) — must be bit-identical",
-				tc.name, got.Best, got.Score, want.Best, want.Score)
-		}
-	}
-	// Redundant agreement is fine; disagreement is a loud error.
-	if _, err := (Config{Backend: engine.Nystrom(16), GramMode: GramNystrom, GramRank: 16}).EffectiveBackend(); err != nil {
-		t.Fatalf("agreeing spellings rejected: %v", err)
-	}
-	if _, err := (Config{Backend: engine.RFF(16), GramMode: GramNystrom, GramRank: 16}).EffectiveBackend(); err == nil {
-		t.Fatal("disagreeing Backend and GramMode accepted")
-	}
-	if _, err := NewEvaluator(d, Config{Backend: engine.RFF(16), GramMode: GramNystrom, GramRank: 16}); err == nil {
-		t.Fatal("NewEvaluator accepted disagreeing backend spellings")
 	}
 }
 

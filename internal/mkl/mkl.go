@@ -76,9 +76,12 @@ type Config struct {
 	// number of extra candidates past their stop.
 	Parallelism int
 
-	// GramCacheBlocks bounds the per-dataset Gram-block cache that lets
-	// sibling partitions sharing feature blocks reuse kernel sub-matrices:
-	// 0 selects kernel.DefaultGramCacheBlocks, negative disables caching.
+	// GramCacheBlocks bounds the per-dataset block cache (kernel.BlockCache)
+	// behind every backend — exact block Grams, f32 block Grams, or low-rank
+	// block factors — that lets sibling partitions sharing feature blocks
+	// reuse them: 0 selects kernel.DefaultGramCacheBlocks, negative disables
+	// retention. Beyond the bound the oldest blocks are evicted (FIFO), which
+	// changes which blocks stay resident, never a score.
 	GramCacheBlocks int
 
 	// GramCache optionally injects a shared Gram-block cache (it must have
@@ -101,31 +104,11 @@ type Config struct {
 	// f32 storage with f64 accumulation (elementwise tolerance contract
 	// engine.Tol32 vs the reference, bit-identical across worker counts);
 	// engine.Nystrom/engine.RFF score candidates on cached low-rank block
-	// factors (see approx.go). Backend and the deprecated GramMode/GramRank
-	// pair describe the same choice: set one, or keep them consistent —
-	// EffectiveBackend resolves the pair and NewEvaluator fails loudly on
-	// disagreement. The deployment fit (TrainDeployed / HoldoutAccuracy)
-	// always stays exact float64 regardless of backend.
+	// factors (see approx.go). The deployment fit (TrainDeployed /
+	// HoldoutAccuracy) always stays exact float64 regardless of backend.
 	Backend engine.Backend
 
-	// GramMode selects the Gram backend of the evaluator: GramExact (the
-	// default) materializes full n×n Grams per candidate through the PR 2/3
-	// bit-identical paths; GramNystrom and GramRFF score candidates on
-	// cached low-rank block factors instead (see approx.go), trading a
-	// bounded approximation error for O(n·r) per-candidate cost. The
-	// deployment fit (TrainDeployed / HoldoutAccuracy) always stays exact.
-	//
-	// Deprecated spelling: GramMode/GramRank are the pre-backend form of
-	// Backend and remain bit-identical sugar for it (GramNystrom ≡
-	// engine.Nystrom(GramRank), GramRFF ≡ engine.RFF(GramRank)).
-	GramMode GramMode
-
-	// GramRank is the per-block rank of the approximate modes — the
-	// Nyström landmark count or the RFF feature count. 0 selects
-	// kernel.DefaultApproxRank; ignored under GramExact.
-	GramRank int
-
-	// BudgetTopK, with an approximate GramMode, enables the budgeted
+	// BudgetTopK, with an approximate Backend, enables the budgeted
 	// search mode at the core.Fit layer: the lattice is scored with the
 	// cheap approximation and only the top-K survivors are re-scored
 	// exactly (see BudgetedSearch). 0 disables re-scoring.
@@ -145,29 +128,6 @@ type Config struct {
 	// GramCache is trusted as configured by its creator (set
 	// kernel.BlockGramCache.SetExact yourself).
 	ExactGram bool
-}
-
-// EffectiveBackend resolves the Backend field against the deprecated
-// GramMode/GramRank pair to one concrete engine.Backend: a zero Backend
-// defers to the legacy spelling (so pre-backend configurations behave
-// unchanged), a set Backend wins when the legacy fields are at their
-// defaults, and a genuine disagreement — both set, naming different
-// backends — fails loudly rather than silently preferring either.
-func (c Config) EffectiveBackend() (engine.Backend, error) {
-	legacy := engine.Float64
-	switch c.GramMode {
-	case GramNystrom:
-		legacy = engine.Nystrom(c.GramRank)
-	case GramRFF:
-		legacy = engine.RFF(c.GramRank)
-	}
-	if c.Backend == (engine.Backend{}) {
-		return legacy, nil
-	}
-	if legacy == engine.Float64 || legacy == c.Backend {
-		return c.Backend, nil
-	}
-	return engine.Backend{}, fmt.Errorf("mkl: Config.Backend (%v) and the deprecated GramMode/GramRank (%v) disagree — set one of them", c.Backend, legacy)
 }
 
 func (c Config) withDefaults() Config {
@@ -232,7 +192,7 @@ type Evaluator struct {
 	asm kernel.AssemblyScratch
 
 	// approxCache memoizes per-block low-rank factors under the
-	// approximate Gram modes (nil under GramExact); like gramCache it is
+	// approximate backends (nil otherwise); like gramCache it is
 	// concurrency-safe and shared across the scratch evaluators of a
 	// parallel search. factorBuf is the worker-owned concatenated-factor
 	// assembly buffer, and the lr* fields are the worker-owned scratch of
@@ -275,24 +235,9 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 		return nil, fmt.Errorf("mkl: empty dataset")
 	}
 	cfg = cfg.withDefaults()
-	be, err := cfg.EffectiveBackend()
-	if err != nil {
-		return nil, err
-	}
-	// Normalize both spellings from the resolved backend so the
-	// GramMode-keyed code below — and every scratch clone — sees one
-	// canonical form regardless of which spelling configured it.
-	switch be.Kind {
-	case engine.NystromKind:
-		cfg.GramMode, cfg.GramRank = GramNystrom, be.Rank
-	case engine.RFFKind:
-		cfg.GramMode, cfg.GramRank = GramRFF, be.Rank
-	default:
-		cfg.GramMode, cfg.GramRank = GramExact, 0
-	}
-	cfg.Backend = be
 	e := &Evaluator{cfg: cfg, data: d, cache: map[string]float64{}}
-	if be.Kind == engine.Float32Kind {
+	switch cfg.Backend.Kind {
+	case engine.Float32Kind:
 		if cfg.ExactGram {
 			return nil, fmt.Errorf("mkl: ExactGram and the float32 backend are mutually exclusive (ExactGram pins the bit-identical scalar reference)")
 		}
@@ -300,35 +245,34 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 		// dataset matrix entirely: assembly, centering, fold gathers, and
 		// ridge solves all run in f32 storage (see f32path.go).
 		e.d32 = engine.NewDense32(d.X, cfg.Factory, cfg.GramCacheBlocks)
-	}
-	if cfg.GramMode != GramExact {
+	case engine.NystromKind, engine.RFFKind:
 		if cfg.ExactGram {
-			return nil, fmt.Errorf("mkl: ExactGram and approximate GramMode are mutually exclusive")
+			return nil, fmt.Errorf("mkl: ExactGram and approximate backends are mutually exclusive")
 		}
 		if cfg.Combiner == kernel.CombineProduct {
-			return nil, fmt.Errorf("mkl: approximate Gram modes support CombineSum only (a product of low-rank Grams has no low-rank factor)")
+			return nil, fmt.Errorf("mkl: approximate backends support CombineSum only (a product of low-rank Grams has no low-rank factor)")
 		}
 		kind := kernel.ApproxNystrom
-		if cfg.GramMode == GramRFF {
+		if cfg.Backend.Kind == engine.RFFKind {
 			kind = kernel.ApproxRFF
 		}
 		// The factor cache replaces the exact block cache entirely: no
 		// full Gram is assembled on the approximate path (non-primal
 		// trainers materialize F·Fᵀ from the factor, not from blocks).
-		e.approxCache = kernel.NewApproxGramCache(d.X, cfg.Factory, kind, cfg.GramRank, cfg.Seed, cfg.GramCacheBlocks)
-	}
-	// An explicitly injected cache always wins — GramCacheBlocks only
-	// governs the cache this evaluator would otherwise create for itself.
-	if e.approxCache != nil || e.d32 != nil {
-		// exact f64 caches stay nil under an approximate or f32 backend
-	} else if cfg.GramCache != nil {
-		e.gramCache = cfg.GramCache
-	} else if cfg.GramCacheBlocks >= 0 {
-		e.gramCache = kernel.NewBlockGramCache(d.X, cfg.Factory, cfg.GramCacheBlocks)
-		e.gramCache.SetExact(cfg.ExactGram)
-	}
-	if e.gramCache == nil && e.d32 == nil && !cfg.ExactGram {
-		e.xm = d.Matrix()
+		e.approxCache = kernel.NewApproxGramCache(d.X, cfg.Factory, kind, cfg.Backend.Rank, cfg.Seed, cfg.GramCacheBlocks)
+	default:
+		// An explicitly injected cache always wins — GramCacheBlocks only
+		// governs the cache this evaluator would otherwise create for
+		// itself.
+		if cfg.GramCache != nil {
+			e.gramCache = cfg.GramCache
+		} else if cfg.GramCacheBlocks >= 0 {
+			e.gramCache = kernel.NewBlockGramCache(d.X, cfg.Factory, cfg.GramCacheBlocks)
+			e.gramCache.SetExact(cfg.ExactGram)
+		}
+		if e.gramCache == nil && !cfg.ExactGram {
+			e.xm = d.Matrix()
+		}
 	}
 	// The CV fold plan is a pure function of (n, folds, seed) and identical
 	// for every candidate, so it is computed once here — stats.NewFoldPlan
@@ -427,9 +371,10 @@ func (e *Evaluator) checkDims(p partition.Partition) error {
 }
 
 // scoreConfig computes the objective value of one kernel configuration —
-// the cache-miss body of Score. Approximate Gram modes route through the
-// low-rank factor path (scoreApprox in approx.go); GramExact runs the
-// original full-Gram assembly, bit-identical to the PR 2/3 reference.
+// the cache-miss body of Score. The approximate backends route through the
+// low-rank factor path (scoreApprox in approx.go), Float32 through the f32
+// path (f32path.go); Float64 runs the bit-identical full-Gram reference
+// assembly.
 func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
 	if e.approxCache != nil {
 		return e.scoreApprox(p)

@@ -94,13 +94,13 @@ func singletonAlignment(e *Evaluator, f int) float64 {
 		// Approximate modes rank features on their cached singleton block
 		// factor — the same factors the candidate scores reuse. On a factor
 		// error (degenerate block) fall through to the uncached exact path.
-		if bf, err := e.approxCache.BlockFactor([]int{f - 1}); err == nil {
+		if bf, err := e.approxCache.Block([]int{f - 1}); err == nil {
 			return e.alignmentFromFactor(bf)
 		}
 	}
 	var g *linalg.Matrix
 	if e.gramCache != nil {
-		shared := e.gramCache.BlockGram([]int{f - 1})
+		shared, _ := e.gramCache.Block([]int{f - 1}) // exact builds never fail
 		e.centerBuf = linalg.Reshape(e.centerBuf, shared.Rows, shared.Cols)
 		copy(e.centerBuf.Data, shared.Data)
 		g = e.centerBuf

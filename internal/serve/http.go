@@ -1,7 +1,7 @@
-// The HTTP surface: versioned /v1 routes, the PR 4 unversioned aliases,
-// and the structured error envelope. Handlers for health, model metadata,
-// and metrics read copy-on-read snapshots and never enqueue behind
-// predictions — the admission-priority half of the load-shedding design.
+// The HTTP surface: the versioned /v1 routes and the structured error
+// envelope. Handlers for health, model metadata, and metrics read
+// copy-on-read snapshots and never enqueue behind predictions — the
+// admission-priority half of the load-shedding design.
 
 package serve
 
@@ -56,8 +56,7 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, errorEnvelope{Error: errorDetail{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// Handler returns the HTTP API: the /v1 routes plus the unversioned PR 4
-// aliases (deprecated; kept until the next format bump).
+// Handler returns the HTTP API: the /v1 routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
@@ -69,17 +68,6 @@ func (s *Server) Handler() http.Handler {
 		s.handlePredict(w, r, r.PathValue("id"))
 	})
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
-
-	// Unversioned aliases: health and metrics map 1:1; /model and /predict
-	// resolve to the default model.
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/model", func(w http.ResponseWriter, r *http.Request) {
-		s.handleModelInfo(w, r, s.cfg.DefaultModel)
-	})
-	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		s.handlePredict(w, r, s.cfg.DefaultModel)
-	})
 
 	// Everything else gets the envelope, not net/http's plain-text 404.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -93,7 +81,6 @@ type healthzResponse struct {
 	UptimeMS         int64         `json:"uptime_ms"`
 	Workers          int           `json:"workers"`
 	MaxBatch         int           `json:"max_batch"`
-	DefaultModel     string        `json:"default_model,omitempty"`
 	Pending          int64         `json:"pending"`
 	GlobalQueueDepth int           `json:"global_queue_depth"`
 	ReloadErrors     int64         `json:"reload_errors"`
@@ -125,7 +112,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeMS:         time.Since(s.start).Milliseconds(),
 		Workers:          s.cfg.Workers,
 		MaxBatch:         s.cfg.MaxBatch,
-		DefaultModel:     s.cfg.DefaultModel,
 		Pending:          s.pending.Load(),
 		GlobalQueueDepth: s.cfg.GlobalQueueDepth,
 		ReloadErrors:     s.reloadErrors.Load(),
@@ -154,8 +140,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, modelsResponse{Models: infos})
 }
 
-// modelResponse keeps the PR 4 /model field set (so existing clients keep
-// parsing it) and adds the registry's id/fingerprint/loaded_at view.
+// modelResponse is one model's self-description: the artifact's fields
+// plus the registry's id/fingerprint/loaded_at view.
 type modelResponse struct {
 	ID            string   `json:"id"`
 	Fingerprint   string   `json:"fingerprint"`
@@ -299,20 +285,12 @@ func (s *Server) writeScoreError(w http.ResponseWriter, e *entry, err error) {
 }
 
 func (s *Server) writeModelNotFound(w http.ResponseWriter, id string) {
-	if id == "" {
-		writeError(w, http.StatusNotFound, CodeModelNotFound,
-			"no default model configured; use /v1/models/{id}/predict or WithDefaultModel")
-		return
-	}
 	writeError(w, http.StatusNotFound, CodeModelNotFound, "model %q is not registered", id)
 }
 
 // liveState resolves id to its entry and current state (nil when the id is
-// unknown, removed, or empty).
+// unknown or removed).
 func (s *Server) liveState(id string) (*entry, *modelState) {
-	if id == "" {
-		return nil, nil
-	}
 	e := s.reg.lookup(id)
 	if e == nil {
 		return nil, nil

@@ -20,37 +20,35 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{"/metrics", "/v1/metrics"} {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d", path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-			t.Fatalf("%s content type %q", path, ct)
-		}
-		body := string(raw)
-		for _, want := range []string{
-			"# TYPE iotml_uptime_seconds gauge",
-			"iotml_models 1",
-			"iotml_pending_requests 0",
-			"iotml_reload_errors_total 0",
-			"# TYPE iotml_requests_total counter",
-			`iotml_requests_total{model="default"} 1`,
-			`iotml_instances_total{model="default"} 3`,
-			`iotml_shed_total{model="default"} 0`,
-			`iotml_swaps_total{model="default"} 0`,
-		} {
-			if !strings.Contains(body, want) {
-				t.Errorf("%s exposition missing %q:\n%s", path, want, body)
-			}
+	resp, err := http.Get(hs.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("metrics content type %q", ct)
+	}
+	body := string(raw)
+	for _, want := range []string{
+		"# TYPE iotml_uptime_seconds gauge",
+		"iotml_models 1",
+		"iotml_pending_requests 0",
+		"iotml_reload_errors_total 0",
+		"# TYPE iotml_requests_total counter",
+		`iotml_requests_total{model="default"} 1`,
+		`iotml_instances_total{model="default"} 3`,
+		`iotml_shed_total{model="default"} 0`,
+		`iotml_swaps_total{model="default"} 0`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
 	}
 }

@@ -1,8 +1,5 @@
 // Functional options: the serve configuration surface, mirroring the
-// iotml.Fit option idiom so fitting and serving share one API style. The
-// PR 4 Config struct remains as a deprecated shim (Config.Options) that
-// resolves to exactly the same settings — asserted by the options test
-// suite — so existing callers migrate one call site at a time.
+// iotml.Fit option idiom so fitting and serving share one API style.
 
 package serve
 
@@ -32,8 +29,6 @@ type settings struct {
 	MaxRequestBytes int64
 	// DrainTimeout bounds the graceful half of a shutdown or swap drain.
 	DrainTimeout time.Duration
-	// DefaultModel is the model id legacy unversioned routes resolve to.
-	DefaultModel string
 	// ModelDir, when set, is scanned for *.iotml artifacts at startup and
 	// polled every ReloadInterval for changes (hot-swap).
 	ModelDir string
@@ -141,14 +136,6 @@ func WithDrainTimeout(d time.Duration) Option {
 	}
 }
 
-// WithDefaultModel names the model the legacy unversioned routes
-// (/predict, /model) resolve to. Without it, a single-model registry
-// defaults to its one model and a multi-model registry has no default
-// (legacy routes answer 404 until one is configured).
-func WithDefaultModel(id string) Option {
-	return func(s *settings) { s.DefaultModel = id }
-}
-
 // WithModelDir points the server at a directory of *.iotml artifacts:
 // every artifact is loaded at startup (model id = file name minus the
 // extension) and the directory is polled every WithReloadInterval for
@@ -166,51 +153,4 @@ func WithReloadInterval(d time.Duration) Option {
 			s.ReloadInterval = d
 		}
 	}
-}
-
-// Config tunes the serving pipeline. Zero values select the defaults.
-//
-// Deprecated: Config is the PR 4 struct-style configuration. Use New with
-// functional options (WithMaxBatch, WithFlushInterval, ...); Config values
-// migrate via Config.Options, which resolves to identical settings (a
-// CI-asserted equivalence).
-type Config struct {
-	// MaxBatch caps the instances coalesced into one scoring batch
-	// (default 64).
-	MaxBatch int
-	// FlushInterval is how long a worker waits for more requests after the
-	// first before scoring a partial batch (default 2ms). Zero keeps the
-	// default; use Immediate to disable coalescing.
-	FlushInterval time.Duration
-	// Immediate disables batching waits: every batch is scored as soon as
-	// the queue is momentarily empty. Useful in tests.
-	Immediate bool
-	// Workers is the scoring worker count, each owning its predictor and
-	// scratch (default 2).
-	Workers int
-	// QueueDepth bounds pending requests; beyond it predictions are shed
-	// (default 256).
-	QueueDepth int
-	// MaxRequestBytes bounds a predict body (default 32 MiB).
-	MaxRequestBytes int64
-	// DrainTimeout bounds the graceful half of a shutdown (default 10s).
-	DrainTimeout time.Duration
-}
-
-// Options renders the struct configuration as the equivalent option list —
-// the migration path from the PR 4 API. New(ctx, reg, cfg.Options()...)
-// resolves exactly the settings the old New(artifact, cfg) did.
-func (c Config) Options() []Option {
-	opts := []Option{
-		WithMaxBatch(c.MaxBatch),
-		WithFlushInterval(c.FlushInterval),
-		WithWorkers(c.Workers),
-		WithQueueDepth(c.QueueDepth),
-		WithMaxRequestBytes(c.MaxRequestBytes),
-		WithDrainTimeout(c.DrainTimeout),
-	}
-	if c.Immediate {
-		opts = append(opts, WithImmediateFlush())
-	}
-	return opts
 }

@@ -33,62 +33,6 @@ func TestDefaultsMatchPR4(t *testing.T) {
 	}
 }
 
-// TestConfigOptionsEquivalence is the migration-shim contract: for any
-// Config value, New(ctx, reg, cfg.Options()...) must resolve exactly the
-// settings the old New(artifact, cfg) did.
-func TestConfigOptionsEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want func(settings) settings // mutation on top of defaults
-	}{
-		{
-			"zero config keeps every default",
-			Config{},
-			func(s settings) settings { return s },
-		},
-		{
-			"full config",
-			Config{
-				MaxBatch:        8,
-				FlushInterval:   7 * time.Millisecond,
-				Workers:         3,
-				QueueDepth:      5,
-				MaxRequestBytes: 1 << 10,
-				DrainTimeout:    3 * time.Second,
-			},
-			func(s settings) settings {
-				s.MaxBatch = 8
-				s.FlushInterval = 7 * time.Millisecond
-				s.Workers = 3
-				s.QueueDepth = 5
-				s.MaxRequestBytes = 1 << 10
-				s.DrainTimeout = 3 * time.Second
-				return s
-			},
-		},
-		{
-			"immediate flag",
-			Config{Immediate: true},
-			func(s settings) settings { s.Immediate = true; return s },
-		},
-		{
-			"partial config fills the rest with defaults",
-			Config{MaxBatch: 16, Workers: 1},
-			func(s settings) settings { s.MaxBatch = 16; s.Workers = 1; return s },
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := resolve(tc.cfg.Options()...)
-			want := tc.want(defaultSettings())
-			if got != want {
-				t.Fatalf("Config%+v.Options() resolved %+v, want %+v", tc.cfg, got, want)
-			}
-		})
-	}
-}
-
 // TestOptionsIgnoreNonPositive: zero and negative values keep the default
 // rather than producing a broken (0-worker, 0-depth) server.
 func TestOptionsIgnoreNonPositive(t *testing.T) {
@@ -117,12 +61,11 @@ func TestOptionsApplyInOrder(t *testing.T) {
 // TestServingOptions: the new serving-surface options resolve as documented.
 func TestServingOptions(t *testing.T) {
 	got := resolve(
-		WithDefaultModel("alpha"),
 		WithModelDir("/tmp/models"),
 		WithReloadInterval(500*time.Millisecond),
 		WithGlobalQueueDepth(9),
 	)
-	if got.DefaultModel != "alpha" || got.ModelDir != "/tmp/models" ||
+	if got.ModelDir != "/tmp/models" ||
 		got.ReloadInterval != 500*time.Millisecond || got.GlobalQueueDepth != 9 {
 		t.Fatalf("resolved %+v", got)
 	}

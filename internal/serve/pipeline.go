@@ -265,6 +265,9 @@ func (p *pipeline) worker(pred *model.Predictor) {
 			}
 			continue
 		}
+		// Record before replying, so a caller that has its answer also sees
+		// the batch in the metrics.
+		p.metrics.recordBatch(total, len(batch), time.Since(began), p.isDraining())
 		off := 0
 		for _, j := range batch {
 			// Copy out of the worker's reused score scratch.
@@ -273,6 +276,5 @@ func (p *pipeline) worker(pred *model.Predictor) {
 			off += len(j.rows)
 			j.resp <- jobResult{scores: out}
 		}
-		p.metrics.recordBatch(total, len(batch), time.Since(began), p.isDraining())
 	}
 }

@@ -55,12 +55,9 @@
 //	                              {"scores": [...], "labels": [...]}
 //	GET  /v1/metrics              Prometheus text exposition
 //
-// The PR 4 unversioned routes remain as aliases until the next format
-// bump: /healthz, /model and /predict resolve to the default model
-// (WithDefaultModel), /metrics to /v1/metrics. Errors carry a structured
-// envelope {"error":{"code":...,"message":...}} with stable codes
-// (invalid_request, model_not_found, method_not_allowed, queue_full,
-// overloaded, shutting_down).
+// Errors carry a structured envelope {"error":{"code":...,"message":...}}
+// with stable codes (invalid_request, model_not_found, method_not_allowed,
+// queue_full, overloaded, shutting_down).
 //
 // # Shutdown
 //
@@ -80,8 +77,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/model"
 )
 
 // Server routes prediction traffic to a Registry of models, enforcing
@@ -139,13 +134,6 @@ func New(ctx context.Context, reg *Registry, opts ...Option) (*Server, error) {
 	if err := reg.attach(s); err != nil {
 		return nil, err
 	}
-	if s.cfg.DefaultModel == "" {
-		if ids := reg.IDs(); len(ids) == 1 {
-			s.cfg.DefaultModel = ids[0]
-		}
-	} else if reg.lookup(s.cfg.DefaultModel) == nil {
-		return nil, fmt.Errorf("serve: default model %q is not registered", s.cfg.DefaultModel)
-	}
 	if cfg.ModelDir != "" {
 		s.watchStop = make(chan struct{})
 		s.watchDone = make(chan struct{})
@@ -162,27 +150,9 @@ func New(ctx context.Context, reg *Registry, opts ...Option) (*Server, error) {
 	return s, nil
 }
 
-// NewWithConfig serves one artifact under the model id "default" with the
-// PR 4 struct configuration — the bridge for callers of the old
-// New(artifact, Config) constructor.
-//
-// Deprecated: build a Registry and call New with functional options;
-// Config values migrate via Config.Options.
-func NewWithConfig(ctx context.Context, art *model.Artifact, cfg Config) (*Server, error) {
-	reg := NewRegistry()
-	if err := reg.Load("default", art); err != nil {
-		return nil, err
-	}
-	return New(ctx, reg, cfg.Options()...)
-}
-
 // Registry returns the server's model registry — the handle for runtime
 // model management (Load to hot-swap, Remove to retire).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// DefaultModel returns the model id the legacy unversioned routes resolve
-// to ("" when no default is configured).
-func (s *Server) DefaultModel() string { return s.cfg.DefaultModel }
 
 // Snapshot returns a consistent copy of every model's metrics, keyed by
 // model id. Each per-model snapshot is copied under that model's metrics

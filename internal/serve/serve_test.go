@@ -102,7 +102,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 
 func postPredict(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
-	return postJSON(t, url+"/predict", body)
+	return postJSON(t, url+"/v1/models/default/predict", body)
 }
 
 // decodeError unpacks the structured error envelope.
@@ -145,48 +145,44 @@ func offlineScores(t *testing.T, art *model.Artifact, q [][]float64) []float64 {
 func TestHealthzAndModelEndpoints(t *testing.T) {
 	_, hs, art := newTestServer(t, WithImmediateFlush())
 
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hz healthzResponse
-		err = json.NewDecoder(resp.Body).Decode(&hz)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d", path, resp.StatusCode)
-		}
-		if hz.Status != "ok" || hz.DefaultModel != "default" {
-			t.Fatalf("%s = %+v", path, hz)
-		}
-		if len(hz.Models) != 1 || hz.Models[0].ID != "default" || len(hz.Models[0].Fingerprint) != 16 {
-			t.Fatalf("%s models = %+v", path, hz.Models)
-		}
+	resp, err := http.Get(hs.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hz healthzResponse
+	err = json.NewDecoder(resp.Body).Decode(&hz)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d", resp.StatusCode)
+	}
+	if hz.Status != "ok" {
+		t.Fatalf("healthz = %+v", hz)
+	}
+	if len(hz.Models) != 1 || hz.Models[0].ID != "default" || len(hz.Models[0].Fingerprint) != 16 {
+		t.Fatalf("healthz models = %+v", hz.Models)
 	}
 
-	for _, path := range []string{"/model", "/v1/models/default"} {
-		mresp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mi modelResponse
-		err = json.NewDecoder(mresp.Body).Decode(&mi)
-		mresp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mi.Dim != art.Dim() || mi.NumTrain != art.NumTrain() || mi.FormatVersion != model.FormatVersion {
-			t.Fatalf("%s info = %+v", path, mi)
-		}
-		if mi.Partition != art.Partition.String() {
-			t.Fatalf("partition %q, want %q", mi.Partition, art.Partition)
-		}
-		if mi.ID != "default" || len(mi.Fingerprint) != 16 || mi.Swaps != 0 {
-			t.Fatalf("%s registry fields = %+v", path, mi)
-		}
+	mresp, err := http.Get(hs.URL + "/v1/models/default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mi modelResponse
+	err = json.NewDecoder(mresp.Body).Decode(&mi)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mi.Dim != art.Dim() || mi.NumTrain != art.NumTrain() || mi.FormatVersion != model.FormatVersion {
+		t.Fatalf("model info = %+v", mi)
+	}
+	if mi.Partition != art.Partition.String() {
+		t.Fatalf("partition %q, want %q", mi.Partition, art.Partition)
+	}
+	if mi.ID != "default" || len(mi.Fingerprint) != 16 || mi.Swaps != 0 {
+		t.Fatalf("model registry fields = %+v", mi)
 	}
 
 	t.Run("models listing", func(t *testing.T) {
@@ -236,14 +232,14 @@ func TestHealthzAndModelEndpoints(t *testing.T) {
 }
 
 // TestPredictMatchesInMemoryScoresBitIdentically is the serving half of the
-// round-trip acceptance property: predict answers — batched or single,
-// legacy or v1 route — are bit-identical to scoring the artifact in memory.
+// round-trip acceptance property: predict answers — batched or single —
+// are bit-identical to scoring the artifact in memory.
 func TestPredictMatchesInMemoryScoresBitIdentically(t *testing.T) {
 	_, hs, art := newTestServer(t, WithImmediateFlush())
 	q := testQueries(art.Dim(), 9)
 	want := offlineScores(t, art, q)
 
-	// One batched request on the legacy route.
+	// One batched request.
 	resp, body := postPredict(t, hs.URL, PredictRequest{Instances: q})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict status %d: %s", resp.StatusCode, body)
@@ -266,15 +262,6 @@ func TestPredictMatchesInMemoryScoresBitIdentically(t *testing.T) {
 		if batched.Labels[i] != wantLabel {
 			t.Fatalf("label %d = %d, want %d", i, batched.Labels[i], wantLabel)
 		}
-	}
-
-	// The v1 route is a byte-for-byte alias of the legacy route.
-	v1resp, v1body := postJSON(t, hs.URL+"/v1/models/default/predict", PredictRequest{Instances: q})
-	if v1resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 predict status %d: %s", v1resp.StatusCode, v1body)
-	}
-	if !bytes.Equal(v1body, body) {
-		t.Fatalf("v1 body differs from legacy body:\n%s\n%s", v1body, body)
 	}
 
 	// One request per instance, exercising the "instance" convenience form.
@@ -305,7 +292,7 @@ func TestMultiModelRouting(t *testing.T) {
 	if err := reg.Load("beta", artB); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(context.Background(), reg, WithImmediateFlush(), WithDefaultModel("alpha"))
+	s, err := New(context.Background(), reg, WithImmediateFlush())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +312,6 @@ func TestMultiModelRouting(t *testing.T) {
 	}{
 		{"/v1/models/alpha/predict", wantA},
 		{"/v1/models/beta/predict", wantB},
-		{"/predict", wantA}, // legacy route resolves to the default model
 	} {
 		resp, body := postJSON(t, hs.URL+tc.path, PredictRequest{Instances: q})
 		if resp.StatusCode != http.StatusOK {
@@ -344,49 +330,6 @@ func TestMultiModelRouting(t *testing.T) {
 
 	if ids := s.Registry().IDs(); len(ids) != 2 || ids[0] != "alpha" || ids[1] != "beta" {
 		t.Fatalf("IDs = %v", ids)
-	}
-}
-
-// TestMultiModelWithoutDefault pins the no-default contract: a registry
-// with several models and no WithDefaultModel answers 404 on the legacy
-// routes while the v1 routes work.
-func TestMultiModelWithoutDefault(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Load("alpha", testArtifactSeed(t, 11)); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Load("beta", testArtifactSeed(t, 23)); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(context.Background(), reg, WithImmediateFlush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { hs.Close(); s.Close() })
-
-	if s.DefaultModel() != "" {
-		t.Fatalf("DefaultModel = %q, want none", s.DefaultModel())
-	}
-	row := make([]float64, testArtifactSeed(t, 11).Dim())
-	resp, body := postPredict(t, hs.URL, PredictRequest{Instances: [][]float64{row}})
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("legacy predict without default: status %d, want 404", resp.StatusCode)
-	}
-	if e := decodeError(t, body); e.Code != CodeModelNotFound {
-		t.Fatalf("code %q, want %q", e.Code, CodeModelNotFound)
-	}
-}
-
-// TestDefaultModelMustExist: naming a missing default is a construction
-// error, not a runtime 404 surprise.
-func TestDefaultModelMustExist(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Load("alpha", testArtifact(t)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(context.Background(), reg, WithDefaultModel("ghost")); err == nil {
-		t.Fatal("New accepted a default model that is not registered")
 	}
 }
 
@@ -493,7 +436,7 @@ func TestPredictValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(hs.URL+"/predict", "application/json", bytes.NewReader([]byte(tc.body)))
+			resp, err := http.Post(hs.URL+"/v1/models/default/predict", "application/json", bytes.NewReader([]byte(tc.body)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -510,7 +453,7 @@ func TestPredictValidation(t *testing.T) {
 	}
 
 	t.Run("get predict", func(t *testing.T) {
-		resp, err := http.Get(hs.URL + "/predict")
+		resp, err := http.Get(hs.URL + "/v1/models/default/predict")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +478,7 @@ func TestPredictValidation(t *testing.T) {
 	t.Run("rejections counted", func(t *testing.T) {
 		s, _, _ := newTestServer(t, WithImmediateFlush())
 		h := s.Handler()
-		req := httptest.NewRequest(http.MethodPost, "/predict", bytes.NewReader([]byte(`{}`)))
+		req := httptest.NewRequest(http.MethodPost, "/v1/models/default/predict", bytes.NewReader([]byte(`{}`)))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		m, _ := s.SnapshotModel("default")

@@ -132,31 +132,6 @@ func TestNewContextShutsDownOnCancel(t *testing.T) {
 	}
 }
 
-// TestNewWithConfigServesLikeBefore: the deprecated struct-config bridge
-// still builds a working single-model server under the id "default".
-func TestNewWithConfigServesLikeBefore(t *testing.T) {
-	art := testArtifact(t)
-	s, err := NewWithConfig(context.Background(), art, Config{Immediate: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	if s.DefaultModel() != "default" {
-		t.Fatalf("DefaultModel = %q, want default", s.DefaultModel())
-	}
-	q := testQueries(art.Dim(), 3)
-	want := offlineScores(t, art, q)
-	got, err := s.ScoreBatch("default", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("score %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestListenAndServeContextDrainsCleanly: the context-driven listener
 // returns nil after a clean drain — the exit-0 path of `iotml serve`.
 func TestListenAndServeContextDrainsCleanly(t *testing.T) {

@@ -44,12 +44,7 @@
 // one from the workload size, and ParseBackend reads the CLI spellings
 // ("exact", "f32", "nystrom:256", "rff:128"). The deployment fit behind
 // Deploy and FitResult.Artifact always retrains in exact float64,
-// whatever backend scored the search. WithGramApprox remains as
-// deprecated sugar over WithBackend and selects bit-identically.
-//
-// The previous entry point, PartitionDrivenMKL(d, FitConfig{...}), remains
-// as a deprecated shim over Fit and selects identical configurations
-// bit-for-bit.
+// whatever backend scored the search.
 //
 // The examples/ directory contains six runnable programs (including the
 // serving lifecycle walkthrough in examples/serving); cmd/iotml
@@ -79,8 +74,7 @@ import (
 
 // Core fit API (Fit itself and its options live in fit.go).
 type (
-	// FitConfig is the struct-style configuration consumed by the
-	// deprecated PartitionDrivenMKL shim and by WithConfig.
+	// FitConfig is the struct-style configuration WithConfig consumes.
 	FitConfig = core.FitConfig
 	// FitResult is the outcome of Fit.
 	FitResult = core.FitResult
@@ -95,16 +89,6 @@ const (
 	SearchGreedy                = core.SearchGreedy
 	SearchExhaustive            = core.SearchExhaustive
 )
-
-// PartitionDrivenMKL runs the paper's Section III procedure end to end.
-//
-// Deprecated: use Fit, which adds context cancellation, progress
-// streaming, and functional options. Fit(context.Background(), d) with no
-// options selects a bit-identical configuration (a CI-asserted compat
-// contract); FitConfig values migrate via iotml.WithConfig.
-func PartitionDrivenMKL(d *Dataset, cfg FitConfig) (*FitResult, error) {
-	return core.PartitionDrivenMKL(d, cfg)
-}
 
 // Deploy retrains a chosen configuration on train and scores it on test.
 func Deploy(train, test *Dataset, p Partition, cfg MKLConfig) (float64, error) {
@@ -164,10 +148,9 @@ func FromPartition(p Partition, factory kernel.BlockKernelFactory, c kernel.Comb
 	return kernel.FromPartition(p, factory, c)
 }
 
-// Model persistence and serving: the train-once/serve-forever split.
-// Fit with PartitionDrivenMKL, package the deployment model with
-// FitResult.Artifact, persist it with Artifact.SaveFile, and serve it with
-// internal/serve (or `iotml serve`). Loaded artifacts score bit-identically
+// Model persistence and serving: the train-once/serve-forever split. Fit,
+// package the deployment model with FitResult.Artifact, persist it with
+// Artifact.SaveFile, and serve it with internal/serve (or `iotml serve`). Loaded artifacts score bit-identically
 // to the in-memory fit.
 type (
 	// Artifact is a persisted fitted model (versioned .iotml file).
@@ -192,10 +175,7 @@ func NewPredictor(a *Artifact) (*Predictor, error) { return model.NewPredictor(a
 //
 //	reg := iotml.NewServeRegistry()
 //	_ = reg.LoadFile("face", "face.iotml")
-//	srv, err := iotml.Serve(ctx, reg,
-//		iotml.WithDefaultModel("face"),
-//		iotml.WithQueueDepth(128),
-//	)
+//	srv, err := iotml.Serve(ctx, reg, iotml.WithQueueDepth(128))
 //	err = srv.ListenAndServeContext(ctx, ":8080")
 //
 // Registry.Load on a live id hot-swaps the model atomically with zero
@@ -207,7 +187,7 @@ type (
 	// ServeRegistry is the model store a Server routes predictions to.
 	ServeRegistry = serve.Registry
 	// ServeOption configures a Serve call (WithMaxBatch, WithQueueDepth,
-	// WithDefaultModel, WithModelDir, ...).
+	// WithModelDir, ...).
 	ServeOption = serve.Option
 	// ServeMetrics is a copy-on-read snapshot of one model's serving
 	// counters.
@@ -249,8 +229,6 @@ var (
 	WithMaxRequestBytes = serve.WithMaxRequestBytes
 	// WithDrainTimeout bounds graceful shutdown and hot-swap drains.
 	WithDrainTimeout = serve.WithDrainTimeout
-	// WithDefaultModel names the model the legacy unversioned routes serve.
-	WithDefaultModel = serve.WithDefaultModel
 	// WithModelDir serves and watches a directory of .iotml artifacts.
 	WithModelDir = serve.WithModelDir
 	// WithReloadInterval sets the WithModelDir polling period.

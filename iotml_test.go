@@ -15,9 +15,9 @@ func TestPublicAPIQuickstartPath(t *testing.T) {
 	test := SyntheticBiometric(cfg, NewRNG(2))
 	test.Standardize()
 
-	res, err := PartitionDrivenMKL(train, FitConfig{
+	res, err := Fit(context.Background(), train, WithConfig(FitConfig{
 		MKL: mkl.Config{Objective: mkl.KernelAlignment, Seed: 1},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,6 @@ func TestPublicAPIServePath(t *testing.T) {
 		WithWorkers(1),
 		WithQueueDepth(8),
 		WithGlobalQueueDepth(16),
-		WithDefaultModel("m"),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +102,6 @@ func TestPublicAPIServePath(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("served score %d = %v, offline %v", i, got[i], want[i])
 		}
-	}
-	if srv.DefaultModel() != "m" {
-		t.Fatalf("DefaultModel = %q", srv.DefaultModel())
 	}
 	if m, ok := srv.SnapshotModel("m"); !ok || m.Requests != 1 {
 		t.Fatalf("snapshot = %+v ok=%v", m, ok)

@@ -25,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/mkl"
 	"repro/internal/partition"
 )
@@ -59,7 +60,7 @@ func TestScaleSmoke_Nystrom10k(t *testing.T) {
 
 	approx, err := mkl.NewEvaluator(d, mkl.Config{
 		Objective: mkl.KernelAlignment, Seed: 1, Parallelism: 2,
-		GramMode: mkl.GramNystrom, GramRank: rank,
+		Backend: engine.Nystrom(rank),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestScaleSmoke_Budgeted1kSpeedup(t *testing.T) {
 	// skews the ratio either way on small absolute times).
 	approx, err := mkl.NewEvaluator(d, mkl.Config{
 		Objective: mkl.CVAccuracy, Seed: 1,
-		GramMode: mkl.GramNystrom, GramRank: rank,
+		Backend: engine.Nystrom(rank),
 	})
 	if err != nil {
 		t.Fatal(err)
