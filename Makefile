@@ -16,7 +16,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # set so gated code faces the same checks as the default build.
 BUILD_TAGS := loadsmoke scalesmoke
 
-.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test contracts shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
+.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test contracts fuzz shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
 
 all: build
 
@@ -97,6 +97,7 @@ contracts:
 	$(CONTRACT) 'TestPredictMatchesInMemoryScoresBitIdentically' ./internal/serve
 	$(CONTRACT) 'TestFitSelectionIdenticalAcrossWorkers' ./internal/core
 	$(CONTRACT) 'TestFitCSVRoundTripReproducesSelection' .
+	$(CONTRACT) 'TestFitGammaZeroSameWithDistWorkers' ./cmd/iotml
 	$(CONTRACT) 'TestRunContextCancellation|TestDoContextCancellation' ./internal/parsearch -race
 	$(CONTRACT) 'TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
 	$(CONTRACT) 'TestSearchCoreDeterminism|TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
@@ -107,8 +108,16 @@ contracts:
 	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact' ./internal/mkl
 	$(CONTRACT) '.' ./internal/engine
 	$(CONTRACT) 'TestBackend' ./internal/mkl
-	$(CONTRACT) 'TestSpecBackendSpellings|TestWorkerDatasetCacheSkipsReingest' ./internal/distsearch
+	$(CONTRACT) 'TestSpecBackendSpellings' ./internal/distsearch
+	$(CONTRACT) 'TestFitDistributedBudgetedMatchesLocal' ./internal/core
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
+
+# fuzz gives each worker-boundary fuzzer a short run, one go test -fuzz
+# invocation per target (the fuzz engine takes one target at a time).
+# Mirrors the CI test job's fuzz step.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzJobInstall$$' -fuzztime 10s ./internal/distsearch
+	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./internal/distsearch
 
 # shuffle re-runs the suite with randomized test and subtest order, so
 # inter-test state dependencies fail loudly instead of hiding behind
@@ -152,7 +161,9 @@ fit-smoke:
 # real search-worker processes, a fit sharded across them with one worker
 # SIGKILLed mid-sweep, then a fit against an all-dead fleet — both must
 # reproduce the committed fit-smoke selection exactly (worker loss costs
-# re-dispatches, never correctness). Mirrors the CI dist-smoke job.
+# re-dispatches, never correctness) — and a budgeted fit over the fleet
+# must select what the same budgeted fit selects in-process. Mirrors the
+# CI dist-smoke job.
 dist-smoke:
 	bash scripts/dist_smoke.sh
 
@@ -207,4 +218,4 @@ bench-json:
 		&& mv BENCH_gram.json.tmp BENCH_gram.json && rm -f $$out
 	@echo "wrote BENCH_gram.json"
 
-ci: build lint test contracts shuffle race bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke
+ci: build lint test contracts fuzz shuffle race bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke

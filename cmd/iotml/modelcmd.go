@@ -116,32 +116,6 @@ func loadData(path, label, features, views, nanPolicy string) (*iotml.Dataset, e
 	}
 }
 
-func buildTrainer(learner string, svmC float64, svmSeed int64) (iotml.Learner, error) {
-	switch learner {
-	case "ridge":
-		return iotml.RidgeLearner(1e-2), nil
-	case "svm":
-		return iotml.SVMLearner(svmC, svmSeed), nil
-	case "perceptron":
-		return iotml.PerceptronLearner(), nil
-	default:
-		return nil, fmt.Errorf("unknown learner %q (ridge|svm|perceptron)", learner)
-	}
-}
-
-func buildFactory(kind string, gamma float64) (iotml.KernelFamily, error) {
-	switch kind {
-	case "rbf":
-		return iotml.RBFKernels(gamma), nil
-	case "linear":
-		return iotml.LinearKernels(), nil
-	case "norm-rbf":
-		return iotml.NormalizedKernels(iotml.RBFKernels(gamma)), nil
-	default:
-		return nil, fmt.Errorf("unknown kernel %q (rbf|linear|norm-rbf)", kind)
-	}
-}
-
 func buildSearch(search string) (iotml.SearchStrategy, error) {
 	switch search {
 	case "chain":
@@ -259,9 +233,9 @@ func runFit(args []string, workers int) error {
 	n := fs.Int("n", 0, "instances to generate (0 = workload default)")
 	seed := fs.Int64("seed", 1, "workload generator seed")
 	learner := fs.String("learner", "ridge", "learner: ridge|svm|perceptron")
-	svmC := fs.Float64("svm-c", 1, "SVM soft-margin penalty")
+	svmC := fs.Float64("svm-c", 1, "SVM soft-margin penalty (0 = 1)")
 	kernelKind := fs.String("kernel", "rbf", "block kernel: rbf|linear|norm-rbf")
-	gamma := fs.Float64("gamma", 1.0, "RBF base bandwidth (gamma/|block|)")
+	gamma := fs.Float64("gamma", 1.0, "RBF base bandwidth (gamma/|block|; 0 = 1.0)")
 	combiner := fs.String("combiner", "sum", "block combiner: sum|product")
 	search := fs.String("search", "chain", "lattice search: chain|chain-first|greedy|exhaustive")
 	backendSpec := fs.String("backend", "exact", "numeric backend: exact|f32|nystrom[:rank]|rff[:rank]|auto (auto picks from the workload size)")
@@ -292,23 +266,9 @@ func runFit(args []string, workers int) error {
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}
-	trainer, err := buildTrainer(*learner, *svmC, *seed)
-	if err != nil {
-		return fmt.Errorf("fit: %w", err)
-	}
-	factory, err := buildFactory(*kernelKind, *gamma)
-	if err != nil {
-		return fmt.Errorf("fit: %w", err)
-	}
 	strategy, err := buildSearch(*search)
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
-	}
-	comb := iotml.CombineSum
-	if *combiner == "product" {
-		comb = iotml.CombineProduct
-	} else if *combiner != "sum" {
-		return fmt.Errorf("fit: unknown combiner %q (sum|product)", *combiner)
 	}
 	var backend iotml.Backend
 	if *backendSpec == "auto" {
@@ -318,32 +278,30 @@ func runFit(args []string, workers int) error {
 	} else if backend, err = iotml.ParseBackend(*backendSpec); err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}
-	progress, closeSink, err := progressSink(*verbose, *progressJSONL)
+	if *budgetTopK > 0 && !backend.IsApprox() {
+		return fmt.Errorf("fit: -budget-topk requires an approximate backend (-backend nystrom[:rank] or rff[:rank])")
+	}
+	// One flag-to-config mapping: the in-process fit expands the same
+	// spec a distributed fleet receives, so adding -dist-workers never
+	// changes what a command line selects.
+	spec := iotml.DistSpec{
+		Learner:  *learner,
+		SVMC:     *svmC,
+		SVMSeed:  *seed,
+		Kernel:   *kernelKind,
+		Gamma:    *gamma,
+		Combiner: *combiner,
+		Folds:    *folds,
+		Backend:  backend.String(),
+	}
+	mklCfg, err := spec.Config()
 	if err != nil {
 		return fmt.Errorf("fit: %w", err)
 	}
-	opts := []iotml.Option{
-		iotml.WithStrategy(strategy),
-		iotml.WithKernelFamily(factory),
-		iotml.WithCombiner(comb),
-		iotml.WithLearner(trainer),
-		iotml.WithFolds(*folds),
-		iotml.WithParallelism(workers),
-	}
-	opts = append(opts, iotml.WithBackend(backend))
-	if *budgetTopK > 0 {
-		if !backend.IsApprox() {
-			return fmt.Errorf("fit: -budget-topk requires an approximate backend (-backend nystrom[:rank] or rff[:rank])")
-		}
-		opts = append(opts, iotml.WithBudget(*budgetTopK))
-	}
-	if progress != nil {
-		opts = append(opts, iotml.WithProgress(progress))
-	}
+	mklCfg.Parallelism = workers
+	mklCfg.BudgetTopK = *budgetTopK
+	opts := []iotml.Option{iotml.WithConfig(iotml.FitConfig{Search: strategy, MKL: mklCfg})}
 	if *distWorkers != "" {
-		if *budgetTopK > 0 {
-			return fmt.Errorf("fit: -dist-workers does not support -budget-topk")
-		}
 		var fleet []string
 		for _, w := range strings.Split(*distWorkers, ",") {
 			if w = strings.TrimSpace(w); w != "" {
@@ -353,25 +311,20 @@ func runFit(args []string, workers int) error {
 		if len(fleet) == 0 {
 			return fmt.Errorf("fit: -dist-workers has no worker addresses")
 		}
-		// The spec mirrors the local flags, so a distributed fit and an
-		// in-process fit from the same command line select identically.
 		opts = append(opts, iotml.WithDistributedWorkers(iotml.DistOptions{
-			Workers: fleet,
-			Spec: iotml.DistSpec{
-				Learner:   *learner,
-				SVMC:      *svmC,
-				SVMSeed:   *seed,
-				Kernel:    *kernelKind,
-				Gamma:     *gamma,
-				Combiner:  *combiner,
-				Folds:     *folds,
-				Backend:   backend.String(),
-				ExactGram: false,
-			},
+			Workers:   fleet,
+			Spec:      spec,
 			ShardSize: *distShard,
 			Deadline:  *distDeadline,
 			Attempts:  *distAttempts,
 		}))
+	}
+	progress, closeSink, err := progressSink(*verbose, *progressJSONL)
+	if err != nil {
+		return fmt.Errorf("fit: %w", err)
+	}
+	if progress != nil {
+		opts = append(opts, iotml.WithProgress(progress))
 	}
 	// Ctrl-C aborts the search at the next candidate boundary; the partial
 	// best-so-far is reported but not persisted.

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/distsearch"
 	"repro/internal/model"
 )
 
@@ -80,5 +84,55 @@ func TestModelSubcommandErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+}
+
+// TestFitGammaZeroSameWithDistWorkers: the in-process fit and the fleet
+// expand one spec from the flags, so a command line selects the same
+// partition and writes a byte-identical artifact with and without
+// -dist-workers — including -gamma 0, which both read as the default
+// bandwidth.
+func TestFitGammaZeroSameWithDistWorkers(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var fleet []string
+	for range 2 {
+		ready := make(chan string, 1)
+		errc := make(chan error, 1)
+		go func() {
+			errc <- distsearch.Serve(ctx, "127.0.0.1:0", &distsearch.WorkerServer{Parallelism: 1}, ready)
+		}()
+		select {
+		case addr := <-ready:
+			fleet = append(fleet, addr)
+		case err := <-errc:
+			t.Fatalf("search worker failed to start: %v", err)
+		}
+	}
+	dir := t.TempDir()
+	fit := func(name string, extra ...string) ([]byte, *model.Artifact) {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		args := append([]string{"-parallel", "1", "fit", "-o", path, "-n", "60", "-gamma", "0"}, extra...)
+		if err := run(args); err != nil {
+			t.Fatalf("fit %v: %v", extra, err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := model.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, art
+	}
+	localRaw, local := fit("local.iotml")
+	distRaw, dist := fit("dist.iotml", "-dist-workers", strings.Join(fleet, ","))
+	if !dist.Partition.Equal(local.Partition) {
+		t.Fatalf("distributed fit selected %v, in-process fit %v", dist.Partition, local.Partition)
+	}
+	if !bytes.Equal(distRaw, localRaw) {
+		t.Fatal("distributed and in-process fits wrote different artifacts")
 	}
 }

@@ -168,7 +168,9 @@ func AutoBackend(d *Dataset, obj Objective) Backend {
 // and only the topK best distinct candidates are re-scored exactly, with
 // the exact scores deciding the final selection (see mkl.BudgetedSearch).
 // Values <= 0 disable re-scoring; without an approximate WithBackend the
-// option has no effect.
+// option has no effect. It composes with WithDistributedWorkers: the
+// approximate sweep is scored by the fleet, the exact top-K re-score runs
+// in-process.
 func WithBudget(topK int) Option {
 	return func(c *core.FitConfig) { c.MKL.BudgetTopK = topK }
 }
@@ -189,13 +191,17 @@ type (
 // processes in opts.Workers (each running `iotml search-worker`). The
 // evaluator configuration is derived from opts.Spec on both sides of the
 // wire, overriding WithLearner/WithKernelFamily/WithCombiner/WithFolds/
-// WithCVSeed/WithObjective for this fit, so coordinator-local and remote
-// scores agree by construction. The selected partition and score are
-// bit-identical to an in-process fit with the same spec, at every fleet
-// size and under worker failures: dead, hung, or corrupt-result workers
-// are retried with jittered backoff, their shards re-dispatched to live
-// peers, and an exhausted pool degrades to local in-process scoring. An
-// empty worker list leaves the fit fully in-process.
+// WithCVSeed/WithObjective/WithBackend for this fit, so the fit's own
+// evaluator and the remote ones score alike by construction;
+// WithParallelism, WithProgress and WithBudget still apply. The selected
+// partition and score are bit-identical to an in-process fit with the
+// same spec, at every fleet size and under worker failures: dead, hung,
+// or corrupt-result workers are retried with jittered backoff, their
+// shards re-dispatched to live peers, and candidates an exhausted pool
+// leaves behind are scored on the fit's own in-process pool. In budgeted
+// mode (WithBudget) the fleet scores the approximate sweep and the exact
+// top-K re-score runs in-process. An empty worker list leaves the fit
+// fully in-process.
 func WithDistributedWorkers(opts DistOptions) Option {
 	return func(c *core.FitConfig) {
 		if len(opts.Workers) == 0 {

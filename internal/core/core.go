@@ -59,12 +59,14 @@ type FitConfig struct {
 	// (internal/distsearch). The evaluator configuration is then derived
 	// from Dist.Spec — the serializable form coordinator and workers
 	// expand identically — overriding MKL's Factory/Trainer/Combiner/
-	// Folds/Seed/Objective/Backend fields (Parallelism, Progress, and the
-	// Gram cache bound are kept: they are local orchestration, not
-	// scoring semantics). Selection is bit-identical to the in-process
-	// strategies; dead or hung workers are retried, re-dispatched, and
-	// ultimately replaced by local in-process scoring, so a fit never
-	// fails because its fleet did.
+	// Folds/Seed/Objective/Backend fields (Parallelism, Progress, the
+	// Gram cache bound and BudgetTopK are kept: they are local
+	// orchestration, not scoring semantics). Selection is bit-identical
+	// to the in-process strategies; dead or hung workers are retried,
+	// re-dispatched, and ultimately replaced by scoring on the fit's own
+	// in-process pool, so a fit never fails because its fleet did. In
+	// budgeted mode the fleet scores the approximate sweep and the exact
+	// re-score of the top K runs in-process.
 	Dist *distsearch.Options
 }
 
@@ -179,9 +181,6 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 	}
 	distributed := cfg.Dist != nil && len(cfg.Dist.Workers) > 0
 	if distributed {
-		if cfg.MKL.BudgetTopK > 0 {
-			return nil, fmt.Errorf("core: the distributed search does not support budgeted re-scoring (WithBudget)")
-		}
 		distCfg, derr := cfg.Dist.Spec.Config()
 		if derr != nil {
 			return nil, fmt.Errorf("core: %w", derr)
@@ -189,6 +188,7 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		distCfg.Parallelism = cfg.MKL.Parallelism
 		distCfg.Progress = cfg.MKL.Progress
 		distCfg.GramCacheBlocks = cfg.MKL.GramCacheBlocks
+		distCfg.BudgetTopK = cfg.MKL.BudgetTopK
 		cfg.MKL = distCfg
 	}
 	seed, attrs, err := mkl.SeedFromRoughSet(d, cfg.DiscretizeBins, cfg.SeedMaxK, cfg.SeedObjective)
@@ -238,10 +238,11 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 	}
 	var res *mkl.Result
 	if cfg.MKL.Backend.IsApprox() && cfg.MKL.BudgetTopK > 0 {
-		// Budgeted mode: the approximate evaluator scores the lattice, an
-		// exact twin re-scores the top-K survivors and decides the final
-		// selection. The deployment fit (FitResult.Artifact, Deploy) is
-		// always exact regardless of mode.
+		// Budgeted mode: the approximate evaluator scores the lattice
+		// (through the fleet, when distributed), an in-process exact twin
+		// re-scores the top-K survivors and decides the final selection.
+		// The deployment fit (FitResult.Artifact, Deploy) is always exact
+		// regardless of mode.
 		exactCfg := cfg.MKL
 		exactCfg.Backend = engine.Backend{}
 		// The exact twin runs cache-free: it only ever scores the top-K

@@ -125,20 +125,50 @@ func TestFitDistributedDeadFleetFallsBack(t *testing.T) {
 	}
 }
 
-// TestFitDistributedRejectsBudget: budgeted re-scoring re-ranks with a
-// second evaluator the distributed path does not mirror, so the
-// combination must fail loudly rather than silently diverge.
-func TestFitDistributedRejectsBudget(t *testing.T) {
+// TestFitDistributedBudgetedMatchesLocal: budgeted mode composes with the
+// fleet. The approximate sweep scores through the coordinator and the
+// exact top-K re-score runs in-process, so a budgeted fit over real HTTP
+// workers — live, or all dead and declined to the fit's own pool — equals
+// the in-process budgeted fit in Best, Score and Evaluations.
+func TestFitDistributedBudgetedMatchesLocal(t *testing.T) {
 	d := fitTestData(t)
-	_, err := Fit(context.Background(), d, FitConfig{
-		MKL: mkl.Config{Seed: 1, BudgetTopK: 4, Backend: engine.Nystrom(0)},
-		Dist: &distsearch.Options{
-			Workers: []string{"127.0.0.1:9"},
-			Spec:    distsearch.Spec{CVSeed: 1},
-		},
-	})
-	if err == nil {
-		t.Fatal("Fit accepted budgeted re-scoring with distributed workers")
+	budget := mkl.Config{Seed: 1, Parallelism: 2, Backend: engine.Nystrom(16), BudgetTopK: 4}
+	local, err := Fit(context.Background(), d, FitConfig{MKL: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleets := map[string]struct {
+		opts     distsearch.Options
+		fallback bool
+	}{
+		"fleet": {opts: distsearch.Options{Workers: startWorkerFleet(t, 2)}},
+		"dead-fleet": {opts: distsearch.Options{
+			Workers:  []string{"127.0.0.1:9", "127.0.0.1:13"},
+			Deadline: 500 * time.Millisecond,
+			Attempts: 1,
+		}, fallback: true},
+	}
+	for name, fleet := range fleets {
+		t.Run(name, func(t *testing.T) {
+			opts := fleet.opts
+			opts.Spec = distsearch.Spec{CVSeed: 1, Backend: "nystrom:16"}
+			opts.Backoff = testBackoff
+			opts.Seed = 42
+			cfg := budget
+			fellBack := false
+			cfg.Progress = func(ev mkl.Event) { fellBack = fellBack || ev.Kind == mkl.EventDistFallback }
+			dist, err := Fit(context.Background(), d, FitConfig{MKL: cfg, Dist: &opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fellBack != fleet.fallback {
+				t.Fatalf("dist-fallback emitted = %v, want %v", fellBack, fleet.fallback)
+			}
+			if !dist.Best.Equal(local.Best) || dist.Score != local.Score || dist.Evaluations != local.Evaluations {
+				t.Fatalf("distributed budgeted fit selected (%v, %v) in %d evaluations, local (%v, %v) in %d",
+					dist.Best, dist.Score, dist.Evaluations, local.Best, local.Score, local.Evaluations)
+			}
+		})
 	}
 }
 

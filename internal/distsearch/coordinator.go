@@ -12,8 +12,10 @@
 // initial health probe, or echoes a mismatched job fingerprint) is marked
 // down — its shard is re-queued for a live peer before the loss is
 // reported, so no shard is ever stranded. When the last worker dies the
-// coordinator drains the queue and scores the remaining shards locally
-// in-process: the fit completes (more slowly) with bit-identical results.
+// coordinator drains the queue and declines the remaining candidates
+// (mkl.ErrDeclined): the evaluator's cache front scores them on the fit's
+// own in-process pool, so the fit completes (more slowly) with
+// bit-identical results.
 package distsearch
 
 import (
@@ -36,7 +38,7 @@ type Options struct {
 	// Workers lists worker addresses ("host:port").
 	Workers []string
 	// Spec is the serializable evaluator configuration both sides expand
-	// identically; a fit distributing its search derives its local
+	// identically; a fit distributing its search derives its own
 	// evaluator from the same Spec, so coordinator-side and worker-side
 	// scores agree by construction.
 	Spec Spec
@@ -85,8 +87,6 @@ type Coordinator struct {
 	opts      Options
 	transport Transport
 	job       *Job
-	data      *dataset.Dataset
-	localCfg  mkl.Config
 
 	// emitMu serializes progress emissions: pumps run concurrently, but
 	// the progress callback contract promises single-threaded delivery.
@@ -97,9 +97,8 @@ type Coordinator struct {
 	down      map[string]bool // workers marked dead (sticky across batches)
 	installed map[string]bool // workers holding the job
 	rngs      map[string]*rand.Rand
-	local     *mkl.Evaluator // lazy local-fallback evaluator
-	fellBack  bool           // at least one shard was scored locally
-	retries   int            // total shard retries (observability)
+	fellBack  bool // at least one candidate was declined to local scoring
+	retries   int  // total shard retries (observability)
 }
 
 // NewCoordinator packages the dataset+spec job and prepares a fleet
@@ -113,8 +112,9 @@ func NewCoordinator(d *dataset.Dataset, opts Options) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := opts.Spec.Config()
-	if err != nil {
+	// Fail a bad spec here, not at every worker's install: a fleet that
+	// rejects the job would otherwise look like a dead one.
+	if _, err := opts.Spec.Config(); err != nil {
 		return nil, err
 	}
 	t := opts.Transport
@@ -125,8 +125,6 @@ func NewCoordinator(d *dataset.Dataset, opts Options) (*Coordinator, error) {
 		opts:      opts,
 		transport: t,
 		job:       job,
-		data:      d,
-		localCfg:  cfg,
 		down:      map[string]bool{},
 		installed: map[string]bool{},
 		rngs:      map[string]*rand.Rand{},
@@ -144,8 +142,8 @@ func (c *Coordinator) SetEmitter(fn func(kind mkl.EventKind, detail string)) { c
 // Fingerprint identifies the coordinator's job (echoed by every shard).
 func (c *Coordinator) Fingerprint() string { return c.job.Fingerprint }
 
-// FellBack reports whether any shard was scored locally because the
-// worker pool was exhausted.
+// FellBack reports whether any candidate was declined to local scoring
+// because the worker pool was exhausted.
 func (c *Coordinator) FellBack() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,9 +240,10 @@ type shardResult struct {
 // ScoreCandidates implements mkl.CandidateScorer: scores[i] belongs to
 // cands[i], with an index-aligned error slice (nil when clean). The
 // candidate batch is scored remotely shard by shard; candidates a dead
-// fleet left behind are scored locally, through the fallback evaluator's
-// in-process pool. Only a cancelled context or a local scoring failure
-// produces candidate errors — fleet trouble is handled, not reported.
+// fleet left behind carry mkl.ErrDeclined, which the evaluator's cache
+// front scores on its own in-process pool. Otherwise only a cancelled
+// context produces candidate errors — fleet trouble is handled, not
+// reported.
 func (c *Coordinator) ScoreCandidates(ctx context.Context, cands []partition.Partition) ([]float64, []error) {
 	scores := make([]float64, len(cands))
 	var errs []error
@@ -323,43 +322,23 @@ func (c *Coordinator) ScoreCandidates(ctx context.Context, cands []partition.Par
 		}
 	}
 
-	// Score whatever the fleet did not finish locally.
-	var leftover []int
-	var local []partition.Partition
+	// Decline whatever the fleet did not finish.
+	declined := 0
 	for si, sh := range shards {
 		if done[si] {
 			continue
 		}
 		for i := sh.lo; i < sh.hi; i++ {
-			leftover = append(leftover, i)
-			local = append(local, cands[i])
+			noteErr(i, mkl.ErrDeclined)
 		}
+		declined += sh.hi - sh.lo
 	}
-	if len(leftover) > 0 {
-		if len(live) > 0 {
-			c.emitEvent(mkl.EventDistFallback,
-				fmt.Sprintf("worker pool exhausted; scoring %d candidates locally", len(leftover)))
-		} else {
-			c.emitEvent(mkl.EventDistFallback,
-				fmt.Sprintf("no live workers; scoring %d candidates locally", len(leftover)))
-		}
+	if declined > 0 {
+		c.emitEvent(mkl.EventDistFallback,
+			fmt.Sprintf("no live workers; scoring %d candidates locally", declined))
 		c.mu.Lock()
 		c.fellBack = true
 		c.mu.Unlock()
-		eval, err := c.localEvaluator()
-		if err != nil {
-			for _, i := range leftover {
-				noteErr(i, err)
-			}
-			return scores, errs
-		}
-		lScores, lErrs := eval.ScoreCandidates(ctx, local)
-		for j, i := range leftover {
-			scores[i] = lScores[j]
-			if lErrs != nil && lErrs[j] != nil {
-				noteErr(i, lErrs[j])
-			}
-		}
 	}
 	return scores, errs
 }
@@ -368,23 +347,6 @@ func (c *Coordinator) ScoreCandidates(ctx context.Context, cands []partition.Par
 // candidate sets, since a dispatch round trip amortizes over the shards
 // of a large batch (a greedy step ships its entire cover set).
 func (c *Coordinator) BatchSize() int { return 0 }
-
-// localEvaluator lazily builds the in-process fallback evaluator from the
-// same Spec the workers run, so fallback scores are bit-identical to
-// remote ones. It scores on the same in-process pool a search worker's
-// ScoreShard uses, and its caches persist across batches.
-func (c *Coordinator) localEvaluator() (*mkl.Evaluator, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.local == nil {
-		eval, err := mkl.NewEvaluator(c.data, c.localCfg)
-		if err != nil {
-			return nil, fmt.Errorf("distsearch: building local fallback evaluator: %w", err)
-		}
-		c.local = eval
-	}
-	return c.local, nil
-}
 
 // pump drives one worker: probe health, then claim shards until the batch
 // completes, the context ends, or the worker dies. On death the claimed

@@ -7,20 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/mkl"
 	"repro/internal/partition"
 	"repro/internal/retry"
-	"repro/internal/stats"
 )
 
 // The fault matrix: for every fleet size × evaluator parallelism ×
-// injected failure, the distributed search must select the bit-identical
-// partition and score the sequential in-process search selects — worker
-// loss, hangs, and corrupt results cost retries and re-dispatches, never
-// correctness. Workers run in-process through LoopbackTransport (real
-// WorkerServer semantics — evaluator caches, fingerprint echo — without
-// sockets), wrapped in FaultTransport for scripted failures; the HTTP
+// injected failure × strategy (a best-of-chain sweep, and the budgeted
+// search whose approximate sweep runs on the fleet), the distributed
+// search must select the bit-identical partition and score the sequential
+// in-process search selects — worker loss, hangs, and corrupt results
+// cost retries and re-dispatches, never correctness. Workers run
+// in-process through LoopbackTransport (real WorkerServer semantics —
+// evaluator caches, fingerprint echo — without sockets), wrapped in FaultTransport for scripted failures; the HTTP
 // layer is exercised end to end by internal/core's distributed fit test
 // and scripts/dist_smoke.sh.
 
@@ -66,8 +65,9 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 	type truth struct {
 		best  partition.Partition
 		score float64
+		evals int
 	}
-	sequential := func(run func(e *mkl.Evaluator) (*mkl.Result, error)) truth {
+	sequential := func(cfg mkl.Config, run func(e *mkl.Evaluator) (*mkl.Result, error)) truth {
 		seqCfg := cfg
 		seqCfg.Parallelism = 1
 		e, err := mkl.NewEvaluator(d, seqCfg)
@@ -78,11 +78,42 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return truth{res.Best, res.Score}
+		return truth{res.Best, res.Score, res.Evaluations}
 	}
-	chainTruth := sequential(func(e *mkl.Evaluator) (*mkl.Result, error) {
-		return mkl.ChainSearch(e, seed, mkl.BestOfChain)
-	})
+	chain := func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
+		return mkl.ChainSearch(e, s, mkl.BestOfChain)
+	}
+
+	// The budgeted search sweeps on a Nyström evaluator — the one that
+	// goes through the fleet — and re-scores its top 4 on an in-process
+	// exact twin.
+	approxSpec := Spec{CVSeed: 1, Backend: "nystrom:16"}
+	approxCfg, err := approxSpec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted := func(approx *mkl.Evaluator, parallelism int) (*mkl.Result, error) {
+		exactCfg := cfg
+		exactCfg.Parallelism = parallelism
+		exact, err := mkl.NewEvaluator(d, exactCfg)
+		if err != nil {
+			return nil, err
+		}
+		return mkl.BudgetedSearch(approx, exact, seed, chain, 4)
+	}
+
+	strategies := []struct {
+		name  string
+		spec  Spec
+		cfg   mkl.Config
+		run   func(e *mkl.Evaluator, parallelism int) (*mkl.Result, error)
+		truth truth
+	}{
+		{"chain", spec, cfg, func(e *mkl.Evaluator, _ int) (*mkl.Result, error) { return chain(e, seed) },
+			sequential(cfg, func(e *mkl.Evaluator) (*mkl.Result, error) { return chain(e, seed) })},
+		{"budgeted", approxSpec, approxCfg, budgeted,
+			sequential(approxCfg, func(e *mkl.Evaluator) (*mkl.Result, error) { return budgeted(e, 1) })},
+	}
 
 	// anchorKey is a mid-chain candidate: the shard carrying it draws the
 	// fault, wherever it lands.
@@ -174,38 +205,43 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 			for _, fault := range faults {
 				name := fmt.Sprintf("fleet=%d/workers=%d/%s", fleet, parallelism, fault.name)
 				t.Run(name, func(t *testing.T) {
-					addrs, lt := newFleet(fleet, parallelism)
-					ft := &FaultTransport{Inner: lt, Decide: fault.decide()}
-					coord, err := NewCoordinator(d, Options{
-						Workers:   addrs,
-						Spec:      spec,
-						Deadline:  100 * time.Millisecond,
-						Attempts:  2,
-						Backoff:   fastBackoff,
-						Seed:      42,
-						Transport: ft,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					distCfg := cfg
-					distCfg.Parallelism = parallelism
-					e, err := mkl.NewEvaluator(d, distCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					coord.SetEmitter(e.EmitDistEvent)
-					e.SetScorer(coord)
-					res, err := mkl.ChainSearch(e, seed, mkl.BestOfChain)
-					if err != nil {
-						t.Fatalf("distributed search failed under %s: %v", fault.name, err)
-					}
-					if !res.Best.Equal(chainTruth.best) || res.Score != chainTruth.score {
-						t.Fatalf("selected (%v, %v), sequential selects (%v, %v)",
-							res.Best, res.Score, chainTruth.best, chainTruth.score)
-					}
-					if got, want := coord.FellBack(), fault.wantFallback(fleet); got != want {
-						t.Fatalf("FellBack() = %v, want %v", got, want)
+					for _, strat := range strategies {
+						t.Run(strat.name, func(t *testing.T) {
+							addrs, lt := newFleet(fleet, parallelism)
+							ft := &FaultTransport{Inner: lt, Decide: fault.decide()}
+							coord, err := NewCoordinator(d, Options{
+								Workers:   addrs,
+								Spec:      strat.spec,
+								Deadline:  100 * time.Millisecond,
+								Attempts:  2,
+								Backoff:   fastBackoff,
+								Seed:      42,
+								Transport: ft,
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							distCfg := strat.cfg
+							distCfg.Parallelism = parallelism
+							e, err := mkl.NewEvaluator(d, distCfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							coord.SetEmitter(e.EmitDistEvent)
+							e.SetScorer(coord)
+							res, err := strat.run(e, parallelism)
+							if err != nil {
+								t.Fatalf("distributed search failed under %s: %v", fault.name, err)
+							}
+							want := strat.truth
+							if !res.Best.Equal(want.best) || res.Score != want.score || res.Evaluations != want.evals {
+								t.Fatalf("selected (%v, %v) in %d evaluations, sequential selects (%v, %v) in %d",
+									res.Best, res.Score, res.Evaluations, want.best, want.score, want.evals)
+							}
+							if got, want := coord.FellBack(), fault.wantFallback(fleet); got != want {
+								t.Fatalf("FellBack() = %v, want %v", got, want)
+							}
+						})
 					}
 				})
 			}
@@ -227,10 +263,10 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 			}
 		}
 		seed := partition.FromRGS(assign)
-		greedyTruth := sequential(func(e *mkl.Evaluator) (*mkl.Result, error) {
+		greedyTruth := sequential(cfg, func(e *mkl.Evaluator) (*mkl.Result, error) {
 			return mkl.GreedyRefine(e, seed)
 		})
-		exhaustiveTruth := sequential(func(e *mkl.Evaluator) (*mkl.Result, error) {
+		exhaustiveTruth := sequential(cfg, func(e *mkl.Evaluator) (*mkl.Result, error) {
 			return mkl.ExhaustiveCone(e, seed)
 		})
 		addrs, lt := newFleet(2, 2)
@@ -377,59 +413,5 @@ func TestWorkerRestartReinstallsJob(t *testing.T) {
 	}
 	if res.Best.N() == 0 {
 		t.Fatal("no selection")
-	}
-}
-
-// TestWorkerDatasetCacheSkipsReingest: the install-time dataset cache is
-// keyed by the dataset-only fingerprint, so repeat jobs over the same data
-// — a re-dispatch after job eviction, or a new fit with a different
-// evaluator spec — skip the CSV round trip. The cache itself evicts
-// oldest-first past MaxJobs.
-func TestWorkerDatasetCacheSkipsReingest(t *testing.T) {
-	d := testData(t)
-	w := &WorkerServer{Parallelism: 1, MaxJobs: 2}
-	install := func(d *dataset.Dataset, spec Spec) {
-		t.Helper()
-		job, err := NewJob(d, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.install(job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three specs over one dataset: the first install ingests, the next
-	// two hit the cache even as MaxJobs=2 churns the job table.
-	for i, spec := range []Spec{{CVSeed: 1}, {CVSeed: 2}, {CVSeed: 3}} {
-		install(d, spec)
-		if got := w.DatasetCacheHits(); got != i {
-			t.Fatalf("after install %d: DatasetCacheHits = %d, want %d", i+1, got, i)
-		}
-	}
-	// Re-installing a fingerprint the worker still holds is an idempotent
-	// no-op before the cache is consulted — no extra hit.
-	install(d, Spec{CVSeed: 3})
-	if got := w.DatasetCacheHits(); got != 2 {
-		t.Fatalf("idempotent re-install changed DatasetCacheHits to %d, want 2", got)
-	}
-	// Two fresh datasets fill the cache and evict d's entry; a new spec
-	// over d must miss (re-ingest), not serve stale data.
-	other := func(seed int64) *dataset.Dataset {
-		cfg := dataset.DefaultBiometricConfig()
-		cfg.N = 30
-		od := dataset.SyntheticBiometric(cfg, stats.NewRNG(seed))
-		od.Standardize()
-		return od
-	}
-	install(other(21), Spec{CVSeed: 1})
-	install(other(22), Spec{CVSeed: 1})
-	install(d, Spec{CVSeed: 4})
-	if got := w.DatasetCacheHits(); got != 2 {
-		t.Fatalf("evicted dataset served from cache: DatasetCacheHits = %d, want 2", got)
-	}
-	// And the re-ingested entry is cached again.
-	install(d, Spec{CVSeed: 5})
-	if got := w.DatasetCacheHits(); got != 3 {
-		t.Fatalf("re-ingested dataset not re-cached: DatasetCacheHits = %d, want 3", got)
 	}
 }

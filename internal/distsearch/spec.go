@@ -11,8 +11,14 @@
 // hangs past its deadline, or returns results under a mismatched
 // dataset/config fingerprint is marked down and its shard re-dispatched to
 // a live peer, and when the whole worker pool is exhausted the coordinator
-// degrades gracefully to scoring the remaining shards locally in-process —
-// a fit never fails because its fleet did.
+// declines the remaining candidates (mkl.ErrDeclined) and the fit's own
+// evaluator scores them on its in-process pool — a fit never fails
+// because its fleet did.
+//
+// The coordinator is only a scorer: it holds no evaluator of its own, so
+// every search strategy, the budgeted mode included, runs over a fleet
+// unchanged. A worker keeps one evaluator per installed job in a FIFO job
+// table (MaxJobs), and that table is its only cache.
 //
 // Determinism across processes rests on two invariants. First, the job —
 // dataset plus evaluator configuration — ships bit-identically: the
@@ -183,19 +189,6 @@ func (j *Job) fingerprint() (string, error) {
 	}
 	if err := enc.Encode(j.Spec); err != nil {
 		return "", fmt.Errorf("distsearch: fingerprinting spec: %w", err)
-	}
-	return fmt.Sprintf("crc64:%016x", h.Sum64()), nil
-}
-
-// datasetFingerprint hashes only the dataset payload (CSV bytes plus
-// schema), independent of the Spec — the key of the worker-side dataset
-// cache, so two jobs differing only in evaluator configuration share one
-// ingested dataset instead of re-parsing the CSV.
-func (j *Job) datasetFingerprint() (string, error) {
-	h := crc64.New(crcTable)
-	h.Write([]byte(j.DatasetCSV))
-	if err := json.NewEncoder(h).Encode(j.Schema); err != nil {
-		return "", fmt.Errorf("distsearch: fingerprinting schema: %w", err)
 	}
 	return fmt.Sprintf("crc64:%016x", h.Sum64()), nil
 }

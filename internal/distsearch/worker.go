@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/mkl"
 	"repro/internal/partition"
 )
@@ -38,24 +37,6 @@ type WorkerServer struct {
 	mu    sync.Mutex
 	jobs  map[string]*workerJob
 	order []string // install order, for eviction
-
-	// datasets caches ingested datasets by dataset-only fingerprint (CSV
-	// bytes + schema, Spec excluded): a job re-dispatched after eviction,
-	// or a new job over the same data with a different evaluator config,
-	// skips the CSV round trip. Datasets are read-only once ingested, so
-	// sharing one across evaluators is safe. Evicted oldest-first past
-	// MaxJobs, like jobs.
-	datasets map[string]*dataset.Dataset
-	dsOrder  []string
-	dsHits   int
-}
-
-// DatasetCacheHits reports how many job installs were served from the
-// dataset cache instead of re-ingesting CSV.
-func (w *WorkerServer) DatasetCacheHits() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.dsHits
 }
 
 // workerJob is one installed job: its evaluator plus a lock serializing
@@ -128,7 +109,7 @@ func (w *WorkerServer) install(job *Job) error {
 	if have {
 		return nil
 	}
-	d, err := w.cachedDataset(job)
+	d, err := job.Dataset()
 	if err != nil {
 		return err
 	}
@@ -160,46 +141,6 @@ func (w *WorkerServer) install(job *Job) error {
 	w.jobs[job.Fingerprint] = &workerJob{eval: eval, n: d.D()}
 	w.order = append(w.order, job.Fingerprint)
 	return nil
-}
-
-// cachedDataset resolves a job's dataset through the fingerprint-keyed
-// cache, ingesting the CSV only on a miss. First store wins if two
-// installs race on the same payload.
-func (w *WorkerServer) cachedDataset(job *Job) (*dataset.Dataset, error) {
-	dsfp, err := job.datasetFingerprint()
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	if d, ok := w.datasets[dsfp]; ok {
-		w.dsHits++
-		w.mu.Unlock()
-		return d, nil
-	}
-	w.mu.Unlock()
-	d, err := job.Dataset()
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if prev, ok := w.datasets[dsfp]; ok {
-		return prev, nil
-	}
-	if w.datasets == nil {
-		w.datasets = map[string]*dataset.Dataset{}
-	}
-	maxJobs := w.MaxJobs
-	if maxJobs <= 0 {
-		maxJobs = 4
-	}
-	for len(w.dsOrder) >= maxJobs {
-		delete(w.datasets, w.dsOrder[0])
-		w.dsOrder = w.dsOrder[1:]
-	}
-	w.datasets[dsfp] = d
-	w.dsOrder = append(w.dsOrder, dsfp)
-	return d, nil
 }
 
 // score evaluates one shard under an installed job — the transport-free

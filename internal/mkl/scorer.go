@@ -13,7 +13,10 @@
 //     scored by Score and reduced before the next one is scored.
 //   - SetScorer attaches another scorer — internal/distsearch's Coordinator
 //     shards each batch across remote worker processes, whose ScoreShard
-//     runs the same pool.
+//     runs the same pool. Candidates an attached scorer declines
+//     (ErrDeclined: a dead fleet left them unscored) fall back to the
+//     in-process pool, so they are scored with this evaluator's own
+//     Parallelism and block cache.
 //
 // Because the reduction is an index-order scan and every scorer runs the
 // same deterministic evaluation pipeline, the selected partition, score,
@@ -23,6 +26,7 @@ package mkl
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"repro/internal/parsearch"
@@ -45,6 +49,13 @@ type CandidateScorer interface {
 	// 0 asks for the whole candidate set.
 	BatchSize() int
 }
+
+// ErrDeclined is the error a CandidateScorer records at the index of a
+// candidate it gives back unscored — the distributed coordinator's answer
+// once its whole fleet is down. The cache front scores declined
+// candidates on the evaluator's in-process pool, so a declined candidate
+// costs time, never correctness.
+var ErrDeclined = errors.New("mkl: candidate declined by scorer")
 
 // SetScorer attaches sc as the scorer every candidate batch of a search on
 // this evaluator goes through — typically an internal/distsearch
@@ -164,6 +175,7 @@ func (e *Evaluator) scoreVia(ctx context.Context, sc CandidateScorer, cands []pa
 	var mErrs []error
 	if len(miss) > 0 {
 		mScores, mErrs = sc.ScoreCandidates(ctx, miss)
+		e.scoreDeclined(ctx, miss, mScores, mErrs)
 	}
 	for i := range cands {
 		if errAt(errs, i) != nil {
@@ -188,6 +200,27 @@ func (e *Evaluator) scoreVia(ctx context.Context, sc CandidateScorer, cands []pa
 	return scores, errs
 }
 
+// scoreDeclined scores, on the in-process pool, every candidate the
+// scorer answered with ErrDeclined, writing each score and error back at
+// the candidate's index.
+func (e *Evaluator) scoreDeclined(ctx context.Context, cands []partition.Partition, scores []float64, errs []error) {
+	var at []int
+	var declined []partition.Partition
+	for i := range cands {
+		if errors.Is(errAt(errs, i), ErrDeclined) {
+			at = append(at, i)
+			declined = append(declined, cands[i])
+		}
+	}
+	if len(declined) == 0 {
+		return
+	}
+	dScores, dErrs := e.newPool().ScoreCandidates(ctx, declined)
+	for j, i := range at {
+		scores[i], errs[i] = dScores[j], dErrs[j]
+	}
+}
+
 // errAt returns the recorded error for candidate i, if any.
 func errAt(errs []error, i int) error {
 	if errs == nil {
@@ -196,22 +229,15 @@ func errAt(errs []error, i int) error {
 	return errs[i]
 }
 
-// ScoreCandidates scores a batch through the evaluator's cache front and
-// scorer (the attached one, else a pool of Config.Parallelism workers
-// built for this call), with CandidateScorer's contract: scores in
-// candidate order and an index-aligned error slice. The distributed
-// coordinator scores the candidates its fleet left behind this way.
-func (e *Evaluator) ScoreCandidates(ctx context.Context, cands []partition.Partition) ([]float64, []error) {
-	return e.scoreVia(ctx, e.scorerFor(), cands)
-}
-
 // ScoreShard scores one shard of the candidate lattice on the evaluator —
-// the worker-process entry point of the distributed search — and returns
-// the scores in candidate order. The first error in canonical candidate
-// order is returned, matching the sequential scan's error choice; scores
-// before it are still valid.
+// the worker-process entry point of the distributed search — through its
+// cache front and scorer (the attached one, else a pool of
+// Config.Parallelism workers built for this call), and returns the scores
+// in candidate order. The first error in canonical candidate order is
+// returned, matching the sequential scan's error choice; scores before it
+// are still valid.
 func ScoreShard(e *Evaluator, cands []partition.Partition) ([]float64, error) {
-	scores, errs := e.ScoreCandidates(e.searchCtx(), cands)
+	scores, errs := e.scoreVia(e.searchCtx(), e.scorerFor(), cands)
 	for i := range cands {
 		if err := errAt(errs, i); err != nil {
 			return scores, err

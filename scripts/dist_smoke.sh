@@ -6,7 +6,10 @@
 # selection still matches the committed fit-smoke golden — worker loss
 # costs re-dispatches, never correctness. A second phase points the fit at
 # a fleet of dead addresses and asserts the coordinator's graceful local
-# fallback reproduces the same selection.
+# fallback reproduces the same selection. A third phase runs a budgeted
+# fit (approximate sweep on the fleet, exact top-K re-score in-process)
+# over the surviving worker and asserts it selects what the same budgeted
+# fit selects in-process.
 #
 # The golden is testdata/fit-smoke/selection.golden.txt: a distributed fit
 # is bit-identical to the in-process fit that produced it, so the two
@@ -103,6 +106,24 @@ if [ -z "$got" ] || [ "$got" != "$want" ]; then
 fi
 echo "dist-smoke: selection survived the worker kill ($got)"
 
+echo "dist-smoke: budgeted fit over the fleet vs in-process"
+BUDGET_ARGS=(-backend nystrom:16 -budget-topk 4)
+"$TMP/iotml" "${FIT_ARGS[@]}" "${BUDGET_ARGS[@]}" -o "$TMP/model-budget-local.iotml" \
+  > "$TMP/fit-budget-local.log"
+"$TMP/iotml" "${FIT_ARGS[@]}" "${BUDGET_ARGS[@]}" -o "$TMP/model-budget-dist.iotml" -v \
+  -dist-workers "$W1_ADDR,$W2_ADDR" -dist-attempts 2 -dist-deadline 10s \
+  > "$TMP/fit-budget-dist.log" 2> "$TMP/fit-budget-dist.err"
+grep -q 'fit: dist: shard-dispatched' "$TMP/fit-budget-dist.err"
+want_budget=$(sed -nE 's/^best partition: ([^ ]+).*/\1/p' "$TMP/fit-budget-local.log")
+got=$(sed -nE 's/^best partition: ([^ ]+).*/\1/p' "$TMP/fit-budget-dist.log")
+if [ -z "$got" ] || [ "$got" != "$want_budget" ]; then
+  echo "dist-smoke: distributed budgeted fit selected $got, in-process budgeted fit $want_budget" >&2
+  cat "$TMP/fit-budget-dist.err" >&2
+  exit 1
+fi
+cmp "$TMP/model-budget-local.iotml" "$TMP/model-budget-dist.iotml"
+echo "dist-smoke: budgeted fit over the fleet matched in-process ($got)"
+
 echo "dist-smoke: distributed fit against an all-dead fleet"
 "$TMP/iotml" "${FIT_ARGS[@]}" -o "$TMP/model-fallback.iotml" -v \
   -dist-workers "127.0.0.1:9,127.0.0.1:13" -dist-attempts 1 -dist-deadline 5s \
@@ -116,4 +137,4 @@ if [ -z "$got" ] || [ "$got" != "$want" ]; then
 fi
 echo "dist-smoke: local fallback reproduced the selection ($got)"
 
-echo "dist-smoke: OK (kill-mid-sweep and dead-fleet fallback both match the golden)"
+echo "dist-smoke: OK (kill-mid-sweep and dead-fleet fallback match the golden; budgeted fleet fit matches in-process)"
