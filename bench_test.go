@@ -400,16 +400,22 @@ func BenchmarkGram_SingleRBF_Vector(b *testing.B) {
 
 // benchGramSearch runs a full chain search (CV-accuracy objective, fresh
 // evaluator and Gram-block cache per iteration, so every iteration pays the
-// block Gram computations) with the engine toggled between scalar
-// (ExactGram) and vectorized, sequential and parallel.
-func benchGramSearch(b *testing.B, workers int, exact bool) {
+// block Gram computations) with the engine toggled between scalar and
+// vectorized, sequential and parallel. The scalar leg builds Eval-only
+// block kernels (pairwise Grams) and hides the trainer's scratch path
+// (reference CV loop).
+func benchGramSearch(b *testing.B, workers int, scalar bool) {
 	d := parallelBenchData(b)
 	seed := partition.Coarsest(d.D())
+	cfg := mkl.Config{Objective: mkl.CVAccuracy, Seed: 1, Parallelism: workers}
+	if scalar {
+		rbf := kernel.RBFFactory(1.0)
+		cfg.Factory = func(feats []int) kernel.Kernel { return evalOnlyKernel{rbf(feats)} }
+		cfg.Trainer = plainTrainer{kernelmachine.Ridge{Lambda: 1e-2}}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := mkl.NewEvaluator(d, mkl.Config{
-			Objective: mkl.CVAccuracy, Seed: 1, Parallelism: workers, ExactGram: exact,
-		})
+		e, err := mkl.NewEvaluator(d, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -438,6 +444,10 @@ func BenchmarkGram_ChainSearch_VectorW4(b *testing.B)  { benchGramSearch(b, 4, f
 // plainTrainer hides a trainer's ScratchTrainer implementation, pinning the
 // evaluator to the reference CV loop.
 type plainTrainer struct{ kernelmachine.Trainer }
+
+// evalOnlyKernel hides a kernel's BlockGramKernel implementation, pinning
+// every Gram to the pairwise Eval path.
+type evalOnlyKernel struct{ kernel.Kernel }
 
 func benchScore(b *testing.B, cfg mkl.Config) {
 	d := parallelBenchData(b)

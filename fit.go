@@ -93,13 +93,6 @@ func WithSeedMaxK(k int) Option {
 	return func(c *core.FitConfig) { c.SeedMaxK = k }
 }
 
-// WithExactGram forces every Gram matrix through the scalar pairwise
-// path, for strict reproduction runs that must match the paper's
-// arithmetic to the last bit (see mkl.Config.ExactGram).
-func WithExactGram() Option {
-	return func(c *core.FitConfig) { c.MKL.ExactGram = true }
-}
-
 // Backend selects the numeric backend of the lattice search (see
 // WithBackend): Float64Backend is the bit-identical reference,
 // Float32Backend the f32-storage fast path, NystromBackend/RFFBackend the
@@ -142,8 +135,7 @@ func ParseBackend(s string) (Backend, error) { return engine.Parse(s) }
 // factor scoring for large n; combine with WithBudget to re-score top
 // survivors exactly). The deployment fit behind Deploy/Artifact always
 // stays exact float64 whatever backend scored the search. Approximate
-// backends require the (default) sum combiner; Float32Backend and the
-// approximate backends are mutually exclusive with WithExactGram.
+// backends require the (default) sum combiner.
 func WithBackend(b Backend) Option {
 	return func(c *core.FitConfig) { c.MKL.Backend = b }
 }

@@ -253,6 +253,9 @@ type loader struct {
 	loading map[string]bool
 }
 
+// Import implements types.Importer.
+//
+//iotml:allow unusedexport -- satisfies types.Importer, called by go/types only
 func (l *loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, "", 0)
 }

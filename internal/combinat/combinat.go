@@ -11,10 +11,7 @@
 // convenience values (small n, with explicit overflow reporting).
 package combinat
 
-import (
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
 // Binomial returns C(n, k) as a big.Int. It returns zero for k < 0 or k > n.
 func Binomial(n, k int) *big.Int {
@@ -100,24 +97,6 @@ func BellInt64(n int) (int64, bool) {
 	return b.Int64(), true
 }
 
-// WhitneyPartitionLattice returns the Whitney numbers (level sizes) of the
-// partition lattice Π(S) for |S| = n, indexed by rank: the number of
-// partitions of rank i is S(n, n-i), for i = 0..n-1.
-//
-// These are the level counts the paper's Figure 2 displays for n = 4:
-// (1, 6, 7, 1) at ranks 0..3 — note rank i partitions have n-i blocks.
-func WhitneyPartitionLattice(n int) []*big.Int {
-	if n <= 0 {
-		return nil
-	}
-	row := StirlingSecondRow(n)
-	w := make([]*big.Int, n)
-	for i := 0; i < n; i++ {
-		w[i] = new(big.Int).Set(row[n-i])
-	}
-	return w
-}
-
 // TwoBlockPartitions returns 2^(n-1) - 1, the number of partitions of an
 // n-set into exactly two blocks (S(n, 2)). The paper contrasts this count
 // with the n(n-1)/2 partitions into n-1 blocks to show the partition lattice
@@ -191,38 +170,4 @@ func CountPartitionsOfOrderedType(comp []int) *big.Int {
 		rem -= c
 	}
 	return count
-}
-
-// SumStirlingCone returns the number of partitions in the lower cone of a
-// two-block partition (K, S-K) of an n-set where |S-K| = m: refining the
-// second block in every possible way while keeping K fixed yields B(m)
-// partitions. This is the exhaustive search cost of Section III.
-func SumStirlingCone(m int) *big.Int { return Bell(m) }
-
-// Factorial returns n! as a big.Int.
-func Factorial(n int) *big.Int {
-	if n < 0 {
-		return big.NewInt(0)
-	}
-	return new(big.Int).MulRange(1, int64(n))
-}
-
-// Multinomial returns n! / (k1! k2! ... km!) for parts summing to n.
-// It returns an error if the parts do not sum to n or any part is negative.
-func Multinomial(n int, parts []int) (*big.Int, error) {
-	sum := 0
-	for _, p := range parts {
-		if p < 0 {
-			return nil, fmt.Errorf("combinat: negative part %d", p)
-		}
-		sum += p
-	}
-	if sum != n {
-		return nil, fmt.Errorf("combinat: parts sum to %d, want %d", sum, n)
-	}
-	out := Factorial(n)
-	for _, p := range parts {
-		out.Div(out, Factorial(p))
-	}
-	return out, nil
 }

@@ -200,31 +200,6 @@ func TestCountPartitionsOfOrderedTypeSumsToBell(t *testing.T) {
 	}
 }
 
-func TestMultinomial(t *testing.T) {
-	got, err := Multinomial(4, []int{2, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 12 {
-		t.Errorf("Multinomial(4;2,1,1) = %s, want 12", got)
-	}
-	if _, err := Multinomial(4, []int{2, 1}); err == nil {
-		t.Error("expected error for parts not summing to n")
-	}
-	if _, err := Multinomial(1, []int{-1, 2}); err == nil {
-		t.Error("expected error for negative part")
-	}
-}
-
-func TestFactorial(t *testing.T) {
-	want := []int64{1, 1, 2, 6, 24, 120, 720}
-	for n, w := range want {
-		if got := Factorial(n); got.Int64() != w {
-			t.Errorf("%d! = %s, want %d", n, got, w)
-		}
-	}
-}
-
 func TestStirlingRecurrenceProperty(t *testing.T) {
 	// Property: S(n,k) = k*S(n-1,k) + S(n-1,k-1) checked via an independent
 	// path: the inclusion-exclusion formula S(n,k) = (1/k!) sum_j (-1)^j C(k,j) (k-j)^n.
@@ -243,10 +218,65 @@ func TestStirlingRecurrenceProperty(t *testing.T) {
 			}
 			viaIE.Add(viaIE, term)
 		}
-		viaIE.Div(viaIE, Factorial(k))
+		viaIE.Div(viaIE, new(big.Int).MulRange(1, int64(k))) // k!
 		return viaIE.Cmp(StirlingSecond(n, k)) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// WhitneyPartitionLattice returns the Whitney numbers (level sizes) of the
+// partition lattice Π(S) for |S| = n, indexed by rank: the number of
+// partitions of rank i is S(n, n-i), for i = 0..n-1.
+//
+// These are the level counts the paper's Figure 2 displays for n = 4:
+// (1, 6, 7, 1) at ranks 0..3 — note rank i partitions have n-i blocks.
+func WhitneyPartitionLattice(n int) []*big.Int {
+	if n <= 0 {
+		return nil
+	}
+	row := StirlingSecondRow(n)
+	w := make([]*big.Int, n)
+	for i := 0; i < n; i++ {
+		w[i] = new(big.Int).Set(row[n-i])
+	}
+	return w
+}
+
+// TestInt64Overflow: the int64 convenience forms return the exact value
+// right up to the int64 limit and report overflow past it, never a
+// wrapped value.
+func TestInt64Overflow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    func() (int64, bool)
+		want int64
+		ok   bool
+	}{
+		{"binomial-fits", func() (int64, bool) { return BinomialInt64(66, 33) }, 7219428434016265740, true},
+		{"binomial-overflows", func() (int64, bool) { return BinomialInt64(67, 33) }, 0, false},
+		{"stirling-fits", func() (int64, bool) { return StirlingSecondInt64(26, 26) }, 1, true},
+		{"stirling-overflows", func() (int64, bool) { return StirlingSecondInt64(26, 10) }, 0, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, ok := c.f()
+			if got != c.want || ok != c.ok {
+				t.Errorf("got (%d, %v), want (%d, %v)", got, ok, c.want, c.ok)
+			}
+		})
+	}
+}
+
+// TestLevelCountsBelowTwo: below n = 2 the closed forms must not be
+// extrapolated; both counts agree with S(n, 2) and S(n, n-1), which are 0.
+func TestLevelCountsBelowTwo(t *testing.T) {
+	for n := 0; n < 2; n++ {
+		if got, want := TwoBlockPartitions(n), StirlingSecond(n, 2); got.Cmp(want) != 0 {
+			t.Errorf("TwoBlockPartitions(%d) = %s, want %s", n, got, want)
+		}
+		if got, want := NearTopPartitions(n), StirlingSecond(n, n-1); got.Cmp(want) != 0 {
+			t.Errorf("NearTopPartitions(%d) = %s, want %s", n, got, want)
+		}
 	}
 }

@@ -37,9 +37,9 @@ import (
 //
 // Candidate scoring runs on the vectorized block-Gram engine (dense matrix
 // kernels per partition block — see internal/kernel/blockgram.go): exact
-// for linear and polynomial blocks, within 1e-9 elementwise for RBF.
-// Strict reproduction runs can force the scalar pairwise path with
-// MKL.ExactGram.
+// for linear and polynomial blocks, within 1e-9 elementwise for RBF. A
+// block-kernel factory whose kernels lack the vectorized path is scored
+// through pairwise Eval instead.
 type FitConfig struct {
 	// SeedMaxK bounds the size of the rough-set-selected block K
 	// (default 2).

@@ -4,14 +4,29 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/mkl"
 )
 
+// evalOnly hides a block kernel's BlockGramKernel implementation, so every
+// candidate Gram falls back to the scalar pairwise Eval path.
+type evalOnly struct{ kernel.Kernel }
+
+// pairwiseFactory returns nil — the default vectorized RBF factory — or,
+// for the pairwise leg (exact), the same RBF factory with Eval-only kernels.
+func pairwiseFactory(exact bool) kernel.BlockKernelFactory {
+	if !exact {
+		return nil
+	}
+	rbf := kernel.RBFFactory(1.0)
+	return func(feats []int) kernel.Kernel { return evalOnly{rbf(feats)} }
+}
+
 // TestVectorizedAndPairwiseSelectSamePartition is the end-to-end contract of
 // the vectorized Gram engine: for every search strategy and worker count,
-// Fit must select the same partition (and seed) whether
-// candidate Grams come from the dense block path or the scalar pairwise
-// path (ExactGram). Scores may differ within the RBF tolerance, so only the
+// Fit must select the same partition (and seed) whether candidate Grams
+// come from the dense block path or the scalar pairwise path (an Eval-only
+// block factory). Scores may differ within the RBF tolerance, so only the
 // selection — the decision the engine exists to make — is compared.
 func TestVectorizedAndPairwiseSelectSamePartition(t *testing.T) {
 	train := workload(60, 5)
@@ -28,7 +43,7 @@ func TestVectorizedAndPairwiseSelectSamePartition(t *testing.T) {
 						Objective:   mkl.KernelAlignment,
 						Seed:        1,
 						Parallelism: workers,
-						ExactGram:   exact,
+						Factory:     pairwiseFactory(exact),
 					},
 				})
 				if err != nil {
@@ -63,7 +78,7 @@ func TestExactGramNoCacheSelectionMatches(t *testing.T) {
 					Seed:            1,
 					Parallelism:     workers,
 					GramCacheBlocks: -1,
-					ExactGram:       exact,
+					Factory:         pairwiseFactory(exact),
 				},
 			})
 			if err != nil {

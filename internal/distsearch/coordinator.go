@@ -97,8 +97,6 @@ type Coordinator struct {
 	down      map[string]bool // workers marked dead (sticky across batches)
 	installed map[string]bool // workers holding the job
 	rngs      map[string]*rand.Rand
-	fellBack  bool // at least one candidate was declined to local scoring
-	retries   int  // total shard retries (observability)
 }
 
 // NewCoordinator packages the dataset+spec job and prepares a fleet
@@ -141,22 +139,6 @@ func (c *Coordinator) SetEmitter(fn func(kind mkl.EventKind, detail string)) { c
 
 // Fingerprint identifies the coordinator's job (echoed by every shard).
 func (c *Coordinator) Fingerprint() string { return c.job.Fingerprint }
-
-// FellBack reports whether any candidate was declined to local scoring
-// because the worker pool was exhausted.
-func (c *Coordinator) FellBack() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fellBack
-}
-
-// Retries reports the total shard attempts beyond the first, across all
-// workers and batches.
-func (c *Coordinator) Retries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries
-}
 
 func (c *Coordinator) emitEvent(kind mkl.EventKind, detail string) {
 	if c.emit == nil {
@@ -336,9 +318,6 @@ func (c *Coordinator) ScoreCandidates(ctx context.Context, cands []partition.Par
 	if declined > 0 {
 		c.emitEvent(mkl.EventDistFallback,
 			fmt.Sprintf("no live workers; scoring %d candidates locally", declined))
-		c.mu.Lock()
-		c.fellBack = true
-		c.mu.Unlock()
 	}
 	return scores, errs
 }
@@ -413,9 +392,6 @@ func (c *Coordinator) scoreShardOn(ctx context.Context, addr string, si int, sh 
 			return nil, err
 		}
 		if attempt > 0 {
-			c.mu.Lock()
-			c.retries++
-			c.mu.Unlock()
 			c.emitEvent(mkl.EventShardRetried,
 				fmt.Sprintf("shard %d [%d,%d) on %s: attempt %d after %v", si, sh.lo, sh.hi, addr, attempt+1, lastErr))
 			if err := retry.Sleep(ctx, c.opts.Backoff, attempt-1, rng); err != nil {

@@ -78,8 +78,8 @@ func TestJobVerifyRejectsTampering(t *testing.T) {
 	}
 
 	// A job from a coordinator speaking an older spec — one still carrying
-	// the removed "gram" field — is refused at install with a 400 envelope
-	// naming the field, not as an opaque fingerprint mismatch.
+	// a removed field — is refused at install with a 400 envelope naming
+	// the field, not as an opaque fingerprint mismatch.
 	job, err = NewJob(d, Spec{Backend: "nystrom:64"})
 	if err != nil {
 		t.Fatal(err)
@@ -88,16 +88,23 @@ func TestJobVerifyRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body = bytes.Replace(body, []byte(`"spec":{`), []byte(`"spec":{"gram":"nystrom:64",`), 1)
-	var w WorkerServer
-	rec := httptest.NewRecorder()
-	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/job", bytes.NewReader(body)))
-	var env errorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatalf("install reply is not the error envelope: %v (%s)", err, rec.Body)
-	}
-	if rec.Code != http.StatusBadRequest || env.Code != errCodeBadRequest || !strings.Contains(env.Error, `"gram"`) {
-		t.Fatalf("job with a removed spec field answered %d %+v, want 400 %s naming \"gram\"", rec.Code, env, errCodeBadRequest)
+	for _, removed := range []struct{ field, value string }{
+		{"gram", `"nystrom:64"`},
+		{"exact_gram", "true"},
+	} {
+		t.Run("removed-"+removed.field, func(t *testing.T) {
+			old := bytes.Replace(body, []byte(`"spec":{`), []byte(`"spec":{"`+removed.field+`":`+removed.value+`,`), 1)
+			var w WorkerServer
+			rec := httptest.NewRecorder()
+			w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/job", bytes.NewReader(old)))
+			var env errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+				t.Fatalf("install reply is not the error envelope: %v (%s)", err, rec.Body)
+			}
+			if rec.Code != http.StatusBadRequest || env.Code != errCodeBadRequest || !strings.Contains(env.Error, `"`+removed.field+`"`) {
+				t.Fatalf("job with the removed spec field %q answered %d %+v, want 400 %s naming it", removed.field, rec.Code, env, errCodeBadRequest)
+			}
+		})
 	}
 }
 

@@ -47,7 +47,7 @@ type FaultTransport struct {
 
 	mu     sync.Mutex
 	killed map[string]bool
-	// Scored counts score calls that reached the inner transport, per
+	// scored counts score calls that reached the inner transport, per
 	// address — the tests' visibility into who did the work.
 	scored map[string]int
 }
@@ -56,13 +56,6 @@ func (t *FaultTransport) isKilled(addr string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.killed[addr]
-}
-
-// ScoredBy reports how many shard score calls reached addr's real worker.
-func (t *FaultTransport) ScoredBy(addr string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.scored[addr]
 }
 
 func (t *FaultTransport) Install(ctx context.Context, addr string, job *Job) error {

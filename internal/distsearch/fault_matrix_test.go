@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +36,29 @@ func newFleet(n, parallelism int) ([]string, *LoopbackTransport) {
 		lt.Workers[addrs[i]] = &WorkerServer{Parallelism: parallelism}
 	}
 	return addrs, lt
+}
+
+// watchFallback wires coord's shard-lifecycle events into next (nil for
+// none) and returns a func reporting whether any batch fell back to local
+// scoring, i.e. whether the dist-fallback event fired.
+func watchFallback(coord *Coordinator, next func(mkl.EventKind, string)) func() bool {
+	var fell atomic.Bool
+	coord.SetEmitter(func(kind mkl.EventKind, detail string) {
+		if kind == mkl.EventDistFallback {
+			fell.Store(true)
+		}
+		if next != nil {
+			next(kind, detail)
+		}
+	})
+	return fell.Load
+}
+
+// scoredBy reports how many shard score calls reached addr's real worker.
+func scoredBy(ft *FaultTransport, addr string) int {
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	return ft.scored[addr]
 }
 
 // shardContains reports whether a shard carries the anchor candidate —
@@ -227,7 +251,7 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							coord.SetEmitter(e.EmitDistEvent)
+							fellBack := watchFallback(coord, e.EmitDistEvent)
 							e.SetScorer(coord)
 							res, err := strat.run(e, parallelism)
 							if err != nil {
@@ -238,8 +262,8 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 								t.Fatalf("selected (%v, %v) in %d evaluations, sequential selects (%v, %v) in %d",
 									res.Best, res.Score, res.Evaluations, want.best, want.score, want.evals)
 							}
-							if got, want := coord.FellBack(), fault.wantFallback(fleet); got != want {
-								t.Fatalf("FellBack() = %v, want %v", got, want)
+							if got, want := fellBack(), fault.wantFallback(fleet); got != want {
+								t.Fatalf("fell back = %v, want %v", got, want)
 							}
 						})
 					}
@@ -330,7 +354,7 @@ func TestDeadWorkerShardRedispatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []string
-	coord.SetEmitter(func(kind mkl.EventKind, detail string) {
+	fellBack := watchFallback(coord, func(kind mkl.EventKind, detail string) {
 		events = append(events, kind.String()+": "+detail)
 	})
 	e, err := mkl.NewEvaluator(d, cfg)
@@ -345,7 +369,7 @@ func TestDeadWorkerShardRedispatches(t *testing.T) {
 	if res.Best.N() == 0 {
 		t.Fatal("no selection")
 	}
-	if coord.FellBack() {
+	if fellBack() {
 		t.Fatal("fell back locally with a live peer available")
 	}
 	if victim == "" {
@@ -355,10 +379,10 @@ func TestDeadWorkerShardRedispatches(t *testing.T) {
 	if survivor == victim {
 		survivor = addrs[1]
 	}
-	if ft.ScoredBy(victim) != 0 {
-		t.Fatalf("killed worker scored %d shards", ft.ScoredBy(victim))
+	if n := scoredBy(ft, victim); n != 0 {
+		t.Fatalf("killed worker scored %d shards", n)
 	}
-	if ft.ScoredBy(survivor) == 0 {
+	if scoredBy(ft, survivor) == 0 {
 		t.Fatal("surviving worker scored nothing")
 	}
 	joined := strings.Join(events, "\n")
@@ -403,12 +427,13 @@ func TestWorkerRestartReinstallsJob(t *testing.T) {
 		}
 	}
 	lt.Workers[addrs[0]] = &WorkerServer{Parallelism: 1}
+	fellBack := watchFallback(coord, nil)
 	e.SetScorer(coord)
 	res, err := mkl.ChainSearch(e, seed, mkl.BestOfChain)
 	if err != nil {
 		t.Fatalf("search after worker restart failed: %v", err)
 	}
-	if coord.FellBack() {
+	if fellBack() {
 		t.Fatal("fell back instead of re-installing the job")
 	}
 	if res.Best.N() == 0 {

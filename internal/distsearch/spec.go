@@ -74,9 +74,6 @@ type Spec struct {
 	// dataset before the spec is built, so every worker expands the same
 	// backend; unknown spellings fail job install loudly on both sides.
 	Backend string `json:"backend,omitempty"`
-	// ExactGram forces the scalar pairwise Gram path (strict reproduction
-	// runs).
-	ExactGram bool `json:"exact_gram,omitempty"`
 }
 
 // Config expands the spec into the mkl.Config both sides of the wire
@@ -141,7 +138,6 @@ func (s Spec) Config() (mkl.Config, error) {
 	}
 	cfg.Folds = s.Folds
 	cfg.Seed = s.CVSeed
-	cfg.ExactGram = s.ExactGram
 	return cfg, nil
 }
 

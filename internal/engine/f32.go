@@ -18,6 +18,8 @@ import (
 // Tol32 is the Float32 backend's documented elementwise tolerance contract
 // against the Float64 reference: every assembled Gram entry satisfies
 // |K32 − K64| ≤ Tol32 · max(1, |K64|). The equivalence suites assert it.
+//
+//iotml:allow unusedexport -- the documented f32 tolerance contract; its own package's equivalence suites are its readers
 const Tol32 = 1e-4
 
 // M32 is a dense row-major float32 matrix — the storage type of the

@@ -197,11 +197,6 @@ func normalize(xs []float64) []float64 {
 	return out
 }
 
-// MinimaxValue estimates the zero-sum game value via long fictitious play.
-func (g *Bimatrix) MinimaxValue(rounds int) float64 {
-	return g.FictitiousPlay(rounds, 1).RowVal
-}
-
 // SocialOptimum returns the profile maximizing the sum of payoffs — the
 // single-player (fully cooperative) benchmark of Section IV-A.
 func (g *Bimatrix) SocialOptimum() (row, col int, welfare float64) {
@@ -419,27 +414,6 @@ func (sg *SequentialGame) Solve(maxRounds int) *Solution {
 	return sol
 }
 
-// PerfectSignal returns an identity signal matrix (follower observes the
-// leader's action exactly) for n leader actions.
-func PerfectSignal(n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		out[i][i] = 1
-	}
-	return out
-}
-
-// UninformativeSignal returns a single-signal matrix (the follower learns
-// nothing) for n leader actions.
-func UninformativeSignal(n int) [][]float64 {
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = []float64{1}
-	}
-	return out
-}
-
 // NoisySignal interpolates between perfect and uninformative: with
 // probability 1-eps the true action's signal fires, otherwise a uniform
 // other signal.
@@ -465,90 +439,4 @@ func NoisySignal(n int, eps float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// EliminateDominated iteratively removes strictly dominated pure strategies
-// for both players and returns the indices of the surviving rows and
-// columns (into the original game) together with the reduced game. Order
-// of elimination does not affect the surviving set for strict dominance.
-func (g *Bimatrix) EliminateDominated() (rows, cols []int, reduced *Bimatrix) {
-	liveR := make([]bool, g.Rows())
-	liveC := make([]bool, g.Cols())
-	for i := range liveR {
-		liveR[i] = true
-	}
-	for j := range liveC {
-		liveC[j] = true
-	}
-	changed := true
-	for changed {
-		changed = false
-		// Row dominance: i strictly dominated by i2 over live columns.
-		for i := 0; i < g.Rows(); i++ {
-			if !liveR[i] {
-				continue
-			}
-			for i2 := 0; i2 < g.Rows(); i2++ {
-				if i == i2 || !liveR[i2] {
-					continue
-				}
-				strict := true
-				for j := 0; j < g.Cols(); j++ {
-					if liveC[j] && g.A[i2][j] <= g.A[i][j] {
-						strict = false
-						break
-					}
-				}
-				if strict {
-					liveR[i] = false
-					changed = true
-					break
-				}
-			}
-		}
-		for j := 0; j < g.Cols(); j++ {
-			if !liveC[j] {
-				continue
-			}
-			for j2 := 0; j2 < g.Cols(); j2++ {
-				if j == j2 || !liveC[j2] {
-					continue
-				}
-				strict := true
-				for i := 0; i < g.Rows(); i++ {
-					if liveR[i] && g.B[i][j2] <= g.B[i][j] {
-						strict = false
-						break
-					}
-				}
-				if strict {
-					liveC[j] = false
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	for i, ok := range liveR {
-		if ok {
-			rows = append(rows, i)
-		}
-	}
-	for j, ok := range liveC {
-		if ok {
-			cols = append(cols, j)
-		}
-	}
-	a := make([][]float64, len(rows))
-	b := make([][]float64, len(rows))
-	for x, i := range rows {
-		a[x] = make([]float64, len(cols))
-		b[x] = make([]float64, len(cols))
-		for y, j := range cols {
-			a[x][y] = g.A[i][j]
-			b[x][y] = g.B[i][j]
-		}
-	}
-	reduced = &Bimatrix{A: a, B: b}
-	return rows, cols, reduced
 }

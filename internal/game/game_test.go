@@ -115,13 +115,13 @@ func TestFictitiousPlayZeroSumValueProperty(t *testing.T) {
 	}
 }
 
-func TestMinimaxValueSaddlePoint(t *testing.T) {
+func TestFictitiousPlaySaddlePointValue(t *testing.T) {
 	// Game with saddle point value 2: row 1 guarantees >= 2.
 	g, _ := NewZeroSum([][]float64{
 		{1, 0},
 		{3, 2},
 	})
-	v := g.MinimaxValue(5000)
+	v := g.FictitiousPlay(5000, 1).RowVal
 	if math.Abs(v-2) > 0.05 {
 		t.Errorf("minimax value = %v, want 2", v)
 	}
@@ -189,7 +189,7 @@ func TestSequentialGamePerfectSignalIsStackelberg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := NewSequentialGame(g, PerfectSignal(2))
+	sg, err := NewSequentialGame(g, [][]float64{{1, 0}, {0, 1}}) // perfect signal
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSequentialGameUninformativeSignal(t *testing.T) {
 		[][]float64{{4, 0}, {3, 1}},
 		[][]float64{{2, 1}, {0, 3}},
 	)
-	sg, err := NewSequentialGame(g, UninformativeSignal(2))
+	sg, err := NewSequentialGame(g, [][]float64{{1}, {1}}) // one signal for both actions
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,58 +275,5 @@ func TestSequentialSignalQualityMonotonicity(t *testing.T) {
 			t.Errorf("leader payoff dropped from %v to %v as signal improved", prev, sol.LeaderPayoff)
 		}
 		prev = sol.LeaderPayoff
-	}
-}
-
-func TestEliminateDominatedPrisoners(t *testing.T) {
-	// Defect strictly dominates cooperate for both players.
-	rows, cols, red := prisoners(t).EliminateDominated()
-	if len(rows) != 1 || rows[0] != 1 {
-		t.Errorf("surviving rows = %v, want [1]", rows)
-	}
-	if len(cols) != 1 || cols[0] != 1 {
-		t.Errorf("surviving cols = %v, want [1]", cols)
-	}
-	if red.A[0][0] != 1 || red.B[0][0] != 1 {
-		t.Errorf("reduced payoffs = %v %v", red.A, red.B)
-	}
-}
-
-func TestEliminateDominatedKeepsUndominated(t *testing.T) {
-	// Matching pennies: nothing dominated.
-	g, _ := NewZeroSum([][]float64{{1, -1}, {-1, 1}})
-	rows, cols, _ := g.EliminateDominated()
-	if len(rows) != 2 || len(cols) != 2 {
-		t.Errorf("matching pennies lost strategies: %v %v", rows, cols)
-	}
-}
-
-func TestEliminateDominatedIterative(t *testing.T) {
-	// Classic 3x3 iterated-dominance example: column 3 dominated; after its
-	// removal row 3 becomes dominated; etc. Construct a game solvable by
-	// iterated elimination to (0,0).
-	a := [][]float64{
-		{3, 2, 1},
-		{2, 1, 0},
-		{1, 0, 2},
-	}
-	b := [][]float64{
-		{3, 2, 0},
-		{2, 1, 1},
-		{4, 2, 0},
-	}
-	g, err := NewBimatrix(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, cols, red := g.EliminateDominated()
-	// Row 1 strictly dominates row 2 (3>2, 2>1, 1>0). After removing row 2,
-	// col 1 vs col 2 for B on rows {0,2}: col0 (3,4) > col1 (2,2) > col2
-	// (0,0): col 0 strictly dominates both others on remaining rows.
-	if len(rows) >= 3 || len(cols) >= 3 {
-		t.Errorf("no elimination happened: rows=%v cols=%v", rows, cols)
-	}
-	if red.Rows() != len(rows) || red.Cols() != len(cols) {
-		t.Error("reduced game shape mismatch")
 	}
 }

@@ -175,14 +175,6 @@ func nystromFactor(base Kernel, xb *linalg.Matrix, rank int, rng *rand.Rand) (*l
 	return nil, fmt.Errorf("kernel: nystrom landmark Gram stayed singular up to jitter %g: %w", nystromJitterMax, err)
 }
 
-// FactorForPartition assembles the concatenated low-rank factor of the
-// multiple-kernel configuration induced by p — see
-// FactorForPartitionScratch.
-func (c *ApproxGramCache) FactorForPartition(p partition.Partition, combiner Combiner, out *linalg.Matrix) (*linalg.Matrix, error) {
-	var sc AssemblyScratch
-	return c.FactorForPartitionScratch(p, combiner, out, &sc)
-}
-
 // FactorForPartitionScratch assembles F = [√w·F_1 … √w·F_k] (n×Σr_b, with
 // w = 1/k matching the sum combiner's uniform block weights) from the
 // cached per-block factors, so F·Fᵀ = Σ_b w·F_b·F_bᵀ approximates the

@@ -24,7 +24,7 @@ func TestApproxNystromFullRankMatchesExact(t *testing.T) {
 		approx := NewApproxGramCache(x, factory, ApproxNystrom, 20, seed, 0)
 		for _, p := range partition.All(5)[:25] {
 			want := exact.GramForPartition(p, CombineSum, nil)
-			f, err := approx.FactorForPartition(p, CombineSum, nil)
+			f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
 			if err != nil {
 				t.Fatalf("seed %d partition %v: %v", seed, p, err)
 			}
@@ -51,7 +51,7 @@ func TestApproxRFFWithinProbabilisticBound(t *testing.T) {
 		approx := NewApproxGramCache(x, factory, ApproxRFF, rank, seed, 0)
 		for _, p := range []partition.Partition{partition.Coarsest(4), partition.Finest(4)} {
 			want := exact.GramForPartition(p, CombineSum, nil)
-			f, err := approx.FactorForPartition(p, CombineSum, nil)
+			f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -75,7 +75,7 @@ func TestApproxRFFNonRBFFallsBackToNystrom(t *testing.T) {
 	approx := NewApproxGramCache(x, factory, ApproxRFF, 15, 1, 0)
 	p := partition.Coarsest(4)
 	want := exact.GramForPartition(p, CombineSum, nil)
-	f, err := approx.FactorForPartition(p, CombineSum, nil)
+	f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestApproxRFFNonRBFFallsBackToNystrom(t *testing.T) {
 func TestApproxRejectsProductCombiner(t *testing.T) {
 	x := randomRows(8, 3, 24)
 	approx := NewApproxGramCache(x, RBFFactory(1.0), ApproxNystrom, 4, 1, 0)
-	_, err := approx.FactorForPartition(partition.Finest(3), CombineProduct, nil)
+	_, err := approx.FactorForPartitionScratch(partition.Finest(3), CombineProduct, nil, &AssemblyScratch{})
 	if err == nil || !strings.Contains(err.Error(), "CombineSum") {
 		t.Fatalf("err = %v, want CombineSum-only error", err)
 	}
@@ -109,7 +109,7 @@ func TestApproxFactorsDeterministicAcrossOrderAndWorkers(t *testing.T) {
 		ref := NewApproxGramCache(x, factory, kind, 8, 42, 0)
 		refF := make([]*linalg.Matrix, len(parts))
 		for i, p := range parts {
-			f, err := ref.FactorForPartition(p, CombineSum, nil)
+			f, err := ref.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
 			if err != nil {
 				t.Fatal(err)
 			}

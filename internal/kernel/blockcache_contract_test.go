@@ -124,7 +124,7 @@ func contractRows() []cacheRow {
 						return f, f.Data, nil
 					},
 					assemble: func(p partition.Partition) ([]float64, error) {
-						f, err := c.FactorForPartition(p, kernel.CombineSum, nil)
+						f, err := c.FactorForPartitionScratch(p, kernel.CombineSum, nil, &kernel.AssemblyScratch{})
 						if err != nil {
 							return nil, err
 						}

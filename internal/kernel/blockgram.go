@@ -11,9 +11,11 @@
 //     Eval (linalg.SyrkInto / GemmNTInto).
 //   - RBF uses the ‖x‖² + ‖y‖² − 2⟨x,y⟩ distance expansion, which reorders
 //     floating-point operations: entries agree with the pairwise path to
-//     1e-9 elementwise (diagonals are exact). Strict reproduction runs can
-//     force the pairwise path everywhere with GramPairwise /
-//     CrossGramPairwise (the mkl.Config.ExactGram knob).
+//     1e-9 elementwise (diagonals are exact). GramPairwise and
+//     CrossGramPairwise stay the scalar reference, and every Gram route
+//     falls back to them for a kernel that does not implement
+//     BlockGramKernel — which is how the equivalence tests reach the
+//     pairwise arithmetic.
 //   - Wrappers (Subspace, Normalized, Sum, Product) inherit the guarantee
 //     of their operands: combination order matches Eval exactly.
 package kernel

@@ -1,7 +1,7 @@
 // The exact float64 backend of the block cache (see blockcache.go): each
 // block's Gram matrix is built once — vectorized over the cached column
-// block, or pairwise under SetExact — and candidates combine the cached
-// blocks into a full Gram.
+// block, or pairwise for a block kernel without a vectorized path — and
+// candidates combine the cached blocks into a full Gram.
 package kernel
 
 import (
@@ -21,7 +21,6 @@ type BlockGramCache struct {
 	*BlockCache[*linalg.Matrix]
 	x       [][]float64
 	factory BlockKernelFactory
-	exact   bool
 	// cols caches the contiguous column blocks feeding the vectorized Gram
 	// path, so a block's features are gathered once per dataset rather than
 	// re-sliced per instance pair.
@@ -53,11 +52,6 @@ func newColumnCache(x [][]float64, limit int) *BlockCache[*linalg.Matrix] {
 // matrixBytes is the cache footprint of a float64 matrix.
 func matrixBytes(m *linalg.Matrix) int64 { return int64(len(m.Data)) * 8 }
 
-// SetExact forces every block Gram through the pairwise Eval path (strict
-// reproduction runs — see the determinism contract in blockgram.go). Set it
-// on a fresh cache, before the cache is shared across goroutines.
-func (c *BlockGramCache) SetExact(exact bool) { c.exact = exact }
-
 // BlockMatrix returns the contiguous column-block matrix of the given
 // 0-based feature indices, extracting and caching it on first use. The
 // returned matrix is shared and must not be mutated.
@@ -68,17 +62,14 @@ func (c *BlockGramCache) BlockMatrix(feats []int) *linalg.Matrix {
 
 // buildGram computes one block's Gram: block kernels that implement
 // BlockGramKernel are evaluated through the vectorized path over the cached
-// column block (unless SetExact forced the pairwise path); everything else
-// falls back to per-pair Eval.
+// column block; everything else falls back to per-pair Eval.
 func (c *BlockGramCache) buildGram(key []byte, feats []int) (*linalg.Matrix, error) {
 	base := c.factory(feats)
-	if !c.exact {
-		if bg, ok := base.(BlockGramKernel); ok {
-			g := linalg.NewMatrix(len(c.x), len(c.x))
-			xb, _ := c.cols.lookup(key, feats) // column extraction never fails
-			if bg.GramInto(g, xb) {
-				return g, nil
-			}
+	if bg, ok := base.(BlockGramKernel); ok {
+		g := linalg.NewMatrix(len(c.x), len(c.x))
+		xb, _ := c.cols.lookup(key, feats) // column extraction never fails
+		if bg.GramInto(g, xb) {
+			return g, nil
 		}
 	}
 	return GramPairwise(Subspace{Base: base, Features: feats}, c.x), nil

@@ -82,11 +82,14 @@ func TestBlockGramCacheLimit(t *testing.T) {
 	}
 }
 
+// hideBlock hides a kernel's BlockGramKernel implementation, so every Gram
+// route falls back to pairwise Eval.
+type hideBlock struct{ Kernel }
+
 func TestBlockGramCacheExactMatchesPairwise(t *testing.T) {
 	x := randomRows(14, 5, 7)
 	factory := RBFFactory(1.0)
-	exact := NewBlockGramCache(x, factory, 0)
-	exact.SetExact(true)
+	exact := NewBlockGramCache(x, func(feats []int) Kernel { return hideBlock{factory(feats)} }, 0)
 	fast := NewBlockGramCache(x, factory, 0)
 	for _, p := range partition.All(5)[:20] {
 		want := GramPairwise(FromPartition(p, factory, CombineSum), x)

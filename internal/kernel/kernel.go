@@ -228,7 +228,7 @@ func Gram(k Kernel, x [][]float64) *linalg.Matrix {
 
 // GramPairwise returns the kernel matrix via one Eval call per instance
 // pair — the scalar reference path, kept for kernels without a block fast
-// path and for strict reproduction runs (mkl.Config.ExactGram).
+// path.
 func GramPairwise(k Kernel, x [][]float64) *linalg.Matrix {
 	n := len(x)
 	g := linalg.NewMatrix(n, n)

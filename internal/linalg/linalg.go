@@ -89,15 +89,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // FromRows builds a matrix from row slices, which must all share one length.
 func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
@@ -387,44 +378,4 @@ func PowerIteration(a *Matrix, maxIter int, tol float64) (float64, Vector, error
 		lambda, v = next, w
 	}
 	return lambda, v, nil
-}
-
-// Deflate subtracts lambda * v vᵀ from a in place, removing the eigenpair
-// (lambda, v) so power iteration can retrieve the next one.
-func Deflate(a *Matrix, lambda float64, v Vector) {
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			a.Data[i*a.Cols+j] -= lambda * v[i] * v[j]
-		}
-	}
-}
-
-// TopEigen returns the k dominant eigenpairs of symmetric a via power
-// iteration with deflation. Eigenvalues are returned in discovery order
-// (non-increasing magnitude for well-separated spectra).
-func TopEigen(a *Matrix, k, maxIter int, tol float64) ([]float64, []Vector, error) {
-	work := a.Clone()
-	vals := make([]float64, 0, k)
-	vecs := make([]Vector, 0, k)
-	for i := 0; i < k; i++ {
-		lambda, v, err := PowerIteration(work, maxIter, tol)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals = append(vals, lambda)
-		vecs = append(vecs, v)
-		Deflate(work, lambda, v)
-	}
-	return vals, vecs, nil
-}
-
-// Symmetrize sets a to (a + aᵀ)/2 in place, cleaning numerical asymmetry.
-func Symmetrize(a *Matrix) {
-	for i := 0; i < a.Rows; i++ {
-		for j := i + 1; j < a.Cols; j++ {
-			v := (a.At(i, j) + a.At(j, i)) / 2
-			a.Set(i, j, v)
-			a.Set(j, i, v)
-		}
-	}
 }

@@ -72,16 +72,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestIdentityMulVec(t *testing.T) {
-	v := Vector{2, -3, 7}
-	got := Identity(3).MulVec(v)
-	for i := range v {
-		if got[i] != v[i] {
-			t.Errorf("I*v[%d] = %v, want %v", i, got[i], v[i])
-		}
-	}
-}
-
 func TestSolveKnownSystem(t *testing.T) {
 	a := FromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
 	b := Vector{8, -11, -3}
@@ -160,6 +150,29 @@ func TestSolveSPD(t *testing.T) {
 	}
 }
 
+// TestSolveSPDRejectsIndefinite: a matrix that is not positive definite
+// fails the Cholesky step with an error instead of returning a solution.
+func TestSolveSPDRejectsIndefinite(t *testing.T) {
+	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
+	if x, err := SolveSPD(a, Vector{1, 1}); err == nil {
+		t.Fatalf("SolveSPD on an indefinite matrix returned %v, want error", x)
+	}
+}
+
+// TestRowSharesStorage: Row is a view, so writes through it land in the
+// matrix and it spans exactly one row.
+func TestRowSharesStorage(t *testing.T) {
+	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	r := m.Row(1)
+	if len(r) != 3 || r[0] != 4 || r[2] != 6 {
+		t.Fatalf("Row(1) = %v, want [4 5 6]", r)
+	}
+	r[1] = -5
+	if m.At(1, 1) != -5 || m.At(0, 1) != 2 {
+		t.Errorf("write through Row(1) gave matrix %v", m.Data)
+	}
+}
+
 func TestPowerIteration(t *testing.T) {
 	a := FromRows([][]float64{{2, 0}, {0, 1}})
 	lambda, v, err := PowerIteration(a, 500, 1e-12)
@@ -171,39 +184,6 @@ func TestPowerIteration(t *testing.T) {
 	}
 	if !almostEqual(math.Abs(v[0]), 1, 1e-6) || !almostEqual(v[1], 0, 1e-6) {
 		t.Errorf("v = %v, want ±e1", v)
-	}
-}
-
-func TestTopEigenSPD(t *testing.T) {
-	// Symmetric with eigenvalues 6, 3, 1 (constructed from orthogonal vectors).
-	a := FromRows([][]float64{
-		{4, 1, 1},
-		{1, 4, 1},
-		{1, 1, 4},
-	}) // eigenvalues: 6 (ones vector), 3, 3
-	vals, vecs, err := TopEigen(a, 2, 2000, 1e-13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(vals[0], 6, 1e-6) {
-		t.Errorf("lambda1 = %v, want 6", vals[0])
-	}
-	if !almostEqual(vals[1], 3, 1e-5) {
-		t.Errorf("lambda2 = %v, want 3", vals[1])
-	}
-	// Dominant eigenvector is proportional to the ones vector.
-	for i := 1; i < 3; i++ {
-		if !almostEqual(math.Abs(vecs[0][i]), math.Abs(vecs[0][0]), 1e-5) {
-			t.Errorf("dominant eigenvector not uniform: %v", vecs[0])
-		}
-	}
-}
-
-func TestSymmetrize(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {4, 1}})
-	Symmetrize(a)
-	if a.At(0, 1) != 3 || a.At(1, 0) != 3 {
-		t.Errorf("Symmetrize gave %v", a.Data)
 	}
 }
 

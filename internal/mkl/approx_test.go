@@ -145,9 +145,6 @@ func TestBudgetedSearchAgreesWithExact(t *testing.T) {
 // Incompatible configurations must fail construction loudly.
 func TestApproxConfigValidation(t *testing.T) {
 	d := smallFacetData(20, 1)
-	if _, err := NewEvaluator(d, Config{Backend: engine.Nystrom(0), ExactGram: true}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("ExactGram + nystrom: err = %v, want mutually-exclusive error", err)
-	}
 	if _, err := NewEvaluator(d, Config{Backend: engine.RFF(0), Combiner: kernel.CombineProduct}); err == nil || !strings.Contains(err.Error(), "CombineSum") {
 		t.Fatalf("product + rff: err = %v, want CombineSum-only error", err)
 	}

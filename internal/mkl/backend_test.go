@@ -11,7 +11,6 @@ package mkl
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -194,18 +193,5 @@ func TestBackendFloat32ScoreTolerancePerCandidate(t *testing.T) {
 				t.Errorf("%s %v: f32 score %v vs f64 %v (|Δ|=%g > %g)", tc.name, p, got, want, diff, tc.tol)
 			}
 		}
-	}
-}
-
-// TestBackendFloat32RejectsExactGram: ExactGram pins the bit-identical
-// scalar reference; combining it with the f32 backend must fail loudly.
-func TestBackendFloat32RejectsExactGram(t *testing.T) {
-	d := parallelTestDataDim(t, 5, 30, 61)
-	_, err := NewEvaluator(d, Config{Backend: engine.Float32, ExactGram: true})
-	if err == nil {
-		t.Fatal("Float32 + ExactGram accepted")
-	}
-	if !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("unhelpful error: %v", err)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/chains"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/kernel"
@@ -57,6 +56,12 @@ const (
 // Config assembles the pieces of a partition-driven MKL run. Zero values
 // select reasonable defaults (RBF blocks, sum combiner, ridge learner,
 // 4-fold CV, parallel search across all available cores).
+//
+// Every Gram goes through the vectorized block engine when the Factory's
+// block kernels implement kernel.BlockGramKernel, and through pairwise
+// Eval — the scalar reference arithmetic — when they do not. Likewise a
+// Trainer implementing kernelmachine.ScratchTrainer takes the zero-alloc
+// CV fast path, and any other trainer the reference CV loop.
 type Config struct {
 	Factory   kernel.BlockKernelFactory
 	Combiner  kernel.Combiner
@@ -113,21 +118,6 @@ type Config struct {
 	// cheap approximation and only the top-K survivors are re-scored
 	// exactly (see BudgetedSearch). 0 disables re-scoring.
 	BudgetTopK int
-
-	// ExactGram forces every Gram matrix through the scalar pairwise Eval
-	// path, disabling the vectorized block engine, and pins CV evaluation
-	// to the scalar reference loop (per-element fold gathers, allocating
-	// Trainer.Train) instead of the scratch fast path. The block path is
-	// bit-identical for linear and polynomial kernels and within 1e-9
-	// elementwise for RBF (its distance expansion reorders floating-point
-	// operations — see internal/kernel/blockgram.go), so this knob exists
-	// for strict reproduction runs that must match the scalar path to the
-	// last bit. The knob governs the evaluation pipeline, not learner
-	// internals: in particular SVM training always uses the error-cache
-	// SMO (kernelmachine.SVM.Train delegates to TrainScratch). An injected
-	// GramCache is trusted as configured by its creator (set
-	// kernel.BlockGramCache.SetExact yourself).
-	ExactGram bool
 }
 
 func (c Config) withDefaults() Config {
@@ -238,17 +228,11 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 	e := &Evaluator{cfg: cfg, data: d, cache: map[string]float64{}}
 	switch cfg.Backend.Kind {
 	case engine.Float32Kind:
-		if cfg.ExactGram {
-			return nil, fmt.Errorf("mkl: ExactGram and the float32 backend are mutually exclusive (ExactGram pins the bit-identical scalar reference)")
-		}
 		// The f32 block cache replaces the exact block cache and the dense
 		// dataset matrix entirely: assembly, centering, fold gathers, and
 		// ridge solves all run in f32 storage (see f32path.go).
 		e.d32 = engine.NewDense32(d.X, cfg.Factory, cfg.GramCacheBlocks)
 	case engine.NystromKind, engine.RFFKind:
-		if cfg.ExactGram {
-			return nil, fmt.Errorf("mkl: ExactGram and approximate backends are mutually exclusive")
-		}
 		if cfg.Combiner == kernel.CombineProduct {
 			return nil, fmt.Errorf("mkl: approximate backends support CombineSum only (a product of low-rank Grams has no low-rank factor)")
 		}
@@ -268,9 +252,8 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 			e.gramCache = cfg.GramCache
 		} else if cfg.GramCacheBlocks >= 0 {
 			e.gramCache = kernel.NewBlockGramCache(d.X, cfg.Factory, cfg.GramCacheBlocks)
-			e.gramCache.SetExact(cfg.ExactGram)
 		}
-		if e.gramCache == nil && !cfg.ExactGram {
+		if e.gramCache == nil {
 			e.xm = d.Matrix()
 		}
 	}
@@ -324,9 +307,6 @@ func (e *Evaluator) Evaluations() int { return e.evals }
 // Calls returns the number of Score invocations including cache hits —
 // the number of lattice points a search visited.
 func (e *Evaluator) Calls() int { return e.calls }
-
-// ResetCount zeroes both counters (the cache persists).
-func (e *Evaluator) ResetCount() { e.evals, e.calls = 0, 0 }
 
 // ClearScoreCache drops every memoized partition score (counters, the
 // Gram-block cache, and all scratch buffers persist). Long-lived evaluators
@@ -387,19 +367,14 @@ func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
 		e.gramBuf = e.gramCache.GramForPartitionScratch(p, e.cfg.Combiner, e.gramBuf, &e.asm)
 		gram = e.gramBuf
 	} else {
+		// Vectorized path into the worker-owned scratch buffer; the
+		// pairwise loop remains the fallback for Eval-only kernels.
 		k := kernel.FromPartition(p, e.cfg.Factory, e.cfg.Combiner)
-		switch {
-		case e.cfg.ExactGram:
+		var ok bool
+		if e.gramBuf, ok = kernel.GramIntoMatrix(e.gramBuf, k, e.xm); ok {
+			gram = e.gramBuf
+		} else {
 			gram = kernel.GramPairwise(k, e.data.X)
-		default:
-			// Vectorized path into the worker-owned scratch buffer; the
-			// pairwise loop remains the fallback for Eval-only kernels.
-			var ok bool
-			if e.gramBuf, ok = kernel.GramIntoMatrix(e.gramBuf, k, e.xm); ok {
-				gram = e.gramBuf
-			} else {
-				gram = kernel.GramPairwise(k, e.data.X)
-			}
 		}
 	}
 	switch e.cfg.Objective {
@@ -421,12 +396,11 @@ func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
 // allocation-free fast path: the precomputed fold plan's gather descriptors
 // extract sub- and cross-Grams by row-run copies, labels come from the
 // plan's precomputed slices, and training/scoring run in evaluator-owned
-// scratch. Everything else — and every run with Config.ExactGram, the
-// strict-reproduction knob — takes the scalar reference path below, whose
+// scratch. Every other trainer takes the scalar reference path below, whose
 // scores the fast path reproduces bit-for-bit (see the equivalence suite in
 // fastpath_test.go).
 func (e *Evaluator) cvAccuracy(gram *linalg.Matrix) (float64, error) {
-	if st, ok := e.cfg.Trainer.(kernelmachine.ScratchTrainer); ok && !e.cfg.ExactGram {
+	if st, ok := e.cfg.Trainer.(kernelmachine.ScratchTrainer); ok {
 		return e.cvAccuracyFast(gram, st)
 	}
 	return e.cvAccuracyRef(gram)
@@ -732,33 +706,6 @@ func principalChain(m int) []partition.Partition {
 	return out
 }
 
-// PrincipalChainMatchesLDD reports whether the constructed principal chain
-// for m coincides with a full-span chain of chains.Decompose(m-1); exposed
-// for tests and the experiments harness.
-func PrincipalChainMatchesLDD(m int) bool {
-	if m < 2 {
-		return true
-	}
-	d := chains.Decompose(m - 1)
-	pc := principalChain(m)
-	for _, c := range d.SymmetricChains() {
-		if len(c) != len(pc) {
-			continue
-		}
-		all := true
-		for i := range c {
-			if !c[i].Equal(pc[i]) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
 // GreedyRefine hill-climbs from the seed through lower covers (splitting
 // one block into two) until no split improves the score, taking the first
 // improving cover in canonical order at every step.
@@ -844,20 +791,14 @@ func ViewOracle(e *Evaluator) (*Result, error) {
 
 // HoldoutAccuracy retrains the configuration p on all of train and reports
 // accuracy on test — the final deployment measurement. Gram and cross-Gram
-// matrices go through the vectorized block path unless cfg.ExactGram forces
-// the pairwise one.
+// matrices go through the vectorized block path (pairwise Eval for kernels
+// without one).
 func HoldoutAccuracy(train, test *dataset.Dataset, p partition.Partition, cfg Config) (float64, error) {
 	k, model, _, err := TrainDeployed(train, p, cfg)
 	if err != nil {
 		return 0, err
 	}
-	var cross *linalg.Matrix
-	if cfg.ExactGram {
-		cross = kernel.CrossGramPairwise(k, test.X, train.X)
-	} else {
-		cross = kernel.CrossGram(k, test.X, train.X)
-	}
-	pred := kernelmachine.Classify(model.Scores(cross))
+	pred := kernelmachine.Classify(model.Scores(kernel.CrossGram(k, test.X, train.X)))
 	return stats.Accuracy(pred, test.Y), nil
 }
 
@@ -874,13 +815,7 @@ func TrainDeployed(train *dataset.Dataset, p partition.Partition, cfg Config) (k
 		return nil, nil, nil, fmt.Errorf("mkl: partition over %d features, dataset has %d", p.N(), train.D())
 	}
 	k := kernel.FromPartition(p, cfg.Factory, cfg.Combiner)
-	var gram *linalg.Matrix
-	if cfg.ExactGram {
-		gram = kernel.GramPairwise(k, train.X)
-	} else {
-		gram = kernel.Gram(k, train.X)
-	}
-	model, err := cfg.Trainer.Train(gram, train.Y)
+	model, err := cfg.Trainer.Train(kernel.Gram(k, train.X), train.Y)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -3,6 +3,7 @@ package mkl
 import (
 	"testing"
 
+	"repro/internal/chains"
 	"repro/internal/combinat"
 	"repro/internal/dataset"
 	"repro/internal/kernelmachine"
@@ -67,10 +68,6 @@ func TestEvaluatorCountsAndCaches(t *testing.T) {
 	}
 	if e.Evaluations() != 1 {
 		t.Errorf("cache hit incremented the counter: %d", e.Evaluations())
-	}
-	e.ResetCount()
-	if e.Evaluations() != 0 {
-		t.Error("ResetCount failed")
 	}
 }
 
@@ -310,4 +307,30 @@ func TestNewEvaluatorValidation(t *testing.T) {
 	if _, err := NewEvaluator(empty, Config{}); err == nil {
 		t.Error("empty dataset accepted")
 	}
+}
+
+// PrincipalChainMatchesLDD reports whether the constructed principal chain
+// for m coincides with a full-span chain of chains.Decompose(m-1).
+func PrincipalChainMatchesLDD(m int) bool {
+	if m < 2 {
+		return true
+	}
+	d := chains.Decompose(m - 1)
+	pc := principalChain(m)
+	for _, c := range d.SymmetricChains() {
+		if len(c) != len(pc) {
+			continue
+		}
+		all := true
+		for i := range c {
+			if !c[i].Equal(pc[i]) {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }

@@ -6,9 +6,24 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/kernel"
+	"repro/internal/kernelmachine"
 	"repro/internal/partition"
 	"repro/internal/stats"
 )
+
+// evalOnly hides a block kernel's BlockGramKernel implementation, so every
+// Gram route — block cache, full-configuration Gram, deployment Gram and
+// cross-Gram — falls back to the scalar pairwise Eval path.
+type evalOnly struct{ kernel.Kernel }
+
+// pairwiseFactory wraps f (nil selects the default RBFFactory) so that
+// every block kernel it builds is Eval-only.
+func pairwiseFactory(f kernel.BlockKernelFactory) kernel.BlockKernelFactory {
+	if f == nil {
+		f = kernel.RBFFactory(1.0)
+	}
+	return func(feats []int) kernel.Kernel { return evalOnly{f(feats)} }
+}
 
 func exactGramWorkload(seed int64) *dataset.Dataset {
 	cfg := dataset.DefaultBiometricConfig()
@@ -20,9 +35,10 @@ func exactGramWorkload(seed int64) *dataset.Dataset {
 
 // TestScoreVectorizedVsExact compares Evaluator.Score across the Gram
 // engine's three routes — block cache (vectorized), no cache (vectorized
-// full configuration), and ExactGram (scalar pairwise) — under both
-// objectives. Linear factories must agree bit-for-bit; the default RBF
-// factory within 1e-9.
+// full configuration), and the scalar reference (pairwise Eval through an
+// Eval-only factory, CV on the reference loop) — under both objectives.
+// Linear factories must agree bit-for-bit; the default RBF factory within
+// 1e-9.
 func TestScoreVectorizedVsExact(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		d := exactGramWorkload(seed)
@@ -36,19 +52,21 @@ func TestScoreVectorizedVsExact(t *testing.T) {
 		}
 		for _, tc := range cases {
 			for _, obj := range []Objective{CVAccuracy, KernelAlignment} {
-				mk := func(cacheBlocks int, exact bool) *Evaluator {
-					e, err := NewEvaluator(d, Config{
-						Factory: tc.factory, Objective: obj, Seed: 1,
-						GramCacheBlocks: cacheBlocks, ExactGram: exact,
-					})
+				mk := func(cfg Config) *Evaluator {
+					cfg.Objective, cfg.Seed = obj, 1
+					e, err := NewEvaluator(d, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return e
 				}
-				cached := mk(0, false)
-				uncached := mk(-1, false)
-				exact := mk(-1, true)
+				cached := mk(Config{Factory: tc.factory})
+				uncached := mk(Config{Factory: tc.factory, GramCacheBlocks: -1})
+				exact := mk(Config{
+					Factory:         pairwiseFactory(tc.factory),
+					Trainer:         refTrainer{kernelmachine.Ridge{Lambda: 1e-2}},
+					GramCacheBlocks: -1,
+				})
 				for _, p := range []partition.Partition{
 					partition.Coarsest(d.D()),
 					partition.Finest(d.D()),
@@ -91,7 +109,7 @@ func TestHoldoutAccuracyExactGram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := HoldoutAccuracy(train, test, p, Config{ExactGram: true})
+	slow, err := HoldoutAccuracy(train, test, p, Config{Factory: pairwiseFactory(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,8 +87,8 @@ func alignmentOrder(e *Evaluator, feats []int) []int {
 // comes from the evaluator's Gram-block cache when one is enabled (copied
 // into the evaluator's reusable centering scratch before centering, since
 // cached matrices are shared read-only); without a cache it goes through
-// the vectorized path over the dataset's extracted column block, unless
-// ExactGram forces the pairwise loop.
+// the vectorized path over the dataset's extracted column block (pairwise
+// Eval for a block kernel without one).
 func singletonAlignment(e *Evaluator, f int) float64 {
 	if e.approxCache != nil {
 		// Approximate modes rank features on their cached singleton block
@@ -107,11 +107,8 @@ func singletonAlignment(e *Evaluator, f int) float64 {
 	} else {
 		feats := []int{f - 1}
 		base := e.cfg.Factory(feats)
-		ok := false
-		if !e.cfg.ExactGram {
-			g, ok = kernel.GramIntoMatrix(nil, base, e.data.BlockMatrix(feats))
-		}
-		if !ok {
+		var ok bool
+		if g, ok = kernel.GramIntoMatrix(nil, base, e.data.BlockMatrix(feats)); !ok {
 			g = kernel.GramPairwise(kernel.Subspace{Base: base, Features: feats}, e.data.X)
 		}
 	}

@@ -197,17 +197,6 @@ func (p Partition) Blocks() [][]int {
 	return out
 }
 
-// OrderedType returns the block sizes in order of increasing block minimum —
-// the composition of n the chains package matches against the paper's
-// encoding c(S).
-func (p Partition) OrderedType() []int {
-	sizes := make([]int, p.NumBlocks())
-	for _, b := range p.rgs {
-		sizes[b]++
-	}
-	return sizes
-}
-
 // Equal reports whether p and q are the same partition.
 func (p Partition) Equal(q Partition) bool {
 	if len(p.rgs) != len(q.rgs) {
@@ -447,18 +436,6 @@ func All(n int) []Partition {
 	return out
 }
 
-// AllWithBlocks returns the partitions of {1..n} with exactly k blocks
-// (S(n,k) of them).
-func AllWithBlocks(n, k int) []Partition {
-	var out []Partition
-	for _, p := range All(n) {
-		if p.NumBlocks() == k {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // OfOrderedType returns, in lexicographic order, all partitions of {1..n}
 // whose blocks ordered by minimum element have sizes exactly comp (a
 // composition of n). This is the enumeration behind the paper's Table I:
@@ -559,21 +536,4 @@ func HasseEdges(list []Partition) [][2]int {
 		out = append(out, e)
 	}
 	return out
-}
-
-// RestrictTo returns the partition induced by p on a subset of elements
-// (1-based, strictly increasing): element subset[i] becomes element i+1 of
-// the restricted ground set.
-func (p Partition) RestrictTo(subset []int) Partition {
-	if len(subset) == 0 {
-		panic("partition: RestrictTo empty subset")
-	}
-	assign := make([]int, len(subset))
-	for i, e := range subset {
-		if e < 1 || e > p.N() {
-			panic(fmt.Sprintf("partition: RestrictTo element %d out of range", e))
-		}
-		assign[i] = p.rgs[e-1]
-	}
-	return FromRGS(assign)
 }

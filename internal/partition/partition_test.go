@@ -156,17 +156,6 @@ func TestAllCountsAreBellNumbers(t *testing.T) {
 	}
 }
 
-func TestAllWithBlocksMatchesStirling(t *testing.T) {
-	for n := 1; n <= 8; n++ {
-		for k := 1; k <= n; k++ {
-			want, _ := combinat.StirlingSecondInt64(n, k)
-			if got := len(AllWithBlocks(n, k)); int64(got) != want {
-				t.Errorf("partitions of %d-set into %d blocks: %d, want %d", n, k, got, want)
-			}
-		}
-	}
-}
-
 func TestFigure2LevelSizes(t *testing.T) {
 	// Figure 2 of the paper: Π_4 has 15 partitions; level sizes by rank are
 	// 1, 6, 7, 1.
@@ -269,20 +258,6 @@ func TestHasseEdgesPi4(t *testing.T) {
 	}
 }
 
-func TestOrderedType(t *testing.T) {
-	p := mustParse(t, "1/24/3")
-	got := p.OrderedType()
-	want := []int{1, 2, 1}
-	if len(got) != len(want) {
-		t.Fatalf("OrderedType = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("OrderedType = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestOfOrderedTypeTable1Rows(t *testing.T) {
 	// Exact partition lists from Table I of the paper.
 	tests := []struct {
@@ -332,15 +307,6 @@ func TestMergeBlocks(t *testing.T) {
 	}
 }
 
-func TestRestrictTo(t *testing.T) {
-	p := mustParse(t, "12/34")
-	r := p.RestrictTo([]int{2, 3, 4})
-	// Elements 2,3,4 -> 1,2,3; blocks {2} and {3,4} -> 1/23.
-	if r.String() != "1/23" {
-		t.Errorf("RestrictTo = %s, want 1/23", r)
-	}
-}
-
 func TestKeyUniqueness(t *testing.T) {
 	all := All(7)
 	seen := map[string]bool{}
@@ -349,5 +315,33 @@ func TestKeyUniqueness(t *testing.T) {
 			t.Fatalf("Key collision for %s", p)
 		}
 		seen[p.Key()] = true
+	}
+}
+
+// TestConstructorsPanicOnInvalid: the panicking constructors and accessors
+// refuse malformed input loudly instead of building a bogus partition.
+func TestConstructorsPanicOnInvalid(t *testing.T) {
+	p := mustParse(t, "12/3")
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"coarsest-zero", func() { Coarsest(0) }},
+		{"from-rgs-empty", func() { FromRGS(nil) }},
+		{"must-from-blocks-uncovered", func() { MustFromBlocks(3, [][]int{{1, 2}}) }},
+		{"block-of-zero", func() { p.BlockOf(0) }},
+		{"block-of-past-n", func() { p.BlockOf(4) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			c.f()
+		})
+	}
+	if q := MustFromBlocks(3, [][]int{{3}, {1, 2}}); !q.Equal(p) {
+		t.Errorf("MustFromBlocks = %s, want %s", q, p)
 	}
 }

@@ -114,25 +114,6 @@ func (m *MergedRecords) MissingFraction() float64 {
 	return float64(miss) / float64(total)
 }
 
-// CompleteRows returns the indices of rows with no missing cell — the
-// alternative to imputation: keep only fully observed records.
-func (m *MergedRecords) CompleteRows() []int {
-	var out []int
-	for i := range m.Mask {
-		ok := true
-		for _, miss := range m.Mask[i] {
-			if miss {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Normalize rescales each column of x to [0, 1] in place (observed cells;
 // mask may be nil). Constant columns map to 0.
 func Normalize(x [][]float64, mask [][]bool) {
@@ -220,40 +201,5 @@ func SelectInstances(n, stride int) []int {
 	for i := 0; i < n; i += stride {
 		out = append(out, i)
 	}
-	return out
-}
-
-// SelectFeaturesByVariance is the data-reduction task of feature selection:
-// it returns the indices of the k columns with the largest variance
-// (observed cells).
-func SelectFeaturesByVariance(x [][]float64, mask [][]bool, k int) []int {
-	if len(x) == 0 || k <= 0 {
-		return nil
-	}
-	d := len(x[0])
-	type fv struct {
-		col int
-		v   float64
-	}
-	fvs := make([]fv, d)
-	for j := 0; j < d; j++ {
-		var obs []float64
-		for i := range x {
-			if mask != nil && mask[i][j] {
-				continue
-			}
-			obs = append(obs, x[i][j])
-		}
-		fvs[j] = fv{col: j, v: stats.Variance(obs)}
-	}
-	sort.SliceStable(fvs, func(a, b int) bool { return fvs[a].v > fvs[b].v })
-	if k > d {
-		k = d
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = fvs[i].col
-	}
-	sort.Ints(out)
 	return out
 }

@@ -163,9 +163,6 @@ func (a *Approximation) AccuracyGranules() float64 {
 	return float64(len(a.LowerGranules)) / float64(len(a.UpperGranules))
 }
 
-// BoundarySize returns |upper \ lower|, the size of the boundary region.
-func (a *Approximation) BoundarySize() int { return len(a.Upper) - len(a.Lower) }
-
 // ConceptOf returns the rows where the named attribute takes the given
 // value — the usual way benchmark concepts are specified.
 func (t *Table) ConceptOf(attr, value string) ([]int, error) {
@@ -211,36 +208,6 @@ func (t *Table) ConditionalEntropy(attrs []string, decision string) (float64, er
 		h += float64(len(cls)) / total * stats.Entropy(cc)
 	}
 	return h, nil
-}
-
-// QualityOfClassification returns Pawlak's gamma: the fraction of rows in
-// the positive region (union of lower approximations of all decision
-// classes) under the indiscernibility of attrs.
-func (t *Table) QualityOfClassification(attrs []string, decision string) (float64, error) {
-	dcol, err := t.AttrIndex(decision)
-	if err != nil {
-		return 0, err
-	}
-	values := map[string]bool{}
-	for r := range t.Rows {
-		values[t.Rows[r][dcol]] = true
-	}
-	pos := 0
-	for v := range values {
-		concept, err := t.ConceptOf(decision, v)
-		if err != nil {
-			return 0, err
-		}
-		ap, err := t.Approximate(concept, attrs)
-		if err != nil {
-			return 0, err
-		}
-		pos += len(ap.Lower)
-	}
-	if t.N() == 0 {
-		return 0, nil
-	}
-	return float64(pos) / float64(t.N()), nil
 }
 
 // SeedObjective selects how SelectSeed scores candidate feature subsets.
@@ -356,81 +323,6 @@ func betterTie(cand, incumbent []string) bool {
 	return false
 }
 
-// GreedyReduct returns a near-minimal attribute subset preserving the
-// quality of classification of the full attribute set with respect to the
-// decision attribute: it greedily adds the attribute with the largest gamma
-// gain, then prunes redundant members.
-func (t *Table) GreedyReduct(decision string) ([]string, error) {
-	var all []string
-	for _, a := range t.Attrs {
-		if a != decision {
-			all = append(all, a)
-		}
-	}
-	target, err := t.QualityOfClassification(all, decision)
-	if err != nil {
-		return nil, err
-	}
-	var chosen []string
-	remaining := append([]string(nil), all...)
-	cur := 0.0
-	for cur < target-1e-12 && len(remaining) > 0 {
-		bestI, bestGamma := -1, cur
-		for i, a := range remaining {
-			g, err := t.QualityOfClassification(append(chosen, a), decision)
-			if err != nil {
-				return nil, err
-			}
-			if g > bestGamma+1e-12 {
-				bestI, bestGamma = i, g
-			}
-		}
-		if bestI == -1 {
-			// No single attribute improves gamma (e.g. XOR-structured
-			// decisions). Fall back to the largest conditional-entropy drop
-			// so progress continues toward the joint dependency.
-			bestH := math.Inf(1)
-			for i, a := range remaining {
-				h, err := t.ConditionalEntropy(append(chosen, a), decision)
-				if err != nil {
-					return nil, err
-				}
-				if h < bestH-1e-12 {
-					bestI, bestH = i, h
-				}
-			}
-			g, err := t.QualityOfClassification(append(chosen, remaining[bestI]), decision)
-			if err != nil {
-				return nil, err
-			}
-			bestGamma = g
-		}
-		chosen = append(chosen, remaining[bestI])
-		remaining = append(remaining[:bestI], remaining[bestI+1:]...)
-		cur = bestGamma
-	}
-	// Prune: drop attributes whose removal keeps gamma at target.
-	for i := 0; i < len(chosen); {
-		trial := make([]string, 0, len(chosen)-1)
-		trial = append(trial, chosen[:i]...)
-		trial = append(trial, chosen[i+1:]...)
-		if len(trial) == 0 {
-			i++
-			continue
-		}
-		g, err := t.QualityOfClassification(trial, decision)
-		if err != nil {
-			return nil, err
-		}
-		if g >= cur-1e-12 {
-			chosen = trial
-		} else {
-			i++
-		}
-	}
-	return chosen, nil
-}
-
 // PhonesExample returns the four-phone table from Section III of the paper.
 func PhonesExample() *Table {
 	return MustNewTable(
@@ -442,106 +334,4 @@ func PhonesExample() *Table {
 			{"LOW", "Symbian", "N"},
 		},
 	)
-}
-
-// AllReducts returns every minimal attribute subset (reduct) that preserves
-// the quality of classification of the full attribute set with respect to
-// the decision attribute. The search is exhaustive over subsets ordered by
-// size, so it is exponential in the attribute count — intended for the
-// small discrete tables of this repository (d <= ~15).
-func (t *Table) AllReducts(decision string) ([][]string, error) {
-	var all []string
-	for _, a := range t.Attrs {
-		if a != decision {
-			all = append(all, a)
-		}
-	}
-	if len(all) == 0 {
-		return nil, fmt.Errorf("rough: no candidate attributes besides decision %q", decision)
-	}
-	target, err := t.QualityOfClassification(all, decision)
-	if err != nil {
-		return nil, err
-	}
-	var reducts [][]string
-	// Supersets of a found reduct are not minimal; prune by checking
-	// against found reducts before evaluating.
-	isSuperset := func(cand []string) bool {
-		has := map[string]bool{}
-		for _, a := range cand {
-			has[a] = true
-		}
-		for _, r := range reducts {
-			all := true
-			for _, a := range r {
-				if !has[a] {
-					all = false
-					break
-				}
-			}
-			if all {
-				return true
-			}
-		}
-		return false
-	}
-	for size := 1; size <= len(all); size++ {
-		idx := make([]int, size)
-		var rec func(start, d int) error
-		rec = func(start, d int) error {
-			if d == size {
-				cand := make([]string, size)
-				for i, ix := range idx {
-					cand[i] = all[ix]
-				}
-				if isSuperset(cand) {
-					return nil
-				}
-				g, err := t.QualityOfClassification(cand, decision)
-				if err != nil {
-					return err
-				}
-				if g >= target-1e-12 {
-					reducts = append(reducts, cand)
-				}
-				return nil
-			}
-			for s := start; s <= len(all)-(size-d); s++ {
-				idx[d] = s
-				if err := rec(s+1, d+1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := rec(0, 0); err != nil {
-			return nil, err
-		}
-	}
-	return reducts, nil
-}
-
-// CoreAttributes returns the attributes present in every reduct — the
-// indispensable attributes of the information system.
-func (t *Table) CoreAttributes(decision string) ([]string, error) {
-	reducts, err := t.AllReducts(decision)
-	if err != nil {
-		return nil, err
-	}
-	if len(reducts) == 0 {
-		return nil, nil
-	}
-	counts := map[string]int{}
-	for _, r := range reducts {
-		for _, a := range r {
-			counts[a]++
-		}
-	}
-	var core []string
-	for _, a := range t.Attrs {
-		if counts[a] == len(reducts) {
-			core = append(core, a)
-		}
-	}
-	return core, nil
 }

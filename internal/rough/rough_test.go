@@ -46,9 +46,6 @@ func TestPaperPhoneExample(t *testing.T) {
 	if got := ap.AccuracyElements(); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("element accuracy = %v, want 1/3 (classical Pawlak)", got)
 	}
-	if ap.BoundarySize() != 2 {
-		t.Errorf("boundary = %d, want 2", ap.BoundarySize())
-	}
 }
 
 func TestIndiscernibilityMultiAttr(t *testing.T) {
@@ -136,26 +133,6 @@ func TestConditionalEntropy(t *testing.T) {
 	}
 }
 
-func TestQualityOfClassification(t *testing.T) {
-	tbl := PhonesExample()
-	// Under {OS}: decision classes Y={2,3}, N={1,4}. Lower(Y)={3},
-	// Lower(N)={4}; positive region {3,4} -> gamma = 0.5.
-	g, err := tbl.QualityOfClassification([]string{"OS"}, "Available")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != 0.5 {
-		t.Errorf("gamma = %v, want 0.5", g)
-	}
-	gAll, err := tbl.QualityOfClassification([]string{"Battery Level", "OS"}, "Available")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gAll != 1 {
-		t.Errorf("gamma(all) = %v, want 1", gAll)
-	}
-}
-
 func TestSelectSeedByAccuracy(t *testing.T) {
 	tbl := PhonesExample()
 	res, err := tbl.SelectSeed("Available", "Y", 0, ByAccuracy)
@@ -225,34 +202,6 @@ func TestSelectSeedErrors(t *testing.T) {
 	}
 }
 
-func TestGreedyReduct(t *testing.T) {
-	// Build a table where attribute "noise" is redundant: decision is
-	// determined by a and b.
-	tbl := MustNewTable(
-		[]string{"a", "b", "noise", "dec"},
-		[][]string{
-			{"0", "0", "x", "N"},
-			{"0", "1", "x", "Y"},
-			{"1", "0", "y", "Y"},
-			{"1", "1", "y", "N"},
-		},
-	)
-	red, err := tbl.GreedyReduct("dec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(red) != 2 {
-		t.Fatalf("reduct = %v, want 2 attributes", red)
-	}
-	has := map[string]bool{}
-	for _, a := range red {
-		has[a] = true
-	}
-	if !has["a"] || !has["b"] {
-		t.Errorf("reduct = %v, want {a, b}", red)
-	}
-}
-
 func TestNewTableValidation(t *testing.T) {
 	if _, err := NewTable(nil, nil); err == nil {
 		t.Error("empty attrs should error")
@@ -302,73 +251,6 @@ func TestIndiscernibilityIsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAllReductsAndCore(t *testing.T) {
-	// dec = a XOR b; c duplicates a; noise is constant (irrelevant).
-	// Reducts: {a,b} and {b,c}. Core: {b}.
-	tbl := MustNewTable(
-		[]string{"a", "b", "c", "noise", "dec"},
-		[][]string{
-			{"0", "0", "0", "x", "N"},
-			{"0", "1", "0", "x", "Y"},
-			{"1", "0", "1", "x", "Y"},
-			{"1", "1", "1", "x", "N"},
-		},
-	)
-	reducts, err := tbl.AllReducts("dec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reducts) != 2 {
-		t.Fatalf("reducts = %v, want 2", reducts)
-	}
-	for _, r := range reducts {
-		if len(r) != 2 {
-			t.Errorf("non-minimal reduct %v", r)
-		}
-		hasB := false
-		for _, a := range r {
-			if a == "b" {
-				hasB = true
-			}
-		}
-		if !hasB {
-			t.Errorf("reduct %v missing indispensable attribute b", r)
-		}
-	}
-	core, err := tbl.CoreAttributes("dec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(core) != 1 || core[0] != "b" {
-		t.Errorf("core = %v, want [b]", core)
-	}
-}
-
-func TestAllReductsNoSupersets(t *testing.T) {
-	tbl := PhonesExample()
-	reducts, err := tbl.AllReducts("Available")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range reducts {
-		for j, s := range reducts {
-			if i == j {
-				continue
-			}
-			if isSubset(r, s) && len(r) < len(s) {
-				t.Errorf("reduct %v is a subset of reduct %v", r, s)
-			}
-		}
-	}
-	if _, err := tbl.AllReducts("Nope"); err == nil {
-		t.Error("unknown decision accepted")
-	}
-	one := MustNewTable([]string{"only"}, [][]string{{"v"}})
-	if _, err := one.AllReducts("only"); err == nil {
-		t.Error("no candidates accepted")
 	}
 }
 

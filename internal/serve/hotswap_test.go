@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -216,13 +217,19 @@ func TestHotSwapViaRegistryLoad(t *testing.T) {
 	}
 }
 
-// TestWatcherSkipsBitIdenticalRewrite: rewriting the same artifact (new
-// mtime, same content) must not trigger a spurious swap.
+// TestWatcherSkipsBitIdenticalRewrite: New bootstraps every *.iotml in the
+// model directory under its file-name id (other files are ignored), and
+// rewriting the same artifact (new mtime, same content) must not trigger a
+// spurious swap.
 func TestWatcherSkipsBitIdenticalRewrite(t *testing.T) {
 	art := testArtifactSeed(t, 11)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.iotml")
 	saveAtomic(t, art, path)
+	saveAtomic(t, testArtifactSeed(t, 23), filepath.Join(dir, "beta.iotml"))
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("ignored"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := New(context.Background(), NewRegistry(),
 		WithModelDir(dir), WithReloadInterval(10*time.Millisecond), WithImmediateFlush())
@@ -230,6 +237,9 @@ func TestWatcherSkipsBitIdenticalRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	if ids := s.Registry().IDs(); !reflect.DeepEqual(ids, []string{"beta", "m"}) {
+		t.Fatalf("bootstrapped ids = %v, want [beta m]", ids)
+	}
 
 	saveAtomic(t, art, path) // same bytes, fresh mtime
 	time.Sleep(80 * time.Millisecond)
@@ -321,24 +331,6 @@ func TestWatcherSurvivesBadArtifact(t *testing.T) {
 			t.Fatal("good artifact never swapped in after a corrupt one")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestLoadDirAndIDs covers the directory bootstrap path New uses.
-func TestLoadDirAndIDs(t *testing.T) {
-	dir := t.TempDir()
-	saveAtomic(t, testArtifactSeed(t, 11), filepath.Join(dir, "alpha.iotml"))
-	saveAtomic(t, testArtifactSeed(t, 23), filepath.Join(dir, "beta.iotml"))
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("ignored"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	ids, err := reg.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 2 || ids[0] != "alpha" || ids[1] != "beta" {
-		t.Fatalf("LoadDir ids = %v", ids)
 	}
 }
 

@@ -33,14 +33,6 @@ type Metrics struct {
 	TotalBatchMicros int64 `json:"total_batch_us"`
 }
 
-// MeanBatchMicros returns the average per-batch latency.
-func (m Metrics) MeanBatchMicros() int64 {
-	if m.Batches == 0 {
-		return 0
-	}
-	return m.TotalBatchMicros / m.Batches
-}
-
 // modelMetrics guards one model's counters. All mutation happens through
 // its methods under mu; Snapshot copies the whole struct under the same
 // lock, so readers never observe a half-updated batch record.

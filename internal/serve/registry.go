@@ -31,7 +31,7 @@ import (
 )
 
 // Registry holds the models a Server routes predictions to. Create one
-// with NewRegistry, populate it with Load/LoadFile/LoadDir (or let
+// with NewRegistry, populate it with Load/LoadFile (or let
 // WithModelDir do it), and hand it to New; Load keeps working after the
 // server attaches — that is the hot-swap path.
 type Registry struct {
@@ -116,25 +116,6 @@ func (r *Registry) LoadFile(id, path string) error {
 		return err
 	}
 	return r.load(id, art, path)
-}
-
-// LoadDir loads every *.iotml file in dir, each under the id of its file
-// name minus the extension, and returns the sorted ids it loaded. Files
-// that fail to load abort with an error naming the file.
-func (r *Registry) LoadDir(dir string) ([]string, error) {
-	files, err := listArtifacts(dir)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, 0, len(files))
-	for _, f := range files {
-		id := modelIDForFile(f)
-		if err := r.LoadFile(id, f); err != nil {
-			return ids, fmt.Errorf("serve: loading %s: %w", f, err)
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
 }
 
 func (r *Registry) load(id string, art *model.Artifact, source string) error {

@@ -98,57 +98,6 @@ func Accuracy(pred, truth []int) float64 {
 	return float64(ok) / float64(len(pred))
 }
 
-// ConfusionBinary holds binary-classification counts for labels in {-1,+1}.
-type ConfusionBinary struct {
-	TP, FP, TN, FN int
-}
-
-// Confusion tallies binary counts; any label > 0 is the positive class.
-func Confusion(pred, truth []int) ConfusionBinary {
-	if len(pred) != len(truth) {
-		panic(fmt.Sprintf("stats: Confusion length mismatch %d vs %d", len(pred), len(truth)))
-	}
-	var c ConfusionBinary
-	for i, p := range pred {
-		switch {
-		case p > 0 && truth[i] > 0:
-			c.TP++
-		case p > 0 && truth[i] <= 0:
-			c.FP++
-		case p <= 0 && truth[i] <= 0:
-			c.TN++
-		default:
-			c.FN++
-		}
-	}
-	return c
-}
-
-// Precision returns TP / (TP + FP), or 0 when undefined.
-func (c ConfusionBinary) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP / (TP + FN), or 0 when undefined.
-func (c ConfusionBinary) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall, or 0 when undefined.
-func (c ConfusionBinary) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // RMSE returns the root-mean-square error between pred and truth.
 func RMSE(pred, truth []float64) float64 {
 	if len(pred) != len(truth) {
@@ -163,21 +112,6 @@ func RMSE(pred, truth []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(pred)))
-}
-
-// MAE returns the mean absolute error between pred and truth.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic(fmt.Sprintf("stats: MAE length mismatch %d vs %d", len(pred), len(truth)))
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, p := range pred {
-		s += math.Abs(p - truth[i])
-	}
-	return s / float64(len(pred))
 }
 
 // KFold returns k (train, test) index splits of n items, shuffled with rng.
@@ -250,19 +184,6 @@ func ArgMax(xs []float64) int {
 	bv := math.Inf(-1)
 	for i, x := range xs {
 		if x > bv {
-			best, bv = i, x
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest value; ties break to the first.
-// It returns -1 for an empty slice.
-func ArgMin(xs []float64) int {
-	best := -1
-	bv := math.Inf(1)
-	for i, x := range xs {
-		if x < bv {
 			best, bv = i, x
 		}
 	}

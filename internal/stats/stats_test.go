@@ -60,36 +60,11 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestConfusionMetrics(t *testing.T) {
-	pred := []int{1, 1, -1, -1, 1}
-	truth := []int{1, -1, -1, 1, 1}
-	c := Confusion(pred, truth)
-	if c.TP != 2 || c.FP != 1 || c.TN != 1 || c.FN != 1 {
-		t.Fatalf("confusion = %+v", c)
-	}
-	if got := c.Precision(); got != 2.0/3 {
-		t.Errorf("Precision = %v", got)
-	}
-	if got := c.Recall(); got != 2.0/3 {
-		t.Errorf("Recall = %v", got)
-	}
-	if got := c.F1(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("F1 = %v", got)
-	}
-	var zero ConfusionBinary
-	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 {
-		t.Error("zero confusion should give zero metrics")
-	}
-}
-
-func TestRMSEAndMAE(t *testing.T) {
+func TestRMSE(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	truth := []float64{1, 2, 5}
 	if got := RMSE(pred, truth); math.Abs(got-math.Sqrt(4.0/3)) > 1e-12 {
 		t.Errorf("RMSE = %v", got)
-	}
-	if got := MAE(pred, truth); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("MAE = %v", got)
 	}
 }
 
@@ -181,16 +156,13 @@ func TestEntropy(t *testing.T) {
 	}
 }
 
-func TestArgMaxArgMin(t *testing.T) {
+func TestArgMax(t *testing.T) {
 	xs := []float64{3, 9, 9, -2}
 	if got := ArgMax(xs); got != 1 {
 		t.Errorf("ArgMax = %d, want 1 (first of tie)", got)
 	}
-	if got := ArgMin(xs); got != 3 {
-		t.Errorf("ArgMin = %d, want 3", got)
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty ArgMax/ArgMin should be -1")
+	if ArgMax(nil) != -1 {
+		t.Error("empty ArgMax should be -1")
 	}
 }
 

@@ -179,18 +179,6 @@ func (t *Tree) Predict(row []float64) int {
 	return cur.label
 }
 
-// Depth returns the tree depth (leaves have depth 0).
-func (t *Tree) Depth() int {
-	if t.feature < 0 {
-		return 0
-	}
-	l, r := t.left.Depth(), t.right.Depth()
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // NumNodes counts internal nodes plus leaves.
 func (t *Tree) NumNodes() int {
 	if t.feature < 0 {
@@ -481,52 +469,4 @@ func SinglePlayerChoice(points []TradeoffPoint, costPerModel float64) (TradeoffP
 		}
 	}
 	return best, bestU
-}
-
-// Prune applies reduced-error pruning in place: every internal node whose
-// replacement by its majority leaf does not reduce accuracy on the provided
-// validation set is collapsed (bottom-up). It returns the number of nodes
-// removed. The validation rows must be complete (no missing cells).
-func (t *Tree) Prune(xVal [][]float64, yVal []int) int {
-	if len(xVal) == 0 || len(xVal) != len(yVal) {
-		return 0
-	}
-	idx := make([]int, len(xVal))
-	for i := range idx {
-		idx[i] = i
-	}
-	before := t.NumNodes()
-	t.pruneRec(xVal, yVal, idx)
-	return before - t.NumNodes()
-}
-
-// pruneRec prunes the subtree using only the validation rows that reach it.
-func (t *Tree) pruneRec(x [][]float64, y []int, idx []int) {
-	if t.feature < 0 {
-		return
-	}
-	var l, r []int
-	for _, i := range idx {
-		if x[i][t.feature] <= t.thresh {
-			l = append(l, i)
-		} else {
-			r = append(r, i)
-		}
-	}
-	t.left.pruneRec(x, y, l)
-	t.right.pruneRec(x, y, r)
-	// Accuracy of the subtree vs the collapsed leaf on the reaching rows.
-	correctTree, correctLeaf := 0, 0
-	for _, i := range idx {
-		if t.Predict(x[i]) == y[i] {
-			correctTree++
-		}
-		if t.label == y[i] {
-			correctLeaf++
-		}
-	}
-	if correctLeaf >= correctTree {
-		t.feature = -1
-		t.left, t.right = nil, nil
-	}
 }

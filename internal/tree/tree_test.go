@@ -42,7 +42,7 @@ func TestLearnSeparable(t *testing.T) {
 	if float64(ok)/float64(len(d.X)) < 0.9 {
 		t.Errorf("training accuracy = %d/100, want >= 90", ok)
 	}
-	if tr.Depth() < 1 {
+	if treeDepth(tr) < 1 {
 		t.Error("tree should have at least one split")
 	}
 	if tr.NumNodes() < 3 {
@@ -68,8 +68,8 @@ func TestLearnRespectsDepthBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() > 2 {
-		t.Errorf("depth = %d exceeds bound 2", tr.Depth())
+	if treeDepth(tr) > 2 {
+		t.Errorf("depth = %d exceeds bound 2", treeDepth(tr))
 	}
 }
 
@@ -80,8 +80,8 @@ func TestPureLeafStopsGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() != 0 {
-		t.Errorf("pure data should give a leaf, got depth %d", tr.Depth())
+	if treeDepth(tr) != 0 {
+		t.Errorf("pure data should give a leaf, got depth %d", treeDepth(tr))
 	}
 	if tr.Predict([]float64{99}) != 1 {
 		t.Error("leaf should predict the pure class")
@@ -198,63 +198,22 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-func TestPruneReducesOverfitTree(t *testing.T) {
-	// Deep tree on noisy data overfits; pruning against a validation set
-	// shrinks it without losing (and usually gaining) test accuracy.
-	noisy := func(n int, seed int64) *dataset.Dataset {
-		rng := stats.NewRNG(seed)
-		d := &dataset.Dataset{}
-		for i := 0; i < n; i++ {
-			y := 1
-			if rng.Float64() < 0.5 {
-				y = -1
-			}
-			d.X = append(d.X, []float64{
-				float64(y)*0.5 + rng.NormFloat64(), // weak signal
-				rng.NormFloat64(),                  // pure noise
-				rng.NormFloat64(),                  // pure noise
-			})
-			d.Y = append(d.Y, y)
-		}
-		return d
-	}
-	train := noisy(150, 20)
-	val := noisy(100, 21)
-	test := noisy(200, 22)
-	tr, err := Learn(train.X, train.Y, Params{MaxDepth: 12, MinLeafSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodesBefore := tr.NumNodes()
-	accBefore := treeAccuracy(tr, test)
-	removed := tr.Prune(val.X, val.Y)
-	if removed <= 0 {
-		t.Errorf("pruning removed %d nodes, want > 0 on an overfit tree (had %d)", removed, nodesBefore)
-	}
-	accAfter := treeAccuracy(tr, test)
-	if accAfter < accBefore-0.05 {
-		t.Errorf("pruning hurt test accuracy: %v -> %v", accBefore, accAfter)
-	}
-}
-
-func TestPruneDegenerateInputs(t *testing.T) {
-	train := axisData(50, 23)
-	tr, err := Learn(train.X, train.Y, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Prune(nil, nil); got != 0 {
-		t.Errorf("empty validation pruned %d nodes", got)
-	}
-	if got := tr.Prune(train.X, train.Y[:1]); got != 0 {
-		t.Errorf("mismatched validation pruned %d nodes", got)
-	}
-}
-
 func treeAccuracy(tr *Tree, d *dataset.Dataset) float64 {
 	pred := make([]int, d.N())
 	for i := range d.X {
 		pred[i] = tr.Predict(d.X[i])
 	}
 	return stats.Accuracy(pred, d.Y)
+}
+
+// treeDepth returns the depth of t (leaves have depth 0).
+func treeDepth(t *Tree) int {
+	if t.feature < 0 {
+		return 0
+	}
+	l, r := treeDepth(t.left), treeDepth(t.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
 }

@@ -1,107 +1,16 @@
-// Package uncertainty implements the uncertainty models Section I-B and IV
-// call for: Gaussian and interval value models with propagation through
-// affine operations, and a per-stage ledger that records how much
-// information each pipeline phase destroys — the bookkeeping whose cost the
-// paper identifies as the reason uncertainty models are usually unavailable
-// to the analytics phase ("one can keep track of the uncertainty associated
-// to the reconstructed data only to some point, because of the cost and the
-// operational difficulties of such a task").
+// Package uncertainty implements the uncertainty ledger Section I-B and IV
+// call for: per-stage records of how much information each pipeline phase
+// destroys — the bookkeeping whose cost the paper identifies as the reason
+// uncertainty models are usually unavailable to the analytics phase ("one
+// can keep track of the uncertainty associated to the reconstructed data
+// only to some point, because of the cost and the operational difficulties
+// of such a task").
 package uncertainty
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
-
-// Gaussian is a value with Gaussian uncertainty.
-type Gaussian struct {
-	Mean float64
-	Var  float64 // >= 0
-}
-
-// NewGaussian validates the variance.
-func NewGaussian(mean, variance float64) (Gaussian, error) {
-	if variance < 0 || math.IsNaN(variance) {
-		return Gaussian{}, fmt.Errorf("uncertainty: negative variance %g", variance)
-	}
-	return Gaussian{Mean: mean, Var: variance}, nil
-}
-
-// Add returns the sum of two independent Gaussian values.
-func (g Gaussian) Add(h Gaussian) Gaussian {
-	return Gaussian{Mean: g.Mean + h.Mean, Var: g.Var + h.Var}
-}
-
-// Scale returns a·g.
-func (g Gaussian) Scale(a float64) Gaussian {
-	return Gaussian{Mean: a * g.Mean, Var: a * a * g.Var}
-}
-
-// StdDev returns the standard deviation.
-func (g Gaussian) StdDev() float64 { return math.Sqrt(g.Var) }
-
-// Fuse combines two independent Gaussian measurements of the same quantity
-// by inverse-variance weighting — the optimal linear fusion of two sensors.
-// A zero-variance input dominates entirely.
-func (g Gaussian) Fuse(h Gaussian) Gaussian {
-	switch {
-	case g.Var == 0 && h.Var == 0:
-		return Gaussian{Mean: (g.Mean + h.Mean) / 2, Var: 0}
-	case g.Var == 0:
-		return g
-	case h.Var == 0:
-		return h
-	}
-	wg, wh := 1/g.Var, 1/h.Var
-	return Gaussian{
-		Mean: (wg*g.Mean + wh*h.Mean) / (wg + wh),
-		Var:  1 / (wg + wh),
-	}
-}
-
-// Interval is a worst-case value model [Lo, Hi].
-type Interval struct {
-	Lo, Hi float64
-}
-
-// NewInterval validates the bounds.
-func NewInterval(lo, hi float64) (Interval, error) {
-	if lo > hi {
-		return Interval{}, fmt.Errorf("uncertainty: interval [%g, %g] inverted", lo, hi)
-	}
-	return Interval{Lo: lo, Hi: hi}, nil
-}
-
-// Add returns the Minkowski sum.
-func (iv Interval) Add(jv Interval) Interval {
-	return Interval{Lo: iv.Lo + jv.Lo, Hi: iv.Hi + jv.Hi}
-}
-
-// Scale returns a·iv.
-func (iv Interval) Scale(a float64) Interval {
-	lo, hi := a*iv.Lo, a*iv.Hi
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return Interval{Lo: lo, Hi: hi}
-}
-
-// Width returns Hi - Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies in the interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
-// Intersect returns the intersection and whether it is nonempty.
-func (iv Interval) Intersect(jv Interval) (Interval, bool) {
-	lo := math.Max(iv.Lo, jv.Lo)
-	hi := math.Min(iv.Hi, jv.Hi)
-	if lo > hi {
-		return Interval{}, false
-	}
-	return Interval{Lo: lo, Hi: hi}, true
-}
 
 // Entry is one stage's record in the uncertainty ledger.
 type Entry struct {
@@ -153,25 +62,6 @@ func (l *Ledger) FirstUntracked() string {
 		}
 	}
 	return ""
-}
-
-// TotalBias sums the absolute bias introduced across stages.
-func (l *Ledger) TotalBias() float64 {
-	s := 0.0
-	for _, e := range l.entries {
-		s += math.Abs(e.BiasIntroduced)
-	}
-	return s
-}
-
-// TotalVariance sums variance introduced across stages (independence
-// assumption).
-func (l *Ledger) TotalVariance() float64 {
-	s := 0.0
-	for _, e := range l.entries {
-		s += e.VarianceIntroduced
-	}
-	return s
 }
 
 // InfoRetained multiplies stage-wise information retention (1 - InfoLost).
