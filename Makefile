@@ -111,6 +111,7 @@ contracts:
 	$(CONTRACT) 'TestSpecBackendSpellings' ./internal/distsearch
 	$(CONTRACT) 'TestFitDistributedBudgetedMatchesLocal' ./internal/core
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
+	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
 # fuzz gives each worker-boundary fuzzer a short run, one go test -fuzz
 # invocation per target (the fuzz engine takes one target at a time).

@@ -374,6 +374,7 @@ func BenchmarkGram_Config_Scalar(b *testing.B) {
 // dense block engine.
 func BenchmarkGram_Config_Vector(b *testing.B) {
 	k, d := gramBenchKernel(b)
+	_ = kernel.Gram(k, d.X) // fill the combiner's scratch pool before timing
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = kernel.Gram(k, d.X)
@@ -643,8 +644,9 @@ func serveBenchArtifact(b *testing.B) (*model.Artifact, *dataset.Dataset) {
 // pipeline queue, and a worker scoring an 8-row batch — round-robined
 // across n registered models. Compare _2 with _8 to see what fleet width
 // costs per request (it should be flat: routing is one map lookup plus an
-// atomic pointer load). Immediate flush and one worker per model keep
-// allocs/op deterministic for the bench-json regression gate.
+// atomic pointer load). One worker per model and sequential requests make
+// every batch a single request, which keeps allocs/op deterministic for
+// the bench-json regression gate.
 func benchServeMultiModel(b *testing.B, n int) {
 	art, d := serveBenchArtifact(b)
 	reg := NewServeRegistry()
@@ -655,11 +657,16 @@ func benchServeMultiModel(b *testing.B, n int) {
 			b.Fatal(err)
 		}
 	}
-	srv, err := Serve(context.Background(), reg, WithImmediateFlush(), WithWorkers(1))
+	srv, err := Serve(context.Background(), reg, WithWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer srv.Close()
+	// Stop the timer before the deferred Close, so shutting the fleet down
+	// is not billed to the last b.N requests.
+	defer func() {
+		b.StopTimer()
+		srv.Close()
+	}()
 	batch := d.X[:8]
 	want, err := srv.ScoreBatch(ids[0], batch) // warm every pipeline's scratch
 	if err != nil {
@@ -745,6 +752,7 @@ func gramApproxData(n int) *dataset.Dataset {
 func benchBackendCone(b *testing.B, n int, backend engine.Backend) {
 	d := gramApproxData(n)
 	seed := partition.Coarsest(5)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, err := mkl.NewEvaluator(d, mkl.Config{
 			Objective: mkl.KernelAlignment, Seed: 1, Parallelism: 1,

@@ -386,23 +386,9 @@ func runPredict(args []string) error {
 		defer f.Close()
 		r = f
 	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req serve.PredictRequest
-	if err := dec.Decode(&req); err != nil {
-		return fmt.Errorf("predict: decoding request: %w", err)
-	}
-	rows := req.Instances
-	if req.Instance != nil {
-		rows = append(rows, req.Instance)
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("predict: request has no instances")
-	}
-	for i, row := range rows {
-		if err := model.ValidateRow(art.Dim(), row); err != nil {
-			return fmt.Errorf("predict: instance %d: %w", i, err)
-		}
+	rows, err := serve.DecodePredictRequest(r, art.Dim())
+	if err != nil {
+		return fmt.Errorf("predict: %w", err)
 	}
 	pred, err := model.NewPredictor(art)
 	if err != nil {
@@ -428,7 +414,6 @@ func runServe(args []string) error {
 	modelsDir := fs.String("models", "", "directory of *.iotml artifacts to serve and watch for changes")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxBatch := fs.Int("max-batch", 0, "max instances per scoring batch (0 = default 64)")
-	flush := fs.Duration("flush", 0, "batch flush interval (0 = default 2ms)")
 	workers := fs.Int("workers", 0, "scoring workers per model (0 = default 2)")
 	queue := fs.Int("queue", 0, "per-model pending request queue depth; overflow sheds 429 (0 = default 256)")
 	globalQueue := fs.Int("global-queue", 0, "max in-flight predictions across all models; overflow sheds 503 (0 = default 1024)")
@@ -443,7 +428,6 @@ func runServe(args []string) error {
 
 	opts := []serve.Option{
 		serve.WithMaxBatch(*maxBatch),
-		serve.WithFlushInterval(*flush),
 		serve.WithWorkers(*workers),
 		serve.WithQueueDepth(*queue),
 		serve.WithGlobalQueueDepth(*globalQueue),

@@ -85,6 +85,10 @@ func TestModelSubcommandErrors(t *testing.T) {
 			t.Errorf("run(%v) should fail", args)
 		}
 	}
+	// Batching has one mode, so serve takes no flush-window flag.
+	if err := run([]string{"serve", "-flush", "2ms"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -flush") {
+		t.Errorf("serve -flush: err = %v, want an unknown-flag error", err)
+	}
 }
 
 // TestFitGammaZeroSameWithDistWorkers: the in-process fit and the fleet

@@ -65,7 +65,6 @@ func TestHotSwapAtomicAndLossless(t *testing.T) {
 	s, err := New(context.Background(), NewRegistry(),
 		WithModelDir(dir),
 		WithReloadInterval(15*time.Millisecond),
-		WithImmediateFlush(),
 		WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +180,7 @@ func TestHotSwapViaRegistryLoad(t *testing.T) {
 	if err := reg.Load("m", artA); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(context.Background(), reg, WithImmediateFlush())
+	s, err := New(context.Background(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestWatcherSkipsBitIdenticalRewrite(t *testing.T) {
 	}
 
 	s, err := New(context.Background(), NewRegistry(),
-		WithModelDir(dir), WithReloadInterval(10*time.Millisecond), WithImmediateFlush())
+		WithModelDir(dir), WithReloadInterval(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +255,7 @@ func TestWatcherRetiresVanishedModel(t *testing.T) {
 	saveAtomic(t, art, path)
 
 	s, err := New(context.Background(), NewRegistry(),
-		WithModelDir(dir), WithReloadInterval(10*time.Millisecond), WithImmediateFlush())
+		WithModelDir(dir), WithReloadInterval(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +287,7 @@ func TestWatcherSurvivesBadArtifact(t *testing.T) {
 	saveAtomic(t, artA, path)
 
 	s, err := New(context.Background(), NewRegistry(),
-		WithModelDir(dir), WithReloadInterval(10*time.Millisecond), WithImmediateFlush())
+		WithModelDir(dir), WithReloadInterval(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +345,7 @@ func TestWatcherRetriesTransientReadError(t *testing.T) {
 	saveAtomic(t, artA, path)
 
 	s, err := New(context.Background(), NewRegistry(),
-		WithModelDir(dir), WithReloadInterval(10*time.Millisecond), WithImmediateFlush())
+		WithModelDir(dir), WithReloadInterval(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -216,6 +217,33 @@ type PredictResponse struct {
 	Labels []int     `json:"labels"`
 }
 
+// DecodePredictRequest reads one predict body from r and returns its rows:
+// Instances, then Instance. Unknown fields and an empty request are
+// errors, and every row is checked for dimensionality dim and finiteness
+// before anything reaches a scoring queue. The /predict route and
+// `iotml predict` both decode through it, so they accept the same bodies.
+func DecodePredictRequest(r io.Reader, dim int) ([][]float64, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req PredictRequest
+	if err := dec.Decode(&req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	rows := req.Instances
+	if req.Instance != nil {
+		rows = append(rows, req.Instance)
+	}
+	if len(rows) == 0 {
+		return nil, errors.New("request has no instances")
+	}
+	for i, row := range rows {
+		if err := model.ValidateRow(dim, row); err != nil {
+			return nil, fmt.Errorf("instance %d: %w", i, err)
+		}
+	}
+	return rows, nil
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "predict is POST-only")
@@ -227,33 +255,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req PredictRequest
-	if err := dec.Decode(&req); err != nil {
+	rows, err := DecodePredictRequest(r.Body, st.art.Dim())
+	if err != nil {
 		e.metrics.countRejected()
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "decoding request: %v", err)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 		return
-	}
-	rows := req.Instances
-	if req.Instance != nil {
-		rows = append(rows, req.Instance)
-	}
-	if len(rows) == 0 {
-		e.metrics.countRejected()
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "request has no instances")
-		return
-	}
-	// Boundary validation: dimensionality and finiteness, per instance,
-	// before anything reaches a scoring queue. (JSON cannot carry NaN or
-	// ±Inf literals, but this also guards hand-built requests routed
-	// through ScoreBatch.)
-	for i, row := range rows {
-		if err := model.ValidateRow(st.art.Dim(), row); err != nil {
-			e.metrics.countRejected()
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "instance %d: %v", i, err)
-			return
-		}
 	}
 	scores, err := s.ScoreBatch(id, rows)
 	if err != nil {

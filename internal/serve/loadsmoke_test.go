@@ -52,8 +52,7 @@ func TestLoadSmokeSaturationAcrossHotSwap(t *testing.T) {
 		WithWorkers(1),
 		WithMaxBatch(4),
 		WithQueueDepth(2),
-		WithGlobalQueueDepth(32),
-		WithFlushInterval(time.Millisecond))
+		WithGlobalQueueDepth(32))
 	if err != nil {
 		t.Fatal(err)
 	}

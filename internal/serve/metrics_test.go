@@ -14,7 +14,7 @@ import (
 // text exposition content type, server gauges, and per-model labelled
 // counter families in deterministic order.
 func TestPrometheusExposition(t *testing.T) {
-	s, hs, art := newTestServer(t, WithImmediateFlush())
+	s, hs, art := newTestServer(t)
 	q := testQueries(art.Dim(), 3)
 	if _, err := s.ScoreBatch("default", q); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestSnapshotDuringHotSwapRace(t *testing.T) {
 	if err := reg.Load("m", artA); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(context.Background(), reg, WithImmediateFlush())
+	s, err := New(context.Background(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSnapshotDuringHotSwapRace(t *testing.T) {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
-			_ = s.Snapshot()
+			_ = s.Registry().Snapshot()
 			_ = s.Totals()
 			_, _ = reg.Info("m")
 		}
@@ -140,7 +140,7 @@ func TestTotalsAggregatesAcrossModels(t *testing.T) {
 	if err := reg.Load("beta", testArtifactSeed(t, 23)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(context.Background(), reg, WithImmediateFlush())
+	s, err := New(context.Background(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTotalsAggregatesAcrossModels(t *testing.T) {
 	if tot.Instances != 3 {
 		t.Fatalf("total instances %d, want 3", tot.Instances)
 	}
-	per := s.Snapshot()
+	per := s.Registry().Snapshot()
 	if per["alpha"].Instances != 2 || per["beta"].Instances != 1 {
 		t.Fatalf("per-model snapshot = %+v", per)
 	}

@@ -11,12 +11,6 @@ import "time"
 type settings struct {
 	// MaxBatch caps the instances coalesced into one scoring batch.
 	MaxBatch int
-	// FlushInterval is how long a worker waits for more requests after the
-	// first before scoring a partial batch.
-	FlushInterval time.Duration
-	// Immediate disables batching waits: every batch is scored as soon as
-	// the queue is momentarily empty.
-	Immediate bool
 	// Workers is the per-model scoring worker count.
 	Workers int
 	// QueueDepth bounds pending requests per model; beyond it predictions
@@ -39,7 +33,6 @@ type settings struct {
 func defaultSettings() settings {
 	return settings{
 		MaxBatch:         64,
-		FlushInterval:    2 * time.Millisecond,
 		Workers:          2,
 		QueueDepth:       256,
 		GlobalQueueDepth: 1024,
@@ -51,8 +44,8 @@ func defaultSettings() settings {
 
 // Option configures one aspect of a New call. Options are applied in
 // order, so a later option overrides an earlier one; the zero set of
-// options reproduces the PR 4 defaults (64-instance batches, 2ms flush,
-// 2 workers per model, 256-deep model queues).
+// options gives 64-instance batches, 2 workers per model and 256-deep
+// model queues.
 type Option func(*settings)
 
 // WithMaxBatch caps the instances coalesced into one scoring batch
@@ -63,23 +56,6 @@ func WithMaxBatch(n int) Option {
 			s.MaxBatch = n
 		}
 	}
-}
-
-// WithFlushInterval sets how long a worker waits for more requests after
-// the first before scoring a partial batch (default 2ms). Values <= 0 keep
-// the default; use WithImmediateFlush to disable coalescing.
-func WithFlushInterval(d time.Duration) Option {
-	return func(s *settings) {
-		if d > 0 {
-			s.FlushInterval = d
-		}
-	}
-}
-
-// WithImmediateFlush disables batching waits: every batch is scored as
-// soon as the queue is momentarily empty. Useful in tests.
-func WithImmediateFlush() Option {
-	return func(s *settings) { s.Immediate = true }
 }
 
 // WithWorkers sets the scoring worker count per model, each owning its

@@ -20,7 +20,6 @@ func TestDefaultsMatchPR4(t *testing.T) {
 	got := resolve()
 	want := settings{
 		MaxBatch:         64,
-		FlushInterval:    2 * time.Millisecond,
 		Workers:          2,
 		QueueDepth:       256,
 		GlobalQueueDepth: 1024,
@@ -41,8 +40,7 @@ func TestOptionsIgnoreNonPositive(t *testing.T) {
 		got := resolve(
 			WithMaxBatch(n), WithWorkers(n), WithQueueDepth(n), WithGlobalQueueDepth(n),
 			WithMaxRequestBytes(int64(n)),
-			WithFlushInterval(time.Duration(n)), WithDrainTimeout(time.Duration(n)),
-			WithReloadInterval(time.Duration(n)),
+			WithDrainTimeout(time.Duration(n)), WithReloadInterval(time.Duration(n)),
 		)
 		if got != def {
 			t.Fatalf("non-positive values (%d) changed settings: %+v, want %+v", n, got, def)

@@ -43,10 +43,8 @@ type pipeline struct {
 	wg      sync.WaitGroup
 	metrics *modelMetrics
 
-	maxBatch  int
-	flush     time.Duration
-	immediate bool
-	depth     int
+	maxBatch int
+	depth    int
 
 	mu       sync.Mutex
 	draining bool
@@ -82,13 +80,11 @@ func newPipeline(art *model.Artifact, cfg settings, metrics *modelMetrics) (*pip
 		return nil, err
 	}
 	p := &pipeline{
-		queue:     make(chan *job, cfg.QueueDepth),
-		done:      make(chan struct{}),
-		metrics:   metrics,
-		maxBatch:  cfg.MaxBatch,
-		flush:     cfg.FlushInterval,
-		immediate: cfg.Immediate,
-		depth:     cfg.QueueDepth,
+		queue:    make(chan *job, cfg.QueueDepth),
+		done:     make(chan struct{}),
+		metrics:  metrics,
+		maxBatch: cfg.MaxBatch,
+		depth:    cfg.QueueDepth,
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		pred, err := model.NewPredictor(art)
@@ -135,9 +131,9 @@ func (p *pipeline) ScoreBatch(rows [][]float64) ([]float64, error) {
 // shutdown gracefully stops the pipeline: new requests are refused
 // immediately, every request admitted before the call is scored and
 // answered — in-flight micro-batches drain, the queue empties — and then
-// the workers exit. If ctx expires first the remaining work is abandoned
-// with errors (close) and ctx.Err() is returned. Idempotent and safe to
-// call concurrently with traffic.
+// the workers exit. If ctx expires first the workers stop at once, the
+// remaining work is abandoned with errors, and ctx.Err() is returned.
+// Idempotent and safe to call concurrently with traffic.
 func (p *pipeline) shutdown(ctx context.Context) error {
 	p.mu.Lock()
 	p.draining = true
@@ -149,21 +145,13 @@ func (p *pipeline) shutdown(ctx context.Context) error {
 		p.inflight.Wait()
 		close(drained)
 	}()
+	var err error
 	select {
 	case <-drained:
-		p.close()
-		return nil
 	case <-ctx.Done():
-		p.close()
-		return ctx.Err()
+		err = ctx.Err()
 	}
-}
-
-// close force-stops the workers; queued and in-flight requests receive
-// errors. Prefer shutdown for a graceful drain.
-func (p *pipeline) close() {
 	p.mu.Lock()
-	p.draining = true // no new admissions while workers die
 	alreadyClosed := false
 	select {
 	case <-p.done:
@@ -172,10 +160,10 @@ func (p *pipeline) close() {
 		close(p.done)
 	}
 	p.mu.Unlock()
-	if alreadyClosed {
-		return
+	if !alreadyClosed {
+		p.wg.Wait()
 	}
-	p.wg.Wait()
+	return err
 }
 
 // isDraining reports whether the pipeline has stopped admitting requests.
@@ -185,7 +173,11 @@ func (p *pipeline) isDraining() bool {
 	return p.draining
 }
 
-// worker drains the queue, coalescing requests into scoring batches.
+// worker drains the queue, coalescing requests into scoring batches:
+// drain, then flush. It takes the first job, adds whatever is already
+// queued behind it (up to MaxBatch instances) without waiting for more,
+// and scores. Batches grow exactly when requests queue behind a busy
+// worker, so an idle server answers a lone request at once.
 func (p *pipeline) worker(pred *model.Predictor) {
 	defer p.wg.Done()
 	var scoreBuf, chunkBuf []float64
@@ -200,40 +192,15 @@ func (p *pipeline) worker(pred *model.Predictor) {
 		began := time.Now()
 		batch := []*job{first}
 		total := len(first.rows)
-		// Coalesce whatever else arrives before the flush deadline, up to
-		// MaxBatch instances.
-		var timer *time.Timer
-		if !p.immediate {
-			timer = time.NewTimer(p.flush)
-		}
 	coalesce:
 		for total < p.maxBatch {
-			if p.immediate {
-				select {
-				case j := <-p.queue:
-					batch = append(batch, j)
-					total += len(j.rows)
-				default:
-					break coalesce
-				}
-				continue
-			}
 			select {
-			case <-p.done:
-				timer.Stop()
-				for _, j := range batch {
-					j.resp <- jobResult{err: errPipeDraining}
-				}
-				return
 			case j := <-p.queue:
 				batch = append(batch, j)
 				total += len(j.rows)
-			case <-timer.C:
+			default:
 				break coalesce
 			}
-		}
-		if timer != nil {
-			timer.Stop()
 		}
 		if p.beforeScore != nil {
 			p.beforeScore()

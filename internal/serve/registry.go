@@ -40,8 +40,8 @@ type Registry struct {
 	// attached is set once by New: pipelines exist only from then on, built
 	// with the server's resolved settings.
 	srv *Server
-	// drains tracks background old-pipeline drains so Close can wait for
-	// them instead of leaking workers.
+	// drains tracks background old-pipeline drains so Shutdown can wait
+	// for them instead of leaking workers.
 	drains sync.WaitGroup
 }
 
@@ -179,12 +179,10 @@ func (r *Registry) Remove(id string) bool {
 }
 
 // drainLocked starts a background graceful drain of pipe, bounded by the
-// attached server's DrainTimeout. Caller holds r.mu.
+// attached server's DrainTimeout (a pipeline exists only once a server is
+// attached). Caller holds r.mu.
 func (r *Registry) drainLocked(pipe *pipeline) {
-	timeout := 10 * time.Second
-	if r.srv != nil {
-		timeout = r.srv.cfg.DrainTimeout
-	}
+	timeout := r.srv.cfg.DrainTimeout
 	r.drains.Add(1)
 	go func() {
 		defer r.drains.Done()
@@ -300,20 +298,23 @@ func (r *Registry) attach(s *Server) error {
 // shutdownAll gracefully drains every pipeline (and waits for background
 // swap drains), bounded by ctx.
 func (r *Registry) shutdownAll(ctx context.Context) error {
-	r.mu.Lock()
-	pipes := r.livePipesLocked()
-	r.mu.Unlock()
 	var wg sync.WaitGroup
-	errc := make(chan error, len(pipes))
-	for _, p := range pipes {
+	r.mu.Lock()
+	errc := make(chan error, len(r.entries))
+	for _, e := range r.entries {
+		st := e.state.Load()
+		if st == nil || st.pipe == nil {
+			continue
+		}
 		wg.Add(1)
 		go func(p *pipeline) {
 			defer wg.Done()
 			if err := p.shutdown(ctx); err != nil {
 				errc <- err
 			}
-		}(p)
+		}(st.pipe)
 	}
+	r.mu.Unlock()
 	wg.Wait()
 	r.drains.Wait()
 	select {
@@ -322,27 +323,6 @@ func (r *Registry) shutdownAll(ctx context.Context) error {
 	default:
 		return nil
 	}
-}
-
-// closeAll force-stops every pipeline.
-func (r *Registry) closeAll() {
-	r.mu.Lock()
-	pipes := r.livePipesLocked()
-	r.mu.Unlock()
-	for _, p := range pipes {
-		p.close()
-	}
-	r.drains.Wait()
-}
-
-func (r *Registry) livePipesLocked() []*pipeline {
-	pipes := make([]*pipeline, 0, len(r.entries))
-	for _, e := range r.entries {
-		if st := e.state.Load(); st != nil && st.pipe != nil {
-			pipes = append(pipes, st.pipe)
-		}
-	}
-	return pipes
 }
 
 // listArtifacts returns the sorted *.iotml paths in dir.

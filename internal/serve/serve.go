@@ -18,13 +18,15 @@
 //
 // # Batching
 //
-// Concurrent predictions per model are micro-batched: the model's worker
-// pool drains its queue, coalescing up to MaxBatch instances (or whatever
-// arrives within FlushInterval of the first) into ONE vectorized
-// cross-Gram plus ONE matrix-vector product against worker-owned reused
-// scratch. Scoring is row-wise independent, so batched and chunked scores
-// are bit-identical to single-request scores — batching changes latency
-// and throughput, never answers.
+// Concurrent predictions per model are micro-batched by drain-then-flush:
+// a worker takes the first queued request, adds whatever is already
+// queued behind it (up to MaxBatch instances) without waiting for more,
+// and scores the batch as ONE vectorized cross-Gram plus ONE
+// matrix-vector product against worker-owned reused scratch. Batches grow
+// when requests queue behind a busy worker; a lone request on an idle
+// server is scored at once. Scoring is row-wise independent, so batched
+// and chunked scores are bit-identical to single-request scores —
+// batching changes latency and throughput, never answers.
 //
 // # Hot-swap
 //
@@ -64,9 +66,10 @@
 // New ties the server to a base context: cancellation initiates a graceful
 // shutdown — admission stops, every admitted request is scored and
 // answered, pipelines drain, workers exit — bounded by WithDrainTimeout.
-// ListenAndServeContext layers the HTTP listener's own drain on top.
-// `iotml serve` wires SIGINT/SIGTERM into this path, so an operator stop
-// never drops an accepted prediction.
+// ListenAndServeContext layers the HTTP listener's own drain on top, and
+// Close is Shutdown with an already-expired deadline. `iotml serve` wires
+// SIGINT/SIGTERM into this path, so an operator stop never drops an
+// accepted prediction.
 package serve
 
 import (
@@ -97,7 +100,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	closed   bool
 	// watchStop ends the ModelDir poller; watchDone confirms it exited.
 	watchStop chan struct{}
 	watchDone chan struct{}
@@ -110,7 +112,7 @@ type Server struct {
 // one scoring pipeline per registered model, starts the ModelDir watcher
 // (if configured), and ties the server's lifecycle to ctx: once ctx is
 // done the server drains gracefully on its own, bounded by
-// WithDrainTimeout. Callers must Close (or Shutdown) it to release the
+// WithDrainTimeout. Callers must Shutdown (or Close) it to release the
 // workers.
 func New(ctx context.Context, reg *Registry, opts ...Option) (*Server, error) {
 	if reg == nil {
@@ -153,11 +155,6 @@ func New(ctx context.Context, reg *Registry, opts ...Option) (*Server, error) {
 // Registry returns the server's model registry — the handle for runtime
 // model management (Load to hot-swap, Remove to retire).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Snapshot returns a consistent copy of every model's metrics, keyed by
-// model id. Each per-model snapshot is copied under that model's metrics
-// lock, so scrapes racing a hot-swap never observe torn counters.
-func (s *Server) Snapshot() map[string]Metrics { return s.reg.Snapshot() }
 
 // SnapshotModel returns one model's metrics snapshot.
 func (s *Server) SnapshotModel(id string) (Metrics, bool) {
@@ -258,40 +255,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 	s.stopWatcher()
-	err := s.reg.shutdownAll(ctx)
-	s.markClosed()
-	return err
+	return s.reg.shutdownAll(ctx)
 }
 
-// Close force-stops the watcher and every pipeline; queued and in-flight
-// requests receive errors. Prefer Shutdown for a graceful drain. The HTTP
-// listener, if any, is the caller's to shut down (see ListenAndServe).
+// Close is Shutdown with an already-expired deadline: the watcher and
+// every pipeline stop at once, and queued and in-flight requests receive
+// errors. Prefer Shutdown for a graceful drain. The HTTP listener, if
+// any, is the caller's to shut down (see ListenAndServeContext).
 func (s *Server) Close() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.stopWatcher()
-	s.reg.closeAll()
-	s.markClosed()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Shutdown(ctx) // ctx.Err() when work was abandoned: that is what Close asks for
 }
 
 func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
-}
-
-func (s *Server) markClosed() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-}
-
-// ListenAndServe serves the API on addr until the http.Server errors. It is
-// a convenience for the CLI; tests mount Handler on httptest servers.
-func (s *Server) ListenAndServe(addr string) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	return hs.ListenAndServe()
 }
 
 // ListenAndServeContext serves the API on addr until ctx is done, then

@@ -9,9 +9,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/kernel"
@@ -143,7 +143,7 @@ func offlineScores(t *testing.T, art *model.Artifact, q [][]float64) []float64 {
 }
 
 func TestHealthzAndModelEndpoints(t *testing.T) {
-	_, hs, art := newTestServer(t, WithImmediateFlush())
+	_, hs, art := newTestServer(t)
 
 	resp, err := http.Get(hs.URL + "/v1/healthz")
 	if err != nil {
@@ -235,7 +235,7 @@ func TestHealthzAndModelEndpoints(t *testing.T) {
 // round-trip acceptance property: predict answers — batched or single —
 // are bit-identical to scoring the artifact in memory.
 func TestPredictMatchesInMemoryScoresBitIdentically(t *testing.T) {
-	_, hs, art := newTestServer(t, WithImmediateFlush())
+	_, hs, art := newTestServer(t)
 	q := testQueries(art.Dim(), 9)
 	want := offlineScores(t, art, q)
 
@@ -292,7 +292,7 @@ func TestMultiModelRouting(t *testing.T) {
 	if err := reg.Load("beta", artB); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(context.Background(), reg, WithImmediateFlush())
+	s, err := New(context.Background(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,37 +333,54 @@ func TestMultiModelRouting(t *testing.T) {
 	}
 }
 
-// TestConcurrentRequestsAreCoalesced pins the micro-batching behaviour:
-// with one worker holding the flush window open, concurrent single-instance
-// requests score in shared batches, and every client still receives its own
-// correct score.
+// TestConcurrentRequestsAreCoalesced pins drain-then-flush batching: while
+// the single worker is busy with request 1, the other 15 queue behind it,
+// and the worker's next batch takes all 15 at once. Every client still
+// receives its own score, bit-identical to in-memory scoring.
 func TestConcurrentRequestsAreCoalesced(t *testing.T) {
-	s, hs, art := newTestServer(t, WithWorkers(1), WithFlushInterval(30*time.Millisecond), WithMaxBatch(64))
+	s, hs, art := newTestServer(t, WithWorkers(1), WithMaxBatch(64))
+	p := parkWorkers(t, s, "default")
+	pipe := s.reg.lookup("default").state.Load().pipe
 	const clients = 16
 	q := testQueries(art.Dim(), clients)
 	want := offlineScores(t, art, q)
 
+	bodies := make([][]byte, clients)
+	for c := range bodies {
+		var err error
+		if bodies[c], err = json.Marshal(PredictRequest{Instances: [][]float64{q[c]}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			resp, body := postPredict(t, hs.URL, PredictRequest{Instances: [][]float64{q[c]}})
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("client %d: status %d: %s", c, resp.StatusCode, body)
-				return
-			}
-			var pr PredictResponse
-			if err := json.Unmarshal(body, &pr); err != nil {
-				errs <- err
-				return
-			}
-			if math.Float64bits(pr.Scores[0]) != math.Float64bits(want[c]) {
-				errs <- fmt.Errorf("client %d: score %v, want %v", c, pr.Scores[0], want[c])
-			}
-		}(c)
+	send := func(c int) {
+		defer wg.Done()
+		resp, err := http.Post(hs.URL+"/v1/models/default/predict", "application/json", bytes.NewReader(bodies[c]))
+		if err != nil {
+			errs <- fmt.Errorf("client %d: %v", c, err)
+			return
+		}
+		defer resp.Body.Close()
+		var pr PredictResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK {
+			errs <- fmt.Errorf("client %d: status %d, decode error %v", c, resp.StatusCode, err)
+			return
+		}
+		if math.Float64bits(pr.Scores[0]) != math.Float64bits(want[c]) {
+			errs <- fmt.Errorf("client %d: score %v, want %v", c, pr.Scores[0], want[c])
+		}
 	}
+	wg.Add(1)
+	go send(0)
+	p.waitEntered(t) // the worker holds request 1 alone
+	for c := 1; c < clients; c++ {
+		wg.Add(1)
+		go send(c)
+	}
+	waitFor(t, "15 queued requests", func() bool { return len(pipe.queue) == clients-1 })
+	p.releaseAll()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -377,11 +394,11 @@ func TestConcurrentRequestsAreCoalesced(t *testing.T) {
 	if m.Instances != clients {
 		t.Fatalf("scored %d instances, want %d", m.Instances, clients)
 	}
-	if m.Batches >= clients {
-		t.Errorf("no coalescing happened: %d batches for %d concurrent requests", m.Batches, clients)
+	if m.Batches != 2 {
+		t.Errorf("%d batches, want 2 (request 1 alone, then the 15 queued behind it)", m.Batches)
 	}
-	if m.MaxBatchSize < 2 {
-		t.Errorf("max batch size %d, expected coalesced batches", m.MaxBatchSize)
+	if m.MaxBatchSize != clients-1 {
+		t.Errorf("max batch size %d, want %d", m.MaxBatchSize, clients-1)
 	}
 	if m.TotalBatchMicros <= 0 {
 		t.Errorf("batch latency metrics not recorded: %+v", m)
@@ -392,7 +409,7 @@ func TestConcurrentRequestsAreCoalesced(t *testing.T) {
 // single request bigger than MaxBatch is scored in MaxBatch-sized chunks,
 // bit-identically to in-memory scoring.
 func TestOversizedRequestIsChunkedCorrectly(t *testing.T) {
-	s, hs, art := newTestServer(t, WithImmediateFlush(), WithMaxBatch(4))
+	s, hs, art := newTestServer(t, WithMaxBatch(4))
 	q := testQueries(art.Dim(), 11) // 11 instances, 4-instance chunks
 	want := offlineScores(t, art, q)
 	resp, body := postPredict(t, hs.URL, PredictRequest{Instances: q})
@@ -417,22 +434,35 @@ func TestOversizedRequestIsChunkedCorrectly(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	_, hs, art := newTestServer(t, WithImmediateFlush())
+	_, hs, art := newTestServer(t)
 	dim := art.Dim()
 	ok := make([]float64, dim)
+	okRow, err := json.Marshal(ok)
+	if err != nil {
+		t.Fatal(err)
+	}
 
+	// msg is the start of the error message: the texts `iotml predict`
+	// prints too, since both decode through DecodePredictRequest.
 	cases := []struct {
 		name   string
 		body   string
 		status int
 		code   string
+		msg    string
 	}{
-		{"wrong dim", `{"instances": [[1, 2]]}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"empty", `{"instances": []}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"no instances", `{}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"nan literal", `{"instances": [[NaN]]}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"unknown field", `{"rows": [[1]]}`, http.StatusBadRequest, CodeInvalidRequest},
-		{"not json", `scores please`, http.StatusBadRequest, CodeInvalidRequest},
+		{"wrong dim", `{"instances": [[1, 2]]}`, http.StatusBadRequest, CodeInvalidRequest, "instance 0: model: instance has 2 features"},
+		{"empty", `{"instances": []}`, http.StatusBadRequest, CodeInvalidRequest, "request has no instances"},
+		{"no instances", `{}`, http.StatusBadRequest, CodeInvalidRequest, "request has no instances"},
+		{"null body", `null`, http.StatusBadRequest, CodeInvalidRequest, "request has no instances"},
+		{"nan literal", `{"instances": [[NaN]]}`, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "},
+		{"unknown field", `{"rows": [[1]]}`, http.StatusBadRequest, CodeInvalidRequest, "decoding request: json: unknown field"},
+		{"not json", `scores please`, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "},
+		{"empty body", ``, http.StatusBadRequest, CodeInvalidRequest, "decoding request: EOF"},
+		{"truncated", `{"instances": [[1, 2`, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "},
+		{"instances not an array", `{"instances": "x"}`, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "},
+		{"feature not a number", `{"instance": ["1"]}`, http.StatusBadRequest, CodeInvalidRequest, "decoding request: "},
+		{"instance scored after instances", `{"instances": [` + string(okRow) + `], "instance": [1]}`, http.StatusBadRequest, CodeInvalidRequest, "instance 1: "},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -446,8 +476,12 @@ func TestPredictValidation(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
 			}
-			if e := decodeError(t, buf.Bytes()); e.Code != tc.code {
+			e := decodeError(t, buf.Bytes())
+			if e.Code != tc.code {
 				t.Fatalf("code %q, want %q", e.Code, tc.code)
+			}
+			if !strings.HasPrefix(e.Message, tc.msg) {
+				t.Fatalf("message %q, want prefix %q", e.Message, tc.msg)
 			}
 		})
 	}
@@ -476,7 +510,7 @@ func TestPredictValidation(t *testing.T) {
 	})
 
 	t.Run("rejections counted", func(t *testing.T) {
-		s, _, _ := newTestServer(t, WithImmediateFlush())
+		s, _, _ := newTestServer(t)
 		h := s.Handler()
 		req := httptest.NewRequest(http.MethodPost, "/v1/models/default/predict", bytes.NewReader([]byte(`{}`)))
 		rec := httptest.NewRecorder()
@@ -494,7 +528,7 @@ func TestScoreBatchAfterCloseErrors(t *testing.T) {
 	if err := reg.Load("default", art); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(context.Background(), reg, WithImmediateFlush())
+	s, err := New(context.Background(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

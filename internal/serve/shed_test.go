@@ -82,7 +82,7 @@ func TestQueueFullSheds429(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(context.Background(), reg,
-		WithWorkers(1), WithQueueDepth(1), WithImmediateFlush())
+		WithWorkers(1), WithQueueDepth(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestGlobalSaturationSheds503(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(context.Background(), reg,
-		WithWorkers(1), WithQueueDepth(8), WithGlobalQueueDepth(2), WithImmediateFlush())
+		WithWorkers(1), WithQueueDepth(8), WithGlobalQueueDepth(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestShedRequestsDoNotPoisonBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(context.Background(), reg,
-		WithWorkers(1), WithQueueDepth(1), WithImmediateFlush())
+		WithWorkers(1), WithQueueDepth(1))
 	if err != nil {
 		t.Fatal(err)
 	}

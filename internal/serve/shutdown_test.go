@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -26,27 +27,46 @@ func newDirectServer(t *testing.T, opts ...Option) *Server {
 
 // TestShutdownDrainsAdmittedRequests: every request admitted before
 // Shutdown receives its real scores; requests arriving after are rejected.
+// The worker is parked on request 1 with the rest queued behind it, so
+// Shutdown lands while a batch is in flight and the test exercises the
+// drain, not a fast path.
 func TestShutdownDrainsAdmittedRequests(t *testing.T) {
-	// A slow flush forces admitted requests to still be coalescing when
-	// Shutdown lands, so the test exercises the drain, not a fast path.
-	s := newDirectServer(t, WithWorkers(2), WithFlushInterval(50*time.Millisecond))
-	row := make([]float64, testArtifact(t).Dim())
-
+	s := newDirectServer(t, WithWorkers(1))
+	p := parkWorkers(t, s, "default")
+	pipe := s.reg.lookup("default").state.Load().pipe
+	art := testArtifact(t)
 	const requests = 8
+	q := testQueries(art.Dim(), requests)
+	want := offlineScores(t, art, q)
+
 	var wg sync.WaitGroup
 	errs := make([]error, requests)
 	scores := make([][]float64, requests)
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			scores[i], errs[i] = s.ScoreBatch("default", [][]float64{row})
-		}(i)
+	score := func(i int) {
+		defer wg.Done()
+		scores[i], errs[i] = s.ScoreBatch("default", [][]float64{q[i]})
 	}
-	time.Sleep(10 * time.Millisecond) // let the batch coalesce start
+	wg.Add(1)
+	go score(0)
+	p.waitEntered(t)
+	for i := 1; i < requests; i++ {
+		wg.Add(1)
+		go score(i)
+	}
+	waitFor(t, "queued requests", func() bool { return len(pipe.queue) == requests-1 })
+
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(ctx) }()
+	waitFor(t, "the drain to start", pipe.isDraining)
+	select {
+	case err := <-done:
+		t.Fatalf("shutdown returned (%v) while an admitted batch was still parked", err)
+	default:
+	}
+	p.releaseAll()
+	if err := <-done; err != nil {
 		t.Fatalf("shutdown did not drain cleanly: %v", err)
 	}
 	wg.Wait()
@@ -54,13 +74,16 @@ func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("admitted request %d was dropped by the drain: %v", i, errs[i])
 		}
-		if len(scores[i]) != 1 {
-			t.Fatalf("request %d got %d scores", i, len(scores[i]))
+		if len(scores[i]) != 1 || math.Float64bits(scores[i][0]) != math.Float64bits(want[i]) {
+			t.Fatalf("request %d got %v, want [%v]", i, scores[i], want[i])
 		}
+	}
+	if m, _ := s.SnapshotModel("default"); m.Drained != requests {
+		t.Fatalf("drained counter %d, want %d", m.Drained, requests)
 	}
 
 	// Post-shutdown traffic is rejected, not hung.
-	if _, err := s.ScoreBatch("default", [][]float64{row}); !errors.Is(err, ErrShuttingDown) {
+	if _, err := s.ScoreBatch("default", [][]float64{q[0]}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("post-shutdown request: err = %v, want ErrShuttingDown", err)
 	}
 }
@@ -68,7 +91,7 @@ func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 // TestShutdownIdempotentAndConcurrent: concurrent Shutdown/Close calls
 // must not panic or deadlock.
 func TestShutdownIdempotentAndConcurrent(t *testing.T) {
-	s := newDirectServer(t, WithWorkers(2), WithImmediateFlush())
+	s := newDirectServer(t, WithWorkers(2))
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -86,7 +109,7 @@ func TestShutdownIdempotentAndConcurrent(t *testing.T) {
 // TestShutdownTimeoutReturnsPromptly: the drain path must return even on a
 // dead context.
 func TestShutdownTimeoutReturnsPromptly(t *testing.T) {
-	s := newDirectServer(t, WithWorkers(1), WithImmediateFlush())
+	s := newDirectServer(t, WithWorkers(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// With no traffic the drain succeeds instantly even on a dead context
@@ -110,7 +133,7 @@ func TestNewContextShutsDownOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := New(ctx, reg, WithWorkers(2), WithImmediateFlush())
+	s, err := New(ctx, reg, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +158,7 @@ func TestNewContextShutsDownOnCancel(t *testing.T) {
 // TestListenAndServeContextDrainsCleanly: the context-driven listener
 // returns nil after a clean drain — the exit-0 path of `iotml serve`.
 func TestListenAndServeContextDrainsCleanly(t *testing.T) {
-	s := newDirectServer(t, WithWorkers(2), WithImmediateFlush())
+	s := newDirectServer(t, WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- s.ListenAndServeContext(ctx, "127.0.0.1:0") }()

@@ -178,9 +178,11 @@ func NewPredictor(a *Artifact) (*Predictor, error) { return model.NewPredictor(a
 //	srv, err := iotml.Serve(ctx, reg, iotml.WithQueueDepth(128))
 //	err = srv.ListenAndServeContext(ctx, ":8080")
 //
-// Registry.Load on a live id hot-swaps the model atomically with zero
-// dropped admitted requests; WithModelDir does the same from a watched
-// directory of .iotml files.
+// Each model's workers batch by drain-then-flush: a worker scores whatever
+// is already queued, up to WithMaxBatch instances, without waiting for
+// more. Registry.Load on a live id hot-swaps the model atomically with
+// zero dropped admitted requests; WithModelDir does the same from a
+// watched directory of .iotml files.
 type (
 	// Server is the multi-model batched inference server.
 	Server = serve.Server
@@ -212,12 +214,9 @@ func Serve(ctx context.Context, reg *ServeRegistry, opts ...ServeOption) (*Serve
 
 // Serving options, re-exported so callers need only the root package.
 var (
-	// WithMaxBatch caps the instances coalesced into one scoring batch.
+	// WithMaxBatch caps the queued instances drained into one scoring
+	// batch.
 	WithMaxBatch = serve.WithMaxBatch
-	// WithFlushInterval sets the micro-batching flush window.
-	WithFlushInterval = serve.WithFlushInterval
-	// WithImmediateFlush disables batching waits.
-	WithImmediateFlush = serve.WithImmediateFlush
 	// WithWorkers sets the scoring worker count per model.
 	WithWorkers = serve.WithWorkers
 	// WithQueueDepth bounds pending requests per model (429 beyond).

@@ -75,7 +75,6 @@ func TestPublicAPIServePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := Serve(context.Background(), reg,
-		WithImmediateFlush(),
 		WithWorkers(1),
 		WithQueueDepth(8),
 		WithGlobalQueueDepth(16),
