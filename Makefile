@@ -113,12 +113,14 @@ contracts:
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
-# fuzz gives each worker-boundary fuzzer a short run, one go test -fuzz
+# fuzz gives each untrusted-input decoder — the search-worker boundaries
+# and the artifact kernel-spec decoder — a short run, one go test -fuzz
 # invocation per target (the fuzz engine takes one target at a time).
 # Mirrors the CI test job's fuzz step.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobInstall$$' -fuzztime 10s ./internal/distsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./internal/distsearch
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelSpec$$' -fuzztime 10s ./internal/kernel
 
 # shuffle re-runs the suite with randomized test and subtest order, so
 # inter-test state dependencies fail loudly instead of hiding behind

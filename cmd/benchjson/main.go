@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro/internal/benchparse"
 )
@@ -50,6 +51,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines found on stdin")
 		os.Exit(1)
 	}
+	// benchjson runs in the same job as the benchmarks it reads, so this
+	// machine's core count is theirs.
+	report.NProc = runtime.NumCPU()
 	regressed := 0
 	if *baseline != "" {
 		regressed = reportRegressions(*baseline, report, *threshold, *failOnRegress)

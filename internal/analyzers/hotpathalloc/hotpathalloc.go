@@ -182,6 +182,12 @@ func checkBoxing(pass *analyzers.Pass, dst types.Type, src ast.Expr, hot string)
 	if dst == nil || !types.IsInterface(dst) {
 		return
 	}
+	if _, ok := dst.(*types.TypeParam); ok {
+		// A type parameter's constraint is an interface, but a value of
+		// that type is always instantiated concrete: converting or
+		// assigning to it never boxes.
+		return
+	}
 	st := pass.Info.TypeOf(src)
 	if st == nil || !isFloaty(st) {
 		return
@@ -191,15 +197,43 @@ func checkBoxing(pass *analyzers.Pass, dst types.Type, src ast.Expr, hot string)
 }
 
 // isFloaty reports float scalars and float slices — the payload types the
-// hot path moves around.
+// hot path moves around — including type parameters whose every type-set
+// term is a float (e.g. linalg.Float) and slices of them.
 func isFloaty(t types.Type) bool {
+	if tp, ok := t.(*types.TypeParam); ok {
+		return floatParam(tp)
+	}
 	switch u := t.Underlying().(type) {
 	case *types.Basic:
 		return u.Info()&types.IsFloat != 0
 	case *types.Slice:
+		if tp, ok := u.Elem().(*types.TypeParam); ok {
+			return floatParam(tp)
+		}
 		if b, ok := u.Elem().Underlying().(*types.Basic); ok {
 			return b.Info()&types.IsFloat != 0
 		}
 	}
 	return false
+}
+
+// floatParam reports whether tp's constraint restricts it to float types:
+// a union (possibly named, as linalg.Float) whose terms are all floats.
+func floatParam(tp *types.TypeParam) bool {
+	iface, ok := tp.Constraint().Underlying().(*types.Interface)
+	if !ok || iface.NumEmbeddeds() != 1 {
+		return false
+	}
+	u, ok := iface.EmbeddedType(0).(*types.Union)
+	if !ok {
+		b, ok := iface.EmbeddedType(0).Underlying().(*types.Basic)
+		return ok && b.Info()&types.IsFloat != 0
+	}
+	for i := 0; i < u.Len(); i++ {
+		b, ok := u.Term(i).Type().Underlying().(*types.Basic)
+		if !ok || b.Info()&types.IsFloat == 0 {
+			return false
+		}
+	}
+	return u.Len() > 0
 }

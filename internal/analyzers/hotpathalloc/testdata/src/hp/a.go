@@ -79,3 +79,27 @@ func cold(dst, src []float64, n int) []float64 {
 	take(src[0])
 	return dst
 }
+
+// Float mirrors linalg.Float: a union of float types.
+type Float interface{ ~float32 | ~float64 }
+
+// hotGeneric pins type parameters: converting to or storing a T never
+// boxes, but passing a float-constrained T to an interface parameter does.
+//
+//iotml:hotpath
+func hotGeneric[T Float](dst []T, src []float64) {
+	for i, v := range src {
+		dst[i] = T(v)
+	}
+	take(dst[0])               // want `boxes T`
+	var sink interface{} = dst // want `boxes \[\]T`
+	_ = sink
+}
+
+// hotGenericAny shows a type parameter that is not float-constrained is
+// not float data.
+//
+//iotml:hotpath
+func hotGenericAny[T any](v T) {
+	take(v)
+}

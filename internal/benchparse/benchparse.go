@@ -27,16 +27,25 @@ type Benchmark struct {
 // Report is the full parse result: environment header lines plus one entry
 // per benchmark.
 type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NProc is the logical CPU count of the machine that ran the
+	// benchmarks (set by the caller — the text output does not carry it),
+	// and GOMAXPROCS the value they ran at (see Parse). Together they say
+	// whether a parallel reading had cores to scale on. Both are absent
+	// (zero) in snapshots recorded before they existed.
+	NProc      int         `json:"nproc,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 // Parse reads `go test -bench` output and collects every benchmark line.
 // Unrecognized lines (PASS, ok, test logs) are skipped, not errors; only a
-// read failure returns one.
+// read failure returns one. GOMAXPROCS is read from the -N suffix the
+// testing package appends to every benchmark name when it is not 1; it
+// stays 0 when the lines disagree (a go test -cpu list) or there are none.
 func Parse(r io.Reader) (*Report, error) {
 	report := &Report{}
 	sc := bufio.NewScanner(r)
@@ -60,6 +69,17 @@ func Parse(r io.Reader) (*Report, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	for i, b := range report.Benchmarks {
+		procs := 1
+		if base := baseName(b.Name); base != b.Name {
+			procs, _ = strconv.Atoi(b.Name[len(base)+1:]) // baseName checked the digits
+		}
+		if i > 0 && procs != report.GOMAXPROCS {
+			report.GOMAXPROCS = 0
+			break
+		}
+		report.GOMAXPROCS = procs
 	}
 	return report, nil
 }

@@ -1,6 +1,9 @@
 package benchparse
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,6 +44,46 @@ func TestParseSample(t *testing.T) {
 	// Without -benchmem the memory fields stay absent, not zero.
 	if last := r.Benchmarks[2]; last.BytesPerOp != nil || last.AllocsPerOp != nil {
 		t.Errorf("no-benchmem line grew memory fields: %+v", last)
+	}
+}
+
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		input string
+		want  int
+	}{
+		{"suffix", "BenchmarkA-8 10 5 ns/op\nBenchmarkB-8 10 5 ns/op\n", 8},
+		{"no suffix means 1", "BenchmarkA 10 5 ns/op\n", 1},
+		{"-cpu list disagrees", "BenchmarkA-2 10 5 ns/op\nBenchmarkA-4 10 5 ns/op\n", 0},
+		{"no benchmarks", "PASS\n", 0},
+	} {
+		r, err := Parse(strings.NewReader(c.input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.GOMAXPROCS != c.want {
+			t.Errorf("%s: GOMAXPROCS = %d, want %d", c.name, r.GOMAXPROCS, c.want)
+		}
+	}
+}
+
+// TestBaselineWithoutCoreFieldsLoads: the committed snapshot predates the
+// nproc/gomaxprocs fields and must still decode and gate.
+func TestBaselineWithoutCoreFieldsLoads(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_gram.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Report
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatalf("committed baseline does not decode: %v", err)
+	}
+	if len(base.Benchmarks) == 0 {
+		t.Fatal("committed baseline has no benchmarks")
+	}
+	if got := Regressions(&base, &base, 0.2); len(got) != 0 {
+		t.Fatalf("baseline regressed against itself: %+v", got)
 	}
 }
 

@@ -113,7 +113,7 @@ func (d *Dataset) Matrix() *linalg.Matrix {
 // as dense matrix operations (see kernel.BlockGramKernel); searches cache
 // these blocks alongside the per-block Grams in kernel.BlockGramCache.
 func (d *Dataset) BlockMatrix(features []int) *linalg.Matrix {
-	return linalg.FromRowsCols(d.X, features)
+	return linalg.FromRowsCols[float64](d.X, features)
 }
 
 // ViewPartition returns the partition of the feature set {1..D} induced by

@@ -1,7 +1,9 @@
-// Package engine defines the pluggable numeric backends of the evaluator:
-// which arithmetic carries Gram/cross-Gram assembly into scratch, the
+// Package engine names the numeric backends of the evaluator: the Backend
+// value selecting which arithmetic carries Gram assembly into scratch, the
 // factor/solve step (Cholesky plus the heavier-ridge fallback), and
-// scores-into during candidate scoring.
+// scores-into during candidate scoring. The arithmetic itself lives with
+// the kernels it instantiates (linalg, kernel, kernelmachine, mkl); this
+// package holds only the selection, its spellings, and Auto.
 //
 // Three backends exist:
 //
@@ -15,11 +17,13 @@
 //     accumulating in float64 (SYRK/GEMM-style dot products, distance
 //     expansions, substitutions). Halving the memory traffic of the
 //     Gram-bound scoring loop is the win; the cost is a bounded elementwise
-//     error. Tolerance contract, asserted in CI: assembled Gram entries
-//     satisfy |K32 − K64| ≤ 1e-4 · max(1, |K64|) against the Float64
-//     reference, and scoring is bit-identical across worker counts (each
-//     block Gram is computed by one deterministic routine regardless of
-//     which worker computes it first).
+//     error (Tol32). There is no separate f32 code: the dense kernels
+//     (linalg), the block-Gram cache (kernel.DenseGramCache), the ridge
+//     solve (kernelmachine.RidgeScratch) and the scoring body (mkl) are
+//     each written once, generic over float32|float64, and this backend
+//     is their float32 instantiation. Scoring is bit-identical across
+//     worker counts (each block Gram is computed by one deterministic
+//     routine regardless of which worker computes it first).
 //   - Nystrom / RFF — the approximate factor-space backends: candidates are
 //     scored on cached low-rank block factors (kernel.ApproxGramCache)
 //     instead of materialized Grams, keeping the PR 7 error bounds. Rank 0
@@ -35,6 +39,13 @@ import (
 	"strconv"
 	"strings"
 )
+
+// Tol32 is the Float32 backend's documented elementwise tolerance contract
+// against the Float64 reference: every assembled Gram entry satisfies
+// |K32 − K64| ≤ Tol32 · max(1, |K64|). The equivalence suites assert it.
+//
+//iotml:allow unusedexport -- the documented f32 tolerance contract; its own package's equivalence suites are its readers
+const Tol32 = 1e-4
 
 // Kind enumerates the numeric backends. The zero value is Float64Kind, so a
 // zero Backend selects the bit-identical reference path.

@@ -129,10 +129,9 @@ func TestDense32GramWithinToleranceOfFloat64Reference(t *testing.T) {
 	}
 	for fname, factory := range factories {
 		for _, comb := range []kernel.Combiner{kernel.CombineSum, kernel.CombineProduct} {
-			c := NewDense32(x, factory, 0)
-			var sc Scratch32
+			c := kernel.NewDenseGramCache[float32](x, factory, 0)
 			for _, p := range parts {
-				got := c.GramForPartitionScratch(p, comb, nil, &sc)
+				got := c.GramForPartition(p, comb, nil)
 				want := kernel.Gram(kernel.FromPartition(p, factory, comb), x)
 				for i := range want.Data {
 					checkTol32(t, fname+"/"+p.Key(), got.Data[i], want.Data[i])
@@ -148,10 +147,9 @@ func TestDense32FallbackForEvalOnlyKernels(t *testing.T) {
 	// A factory whose kernel type has no native f32 routine: the cache must
 	// fall back to the scalar f64 path and truncate.
 	factory := func(feats []int) kernel.Kernel { return evalOnly{gamma: 1 / float64(len(feats))} }
-	c := NewDense32(x, factory, 0)
-	var sc Scratch32
+	c := kernel.NewDenseGramCache[float32](x, factory, 0)
 	p := partition.Coarsest(d)
-	got := c.GramForPartitionScratch(p, kernel.CombineSum, nil, &sc)
+	got := c.GramForPartition(p, kernel.CombineSum, nil)
 	want := kernel.GramPairwise(kernel.FromPartition(p, factory, kernel.CombineSum), x)
 	for i := range want.Data {
 		checkTol32(t, "fallback", got.Data[i], want.Data[i])
@@ -174,10 +172,10 @@ func (k evalOnly) String() string { return "evalOnly" }
 
 func TestGather32MatchesGatherInto(t *testing.T) {
 	src64 := linalg.FromRows(synthRows(12, 12, 9))
-	src32 := From64(nil, src64)
+	src32 := linalg.Convert[float32](nil, src64)
 	rows := []int{4, 5, 6, 2, 9, 10}
 	cols := linalg.RunsOf([]int{0, 1, 2, 7, 8})
-	got := Gather32(nil, src32, rows, cols)
+	got := linalg.GatherInto(nil, src32, rows, cols)
 	want := linalg.GatherInto(nil, src64, rows, cols)
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
@@ -201,19 +199,19 @@ func TestSolver32MatchesRidgeReferenceWithinTolerance(t *testing.T) {
 		}
 	}
 	gram64 := kernel.Gram(kernel.RBF{Gamma: 0.5}, x)
-	gram32 := From64(nil, gram64)
+	gram32 := linalg.Convert[float32](nil, gram64)
 
 	const lambda = 1e-2
-	var s Solver32
-	beta32, err := s.RidgeSolve(gram32, y, lambda)
+	var s kernelmachine.RidgeScratch[float32]
+	beta32, err := kernelmachine.FitRidge(kernelmachine.Ridge{Lambda: lambda}, gram32, y, &s)
 	if err != nil {
-		t.Fatalf("RidgeSolve: %v", err)
+		t.Fatalf("FitRidge: %v", err)
 	}
 	model, err := kernelmachine.Ridge{Lambda: lambda}.TrainScratch(gram64, y, &kernelmachine.Scratch{})
 	if err != nil {
 		t.Fatalf("TrainScratch: %v", err)
 	}
-	scores32 := Scores32Into(nil, gram32, beta32)
+	scores32 := linalg.MulVecInto(nil, gram32, beta32)
 	scores64 := model.Scores(gram64)
 	for i := range scores64 {
 		if diff := math.Abs(scores32[i] - scores64[i]); diff > 1e-3*math.Max(1, math.Abs(scores64[i])) {
@@ -228,7 +226,7 @@ func TestSolver32HeavierRidgeFallback(t *testing.T) {
 	// heavier 1+λ·n fallback must rescue the solve — the same schedule as
 	// kernelmachine.Ridge.
 	const n = 8
-	gram := NewM32(n, n)
+	gram := linalg.NewDense[float32](n, n)
 	for i := range gram.Data {
 		gram.Data[i] = 1
 	}
@@ -236,10 +234,10 @@ func TestSolver32HeavierRidgeFallback(t *testing.T) {
 	for i := range y {
 		y[i] = 1 - 2*(i%2)
 	}
-	var s Solver32
-	beta, err := s.RidgeSolve(gram, y, 1e-9)
+	var s kernelmachine.RidgeScratch[float32]
+	beta, err := kernelmachine.FitRidge(kernelmachine.Ridge{Lambda: 1e-9}, gram, y, &s)
 	if err != nil {
-		t.Fatalf("RidgeSolve with fallback: %v", err)
+		t.Fatalf("FitRidge with fallback: %v", err)
 	}
 	for _, b := range beta {
 		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
@@ -260,15 +258,15 @@ func TestCenterAndAlignment32MatchFloat64WithinTolerance(t *testing.T) {
 		}
 	}
 	g64 := kernel.Gram(kernel.RBF{Gamma: 0.5}, x)
-	g32 := From64(nil, g64)
+	g32 := linalg.Convert[float32](nil, g64)
 
 	kernel.Center(g64)
-	Center32(g32)
+	kernel.Center(g32)
 	for i := range g64.Data {
 		checkTol32(t, "center", g32.Data[i], g64.Data[i])
 	}
 	a64 := kernel.Alignment(g64, y)
-	a32 := Alignment32(g32, y)
+	a32 := kernel.Alignment(g32, y)
 	if diff := math.Abs(a32 - a64); diff > 5e-4 {
 		t.Fatalf("alignment: f32 %v vs f64 %v (diff %g)", a32, a64, diff)
 	}
@@ -280,17 +278,17 @@ func TestCholesky32SolvesSPDSystem(t *testing.T) {
 	b64 := linalg.FromRows(synthRows(n, n, 17))
 	a64 := linalg.SyrkInto(nil, b64)
 	a64.AddScaledDiag(1)
-	a32 := From64(nil, a64)
+	a32 := linalg.Convert[float32](nil, a64)
 
-	var l M32
-	if err := Cholesky32(&l, a32); err != nil {
-		t.Fatalf("Cholesky32: %v", err)
+	var l linalg.Dense[float32]
+	if err := linalg.CholeskyInto(&l, a32); err != nil {
+		t.Fatalf("CholeskyInto: %v", err)
 	}
 	rhs := make([]float32, n)
 	for i := range rhs {
 		rhs[i] = float32(i + 1)
 	}
-	sol := SolveCholesky32(nil, &l, rhs)
+	sol := linalg.SolveCholeskyInto(nil, &l, rhs)
 	// Verify A·sol ≈ rhs.
 	for i := 0; i < n; i++ {
 		s := 0.0

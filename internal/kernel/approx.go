@@ -75,8 +75,8 @@ func NewApproxGramCache(x [][]float64, factory BlockKernelFactory, kind ApproxKi
 		rank = DefaultApproxRank
 	}
 	c := &ApproxGramCache{x: x, factory: factory, kind: kind, rank: rank, seed: seed}
-	c.BlockCache = NewBlockCache(limit, matrixBytes, c.buildFactor)
-	c.cols = newColumnCache(x, limit)
+	c.BlockCache = NewBlockCache(limit, denseBytes[float64], c.buildFactor)
+	c.cols = newColumnCache[float64](x, limit)
 	return c
 }
 

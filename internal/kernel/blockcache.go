@@ -1,11 +1,11 @@
 // Block caching: sibling partitions in a lattice search share most of
 // their feature blocks, so whatever a scoring backend derives per block —
-// an exact float64 Gram, a float32 Gram, a low-rank factor, the contiguous
+// a dense Gram at float64 or float32, a low-rank factor, the contiguous
 // column block feeding any of them — is computed once per dataset and
 // reused across candidates (and across the worker evaluators of a parallel
 // search). BlockCache is that mechanism, written once: the backends
-// (BlockGramCache, ApproxGramCache, engine.Dense32) supply a build function
-// and combine the blocks they look up, nothing more.
+// (DenseGramCache at either width, ApproxGramCache) supply a build
+// function and combine the blocks they look up, nothing more.
 //
 // Retention is one policy for every value type: blocks are evicted oldest
 // first (FIFO) once the block count exceeds the limit, so the newest block

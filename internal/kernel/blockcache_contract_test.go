@@ -7,8 +7,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/kernel"
+	"repro/internal/linalg"
 	"repro/internal/partition"
 )
 
@@ -57,12 +57,8 @@ const contractRank = 4
 
 func contractRows() []cacheRow {
 	factory := kernel.RBFFactory(1.0)
-	widen32 := func(m *engine.M32) []float64 {
-		out := make([]float64, len(m.Data))
-		for i, v := range m.Data {
-			out[i] = float64(v)
-		}
-		return out
+	widen32 := func(m *linalg.Dense[float32]) []float64 {
+		return linalg.Convert[float64](nil, m).Data
 	}
 	return []cacheRow{
 		{
@@ -90,7 +86,7 @@ func contractRows() []cacheRow {
 			name:       "f32",
 			blockBytes: func(n int) int64 { return int64(n*n) * 4 },
 			open: func(t *testing.T, x [][]float64, limit int) cacheSubject {
-				c := engine.NewDense32(x, factory, limit)
+				c := kernel.NewDenseGramCache[float32](x, factory, limit)
 				return cacheSubject{
 					t:     t,
 					stats: c,
@@ -102,8 +98,7 @@ func contractRows() []cacheRow {
 						return g, widen32(g), nil
 					},
 					assemble: func(p partition.Partition) ([]float64, error) {
-						var sc engine.Scratch32
-						return widen32(c.GramForPartitionScratch(p, kernel.CombineSum, nil, &sc)), nil
+						return widen32(c.GramForPartition(p, kernel.CombineSum, nil)), nil
 					},
 				}
 			},

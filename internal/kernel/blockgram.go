@@ -54,6 +54,90 @@ type BlockGramKernel interface {
 	CrossGramInto(dst, a, b *linalg.Matrix) bool
 }
 
+// blockGramInto fills dst (pre-shaped n×n) with the Gram of k over the
+// rows of x at storage width T. The Linear, Polynomial, RBF and Normalized
+// block formulas are written once, generic over T, and shared by their
+// BlockGramKernel methods and by both widths of DenseGramCache: each maps
+// the float64 value of an entry and rounds once at its store, so the
+// float64 instantiation is the exact reference arithmetic. Other block
+// kernels (Subspace, Sum, Product, or a caller's own) delegate to their
+// float64 GramInto method and have no block formula at float32, where
+// blockGramInto reports false and the caller takes the pairwise path.
+func blockGramInto[T linalg.Float](dst *linalg.Dense[T], k Kernel, x *linalg.Dense[T]) bool {
+	switch k := k.(type) {
+	case Linear:
+		linalg.SyrkInto(dst, x)
+	case Polynomial:
+		polynomialGram(k, dst, x)
+	case RBF:
+		rbfGram(k, dst, x)
+	case Normalized:
+		return normalizedGram(k, dst, x)
+	default:
+		bg, ok := k.(BlockGramKernel)
+		ref, isRef := any(dst).(*linalg.Matrix)
+		if !ok || !isRef {
+			return false
+		}
+		return bg.GramInto(ref, any(x).(*linalg.Matrix))
+	}
+	return true
+}
+
+// polynomialGram is the polynomial map applied to X·Xᵀ.
+func polynomialGram[T linalg.Float](p Polynomial, dst, x *linalg.Dense[T]) {
+	linalg.SyrkInto(dst, x)
+	n, d, deg := x.Rows, dst.Data, float64(p.Degree)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := T(math.Pow(p.Gamma*float64(d[i*n+j])+p.Coef0, deg))
+			d[i*n+j] = v
+			d[j*n+i] = v
+		}
+	}
+}
+
+// rbfGram is exp(−γ·dist²) over the pairwise squared-distance expansion,
+// with an exact unit diagonal.
+func rbfGram[T linalg.Float](r RBF, dst, x *linalg.Dense[T]) {
+	linalg.PairwiseSquaredDistancesInto(dst, x)
+	n, d := x.Rows, dst.Data
+	for i := 0; i < n; i++ {
+		d[i*n+i] = 1
+		for j := i + 1; j < n; j++ {
+			v := T(math.Exp(-r.Gamma * float64(d[i*n+j])))
+			d[i*n+j] = v
+			d[j*n+i] = v
+		}
+	}
+}
+
+// normalizedGram is the cosine normalization of the base block,
+// K'ᵢⱼ = Kᵢⱼ / √(Kᵢᵢ·Kⱼⱼ), with Eval's degenerate-diagonal rule
+// (self-similarity ≤ 0 yields 0). It reports false when the base has no
+// block formula at T.
+func normalizedGram[T linalg.Float](nk Normalized, dst, x *linalg.Dense[T]) bool {
+	if !blockGramInto(dst, nk.Base, x) {
+		return false
+	}
+	n, d := x.Rows, dst.Data
+	diag := make([]float64, n)
+	for i := range diag {
+		diag[i] = float64(d[i*n+i])
+	}
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			var v T
+			if diag[i] > 0 && diag[j] > 0 {
+				v = T(float64(d[i*n+j]) / math.Sqrt(diag[i]*diag[j]))
+			}
+			d[i*n+j] = v
+			d[j*n+i] = v
+		}
+	}
+	return true
+}
+
 // GramInto implements BlockGramKernel: dst = X·Xᵀ, bit-identical to the
 // pairwise path.
 func (Linear) GramInto(dst, x *linalg.Matrix) bool {
@@ -70,16 +154,7 @@ func (Linear) CrossGramInto(dst, a, b *linalg.Matrix) bool {
 // GramInto implements BlockGramKernel: the polynomial map applied to X·Xᵀ,
 // bit-identical to the pairwise path.
 func (p Polynomial) GramInto(dst, x *linalg.Matrix) bool {
-	linalg.SyrkInto(dst, x)
-	n := x.Rows
-	deg := float64(p.Degree)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := math.Pow(p.Gamma*dst.Data[i*n+j]+p.Coef0, deg)
-			dst.Data[i*n+j] = v
-			dst.Data[j*n+i] = v
-		}
-	}
+	polynomialGram(p, dst, x)
 	return true
 }
 
@@ -97,16 +172,7 @@ func (p Polynomial) CrossGramInto(dst, a, b *linalg.Matrix) bool {
 // squared-distance expansion. Within 1e-9 of the pairwise path (diagonals
 // exactly 1).
 func (r RBF) GramInto(dst, x *linalg.Matrix) bool {
-	linalg.PairwiseSquaredDistancesInto(dst, x)
-	n := x.Rows
-	for i := 0; i < n; i++ {
-		dst.Data[i*n+i] = 1
-		for j := i + 1; j < n; j++ {
-			v := math.Exp(-r.Gamma * dst.Data[i*n+j])
-			dst.Data[i*n+j] = v
-			dst.Data[j*n+i] = v
-		}
-	}
+	rbfGram(r, dst, x)
 	return true
 }
 
@@ -142,28 +208,7 @@ func (s Subspace) CrossGramInto(dst, a, b *linalg.Matrix) bool {
 // GramInto implements BlockGramKernel: cosine normalization of the base
 // block, K'ᵢⱼ = Kᵢⱼ / √(Kᵢᵢ·Kⱼⱼ), with the same degenerate-diagonal rule as
 // Eval (self-similarity ≤ 0 yields 0).
-func (nk Normalized) GramInto(dst, x *linalg.Matrix) bool {
-	bg, ok := nk.Base.(BlockGramKernel)
-	if !ok || !bg.GramInto(dst, x) {
-		return false
-	}
-	n := x.Rows
-	diag := make([]float64, n)
-	for i := 0; i < n; i++ {
-		diag[i] = dst.Data[i*n+i]
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := 0.0
-			if diag[i] > 0 && diag[j] > 0 {
-				v = dst.Data[i*n+j] / math.Sqrt(diag[i]*diag[j])
-			}
-			dst.Data[i*n+j] = v
-			dst.Data[j*n+i] = v
-		}
-	}
-	return true
-}
+func (nk Normalized) GramInto(dst, x *linalg.Matrix) bool { return normalizedGram(nk, dst, x) }
 
 // CrossGramInto implements BlockGramKernel. Self-similarities come from the
 // base kernel's scalar Eval on each row — the same operation order as the

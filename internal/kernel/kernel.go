@@ -267,8 +267,9 @@ func CrossGramPairwise(k Kernel, a, b [][]float64) *linalg.Matrix {
 }
 
 // Center applies the feature-space centering transform
-// K' = K - 1K/n - K1/n + 1K1/n² in place.
-func Center(g *linalg.Matrix) {
+// K' = K - 1K/n - K1/n + 1K1/n² in place, with the row means and total
+// accumulated in float64 and each entry rounded to T once.
+func Center[T linalg.Float](g *linalg.Dense[T]) {
 	n := g.Rows
 	if n == 0 {
 		return
@@ -276,33 +277,36 @@ func Center(g *linalg.Matrix) {
 	rowMean := make([]float64, n)
 	total := 0.0
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			rowMean[i] += g.At(i, j)
+		s := 0.0
+		for _, v := range g.Data[i*n : (i+1)*n] {
+			s += float64(v)
 		}
-		total += rowMean[i]
-		rowMean[i] /= float64(n)
+		rowMean[i] = s / float64(n)
+		total += s
 	}
 	total /= float64(n * n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			g.Set(i, j, g.At(i, j)-rowMean[i]-rowMean[j]+total)
+		row := g.Data[i*n : (i+1)*n]
+		for j, v := range row {
+			row[j] = T(float64(v) - rowMean[i] - rowMean[j] + total)
 		}
 	}
 }
 
 // Alignment returns the centered kernel-target alignment between the Gram
-// matrix and the label vector y ∈ {-1,+1}: <K, yyᵀ>_F / (||K||_F · ||yyᵀ||_F).
-// Higher alignment predicts better kernel quality at negligible cost —
-// used as the cheap objective in lattice search ablations.
-func Alignment(g *linalg.Matrix, y []int) float64 {
+// matrix and the label vector y ∈ {-1,+1}: <K, yyᵀ>_F / (||K||_F · ||yyᵀ||_F),
+// accumulated in float64 at either storage width. Higher alignment
+// predicts better kernel quality at negligible cost — used as the cheap
+// objective in lattice search ablations.
+func Alignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
 	n := g.Rows
 	if n == 0 || len(y) != n {
 		return 0
 	}
 	var kyy, kk float64
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := g.At(i, j)
+		for j, f := range g.Data[i*n : (i+1)*n] {
+			v := float64(f)
 			kyy += v * float64(y[i]*y[j])
 			kk += v * v
 		}

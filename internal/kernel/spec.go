@@ -112,14 +112,30 @@ func toSpecs(ks []Kernel) ([]*Spec, error) {
 	return out, nil
 }
 
+// maxSpecDepth bounds the nesting of a spec tree: the number of nodes on
+// its longest root-to-leaf path. It is the depth of the deepest spec ToSpec
+// emits for a fitted configuration — FromPartition over NormalizedFactory,
+// Sum (or Product) → Subspace → Normalized → base kernel. Specs arrive from
+// untrusted artifacts, and Normalized evaluates its base three times per
+// value, so each extra wrapper triples the cost of every kernel value; a
+// 490-byte spec 16 levels deep would take seconds per Eval.
+const maxSpecDepth = 4
+
 // FromSpec rebuilds the kernel a Spec tree describes. The result evaluates
 // bit-identically to the kernel ToSpec encoded (value structs, field-for-
 // field). Malformed specs — unknown kinds, missing operands, negative
-// subspace features — return an error rather than a kernel that would panic
-// at evaluation time.
-func (s *Spec) FromSpec() (Kernel, error) {
+// subspace features, trees nested deeper than a fitted configuration can
+// be (maxSpecDepth) — return an error rather than a kernel that would
+// panic, or run for seconds, at evaluation time.
+func (s *Spec) FromSpec() (Kernel, error) { return s.fromSpec(1) }
+
+// fromSpec is FromSpec for a node at the given depth (the root is 1).
+func (s *Spec) fromSpec(depth int) (Kernel, error) {
 	if s == nil {
 		return nil, fmt.Errorf("kernel: nil spec")
+	}
+	if depth > maxSpecDepth {
+		return nil, fmt.Errorf("kernel: spec nested deeper than %d levels", maxSpecDepth)
 	}
 	switch s.Kind {
 	case SpecLinear:
@@ -132,7 +148,7 @@ func (s *Spec) FromSpec() (Kernel, error) {
 	case SpecRBF:
 		return RBF{Gamma: s.Gamma}, nil
 	case SpecNormalized:
-		base, err := s.Base.FromSpec()
+		base, err := s.Base.fromSpec(depth + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -146,13 +162,13 @@ func (s *Spec) FromSpec() (Kernel, error) {
 				return nil, fmt.Errorf("kernel: subspace spec has negative feature index %d", f)
 			}
 		}
-		base, err := s.Base.FromSpec()
+		base, err := s.Base.fromSpec(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		return Subspace{Base: base, Features: append([]int(nil), s.Features...)}, nil
 	case SpecSum:
-		members, err := fromSpecs(s.Kernels)
+		members, err := fromSpecs(s.Kernels, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +181,7 @@ func (s *Spec) FromSpec() (Kernel, error) {
 		}
 		return Sum{Kernels: members, Weights: w}, nil
 	case SpecProduct:
-		members, err := fromSpecs(s.Kernels)
+		members, err := fromSpecs(s.Kernels, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -175,13 +191,13 @@ func (s *Spec) FromSpec() (Kernel, error) {
 	}
 }
 
-func fromSpecs(specs []*Spec) ([]Kernel, error) {
+func fromSpecs(specs []*Spec, depth int) ([]Kernel, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("kernel: combiner spec has no members")
 	}
 	out := make([]Kernel, len(specs))
 	for i, s := range specs {
-		k, err := s.FromSpec()
+		k, err := s.fromSpec(depth)
 		if err != nil {
 			return nil, err
 		}

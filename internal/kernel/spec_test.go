@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/partition"
@@ -147,4 +148,123 @@ func TestSpecMaxDim(t *testing.T) {
 	if got := plain.MaxDim(); got != 0 {
 		t.Fatalf("MaxDim(linear) = %d, want 0", got)
 	}
+}
+
+// specDepth is the number of nodes on the longest root-to-leaf path.
+func specDepth(s *Spec) int {
+	if s == nil {
+		return 0
+	}
+	d := specDepth(s.Base)
+	for _, m := range s.Kernels {
+		d = max(d, specDepth(m))
+	}
+	return d + 1
+}
+
+// normalizedChain wraps an RBF spec in Normalized nodes until the tree is
+// depth levels deep.
+func normalizedChain(depth int) *Spec {
+	s := &Spec{Kind: SpecRBF, Gamma: 0.5}
+	for i := 1; i < depth; i++ {
+		s = &Spec{Kind: SpecNormalized, Base: s}
+	}
+	return s
+}
+
+// TestSpecDepthBoundIsTheDeepestFittedSpec derives maxSpecDepth: it is
+// exactly the depth of the spec ToSpec emits for FromPartition over
+// NormalizedFactory, under either combiner — the deepest tree a fit
+// produces.
+func TestSpecDepthBoundIsTheDeepestFittedSpec(t *testing.T) {
+	p := partition.MustFromBlocks(4, [][]int{{1, 2}, {3}, {4}})
+	for _, comb := range []Combiner{CombineSum, CombineProduct} {
+		spec, err := ToSpec(FromPartition(p, NormalizedFactory(RBFFactory(0.7)), comb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := specDepth(spec); got != maxSpecDepth {
+			t.Fatalf("combiner %v: fitted spec depth %d, bound %d", comb, got, maxSpecDepth)
+		}
+		if _, err := spec.FromSpec(); err != nil {
+			t.Fatalf("combiner %v: the deepest fitted spec was rejected: %v", comb, err)
+		}
+	}
+}
+
+func TestFromSpecBoundsNesting(t *testing.T) {
+	sub := func(base *Spec) *Spec { return &Spec{Kind: SpecSubspace, Features: []int{0}, Base: base} }
+	sum := func(members ...*Spec) *Spec { return &Spec{Kind: SpecSum, Kernels: members} }
+	cases := []struct {
+		name string
+		spec *Spec
+		ok   bool
+	}{
+		{"leaf", normalizedChain(1), true},
+		{"normalized", normalizedChain(2), true},
+		{"chain at the bound", normalizedChain(maxSpecDepth), true},
+		{"chain past the bound", normalizedChain(maxSpecDepth + 1), false},
+		{"16-deep normalized chain", normalizedChain(16), false},
+		{"fitted shape", sum(sub(normalizedChain(2)), sub(&Spec{Kind: SpecLinear})), true},
+		{"one member too deep", sum(sub(normalizedChain(2)), sub(normalizedChain(3))), false},
+		{"nested sums", sum(sum(sum(sum(&Spec{Kind: SpecLinear})))), false},
+	}
+	for _, c := range cases {
+		_, err := c.spec.FromSpec()
+		if (err == nil) != c.ok {
+			t.Errorf("%s (depth %d): err = %v, want ok=%v", c.name, specDepth(c.spec), err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("%s: err = %v, want a nesting error", c.name, err)
+		}
+	}
+}
+
+// FuzzKernelSpec feeds arbitrary JSON to the artifact's spec decoder:
+// FromSpec never panics, never accepts a tree past the depth bound, and
+// every spec it accepts round-trips through ToSpec to an equal kernel.
+func FuzzKernelSpec(f *testing.F) {
+	deep, err := json.Marshal(normalizedChain(16))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deep)
+	p := partition.MustFromBlocks(3, [][]int{{1, 2}, {3}})
+	for _, comb := range []Combiner{CombineSum, CombineProduct} {
+		spec, err := ToSpec(FromPartition(p, NormalizedFactory(RBFFactory(0.7)), comb))
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"kind":"polynomial","degree":2,"gamma":1,"coef0":0.5}`))
+	f.Add([]byte(`{"kind":"sum","kernels":[{"kind":"linear"}],"weights":[1,2]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var s Spec
+		if json.Unmarshal(raw, &s) != nil {
+			return
+		}
+		k, err := s.FromSpec()
+		if err != nil {
+			return
+		}
+		if d := specDepth(&s); d > maxSpecDepth {
+			t.Fatalf("accepted a spec %d levels deep", d)
+		}
+		again, err := ToSpec(k)
+		if err != nil {
+			t.Fatalf("ToSpec of an accepted spec: %v", err)
+		}
+		rebuilt, err := again.FromSpec()
+		if err != nil {
+			t.Fatalf("re-encoded spec rejected: %v", err)
+		}
+		if !reflect.DeepEqual(k, rebuilt) {
+			t.Fatalf("round trip rebuilt %#v, want %#v", rebuilt, k)
+		}
+	})
 }

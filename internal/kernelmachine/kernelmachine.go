@@ -188,29 +188,10 @@ func (r Ridge) lambda() float64 {
 	return r.Lambda
 }
 
-// Train implements Trainer.
+// Train implements Trainer: TrainScratch on a private Scratch the
+// returned model takes ownership of, as SVM.Train does.
 func (r Ridge) Train(gram *linalg.Matrix, y []int) (Model, error) {
-	if err := validate(gram, y); err != nil {
-		return nil, err
-	}
-	n := len(y)
-	k := gram.Clone()
-	k.AddScaledDiag(r.lambda() * float64(n) / 10)
-	rhs := linalg.NewVector(n)
-	for i, v := range y {
-		rhs[i] = float64(v)
-	}
-	alpha, err := linalg.SolveSPD(k, rhs)
-	if err != nil {
-		// Fall back to a heavier ridge before giving up.
-		k = gram.Clone()
-		k.AddScaledDiag(1 + r.lambda()*float64(n))
-		alpha, err = linalg.SolveSPD(k, rhs)
-		if err != nil {
-			return nil, fmt.Errorf("kernelmachine: ridge solve failed: %w", err)
-		}
-	}
-	return &dualModel{coeff: alpha}, nil
+	return r.TrainScratch(gram, y, &Scratch{})
 }
 
 // Perceptron trains a kernel perceptron for a fixed number of epochs.

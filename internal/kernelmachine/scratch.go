@@ -12,12 +12,13 @@
 //   - The gram matrix passed to TrainScratch is read-only: TrainScratch
 //     never writes to it (regularization is applied to a scratch copy).
 //
-// Exactness contract: Ridge.TrainScratch performs the same floating-point
-// operations as Ridge.Train (in-place K+λI assembly + CholeskyInto /
-// SolveCholeskyInto are bit-identical to Clone + SolveSPD), so its models
-// score bit-identically. SVM.TrainScratch is the single SMO implementation
-// — SVM.Train delegates to it with a private Scratch — so the two entry
-// points are bit-identical by construction, given the same RNG stream.
+// Exactness contract: RidgeScratch.Solve is the single ridge
+// regularize → factor → fallback → solve routine, generic over the
+// storage width (see FitRidge); Ridge.TrainScratch and Ridge.Train run it
+// at float64, the f32 backend's CV loop at float32. SVM.TrainScratch is
+// the single SMO implementation — SVM.Train delegates to it with a private
+// Scratch — so the two entry points are bit-identical by construction,
+// given the same RNG stream.
 package kernelmachine
 
 import (
@@ -50,13 +51,21 @@ type ScratchModel interface {
 // are retained across calls (capacity-based reuse, so alternating fold
 // sizes n/k and n/k+1 settle on one allocation).
 type Scratch struct {
-	kreg  *linalg.Matrix // K + λI assembly (ridge)
-	chol  *linalg.Matrix // Cholesky factor (ridge)
-	v1    []float64      // rhs (ridge) / alpha (svm)
-	v2    []float64      // alpha (ridge) / fy (svm)
-	v3    []float64      // error cache E_i (svm)
-	v4    []float64      // dual coefficients (svm)
+	ridge RidgeScratch[float64]
+	v1    []float64 // alpha (svm)
+	v2    []float64 // fy (svm)
+	v3    []float64 // error cache E_i (svm)
+	v4    []float64 // dual coefficients (svm)
 	model dualModel
+}
+
+// RidgeScratch holds the buffers of one ridge system at storage width T —
+// the regularized matrix, its Cholesky factor, the right-hand side, and
+// the coefficients. The zero value is ready; it belongs to one goroutine
+// and its buffers are capacity-reused across solves.
+type RidgeScratch[T linalg.Float] struct {
+	kreg, chol *linalg.Dense[T]
+	rhs, coef  []T
 }
 
 // vec returns buf resized to n, reusing capacity. Contents are unspecified.
@@ -75,42 +84,67 @@ func (s *Scratch) finish(coeff []float64, b float64) Model {
 	return &s.model
 }
 
-// TrainScratch implements ScratchTrainer: Ridge.Train with every allocation
-// replaced by Scratch reuse. The regularized system is assembled by copying
-// gram into scratch and bumping the diagonal (the same values Clone +
-// AddScaledDiag produces), then factored and solved in place with
-// CholeskyInto and SolveCholeskyInto — bit-identical to SolveSPD, including
-// the heavier-ridge fallback.
+// TrainScratch implements ScratchTrainer: FitRidge at float64 into the
+// Scratch's buffers.
 //
 //iotml:hotpath
 func (r Ridge) TrainScratch(gram *linalg.Matrix, y []int, s *Scratch) (Model, error) {
 	if err := validate(gram, y); err != nil {
 		return nil, err
 	}
+	coef, err := FitRidge(r, gram, y, &s.ridge)
+	if err != nil {
+		return nil, err
+	}
+	return s.finish(coef, 0), nil
+}
+
+// FitRidge fits the dual ridge coefficients of labels y on gram at gram's
+// storage width: RidgeScratch.Solve of gram against y with r's λ, scaled
+// by the training-set size. gram is read-only; the coefficients alias s
+// and are valid until its next use.
+//
+//iotml:hotpath
+func FitRidge[T linalg.Float](r Ridge, gram *linalg.Dense[T], y []int, s *RidgeScratch[T]) ([]T, error) {
 	n := len(y)
-	s.kreg = linalg.Reshape(s.kreg, n, n)
-	if s.chol == nil {
-		s.chol = linalg.NewMatrix(n, n)
+	if cap(s.rhs) < n {
+		s.rhs = make([]T, n)
 	}
-	assemble := func(diag float64) {
-		copy(s.kreg.Data, gram.Data)
-		s.kreg.AddScaledDiag(diag)
-	}
-	assemble(r.lambda() * float64(n) / 10)
-	rhs := vec(&s.v1, n)
+	s.rhs = s.rhs[:n]
 	for i, v := range y {
-		rhs[i] = float64(v)
+		s.rhs[i] = T(v)
 	}
+	return s.Solve(gram, s.rhs, r.lambda(), n)
+}
+
+// Solve solves (A + λ·n/10·I)·β = rhs and, when that Cholesky pivot fails,
+// retries with the heavier ridge 1 + λ·n before giving up — the
+// regularization schedule of every ridge fit in the repository, dual (A =
+// K, n training points) or primal (A = FᵀF). The regularized system is
+// assembled by copying a into scratch and adding the ridge to its diagonal
+// (rounded once to T), then factored and solved in place with
+// linalg.CholeskyInto and SolveCholeskyInto. a and rhs are read-only; the
+// returned β aliases s and is valid until its next use.
+//
+//iotml:hotpath
+func (s *RidgeScratch[T]) Solve(a *linalg.Dense[T], rhs []T, lambda float64, n int) ([]T, error) {
+	m := a.Rows
+	s.kreg = linalg.Reshape(s.kreg, m, m)
+	if s.chol == nil {
+		s.chol = linalg.NewDense[T](m, m)
+	}
+	copy(s.kreg.Data, a.Data)
+	s.kreg.AddScaledDiag(lambda * float64(n) / 10)
 	if err := linalg.CholeskyInto(s.chol, s.kreg); err != nil {
-		// Fall back to a heavier ridge before giving up, as Train does.
-		assemble(1 + r.lambda()*float64(n))
+		copy(s.kreg.Data, a.Data)
+		s.kreg.AddScaledDiag(1 + lambda*float64(n))
 		if err := linalg.CholeskyInto(s.chol, s.kreg); err != nil {
 			//iotml:allow hotpathalloc -- cold double-failure path; formatting happens only when the solve is already abandoned
 			return nil, fmt.Errorf("kernelmachine: ridge solve failed: %w", err)
 		}
 	}
-	s.v2 = linalg.SolveCholeskyInto(s.v2, s.chol, rhs)
-	return s.finish(s.v2, 0), nil
+	s.coef = linalg.SolveCholeskyInto(s.coef, s.chol, rhs)
+	return s.coef, nil
 }
 
 // TrainScratch implements ScratchTrainer: simplified SMO with the standard

@@ -5,10 +5,19 @@
 // (candidate scoring in a lattice search) reuse scratch instead of
 // allocating per call.
 //
-// Determinism contract: inner products accumulate left-to-right in feature
-// order — exactly the order a scalar per-pair kernel evaluation uses — so
-// SyrkInto and GemmNTInto are bit-identical to pairwise dot products. The
-// distance expansion in PairwiseSquaredDistancesInto reorders floating-point
+// The kernels shared by both storage widths — Reshape, GatherInto,
+// SyrkInto, RowSquaredNorms, PairwiseSquaredDistancesInto, FromRowsCols,
+// and (in linalg.go) CholeskyInto, SolveCholeskyInto and MulVecInto — are
+// written once, generic over Float: the float64 instantiation is the exact
+// reference, the float32 instantiation the f32 backend's arithmetic.
+//
+// Determinism contract, at both widths: every sum accumulates in float64
+// and each result is rounded to the storage type once, at its store.
+// Inner products accumulate left-to-right in feature order — exactly the
+// order a scalar per-pair kernel evaluation uses — so at float64 SyrkInto
+// and GemmNTInto are bit-identical to pairwise dot products, and at float32
+// each entry is the correctly rounded float64 result. The distance
+// expansion in PairwiseSquaredDistancesInto reorders floating-point
 // operations relative to a direct Σ(xᵢ−yᵢ)² loop and is therefore only
 // accurate to rounding (callers that need the exact scalar result must use
 // the pairwise path).
@@ -24,18 +33,18 @@ import "fmt"
 // must overwrite every entry they read.
 //
 //iotml:hotpath
-func Reshape(m *Matrix, r, c int) *Matrix {
+func Reshape[T Float](m *Dense[T], r, c int) *Dense[T] {
 	if r < 0 || c < 0 {
 		panic("linalg: negative matrix dimension")
 	}
 	if m == nil {
-		return NewMatrix(r, c)
+		return NewDense[T](r, c)
 	}
 	if m.Rows == r && m.Cols == c {
 		return m
 	}
 	if cap(m.Data) < r*c {
-		return NewMatrix(r, c)
+		return NewDense[T](r, c)
 	}
 	m.Rows, m.Cols, m.Data = r, c, m.Data[:r*c]
 	return m
@@ -78,7 +87,7 @@ func RunsOf(idx []int) []Run {
 // gather of the same indices.
 //
 //iotml:hotpath
-func GatherInto(dst, src *Matrix, rows []int, cols []Run) *Matrix {
+func GatherInto[T Float](dst, src *Dense[T], rows []int, cols []Run) *Dense[T] {
 	nc := 0
 	for _, r := range cols {
 		nc += r.Len
@@ -107,19 +116,21 @@ func GatherInto(dst, src *Matrix, rows []int, cols []Run) *Matrix {
 // ⟨row i, row j⟩), writing into dst (reallocated if nil or mis-sized) and
 // returning it. Only the upper triangle is computed; the lower is mirrored,
 // matching the symmetric fill of a pairwise Gram loop.
-func SyrkInto(dst, x *Matrix) *Matrix {
+func SyrkInto[T Float](dst, x *Dense[T]) *Dense[T] {
 	n, d := x.Rows, x.Cols
 	dst = Reshape(dst, n, n)
+	xd, out := x.Data, dst.Data
 	for i := 0; i < n; i++ {
-		ri := x.Data[i*d : (i+1)*d]
+		ri := xd[i*d : (i+1)*d]
 		for j := i; j < n; j++ {
-			rj := x.Data[j*d : (j+1)*d]
+			rj := xd[j*d : (j+1)*d]
 			s := 0.0
 			for k, v := range ri {
-				s += v * rj[k]
+				s += float64(v) * float64(rj[k])
 			}
-			dst.Data[i*n+j] = s
-			dst.Data[j*n+i] = s
+			f := T(s)
+			out[i*n+j] = f
+			out[j*n+i] = f
 		}
 	}
 	return dst
@@ -148,9 +159,9 @@ func GemmNTInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// RowSquaredNorms writes ‖row i‖² into out (reallocated if mis-sized) and
-// returns it.
-func RowSquaredNorms(out []float64, x *Matrix) []float64 {
+// RowSquaredNorms writes ‖row i‖², accumulated in float64, into out
+// (reallocated if mis-sized) and returns it.
+func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 	if len(out) != x.Rows {
 		out = make([]float64, x.Rows)
 	}
@@ -158,7 +169,7 @@ func RowSquaredNorms(out []float64, x *Matrix) []float64 {
 	for i := 0; i < x.Rows; i++ {
 		s := 0.0
 		for _, v := range x.Data[i*d : (i+1)*d] {
-			s += v * v
+			s += float64(v) * float64(v)
 		}
 		out[i] = s
 	}
@@ -167,26 +178,33 @@ func RowSquaredNorms(out []float64, x *Matrix) []float64 {
 
 // PairwiseSquaredDistancesInto computes ‖xᵢ − xⱼ‖² for all row pairs via the
 // expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩, writing into dst (reallocated if nil
-// or mis-sized) and returning it. Cancellation residue is clamped at zero
-// and the diagonal is exactly zero; off-diagonal entries agree with the
-// direct Σ(xᵢ−yᵢ)² loop to rounding only (see the package determinism
+// or mis-sized) and returning it. The row norms are summed separately in
+// float64 (RowSquaredNorms, the same order as SyrkInto's diagonal) and
+// each distance is rounded to T once. Cancellation residue is clamped at
+// zero and the diagonal is exactly zero; off-diagonal entries agree with
+// the direct Σ(xᵢ−yᵢ)² loop to rounding only (see the package determinism
 // contract).
-func PairwiseSquaredDistancesInto(dst, x *Matrix) *Matrix {
-	n := x.Rows
-	dst = SyrkInto(dst, x)
-	norms := make([]float64, n)
+func PairwiseSquaredDistancesInto[T Float](dst, x *Dense[T]) *Dense[T] {
+	n, d := x.Rows, x.Cols
+	dst = Reshape(dst, n, n)
+	norms := RowSquaredNorms(nil, x)
+	xd, out := x.Data, dst.Data
 	for i := 0; i < n; i++ {
-		norms[i] = dst.Data[i*n+i]
-	}
-	for i := 0; i < n; i++ {
-		dst.Data[i*n+i] = 0
+		ri := xd[i*d : (i+1)*d]
+		out[i*n+i] = 0
 		for j := i + 1; j < n; j++ {
-			v := norms[i] + norms[j] - 2*dst.Data[i*n+j]
+			rj := xd[j*d : (j+1)*d]
+			dot := 0.0
+			for k, v := range ri {
+				dot += float64(v) * float64(rj[k])
+			}
+			v := norms[i] + norms[j] - 2*dot
 			if v < 0 {
 				v = 0
 			}
-			dst.Data[i*n+j] = v
-			dst.Data[j*n+i] = v
+			f := T(v)
+			out[i*n+j] = f
+			out[j*n+i] = f
 		}
 	}
 	return dst
@@ -228,14 +246,24 @@ func ExtractColumns(x *Matrix, cols []int) *Matrix {
 
 // FromRowsCols builds the contiguous n×len(cols) matrix of the given
 // column indices (0-based) of row-slice data — ExtractColumns for datasets
-// stored as [][]float64.
-func FromRowsCols(rows [][]float64, cols []int) *Matrix {
-	out := NewMatrix(len(rows), len(cols))
+// stored as [][]float64 — rounding each entry to T once.
+func FromRowsCols[T Float](rows [][]float64, cols []int) *Dense[T] {
+	out := NewDense[T](len(rows), len(cols))
 	for i, r := range rows {
 		dstRow := out.Data[i*len(cols) : (i+1)*len(cols)]
 		for k, c := range cols {
-			dstRow[k] = r[c]
+			dstRow[k] = T(r[c])
 		}
 	}
 	return out
+}
+
+// Convert writes src into dst (reshaped) at dst's element width and
+// returns it: exact when widening, one rounding per entry when narrowing.
+func Convert[D, S Float](dst *Dense[D], src *Dense[S]) *Dense[D] {
+	dst = Reshape(dst, src.Rows, src.Cols)
+	for i, v := range src.Data {
+		dst.Data[i] = D(v)
+	}
+	return dst
 }

@@ -153,7 +153,7 @@ func TestExtractColumns(t *testing.T) {
 
 func TestFromRowsCols(t *testing.T) {
 	rows := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	sub := FromRowsCols(rows, []int{1, 2})
+	sub := FromRowsCols[float64](rows, []int{1, 2})
 	want := FromRows([][]float64{{2, 3}, {5, 6}, {8, 9}})
 	if sub.Rows != 3 || sub.Cols != 2 {
 		t.Fatalf("shape %dx%d", sub.Rows, sub.Cols)

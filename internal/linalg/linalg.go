@@ -8,12 +8,19 @@
 // building blocks feeding the vectorized Gram engine (SyrkInto, GemmNTInto,
 // pairwise squared distances, column-block extraction) live in blas.go and
 // carry an explicit determinism contract relied on by internal/kernel.
+//
+// Matrices are Dense[T] over T ∈ Float (float32 | float64); Matrix is the
+// float64 instantiation. The kernels both numeric widths run — the blas.go
+// set plus CholeskyInto, SolveCholeskyInto and MulVecInto — are written
+// once, generic over T, and the determinism contract in blas.go covers
+// both widths.
 package linalg
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrSingular is returned when a factorization or solve encounters a matrix
@@ -75,19 +82,30 @@ func (v Vector) Sub(w Vector) Vector {
 	return out
 }
 
-// Matrix is a dense row-major matrix.
-type Matrix struct {
+// Float is the element type of the dense kernels: float64 is the exact
+// reference width, float32 the storage width of the f32 backend.
+type Float interface{ ~float32 | ~float64 }
+
+// Dense is a dense row-major matrix with elements of type T.
+type Dense[T Float] struct {
 	Rows, Cols int
-	Data       []float64 // len Rows*Cols, row-major
+	Data       []T // len Rows*Cols, row-major
 }
 
-// NewMatrix returns a zero matrix of the given shape.
-func NewMatrix(rows, cols int) *Matrix {
+// Matrix is the float64 dense matrix — the reference width every
+// exactness contract in the repository is stated at.
+type Matrix = Dense[float64]
+
+// NewDense returns a zero matrix of the given shape.
+func NewDense[T Float](rows, cols int) *Dense[T] {
 	if rows < 0 || cols < 0 {
 		panic("linalg: negative matrix dimension")
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Dense[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
 }
+
+// NewMatrix returns a zero float64 matrix of the given shape.
+func NewMatrix(rows, cols int) *Matrix { return NewDense[float64](rows, cols) }
 
 // FromRows builds a matrix from row slices, which must all share one length.
 func FromRows(rows [][]float64) *Matrix {
@@ -106,24 +124,24 @@ func FromRows(rows [][]float64) *Matrix {
 }
 
 // At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Dense[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
-// Row returns row i as a Vector sharing the matrix's backing storage.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
+// Row returns row i, sharing the matrix's backing storage.
+func (m *Dense[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
+func (m *Dense[T]) Clone() *Dense[T] {
+	out := NewDense[T](m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
 }
 
 // T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
+func (m *Dense[T]) T() *Dense[T] {
+	out := NewDense[T](m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			out.Set(j, i, m.At(i, j))
@@ -132,12 +150,12 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
+// Mul returns the matrix product m * b, accumulated in T.
+func (m *Dense[T]) Mul(b *Dense[T]) *Dense[T] {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: Mul shape mismatch (%dx%d)*(%dx%d)", m.Rows, m.Cols, b.Rows, b.Cols))
 	}
-	out := NewMatrix(m.Rows, b.Cols)
+	out := NewDense[T](m.Rows, b.Cols)
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			a := m.At(i, k)
@@ -153,39 +171,47 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 }
 
 // MulVec returns m * v.
-func (m *Matrix) MulVec(v Vector) Vector {
+func (m *Dense[T]) MulVec(v []T) Vector {
 	return MulVecInto(nil, m, v)
 }
 
 // MulVecInto computes m * v into dst, reusing dst's capacity when it
 // suffices (a fresh vector is allocated only when it is short), and returns
-// the length-m.Rows result. Each entry accumulates the row dot product
-// left-to-right, bit-identical to MulVec.
+// the length-m.Rows result — the scores-into step of every dual model,
+// cross-Gram rows times coefficients. Each entry accumulates the row dot
+// product left-to-right in float64 (the scores are float64 at every
+// storage width), bit-identical to MulVec and, at float64, to Vector.Dot.
 //
 //iotml:hotpath
-func MulVecInto(dst Vector, m *Matrix, v Vector) Vector {
+func MulVecInto[T Float](dst []float64, m *Dense[T], v []T) []float64 {
 	if m.Cols != len(v) {
 		//iotml:allow hotpathalloc -- cold shape-mismatch panic, never taken in steady state
 		panic(fmt.Sprintf("linalg: MulVec shape mismatch (%dx%d)*%d", m.Rows, m.Cols, len(v)))
 	}
 	if cap(dst) < m.Rows {
-		dst = NewVector(m.Rows)
+		dst = make([]float64, m.Rows)
 	}
 	dst = dst[:m.Rows]
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Dot(v)
+	d := m.Cols
+	for i := range dst {
+		s := 0.0
+		for k, x := range m.Data[i*d : (i+1)*d] {
+			s += float64(x) * float64(v[k])
+		}
+		dst[i] = s
 	}
 	return dst
 }
 
-// AddScaledDiag adds a to every diagonal entry in place (ridge/jitter).
-func (m *Matrix) AddScaledDiag(a float64) {
+// AddScaledDiag adds a, rounded once to T, to every diagonal entry in
+// place (ridge/jitter).
+func (m *Dense[T]) AddScaledDiag(a float64) {
 	n := m.Rows
 	if m.Cols < n {
 		n = m.Cols
 	}
 	for i := 0; i < n; i++ {
-		m.Data[i*m.Cols+i] += a
+		m.Data[i*m.Cols+i] += T(a)
 	}
 }
 
@@ -205,37 +231,41 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 // many solves of alternating sizes). The written factor — lower triangle,
 // diagonal, and zeroed strict upper triangle — is bit-identical to the
 // matrix Cholesky returns. l must not alias a. It returns ErrSingular if a
-// pivot falls below tolerance; l's contents are unspecified after an error.
+// pivot falls below the tolerance of T's precision (see pivotTol); l's
+// contents are unspecified after an error.
 //
 //iotml:hotpath
-func CholeskyInto(l, a *Matrix) error {
+func CholeskyInto[T Float](l, a *Dense[T]) error {
 	if a.Rows != a.Cols {
 		//iotml:allow hotpathalloc -- cold shape-error path, never taken in steady state
 		return fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
+	tol := pivotTol[T]()
 	*l = *Reshape(l, n, n)
 	// Row-slice accesses replace At/Set index arithmetic in the inner
-	// loops; the subtraction order over k is unchanged, so the factor is
-	// bit-identical to the historical element-wise formulation.
+	// loops. Every subtraction accumulates in float64 and each factor
+	// entry is rounded to T once, at its store; the subtraction order over
+	// k is the historical element-wise one, so the float64 factor is
+	// bit-identical to it.
 	for j := 0; j < n; j++ {
 		rowJ := l.Data[j*n : (j+1)*n]
-		d := a.Data[j*n+j]
+		d := float64(a.Data[j*n+j])
 		for _, v := range rowJ[:j] {
-			d -= v * v
+			d -= float64(v) * float64(v)
 		}
-		if d <= 1e-14 {
+		if d <= tol {
 			return ErrSingular
 		}
-		rowJ[j] = math.Sqrt(d)
-		piv := rowJ[j]
+		rowJ[j] = T(math.Sqrt(d))
+		piv := float64(rowJ[j])
 		for i := j + 1; i < n; i++ {
 			rowI := l.Data[i*n : (i+1)*n]
-			s := a.Data[i*n+j]
+			s := float64(a.Data[i*n+j])
 			for k, v := range rowI[:j] {
-				s -= v * rowJ[k]
+				s -= float64(v) * float64(rowJ[k])
 			}
-			rowI[j] = s / piv
+			rowI[j] = T(s / piv)
 		}
 		// Clear the strict upper triangle of this row so a recycled buffer
 		// carries no stale entries and the factor equals Cholesky's output.
@@ -246,52 +276,50 @@ func CholeskyInto(l, a *Matrix) error {
 	return nil
 }
 
-// SolveCholesky solves A x = b given the Cholesky factor L of A, by forward
-// then backward substitution.
-func SolveCholesky(l *Matrix, b Vector) Vector {
-	return SolveCholeskyInto(nil, l, b)
+// pivotTol is the Cholesky pivot tolerance at T's precision: 1e-14 for
+// float64, and 1e-7 — the same margin scaled to float32's precision — for
+// float32, so a pivot the narrower storage cannot resolve fails into the
+// caller's heavier-ridge fallback.
+func pivotTol[T Float]() float64 {
+	if unsafe.Sizeof(T(0)) == 4 {
+		return 1e-7
+	}
+	return 1e-14
 }
 
 // SolveCholeskyInto solves A x = b given the Cholesky factor L of A,
 // writing the solution into dst (reused when its capacity suffices,
-// reallocated otherwise) and returning it. The substitutions run in place
+// reallocated otherwise) and returning it. Sums accumulate in float64 and
+// each solution entry is rounded to T once. The substitutions run in place
 // over one buffer in an order that never reads an overwritten entry, so the
-// result is bit-identical to SolveCholesky. dst must not alias b.
+// result does not depend on dst's prior contents. dst must not alias b.
 //
 //iotml:hotpath
-func SolveCholeskyInto(dst Vector, l *Matrix, b Vector) Vector {
+func SolveCholeskyInto[T Float](dst []T, l *Dense[T], b []T) []T {
 	n := l.Rows
 	if cap(dst) < n {
-		dst = NewVector(n)
+		dst = make([]T, n)
 	}
 	dst = dst[:n]
+	ld := l.Data
 	// Forward substitution: dst holds y.
 	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * dst[k]
+		s := float64(b[i])
+		for k, v := range ld[i*n : i*n+i] {
+			s -= float64(v) * float64(dst[k])
 		}
-		dst[i] = s / l.At(i, i)
+		dst[i] = T(s / float64(ld[i*n+i]))
 	}
 	// Backward substitution in place: position i still holds y[i] when it is
 	// read, positions above i already hold x.
 	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
+		s := float64(dst[i])
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * dst[k]
+			s -= float64(ld[k*n+i]) * float64(dst[k])
 		}
-		dst[i] = s / l.At(i, i)
+		dst[i] = T(s / float64(ld[i*n+i]))
 	}
 	return dst
-}
-
-// SolveSPD solves A x = b for symmetric positive-definite A via Cholesky.
-func SolveSPD(a *Matrix, b Vector) (Vector, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return SolveCholesky(l, b), nil
 }
 
 // Solve solves the square system A x = b by Gaussian elimination with

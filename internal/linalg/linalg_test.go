@@ -119,7 +119,7 @@ func TestCholeskyAndSolve(t *testing.T) {
 		}
 	}
 	b := Vector{2, 1, 9}
-	x := SolveCholesky(l, b)
+	x := solveCholesky(l, b)
 	ax := a.MulVec(x)
 	for i := range b {
 		if !almostEqual(ax[i], b[i], 1e-9) {
@@ -140,7 +140,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 
 func TestSolveSPD(t *testing.T) {
 	a := FromRows([][]float64{{3, 1}, {1, 2}})
-	x, err := SolveSPD(a, Vector{9, 8})
+	x, err := solveSPD(a, Vector{9, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestSolveSPD(t *testing.T) {
 // fails the Cholesky step with an error instead of returning a solution.
 func TestSolveSPDRejectsIndefinite(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
-	if x, err := SolveSPD(a, Vector{1, 1}); err == nil {
-		t.Fatalf("SolveSPD on an indefinite matrix returned %v, want error", x)
+	if x, err := solveSPD(a, Vector{1, 1}); err == nil {
+		t.Fatalf("solveSPD on an indefinite matrix returned %v, want error", x)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestSolveRandomSPDProperty(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
-		x, err := SolveSPD(a, b)
+		x, err := solveSPD(a, b)
 		if err != nil {
 			return false
 		}
@@ -230,3 +230,18 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 	}()
 	FromRows([][]float64{{1, 2}, {3}})
 }
+
+// solveSPD solves A x = b for symmetric positive-definite A through the
+// allocating Cholesky path — the reference the scratch solves are checked
+// against.
+func solveSPD(a *Matrix, b Vector) (Vector, error) {
+	l, err := Cholesky(a)
+	if err != nil {
+		return nil, err
+	}
+	return solveCholesky(l, b), nil
+}
+
+// solveCholesky solves A x = b given the Cholesky factor L of A into a
+// fresh vector.
+func solveCholesky(l *Matrix, b Vector) Vector { return SolveCholeskyInto(nil, l, b) }

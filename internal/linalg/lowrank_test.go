@@ -164,7 +164,7 @@ func TestPrimalDualRidgeEquivalence(t *testing.T) {
 	kreg := NewMatrix(n, n)
 	copy(kreg.Data, k.Data)
 	kreg.AddScaledDiag(lam)
-	alpha, err := SolveSPD(kreg, y)
+	alpha, err := solveSPD(kreg, y)
 	if err != nil {
 		t.Fatalf("dual solve: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestPrimalDualRidgeEquivalence(t *testing.T) {
 	a := SyrkTInto(nil, f)
 	a.AddScaledDiag(lam)
 	rhs := MulTVecInto(nil, f, y)
-	beta, err := SolveSPD(a, rhs)
+	beta, err := solveSPD(a, rhs)
 	if err != nil {
 		t.Fatalf("primal solve: %v", err)
 	}

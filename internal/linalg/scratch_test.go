@@ -35,7 +35,7 @@ func TestReshapeReusesCapacity(t *testing.T) {
 	if &m.Data[0] == base {
 		t.Fatal("Reshape past capacity must reallocate")
 	}
-	if got := Reshape(nil, 2, 3); got.Rows != 2 || got.Cols != 3 {
+	if got := Reshape[float64](nil, 2, 3); got.Rows != 2 || got.Cols != 3 {
 		t.Fatalf("Reshape(nil): got %dx%d", got.Rows, got.Cols)
 	}
 }
@@ -139,7 +139,7 @@ func TestSolveCholeskyIntoMatchesSolveCholesky(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := SolveCholesky(lm, b)
+		want := solveCholesky(lm, b)
 		dst = SolveCholeskyInto(dst, lm, b)
 		if !reflect.DeepEqual([]float64(dst), []float64(want)) {
 			t.Fatalf("n=%d: SolveCholeskyInto differs from SolveCholesky", n)

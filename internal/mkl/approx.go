@@ -32,7 +32,7 @@ const DefaultBudgetTopK = 8
 // assemble the candidate's concatenated factor from the shared block-factor
 // cache, then run the objective on it.
 func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {
-	f, err := e.approxCache.FactorForPartitionScratch(p, e.cfg.Combiner, e.factorBuf, &e.asm)
+	f, err := e.approxCache.FactorForPartitionScratch(p, e.cfg.Combiner, e.factorBuf, &e.d64.asm)
 	if err != nil {
 		return 0, err
 	}
@@ -46,8 +46,8 @@ func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {
 		}
 		// No primal form (SVM, perceptron): materialize K̂ = F·Fᵀ once and
 		// reuse the standard CV machinery on the approximate Gram.
-		e.gramBuf = linalg.SyrkInto(e.gramBuf, f)
-		return e.cvAccuracy(e.gramBuf)
+		e.d64.gram = linalg.SyrkInto(e.d64.gram, f)
+		return e.cvAccuracy(e.d64.gram)
 	}
 }
 
@@ -58,8 +58,8 @@ func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {
 // factor.
 func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 	n, r := f.Rows, f.Cols
-	e.centerBuf = linalg.Reshape(e.centerBuf, n, r)
-	copy(e.centerBuf.Data, f.Data)
+	e.d64.center = linalg.Reshape(e.d64.center, n, r)
+	copy(e.d64.center.Data, f.Data)
 	// Column-center in place: lrBeta doubles as the column-mean buffer.
 	if cap(e.lrBeta) < r {
 		e.lrBeta = linalg.NewVector(r)
@@ -69,7 +69,7 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 		mean[j] = 0
 	}
 	for i := 0; i < n; i++ {
-		row := e.centerBuf.Data[i*r : (i+1)*r]
+		row := e.d64.center.Data[i*r : (i+1)*r]
 		for j, v := range row {
 			mean[j] += v
 		}
@@ -78,19 +78,19 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 		mean[j] /= float64(n)
 	}
 	for i := 0; i < n; i++ {
-		row := e.centerBuf.Data[i*r : (i+1)*r]
+		row := e.d64.center.Data[i*r : (i+1)*r]
 		for j := range row {
 			row[j] -= mean[j]
 		}
 	}
 	// ⟨K̃, yyᵀ⟩ = ‖F̃ᵀy‖².
-	e.lrRhs = linalg.MulTVecInto(e.lrRhs, e.centerBuf, e.labelVec())
+	e.lrRhs = linalg.MulTVecInto(e.lrRhs, e.d64.center, e.labelVec())
 	kyy := 0.0
 	for _, v := range e.lrRhs {
 		kyy += v * v
 	}
 	// ‖K̃‖_F = ‖F̃ᵀF̃‖_F (same nonzero singular values, squared).
-	e.lrA = linalg.SyrkTInto(e.lrA, e.centerBuf)
+	e.lrA = linalg.SyrkTInto(e.lrA, e.d64.center)
 	kk := 0.0
 	for _, v := range e.lrA.Data {
 		kk += v * v
@@ -138,7 +138,7 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 	for fold := range fd.plan.Trains {
 		tr := fd.plan.Trains[fold]
 		nTr := len(tr)
-		e.scratchSub = linalg.GatherInto(e.scratchSub, f, tr, e.lrColRuns)
+		e.d64.sub = linalg.GatherInto(e.d64.sub, f, tr, e.lrColRuns)
 		if cap(e.lrRhs) < nTr {
 			e.lrRhs = linalg.NewVector(nTr)
 		}
@@ -146,39 +146,25 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 		for i, a := range tr {
 			ytr[i] = y[a]
 		}
-		beta, err := e.lowRankRidgeSolve(e.scratchSub, ytr, lam)
+		beta, err := e.lowRankRidgeSolve(e.d64.sub, ytr, lam)
 		if err != nil {
 			return 0, fmt.Errorf("mkl: fold %d: %w", fold, err)
 		}
-		e.scratchCross = linalg.GatherInto(e.scratchCross, f, fd.plan.Tests[fold], e.lrColRuns)
-		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, e.scratchCross, beta)
+		e.d64.cross = linalg.GatherInto(e.d64.cross, f, fd.plan.Tests[fold], e.lrColRuns)
+		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, e.d64.cross, beta)
 		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
 		total += stats.Accuracy(e.predBuf, fd.yTest[fold])
 	}
 	return total / float64(len(fd.plan.Trains)), nil
 }
 
-// lowRankRidgeSolve solves (FᵀF + λ'I)β = Fᵀy in the evaluator's low-rank
-// scratch, mirroring Ridge.Train's regularization and fallback schedule.
+// lowRankRidgeSolve solves (FᵀF + λ'I)β = Fᵀy in the evaluator's ridge
+// scratch, under Ridge's regularization and fallback schedule
+// (kernelmachine.RidgeScratch.Solve) scaled by the n_tr training rows.
 func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, lam float64) (linalg.Vector, error) {
-	nTr := f.Rows
-	r := f.Cols
 	e.lrA = linalg.SyrkTInto(e.lrA, f)
-	e.lrA.AddScaledDiag(lam * float64(nTr) / 10)
 	rhs := linalg.MulTVecInto(nil, f, y)
-	if e.lrChol == nil || e.lrChol.Rows != r || e.lrChol.Cols != r {
-		e.lrChol = linalg.NewMatrix(r, r)
-	}
-	if err := linalg.CholeskyInto(e.lrChol, e.lrA); err != nil {
-		// Heavier ridge before giving up, like the dual trainer.
-		e.lrA = linalg.SyrkTInto(e.lrA, f)
-		e.lrA.AddScaledDiag(1 + lam*float64(nTr))
-		if err := linalg.CholeskyInto(e.lrChol, e.lrA); err != nil {
-			return nil, fmt.Errorf("mkl: low-rank ridge solve failed: %w", err)
-		}
-	}
-	e.lrBeta = linalg.SolveCholeskyInto(e.lrBeta, e.lrChol, rhs)
-	return e.lrBeta, nil
+	return e.d64.ridge.Solve(e.lrA, rhs, lam, f.Rows)
 }
 
 // SearchFunc is a lattice-search strategy over one evaluator — the shape of

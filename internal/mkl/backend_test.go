@@ -122,7 +122,7 @@ func TestBackendFloat32ToleranceAndDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if e.d32 == nil {
+					if e.cache32 == nil {
 						t.Fatal("Float32 backend did not build the f32 block cache")
 					}
 					got, err := st.par(e, start)

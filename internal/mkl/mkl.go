@@ -152,19 +152,23 @@ type Evaluator struct {
 	// scorer, when non-nil, scores every candidate batch of a search in
 	// place of the in-process pool (SetScorer).
 	scorer CandidateScorer
-	// gramCache memoizes per-block Gram matrices; shared across the scratch
-	// evaluators of a parallel search (the cache is concurrency-safe).
+	// gramCache (Float64) or cache32 (Float32) memoizes per-block Gram
+	// matrices; shared across the scratch evaluators of a parallel search
+	// (the caches are concurrency-safe). Both are nil under the approximate
+	// backends, and gramCache is nil when retention is disabled.
 	gramCache *kernel.BlockGramCache
-	// gramBuf is this evaluator's reusable full-Gram assembly buffer; each
-	// worker of a parallel search owns its evaluator, so the buffer is
-	// reused across candidates without reallocation and without races.
-	gramBuf *linalg.Matrix
+	cache32   *kernel.DenseGramCache[float32]
 	// xm is the dense row-major dataset matrix feeding the vectorized Gram
 	// path when no block cache is enabled. Built once and shared read-only
 	// across the scratch evaluators of a parallel search.
 	xm *linalg.Matrix
-	// scratchSub and scratchCross are the reusable CV fold buffers.
-	scratchSub, scratchCross *linalg.Matrix
+	// d64 and d32 are the worker-owned scratch of the full-Gram scoring
+	// body at each storage width (see dense). Each worker of a parallel
+	// search owns its evaluator, so the buffers are reused across
+	// candidates without reallocation and without races. The approximate
+	// backends and the float64 CV loops reuse d64's buffers too.
+	d64 dense[float64]
+	d32 dense[float32]
 	// folds is the CV fold plan plus per-fold label slices, computed once in
 	// NewEvaluator and shared read-only across the scratch evaluators of a
 	// parallel search (every candidate uses the identical split).
@@ -174,12 +178,6 @@ type Evaluator struct {
 	kmScratch *kernelmachine.Scratch
 	scoreBuf  []float64
 	predBuf   []int
-	// centerBuf is the reusable centering scratch of the KernelAlignment
-	// objective (replacing a per-candidate gram.Clone()).
-	centerBuf *linalg.Matrix
-	// asm is the worker-owned Gram-assembly scratch feeding
-	// kernel.BlockGramCache.GramForPartitionScratch.
-	asm kernel.AssemblyScratch
 
 	// approxCache memoizes per-block low-rank factors under the
 	// approximate backends (nil otherwise); like gramCache it is
@@ -189,23 +187,21 @@ type Evaluator struct {
 	// the low-rank ridge / alignment paths (see approx.go).
 	approxCache *kernel.ApproxGramCache
 	factorBuf   *linalg.Matrix
-	lrA, lrChol *linalg.Matrix
+	lrA         *linalg.Matrix
 	lrRhs       linalg.Vector
 	lrBeta      linalg.Vector
 	lrY         linalg.Vector
 	lrColRuns   []linalg.Run
+}
 
-	// d32 is the Float32 backend's shared per-block f32 Gram cache (nil on
-	// every other backend); the remaining *32 fields are the worker-owned
-	// f32 scratch of that backend — assembled Gram, centering buffer, fold
-	// gathers, assembly scratch, and the ridge factor/solve scratch (see
-	// f32path.go).
-	d32            *engine.Dense32
-	g32            *engine.M32
-	center32       *engine.M32
-	sub32, cross32 *engine.M32
-	sc32           engine.Scratch32
-	solver32       engine.Solver32
+// dense is the worker-owned scratch of the full-Gram scoring body at
+// storage width T: the assembled Gram, the centering buffer, the CV fold
+// sub- and cross-Gram gathers, the block-assembly scratch, and the ridge
+// factor/solve buffers.
+type dense[T linalg.Float] struct {
+	gram, center, sub, cross *linalg.Dense[T]
+	asm                      kernel.BlockScratch[*linalg.Dense[T]]
+	ridge                    kernelmachine.RidgeScratch[T]
 }
 
 // foldData bundles the precomputed CV split with the per-fold label slices
@@ -230,8 +226,8 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 	case engine.Float32Kind:
 		// The f32 block cache replaces the exact block cache and the dense
 		// dataset matrix entirely: assembly, centering, fold gathers, and
-		// ridge solves all run in f32 storage (see f32path.go).
-		e.d32 = engine.NewDense32(d.X, cfg.Factory, cfg.GramCacheBlocks)
+		// ridge solves all run in f32 storage (see dense.score).
+		e.cache32 = kernel.NewDenseGramCache[float32](d.X, cfg.Factory, cfg.GramCacheBlocks)
 	case engine.NystromKind, engine.RFFKind:
 		if cfg.Combiner == kernel.CombineProduct {
 			return nil, fmt.Errorf("mkl: approximate backends support CombineSum only (a product of low-rank Grams has no low-rank factor)")
@@ -297,7 +293,7 @@ func (e *Evaluator) searchCtx() context.Context {
 // per-candidate allocations. Pool workers only compute (scoreConfig); the
 // parent's cache front does the caching and counting.
 func (e *Evaluator) scratchClone() *Evaluator {
-	return &Evaluator{cfg: e.cfg, data: e.data, gramCache: e.gramCache, approxCache: e.approxCache, d32: e.d32, xm: e.xm, folds: e.folds}
+	return &Evaluator{cfg: e.cfg, data: e.data, gramCache: e.gramCache, cache32: e.cache32, approxCache: e.approxCache, xm: e.xm, folds: e.folds}
 }
 
 // Evaluations returns the number of kernel configurations actually
@@ -352,43 +348,89 @@ func (e *Evaluator) checkDims(p partition.Partition) error {
 
 // scoreConfig computes the objective value of one kernel configuration —
 // the cache-miss body of Score. The approximate backends route through the
-// low-rank factor path (scoreApprox in approx.go), Float32 through the f32
-// path (f32path.go); Float64 runs the bit-identical full-Gram reference
-// assembly.
+// low-rank factor path (scoreApprox in approx.go); Float32 and Float64
+// assemble the candidate's full Gram at their storage width and share one
+// scoring body (dense.score).
 func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
-	if e.approxCache != nil {
+	switch {
+	case e.approxCache != nil:
 		return e.scoreApprox(p)
+	case e.cache32 != nil:
+		return e.d32.score(e, e.d32.assemble(e.cache32, p, e.cfg.Combiner))
+	case e.gramCache != nil:
+		return e.d64.score(e, e.d64.assemble(e.gramCache, p, e.cfg.Combiner))
 	}
-	if e.d32 != nil {
-		return e.scoreF32(p)
+	// Vectorized path into the worker-owned scratch buffer; the pairwise
+	// loop remains the fallback for Eval-only kernels.
+	k := kernel.FromPartition(p, e.cfg.Factory, e.cfg.Combiner)
+	var ok bool
+	if e.d64.gram, ok = kernel.GramIntoMatrix(e.d64.gram, k, e.xm); ok {
+		return e.d64.score(e, e.d64.gram)
 	}
-	var gram *linalg.Matrix
-	if e.gramCache != nil {
-		e.gramBuf = e.gramCache.GramForPartitionScratch(p, e.cfg.Combiner, e.gramBuf, &e.asm)
-		gram = e.gramBuf
-	} else {
-		// Vectorized path into the worker-owned scratch buffer; the
-		// pairwise loop remains the fallback for Eval-only kernels.
-		k := kernel.FromPartition(p, e.cfg.Factory, e.cfg.Combiner)
-		var ok bool
-		if e.gramBuf, ok = kernel.GramIntoMatrix(e.gramBuf, k, e.xm); ok {
-			gram = e.gramBuf
-		} else {
-			gram = kernel.GramPairwise(k, e.data.X)
-		}
-	}
+	return e.d64.score(e, kernel.GramPairwise(k, e.data.X))
+}
+
+// assemble combines the cached block Grams of p into the worker-owned
+// full-Gram buffer and returns it.
+func (s *dense[T]) assemble(c *kernel.DenseGramCache[T], p partition.Partition, combiner kernel.Combiner) *linalg.Dense[T] {
+	s.gram = c.GramForPartitionScratch(p, combiner, s.gram, &s.asm)
+	return s.gram
+}
+
+// score is the one scoring body of the full-Gram backends, at either
+// storage width. Alignment centers and aligns at the Gram's width; ridge
+// CV gathers, solves and scores natively at it (cvRidge). Learners without
+// a native loop at T (SVM's SMO, the perceptron, a caller's trainer) run
+// the float64 CV paths on the float64 Gram — the f32 Gram widened once,
+// exactly, so only assembly pays the f32 rounding there.
+func (s *dense[T]) score(e *Evaluator, gram *linalg.Dense[T]) (float64, error) {
 	switch e.cfg.Objective {
 	case KernelAlignment:
-		// Center into the evaluator-owned scratch instead of cloning the
-		// Gram per candidate (centering mutates, and gram may be a shared
-		// cache buffer). Same values, same arithmetic, no allocation.
-		e.centerBuf = linalg.Reshape(e.centerBuf, gram.Rows, gram.Cols)
-		copy(e.centerBuf.Data, gram.Data)
-		kernel.Center(e.centerBuf)
-		return kernel.Alignment(e.centerBuf, e.data.Y), nil
+		// Center into the worker-owned scratch instead of cloning the Gram
+		// per candidate (centering mutates, and gram may be a shared cache
+		// buffer). Same values, same arithmetic, no allocation.
+		s.center = linalg.Reshape(s.center, gram.Rows, gram.Cols)
+		copy(s.center.Data, gram.Data)
+		kernel.Center(s.center)
+		return kernel.Alignment(s.center, e.data.Y), nil
 	default:
-		return e.cvAccuracy(gram)
+		if r, ok := e.cfg.Trainer.(kernelmachine.Ridge); ok {
+			return s.cvRidge(e, gram, r)
+		}
+		g, ok := any(gram).(*linalg.Matrix)
+		if !ok {
+			e.d64.gram = linalg.Convert(e.d64.gram, gram)
+			g = e.d64.gram
+		}
+		return e.cvAccuracy(g)
 	}
+}
+
+// cvRidge runs the evaluator's k-fold CV with ridge at the Gram's storage
+// width: fold sub- and cross-Grams are gathered through the shared fold
+// plan's run descriptors, kernelmachine.FitRidge solves each fold under
+// the λ·n/10 → 1+λ·n schedule, and scores re-enter float64 at the
+// scores-into step, so classification and accuracy are shared with every
+// other backend. At float64 every operation is Ridge.TrainScratch's, so
+// the scores are bit-identical to the reference CV loop.
+//
+//iotml:hotpath
+func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.Ridge) (float64, error) {
+	fd := e.folds
+	total := 0.0
+	for f := range fd.plan.Trains {
+		s.sub = linalg.GatherInto(s.sub, gram, fd.plan.Trains[f], fd.plan.TrainRuns[f])
+		beta, err := kernelmachine.FitRidge(r, s.sub, fd.yTrain[f], &s.ridge)
+		if err != nil {
+			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
+			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
+		}
+		s.cross = linalg.GatherInto(s.cross, gram, fd.plan.Tests[f], fd.plan.TrainRuns[f])
+		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, s.cross, beta)
+		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
+		total += stats.Accuracy(e.predBuf, fd.yTest[f])
+	}
+	return total / float64(len(fd.plan.Trains)), nil
 }
 
 // cvAccuracy runs k-fold CV re-using one precomputed full Gram matrix.
@@ -421,17 +463,17 @@ func (e *Evaluator) cvAccuracyFast(gram *linalg.Matrix, st kernelmachine.Scratch
 	}
 	total := 0.0
 	for f := range fd.plan.Trains {
-		e.scratchSub = linalg.GatherInto(e.scratchSub, gram, fd.plan.Trains[f], fd.plan.TrainRuns[f])
-		model, err := st.TrainScratch(e.scratchSub, fd.yTrain[f], e.kmScratch)
+		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, fd.plan.Trains[f], fd.plan.TrainRuns[f])
+		model, err := st.TrainScratch(e.d64.sub, fd.yTrain[f], e.kmScratch)
 		if err != nil {
 			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
 			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
 		}
-		e.scratchCross = linalg.GatherInto(e.scratchCross, gram, fd.plan.Tests[f], fd.plan.TrainRuns[f])
+		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, fd.plan.Tests[f], fd.plan.TrainRuns[f])
 		if sm, ok := model.(kernelmachine.ScratchModel); ok {
-			e.scoreBuf = sm.ScoresInto(e.scoreBuf, e.scratchCross)
+			e.scoreBuf = sm.ScoresInto(e.scoreBuf, e.d64.cross)
 		} else {
-			e.scoreBuf = model.Scores(e.scratchCross)
+			e.scoreBuf = model.Scores(e.d64.cross)
 		}
 		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
 		total += stats.Accuracy(e.predBuf, fd.yTest[f])
@@ -453,8 +495,8 @@ func (e *Evaluator) cvAccuracyRef(gram *linalg.Matrix) (float64, error) {
 	total := 0.0
 	for f := range trains {
 		tr, te := trains[f], tests[f]
-		e.scratchSub = linalg.Reshape(e.scratchSub, len(tr), len(tr))
-		sub := e.scratchSub
+		e.d64.sub = linalg.Reshape(e.d64.sub, len(tr), len(tr))
+		sub := e.d64.sub
 		for i, a := range tr {
 			for j, b := range tr {
 				sub.Set(i, j, gram.At(a, b))
@@ -468,8 +510,8 @@ func (e *Evaluator) cvAccuracyRef(gram *linalg.Matrix) (float64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
 		}
-		e.scratchCross = linalg.Reshape(e.scratchCross, len(te), len(tr))
-		cross := e.scratchCross
+		e.d64.cross = linalg.Reshape(e.d64.cross, len(te), len(tr))
+		cross := e.d64.cross
 		for i, a := range te {
 			for j, b := range tr {
 				cross.Set(i, j, gram.At(a, b))

@@ -90,8 +90,7 @@ func hashBits(h hash.Hash64, b uint64, n int) {
 // f32GramHash assembles the f32 Gram of p through the evaluator's own
 // block cache and hashes its Float32bits in row-major order.
 func f32GramHash(e *Evaluator, p partition.Partition) uint64 {
-	var sc engine.Scratch32
-	g := e.d32.GramForPartitionScratch(p, e.cfg.Combiner, nil, &sc)
+	g := e.cache32.GramForPartition(p, e.cfg.Combiner, nil)
 	h := fnv.New64a()
 	for _, v := range g.Data {
 		hashBits(h, uint64(math.Float32bits(v)), 4)

@@ -101,9 +101,9 @@ func singletonAlignment(e *Evaluator, f int) float64 {
 	var g *linalg.Matrix
 	if e.gramCache != nil {
 		shared, _ := e.gramCache.Block([]int{f - 1}) // exact builds never fail
-		e.centerBuf = linalg.Reshape(e.centerBuf, shared.Rows, shared.Cols)
-		copy(e.centerBuf.Data, shared.Data)
-		g = e.centerBuf
+		e.d64.center = linalg.Reshape(e.d64.center, shared.Rows, shared.Cols)
+		copy(e.d64.center.Data, shared.Data)
+		g = e.d64.center
 	} else {
 		feats := []int{f - 1}
 		base := e.cfg.Factory(feats)

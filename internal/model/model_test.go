@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -286,6 +287,43 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 			t.Fatalf("err = %v, want payload-cap error", err)
 		}
 	})
+}
+
+// TestLoadRejectsOverDeepKernelSpec: an artifact whose kernel spec nests
+// Normalized 16 levels deep (a few hundred bytes that would cost seconds
+// per kernel value) fails to load with an error; it is never evaluated.
+func TestLoadRejectsOverDeepKernelSpec(t *testing.T) {
+	art := fitArtifact(t, 8, kernelmachine.Ridge{}, kernel.CombineSum)
+	var buf bytes.Buffer
+	if err := art.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	oldSpec, err := json.Marshal(art.KernelSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := &kernel.Spec{Kind: kernel.SpecRBF, Gamma: 0.5}
+	for i := 1; i < 16; i++ {
+		deep = &kernel.Spec{Kind: kernel.SpecNormalized, Base: deep}
+	}
+	deepSpec, err := json.Marshal(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := binary.LittleEndian.Uint32(good[8:12])
+	hdr := good[12 : 12+int(hlen)]
+	newHdr := bytes.Replace(hdr, oldSpec, deepSpec, 1)
+	if bytes.Equal(newHdr, hdr) {
+		t.Fatalf("kernel spec %s not found in header %s", oldSpec, hdr)
+	}
+	bad := append([]byte(nil), good[:8]...)
+	bad = binary.LittleEndian.AppendUint32(bad, uint32(len(newHdr)))
+	bad = append(bad, newHdr...)
+	bad = append(bad, good[12+int(hlen):]...)
+	if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+		t.Fatalf("err = %v, want a spec-nesting error", err)
+	}
 }
 
 func TestValidateCatchesInconsistencies(t *testing.T) {

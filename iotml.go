@@ -37,9 +37,11 @@
 //
 // Candidate scoring is pluggable (internal/engine): WithBackend selects
 // Float64Backend (the default — bit-identical to every pre-backend fit),
-// Float32Backend (f32 storage with f64 accumulation; Gram entries within
-// engine.Tol32 of the reference, selections bit-identical across worker
-// counts), or NystromBackend/RFFBackend (low-rank factor scoring for
+// Float32Backend (f32 storage with f64 accumulation — the float32
+// instantiation of the same generic kernels, cache and scoring body the
+// default runs at float64; Gram entries within engine.Tol32 of the
+// reference, selections bit-identical across worker counts), or
+// NystromBackend/RFFBackend (low-rank factor scoring for
 // large n, combinable with WithBudget). AutoBackend(d, objective) picks
 // one from the workload size, and ParseBackend reads the CLI spellings
 // ("exact", "f32", "nystrom:256", "rff:128"). The deployment fit behind
