@@ -111,6 +111,7 @@ contracts:
 	$(CONTRACT) 'TestSpecBackendSpellings' ./internal/distsearch
 	$(CONTRACT) 'TestFitDistributedBudgetedMatchesLocal' ./internal/core
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
+	$(CONTRACT) 'MatchesScalarReference' ./internal/linalg
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
 # fuzz gives each untrusted-input decoder — the search-worker boundaries

@@ -13,10 +13,12 @@
 //
 // Determinism contract, at both widths: every sum accumulates in float64
 // and each result is rounded to the storage type once, at its store.
-// Inner products accumulate left-to-right in feature order — exactly the
-// order a scalar per-pair kernel evaluation uses — so at float64 SyrkInto
-// and GemmNTInto are bit-identical to pairwise dot products, and at float32
-// each entry is the correctly rounded float64 result. The distance
+// A register-tiled kernel (CholeskyInto) interleaves outputs but never
+// reorders the terms within an output. Inner products accumulate
+// left-to-right in feature order — exactly the order a scalar per-pair
+// kernel evaluation uses — so at float64 SyrkInto and GemmNTInto are
+// bit-identical to pairwise dot products, and at float32 each entry is the
+// correctly rounded float64 result. The distance
 // expansion in PairwiseSquaredDistancesInto reorders floating-point
 // operations relative to a direct Σ(xᵢ−yᵢ)² loop and is therefore only
 // accurate to rounding (callers that need the exact scalar result must use

@@ -234,6 +234,10 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 // pivot falls below the tolerance of T's precision (see pivotTol); l's
 // contents are unspecified after an error.
 //
+// Below each pivot the column is register-tiled: one sweep over k updates
+// four rows at once. Tiling interleaves outputs but never reorders k within
+// an output, so every entry is the scalar column loop's, bit for bit.
+//
 //iotml:hotpath
 func CholeskyInto[T Float](l, a *Dense[T]) error {
 	if a.Rows != a.Cols {
@@ -243,35 +247,57 @@ func CholeskyInto[T Float](l, a *Dense[T]) error {
 	n := a.Rows
 	tol := pivotTol[T]()
 	*l = *Reshape(l, n, n)
-	// Row-slice accesses replace At/Set index arithmetic in the inner
-	// loops. Every subtraction accumulates in float64 and each factor
-	// entry is rounded to T once, at its store; the subtraction order over
-	// k is the historical element-wise one, so the float64 factor is
-	// bit-identical to it.
+	ld, ad := l.Data, a.Data
+	// Every subtraction accumulates in float64 over ascending k and each
+	// factor entry is rounded to T once, at its store, so the float64
+	// factor is bit-identical to the historical element-wise loop.
 	for j := 0; j < n; j++ {
-		rowJ := l.Data[j*n : (j+1)*n]
-		d := float64(a.Data[j*n+j])
-		for _, v := range rowJ[:j] {
+		rowJ := ld[j*n : j*n+j]
+		d := float64(ad[j*n+j])
+		for _, v := range rowJ {
 			d -= float64(v) * float64(v)
 		}
 		if d <= tol {
 			return ErrSingular
 		}
-		rowJ[j] = T(math.Sqrt(d))
-		piv := float64(rowJ[j])
-		for i := j + 1; i < n; i++ {
-			rowI := l.Data[i*n : (i+1)*n]
-			s := float64(a.Data[i*n+j])
-			for k, v := range rowI[:j] {
+		ld[j*n+j] = T(math.Sqrt(d))
+		piv := float64(ld[j*n+j])
+		// Rows below the pivot in groups of four, one float64 accumulator
+		// each; reslicing to len(rowJ) lets the compiler drop the inner
+		// loop's bounds checks.
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			r0 := ld[i*n:][:len(rowJ)]
+			r1 := ld[(i+1)*n:][:len(rowJ)]
+			r2 := ld[(i+2)*n:][:len(rowJ)]
+			r3 := ld[(i+3)*n:][:len(rowJ)]
+			s0 := float64(ad[i*n+j])
+			s1 := float64(ad[(i+1)*n+j])
+			s2 := float64(ad[(i+2)*n+j])
+			s3 := float64(ad[(i+3)*n+j])
+			for k, v := range rowJ {
+				vk := float64(v)
+				s0 -= float64(r0[k]) * vk
+				s1 -= float64(r1[k]) * vk
+				s2 -= float64(r2[k]) * vk
+				s3 -= float64(r3[k]) * vk
+			}
+			ld[i*n+j] = T(s0 / piv)
+			ld[(i+1)*n+j] = T(s1 / piv)
+			ld[(i+2)*n+j] = T(s2 / piv)
+			ld[(i+3)*n+j] = T(s3 / piv)
+		}
+		// The rows left over, one at a time.
+		for ; i < n; i++ {
+			s := float64(ad[i*n+j])
+			for k, v := range ld[i*n:][:len(rowJ)] {
 				s -= float64(v) * float64(rowJ[k])
 			}
-			rowI[j] = T(s / piv)
+			ld[i*n+j] = T(s / piv)
 		}
 		// Clear the strict upper triangle of this row so a recycled buffer
 		// carries no stale entries and the factor equals Cholesky's output.
-		for i := j + 1; i < n; i++ {
-			rowJ[i] = 0
-		}
+		clear(ld[j*n+j+1 : (j+1)*n])
 	}
 	return nil
 }

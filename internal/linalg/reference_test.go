@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,6 +95,39 @@ func refCholesky(a *Matrix) (*Matrix, error) {
 		}
 	}
 	return l, nil
+}
+
+// refCholeskyInto is CholeskyInto's scalar column loop as it stood before
+// the loop was register-tiled, generic over Float: the reference of the
+// float32 factor.
+func refCholeskyInto[T Float](l, a *Dense[T]) error {
+	n := a.Rows
+	tol := pivotTol[T]()
+	*l = *Reshape(l, n, n)
+	for j := 0; j < n; j++ {
+		rowJ := l.Data[j*n : (j+1)*n]
+		d := float64(a.Data[j*n+j])
+		for _, v := range rowJ[:j] {
+			d -= float64(v) * float64(v)
+		}
+		if d <= tol {
+			return ErrSingular
+		}
+		rowJ[j] = T(math.Sqrt(d))
+		piv := float64(rowJ[j])
+		for i := j + 1; i < n; i++ {
+			rowI := l.Data[i*n : (i+1)*n]
+			s := float64(a.Data[i*n+j])
+			for k, v := range rowI[:j] {
+				s -= float64(v) * float64(rowJ[k])
+			}
+			rowI[j] = T(s / piv)
+		}
+		for i := j + 1; i < n; i++ {
+			rowJ[i] = 0
+		}
+	}
+	return nil
 }
 
 func refSolveCholesky(l *Matrix, b Vector) Vector {
@@ -217,37 +251,90 @@ func TestGatherIntoMatchesScalarReference(t *testing.T) {
 	}
 }
 
+// cholTileShapes are the orders the Cholesky property test adds to the
+// random shapes: every order below two 4-row groups, and orders on either
+// side of larger multiples of four, so the tiled loop meets every tail
+// length.
+var cholTileShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130}
+
 func TestCholeskyIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	l := NewMatrix(0, 0)
-	for _, sh := range propertyShapes(rng) {
+	shapes := propertyShapes(rng)
+	for _, n := range cholTileShapes {
+		shapes = append(shapes, [2]int{n, 1 + rng.Intn(12)})
+	}
+	ck := newCholChecker()
+	for _, sh := range shapes {
 		n := sh[0]
 		m := randMatrix(n, sh[1], rng)
 		a := refSyrk(m)
 		for i := 0; i < n; i++ {
 			a.Data[i*n+i] += 0.5
 		}
-		want, err := refCholesky(a)
-		if err != nil {
+		if err := ck.check(t, fmt.Sprintf("n=%d shifted", n), a); err != nil {
 			t.Fatalf("n=%d: reference factor failed: %v", n, err)
 		}
-		if err := CholeskyInto(l, a); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		sameBits64(t, "factor", l.Data, want.Data)
-
 		// Without the diagonal shift a rank-deficient Gram (n > d) hits
 		// the pivot tolerance: the outcome must match the reference's.
-		g := refSyrk(m)
-		want, wantErr := refCholesky(g)
-		err = CholeskyInto(l, g)
-		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrSingular)) {
-			t.Fatalf("n=%d d=%d: unshifted factor returned %v, reference %v", n, sh[1], err, wantErr)
-		}
-		if err == nil {
-			sameBits64(t, "unshifted factor", l.Data, want.Data)
+		ck.check(t, fmt.Sprintf("n=%d d=%d unshifted", n, sh[1]), refSyrk(m))
+	}
+	// A zeroed diagonal entry makes pivot p the first to fail. Over every
+	// p of these orders the failing pivot lands at every offset of a 4-row
+	// group and in the scalar tail.
+	for _, n := range []int{9, 17} {
+		for p := 0; p < n; p++ {
+			a := refSyrk(randMatrix(n, n, rng))
+			for i := 0; i < n; i++ {
+				a.Data[i*n+i] += 0.5
+			}
+			a.Data[p*n+p] = 0
+			if err := ck.check(t, fmt.Sprintf("n=%d pivot %d", n, p), a); !errors.Is(err, ErrSingular) {
+				t.Fatalf("n=%d: reference factor with pivot %d zeroed returned %v, want ErrSingular", n, p, err)
+			}
 		}
 	}
+}
+
+// cholChecker holds the factor buffers of the Cholesky property test,
+// reused across orders as the CV folds reuse theirs.
+type cholChecker struct {
+	l          *Matrix
+	l32, ref32 *Dense[float32]
+}
+
+func newCholChecker() *cholChecker {
+	return &cholChecker{l: NewMatrix(0, 0), l32: NewDense[float32](0, 0), ref32: NewDense[float32](0, 0)}
+}
+
+// check factors a at both widths and returns the float64 reference's
+// error. At float64 the factor must equal refCholesky's bit for bit; at
+// float32 it must equal refCholeskyInto's (a factor whose entries feed
+// later ones is not the float64 reference rounded once). Either width
+// must fail with ErrSingular exactly when its reference does.
+func (c *cholChecker) check(t *testing.T, what string, a *Matrix) error {
+	t.Helper()
+	want, wantErr := refCholesky(a)
+	err := CholeskyInto(c.l, a)
+	if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrSingular)) {
+		t.Fatalf("%s: f64 factor returned %v, reference %v", what, err, wantErr)
+	}
+	if err == nil {
+		sameBits64(t, what+" f64", c.l.Data, want.Data)
+	}
+	a32 := Convert[float32](nil, a)
+	wantErr32 := refCholeskyInto(c.ref32, a32)
+	err32 := CholeskyInto(c.l32, a32)
+	if (err32 == nil) != (wantErr32 == nil) || (err32 != nil && !errors.Is(err32, ErrSingular)) {
+		t.Fatalf("%s: f32 factor returned %v, reference %v", what, err32, wantErr32)
+	}
+	if err32 == nil {
+		for i, v := range c.ref32.Data {
+			if math.Float32bits(c.l32.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%s f32: entry %d = %v, reference %v", what, i, c.l32.Data[i], v)
+			}
+		}
+	}
+	return wantErr
 }
 
 func TestSolveCholeskyIntoMatchesScalarReference(t *testing.T) {

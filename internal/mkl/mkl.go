@@ -660,7 +660,7 @@ func ExhaustiveCone(e *Evaluator, seed partition.Partition) (*Result, error) {
 	for i, q := range subs {
 		cands[i] = coneToFull(seed, freeBlock, freeElems, q)
 	}
-	return scanCandidates(e, cands, BestOfChain)
+	return e.beginSearch().scan(cands, BestOfChain)
 }
 
 // AscentRule selects how ChainSearch consumes its chain.
@@ -684,7 +684,9 @@ const (
 //
 // To make the canonical chain data-adaptive, the free features are first
 // ordered by decreasing single-feature kernel-target alignment; the chain
-// then merges the most informative features first.
+// then merges the most informative features first. The singletons are
+// scored on the same worker pool as the chain, with the same outcome at
+// every worker count.
 //
 // Under FirstImprovement on more than one worker (or an attached scorer)
 // the chain is scored ahead in batches of the scorer's BatchSize, so
@@ -692,23 +694,27 @@ const (
 // and trace stay identical.
 func ChainSearch(e *Evaluator, seed partition.Partition, rule AscentRule) (*Result, error) {
 	freeBlock, freeElems := freeBlockOf(seed)
-	ordered := alignmentOrder(e, freeElems)
+	r := e.beginSearch()
+	ordered, err := r.alignmentOrder(freeElems)
+	if err != nil {
+		return &Result{Score: -1}, err
+	}
 	chain := principalChain(len(freeElems))
 	cands := make([]partition.Partition, len(chain))
 	for i, q := range chain {
 		// Remap q's canonical elements through the alignment ordering.
 		cands[i] = coneToFull(seed, freeBlock, ordered, q)
 	}
-	return scanCandidates(e, cands, rule)
+	return r.scan(cands, rule)
 }
 
-// scanCandidates scores cands in canonical order and keeps the best under
-// rule: BestOfChain observes every candidate, FirstImprovement stops at
-// the first one after the start that fails to improve. It is the
-// reduction of every strategy that walks a fixed candidate list
-// (ChainSearch, ExhaustiveCone, DendrogramSearch, ChainBeamSearch).
-func scanCandidates(e *Evaluator, cands []partition.Partition, rule AscentRule) (*Result, error) {
-	r := e.beginSearch()
+// scan scores cands in canonical order and keeps the best under rule:
+// BestOfChain observes every candidate, FirstImprovement stops at the
+// first one after the start that fails to improve. It is the reduction of
+// every strategy that walks a fixed candidate list (ChainSearch,
+// ExhaustiveCone, DendrogramSearch, ChainBeamSearch).
+func (r *searchRun) scan(cands []partition.Partition, rule AscentRule) (*Result, error) {
+	e := r.e
 	res := &Result{Score: -1}
 	err := r.sweep(cands, rule == BestOfChain, func(i int, s float64) bool {
 		return e.observe(res, cands[i], s) || rule != FirstImprovement || i == 0

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
+	"repro/internal/parsearch"
 	"repro/internal/partition"
 )
 
@@ -25,7 +26,7 @@ func DendrogramSearch(e *Evaluator, link cluster.Linkage, rule AscentRule) (*Res
 	if err != nil {
 		return nil, fmt.Errorf("mkl: feature clustering: %w", err)
 	}
-	return scanCandidates(e, den.Chain, rule)
+	return e.beginSearch().scan(den.Chain, rule)
 }
 
 // ChainBeamSearch walks `beam` distinct full-span chains through the cone
@@ -45,7 +46,11 @@ func ChainBeamSearch(e *Evaluator, seed partition.Partition, beam int) (*Result,
 	if beam > m {
 		beam = m
 	}
-	ordered := alignmentOrder(e, freeElems)
+	r := e.beginSearch()
+	ordered, err := r.alignmentOrder(freeElems)
+	if err != nil {
+		return &Result{Score: -1}, err
+	}
 	chain := principalChain(m)
 	cands := make([]partition.Partition, 0, beam*m)
 	for b := 0; b < beam; b++ {
@@ -58,20 +63,20 @@ func ChainBeamSearch(e *Evaluator, seed partition.Partition, beam int) (*Result,
 			cands = append(cands, coneToFull(seed, freeBlock, rot, q))
 		}
 	}
-	return scanCandidates(e, cands, BestOfChain)
+	return r.scan(cands, BestOfChain)
 }
 
 // alignmentOrder ranks the given 1-based features by decreasing centered
 // kernel-target alignment of their singleton kernels (stable).
-func alignmentOrder(e *Evaluator, feats []int) []int {
+func (r *searchRun) alignmentOrder(feats []int) ([]int, error) {
 	m := len(feats)
 	ordered := append([]int(nil), feats...)
 	if m <= 1 {
-		return ordered
+		return ordered, nil
 	}
-	aligns := make([]float64, m)
-	for i, f := range feats {
-		aligns[i] = singletonAlignment(e, f)
+	aligns, err := r.alignments(feats)
+	if err != nil {
+		return nil, err
 	}
 	for i := 1; i < m; i++ {
 		for j := i; j > 0 && aligns[j] > aligns[j-1]; j-- {
@@ -79,14 +84,35 @@ func alignmentOrder(e *Evaluator, feats []int) []int {
 			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
 		}
 	}
-	return ordered
+	return ordered, nil
+}
+
+// alignments returns the singleton alignment of every given feature, at
+// the feature's index. The singletons are scored by the in-process pool
+// the search then sweeps with, each worker writing its own feature's
+// index, so the values are the same at every worker count; a one-worker
+// pool, or a search on an attached scorer, scores them one after another
+// on the evaluator itself. The error is the bound context's, when it is
+// done before every singleton is scored.
+func (r *searchRun) alignments(feats []int) ([]float64, error) {
+	workers := []*Evaluator{r.e}
+	if p, ok := r.sc.(*pool); ok {
+		workers = p.workers
+	}
+	aligns := make([]float64, len(feats))
+	err := parsearch.DoContext(r.e.searchCtx(), len(feats), len(workers), func(w, i int) error {
+		aligns[i] = singletonAlignment(workers[w], feats[i])
+		return nil
+	})
+	return aligns, err
 }
 
 // singletonAlignment returns the centered kernel-target alignment of the
 // single-feature kernel for 1-based feature f. The singleton block Gram
 // comes from the evaluator's Gram-block cache when one is enabled (copied
-// into the evaluator's reusable centering scratch before centering, since
-// cached matrices are shared read-only); without a cache it goes through
+// into the evaluator's full-Gram scratch before centering, since cached
+// matrices are shared read-only, and the next candidate's assembly
+// overwrites the scratch anyway); without a cache it goes through
 // the vectorized path over the dataset's extracted column block (pairwise
 // Eval for a block kernel without one).
 func singletonAlignment(e *Evaluator, f int) float64 {
@@ -101,9 +127,9 @@ func singletonAlignment(e *Evaluator, f int) float64 {
 	var g *linalg.Matrix
 	if e.gramCache != nil {
 		shared, _ := e.gramCache.Block([]int{f - 1}) // exact builds never fail
-		e.d64.center = linalg.Reshape(e.d64.center, shared.Rows, shared.Cols)
-		copy(e.d64.center.Data, shared.Data)
-		g = e.d64.center
+		e.d64.gram = linalg.Reshape(e.d64.gram, shared.Rows, shared.Cols)
+		copy(e.d64.gram.Data, shared.Data)
+		g = e.d64.gram
 	} else {
 		feats := []int{f - 1}
 		base := e.cfg.Factory(feats)

@@ -1,11 +1,84 @@
 package mkl
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/partition"
 )
+
+// TestSearchCoreDeterminismAlignmentOrder: the chain searches rank their
+// free features on the pool the search then sweeps with. The ranking and
+// every singleton alignment must be the sequential loop's, bit for bit,
+// at every worker count and backend. Each evaluator starts with a cold
+// block cache, so the pool's workers build the singleton blocks
+// concurrently (the -race contract run checks those builds).
+func TestSearchCoreDeterminismAlignmentOrder(t *testing.T) {
+	d := smallFacetData(60, 21)
+	feats := make([]int, d.D())
+	for i := range feats {
+		feats[i] = i + 1
+	}
+	backends := []struct {
+		name string
+		cfg  Config
+	}{
+		{"f64", Config{}},
+		{"f64-uncached", Config{GramCacheBlocks: -1}},
+		{"f32", Config{Backend: engine.Float32}},
+		{"nystrom", Config{Backend: engine.Nystrom(16)}},
+	}
+	for _, b := range backends {
+		var wantAligns []float64
+		var wantOrder []int
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/P=%d", b.name, workers), func(t *testing.T) {
+				cfg := b.cfg
+				cfg.Objective, cfg.Seed, cfg.Parallelism = KernelAlignment, 1, workers
+				e, err := NewEvaluator(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := e.beginSearch()
+				aligns, err := r.alignments(feats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A second ranking reads the now-warm shared cache, which
+				// the first must have left as it found it.
+				again, err := r.alignments(feats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				order, err := r.alignmentOrder(feats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range aligns {
+					if math.Float64bits(again[i]) != math.Float64bits(aligns[i]) {
+						t.Errorf("feature %d: warm-cache alignment %v, cold %v", feats[i], again[i], aligns[i])
+					}
+				}
+				if workers == 1 {
+					wantAligns, wantOrder = aligns, order
+					return
+				}
+				for i := range wantAligns {
+					if math.Float64bits(aligns[i]) != math.Float64bits(wantAligns[i]) {
+						t.Errorf("feature %d: alignment %v, sequential %v", feats[i], aligns[i], wantAligns[i])
+					}
+				}
+				if !slices.Equal(order, wantOrder) {
+					t.Errorf("order %v, sequential %v", order, wantOrder)
+				}
+			})
+		}
+	}
+}
 
 func TestDendrogramSearchCostAndValidity(t *testing.T) {
 	d := smallFacetData(60, 21)
