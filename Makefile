@@ -112,16 +112,18 @@ contracts:
 	$(CONTRACT) 'TestFitDistributedBudgetedMatchesLocal' ./internal/core
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
 	$(CONTRACT) 'MatchesScalarReference' ./internal/linalg
+	$(CONTRACT) 'MatchesScalarReference' ./internal/kernel
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
-# fuzz gives each untrusted-input decoder — the search-worker boundaries
-# and the artifact kernel-spec decoder — a short run, one go test -fuzz
-# invocation per target (the fuzz engine takes one target at a time).
-# Mirrors the CI test job's fuzz step.
+# fuzz gives each untrusted-input decoder — the search-worker boundaries,
+# the artifact kernel-spec decoder and the serving predict route — a short
+# run, one go test -fuzz invocation per target (the fuzz engine takes one
+# target at a time). Mirrors the CI test job's fuzz step.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobInstall$$' -fuzztime 10s ./internal/distsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./internal/distsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelSpec$$' -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictBody$$' -fuzztime 10s ./internal/serve
 
 # shuffle re-runs the suite with randomized test and subtest order, so
 # inter-test state dependencies fail loudly instead of hiding behind

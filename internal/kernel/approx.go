@@ -146,9 +146,10 @@ func nystromFactor(base Kernel, xb *linalg.Matrix, rank int, rng *rand.Rand) (*l
 	}
 	cm := linalg.NewMatrix(n, m)
 	w := linalg.NewMatrix(m, m)
-	bg, fast := base.(BlockGramKernel)
+	bound, fast := BindCross(base, xl)
 	if fast {
-		fast = bg.CrossGramInto(cm, xb, xl) && bg.GramInto(w, xl)
+		bound.Fill(cm, xb, new(CrossScratch))
+		fast = base.(BlockGramKernel).GramInto(w, xl)
 	}
 	if !fast {
 		for i := 0; i < n; i++ {

@@ -18,6 +18,16 @@
 //     pairwise arithmetic.
 //   - Wrappers (Subspace, Normalized, Sum, Product) inherit the guarantee
 //     of their operands: combination order matches Eval exactly.
+//   - Cross-Gram blocks are bind-then-fill: BindCross does the work that
+//     depends on the right-hand rows b alone, once (Subspace extracts b's
+//     column block, RBF norms b's rows, Normalized takes b's
+//     self-similarities), and the bound form fills the block for any
+//     left-hand rows. Binding moves work, not arithmetic: each entry takes
+//     the same operations in the same order as computing the block from
+//     scratch — the GemmNT dot order, na+nb−2·dot clamped at 0, the
+//     exp(−γ·v) pass, member accumulation in order — so a bound fill is
+//     bit-identical to it however many times, and at whatever batch sizes,
+//     one bound value is reused (TestBoundCrossGramMatchesScalarReference).
 package kernel
 
 import (
@@ -28,9 +38,10 @@ import (
 )
 
 // scratchPool recycles the member-Gram scratch matrices of the Sum and
-// Product combiners, so the cache-less scoring path does not allocate one
-// n×n buffer per candidate. Sizes are homogeneous within a search (always
-// n×n or n_test×n_train), so a mis-sized pooled matrix is simply dropped.
+// Product GramInto methods, so the cache-less scoring path does not
+// allocate one n×n buffer per candidate. Sizes are homogeneous within a
+// search (always n×n), so a mis-sized pooled matrix is simply dropped.
+// Cross-Gram fills take their member scratch from a CrossScratch instead.
 var scratchPool sync.Pool
 
 func getScratch(rows, cols int) *linalg.Matrix {
@@ -44,14 +55,63 @@ func putScratch(m *linalg.Matrix) { scratchPool.Put(m) }
 
 // BlockGramKernel is the optional fast-path interface: kernels that can
 // fill a whole Gram block with dense matrix operations implement it.
-// Instances are the rows of x (and a, b); dst must be pre-shaped by the
-// caller (n×n for GramInto over n instances, len(a)×len(b) for
-// CrossGramInto). Both methods report false — leaving dst unspecified —
-// when this kernel (or a kernel it wraps) cannot vectorize, in which case
-// the caller falls back to the pairwise Eval path.
+// Instances are the rows of x (and a, b). GramInto fills dst, pre-shaped
+// n×n by the caller. BindCross fixes the right-hand rows b of a cross-Gram
+// once and returns the bound form, which fills len(a)×len(b) blocks for
+// any a. Both report false — GramInto leaving dst unspecified, BindCross
+// before any fill — when this kernel (or a kernel it wraps) cannot
+// vectorize, in which case the caller falls back to the pairwise Eval
+// path.
 type BlockGramKernel interface {
 	GramInto(dst, x *linalg.Matrix) bool
-	CrossGramInto(dst, a, b *linalg.Matrix) bool
+	BindCross(b *linalg.Matrix) (BoundCross, bool)
+}
+
+// BoundCross is a kernel bound to fixed right-hand rows b by
+// BlockGramKernel.BindCross. It holds what depends on b alone and is
+// read-only once bound: goroutines may share one BoundCross as long as
+// each fills through its own CrossScratch. b must not change while bound.
+type BoundCross interface {
+	// Fill writes K(aᵢ, bⱼ) into dst, pre-shaped a.Rows×b.Rows, drawing
+	// its working memory from sc.
+	Fill(dst, a *linalg.Matrix, sc *CrossScratch)
+}
+
+// BindCross binds k to the right-hand rows b through its block fast path.
+// It returns nil and false when k cannot vectorize.
+func BindCross(k Kernel, b *linalg.Matrix) (BoundCross, bool) {
+	if bg, ok := k.(BlockGramKernel); ok {
+		if bound, ok := bg.BindCross(b); ok {
+			return bound, true
+		}
+	}
+	return nil, false
+}
+
+// CrossScratch is the working memory of BoundCross fills: a stack of
+// matrices that each fill takes in a fixed order and hands back before it
+// returns, so one CrossScratch reused across fills allocates nothing once
+// every slot has grown to its largest shape, whatever the sequence of
+// batch sizes. The zero value is ready to use; it is not safe for
+// concurrent use.
+type CrossScratch struct {
+	slots []*linalg.Matrix
+	top   int
+}
+
+// take returns the next free slot reshaped to rows×cols, contents
+// unspecified. The caller hands it back by restoring sc.top.
+//
+//iotml:hotpath
+func (sc *CrossScratch) take(rows, cols int) *linalg.Matrix {
+	if sc.top == len(sc.slots) {
+		//iotml:allow hotpathalloc -- grows once per new stack depth, never in steady state
+		sc.slots = append(sc.slots, nil)
+	}
+	m := linalg.Reshape(sc.slots[sc.top], rows, cols)
+	sc.slots[sc.top] = m
+	sc.top++
+	return m
 }
 
 // blockGramInto fills dst (pre-shaped n×n) with the Gram of k over the
@@ -145,11 +205,15 @@ func (Linear) GramInto(dst, x *linalg.Matrix) bool {
 	return true
 }
 
-// CrossGramInto implements BlockGramKernel: dst = A·Bᵀ.
-func (Linear) CrossGramInto(dst, a, b *linalg.Matrix) bool {
-	linalg.GemmNTInto(dst, a, b)
-	return true
-}
+// BindCross implements BlockGramKernel: dst = A·Bᵀ.
+func (Linear) BindCross(b *linalg.Matrix) (BoundCross, bool) { return &boundLinear{b: b}, true }
+
+type boundLinear struct{ b *linalg.Matrix }
+
+// Fill implements BoundCross.
+//
+//iotml:hotpath
+func (bl *boundLinear) Fill(dst, a *linalg.Matrix, _ *CrossScratch) { linalg.GemmNTInto(dst, a, bl.b) }
 
 // GramInto implements BlockGramKernel: the polynomial map applied to X·Xᵀ,
 // bit-identical to the pairwise path.
@@ -158,14 +222,26 @@ func (p Polynomial) GramInto(dst, x *linalg.Matrix) bool {
 	return true
 }
 
-// CrossGramInto implements BlockGramKernel.
-func (p Polynomial) CrossGramInto(dst, a, b *linalg.Matrix) bool {
-	linalg.GemmNTInto(dst, a, b)
-	deg := float64(p.Degree)
+// BindCross implements BlockGramKernel: the polynomial map applied to
+// A·Bᵀ.
+func (p Polynomial) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	return &boundPolynomial{p: p, b: b}, true
+}
+
+type boundPolynomial struct {
+	p Polynomial
+	b *linalg.Matrix
+}
+
+// Fill implements BoundCross.
+//
+//iotml:hotpath
+func (bp *boundPolynomial) Fill(dst, a *linalg.Matrix, _ *CrossScratch) {
+	linalg.GemmNTInto(dst, a, bp.b)
+	deg := float64(bp.p.Degree)
 	for i := range dst.Data {
-		dst.Data[i] = math.Pow(p.Gamma*dst.Data[i]+p.Coef0, deg)
+		dst.Data[i] = math.Pow(bp.p.Gamma*dst.Data[i]+bp.p.Coef0, deg)
 	}
-	return true
 }
 
 // GramInto implements BlockGramKernel: exp(−γ·dist²) over the pairwise
@@ -176,13 +252,29 @@ func (r RBF) GramInto(dst, x *linalg.Matrix) bool {
 	return true
 }
 
-// CrossGramInto implements BlockGramKernel.
-func (r RBF) CrossGramInto(dst, a, b *linalg.Matrix) bool {
-	linalg.CrossSquaredDistancesInto(dst, a, b)
+// BindCross implements BlockGramKernel: exp(−γ·dist²) over the
+// cross squared-distance expansion, with b's row norms taken once here.
+func (r RBF) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	return &boundRBF{gamma: r.Gamma, b: b, nb: linalg.RowSquaredNorms(nil, b)}, true
+}
+
+type boundRBF struct {
+	gamma float64
+	b     *linalg.Matrix
+	nb    []float64 // ‖bⱼ‖²
+}
+
+// Fill implements BoundCross.
+//
+//iotml:hotpath
+func (br *boundRBF) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
+	top := sc.top
+	na := linalg.RowSquaredNorms(sc.take(1, a.Rows).Data, a)
+	linalg.CrossSquaredDistancesInto(dst, a, br.b, na, br.nb)
 	for i := range dst.Data {
-		dst.Data[i] = math.Exp(-r.Gamma * dst.Data[i])
+		dst.Data[i] = math.Exp(-br.gamma * dst.Data[i])
 	}
-	return true
+	sc.top = top
 }
 
 // GramInto implements BlockGramKernel: the base block restricted to the
@@ -193,16 +285,32 @@ func (s Subspace) GramInto(dst, x *linalg.Matrix) bool {
 	if !ok {
 		return false
 	}
-	return bg.GramInto(dst, linalg.ExtractColumns(x, s.Features))
+	return bg.GramInto(dst, linalg.ExtractColumnsInto(nil, x, s.Features))
 }
 
-// CrossGramInto implements BlockGramKernel.
-func (s Subspace) CrossGramInto(dst, a, b *linalg.Matrix) bool {
-	bg, ok := s.Base.(BlockGramKernel)
+// BindCross implements BlockGramKernel: the base kernel bound to b's
+// subspace columns, extracted once here; each fill extracts only a's.
+func (s Subspace) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	base, ok := BindCross(s.Base, linalg.ExtractColumnsInto(nil, b, s.Features))
 	if !ok {
-		return false
+		return nil, false
 	}
-	return bg.CrossGramInto(dst, linalg.ExtractColumns(a, s.Features), linalg.ExtractColumns(b, s.Features))
+	return &boundSubspace{features: s.Features, base: base}, true
+}
+
+type boundSubspace struct {
+	features []int
+	base     BoundCross
+}
+
+// Fill implements BoundCross.
+//
+//iotml:hotpath
+func (bs *boundSubspace) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
+	top := sc.top
+	cols := linalg.ExtractColumnsInto(sc.take(a.Rows, len(bs.features)), a, bs.features)
+	bs.base.Fill(dst, cols, sc)
+	sc.top = top
 }
 
 // GramInto implements BlockGramKernel: cosine normalization of the base
@@ -210,34 +318,50 @@ func (s Subspace) CrossGramInto(dst, a, b *linalg.Matrix) bool {
 // Eval (self-similarity ≤ 0 yields 0).
 func (nk Normalized) GramInto(dst, x *linalg.Matrix) bool { return normalizedGram(nk, dst, x) }
 
-// CrossGramInto implements BlockGramKernel. Self-similarities come from the
+// BindCross implements BlockGramKernel. Self-similarities come from the
 // base kernel's scalar Eval on each row — the same operation order as the
 // pairwise path, so normalization preserves the base kernel's guarantee.
-func (nk Normalized) CrossGramInto(dst, a, b *linalg.Matrix) bool {
-	bg, ok := nk.Base.(BlockGramKernel)
-	if !ok || !bg.CrossGramInto(dst, a, b) {
-		return false
-	}
-	selfA := make([]float64, a.Rows)
-	for i := range selfA {
-		r := []float64(a.Row(i))
-		selfA[i] = nk.Base.Eval(r, r)
+// b's are taken once here, a's on each fill.
+func (nk Normalized) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	base, ok := BindCross(nk.Base, b)
+	if !ok {
+		return nil, false
 	}
 	selfB := make([]float64, b.Rows)
 	for j := range selfB {
-		r := []float64(b.Row(j))
+		r := b.Row(j)
 		selfB[j] = nk.Base.Eval(r, r)
 	}
+	return &boundNormalized{k: nk.Base, base: base, selfB: selfB}, true
+}
+
+type boundNormalized struct {
+	k     Kernel
+	base  BoundCross
+	selfB []float64
+}
+
+// Fill implements BoundCross.
+//
+//iotml:hotpath
+func (bn *boundNormalized) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
+	bn.base.Fill(dst, a, sc)
+	top := sc.top
+	selfA := sc.take(1, a.Rows).Data
+	for i := range selfA {
+		r := a.Row(i)
+		selfA[i] = bn.k.Eval(r, r)
+	}
 	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Rows; j++ {
+		for j, sb := range bn.selfB {
 			v := 0.0
-			if selfA[i] > 0 && selfB[j] > 0 {
-				v = dst.Data[i*dst.Cols+j] / math.Sqrt(selfA[i]*selfB[j])
+			if selfA[i] > 0 && sb > 0 {
+				v = dst.Data[i*dst.Cols+j] / math.Sqrt(selfA[i]*sb)
 			}
 			dst.Data[i*dst.Cols+j] = v
 		}
 	}
-	return true
+	sc.top = top
 }
 
 // blockGramAll reports whether every kernel supports the fast path, so
@@ -278,29 +402,54 @@ func (c Sum) GramInto(dst, x *linalg.Matrix) bool {
 	return true
 }
 
-// CrossGramInto implements BlockGramKernel.
-func (c Sum) CrossGramInto(dst, a, b *linalg.Matrix) bool {
-	if !blockGramAll(c.Kernels) {
-		return false
+// bindAll binds every member kernel to b, reporting false if any cannot
+// vectorize.
+func bindAll(kernels []Kernel, b *linalg.Matrix) ([]BoundCross, bool) {
+	members := make([]BoundCross, len(kernels))
+	for i, k := range kernels {
+		var ok bool
+		if members[i], ok = BindCross(k, b); !ok {
+			return nil, false
+		}
 	}
-	scratch := getScratch(dst.Rows, dst.Cols)
-	defer putScratch(scratch)
+	return members, true
+}
+
+// BindCross implements BlockGramKernel: each member bound to b.
+func (c Sum) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	members, ok := bindAll(c.Kernels, b)
+	if !ok {
+		return nil, false
+	}
+	return &boundSum{members: members, weights: c.Weights}, true
+}
+
+type boundSum struct {
+	members []BoundCross
+	weights []float64
+}
+
+// Fill implements BoundCross: the weighted sum of member blocks,
+// accumulated in member order as Sum.GramInto does.
+//
+//iotml:hotpath
+func (bs *boundSum) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
+	top := sc.top
+	scratch := sc.take(dst.Rows, dst.Cols)
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
-	for i, k := range c.Kernels {
-		if !k.(BlockGramKernel).CrossGramInto(scratch, a, b) {
-			return false
-		}
+	for i, m := range bs.members {
+		m.Fill(scratch, a, sc)
 		w := 1.0
-		if c.Weights != nil {
-			w = c.Weights[i]
+		if bs.weights != nil {
+			w = bs.weights[i]
 		}
 		for j := range dst.Data {
 			dst.Data[j] += w * scratch.Data[j]
 		}
 	}
-	return true
+	sc.top = top
 }
 
 // GramInto implements BlockGramKernel: the elementwise product of member
@@ -325,25 +474,34 @@ func (c Product) GramInto(dst, x *linalg.Matrix) bool {
 	return true
 }
 
-// CrossGramInto implements BlockGramKernel.
-func (c Product) CrossGramInto(dst, a, b *linalg.Matrix) bool {
-	if !blockGramAll(c.Kernels) {
-		return false
+// BindCross implements BlockGramKernel: each member bound to b.
+func (c Product) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	members, ok := bindAll(c.Kernels, b)
+	if !ok {
+		return nil, false
 	}
-	scratch := getScratch(dst.Rows, dst.Cols)
-	defer putScratch(scratch)
+	return &boundProduct{members: members}, true
+}
+
+type boundProduct struct{ members []BoundCross }
+
+// Fill implements BoundCross: the elementwise product of member blocks,
+// multiplied in member order as Product.GramInto does.
+//
+//iotml:hotpath
+func (bp *boundProduct) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
+	top := sc.top
+	scratch := sc.take(dst.Rows, dst.Cols)
 	for i := range dst.Data {
 		dst.Data[i] = 1
 	}
-	for _, k := range c.Kernels {
-		if !k.(BlockGramKernel).CrossGramInto(scratch, a, b) {
-			return false
-		}
+	for _, m := range bp.members {
+		m.Fill(scratch, a, sc)
 		for j := range dst.Data {
 			dst.Data[j] *= scratch.Data[j]
 		}
 	}
-	return true
+	sc.top = top
 }
 
 // GramIntoMatrix fills dst with the Gram matrix of k over the rows of xm
@@ -359,22 +517,4 @@ func GramIntoMatrix(dst *linalg.Matrix, k Kernel, xm *linalg.Matrix) (*linalg.Ma
 		dst = linalg.NewMatrix(xm.Rows, xm.Rows)
 	}
 	return dst, bg.GramInto(dst, xm)
-}
-
-// CrossGramIntoMatrix fills dst with the rectangular kernel matrix
-// K[i][j] = k(A[i], B[j]) over the rows of a and b through the vectorized
-// path, reporting false (dst unspecified) when k cannot vectorize. dst is
-// reallocated if nil or mis-sized; the possibly fresh matrix is returned
-// either way so callers can keep it as scratch — the cross-Gram analogue of
-// GramIntoMatrix, used by the batched inference path (internal/model's
-// Predictor).
-func CrossGramIntoMatrix(dst *linalg.Matrix, k Kernel, a, b *linalg.Matrix) (*linalg.Matrix, bool) {
-	bg, ok := k.(BlockGramKernel)
-	if !ok {
-		return dst, false
-	}
-	if dst == nil || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		dst = linalg.NewMatrix(a.Rows, b.Rows)
-	}
-	return dst, bg.CrossGramInto(dst, a, b)
 }

@@ -118,11 +118,12 @@ func TestBlockCrossGramMatchesPairwise(t *testing.T) {
 		a := testRows(15, 5, seed)
 		b := testRows(11, 5, seed+100)
 		for _, k := range exactKernels() {
-			bg := k.(BlockGramKernel)
-			got := linalg.NewMatrix(len(a), len(b))
-			if !bg.CrossGramInto(got, linalg.FromRows(a), linalg.FromRows(b)) {
-				t.Fatalf("%v refused CrossGramInto", k)
+			bound, ok := k.(BlockGramKernel).BindCross(linalg.FromRows(b))
+			if !ok {
+				t.Fatalf("%v refused BindCross", k)
 			}
+			got := linalg.NewMatrix(len(a), len(b))
+			bound.Fill(got, linalg.FromRows(a), new(CrossScratch))
 			want := CrossGramPairwise(k, a, b)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
@@ -131,11 +132,12 @@ func TestBlockCrossGramMatchesPairwise(t *testing.T) {
 			}
 		}
 		for _, k := range toleranceKernels() {
-			bg := k.(BlockGramKernel)
-			got := linalg.NewMatrix(len(a), len(b))
-			if !bg.CrossGramInto(got, linalg.FromRows(a), linalg.FromRows(b)) {
-				t.Fatalf("%v refused CrossGramInto", k)
+			bound, ok := k.(BlockGramKernel).BindCross(linalg.FromRows(b))
+			if !ok {
+				t.Fatalf("%v refused BindCross", k)
 			}
+			got := linalg.NewMatrix(len(a), len(b))
+			bound.Fill(got, linalg.FromRows(a), new(CrossScratch))
 			want := CrossGramPairwise(k, a, b)
 			for i := range want.Data {
 				if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-9 {
@@ -177,8 +179,8 @@ func TestGramDispatchFallsBackForEvalOnlyKernels(t *testing.T) {
 		if bg.GramInto(linalg.NewMatrix(len(x), len(x)), linalg.FromRows(x)) {
 			t.Errorf("%v accepted the fast path over an Eval-only base", k)
 		}
-		if bg.CrossGramInto(linalg.NewMatrix(len(x), len(x)), linalg.FromRows(x), linalg.FromRows(x)) {
-			t.Errorf("%v accepted CrossGramInto over an Eval-only base", k)
+		if _, ok := bg.BindCross(linalg.FromRows(x)); ok {
+			t.Errorf("%v accepted BindCross over an Eval-only base", k)
 		}
 		g := Gram(k, x)
 		w := GramPairwise(k, x)

@@ -243,13 +243,13 @@ func GramPairwise(k Kernel, x [][]float64) *linalg.Matrix {
 }
 
 // CrossGram returns the rectangular matrix K[i][j] = k(A[i], B[j]),
-// dispatching to the vectorized block path when k supports it.
+// binding k to b and filling once through the vectorized block path when k
+// supports it.
 func CrossGram(k Kernel, a, b [][]float64) *linalg.Matrix {
-	if bg, ok := k.(BlockGramKernel); ok {
+	if bound, ok := BindCross(k, linalg.FromRows(b)); ok {
 		g := linalg.NewMatrix(len(a), len(b))
-		if bg.CrossGramInto(g, linalg.FromRows(a), linalg.FromRows(b)) {
-			return g
-		}
+		bound.Fill(g, linalg.FromRows(a), new(CrossScratch))
+		return g
 	}
 	return CrossGramPairwise(k, a, b)
 }

@@ -1,0 +1,180 @@
+package kernel
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/partition"
+)
+
+// refCrossGramInto is the three-argument cross-Gram chain that
+// bind-then-fill replaced, kept as the bit-level reference: every call
+// extracts both sides' subspace columns, norms both sides and takes both
+// sides' self-similarities afresh, with the same per-entry operations in
+// the same order. It reports false for a kernel without a block formula.
+func refCrossGramInto(dst, a, b *linalg.Matrix, k Kernel) bool {
+	switch k := k.(type) {
+	case Linear:
+		linalg.GemmNTInto(dst, a, b)
+	case Polynomial:
+		linalg.GemmNTInto(dst, a, b)
+		deg := float64(k.Degree)
+		for i := range dst.Data {
+			dst.Data[i] = math.Pow(k.Gamma*dst.Data[i]+k.Coef0, deg)
+		}
+	case RBF:
+		linalg.GemmNTInto(dst, a, b)
+		na := linalg.RowSquaredNorms(nil, a)
+		nb := linalg.RowSquaredNorms(nil, b)
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Rows; j++ {
+				v := na[i] + nb[j] - 2*dst.Data[i*dst.Cols+j]
+				if v < 0 {
+					v = 0
+				}
+				dst.Data[i*dst.Cols+j] = v
+			}
+		}
+		for i := range dst.Data {
+			dst.Data[i] = math.Exp(-k.Gamma * dst.Data[i])
+		}
+	case Subspace:
+		return refCrossGramInto(dst, refColumns(a, k.Features), refColumns(b, k.Features), k.Base)
+	case Normalized:
+		if !refCrossGramInto(dst, a, b, k.Base) {
+			return false
+		}
+		selfA := make([]float64, a.Rows)
+		for i := range selfA {
+			selfA[i] = k.Base.Eval(a.Row(i), a.Row(i))
+		}
+		selfB := make([]float64, b.Rows)
+		for j := range selfB {
+			selfB[j] = k.Base.Eval(b.Row(j), b.Row(j))
+		}
+		for i := 0; i < a.Rows; i++ {
+			for j := 0; j < b.Rows; j++ {
+				v := 0.0
+				if selfA[i] > 0 && selfB[j] > 0 {
+					v = dst.Data[i*dst.Cols+j] / math.Sqrt(selfA[i]*selfB[j])
+				}
+				dst.Data[i*dst.Cols+j] = v
+			}
+		}
+	case Sum:
+		scratch := linalg.NewMatrix(dst.Rows, dst.Cols)
+		for i := range dst.Data {
+			dst.Data[i] = 0
+		}
+		for i, m := range k.Kernels {
+			if !refCrossGramInto(scratch, a, b, m) {
+				return false
+			}
+			w := 1.0
+			if k.Weights != nil {
+				w = k.Weights[i]
+			}
+			for j := range dst.Data {
+				dst.Data[j] += w * scratch.Data[j]
+			}
+		}
+	case Product:
+		scratch := linalg.NewMatrix(dst.Rows, dst.Cols)
+		for i := range dst.Data {
+			dst.Data[i] = 1
+		}
+		for _, m := range k.Kernels {
+			if !refCrossGramInto(scratch, a, b, m) {
+				return false
+			}
+			for j := range dst.Data {
+				dst.Data[j] *= scratch.Data[j]
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// refColumns gathers the given columns of x one element at a time.
+func refColumns(x *linalg.Matrix, cols []int) *linalg.Matrix {
+	out := linalg.NewMatrix(x.Rows, len(cols))
+	for i := 0; i < x.Rows; i++ {
+		for k, c := range cols {
+			out.Set(i, k, x.At(i, c))
+		}
+	}
+	return out
+}
+
+// namedKernel is one row of a kernel table.
+type namedKernel struct {
+	name string
+	k    Kernel
+}
+
+// boundCrossKernels is every kernel shape a model artifact can carry over
+// 18 features: each base kernel under Subspace, both combiners with and
+// without weights, and the FromPartition configurations the search fits.
+func boundCrossKernels() []namedKernel {
+	p := partition.MustFromBlocks(18, [][]int{{1, 2, 3}, {4, 9}, {5, 6, 7, 8}, {10}, {11, 12, 13, 14, 15, 16, 17, 18}})
+	sub := func(base Kernel, feats ...int) Kernel { return Subspace{Base: base, Features: feats} }
+	members := []Kernel{
+		sub(RBF{Gamma: 0.7}, 0, 4, 9),
+		sub(Linear{}, 17, 2),
+		sub(Normalized{Base: RBF{Gamma: 0.3}}, 5, 6, 7, 8, 11),
+		sub(Polynomial{Degree: 2, Gamma: 0.5, Coef0: 1}, 3, 16),
+	}
+	return []namedKernel{
+		{"sub-linear", sub(Linear{}, 3, 1, 12)},
+		{"sub-poly", sub(Polynomial{Degree: 3, Gamma: 0.4, Coef0: 1.1}, 0, 7)},
+		{"sub-rbf", sub(RBF{Gamma: 0.8}, 2, 5, 11, 14)},
+		{"sub-norm-rbf", sub(Normalized{Base: RBF{Gamma: 0.5}}, 6, 9, 13)},
+		{"sum-nil-weights", Sum{Kernels: members}},
+		{"sum-weights", Sum{Kernels: members, Weights: []float64{0.1, 0.2, 0.3, 0.4}}},
+		{"product", Product{Kernels: members}},
+		{"fp-sum-rbf", FromPartition(p, RBFFactory(1.0), CombineSum)},
+		{"fp-product-rbf", FromPartition(p, RBFFactory(1.0), CombineProduct)},
+		{"fp-sum-norm-rbf", FromPartition(p, NormalizedFactory(RBFFactory(0.5)), CombineSum)},
+	}
+}
+
+// TestBoundCrossGramMatchesScalarReference pins bind-then-fill to the
+// per-call chain bit for bit: one bound value, filled at a-row counts
+// around the 32-row serving batch in changing order, against b with 1 and
+// 600 rows, all through one shared CrossScratch.
+func TestBoundCrossGramMatchesScalarReference(t *testing.T) {
+	const d = 18
+	pool := linalg.FromRows(testRows(33, d, 41))
+	var sc CrossScratch
+	for _, nb := range []int{1, 600} {
+		b := linalg.FromRows(testRows(nb, d, 43))
+		for _, nk := range boundCrossKernels() {
+			name, k := nk.name, nk.k
+			bound, ok := k.(BlockGramKernel).BindCross(b)
+			if !ok {
+				t.Fatalf("%s refused BindCross", name)
+			}
+			for _, na := range []int{32, 1, 33, 2, 31, 32, 1, 33} {
+				a := &linalg.Matrix{Rows: na, Cols: d, Data: pool.Data[:na*d]}
+				got := linalg.NewMatrix(na, nb)
+				bound.Fill(got, a, &sc)
+				want := linalg.NewMatrix(na, nb)
+				if !refCrossGramInto(want, a, b, k) {
+					t.Fatalf("%s: reference refused", name)
+				}
+				for i := range want.Data {
+					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%s a=%d b=%d: entry %d = %v, reference %v (must be bit-identical)",
+							name, na, nb, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+	if sc.top != 0 {
+		t.Fatalf("fills left %d scratch slots taken", sc.top)
+	}
+}

@@ -214,11 +214,13 @@ func PairwiseSquaredDistancesInto[T Float](dst, x *Dense[T]) *Dense[T] {
 
 // CrossSquaredDistancesInto computes ‖aᵢ − bⱼ‖² for all row pairs of two
 // matrices via the same expansion as PairwiseSquaredDistancesInto, writing
-// into dst (reallocated if nil or mis-sized) and returning it.
-func CrossSquaredDistancesInto(dst, a, b *Matrix) *Matrix {
+// into dst (reallocated if nil or mis-sized) and returning it. na and nb
+// are the row norms of a and b as RowSquaredNorms computes them, so a
+// caller with fixed rows norms them once instead of per call.
+//
+//iotml:hotpath
+func CrossSquaredDistancesInto(dst, a, b *Matrix, na, nb []float64) *Matrix {
 	dst = GemmNTInto(dst, a, b)
-	na := RowSquaredNorms(nil, a)
-	nb := RowSquaredNorms(nil, b)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Rows; j++ {
 			v := na[i] + nb[j] - 2*dst.Data[i*dst.Cols+j]
@@ -231,24 +233,28 @@ func CrossSquaredDistancesInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// ExtractColumns returns the contiguous n×len(cols) submatrix of the given
-// column indices (0-based), materializing a column block once so downstream
-// dense kernels stream it row-major instead of gathering per pair.
-func ExtractColumns(x *Matrix, cols []int) *Matrix {
-	out := NewMatrix(x.Rows, len(cols))
+// ExtractColumnsInto writes the contiguous n×len(cols) submatrix of the
+// given column indices (0-based) of x into dst (reshaped via Reshape, so
+// scratch is retained across calls) and returns it, materializing a
+// column block once so downstream dense kernels stream it row-major
+// instead of gathering per pair.
+//
+//iotml:hotpath
+func ExtractColumnsInto(dst, x *Matrix, cols []int) *Matrix {
+	dst = Reshape(dst, x.Rows, len(cols))
 	for i := 0; i < x.Rows; i++ {
 		src := x.Data[i*x.Cols : (i+1)*x.Cols]
-		dstRow := out.Data[i*len(cols) : (i+1)*len(cols)]
+		dstRow := dst.Data[i*len(cols) : (i+1)*len(cols)]
 		for k, c := range cols {
 			dstRow[k] = src[c]
 		}
 	}
-	return out
+	return dst
 }
 
 // FromRowsCols builds the contiguous n×len(cols) matrix of the given
-// column indices (0-based) of row-slice data — ExtractColumns for datasets
-// stored as [][]float64 — rounding each entry to T once.
+// column indices (0-based) of row-slice data — ExtractColumnsInto for
+// datasets stored as [][]float64 — rounding each entry to T once.
 func FromRowsCols[T Float](rows [][]float64, cols []int) *Dense[T] {
 	out := NewDense[T](len(rows), len(cols))
 	for i, r := range rows {

@@ -125,7 +125,7 @@ func TestCrossSquaredDistancesInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randMatrix(5, 4, rng)
 	b := randMatrix(7, 4, rng)
-	d := CrossSquaredDistancesInto(nil, a, b)
+	d := CrossSquaredDistancesInto(nil, a, b, RowSquaredNorms(nil, a), RowSquaredNorms(nil, b))
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Rows; j++ {
 			direct := 0.0
@@ -142,11 +142,11 @@ func TestCrossSquaredDistancesInto(t *testing.T) {
 
 func TestExtractColumns(t *testing.T) {
 	x := FromRows([][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}})
-	sub := ExtractColumns(x, []int{2, 0})
+	sub := ExtractColumnsInto(nil, x, []int{2, 0})
 	want := FromRows([][]float64{{3, 1}, {7, 5}})
 	for i := range want.Data {
 		if sub.Data[i] != want.Data[i] {
-			t.Fatalf("ExtractColumns = %v, want %v", sub.Data, want.Data)
+			t.Fatalf("ExtractColumnsInto = %v, want %v", sub.Data, want.Data)
 		}
 	}
 }

@@ -19,6 +19,12 @@ import (
 // packages it, exercising the same path core.FitResult.Artifact uses.
 func fitArtifact(t *testing.T, seed int64, trainer kernelmachine.Trainer, combiner kernel.Combiner) *Artifact {
 	t.Helper()
+	return fitArtifactWith(t, seed, trainer, kernel.RBFFactory(1.0), combiner)
+}
+
+// fitArtifactWith is fitArtifact with the block-kernel factory chosen.
+func fitArtifactWith(t *testing.T, seed int64, trainer kernelmachine.Trainer, factory kernel.BlockKernelFactory, combiner kernel.Combiner) *Artifact {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const n, d = 30, 4
 	x := make([][]float64, n)
@@ -35,7 +41,7 @@ func fitArtifact(t *testing.T, seed int64, trainer kernelmachine.Trainer, combin
 		y[i] = int(cls)
 	}
 	p := partition.MustFromBlocks(d, [][]int{{1, 2}, {3, 4}})
-	k := kernel.FromPartition(p, kernel.RBFFactory(1.0), combiner)
+	k := kernel.FromPartition(p, factory, combiner)
 	gram := kernel.Gram(k, x)
 	m, err := trainer.Train(gram, y)
 	if err != nil {

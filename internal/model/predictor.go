@@ -1,10 +1,14 @@
-// Predictor: the inference engine over a loaded artifact. It rebuilds the
-// kernel from the artifact's spec once, scores through the exact dual form
-// the trainers produce (kernelmachine.NewDualModel), and reuses its query
-// and cross-Gram scratch across batches, so steady-state inference performs
-// one vectorized CrossGram plus one matrix-vector product per batch with no
-// per-request allocation growth — the same block machinery the evaluation
-// fast path uses (kernel.CrossGramIntoMatrix, ScoresInto).
+// Predictor: the inference engine over a loaded artifact. NewPredictor
+// rebuilds the kernel from the artifact's spec and binds it to the
+// training rows once (kernel.BindCross: each block's
+// training columns extracted, RBF row norms and normalization
+// self-similarities taken), so a batch pays only for its own rows: the
+// query's columns gathered per block, one cross-Gram fill against the
+// bound training side, and one matrix-vector product through the exact
+// dual form the trainers produce (kernelmachine.NewDualModel). Scratch is
+// reused across batches, so scoring allocates nothing in steady state,
+// whatever sequence of batch sizes arrives, once it has grown to the
+// largest.
 package model
 
 import (
@@ -18,21 +22,31 @@ import (
 
 // Predictor scores feature vectors against an artifact. It owns reusable
 // scratch buffers and is NOT safe for concurrent use: give each goroutine
-// its own Predictor (the serving worker pool does exactly that — see
-// internal/serve).
+// its own, via Fork, which shares the read-only bound training side (the
+// serving worker pool does exactly that — see internal/serve).
 type Predictor struct {
+	*bound
+
+	// query, cross and sc are the batch scratch: query holds the incoming
+	// rows as a dense matrix, cross the batch×NumTrain kernel matrix, sc
+	// the working memory of the bound kernel's fill.
+	query *linalg.Matrix
+	cross *linalg.Matrix
+	sc    kernel.CrossScratch
+}
+
+// bound is what a Predictor derives from its artifact alone. It is never
+// written after NewPredictor, so Forks share it.
+type bound struct {
 	art   *Artifact
 	k     kernel.Kernel
 	model kernelmachine.ScratchModel
-
-	// query and cross are the batch scratch: query holds the incoming rows
-	// as a dense matrix, cross the batch×NumTrain kernel matrix.
-	query *linalg.Matrix
-	cross *linalg.Matrix
+	// train is k bound to TrainX; nil when k has no block fast path.
+	train kernel.BoundCross
 }
 
-// NewPredictor validates the artifact and rebuilds its kernel and dual
-// model.
+// NewPredictor validates the artifact, rebuilds its kernel and dual model,
+// and binds the kernel to the training rows.
 func NewPredictor(a *Artifact) (*Predictor, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -48,8 +62,14 @@ func NewPredictor(a *Artifact) (*Predictor, error) {
 		// assumption explicitly rather than panic later.
 		return nil, fmt.Errorf("model: dual model %T does not support scratch scoring", dm)
 	}
-	return &Predictor{art: a, k: k, model: sm}, nil
+	train, _ := kernel.BindCross(k, a.TrainX)
+	return &Predictor{bound: &bound{art: a, k: k, model: sm, train: train}}, nil
 }
+
+// Fork returns a Predictor over the same artifact that shares p's bound
+// training side and has scratch of its own, so it may score concurrently
+// with p.
+func (p *Predictor) Fork() *Predictor { return &Predictor{bound: p.bound} }
 
 // Artifact returns the artifact this predictor scores against.
 func (p *Predictor) Artifact() *Artifact { return p.art }
@@ -111,12 +131,13 @@ func (p *Predictor) ScoresIntoPrevalidated(dst []float64, rows [][]float64) ([]f
 	for i, r := range rows {
 		copy(p.query.Data[i*d:(i+1)*d], r)
 	}
-	var ok bool
-	if p.cross, ok = kernel.CrossGramIntoMatrix(p.cross, p.k, p.query, p.art.TrainX); !ok {
+	p.cross = linalg.Reshape(p.cross, len(rows), p.art.NumTrain())
+	if p.train != nil {
+		p.train.Fill(p.cross, p.query, &p.sc)
+	} else {
 		// Scalar fallback for kernels without a block fast path. The spec
 		// algebra is fully vectorizable today, so this path only runs if a
 		// future spec kind opts out of BlockGramKernel.
-		p.cross = linalg.Reshape(p.cross, len(rows), p.art.NumTrain())
 		for i := 0; i < len(rows); i++ {
 			for j := 0; j < p.art.NumTrain(); j++ {
 				p.cross.Set(i, j, p.k.Eval(p.query.Row(i), p.art.TrainX.Row(j)))

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -265,6 +266,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, id string
 	if err != nil {
 		s.writeScoreError(w, e, err)
 		return
+	}
+	// Finite features near the float64 limit can overflow the kernel
+	// arithmetic into a NaN or infinite score, which JSON cannot carry.
+	for i, v := range scores {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			e.metrics.countRejected()
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, "instance %d: score is %v; feature values overflow the kernel arithmetic", i, v)
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, PredictResponse{Scores: scores, Labels: model.Labels(scores)})
 }

@@ -1,6 +1,8 @@
 // The per-model scoring pipeline: a bounded queue drained by a worker pool
 // that micro-batches requests into one vectorized cross-Gram plus one
-// matrix-vector product per batch (model.Predictor, worker-owned scratch).
+// matrix-vector product per batch (model.Predictor). Each pipeline
+// generation binds the model's training side once and its workers share
+// it; each worker owns only its batch scratch (model.Predictor.Fork).
 // This is the PR 4 single-model server's engine factored out so the
 // registry can run one pipeline per model and swap pipelines atomically:
 // the pipeline owns admission, batching, and drain; routing, shedding
@@ -72,11 +74,12 @@ type jobResult struct {
 	err    error
 }
 
-// newPipeline validates the artifact, builds one predictor per worker, and
-// starts the workers. metrics is owned by the caller (the registry entry),
-// so counters accumulate across pipeline generations.
+// newPipeline validates the artifact, binds one predictor, forks it once
+// per worker, and starts the workers. metrics is owned by the caller (the
+// registry entry), so counters accumulate across pipeline generations.
 func newPipeline(art *model.Artifact, cfg settings, metrics *modelMetrics) (*pipeline, error) {
-	if err := art.Validate(); err != nil {
+	pred, err := model.NewPredictor(art)
+	if err != nil {
 		return nil, err
 	}
 	p := &pipeline{
@@ -87,13 +90,8 @@ func newPipeline(art *model.Artifact, cfg settings, metrics *modelMetrics) (*pip
 		depth:    cfg.QueueDepth,
 	}
 	for w := 0; w < cfg.Workers; w++ {
-		pred, err := model.NewPredictor(art)
-		if err != nil {
-			close(p.done)
-			return nil, err
-		}
 		p.wg.Add(1)
-		go p.worker(pred)
+		go p.worker(pred.Fork())
 	}
 	return p, nil
 }

@@ -9,8 +9,9 @@
 //
 //	Registry  model store: id → (artifact, fingerprint, pipeline), one
 //	          atomic pointer per model (registry.go)
-//	pipeline  per-model bounded queue + micro-batching worker pool over
-//	          worker-owned model.Predictor scratch (pipeline.go)
+//	pipeline  per-model bounded queue + micro-batching worker pool; one
+//	          training side bound per generation, shared by its workers,
+//	          each with its own model.Predictor scratch (pipeline.go)
 //	watcher   ModelDir poller: stat mtime/size, fingerprint-compare, swap
 //	          (watcher.go)
 //	Server    routing, admission control, HTTP surface, lifecycle
@@ -21,8 +22,9 @@
 // Concurrent predictions per model are micro-batched by drain-then-flush:
 // a worker takes the first queued request, adds whatever is already
 // queued behind it (up to MaxBatch instances) without waiting for more,
-// and scores the batch as ONE vectorized cross-Gram plus ONE
-// matrix-vector product against worker-owned reused scratch. Batches grow
+// and scores the batch as ONE vectorized cross-Gram against the bound
+// training side plus ONE matrix-vector product, in worker-owned reused
+// scratch, allocating nothing in steady state. Batches grow
 // when requests queue behind a busy worker; a lone request on an idle
 // server is scored at once. Scoring is row-wise independent, so batched
 // and chunked scores are bit-identical to single-request scores —

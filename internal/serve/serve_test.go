@@ -32,8 +32,15 @@ func testArtifact(t *testing.T) *model.Artifact {
 // and fingerprints) — the raw material of the hot-swap tests.
 func testArtifactSeed(t *testing.T, seed int64) *model.Artifact {
 	t.Helper()
+	return biometricArtifact(t, seed, 2)
+}
+
+// biometricArtifact fits the 36-row biometric model with noiseFeatures
+// pure-noise features (6+noiseFeatures features in all).
+func biometricArtifact(t testing.TB, seed int64, noiseFeatures int) *model.Artifact {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	cfg := dataset.BiometricConfig{N: 36, FacePerDim: 2, Noise: 0.8, IrrelevantSD: 1, NoiseFeatures: 2}
+	cfg := dataset.BiometricConfig{N: 36, FacePerDim: 2, Noise: 0.8, IrrelevantSD: 1, NoiseFeatures: noiseFeatures}
 	d := dataset.SyntheticBiometric(cfg, rng)
 	d.Standardize()
 	p := d.ViewPartition()
