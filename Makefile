@@ -115,11 +115,15 @@ contracts:
 	$(CONTRACT) 'MatchesScalarReference' ./internal/kernel
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
-# fuzz gives each untrusted-input decoder — the search-worker boundaries,
-# the artifact kernel-spec decoder and the serving predict route — a short
-# run, one go test -fuzz invocation per target (the fuzz engine takes one
-# target at a time). Mirrors the CI test job's fuzz step.
+# fuzz gives each untrusted-input decoder — the partition parser, the
+# CSV and JSONL ingesters, the search-worker boundaries, the artifact
+# kernel-spec decoder and the serving predict route — a short run, one go
+# test -fuzz invocation per target (the fuzz engine takes one target at a
+# time). Mirrors the CI test job's fuzz step.
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/partition
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSONL$$' -fuzztime 10s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzJobInstall$$' -fuzztime 10s ./internal/distsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./internal/distsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelSpec$$' -fuzztime 10s ./internal/kernel

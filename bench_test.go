@@ -370,14 +370,19 @@ func BenchmarkGram_Config_Scalar(b *testing.B) {
 	}
 }
 
-// BenchmarkGram_Config_Vector routes the same configuration through the
-// dense block engine.
+// BenchmarkGram_Config_Vector assembles the same configuration the way
+// every exact scoring path does: a retention-disabled block cache builds
+// each block's vectorized Gram into one reused block buffer and folds it
+// into a reused output.
 func BenchmarkGram_Config_Vector(b *testing.B) {
-	k, d := gramBenchKernel(b)
-	_ = kernel.Gram(k, d.X) // fill the combiner's scratch pool before timing
+	_, d := gramBenchKernel(b)
+	cache := kernel.NewBlockGramCache(d.X, kernel.RBFFactory(1.0), -1)
+	p := d.ViewPartition()
+	var sc kernel.AssemblyScratch
+	out := cache.GramForPartitionScratch(p, kernel.CombineSum, nil, &sc) // size the output and block buffer before timing
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = kernel.Gram(k, d.X)
+		out = cache.GramForPartitionScratch(p, kernel.CombineSum, out, &sc)
 	}
 }
 

@@ -245,11 +245,12 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		// regardless of mode.
 		exactCfg := cfg.MKL
 		exactCfg.Backend = engine.Backend{}
-		// The exact twin runs cache-free: it only ever scores the top-K
+		// The exact twin retains no blocks: it only ever scores the top-K
 		// survivors, and retaining n×n blocks across them would cost
 		// O(blocks·n²) memory at exactly the scale budgeted mode targets
-		// (one cached block is 800 MB at n=10k). Cache-free keeps the
-		// peak at one assembled Gram plus scratch.
+		// (one block is 800 MB at n=10k). Its block cache then builds each
+		// block into one reused buffer and folds it into the candidate's
+		// Gram, so the peak stays at one assembled Gram plus one block.
 		exactCfg.GramCacheBlocks = -1
 		exactEval, eerr := mkl.NewEvaluator(d, exactCfg)
 		if eerr != nil {

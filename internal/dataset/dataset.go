@@ -101,19 +101,10 @@ func (d *Dataset) Subset(rows []int) *Dataset {
 }
 
 // Matrix returns the dense row-major feature matrix (a copy — mutating it
-// does not affect the dataset). It feeds the vectorized Gram path, which
+// does not affect the dataset). It feeds the bound cross-Gram path, which
 // wants instances as contiguous matrix rows rather than row slices.
 func (d *Dataset) Matrix() *linalg.Matrix {
 	return linalg.FromRows(d.X)
-}
-
-// BlockMatrix returns the contiguous n×len(features) column block of the
-// given 0-based feature indices. Materializing a block once per dataset —
-// instead of re-slicing per instance pair — is what lets block kernels run
-// as dense matrix operations (see kernel.BlockGramKernel); searches cache
-// these blocks alongside the per-block Grams in kernel.BlockGramCache.
-func (d *Dataset) BlockMatrix(features []int) *linalg.Matrix {
-	return linalg.FromRowsCols[float64](d.X, features)
 }
 
 // ViewPartition returns the partition of the feature set {1..D} induced by

@@ -262,7 +262,7 @@ func TestSurfaceConfigClamps(t *testing.T) {
 	}
 }
 
-func TestMatrixAndBlockMatrix(t *testing.T) {
+func TestMatrix(t *testing.T) {
 	d := &Dataset{
 		X: [][]float64{{1, 2, 3}, {4, 5, 6}},
 		Y: []int{1, -1},
@@ -282,17 +282,5 @@ func TestMatrixAndBlockMatrix(t *testing.T) {
 	m.Set(0, 0, 99)
 	if d.X[0][0] != 1 {
 		t.Error("Matrix shares backing storage with the dataset")
-	}
-	b := d.BlockMatrix([]int{2, 0})
-	if b.Rows != 2 || b.Cols != 2 {
-		t.Fatalf("block shape %dx%d", b.Rows, b.Cols)
-	}
-	want := [][]float64{{3, 1}, {6, 4}}
-	for i := range want {
-		for j := range want[i] {
-			if b.At(i, j) != want[i][j] {
-				t.Fatalf("block (%d,%d) = %v, want %v", i, j, b.At(i, j), want[i][j])
-			}
-		}
 	}
 }

@@ -98,6 +98,11 @@ func (s Schema) resolve(features []string) ([]View, error) {
 		if f == s.label() {
 			return nil, fmt.Errorf("dataset: label column %q listed as a feature", f)
 		}
+		// WriteCSV must carry every feature name back to ReadCSV, which
+		// trims header names and folds a quoted CRLF to LF.
+		if strings.TrimSpace(f) != f || strings.ContainsRune(f, '\r') {
+			return nil, fmt.Errorf("dataset: feature column %q has surrounding space or a carriage return", f)
+		}
 		if _, dup := idx[f]; dup {
 			return nil, fmt.Errorf("dataset: duplicate feature column %q", f)
 		}

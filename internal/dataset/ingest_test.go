@@ -160,6 +160,7 @@ func TestReadJSONLMalformed(t *testing.T) {
 			Schema{}, "policy reject",
 		},
 		"only label": {`{"label": 1}`, Schema{}, "no feature keys"},
+		"spaced key": {`{" a": 1, "label": 1}`, Schema{}, "surrounding space"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

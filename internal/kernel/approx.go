@@ -149,7 +149,7 @@ func nystromFactor(base Kernel, xb *linalg.Matrix, rank int, rng *rand.Rand) (*l
 	bound, fast := BindCross(base, xl)
 	if fast {
 		bound.Fill(cm, xb, new(CrossScratch))
-		fast = base.(BlockGramKernel).GramInto(w, xl)
+		fast = blockGramInto(w, base, xl)
 	}
 	if !fast {
 		for i := 0; i < n; i++ {

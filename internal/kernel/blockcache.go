@@ -72,6 +72,11 @@ func (c *BlockCache[V]) Len() int {
 	return len(c.m)
 }
 
+// Retains reports whether the cache keeps built blocks. A cache that does
+// not (negative limit) hands every caller a freshly built value of its
+// own, which the caller may then mutate.
+func (c *BlockCache[V]) Retains() bool { return c.limit > 0 }
+
 // Bytes reports the total size of the cached values in bytes.
 func (c *BlockCache[V]) Bytes() int64 {
 	c.mu.RLock()
@@ -81,7 +86,8 @@ func (c *BlockCache[V]) Bytes() int64 {
 
 // Block returns the value of the block on the given sorted 0-based feature
 // indices, building and caching it on first use. The returned value is
-// shared and must not be mutated.
+// shared and must not be mutated, unless the cache does not retain blocks
+// (see Retains).
 func (c *BlockCache[V]) Block(feats []int) (V, error) {
 	return c.lookup(appendBlockKey(nil, feats), feats)
 }
@@ -124,13 +130,16 @@ func (c *BlockCache[V]) lookup(key []byte, feats []int) (V, error) {
 }
 
 // BlockScratch holds the reusable per-caller buffers of Blocks (feature
-// list, block key, and the gathered block values). The zero value is ready;
-// a scratch belongs to one goroutine — each worker evaluator of a parallel
-// search owns its own while sharing the concurrency-safe cache.
+// list, block key, and the gathered block values), plus buf, the one block
+// a retention-disabled DenseGramCache builds into during float64 assembly.
+// The zero value is ready; a scratch belongs to one goroutine — each worker
+// evaluator of a parallel search owns its own while sharing the
+// concurrency-safe cache.
 type BlockScratch[V any] struct {
 	feats  []int
 	keyBuf []byte
 	vals   []V
+	buf    V
 }
 
 // Blocks looks up the value of every block of p, in partition.Blocks()
@@ -142,16 +151,9 @@ type BlockScratch[V any] struct {
 //
 //iotml:hotpath
 func (c *BlockCache[V]) Blocks(p partition.Partition, sc *BlockScratch[V]) ([]V, error) {
-	d := p.N()
 	sc.vals = sc.vals[:0]
 	for b := 0; b < p.NumBlocks(); b++ {
-		sc.feats = sc.feats[:0]
-		for e := 1; e <= d; e++ {
-			if p.BlockOf(e) == b {
-				sc.feats = append(sc.feats, e-1)
-			}
-		}
-		sc.keyBuf = appendBlockKey(sc.keyBuf[:0], sc.feats)
+		sc.load(p, b)
 		v, err := c.lookup(sc.keyBuf, sc.feats)
 		if err != nil {
 			return nil, err
@@ -159,6 +161,21 @@ func (c *BlockCache[V]) Blocks(p partition.Partition, sc *BlockScratch[V]) ([]V,
 		sc.vals = append(sc.vals, v)
 	}
 	return sc.vals, nil
+}
+
+// load re-derives the sorted 0-based features of block b of p, and the
+// block's key, into sc.feats and sc.keyBuf by an RGS scan.
+//
+//iotml:hotpath
+func (sc *BlockScratch[V]) load(p partition.Partition, b int) {
+	d := p.N()
+	sc.feats = sc.feats[:0]
+	for e := 1; e <= d; e++ {
+		if p.BlockOf(e) == b {
+			sc.feats = append(sc.feats, e-1)
+		}
+	}
+	sc.keyBuf = appendBlockKey(sc.keyBuf[:0], sc.feats)
 }
 
 // appendBlockKey appends the canonical fingerprint of a block — its sorted

@@ -1,8 +1,10 @@
 // Block-level Gram evaluation: the vectorized fast path of the Gram engine.
 // Instead of one interface dispatch plus per-pair slice gathering for every
-// instance pair — O(n²) Eval calls per candidate configuration — kernels
-// that can evaluate a whole Gram block as dense matrix operations implement
-// BlockGramKernel, and Gram/CrossGram route through it.
+// instance pair, the base kernels (Linear, Polynomial, RBF, Normalized) fill
+// a whole Gram block as dense matrix operations (blockGramInto), and every
+// kernel tree binds a cross-Gram once and fills it block by block
+// (BlockGramKernel.BindCross). A partition's full Gram is assembled in one
+// place, DenseGramCache, which runs these formulas per feature block.
 //
 // Determinism contract (the repository's reproduction guarantee):
 //
@@ -13,11 +15,12 @@
 //     floating-point operations: entries agree with the pairwise path to
 //     1e-9 elementwise (diagonals are exact). GramPairwise and
 //     CrossGramPairwise stay the scalar reference, and every Gram route
-//     falls back to them for a kernel that does not implement
-//     BlockGramKernel — which is how the equivalence tests reach the
-//     pairwise arithmetic.
-//   - Wrappers (Subspace, Normalized, Sum, Product) inherit the guarantee
-//     of their operands: combination order matches Eval exactly.
+//     falls back to them for a kernel without a block formula — which is
+//     how the equivalence tests reach the pairwise arithmetic.
+//   - Normalized inherits the guarantee of its base. A partition's Gram
+//     combines its block Grams in partition-block order with Eval's
+//     per-entry operations (weighted sum, or product), so it inherits the
+//     blocks' guarantee (DenseGramCache.GramForPartition).
 //   - Cross-Gram blocks are bind-then-fill: BindCross does the work that
 //     depends on the right-hand rows b alone, once (Subspace extracts b's
 //     column block, RBF norms b's rows, Normalized takes b's
@@ -32,38 +35,18 @@ package kernel
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/linalg"
 )
 
-// scratchPool recycles the member-Gram scratch matrices of the Sum and
-// Product GramInto methods, so the cache-less scoring path does not
-// allocate one n×n buffer per candidate. Sizes are homogeneous within a
-// search (always n×n), so a mis-sized pooled matrix is simply dropped.
-// Cross-Gram fills take their member scratch from a CrossScratch instead.
-var scratchPool sync.Pool
-
-func getScratch(rows, cols int) *linalg.Matrix {
-	if m, ok := scratchPool.Get().(*linalg.Matrix); ok && m.Rows == rows && m.Cols == cols {
-		return m
-	}
-	return linalg.NewMatrix(rows, cols)
-}
-
-func putScratch(m *linalg.Matrix) { scratchPool.Put(m) }
-
-// BlockGramKernel is the optional fast-path interface: kernels that can
-// fill a whole Gram block with dense matrix operations implement it.
-// Instances are the rows of x (and a, b). GramInto fills dst, pre-shaped
-// n×n by the caller. BindCross fixes the right-hand rows b of a cross-Gram
-// once and returns the bound form, which fills len(a)×len(b) blocks for
-// any a. Both report false — GramInto leaving dst unspecified, BindCross
-// before any fill — when this kernel (or a kernel it wraps) cannot
-// vectorize, in which case the caller falls back to the pairwise Eval
-// path.
+// BlockGramKernel is the optional cross-Gram fast-path interface: kernels
+// that can fill a whole cross-Gram block with dense matrix operations
+// implement it. BindCross fixes the right-hand rows b (instances are
+// matrix rows) once and returns the bound form, which fills
+// len(a)×len(b) blocks for any a. It reports false when this kernel (or a
+// kernel it wraps) cannot vectorize, in which case the caller falls back
+// to the pairwise Eval path.
 type BlockGramKernel interface {
-	GramInto(dst, x *linalg.Matrix) bool
 	BindCross(b *linalg.Matrix) (BoundCross, bool)
 }
 
@@ -115,14 +98,14 @@ func (sc *CrossScratch) take(rows, cols int) *linalg.Matrix {
 }
 
 // blockGramInto fills dst (pre-shaped n×n) with the Gram of k over the
-// rows of x at storage width T. The Linear, Polynomial, RBF and Normalized
-// block formulas are written once, generic over T, and shared by their
-// BlockGramKernel methods and by both widths of DenseGramCache: each maps
-// the float64 value of an entry and rounds once at its store, so the
-// float64 instantiation is the exact reference arithmetic. Other block
-// kernels (Subspace, Sum, Product, or a caller's own) delegate to their
-// float64 GramInto method and have no block formula at float32, where
-// blockGramInto reports false and the caller takes the pairwise path.
+// rows of x at storage width T. It is the one home of the Linear,
+// Polynomial, RBF and Normalized block formulas, written once, generic
+// over T, and shared by kernel.Gram, both widths of DenseGramCache and the
+// Nyström landmark Gram: each maps the float64 value of an entry and
+// rounds once at its store, so the float64 instantiation is the exact
+// reference arithmetic. Any other kernel (a wrapper, or a caller's own)
+// has no block formula: blockGramInto reports false, leaving dst
+// untouched, and the caller takes the pairwise path.
 func blockGramInto[T linalg.Float](dst *linalg.Dense[T], k Kernel, x *linalg.Dense[T]) bool {
 	switch k := k.(type) {
 	case Linear:
@@ -134,12 +117,7 @@ func blockGramInto[T linalg.Float](dst *linalg.Dense[T], k Kernel, x *linalg.Den
 	case Normalized:
 		return normalizedGram(k, dst, x)
 	default:
-		bg, ok := k.(BlockGramKernel)
-		ref, isRef := any(dst).(*linalg.Matrix)
-		if !ok || !isRef {
-			return false
-		}
-		return bg.GramInto(ref, any(x).(*linalg.Matrix))
+		return false
 	}
 	return true
 }
@@ -198,13 +176,6 @@ func normalizedGram[T linalg.Float](nk Normalized, dst, x *linalg.Dense[T]) bool
 	return true
 }
 
-// GramInto implements BlockGramKernel: dst = X·Xᵀ, bit-identical to the
-// pairwise path.
-func (Linear) GramInto(dst, x *linalg.Matrix) bool {
-	linalg.SyrkInto(dst, x)
-	return true
-}
-
 // BindCross implements BlockGramKernel: dst = A·Bᵀ.
 func (Linear) BindCross(b *linalg.Matrix) (BoundCross, bool) { return &boundLinear{b: b}, true }
 
@@ -214,13 +185,6 @@ type boundLinear struct{ b *linalg.Matrix }
 //
 //iotml:hotpath
 func (bl *boundLinear) Fill(dst, a *linalg.Matrix, _ *CrossScratch) { linalg.GemmNTInto(dst, a, bl.b) }
-
-// GramInto implements BlockGramKernel: the polynomial map applied to X·Xᵀ,
-// bit-identical to the pairwise path.
-func (p Polynomial) GramInto(dst, x *linalg.Matrix) bool {
-	polynomialGram(p, dst, x)
-	return true
-}
 
 // BindCross implements BlockGramKernel: the polynomial map applied to
 // A·Bᵀ.
@@ -242,14 +206,6 @@ func (bp *boundPolynomial) Fill(dst, a *linalg.Matrix, _ *CrossScratch) {
 	for i := range dst.Data {
 		dst.Data[i] = math.Pow(bp.p.Gamma*dst.Data[i]+bp.p.Coef0, deg)
 	}
-}
-
-// GramInto implements BlockGramKernel: exp(−γ·dist²) over the pairwise
-// squared-distance expansion. Within 1e-9 of the pairwise path (diagonals
-// exactly 1).
-func (r RBF) GramInto(dst, x *linalg.Matrix) bool {
-	rbfGram(r, dst, x)
-	return true
 }
 
 // BindCross implements BlockGramKernel: exp(−γ·dist²) over the
@@ -277,17 +233,6 @@ func (br *boundRBF) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 	sc.top = top
 }
 
-// GramInto implements BlockGramKernel: the base block restricted to the
-// subspace columns, materialized contiguously once per call (caches such as
-// BlockGramCache keep the extracted block across calls instead).
-func (s Subspace) GramInto(dst, x *linalg.Matrix) bool {
-	bg, ok := s.Base.(BlockGramKernel)
-	if !ok {
-		return false
-	}
-	return bg.GramInto(dst, linalg.ExtractColumnsInto(nil, x, s.Features))
-}
-
 // BindCross implements BlockGramKernel: the base kernel bound to b's
 // subspace columns, extracted once here; each fill extracts only a's.
 func (s Subspace) BindCross(b *linalg.Matrix) (BoundCross, bool) {
@@ -312,11 +257,6 @@ func (bs *boundSubspace) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 	bs.base.Fill(dst, cols, sc)
 	sc.top = top
 }
-
-// GramInto implements BlockGramKernel: cosine normalization of the base
-// block, K'ᵢⱼ = Kᵢⱼ / √(Kᵢᵢ·Kⱼⱼ), with the same degenerate-diagonal rule as
-// Eval (self-similarity ≤ 0 yields 0).
-func (nk Normalized) GramInto(dst, x *linalg.Matrix) bool { return normalizedGram(nk, dst, x) }
 
 // BindCross implements BlockGramKernel. Self-similarities come from the
 // base kernel's scalar Eval on each row — the same operation order as the
@@ -364,44 +304,6 @@ func (bn *boundNormalized) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 	sc.top = top
 }
 
-// blockGramAll reports whether every kernel supports the fast path, so
-// combiners can refuse before writing into dst.
-func blockGramAll(kernels []Kernel) bool {
-	for _, k := range kernels {
-		if _, ok := k.(BlockGramKernel); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// GramInto implements BlockGramKernel: the weighted sum of member Grams,
-// accumulated in member order exactly as Eval does, so the combination
-// inherits the members' determinism guarantee.
-func (c Sum) GramInto(dst, x *linalg.Matrix) bool {
-	if !blockGramAll(c.Kernels) {
-		return false
-	}
-	scratch := getScratch(dst.Rows, dst.Cols)
-	defer putScratch(scratch)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i, k := range c.Kernels {
-		if !k.(BlockGramKernel).GramInto(scratch, x) {
-			return false
-		}
-		w := 1.0
-		if c.Weights != nil {
-			w = c.Weights[i]
-		}
-		for j := range dst.Data {
-			dst.Data[j] += w * scratch.Data[j]
-		}
-	}
-	return true
-}
-
 // bindAll binds every member kernel to b, reporting false if any cannot
 // vectorize.
 func bindAll(kernels []Kernel, b *linalg.Matrix) ([]BoundCross, bool) {
@@ -430,7 +332,7 @@ type boundSum struct {
 }
 
 // Fill implements BoundCross: the weighted sum of member blocks,
-// accumulated in member order as Sum.GramInto does.
+// accumulated in member order as Sum.Eval does.
 //
 //iotml:hotpath
 func (bs *boundSum) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
@@ -452,28 +354,6 @@ func (bs *boundSum) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 	sc.top = top
 }
 
-// GramInto implements BlockGramKernel: the elementwise product of member
-// Grams, multiplied in member order exactly as Eval does.
-func (c Product) GramInto(dst, x *linalg.Matrix) bool {
-	if !blockGramAll(c.Kernels) {
-		return false
-	}
-	scratch := getScratch(dst.Rows, dst.Cols)
-	defer putScratch(scratch)
-	for i := range dst.Data {
-		dst.Data[i] = 1
-	}
-	for _, k := range c.Kernels {
-		if !k.(BlockGramKernel).GramInto(scratch, x) {
-			return false
-		}
-		for j := range dst.Data {
-			dst.Data[j] *= scratch.Data[j]
-		}
-	}
-	return true
-}
-
 // BindCross implements BlockGramKernel: each member bound to b.
 func (c Product) BindCross(b *linalg.Matrix) (BoundCross, bool) {
 	members, ok := bindAll(c.Kernels, b)
@@ -486,7 +366,7 @@ func (c Product) BindCross(b *linalg.Matrix) (BoundCross, bool) {
 type boundProduct struct{ members []BoundCross }
 
 // Fill implements BoundCross: the elementwise product of member blocks,
-// multiplied in member order as Product.GramInto does.
+// multiplied in member order as Product.Eval does.
 //
 //iotml:hotpath
 func (bp *boundProduct) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
@@ -502,19 +382,4 @@ func (bp *boundProduct) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 		}
 	}
 	sc.top = top
-}
-
-// GramIntoMatrix fills dst with the Gram matrix of k over the rows of xm
-// through the vectorized path, reporting false (dst unspecified) when k
-// cannot vectorize. dst is reallocated if nil or mis-sized; the possibly
-// fresh matrix is returned either way so callers can keep it as scratch.
-func GramIntoMatrix(dst *linalg.Matrix, k Kernel, xm *linalg.Matrix) (*linalg.Matrix, bool) {
-	bg, ok := k.(BlockGramKernel)
-	if !ok {
-		return dst, false
-	}
-	if dst == nil || dst.Rows != xm.Rows || dst.Cols != xm.Rows {
-		dst = linalg.NewMatrix(xm.Rows, xm.Rows)
-	}
-	return dst, bg.GramInto(dst, xm)
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -22,23 +23,14 @@ func testRows(n, d int, seed int64) [][]float64 {
 	return x
 }
 
-// exactKernels must produce bit-identical Grams on the vectorized path.
+// exactKernels are the base kernels whose block formulas must be
+// bit-identical to the pairwise path.
 func exactKernels() []Kernel {
 	return []Kernel{
 		Linear{},
 		Polynomial{Degree: 3, Gamma: 0.7, Coef0: 1.1},
 		Normalized{Base: Linear{}},
 		Normalized{Base: Polynomial{Degree: 2, Gamma: 0.5, Coef0: 1}},
-		Subspace{Base: Linear{}, Features: []int{4, 1, 2}},
-		Subspace{Base: Polynomial{Degree: 2, Gamma: 1, Coef0: 0.5}, Features: []int{0, 3}},
-		Sum{Kernels: []Kernel{
-			Subspace{Base: Linear{}, Features: []int{0, 1}},
-			Subspace{Base: Polynomial{Degree: 2, Gamma: 1, Coef0: 1}, Features: []int{2, 3, 4}},
-		}, Weights: []float64{0.5, 0.5}},
-		Product{Kernels: []Kernel{
-			Subspace{Base: Normalized{Base: Linear{}}, Features: []int{0, 1, 2}},
-			Subspace{Base: Polynomial{Degree: 1, Gamma: 1, Coef0: 2}, Features: []int{3, 4}},
-		}},
 	}
 }
 
@@ -47,43 +39,100 @@ func toleranceKernels() []Kernel {
 	return []Kernel{
 		RBF{Gamma: 0.3},
 		Normalized{Base: RBF{Gamma: 0.5}},
-		Subspace{Base: RBF{Gamma: 0.8}, Features: []int{1, 2, 4}},
-		Sum{Kernels: []Kernel{
-			Subspace{Base: RBF{Gamma: 0.5}, Features: []int{0, 1}},
-			Subspace{Base: Linear{}, Features: []int{2, 3, 4}},
-		}, Weights: []float64{0.5, 0.5}},
-		Product{Kernels: []Kernel{
-			Subspace{Base: RBF{Gamma: 0.4}, Features: []int{0, 1, 2}},
-			Subspace{Base: RBF{Gamma: 0.2}, Features: []int{3, 4}},
-		}},
+	}
+}
+
+// blockConfig is a partition-induced configuration over 5 features: the
+// factory builds block kernels of several kinds, so a configuration mixes
+// them the way a caller's factory may.
+type blockConfig struct {
+	p        partition.Partition
+	factory  BlockKernelFactory
+	combiner Combiner
+}
+
+// byFirstFeature returns a factory that builds the kernel keyed by each
+// block's first 0-based feature.
+func byFirstFeature(kernels map[int]Kernel) BlockKernelFactory {
+	return func(feats []int) Kernel { return kernels[feats[0]] }
+}
+
+// exactConfigs are sums and products of subspace block kernels with exact
+// block formulas: bit-identical to the pairwise path.
+func exactConfigs() []blockConfig {
+	return []blockConfig{
+		{partition.MustFromBlocks(5, [][]int{{1, 2, 3, 5}, {4}}), byFirstFeature(map[int]Kernel{
+			0: Linear{},
+			3: Polynomial{Degree: 2, Gamma: 1, Coef0: 0.5},
+		}), CombineSum},
+		{partition.MustFromBlocks(5, [][]int{{1, 2}, {3, 4, 5}}), byFirstFeature(map[int]Kernel{
+			0: Linear{},
+			2: Polynomial{Degree: 2, Gamma: 1, Coef0: 1},
+		}), CombineSum},
+		{partition.MustFromBlocks(5, [][]int{{1, 2, 3}, {4, 5}}), byFirstFeature(map[int]Kernel{
+			0: Normalized{Base: Linear{}},
+			3: Polynomial{Degree: 1, Gamma: 1, Coef0: 2},
+		}), CombineProduct},
+	}
+}
+
+// toleranceConfigs involve RBF blocks: within 1e-9 of the pairwise path.
+func toleranceConfigs() []blockConfig {
+	return []blockConfig{
+		{partition.MustFromBlocks(5, [][]int{{1}, {2, 3, 5}, {4}}), byFirstFeature(map[int]Kernel{
+			0: Linear{},
+			1: RBF{Gamma: 0.8},
+			3: Linear{},
+		}), CombineSum},
+		{partition.MustFromBlocks(5, [][]int{{1, 2}, {3, 4, 5}}), byFirstFeature(map[int]Kernel{
+			0: RBF{Gamma: 0.5},
+			2: Linear{},
+		}), CombineSum},
+		{partition.MustFromBlocks(5, [][]int{{1, 2, 3}, {4, 5}}), byFirstFeature(map[int]Kernel{
+			0: RBF{Gamma: 0.4},
+			3: RBF{Gamma: 0.2},
+		}), CombineProduct},
 	}
 }
 
 func gramViaBlock(t *testing.T, k Kernel, x [][]float64) *linalg.Matrix {
 	t.Helper()
-	bg, ok := k.(BlockGramKernel)
-	if !ok {
-		t.Fatalf("%v does not implement BlockGramKernel", k)
-	}
 	g := linalg.NewMatrix(len(x), len(x))
-	if !bg.GramInto(g, linalg.FromRows(x)) {
+	if !blockGramInto(g, k, linalg.FromRows(x)) {
 		t.Fatalf("%v refused the block fast path", k)
 	}
 	return g
+}
+
+// gramViaCache is a configuration's Gram as the search assembles it, from
+// a fresh block cache.
+func gramViaCache(c blockConfig, x [][]float64) *linalg.Matrix {
+	return NewBlockGramCache(x, c.factory, 0).GramForPartition(c.p, c.combiner, nil)
+}
+
+// checkGrams fails on the first entry of got farther than tol from want
+// (tol 0 demands bit identity).
+func checkGrams(t *testing.T, what string, got, want *linalg.Matrix, tol float64) {
+	t.Helper()
+	for i := range want.Data {
+		if tol == 0 && math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: entry %d = %v, pairwise %v (must be bit-identical)", what, i, got.Data[i], want.Data[i])
+		}
+		if d := math.Abs(got.Data[i] - want.Data[i]); d > tol {
+			t.Fatalf("%s: entry %d off by %v (tolerance %v)", what, i, d, tol)
+		}
+	}
 }
 
 func TestBlockGramBitIdenticalForExactKernels(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		x := testRows(40, 5, seed)
 		for _, k := range exactKernels() {
-			got := gramViaBlock(t, k, x)
-			want := GramPairwise(k, x)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("seed %d kernel %v: entry %d = %v, pairwise %v (must be bit-identical)",
-						seed, k, i, got.Data[i], want.Data[i])
-				}
-			}
+			checkGrams(t, fmt.Sprintf("seed %d kernel %v", seed, k), gramViaBlock(t, k, x), GramPairwise(k, x), 0)
+		}
+		for _, c := range exactConfigs() {
+			k := FromPartition(c.p, c.factory, c.combiner)
+			checkGrams(t, fmt.Sprintf("seed %d config %v", seed, k), gramViaCache(c, x), GramPairwise(k, x), 0)
 		}
 	}
 }
@@ -92,13 +141,11 @@ func TestBlockGramWithinToleranceForRBF(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		x := testRows(40, 5, seed)
 		for _, k := range toleranceKernels() {
-			got := gramViaBlock(t, k, x)
-			want := GramPairwise(k, x)
-			for i := range want.Data {
-				if d := math.Abs(got.Data[i] - want.Data[i]); d > 1e-9 {
-					t.Fatalf("seed %d kernel %v: entry %d off by %v (tolerance 1e-9)", seed, k, i, d)
-				}
-			}
+			checkGrams(t, fmt.Sprintf("seed %d kernel %v", seed, k), gramViaBlock(t, k, x), GramPairwise(k, x), 1e-9)
+		}
+		for _, c := range toleranceConfigs() {
+			k := FromPartition(c.p, c.factory, c.combiner)
+			checkGrams(t, fmt.Sprintf("seed %d config %v", seed, k), gramViaCache(c, x), GramPairwise(k, x), 1e-9)
 		}
 	}
 }
@@ -113,11 +160,20 @@ func TestBlockGramRBFDiagonalExact(t *testing.T) {
 	}
 }
 
+// configKernels returns the kernel trees of configs.
+func configKernels(configs []blockConfig) []Kernel {
+	out := make([]Kernel, len(configs))
+	for i, c := range configs {
+		out[i] = FromPartition(c.p, c.factory, c.combiner)
+	}
+	return out
+}
+
 func TestBlockCrossGramMatchesPairwise(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		a := testRows(15, 5, seed)
 		b := testRows(11, 5, seed+100)
-		for _, k := range exactKernels() {
+		for _, k := range append(exactKernels(), configKernels(exactConfigs())...) {
 			bound, ok := k.(BlockGramKernel).BindCross(linalg.FromRows(b))
 			if !ok {
 				t.Fatalf("%v refused BindCross", k)
@@ -131,7 +187,7 @@ func TestBlockCrossGramMatchesPairwise(t *testing.T) {
 				}
 			}
 		}
-		for _, k := range toleranceKernels() {
+		for _, k := range append(toleranceKernels(), configKernels(toleranceConfigs())...) {
 			bound, ok := k.(BlockGramKernel).BindCross(linalg.FromRows(b))
 			if !ok {
 				t.Fatalf("%v refused BindCross", k)
@@ -156,15 +212,10 @@ func (evalOnly) String() string              { return "evalOnly" }
 
 func TestGramDispatchFallsBackForEvalOnlyKernels(t *testing.T) {
 	x := testRows(10, 3, 1)
-	got := Gram(evalOnly{}, x)
-	want := GramPairwise(evalOnly{}, x)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("fallback Gram diverged at %d", i)
-		}
-	}
-	// Wrappers over an Eval-only base must refuse the fast path, and the
-	// dispatching entry points must still produce the pairwise result.
+	checkGrams(t, "evalOnly", Gram(evalOnly{}, x), GramPairwise(evalOnly{}, x), 0)
+	// No block formula exists for a wrapper over an Eval-only base, nor for
+	// a combination: the block path must refuse them before writing, and
+	// the dispatching entry points must still produce the pairwise result.
 	wrapped := []Kernel{
 		Subspace{Base: evalOnly{}, Features: []int{0, 1}},
 		Normalized{Base: evalOnly{}},
@@ -172,29 +223,34 @@ func TestGramDispatchFallsBackForEvalOnlyKernels(t *testing.T) {
 		Product{Kernels: []Kernel{evalOnly{}, Linear{}}},
 	}
 	for _, k := range wrapped {
-		bg, ok := k.(BlockGramKernel)
-		if !ok {
-			t.Fatalf("%v should still satisfy the interface", k)
+		g := linalg.NewMatrix(len(x), len(x))
+		if blockGramInto(g, k, linalg.FromRows(x)) {
+			t.Errorf("%v accepted the block path over an Eval-only base", k)
 		}
-		if bg.GramInto(linalg.NewMatrix(len(x), len(x)), linalg.FromRows(x)) {
-			t.Errorf("%v accepted the fast path over an Eval-only base", k)
-		}
-		if _, ok := bg.BindCross(linalg.FromRows(x)); ok {
-			t.Errorf("%v accepted BindCross over an Eval-only base", k)
-		}
-		g := Gram(k, x)
-		w := GramPairwise(k, x)
-		for i := range w.Data {
-			if g.Data[i] != w.Data[i] {
-				t.Fatalf("kernel %v: dispatching Gram diverged from pairwise at %d", k, i)
+		for i, v := range g.Data {
+			if v != 0 {
+				t.Fatalf("%v: a refused block fill wrote entry %d", k, i)
 			}
 		}
+		if _, ok := k.(BlockGramKernel).BindCross(linalg.FromRows(x)); ok {
+			t.Errorf("%v accepted BindCross over an Eval-only base", k)
+		}
+		checkGrams(t, fmt.Sprintf("kernel %v", k), Gram(k, x), GramPairwise(k, x), 0)
+	}
+	// A configuration mixing block formulas with an Eval-only block takes
+	// the pairwise path for that block alone, with the same bits.
+	p := partition.MustFromBlocks(3, [][]int{{1, 3}, {2}})
+	for _, combiner := range []Combiner{CombineSum, CombineProduct} {
+		c := blockConfig{p, byFirstFeature(map[int]Kernel{0: Linear{}, 1: evalOnly{}}), combiner}
+		k := FromPartition(c.p, c.factory, c.combiner)
+		checkGrams(t, fmt.Sprintf("config %v", k), gramViaCache(c, x), GramPairwise(k, x), 0)
 	}
 }
 
 func TestGramDispatchMatchesFromPartitionConfigurations(t *testing.T) {
 	// The configuration kernels the search actually scores: partition-induced
-	// sums and products of subspace RBF / linear kernels.
+	// sums and products of subspace RBF / linear kernels, assembled by the
+	// block cache as every scoring path assembles them.
 	for _, seed := range []int64{1, 2, 3} {
 		x := testRows(30, 6, seed)
 		p := partition.MustFromBlocks(6, [][]int{{1, 4}, {2, 3, 6}, {5}})
@@ -204,41 +260,14 @@ func TestGramDispatchMatchesFromPartitionConfigurations(t *testing.T) {
 				"linear":      LinearFactory(),
 				"norm-linear": NormalizedFactory(LinearFactory()),
 			} {
-				k := FromPartition(p, factory, combiner)
-				got := Gram(k, x)
-				want := GramPairwise(k, x)
 				tol := 0.0
 				if name == "rbf" {
 					tol = 1e-9
 				}
-				for i := range want.Data {
-					if d := math.Abs(got.Data[i] - want.Data[i]); d > tol {
-						t.Fatalf("seed %d %s %v: entry %d off by %v (tol %v)", seed, name, combiner, i, d, tol)
-					}
-				}
+				got := gramViaCache(blockConfig{p, factory, combiner}, x)
+				want := GramPairwise(FromPartition(p, factory, combiner), x)
+				checkGrams(t, fmt.Sprintf("seed %d %s %v", seed, name, combiner), got, want, tol)
 			}
 		}
-	}
-}
-
-func TestGramIntoMatrixReusesScratch(t *testing.T) {
-	x := testRows(12, 4, 9)
-	xm := linalg.FromRows(x)
-	buf := linalg.NewMatrix(12, 12)
-	got, ok := GramIntoMatrix(buf, RBF{Gamma: 0.5}, xm)
-	if !ok || got != buf {
-		t.Fatalf("GramIntoMatrix ok=%v reuse=%v", ok, got == buf)
-	}
-	got2, ok := GramIntoMatrix(nil, RBF{Gamma: 0.5}, xm)
-	if !ok {
-		t.Fatal("GramIntoMatrix refused RBF")
-	}
-	for i := range got.Data {
-		if got.Data[i] != got2.Data[i] {
-			t.Fatal("scratch reuse changed the result")
-		}
-	}
-	if _, ok := GramIntoMatrix(nil, evalOnly{}, xm); ok {
-		t.Error("GramIntoMatrix accepted an Eval-only kernel")
 	}
 }

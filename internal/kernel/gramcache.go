@@ -78,41 +78,38 @@ func denseBytes[T linalg.Float](m *linalg.Dense[T]) int64 {
 	return int64(len(m.Data)) * int64(unsafe.Sizeof(T(0)))
 }
 
-// BlockMatrix returns the contiguous column-block matrix of the given
-// 0-based feature indices, extracting and caching it on first use. The
-// returned matrix is shared and must not be mutated.
-func (c *DenseGramCache[T]) BlockMatrix(feats []int) *linalg.Dense[T] {
-	m, _ := c.cols.Block(feats) // column extraction never fails
-	return m
+// buildGram computes one block's Gram into a fresh matrix (see gramInto).
+func (c *DenseGramCache[T]) buildGram(key []byte, feats []int) (*linalg.Dense[T], error) {
+	g := linalg.NewDense[T](len(c.x), len(c.x))
+	c.gramInto(g, key, feats)
+	return g, nil
 }
 
-// buildGram computes one block's Gram: the block formulas (blockGramInto)
-// run over the cached column block; a block kernel without a formula at
-// this width takes the scalar float64 reference path, rounded once per
-// entry.
-func (c *DenseGramCache[T]) buildGram(key []byte, feats []int) (*linalg.Dense[T], error) {
+// gramInto fills dst (pre-shaped n×n) with one block's Gram: the block
+// formulas (blockGramInto) run over the cached column block; a block
+// kernel without a formula takes the scalar float64 reference path,
+// rounded once per entry.
+func (c *DenseGramCache[T]) gramInto(dst *linalg.Dense[T], key []byte, feats []int) {
 	base := c.factory(feats)
-	if _, ok := base.(BlockGramKernel); ok {
-		g := linalg.NewDense[T](len(c.x), len(c.x))
-		xb, _ := c.cols.lookup(key, feats) // column extraction never fails
-		if blockGramInto(g, base, xb) {
-			return g, nil
-		}
+	xb, _ := c.cols.lookup(key, feats) // column extraction never fails
+	if !blockGramInto(dst, base, xb) {
+		pairwiseGramInto(dst, Subspace{Base: base, Features: feats}, c.x)
 	}
-	return linalg.Convert[T](nil, GramPairwise(Subspace{Base: base, Features: feats}, c.x)), nil
 }
 
 // GramForPartition assembles the full Gram matrix of the multiple-kernel
-// configuration induced by p from the cached per-block Grams, writing into
-// out (reshaped) and returning it.
+// configuration induced by p from its per-block Grams, writing into out
+// (reshaped) and returning it. It is the one place a partition's Gram is
+// assembled: the search's candidates, the deployment fit and the
+// singleton rankings all come through it.
 //
-// At float64 the assembly is bit-identical to
-// Gram(FromPartition(p, factory, combiner), x): blocks are combined in
-// partition.Blocks() order with the same per-entry operation order
-// (weighted sum with weight 1/numBlocks, or product), so a search scoring
-// through the cache returns the exact floating-point scores of the
-// uncached path. At float32 the same float64 accumulation is rounded once
-// per entry.
+// Blocks are combined in partition.Blocks() order with Eval's per-entry
+// operations — the sum combiner weighs every block by 1/numBlocks, the
+// product multiplies — accumulated in float64, so at float64 the result is
+// bit-identical to evaluating FromPartition(p, factory, combiner) one
+// block kernel at a time over the same block formulas, at every worker
+// count and every retention limit. At float32 the same float64
+// accumulation is rounded once per entry.
 func (c *DenseGramCache[T]) GramForPartition(p partition.Partition, combiner Combiner, out *linalg.Dense[T]) *linalg.Dense[T] {
 	var sc BlockScratch[*linalg.Dense[T]]
 	return c.GramForPartitionScratch(p, combiner, out, &sc)
@@ -123,12 +120,22 @@ func (c *DenseGramCache[T]) GramForPartition(p partition.Partition, combiner Com
 // no allocation at all (see BlockCache.Blocks). It is the per-candidate
 // path of the mkl evaluators.
 //
+// Every block is gathered first and each entry accumulated across them in
+// float64 and stored once. With retention disabled the float64 assembly
+// instead folds the blocks into out one at a time (fold), so it holds out
+// plus one block, whatever the number of blocks; the float32 one still
+// gathers, since each entry is rounded once.
+//
 //iotml:hotpath
 func (c *DenseGramCache[T]) GramForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Dense[T], sc *BlockScratch[*linalg.Dense[T]]) *linalg.Dense[T] {
 	n := len(c.x)
 	out = linalg.Reshape(out, n, n)
-	grams, _ := c.Blocks(p, sc) // dense builds never fail
 	od := out.Data
+	if _, exact := any(out).(*linalg.Matrix); exact && !c.Retains() {
+		c.fold(p, combiner, od, sc)
+		return out
+	}
+	grams, _ := c.Blocks(p, sc) // dense builds never fail
 	if combiner == CombineProduct {
 		for i := range od {
 			acc := 1.0
@@ -148,4 +155,37 @@ func (c *DenseGramCache[T]) GramForPartitionScratch(p partition.Partition, combi
 		od[i] = T(acc)
 	}
 	return out
+}
+
+// fold is the retention-disabled float64 assembly: each block of p, in
+// partition-block order, is built into sc's one block buffer and
+// accumulated into od before the next is built (od = 0, od += w·g_b; or
+// od = 1, od *= g_b). Every entry gets exactly the float64 operations of
+// the gather, in the same order, so the bits are the gather's.
+//
+//iotml:hotpath
+func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []T, sc *BlockScratch[*linalg.Dense[T]]) {
+	n, k := len(c.x), p.NumBlocks()
+	var init T
+	if combiner == CombineProduct {
+		init = 1
+	}
+	for i := range od {
+		od[i] = init
+	}
+	w := T(1 / float64(k))
+	for b := 0; b < k; b++ {
+		sc.load(p, b)
+		sc.buf = linalg.Reshape(sc.buf, n, n)
+		c.gramInto(sc.buf, sc.keyBuf, sc.feats)
+		if combiner == CombineProduct {
+			for i, v := range sc.buf.Data {
+				od[i] *= v
+			}
+		} else {
+			for i, v := range sc.buf.Data {
+				od[i] += w * v
+			}
+		}
+	}
 }

@@ -2,9 +2,11 @@ package kernel
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/partition"
 )
 
@@ -26,7 +28,7 @@ func TestGramForPartitionMatchesUncachedBitwise(t *testing.T) {
 		for _, factory := range []BlockKernelFactory{RBFFactory(1.0), LinearFactory()} {
 			cache := NewBlockGramCache(x, factory, 0)
 			for _, p := range partition.All(6)[:40] {
-				want := Gram(FromPartition(p, factory, combiner), x)
+				want := refGramFromPartition(p, factory, combiner, x)
 				got := cache.GramForPartition(p, combiner, nil)
 				for i := range want.Data {
 					if want.Data[i] != got.Data[i] {
@@ -74,11 +76,40 @@ func TestBlockGramCacheLimit(t *testing.T) {
 	}
 	// Beyond the limit the cache still returns correct (uncached) Grams.
 	g, _ := cache.Block([]int{5})
-	want := Gram(Subspace{Base: RBFFactory(1.0)([]int{5}), Features: []int{5}}, x)
+	want := linalg.NewMatrix(len(x), len(x))
+	refGramInto(want, linalg.FromRows(x), Subspace{Base: RBFFactory(1.0)([]int{5}), Features: []int{5}})
 	for i := range want.Data {
 		if g.Data[i] != want.Data[i] {
 			t.Fatal("over-limit block Gram differs from direct computation")
 		}
+	}
+}
+
+// TestRetentionDisabledAssemblyHoldsOneBlock pins the memory shape of the
+// retention-disabled float64 assembly (the exact twin of a budgeted fit at
+// scale, the deployment fit): each block is built into the caller's one
+// block buffer and folded before the next, so a warm call allocates less
+// than one n×n matrix however many blocks the partition has, and the
+// cache keeps nothing.
+func TestRetentionDisabledAssemblyHoldsOneBlock(t *testing.T) {
+	const n, d, calls = 200, 10, 10
+	x := randomRows(n, d, 11)
+	p := partition.MustFromBlocks(d, [][]int{{1, 2}, {3}, {4, 5, 6}, {7, 9}, {8, 10}})
+	cache := NewBlockGramCache(x, RBFFactory(1.0), -1)
+	var sc AssemblyScratch
+	out := cache.GramForPartitionScratch(p, CombineSum, nil, &sc) // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		out = cache.GramForPartitionScratch(p, CombineSum, out, &sc)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if oneBlock := uint64(n * n * 8); perCall >= oneBlock {
+		t.Errorf("retention-disabled assembly allocated %d B per call, want below one %d×%d block (%d B)", perCall, n, n, oneBlock)
+	}
+	if cache.Len() != 0 || cache.Bytes() != 0 {
+		t.Errorf("retention-disabled cache holds %d blocks (%d B), want none", cache.Len(), cache.Bytes())
 	}
 }
 
@@ -110,26 +141,6 @@ func TestBlockGramCacheExactMatchesPairwise(t *testing.T) {
 	}
 }
 
-func TestBlockMatrixCachedAndCorrect(t *testing.T) {
-	x := randomRows(9, 6, 8)
-	cache := NewBlockGramCache(x, LinearFactory(), 0)
-	feats := []int{1, 3, 5}
-	sub := cache.BlockMatrix(feats)
-	if sub.Rows != 9 || sub.Cols != 3 {
-		t.Fatalf("block matrix shape %dx%d", sub.Rows, sub.Cols)
-	}
-	for i := range x {
-		for k, f := range feats {
-			if sub.At(i, k) != x[i][f] {
-				t.Fatalf("block matrix (%d,%d) = %v, want %v", i, k, sub.At(i, k), x[i][f])
-			}
-		}
-	}
-	if again := cache.BlockMatrix(feats); again != sub {
-		t.Error("block matrix was not cached")
-	}
-}
-
 func TestBlockGramCacheConcurrent(t *testing.T) {
 	x := randomRows(15, 6, 5)
 	factory := RBFFactory(1.0)
@@ -142,7 +153,7 @@ func TestBlockGramCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(parts); i += 8 {
 				got := cache.GramForPartition(parts[i], CombineSum, nil)
-				want := Gram(FromPartition(parts[i], factory, CombineSum), x)
+				want := refGramFromPartition(parts[i], factory, CombineSum, x)
 				for j := range want.Data {
 					if got.Data[j] != want.Data[j] {
 						t.Errorf("partition %v: concurrent cached Gram differs", parts[i])

@@ -4,11 +4,12 @@
 // kernels into a multiple-kernel configuration indexed by a partition of
 // the feature set.
 //
-// Gram matrices are built through a vectorized block engine when the
-// kernel supports it (see BlockGramKernel in blockgram.go, including the
-// determinism contract) and through the scalar per-pair Eval loop
-// otherwise; per-block Grams and column blocks are cached across search
-// candidates by BlockGramCache (gramcache.go).
+// A partition's Gram matrix is assembled in one place, DenseGramCache
+// (gramcache.go): each block's Gram comes from the vectorized block
+// formulas (blockgram.go, including the determinism contract), or from the
+// scalar per-pair Eval loop for a block kernel without one, and is cached
+// across search candidates; the blocks are then combined in partition
+// order. Gram builds a single kernel's matrix by the same formulas.
 package kernel
 
 import (
@@ -211,19 +212,19 @@ func FromPartition(p partition.Partition, factory BlockKernelFactory, combiner C
 	return Sum{Kernels: kernels, Weights: w}
 }
 
-// Gram returns the kernel matrix K[i][j] = k(X[i], X[j]). Kernels that
-// implement BlockGramKernel are evaluated through the vectorized block path
-// (see blockgram.go for the determinism contract); all others fall back to
-// the pairwise Eval loop of GramPairwise.
+// Gram returns the kernel matrix K[i][j] = k(X[i], X[j]). The base
+// kernels (Linear, Polynomial, RBF, Normalized) are evaluated by their
+// vectorized block formulas (see blockgram.go for the determinism
+// contract); any other kernel takes the pairwise Eval loop of
+// GramPairwise. A partition's configuration Gram comes from
+// DenseGramCache.GramForPartition instead.
 func Gram(k Kernel, x [][]float64) *linalg.Matrix {
-	if bg, ok := k.(BlockGramKernel); ok {
-		n := len(x)
-		g := linalg.NewMatrix(n, n)
-		if bg.GramInto(g, linalg.FromRows(x)) {
-			return g
-		}
+	n := len(x)
+	g := linalg.NewMatrix(n, n)
+	if !blockGramInto(g, k, linalg.FromRows(x)) {
+		pairwiseGramInto(g, k, x)
 	}
-	return GramPairwise(k, x)
+	return g
 }
 
 // GramPairwise returns the kernel matrix via one Eval call per instance
@@ -232,14 +233,21 @@ func Gram(k Kernel, x [][]float64) *linalg.Matrix {
 func GramPairwise(k Kernel, x [][]float64) *linalg.Matrix {
 	n := len(x)
 	g := linalg.NewMatrix(n, n)
+	pairwiseGramInto(g, k, x)
+	return g
+}
+
+// pairwiseGramInto fills dst (pre-shaped n×n) with one Eval call per
+// instance pair, each float64 value rounded once to T at its store.
+func pairwiseGramInto[T linalg.Float](dst *linalg.Dense[T], k Kernel, x [][]float64) {
+	n := len(x)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := k.Eval(x[i], x[j])
-			g.Set(i, j, v)
-			g.Set(j, i, v)
+			v := T(k.Eval(x[i], x[j]))
+			dst.Data[i*n+j] = v
+			dst.Data[j*n+i] = v
 		}
 	}
-	return g
 }
 
 // CrossGram returns the rectangular matrix K[i][j] = k(A[i], B[j]),

@@ -98,6 +98,152 @@ func refCrossGramInto(dst, a, b *linalg.Matrix, k Kernel) bool {
 	return true
 }
 
+// refGramFromPartition is the composite Gram chain the block cache
+// replaced, kept as the bit-level reference for the one assembly route:
+// the configuration kernel FromPartition builds, evaluated member by
+// member — each member's subspace columns extracted afresh, its base
+// formula run on them, and the members accumulated in member order into
+// the output. A configuration with any member lacking a block formula is
+// evaluated pairwise as a whole, as the composite chain did.
+func refGramFromPartition(p partition.Partition, factory BlockKernelFactory, combiner Combiner, x [][]float64) *linalg.Matrix {
+	k := FromPartition(p, factory, combiner)
+	g := linalg.NewMatrix(len(x), len(x))
+	if !refGramInto(g, linalg.FromRows(x), k) {
+		return GramPairwise(k, x)
+	}
+	return g
+}
+
+// refGramInto is one link of the composite chain: dst (n×n) = the Gram of
+// k over the rows of x. It reports false for a kernel without a block
+// formula.
+func refGramInto(dst, x *linalg.Matrix, k Kernel) bool {
+	n := x.Rows
+	switch k := k.(type) {
+	case Linear:
+		linalg.SyrkInto(dst, x)
+	case Polynomial:
+		linalg.SyrkInto(dst, x)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				v := math.Pow(k.Gamma*dst.Data[i*n+j]+k.Coef0, float64(k.Degree))
+				dst.Data[i*n+j], dst.Data[j*n+i] = v, v
+			}
+		}
+	case RBF:
+		linalg.PairwiseSquaredDistancesInto(dst, x)
+		for i := 0; i < n; i++ {
+			dst.Data[i*n+i] = 1
+			for j := i + 1; j < n; j++ {
+				v := math.Exp(-k.Gamma * dst.Data[i*n+j])
+				dst.Data[i*n+j], dst.Data[j*n+i] = v, v
+			}
+		}
+	case Normalized:
+		if !refGramInto(dst, x, k.Base) {
+			return false
+		}
+		diag := make([]float64, n)
+		for i := range diag {
+			diag[i] = dst.Data[i*n+i]
+		}
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				v := 0.0
+				if diag[i] > 0 && diag[j] > 0 {
+					v = dst.Data[i*n+j] / math.Sqrt(diag[i]*diag[j])
+				}
+				dst.Data[i*n+j], dst.Data[j*n+i] = v, v
+			}
+		}
+	case Subspace:
+		return refGramInto(dst, refColumns(x, k.Features), k.Base)
+	case Sum:
+		scratch := linalg.NewMatrix(n, n)
+		for i := range dst.Data {
+			dst.Data[i] = 0
+		}
+		for i, m := range k.Kernels {
+			if !refGramInto(scratch, x, m) {
+				return false
+			}
+			w := 1.0
+			if k.Weights != nil {
+				w = k.Weights[i]
+			}
+			for j := range dst.Data {
+				dst.Data[j] += w * scratch.Data[j]
+			}
+		}
+	case Product:
+		scratch := linalg.NewMatrix(n, n)
+		for i := range dst.Data {
+			dst.Data[i] = 1
+		}
+		for _, m := range k.Kernels {
+			if !refGramInto(scratch, x, m) {
+				return false
+			}
+			for j := range dst.Data {
+				dst.Data[j] *= scratch.Data[j]
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// TestGramForPartitionMatchesScalarReference pins the block cache's
+// assembly — the one route to a partition's Gram — to the composite chain
+// bit for bit: every factory kind, both combiners, the coarsest, finest
+// and a mixed partition, at the default limit (blocks reused across
+// partitions on the second pass), at limit 1 (eviction inside one
+// partition) and with retention disabled, on n=37 rows (not a multiple of
+// the linalg tile width).
+func TestGramForPartitionMatchesScalarReference(t *testing.T) {
+	const n, d = 37, 7
+	x := testRows(n, d, 47)
+	parts := []partition.Partition{
+		partition.Coarsest(d),
+		partition.Finest(d),
+		partition.MustFromBlocks(d, [][]int{{1, 4}, {2, 3, 6}, {5}, {7}}),
+	}
+	factories := []struct {
+		name    string
+		factory BlockKernelFactory
+	}{
+		{"rbf", RBFFactory(1.0)},
+		{"linear", LinearFactory()},
+		{"poly", func(feats []int) Kernel {
+			return Polynomial{Degree: 2, Gamma: 1 / float64(len(feats)), Coef0: 1}
+		}},
+		{"norm-rbf", NormalizedFactory(RBFFactory(0.7))},
+		{"eval-only", func(feats []int) Kernel { return hideBlock{RBFFactory(1.0)(feats)} }},
+	}
+	for _, limit := range []int{0, 1, -1} {
+		for _, f := range factories {
+			for _, combiner := range []Combiner{CombineSum, CombineProduct} {
+				cache := NewBlockGramCache(x, f.factory, limit)
+				var sc AssemblyScratch
+				var out *linalg.Matrix
+				for pass := 0; pass < 2; pass++ {
+					for _, p := range parts {
+						out = cache.GramForPartitionScratch(p, combiner, out, &sc)
+						want := refGramFromPartition(p, f.factory, combiner, x)
+						for i := range want.Data {
+							if math.Float64bits(out.Data[i]) != math.Float64bits(want.Data[i]) {
+								t.Fatalf("limit %d %s %v %v pass %d: entry %d = %v, reference %v (must be bit-identical)",
+									limit, f.name, combiner, p, pass, i, out.Data[i], want.Data[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // refColumns gathers the given columns of x one element at a time.
 func refColumns(x *linalg.Matrix, cols []int) *linalg.Matrix {
 	out := linalg.NewMatrix(x.Rows, len(cols))

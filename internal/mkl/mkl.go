@@ -57,11 +57,13 @@ const (
 // select reasonable defaults (RBF blocks, sum combiner, ridge learner,
 // 4-fold CV, parallel search across all available cores).
 //
-// Every Gram goes through the vectorized block engine when the Factory's
-// block kernels implement kernel.BlockGramKernel, and through pairwise
-// Eval — the scalar reference arithmetic — when they do not. Likewise a
-// Trainer implementing kernelmachine.ScratchTrainer takes the zero-alloc
-// CV fast path, and any other trainer the reference CV loop.
+// Every exact Gram — each candidate's, each singleton ranking's and the
+// deployment fit's — is assembled by a kernel.BlockGramCache from per-block
+// Grams, which come from the vectorized block formulas for the base
+// kernels and from pairwise Eval — the scalar reference arithmetic — for a
+// block kernel without one. Likewise a Trainer implementing
+// kernelmachine.ScratchTrainer takes the zero-alloc CV fast path, and any
+// other trainer the reference CV loop.
 type Config struct {
 	Factory   kernel.BlockKernelFactory
 	Combiner  kernel.Combiner
@@ -86,7 +88,9 @@ type Config struct {
 	// block factors — that lets sibling partitions sharing feature blocks
 	// reuse them: 0 selects kernel.DefaultGramCacheBlocks, negative disables
 	// retention. Beyond the bound the oldest blocks are evicted (FIFO), which
-	// changes which blocks stay resident, never a score.
+	// changes which blocks stay resident, never a score. With retention
+	// disabled every block is rebuilt on each use, and the exact assembly
+	// holds the candidate's Gram plus one block at a time.
 	GramCacheBlocks int
 
 	// GramCache optionally injects a shared Gram-block cache (it must have
@@ -152,16 +156,14 @@ type Evaluator struct {
 	// scorer, when non-nil, scores every candidate batch of a search in
 	// place of the in-process pool (SetScorer).
 	scorer CandidateScorer
-	// gramCache (Float64) or cache32 (Float32) memoizes per-block Gram
-	// matrices; shared across the scratch evaluators of a parallel search
-	// (the caches are concurrency-safe). Both are nil under the approximate
-	// backends, and gramCache is nil when retention is disabled.
+	// gramCache is the exact float64 block-Gram cache and is never nil:
+	// under Float64 it assembles every candidate's Gram; under the other
+	// backends it retains nothing and serves only the singleton alignment
+	// ranking. cache32 (Float32 only) memoizes the f32 block Grams. Both
+	// are shared across the scratch evaluators of a parallel search (the
+	// caches are concurrency-safe).
 	gramCache *kernel.BlockGramCache
 	cache32   *kernel.DenseGramCache[float32]
-	// xm is the dense row-major dataset matrix feeding the vectorized Gram
-	// path when no block cache is enabled. Built once and shared read-only
-	// across the scratch evaluators of a parallel search.
-	xm *linalg.Matrix
 	// d64 and d32 are the worker-owned scratch of the full-Gram scoring
 	// body at each storage width (see dense). Each worker of a parallel
 	// search owns its evaluator, so the buffers are reused across
@@ -222,12 +224,14 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 	}
 	cfg = cfg.withDefaults()
 	e := &Evaluator{cfg: cfg, data: d, cache: map[string]float64{}}
+	exactLimit := cfg.GramCacheBlocks
 	switch cfg.Backend.Kind {
 	case engine.Float32Kind:
-		// The f32 block cache replaces the exact block cache and the dense
-		// dataset matrix entirely: assembly, centering, fold gathers, and
-		// ridge solves all run in f32 storage (see dense.score).
+		// The f32 block cache scores every candidate: assembly, centering,
+		// fold gathers, and ridge solves all run in f32 storage (see
+		// dense.score).
 		e.cache32 = kernel.NewDenseGramCache[float32](d.X, cfg.Factory, cfg.GramCacheBlocks)
+		exactLimit = -1
 	case engine.NystromKind, engine.RFFKind:
 		if cfg.Combiner == kernel.CombineProduct {
 			return nil, fmt.Errorf("mkl: approximate backends support CombineSum only (a product of low-rank Grams has no low-rank factor)")
@@ -236,22 +240,19 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 		if cfg.Backend.Kind == engine.RFFKind {
 			kind = kernel.ApproxRFF
 		}
-		// The factor cache replaces the exact block cache entirely: no
-		// full Gram is assembled on the approximate path (non-primal
-		// trainers materialize F·Fᵀ from the factor, not from blocks).
+		// The factor cache scores every candidate: no full Gram is
+		// assembled on the approximate path (non-primal trainers
+		// materialize F·Fᵀ from the factor, not from blocks).
 		e.approxCache = kernel.NewApproxGramCache(d.X, cfg.Factory, kind, cfg.Backend.Rank, cfg.Seed, cfg.GramCacheBlocks)
-	default:
-		// An explicitly injected cache always wins — GramCacheBlocks only
-		// governs the cache this evaluator would otherwise create for
-		// itself.
-		if cfg.GramCache != nil {
-			e.gramCache = cfg.GramCache
-		} else if cfg.GramCacheBlocks >= 0 {
-			e.gramCache = kernel.NewBlockGramCache(d.X, cfg.Factory, cfg.GramCacheBlocks)
-		}
-		if e.gramCache == nil {
-			e.xm = d.Matrix()
-		}
+		exactLimit = -1
+	}
+	// An explicitly injected cache always wins — GramCacheBlocks only
+	// governs the cache this evaluator would otherwise create for itself.
+	// Outside Float64 the exact cache only ranks singletons (and stands in
+	// for a degenerate approximate singleton block), so it retains nothing.
+	e.gramCache = cfg.GramCache
+	if e.gramCache == nil {
+		e.gramCache = kernel.NewBlockGramCache(d.X, cfg.Factory, exactLimit)
 	}
 	// The CV fold plan is a pure function of (n, folds, seed) and identical
 	// for every candidate, so it is computed once here — stats.NewFoldPlan
@@ -293,7 +294,7 @@ func (e *Evaluator) searchCtx() context.Context {
 // per-candidate allocations. Pool workers only compute (scoreConfig); the
 // parent's cache front does the caching and counting.
 func (e *Evaluator) scratchClone() *Evaluator {
-	return &Evaluator{cfg: e.cfg, data: e.data, gramCache: e.gramCache, cache32: e.cache32, approxCache: e.approxCache, xm: e.xm, folds: e.folds}
+	return &Evaluator{cfg: e.cfg, data: e.data, gramCache: e.gramCache, cache32: e.cache32, approxCache: e.approxCache, folds: e.folds}
 }
 
 // Evaluations returns the number of kernel configurations actually
@@ -349,25 +350,16 @@ func (e *Evaluator) checkDims(p partition.Partition) error {
 // scoreConfig computes the objective value of one kernel configuration —
 // the cache-miss body of Score. The approximate backends route through the
 // low-rank factor path (scoreApprox in approx.go); Float32 and Float64
-// assemble the candidate's full Gram at their storage width and share one
-// scoring body (dense.score).
+// assemble the candidate's full Gram at their storage width from their
+// block cache and share one scoring body (dense.score).
 func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
 	switch {
 	case e.approxCache != nil:
 		return e.scoreApprox(p)
 	case e.cache32 != nil:
 		return e.d32.score(e, e.d32.assemble(e.cache32, p, e.cfg.Combiner))
-	case e.gramCache != nil:
-		return e.d64.score(e, e.d64.assemble(e.gramCache, p, e.cfg.Combiner))
 	}
-	// Vectorized path into the worker-owned scratch buffer; the pairwise
-	// loop remains the fallback for Eval-only kernels.
-	k := kernel.FromPartition(p, e.cfg.Factory, e.cfg.Combiner)
-	var ok bool
-	if e.d64.gram, ok = kernel.GramIntoMatrix(e.d64.gram, k, e.xm); ok {
-		return e.d64.score(e, e.d64.gram)
-	}
-	return e.d64.score(e, kernel.GramPairwise(k, e.data.X))
+	return e.d64.score(e, e.d64.assemble(e.gramCache, p, e.cfg.Combiner))
 }
 
 // assemble combines the cached block Grams of p into the worker-owned
@@ -838,9 +830,8 @@ func ViewOracle(e *Evaluator) (*Result, error) {
 }
 
 // HoldoutAccuracy retrains the configuration p on all of train and reports
-// accuracy on test — the final deployment measurement. Gram and cross-Gram
-// matrices go through the vectorized block path (pairwise Eval for kernels
-// without one).
+// accuracy on test — the final deployment measurement. The cross-Gram goes
+// through the bound block path (pairwise Eval for kernels without one).
 func HoldoutAccuracy(train, test *dataset.Dataset, p partition.Partition, cfg Config) (float64, error) {
 	k, model, _, err := TrainDeployed(train, p, cfg)
 	if err != nil {
@@ -856,16 +847,18 @@ func HoldoutAccuracy(train, test *dataset.Dataset, p partition.Partition, cfg Co
 // resolved trainer (configuration defaults applied). Model persistence
 // (core.FitResult.Artifact) and HoldoutAccuracy share this path, so the
 // model an artifact captures is exactly the model the holdout measurement
-// scores.
+// scores. The training Gram is assembled exactly like a search candidate's,
+// at float64 whatever the search backend, by a retention-disabled block
+// cache, so the fit holds that Gram plus one block at a time.
 func TrainDeployed(train *dataset.Dataset, p partition.Partition, cfg Config) (kernel.Kernel, kernelmachine.Model, kernelmachine.Trainer, error) {
 	cfg = cfg.withDefaults()
 	if p.N() != train.D() {
 		return nil, nil, nil, fmt.Errorf("mkl: partition over %d features, dataset has %d", p.N(), train.D())
 	}
-	k := kernel.FromPartition(p, cfg.Factory, cfg.Combiner)
-	model, err := cfg.Trainer.Train(kernel.Gram(k, train.X), train.Y)
+	gram := kernel.NewBlockGramCache(train.X, cfg.Factory, -1).GramForPartition(p, cfg.Combiner, nil)
+	model, err := cfg.Trainer.Train(gram, train.Y)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return k, model, cfg.Trainer, nil
+	return kernel.FromPartition(p, cfg.Factory, cfg.Combiner), model, cfg.Trainer, nil
 }

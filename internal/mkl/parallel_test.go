@@ -147,9 +147,6 @@ func TestGramCacheDisabledStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eOff.gramCache != nil {
-		t.Fatal("negative GramCacheBlocks should disable the cache")
-	}
 	on, err := ChainSearch(eOn, seed, BestOfChain)
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +154,9 @@ func TestGramCacheDisabledStillCorrect(t *testing.T) {
 	off, err := ChainSearch(eOff, seed, BestOfChain)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := eOff.gramCache.Len(); n != 0 {
+		t.Fatalf("negative GramCacheBlocks should disable retention, cache holds %d blocks", n)
 	}
 	if !on.Best.Equal(off.Best) || on.Score != off.Score {
 		t.Errorf("cached (%v, %v) vs uncached (%v, %v): must be bit-identical",

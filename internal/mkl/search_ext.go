@@ -109,34 +109,25 @@ func (r *searchRun) alignments(feats []int) ([]float64, error) {
 
 // singletonAlignment returns the centered kernel-target alignment of the
 // single-feature kernel for 1-based feature f. The singleton block Gram
-// comes from the evaluator's Gram-block cache when one is enabled (copied
-// into the evaluator's full-Gram scratch before centering, since cached
-// matrices are shared read-only, and the next candidate's assembly
-// overwrites the scratch anyway); without a cache it goes through
-// the vectorized path over the dataset's extracted column block (pairwise
-// Eval for a block kernel without one).
+// comes from the evaluator's exact block cache. A retained block is shared
+// read-only, so it is centered as a copy in the evaluator's full-Gram
+// scratch, which the next candidate's assembly overwrites anyway; a cache
+// that retains nothing (always, outside Float64) hands over a fresh block,
+// centered in place.
 func singletonAlignment(e *Evaluator, f int) float64 {
 	if e.approxCache != nil {
 		// Approximate modes rank features on their cached singleton block
 		// factor — the same factors the candidate scores reuse. On a factor
-		// error (degenerate block) fall through to the uncached exact path.
+		// error (degenerate block) fall through to the exact block.
 		if bf, err := e.approxCache.Block([]int{f - 1}); err == nil {
 			return e.alignmentFromFactor(bf)
 		}
 	}
-	var g *linalg.Matrix
-	if e.gramCache != nil {
-		shared, _ := e.gramCache.Block([]int{f - 1}) // exact builds never fail
-		e.d64.gram = linalg.Reshape(e.d64.gram, shared.Rows, shared.Cols)
-		copy(e.d64.gram.Data, shared.Data)
+	g, _ := e.gramCache.Block([]int{f - 1}) // exact builds never fail
+	if e.gramCache.Retains() {
+		e.d64.gram = linalg.Reshape(e.d64.gram, g.Rows, g.Cols)
+		copy(e.d64.gram.Data, g.Data)
 		g = e.d64.gram
-	} else {
-		feats := []int{f - 1}
-		base := e.cfg.Factory(feats)
-		var ok bool
-		if g, ok = kernel.GramIntoMatrix(nil, base, e.data.BlockMatrix(feats)); !ok {
-			g = kernel.GramPairwise(kernel.Subspace{Base: base, Features: feats}, e.data.X)
-		}
 	}
 	kernel.Center(g)
 	return kernel.Alignment(g, e.data.Y)

@@ -7,10 +7,12 @@
 //   - TestScaleSmoke_Nystrom10k: a synthetic n=10k fit under nystrom:256
 //     finishes inside an explicit wall-clock and MaxRSS budget, and the
 //     top-K exact re-score selects the committed golden partition. The
-//     exact evaluator runs cache-free (GramCacheBlocks < 0): at n=10k one
-//     cached block is 800 MB, so the composite GramIntoMatrix path — dst
-//     plus one pooled scratch — is the only memory-sane exact route, and
-//     this test is what keeps that route working at scale.
+//     exact evaluator retains no blocks (GramCacheBlocks < 0): at n=10k one
+//     block is 800 MB, so its block cache builds each block into one
+//     reused buffer and folds it into the candidate's Gram before building
+//     the next — the assembled Gram plus one block, however many blocks —
+//     and this test is what keeps that shape working at scale
+//     (TestRetentionDisabledAssemblyHoldsOneBlock guards it in tier 1).
 //   - TestScaleSmoke_Budgeted1kSpeedup: at n=1k, where the exact
 //     exhaustive cone is still affordable, the budgeted search (approximate
 //     lattice sweep + top-K exact re-score) must select the same partition
@@ -65,8 +67,8 @@ func TestScaleSmoke_Nystrom10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cache-free exact evaluator: retaining 10k x 10k blocks (800 MB each)
-	// across candidates would dwarf the RSS budget the test defends.
+	// Exact evaluator retaining no blocks: keeping 10k x 10k blocks (800 MB
+	// each) across candidates would dwarf the RSS budget the test defends.
 	exact, err := mkl.NewEvaluator(d, mkl.Config{
 		Objective: mkl.KernelAlignment, Seed: 1, GramCacheBlocks: -1,
 	})
