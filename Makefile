@@ -16,7 +16,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # set so gated code faces the same checks as the default build.
 BUILD_TAGS := loadsmoke scalesmoke
 
-.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test contracts fuzz shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
+.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test contracts fallback fuzz shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
 
 all: build
 
@@ -114,6 +114,14 @@ contracts:
 	$(CONTRACT) 'MatchesScalarReference' ./internal/linalg
 	$(CONTRACT) 'MatchesScalarReference' ./internal/kernel
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
+
+# fallback keeps the Go loops behind linalg's AVX2 kernels compiled and
+# tested: the purego tag runs them on this host, and an arm64 vet checks
+# the build without assembly (the amd64 vet in `vet` runs asmdecl over the
+# .s frame declarations). Mirrors the CI test job's fallback step.
+fallback:
+	$(GO) test -tags purego ./internal/linalg
+	GOARCH=arm64 $(GO) vet ./internal/linalg
 
 # fuzz gives each untrusted-input decoder — the partition parser, the
 # CSV and JSONL ingesters, the search-worker boundaries, the artifact
@@ -228,4 +236,4 @@ bench-json:
 		&& mv BENCH_gram.json.tmp BENCH_gram.json && rm -f $$out
 	@echo "wrote BENCH_gram.json"
 
-ci: build lint test contracts fuzz shuffle race bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke
+ci: build lint test contracts fallback fuzz shuffle race bench-smoke serve-smoke fit-smoke dist-smoke load-smoke scale-smoke

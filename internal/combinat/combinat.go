@@ -88,13 +88,27 @@ func Bell(n int) *big.Int {
 }
 
 // BellInt64 returns B(n) as an int64 and reports whether it fits. B(25) is
-// the largest Bell number representable in an int64.
+// the largest Bell number representable in an int64. It runs the Bell
+// triangle in int64 — row r starts with B(r) and ends with B(r+1), so rows
+// 0..n-1 end in B(n) and never overflow — and allocates nothing, so a
+// search can check a cone's size on every call.
 func BellInt64(n int) (int64, bool) {
-	b := Bell(n)
-	if !b.IsInt64() {
+	if n < 0 || n > 25 {
 		return 0, false
 	}
-	return b.Int64(), true
+	if n == 0 {
+		return 1, true
+	}
+	var prev, next [25]int64
+	prev[0] = 1
+	for r := 1; r < n; r++ {
+		next[0] = prev[r-1]
+		for j := 1; j <= r; j++ {
+			next[j] = next[j-1] + prev[j-1]
+		}
+		prev = next
+	}
+	return prev[n-1], true
 }
 
 // TwoBlockPartitions returns 2^(n-1) - 1, the number of partitions of an

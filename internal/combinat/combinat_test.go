@@ -52,6 +52,18 @@ func TestBellKnownValues(t *testing.T) {
 	}
 }
 
+func TestBellInt64MatchesBell(t *testing.T) {
+	for n := 0; n <= 25; n++ {
+		got, ok := BellInt64(n)
+		if !ok || !Bell(n).IsInt64() || got != Bell(n).Int64() {
+			t.Errorf("BellInt64(%d) = %d, %v; Bell(%d) = %s", n, got, ok, n, Bell(n))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { BellInt64(25) }); allocs != 0 {
+		t.Errorf("BellInt64 allocates %v times per call", allocs)
+	}
+}
+
 func TestBellLarge(t *testing.T) {
 	// B(25) fits in int64, B(26) does not.
 	if _, ok := BellInt64(25); !ok {

@@ -7,7 +7,11 @@ import (
 
 // cholBenchN is the CV fold size of a 4-fold fit at n=600: the system
 // every fold solve of the fit-solve benchmark workload factors.
-const cholBenchN = 450
+// cholBenchSmallN is the fold size at n=120, the fit-search workload's.
+const (
+	cholBenchN      = 450
+	cholBenchSmallN = 90
+)
 
 // cholBenchMatrix returns a well-conditioned SPD matrix of order n: the
 // Gram of n random points in n dimensions, shifted by the identity.
@@ -19,6 +23,10 @@ func cholBenchMatrix(n int) *Matrix {
 
 func BenchmarkCholeskyInto_F64_450(b *testing.B) {
 	benchCholesky(b, cholBenchMatrix(cholBenchN))
+}
+
+func BenchmarkCholeskyInto_F64_90(b *testing.B) {
+	benchCholesky(b, cholBenchMatrix(cholBenchSmallN))
 }
 
 func BenchmarkCholeskyInto_F32_450(b *testing.B) {

@@ -13,8 +13,9 @@
 //
 // Determinism contract, at both widths: every sum accumulates in float64
 // and each result is rounded to the storage type once, at its store.
-// A register-tiled kernel (CholeskyInto) interleaves outputs but never
-// reorders the terms within an output. Inner products accumulate
+// A register-tiled or lane-parallel kernel (CholeskyInto, and SyrkTInto's
+// AVX2 row update) interleaves outputs but never reorders the terms within
+// an output. Inner products accumulate
 // left-to-right in feature order — exactly the order a scalar per-pair
 // kernel evaluation uses — so at float64 SyrkInto and GemmNTInto are
 // bit-identical to pairwise dot products, and at float32 each entry is the

@@ -14,6 +14,18 @@
 // set plus CholeskyInto, SolveCholeskyInto and MulVecInto — are written
 // once, generic over T, and the determinism contract in blas.go covers
 // both widths.
+//
+// On amd64 hosts with AVX2 (detected once by CPUID and XGETBV in
+// simd_amd64.s), the float64 CholeskyInto and SyrkTInto run on AVX2
+// micro-kernels. They keep every bit under one rule: vectorize across
+// independent outputs, never along a reduction. Each lane replays one
+// entry's scalar sequence — a float64 accumulator, ascending k, a multiply
+// then a separate subtract or add (never a fused multiply-add), one store.
+// The Cholesky lanes hold four columns of one row and read the finished
+// columns from a transposed copy kept in place, in the factor's own strict
+// upper triangle, which is cleared before CholeskyInto returns. The Go
+// loops are the reference and the fallback: they run at float32, off
+// amd64, on hosts without AVX2, and in builds with the purego tag.
 package linalg
 
 import (
@@ -234,9 +246,12 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 // pivot falls below the tolerance of T's precision (see pivotTol); l's
 // contents are unspecified after an error.
 //
-// Below each pivot the column is register-tiled: one sweep over k updates
-// four rows at once. Tiling interleaves outputs but never reorders k within
-// an output, so every entry is the scalar column loop's, bit for bit.
+// At float64 on an AVX2 host (amd64, not built with the purego tag) the
+// factor is computed by choleskyLanes, four columns per sweep; everywhere
+// else by choleskyColumns, the Go column loop, which is also the reference
+// the lanes are tested against. Both interleave outputs but never reorder
+// the terms within an output, so every entry is the scalar column loop's,
+// bit for bit.
 //
 //iotml:hotpath
 func CholeskyInto[T Float](l, a *Dense[T]) error {
@@ -245,13 +260,27 @@ func CholeskyInto[T Float](l, a *Dense[T]) error {
 		return fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	tol := pivotTol[T]()
 	*l = *Reshape(l, n, n)
-	ld, ad := l.Data, a.Data
-	// Every subtraction accumulates in float64 over ascending k and each
-	// factor entry is rounded to T once, at its store, so the float64
-	// factor is bit-identical to the historical element-wise loop.
-	for j := 0; j < n; j++ {
+	if useAVX2 && unsafe.Sizeof(T(0)) == 8 && n >= 4 {
+		// T is float64 (or a type defined over it): the same bits.
+		ld := unsafe.Slice((*float64)(unsafe.Pointer(&l.Data[0])), n*n)
+		ad := unsafe.Slice((*float64)(unsafe.Pointer(&a.Data[:n*n][0])), n*n)
+		return choleskyLanes(ld, ad, n)
+	}
+	return choleskyColumns(l.Data, a.Data, n, 0)
+}
+
+// choleskyColumns factors columns from..n-1 of the order-n matrix ad into
+// ld, given the finished columns 0..from-1 (CholeskyInto passes from = 0),
+// and clears the strict upper triangle of rows from..n-1.
+//
+// Below each pivot the column is register-tiled: one sweep over k updates
+// four rows at once. Every subtraction accumulates in float64 over
+// ascending k and each factor entry is rounded to T once, at its store, so
+// the float64 factor is bit-identical to the historical element-wise loop.
+func choleskyColumns[T Float](ld, ad []T, n, from int) error {
+	tol := pivotTol[T]()
+	for j := from; j < n; j++ {
 		rowJ := ld[j*n : j*n+j]
 		d := float64(ad[j*n+j])
 		for _, v := range rowJ {
@@ -298,6 +327,59 @@ func CholeskyInto[T Float](l, a *Dense[T]) error {
 		// Clear the strict upper triangle of this row so a recycled buffer
 		// carries no stale entries and the factor equals Cholesky's output.
 		clear(ld[j*n+j+1 : (j+1)*n])
+	}
+	return nil
+}
+
+// choleskyLanes is the float64 factorization on the AVX2 kernels, for
+// n >= 4. Columns go in blocks j0..j0+3, and each block takes three steps:
+//
+//   - cholTileAVX2 sums the diagonal 4×4 tile over k < j0, four columns
+//     in the lanes of one register per row;
+//   - the diagonal block is finished here in scalar: the terms
+//     k = j0..c-1 in ascending order, the pivot test and square root, the
+//     division;
+//   - cholPanelAVX2 does the same for every row below, four rows per
+//     sweep over k, then finishes each row's within-block terms and
+//     divisions in scalar, in the column loop's order.
+//
+// The lane operand L[j0..j0+3][k] is a row of the transposed copy of the
+// finished columns, which the panel writes into the factor's own strict
+// upper triangle (ld[k*n+i] = L[i][k]) and which is cleared at the end, so
+// nothing is allocated. The last n mod 4 columns go through
+// choleskyColumns.
+func choleskyLanes(ld, ad []float64, n int) error {
+	tol := pivotTol[float64]()
+	j0 := 0
+	for ; j0+4 <= n; j0 += 4 {
+		cholTileAVX2(&ld[0], &ad[0], n, j0)
+		for c := j0; c < j0+4; c++ {
+			d := ld[c*n+c]
+			for _, v := range ld[c*n+j0 : c*n+c] {
+				d -= v * v
+			}
+			if d <= tol {
+				return ErrSingular
+			}
+			piv := math.Sqrt(d)
+			ld[c*n+c] = piv
+			for i := c + 1; i < j0+4; i++ {
+				s := ld[i*n+c]
+				for k := j0; k < c; k++ {
+					s -= ld[i*n+k] * ld[c*n+k]
+				}
+				ld[i*n+c] = s / piv
+			}
+		}
+		if j0+4 < n {
+			cholPanelAVX2(&ld[0], &ad[0], n, j0)
+		}
+	}
+	if err := choleskyColumns(ld, ad, n, j0); err != nil {
+		return err
+	}
+	for k := 0; k < j0; k++ {
+		clear(ld[k*n+k+1 : (k+1)*n])
 	}
 	return nil
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -130,6 +133,31 @@ func refCholeskyInto[T Float](l, a *Dense[T]) error {
 	return nil
 }
 
+// refSyrkT is SyrkTInto's row-streaming loop as it stood before the AVX2
+// row update, the reference of both dispatch paths.
+func refSyrkT(x *Matrix) *Matrix {
+	n, c := x.Rows, x.Cols
+	dst := NewMatrix(c, c)
+	for r := 0; r < n; r++ {
+		row := x.Data[r*c : (r+1)*c]
+		for i, vi := range row {
+			if vi == 0 {
+				continue
+			}
+			di := dst.Data[i*c : (i+1)*c]
+			for j := i; j < c; j++ {
+				di[j] += vi * row[j]
+			}
+		}
+	}
+	for i := 0; i < c; i++ {
+		for j := i + 1; j < c; j++ {
+			dst.Data[j*c+i] = dst.Data[i*c+j]
+		}
+	}
+	return dst
+}
+
 func refSolveCholesky(l *Matrix, b Vector) Vector {
 	n := l.Rows
 	y := NewVector(n)
@@ -252,12 +280,39 @@ func TestGatherIntoMatchesScalarReference(t *testing.T) {
 }
 
 // cholTileShapes are the orders the Cholesky property test adds to the
-// random shapes: every order below two 4-row groups, and orders on either
-// side of larger multiples of four, so the tiled loop meets every tail
-// length.
-var cholTileShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130}
+// random shapes: every order below two 4-row groups, orders on either side
+// of larger multiples of four, and fold orders of the fit workloads (90,
+// 150, 450) with their neighbours, so both the Go loop's row groups and
+// the AVX2 path's column blocks meet every tail length 0–3 after full
+// blocks.
+var cholTileShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 90, 130, 150, 448, 449, 450, 451}
+
+// forEachKernelPath runs f once per dispatch path of the float64 kernels:
+// through the AVX2 kernels (skipped when this host or build has none),
+// then through the Go loops, restoring the detected path afterwards.
+func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	detected := useAVX2
+	t.Cleanup(func() { useAVX2 = detected })
+	for _, path := range []struct {
+		name string
+		avx2 bool
+	}{{"avx2", true}, {"go", false}} {
+		t.Run(path.name, func(t *testing.T) {
+			if path.avx2 && !detected {
+				t.Skip("no AVX2 kernels on this host or in this build")
+			}
+			useAVX2 = path.avx2
+			f(t)
+		})
+	}
+}
 
 func TestCholeskyIntoMatchesScalarReference(t *testing.T) {
+	forEachKernelPath(t, testCholeskyIntoMatchesScalarReference)
+}
+
+func testCholeskyIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shapes := propertyShapes(rng)
 	for _, n := range cholTileShapes {
@@ -280,8 +335,9 @@ func TestCholeskyIntoMatchesScalarReference(t *testing.T) {
 	}
 	// A zeroed diagonal entry makes pivot p the first to fail. Over every
 	// p of these orders the failing pivot lands at every offset of a 4-row
-	// group and in the scalar tail.
-	for _, n := range []int{9, 17} {
+	// group and of a 4-column block, after zero and after several full
+	// blocks, and in the scalar tail.
+	for _, n := range []int{9, 17, 22, 90} {
 		for p := 0; p < n; p++ {
 			a := refSyrk(randMatrix(n, n, rng))
 			for i := 0; i < n; i++ {
@@ -294,6 +350,12 @@ func TestCholeskyIntoMatchesScalarReference(t *testing.T) {
 		}
 	}
 }
+
+// staleEntry is what cholChecker writes into every factor buffer before a
+// factorization: a recycled buffer whose strict upper triangle holds
+// non-zero values, which the factor (and the AVX2 path's transposed copy
+// kept there) must leave cleared.
+const staleEntry = -7.25
 
 // cholChecker holds the factor buffers of the Cholesky property test,
 // reused across orders as the CV folds reuse theirs.
@@ -314,6 +376,11 @@ func newCholChecker() *cholChecker {
 func (c *cholChecker) check(t *testing.T, what string, a *Matrix) error {
 	t.Helper()
 	want, wantErr := refCholesky(a)
+	n := a.Rows
+	*c.l = *Reshape(c.l, n, n)
+	for i := range c.l.Data {
+		c.l.Data[i] = staleEntry
+	}
 	err := CholeskyInto(c.l, a)
 	if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrSingular)) {
 		t.Fatalf("%s: f64 factor returned %v, reference %v", what, err, wantErr)
@@ -323,6 +390,10 @@ func (c *cholChecker) check(t *testing.T, what string, a *Matrix) error {
 	}
 	a32 := Convert[float32](nil, a)
 	wantErr32 := refCholeskyInto(c.ref32, a32)
+	*c.l32 = *Reshape(c.l32, n, n)
+	for i := range c.l32.Data {
+		c.l32.Data[i] = staleEntry
+	}
 	err32 := CholeskyInto(c.l32, a32)
 	if (err32 == nil) != (wantErr32 == nil) || (err32 != nil && !errors.Is(err32, ErrSingular)) {
 		t.Fatalf("%s: f32 factor returned %v, reference %v", what, err32, wantErr32)
@@ -366,5 +437,63 @@ func TestMulVecIntoMatchesScalarReference(t *testing.T) {
 		sameBits64(t, "f64", dst, refMulVec(m, v))
 		m32, v32 := Convert[float32](nil, m), Convert[float32](nil, &Matrix{Rows: 1, Cols: len(v), Data: v})
 		sameBits64(t, "f32", MulVecInto(nil, m32, v32.Data), refMulVec(Convert[float64](nil, m32), Convert[float64](nil, v32).Data))
+	}
+}
+
+func TestSyrkTIntoMatchesScalarReference(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		shapes := propertyShapes(rng)
+		// Widths below, at and past the 4-lane vector with every tail.
+		for _, c := range []int{4, 5, 6, 7, 8, 16, 17, 33, 64, 67} {
+			shapes = append(shapes, [2]int{1 + rng.Intn(40), c})
+		}
+		var dst *Matrix
+		for _, sh := range shapes {
+			x := randMatrix(sh[0], sh[1], rng)
+			// Zeros of both signs exercise the zero-row skip, and a rare
+			// infinity makes it observable: 0·∞ would be NaN.
+			for i := range x.Data {
+				switch rng.Intn(40) {
+				case 0, 1, 2, 3:
+					x.Data[i] = 0
+				case 4, 5, 6:
+					x.Data[i] = math.Copysign(0, -1)
+				case 7:
+					x.Data[i] = math.Inf(1 - 2*rng.Intn(2))
+				}
+			}
+			// A reused destination of another shape, as the primal solve
+			// reuses its normal matrix.
+			dst = SyrkTInto(dst, x)
+			sameBits64(t, fmt.Sprintf("n=%d c=%d", sh[0], sh[1]), dst.Data, refSyrkT(x).Data)
+		}
+	})
+}
+
+// TestCholeskyAsmHasNoFusedOps keeps fused multiply-add out of the
+// package's assembly: a fused operation rounds once where the Go loops
+// round twice, so the AVX2 kernels would no longer match them bit for bit.
+func TestCholeskyAsmHasNoFusedOps(t *testing.T) {
+	files, err := filepath.Glob("*.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no assembly files found in the package directory")
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			op := strings.ToUpper(line)
+			for _, fused := range []string{"VFMADD", "VFMSUB", "VFNMADD", "VFNMSUB"} {
+				if strings.Contains(op, fused) {
+					t.Errorf("%s:%d: fused multiply-add %s: %s", f, i+1, fused, strings.TrimSpace(line))
+				}
+			}
+		}
 	}
 }

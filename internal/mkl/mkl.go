@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/combinat"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/kernel"
@@ -633,9 +634,17 @@ func freeBlockOf(seed partition.Partition) (int, []int) {
 	return best, blocks[best]
 }
 
+// maxConeCandidates is the largest lower cone ExhaustiveCone enumerates:
+// Bell(12) = 4,213,597 candidates fit, Bell(13) = 27,644,437 do not. The
+// cone is materialized before any candidate is scored, so a larger free
+// block would exhaust memory long before the search could finish.
+const maxConeCandidates = 1 << 24
+
 // ExhaustiveCone scores every partition in the lower cone of the seed
 // obtained by refining its largest block in all possible ways (Bell(m)
-// configurations for a free block of m features) and returns the best.
+// configurations for a free block of m features) and returns the best. A
+// cone of more than maxConeCandidates partitions is refused with an error
+// naming m and Bell(m) before anything is enumerated.
 //
 // Like every search strategy, it scores through the evaluator's search
 // core (see scorer.go) — sequentially, on a pool of Config.Parallelism
@@ -644,9 +653,13 @@ func freeBlockOf(seed partition.Partition) (int, []int) {
 // returns the partial Result accumulated so far alongside the error.
 func ExhaustiveCone(e *Evaluator, seed partition.Partition) (*Result, error) {
 	freeBlock, freeElems := freeBlockOf(seed)
+	m := len(freeElems)
+	if bell, ok := combinat.BellInt64(m); !ok || bell > maxConeCandidates {
+		return &Result{Score: -1}, fmt.Errorf("mkl: exhaustive cone over a free block of m=%d features has Bell(%d) = %s candidates, more than the %d this search enumerates; use the chain or greedy search", m, m, combinat.Bell(m), maxConeCandidates)
+	}
 	subs := []partition.Partition{partition.Finest(1)}
-	if len(freeElems) > 1 {
-		subs = partition.All(len(freeElems))
+	if m > 1 {
+		subs = partition.All(m)
 	}
 	cands := make([]partition.Partition, len(subs))
 	for i, q := range subs {

@@ -1,6 +1,7 @@
 package mkl
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/chains"
@@ -174,6 +175,41 @@ func TestExhaustiveConeRespectsSeedBlocks(t *testing.T) {
 	for _, st := range res.Trace {
 		if !st.Partition.SameBlock(1, 2) {
 			t.Fatalf("seed block broken in %s", st.Partition)
+		}
+	}
+}
+
+// A free block past Bell(12) is refused before the cone is enumerated: at
+// m=16 (the default biometric workload's cone, Bell(16) ≈ 1e10) the search
+// returns an error naming the cone at once instead of exhausting memory.
+func TestExhaustiveConeRefusesOversizedCone(t *testing.T) {
+	d := dataset.SyntheticBiometric(dataset.DefaultBiometricConfig(), stats.NewRNG(1))
+	e := newEval(t, d, KernelAlignment)
+	seed, err := TwoBlockSeed(d.D(), []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := d.D() - 2; m != 16 {
+		t.Fatalf("free block of %d features, want 16", m)
+	}
+	res, err := ExhaustiveCone(e, seed)
+	if err == nil {
+		t.Fatal("ExhaustiveCone over a 16-feature free block succeeded, want a refusal")
+	}
+	if !strings.Contains(err.Error(), "m=16") || !strings.Contains(err.Error(), combinat.Bell(16).String()) {
+		t.Errorf("error %q does not name m=16 and Bell(16)", err)
+	}
+	if res == nil || res.Evaluations != 0 {
+		t.Errorf("refused cone reports %+v, want an empty result", res)
+	}
+	// Bell(12) = 4,213,597 is the largest cone enumerated; Bell(13) is not.
+	for _, c := range []struct {
+		m    int
+		fits bool
+	}{{12, true}, {13, false}} {
+		bell, _ := combinat.BellInt64(c.m)
+		if got := bell <= maxConeCandidates; got != c.fits {
+			t.Errorf("Bell(%d) = %d within the cone limit: %v, want %v", c.m, bell, got, c.fits)
 		}
 	}
 }
