@@ -112,16 +112,19 @@ contracts:
 	$(CONTRACT) 'TestFitDistributedBudgetedMatchesLocal' ./internal/core
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
 	$(CONTRACT) 'MatchesScalarReference' ./internal/linalg
-	$(CONTRACT) 'MatchesScalarReference' ./internal/kernel
+	$(CONTRACT) 'MatchesScalarReference|TestExpLanesMatchesMathExp|TestExpLanesFollowMathExpBranch|TestExpAsmFusedOpsArePinned' ./internal/kernel
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
-# fallback keeps the Go loops behind linalg's AVX2 kernels compiled and
-# tested: the purego tag runs them on this host, and an arm64 vet checks
-# the build without assembly (the amd64 vet in `vet` runs asmdecl over the
-# .s frame declarations). Mirrors the CI test job's fallback step.
+# fallback keeps the Go loops behind linalg's AVX2 kernels and the scalar
+# math.Exp behind kernel's packed exp compiled and tested: the purego tag
+# runs them on this host, and an arm64 vet checks the build without
+# assembly (the amd64 vet in `vet` runs asmdecl over the .s frame
+# declarations). Mirrors the CI test job's fallback step.
 fallback:
 	$(GO) test -tags purego ./internal/linalg
 	GOARCH=arm64 $(GO) vet ./internal/linalg
+	$(GO) test -tags purego ./internal/kernel
+	GOARCH=arm64 $(GO) vet ./internal/kernel
 
 # fuzz gives each untrusted-input decoder — the partition parser, the
 # CSV and JSONL ingesters, the search-worker boundaries, the artifact

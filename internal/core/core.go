@@ -19,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/kernel"
 	"repro/internal/kernelmachine"
+	"repro/internal/linalg"
 	"repro/internal/mkl"
 	"repro/internal/model"
 	"repro/internal/partition"
@@ -100,13 +101,19 @@ type FitResult struct {
 	Evaluations int
 
 	// data and cfg are retained so Artifact can retrain the selected
-	// configuration on the full training set (the deployment fit).
+	// configuration on the full training set (the deployment fit). gram,
+	// when non-nil, is Best's training Gram, assembled once from the
+	// search's block cache as Fit returns (mkl.Evaluator.DeploymentGram);
+	// it is the only n×n a FitResult holds, and Artifact only reads it.
+	// Without it Artifact assembles the Gram itself, to the same bits.
 	data *dataset.Dataset
 	cfg  FitConfig
+	gram *linalg.Matrix
 }
 
 // Artifact retrains the selected configuration on the full training set —
-// the deployment fit, via mkl.TrainDeployed, so it is exactly the model
+// the deployment fit, via mkl.TrainDeployed (on the Gram Fit kept from the
+// search's block cache, when it kept one), so it is exactly the model
 // mkl.HoldoutAccuracy would score — and packages it as a persistable
 // model.Artifact: kernel spec, partition, training rows, dual coefficients,
 // bias, and learner kind. Save the result with Artifact.Save/SaveFile and
@@ -117,7 +124,7 @@ func (r *FitResult) Artifact() (*model.Artifact, error) {
 	if r.data == nil {
 		return nil, fmt.Errorf("core: fit result was not produced by Fit; no training data to package")
 	}
-	k, m, trainer, err := mkl.TrainDeployed(r.data, r.Best, r.cfg.MKL)
+	k, m, trainer, err := mkl.TrainDeployed(r.data, r.Best, r.cfg.MKL, r.gram)
 	if err != nil {
 		return nil, fmt.Errorf("core: deployment fit: %w", err)
 	}
@@ -279,6 +286,10 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		return nil, fmt.Errorf("core: search: %w", err)
 	}
 	emit(mkl.EventSearchFinished, res.Best, res.Score, res.Evaluations)
+	// The search has just built every block of Best: assemble its Gram
+	// from them now, before the evaluator and its cache are dropped, so
+	// the deployment fit rebuilds nothing.
+	gram := e.DeploymentGram(res.Best)
 	emit(mkl.EventFitFinished, res.Best, res.Score, res.Evaluations)
 	return &FitResult{
 		Seed:        seed,
@@ -288,6 +299,7 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		Evaluations: res.Evaluations,
 		data:        d,
 		cfg:         cfg,
+		gram:        gram,
 	}, nil
 }
 

@@ -196,6 +196,9 @@ func TestFitPartialResultCanPackageArtifact(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if res.gram != nil {
+		t.Fatal("a cancelled fit kept a deployment Gram; its artifact must assemble its own")
+	}
 	art, err := res.Artifact()
 	if err != nil {
 		t.Fatalf("packaging the partial best: %v", err)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -121,6 +122,8 @@ func TestSpecConfigRejectsUnknown(t *testing.T) {
 		{Backend: "auto"}, // must be resolved coordinator-side first
 		{Backend: "nystrom:0"},
 		{Backend: "f32:8"},
+		{Backend: "rff:2000000000"},
+		{Backend: "rff:4097"},
 	} {
 		if _, err := s.Config(); err == nil {
 			t.Fatalf("Spec %+v produced a config, want error", s)
@@ -147,6 +150,45 @@ func TestSpecBackendSpellings(t *testing.T) {
 	}
 	if cfg.Backend != engine.Nystrom(64) {
 		t.Fatalf("Backend \"nystrom:64\" expanded to %v", cfg.Backend)
+	}
+}
+
+// TestJobInstallRejectsUncappedRFFRank: a job naming an RFF rank over
+// maxRFFRank is refused at install with the bad-request envelope, before
+// any evaluator is built, and installs nothing; the cap itself installs.
+func TestJobInstallRejectsUncappedRFFRank(t *testing.T) {
+	d := testData(t)
+	for _, tc := range []struct {
+		backend string
+		status  int
+	}{
+		{"rff:2000000000", http.StatusBadRequest},
+		{"rff:" + strconv.Itoa(maxRFFRank+1), http.StatusBadRequest},
+		{"rff:" + strconv.Itoa(maxRFFRank), http.StatusOK},
+	} {
+		job, err := NewJob(d, Spec{Backend: tc.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &WorkerServer{Parallelism: 1}
+		status, reply := post(w.Handler(), "/v1/job", body)
+		if status != tc.status {
+			t.Fatalf("%s: install answered %d %s, want %d", tc.backend, status, reply, tc.status)
+		}
+		if status == http.StatusOK {
+			continue
+		}
+		checkEnvelope(t, status, reply, errCodeBadRequest)
+		if !strings.Contains(string(reply), "RFF rank") {
+			t.Fatalf("%s: refusal %s does not name the RFF rank", tc.backend, reply)
+		}
+		if len(w.jobs) != 0 {
+			t.Fatalf("%s: refused job left %d jobs installed", tc.backend, len(w.jobs))
+		}
 	}
 }
 

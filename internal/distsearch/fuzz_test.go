@@ -57,7 +57,7 @@ func reseal(body []byte) []byte {
 // no-op that keeps the installed evaluator.
 func FuzzJobInstall(f *testing.F) {
 	d := testData(f)
-	for _, spec := range []Spec{{}, {CVSeed: 1, Backend: "nystrom:4"}, {Learner: "svm", Kernel: "linear", Folds: 3}} {
+	for _, spec := range []Spec{{}, {CVSeed: 1, Backend: "nystrom:4"}, {Learner: "svm", Kernel: "linear", Folds: 3}, {Backend: "rff:2000000000"}} {
 		job, err := NewJob(d, spec)
 		if err != nil {
 			f.Fatal(err)

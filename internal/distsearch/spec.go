@@ -72,9 +72,16 @@ type Spec struct {
 	// (default), "f32", "nystrom[:rank]", or "rff[:rank]". It must be a
 	// concrete spelling — "auto" is resolved against the coordinator's
 	// dataset before the spec is built, so every worker expands the same
-	// backend; unknown spellings fail job install loudly on both sides.
+	// backend; unknown spellings fail job install loudly on both sides,
+	// and so does an RFF rank above maxRFFRank.
 	Backend string `json:"backend,omitempty"`
 }
+
+// maxRFFRank caps the RFF rank a spec may name. A Nyström factor clamps
+// its rank at the row count n, but an RFF block factor is n×rank whatever
+// the rank, so without a cap one job could make every worker allocate
+// without bound at score time. 4096 is 16 times the rank Auto selects.
+const maxRFFRank = 1 << 12
 
 // Config expands the spec into the mkl.Config both sides of the wire
 // score with. Orchestration-only knobs (Parallelism, Progress, caches)
@@ -133,6 +140,9 @@ func (s Spec) Config() (mkl.Config, error) {
 		b, err := engine.Parse(s.Backend)
 		if err != nil {
 			return cfg, fmt.Errorf("distsearch: %w", err)
+		}
+		if b.Kind == engine.RFFKind && b.Rank > maxRFFRank {
+			return cfg, fmt.Errorf("distsearch: backend %q: RFF rank %d is over the cap of %d", s.Backend, b.Rank, maxRFFRank)
 		}
 		cfg.Backend = b
 	}

@@ -20,7 +20,9 @@ type Model interface {
 	Scores(cross *linalg.Matrix) []float64
 }
 
-// Trainer fits a Model from a training Gram matrix and ±1 labels.
+// Trainer fits a Model from a training Gram matrix and ±1 labels. Train
+// only reads gram: the deployment fit may hand it a Gram it keeps and
+// trains on again.
 type Trainer interface {
 	Train(gram *linalg.Matrix, y []int) (Model, error)
 	String() string

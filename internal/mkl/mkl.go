@@ -298,6 +298,21 @@ func (e *Evaluator) scratchClone() *Evaluator {
 	return &Evaluator{cfg: e.cfg, data: e.data, gramCache: e.gramCache, cache32: e.cache32, approxCache: e.approxCache, folds: e.folds}
 }
 
+// DeploymentGram returns p's float64 training Gram for TrainDeployed,
+// assembled from the blocks the search left in the evaluator's exact
+// cache, or nil when that cache does not hold them — under the Float32
+// and approximate backends, with retention disabled, or with a scorer
+// attached (the fleet built the blocks) — in which case the deployment
+// fit assembles its own, one block at a time. The route is
+// GramForPartition either way, so the bits do not depend on which side
+// assembles it.
+func (e *Evaluator) DeploymentGram(p partition.Partition) *linalg.Matrix {
+	if e.cfg.Backend.Kind != engine.Float64Kind || !e.gramCache.Retains() || e.scorer != nil || e.checkDims(p) != nil {
+		return nil
+	}
+	return e.gramCache.GramForPartition(p, e.cfg.Combiner, nil)
+}
+
 // Evaluations returns the number of kernel configurations actually
 // computed (cache hits excluded) — the true computational cost.
 func (e *Evaluator) Evaluations() int { return e.evals }
@@ -846,7 +861,7 @@ func ViewOracle(e *Evaluator) (*Result, error) {
 // accuracy on test — the final deployment measurement. The cross-Gram goes
 // through the bound block path (pairwise Eval for kernels without one).
 func HoldoutAccuracy(train, test *dataset.Dataset, p partition.Partition, cfg Config) (float64, error) {
-	k, model, _, err := TrainDeployed(train, p, cfg)
+	k, model, _, err := TrainDeployed(train, p, cfg, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -860,15 +875,20 @@ func HoldoutAccuracy(train, test *dataset.Dataset, p partition.Partition, cfg Co
 // resolved trainer (configuration defaults applied). Model persistence
 // (core.FitResult.Artifact) and HoldoutAccuracy share this path, so the
 // model an artifact captures is exactly the model the holdout measurement
-// scores. The training Gram is assembled exactly like a search candidate's,
-// at float64 whatever the search backend, by a retention-disabled block
-// cache, so the fit holds that Gram plus one block at a time.
-func TrainDeployed(train *dataset.Dataset, p partition.Partition, cfg Config) (kernel.Kernel, kernelmachine.Model, kernelmachine.Trainer, error) {
+// scores. The training Gram is float64 whatever the search backend: gram
+// when non-nil — p's Gram over train, as Evaluator.DeploymentGram
+// assembles it from a search's block cache, which the trainer only
+// reads — and otherwise assembled here exactly like a search candidate's,
+// by a retention-disabled block cache, so the fit holds that Gram plus one
+// block at a time. Both routes give the same bits.
+func TrainDeployed(train *dataset.Dataset, p partition.Partition, cfg Config, gram *linalg.Matrix) (kernel.Kernel, kernelmachine.Model, kernelmachine.Trainer, error) {
 	cfg = cfg.withDefaults()
 	if p.N() != train.D() {
 		return nil, nil, nil, fmt.Errorf("mkl: partition over %d features, dataset has %d", p.N(), train.D())
 	}
-	gram := kernel.NewBlockGramCache(train.X, cfg.Factory, -1).GramForPartition(p, cfg.Combiner, nil)
+	if gram == nil {
+		gram = kernel.NewBlockGramCache(train.X, cfg.Factory, -1).GramForPartition(p, cfg.Combiner, nil)
+	}
 	model, err := cfg.Trainer.Train(gram, train.Y)
 	if err != nil {
 		return nil, nil, nil, err

@@ -67,6 +67,15 @@ func (t *Table) AttrIndex(name string) (int, error) {
 // agree on every attribute in K. Classes are returned as sorted row-index
 // slices, ordered by smallest member.
 func (t *Table) Indiscernibility(attrs []string) ([][]int, error) {
+	cols, err := t.columns(attrs)
+	if err != nil {
+		return nil, err
+	}
+	return t.code(cols).classes(cols), nil
+}
+
+// columns resolves attribute names to column indices.
+func (t *Table) columns(attrs []string) ([]int, error) {
 	cols := make([]int, len(attrs))
 	for i, a := range attrs {
 		c, err := t.AttrIndex(a)
@@ -75,26 +84,90 @@ func (t *Table) Indiscernibility(attrs []string) ([][]int, error) {
 		}
 		cols[i] = c
 	}
-	classes := map[string][]int{}
-	var order []string
-	for r := range t.Rows {
-		key := ""
-		for _, c := range cols {
-			key += t.Rows[r][c] + "\x00"
+	return cols, nil
+}
+
+// codedTable is a table with some of its columns coded to small ints:
+// code[c][r] is the rank of row r's value among column c's distinct
+// values in order of first appearance, and card[c] is their count, so two
+// rows agree on column c iff their codes do. An uncoded column has a nil
+// code.
+type codedTable struct {
+	n    int
+	code [][]int
+	card []int
+}
+
+// code codes the given columns of t, each once.
+func (t *Table) code(cols []int) *codedTable {
+	ct := &codedTable{n: t.N(), code: make([][]int, len(t.Attrs)), card: make([]int, len(t.Attrs))}
+	for _, c := range cols {
+		if ct.code[c] != nil {
+			continue
 		}
-		if _, ok := classes[key]; !ok {
-			order = append(order, key)
+		seen := map[string]int{}
+		col := make([]int, ct.n)
+		for r, row := range t.Rows {
+			v, ok := seen[row[c]]
+			if !ok {
+				v = len(seen)
+				seen[row[c]] = v
+			}
+			col[r] = v
 		}
-		classes[key] = append(classes[key], r)
+		ct.code[c], ct.card[c] = col, len(seen)
 	}
-	out := make([][]int, 0, len(order))
-	for _, k := range order {
-		cls := classes[k]
-		sort.Ints(cls)
-		out = append(out, cls)
+	return ct
+}
+
+// classes returns the indiscernibility classes of the coded columns cols,
+// as Indiscernibility orders them. A stable counting sort of the row
+// indices by each column, last column first, lines the rows up by their
+// code tuples with every run of equal tuples — one class — ascending;
+// the classes are then ordered by smallest member.
+func (ct *codedTable) classes(cols []int) [][]int {
+	order := make([]int, ct.n)
+	for r := range order {
+		order[r] = r
+	}
+	buf := make([]int, ct.n)
+	for i := len(cols) - 1; i >= 0; i-- {
+		code := ct.code[cols[i]]
+		start := make([]int, ct.card[cols[i]]+1)
+		for _, r := range order {
+			start[code[r]+1]++
+		}
+		for v := 1; v < len(start); v++ {
+			start[v] += start[v-1]
+		}
+		for _, r := range order {
+			buf[start[code[r]]] = r
+			start[code[r]]++
+		}
+		order, buf = buf, order
+	}
+	out := make([][]int, 0)
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && ct.agree(cols, order[i], order[j]) {
+			j++
+		}
+		out = append(out, order[i:j:j])
+		i = j
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out, nil
+	return out
+}
+
+// agree reports whether rows r and q have the same codes on every column
+// of cols.
+func (ct *codedTable) agree(cols []int, r, q int) bool {
+	for _, c := range cols {
+		if ct.code[c][r] != ct.code[c][q] {
+			return false
+		}
+	}
+	return true
 }
 
 // Approximation is the rough description of a concept under an
@@ -113,23 +186,13 @@ func (t *Table) Approximate(concept []int, attrs []string) (*Approximation, erro
 	if err != nil {
 		return nil, err
 	}
-	in := make([]bool, t.N())
-	for _, r := range concept {
-		if r < 0 || r >= t.N() {
-			return nil, fmt.Errorf("rough: concept row %d out of range [0,%d)", r, t.N())
-		}
-		in[r] = true
+	in, err := t.membership(concept)
+	if err != nil {
+		return nil, err
 	}
 	ap := &Approximation{}
 	for _, cls := range classes {
-		contained, intersects := true, false
-		for _, r := range cls {
-			if in[r] {
-				intersects = true
-			} else {
-				contained = false
-			}
-		}
+		contained, intersects := classIn(cls, in)
 		if intersects {
 			ap.UpperGranules = append(ap.UpperGranules, cls)
 			ap.Upper = append(ap.Upper, cls...)
@@ -144,23 +207,51 @@ func (t *Table) Approximate(concept []int, attrs []string) (*Approximation, erro
 	return ap, nil
 }
 
+// membership returns the concept's indicator over the rows.
+func (t *Table) membership(concept []int) ([]bool, error) {
+	in := make([]bool, t.N())
+	for _, r := range concept {
+		if r < 0 || r >= t.N() {
+			return nil, fmt.Errorf("rough: concept row %d out of range [0,%d)", r, t.N())
+		}
+		in[r] = true
+	}
+	return in, nil
+}
+
+// classIn reports whether the class lies wholly inside the concept and
+// whether it meets it.
+func classIn(cls []int, in []bool) (contained, intersects bool) {
+	contained = true
+	for _, r := range cls {
+		if in[r] {
+			intersects = true
+		} else {
+			contained = false
+		}
+	}
+	return contained, intersects
+}
+
 // AccuracyElements is the classical Pawlak accuracy |lower| / |upper|.
 // It returns 1 for an empty upper approximation (empty concept is exact).
 func (a *Approximation) AccuracyElements() float64 {
-	if len(a.Upper) == 0 {
-		return 1
-	}
-	return float64(len(a.Lower)) / float64(len(a.Upper))
+	return ratio(len(a.Lower), len(a.Upper))
 }
 
 // AccuracyGranules is the granule-count ratio the paper's example uses:
 // #lower classes / #upper classes. It returns 1 for an empty upper
 // approximation.
 func (a *Approximation) AccuracyGranules() float64 {
-	if len(a.UpperGranules) == 0 {
+	return ratio(len(a.LowerGranules), len(a.UpperGranules))
+}
+
+// ratio is lower/upper, or 1 for an empty upper approximation.
+func ratio(lower, upper int) float64 {
+	if upper == 0 {
 		return 1
 	}
-	return float64(len(a.LowerGranules)) / float64(len(a.UpperGranules))
+	return float64(lower) / float64(upper)
 }
 
 // ConceptOf returns the rows where the named attribute takes the given
@@ -181,33 +272,40 @@ func (t *Table) ConceptOf(attr, value string) ([]int, error) {
 
 // ConditionalEntropy returns H(decision | attrs): the expected Shannon
 // entropy of the decision attribute within each indiscernibility class of
-// attrs, weighted by class size. Lower is better for seeding.
+// attrs, weighted by class size. Lower is better for seeding. Within a
+// class the decision values are counted in order of their first
+// appearance in the table, so the sum has one order.
+//
+//iotml:allow unusedexport -- the entropy measure of the rough-set API; SelectSeed's ByEntropy scores subsets with the same computation on its once-coded table
 func (t *Table) ConditionalEntropy(attrs []string, decision string) (float64, error) {
 	dcol, err := t.AttrIndex(decision)
 	if err != nil {
 		return 0, err
 	}
-	classes, err := t.Indiscernibility(attrs)
+	cols, err := t.columns(attrs)
 	if err != nil {
 		return 0, err
 	}
-	total := float64(t.N())
+	return t.code(append(cols, dcol)).conditionalEntropy(cols, dcol), nil
+}
+
+// conditionalEntropy is ConditionalEntropy over coded columns.
+func (ct *codedTable) conditionalEntropy(cols []int, dcol int) float64 {
+	total := float64(ct.n)
 	if total == 0 {
-		return 0, nil
+		return 0
 	}
+	decision := ct.code[dcol]
+	counts := make([]int, ct.card[dcol])
 	h := 0.0
-	for _, cls := range classes {
-		counts := map[string]int{}
+	for _, cls := range ct.classes(cols) {
+		clear(counts)
 		for _, r := range cls {
-			counts[t.Rows[r][dcol]]++
+			counts[decision[r]]++
 		}
-		cc := make([]int, 0, len(counts))
-		for _, v := range counts {
-			cc = append(cc, v)
-		}
-		h += float64(len(cls)) / total * stats.Entropy(cc)
+		h += float64(len(cls)) / total * stats.Entropy(counts)
 	}
-	return h, nil
+	return h
 }
 
 // SeedObjective selects how SelectSeed scores candidate feature subsets.
@@ -238,10 +336,10 @@ type SeedResult struct {
 // between features)". Ties break toward smaller subsets, then
 // lexicographically.
 func (t *Table) SelectSeed(decision, value string, maxSize int, obj SeedObjective) (*SeedResult, error) {
-	var candidates []string
-	for _, a := range t.Attrs {
+	var candidates []int
+	for c, a := range t.Attrs {
 		if a != decision {
-			candidates = append(candidates, a)
+			candidates = append(candidates, c)
 		}
 	}
 	if len(candidates) == 0 {
@@ -254,55 +352,60 @@ func (t *Table) SelectSeed(decision, value string, maxSize int, obj SeedObjectiv
 	if err != nil {
 		return nil, err
 	}
+	// Every subset is scored on the same coded table: each column is
+	// coded once here, not once per subset.
+	dcol, _ := t.AttrIndex(decision)
+	all := make([]int, len(t.Attrs))
+	for c := range all {
+		all[c] = c
+	}
+	ct := t.code(all)
+	in, _ := t.membership(concept)
 
 	best := &SeedResult{Score: math.Inf(-1)}
 	var cur []string
-	var rec func(start int) error
-	score := func(attrs []string) (float64, error) {
-		switch obj {
-		case ByEntropy:
-			h, err := t.ConditionalEntropy(attrs, decision)
-			return -h, err
-		case ByGranuleAccuracy:
-			ap, err := t.Approximate(concept, attrs)
-			if err != nil {
-				return 0, err
-			}
-			return ap.AccuracyGranules(), nil
-		default:
-			ap, err := t.Approximate(concept, attrs)
-			if err != nil {
-				return 0, err
-			}
-			return ap.AccuracyElements(), nil
+	var curCols []int
+	var rec func(start int)
+	score := func(cols []int) float64 {
+		if obj == ByEntropy {
+			return -ct.conditionalEntropy(cols, dcol)
 		}
-	}
-	rec = func(start int) error {
-		if len(cur) > 0 {
-			s, err := score(cur)
-			if err != nil {
-				return err
+		var lower, upper, lowerG, upperG int
+		for _, cls := range ct.classes(cols) {
+			contained, intersects := classIn(cls, in)
+			if intersects {
+				upper += len(cls)
+				upperG++
 			}
+			if intersects && contained {
+				lower += len(cls)
+				lowerG++
+			}
+		}
+		if obj == ByGranuleAccuracy {
+			return ratio(lowerG, upperG)
+		}
+		return ratio(lower, upper)
+	}
+	rec = func(start int) {
+		if len(cur) > 0 {
+			s := score(curCols)
 			if s > best.Score+1e-12 ||
 				(s > best.Score-1e-12 && betterTie(cur, best.Attrs)) {
 				best = &SeedResult{Attrs: append([]string(nil), cur...), Score: s}
 			}
 		}
 		if len(cur) == maxSize {
-			return nil
+			return
 		}
 		for i := start; i < len(candidates); i++ {
-			cur = append(cur, candidates[i])
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-			cur = cur[:len(cur)-1]
+			cur = append(cur, t.Attrs[candidates[i]])
+			curCols = append(curCols, candidates[i])
+			rec(i + 1)
+			cur, curCols = cur[:len(cur)-1], curCols[:len(curCols)-1]
 		}
-		return nil
 	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
+	rec(0)
 	return best, nil
 }
 

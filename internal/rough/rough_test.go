@@ -266,3 +266,29 @@ func isSubset(a, b []string) bool {
 	}
 	return true
 }
+
+// BenchmarkSelectSeed scores every subset of up to two of 18 three-bin
+// attributes over 600 rows — the seed search of a default fit at n=600,
+// d=18 (171 subsets).
+func BenchmarkSelectSeed(b *testing.B) {
+	rng := stats.NewRNG(1)
+	names := make([]string, 19)
+	for c := range names {
+		names[c] = "f" + string(rune('a'+c))
+	}
+	names[18] = "class"
+	rows := make([][]string, 600)
+	for r := range rows {
+		rows[r] = make([]string, len(names))
+		for c := range rows[r] {
+			rows[r][c] = string(rune('0' + rng.Intn(3)))
+		}
+	}
+	tbl := MustNewTable(names, rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tbl.SelectSeed("class", "1", 2, ByAccuracy); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
