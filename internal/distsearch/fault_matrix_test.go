@@ -153,15 +153,24 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 		return res.Trace[len(res.Trace)/2].Partition.Key()
 	}()
 
+	// Each fault case gets the shard deadline it needs. Only the hang must
+	// outlast one: it keeps the short deadline so the run stays fast. The
+	// others get one no healthy shard attempt reaches on a loaded host, so
+	// a slow but live worker is never marked down and the fallback
+	// assertion follows the injected fault, not the host's load.
+	const hangDeadline, healthyDeadline = 100 * time.Millisecond, time.Minute
 	faults := []struct {
 		name   string
 		decide func() func(addr string, keys []string) Fault
+		// deadline bounds each shard attempt.
+		deadline time.Duration
 		// wantFallback pins the graceful-degradation path.
 		wantFallback func(fleet int) bool
 	}{
 		{
 			name:         "clean",
 			decide:       func() func(string, []string) Fault { return nil },
+			deadline:     healthyDeadline,
 			wantFallback: func(int) bool { return false },
 		},
 		{
@@ -180,6 +189,7 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 					return FaultNone
 				}
 			},
+			deadline:     healthyDeadline,
 			wantFallback: func(fleet int) bool { return fleet == 1 },
 		},
 		{
@@ -195,6 +205,7 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 					return FaultNone
 				}
 			},
+			deadline:     hangDeadline,
 			wantFallback: func(fleet int) bool { return fleet == 1 },
 		},
 		{
@@ -211,6 +222,7 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 					return FaultNone
 				}
 			},
+			deadline:     healthyDeadline,
 			wantFallback: func(fleet int) bool { return fleet == 1 },
 		},
 		{
@@ -220,6 +232,7 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 			decide: func() func(string, []string) Fault {
 				return func(string, []string) Fault { return FaultKill }
 			},
+			deadline:     healthyDeadline,
 			wantFallback: func(int) bool { return true },
 		},
 	}
@@ -236,7 +249,7 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 							coord, err := NewCoordinator(d, Options{
 								Workers:   addrs,
 								Spec:      strat.spec,
-								Deadline:  100 * time.Millisecond,
+								Deadline:  fault.deadline,
 								Attempts:  2,
 								Backoff:   fastBackoff,
 								Seed:      42,

@@ -174,7 +174,7 @@ func TestGather32MatchesGatherInto(t *testing.T) {
 	src64 := linalg.FromRows(synthRows(12, 12, 9))
 	src32 := linalg.Convert[float32](nil, src64)
 	rows := []int{4, 5, 6, 2, 9, 10}
-	cols := linalg.RunsOf([]int{0, 1, 2, 7, 8})
+	cols := []int{0, 1, 2, 7, 8}
 	got := linalg.GatherInto(nil, src32, rows, cols)
 	want := linalg.GatherInto(nil, src64, rows, cols)
 	if got.Rows != want.Rows || got.Cols != want.Cols {
@@ -203,7 +203,7 @@ func TestSolver32MatchesRidgeReferenceWithinTolerance(t *testing.T) {
 
 	const lambda = 1e-2
 	var s kernelmachine.RidgeScratch[float32]
-	beta32, err := kernelmachine.FitRidge(kernelmachine.Ridge{Lambda: lambda}, gram32, y, &s)
+	beta32, err := kernelmachine.FitRidge(kernelmachine.Ridge{Lambda: lambda}, gram32, nil, y, &s)
 	if err != nil {
 		t.Fatalf("FitRidge: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestSolver32HeavierRidgeFallback(t *testing.T) {
 		y[i] = 1 - 2*(i%2)
 	}
 	var s kernelmachine.RidgeScratch[float32]
-	beta, err := kernelmachine.FitRidge(kernelmachine.Ridge{Lambda: 1e-9}, gram, y, &s)
+	beta, err := kernelmachine.FitRidge(kernelmachine.Ridge{Lambda: 1e-9}, gram, nil, y, &s)
 	if err != nil {
 		t.Fatalf("FitRidge with fallback: %v", err)
 	}

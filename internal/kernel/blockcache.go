@@ -131,15 +131,16 @@ func (c *BlockCache[V]) lookup(key []byte, feats []int) (V, error) {
 
 // BlockScratch holds the reusable per-caller buffers of Blocks (feature
 // list, block key, and the gathered block values), plus buf, the one block
-// a retention-disabled DenseGramCache builds into during float64 assembly.
-// The zero value is ready; a scratch belongs to one goroutine — each worker
-// evaluator of a parallel search owns its own while sharing the
-// concurrency-safe cache.
+// a retention-disabled DenseGramCache builds into during float64 assembly,
+// and row, the float64 row accumulator of float32 assembly. The zero value
+// is ready; a scratch belongs to one goroutine — each worker evaluator of
+// a parallel search owns its own while sharing the concurrency-safe cache.
 type BlockScratch[V any] struct {
 	feats  []int
 	keyBuf []byte
 	vals   []V
 	buf    V
+	row    []float64
 }
 
 // Blocks looks up the value of every block of p, in partition.Blocks()

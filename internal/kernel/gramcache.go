@@ -120,72 +120,91 @@ func (c *DenseGramCache[T]) GramForPartition(p partition.Partition, combiner Com
 // no allocation at all (see BlockCache.Blocks). It is the per-candidate
 // path of the mkl evaluators.
 //
-// Every block is gathered first and each entry accumulated across them in
-// float64 and stored once. With retention disabled the float64 assembly
-// instead folds the blocks into out one at a time (fold), so it holds out
-// plus one block, whatever the number of blocks; the float32 one still
-// gathers, since each entry is rounded once.
+// Only the upper triangle is summed, one row segment [i, n) at a time
+// across every gathered block (in place at float64, in sc's float64 row
+// at float32), then mirrored once. That is exact because every block
+// formula and the pairwise path store a bitwise-symmetric block. With
+// retention disabled the float64 assembly instead folds the blocks into
+// out one at a time (fold), so it holds out plus one block, whatever the
+// number of blocks; the float32 one still gathers, since each entry is
+// rounded once.
 //
 //iotml:hotpath
 func (c *DenseGramCache[T]) GramForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Dense[T], sc *BlockScratch[*linalg.Dense[T]]) *linalg.Dense[T] {
 	n := len(c.x)
 	out = linalg.Reshape(out, n, n)
-	od := out.Data
-	if _, exact := any(out).(*linalg.Matrix); exact && !c.Retains() {
-		c.fold(p, combiner, od, sc)
+	out64, exact := any(out).(*linalg.Matrix)
+	if exact && !c.Retains() {
+		c.fold(p, combiner, out64.Data, sc)
+		linalg.MirrorUpper(out)
 		return out
 	}
 	grams, _ := c.Blocks(p, sc) // dense builds never fail
-	if combiner == CombineProduct {
-		for i := range od {
-			acc := 1.0
-			for _, g := range grams {
-				acc *= float64(g.Data[i])
-			}
-			od[i] = T(acc)
-		}
-		return out
-	}
 	w := 1 / float64(len(grams))
-	for i := range od {
-		acc := 0.0
-		for _, g := range grams {
-			acc += w * float64(g.Data[i])
-		}
-		od[i] = T(acc)
+	if !exact && cap(sc.row) < n {
+		sc.row = make([]float64, n)
 	}
+	for i := 0; i < n; i++ {
+		var acc []float64
+		if exact {
+			acc = out64.Data[i*n+i : (i+1)*n]
+		} else {
+			acc = sc.row[:n-i]
+		}
+		initRow(acc, combiner)
+		for _, g := range grams {
+			accumulate(acc, g.Data[i*n+i:(i+1)*n], combiner, w)
+		}
+		if !exact {
+			for j, v := range acc {
+				out.Data[i*n+i+j] = T(v)
+			}
+		}
+	}
+	linalg.MirrorUpper(out)
 	return out
 }
 
-// fold is the retention-disabled float64 assembly: each block of p, in
-// partition-block order, is built into sc's one block buffer and
-// accumulated into od before the next is built (od = 0, od += w·g_b; or
-// od = 1, od *= g_b). Every entry gets exactly the float64 operations of
-// the gather, in the same order, so the bits are the gather's.
-//
-//iotml:hotpath
-func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []T, sc *BlockScratch[*linalg.Dense[T]]) {
-	n, k := len(c.x), p.NumBlocks()
-	var init T
+// initRow sets acc to the combiner's identity: 1 for the product, 0 for
+// the sum.
+func initRow(acc []float64, combiner Combiner) {
+	init := 0.0
 	if combiner == CombineProduct {
 		init = 1
 	}
-	for i := range od {
-		od[i] = init
+	for j := range acc {
+		acc[j] = init
 	}
-	w := T(1 / float64(k))
+}
+
+// accumulate folds one block's row segment seg into acc: acc *= seg for
+// the product, acc += w·seg for the sum.
+func accumulate[T linalg.Float](acc []float64, seg []T, combiner Combiner, w float64) {
+	if combiner == CombineProduct {
+		linalg.AccumulateProduct(acc, seg)
+		return
+	}
+	linalg.AccumulateScaled(acc, w, seg)
+}
+
+// fold is the retention-disabled float64 assembly of od's upper triangle:
+// each block of p, in partition-block order, is built into sc's one block
+// buffer and accumulated before the next is built, with exactly the
+// gather's float64 operations per entry, so the bits are the gather's.
+//
+//iotml:hotpath
+func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []float64, sc *BlockScratch[*linalg.Dense[T]]) {
+	n, k := len(c.x), p.NumBlocks()
+	for i := 0; i < n; i++ {
+		initRow(od[i*n+i:(i+1)*n], combiner)
+	}
+	w := 1 / float64(k)
 	for b := 0; b < k; b++ {
 		sc.load(p, b)
 		sc.buf = linalg.Reshape(sc.buf, n, n)
 		c.gramInto(sc.buf, sc.keyBuf, sc.feats)
-		if combiner == CombineProduct {
-			for i, v := range sc.buf.Data {
-				od[i] *= v
-			}
-		} else {
-			for i, v := range sc.buf.Data {
-				od[i] += w * v
-			}
+		for i := 0; i < n; i++ {
+			accumulate(od[i*n+i:(i+1)*n], sc.buf.Data[i*n+i:(i+1)*n], combiner, w)
 		}
 	}
 }

@@ -210,32 +210,10 @@ func (p Perceptron) epochs() int {
 	return p.Epochs
 }
 
-// Train implements Trainer.
+// Train implements Trainer: TrainScratch on a private Scratch the
+// returned model takes ownership of, as SVM.Train does.
 func (p Perceptron) Train(gram *linalg.Matrix, y []int) (Model, error) {
-	if err := validate(gram, y); err != nil {
-		return nil, err
-	}
-	n := len(y)
-	coeff := make([]float64, n)
-	for epoch := 0; epoch < p.epochs(); epoch++ {
-		mistakes := 0
-		for i := 0; i < n; i++ {
-			s := 0.0
-			for j := 0; j < n; j++ {
-				if coeff[j] != 0 {
-					s += coeff[j] * gram.At(j, i)
-				}
-			}
-			if s*float64(y[i]) <= 0 {
-				coeff[i] += float64(y[i])
-				mistakes++
-			}
-		}
-		if mistakes == 0 {
-			break
-		}
-	}
-	return &dualModel{coeff: coeff}, nil
+	return p.TrainScratch(gram, y, &Scratch{})
 }
 
 func maxf(a, b float64) float64 {

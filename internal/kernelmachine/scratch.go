@@ -10,15 +10,14 @@
 //     the next TrainScratch call with the same Scratch — consume (score)
 //     each model before training the next, or use distinct Scratches.
 //   - The gram matrix passed to TrainScratch is read-only: TrainScratch
-//     never writes to it (regularization is applied to a scratch copy).
+//     never writes to it (regularization is applied to a scratch gather).
 //
 // Exactness contract: RidgeScratch.Solve is the single ridge
-// regularize → factor → fallback → solve routine, generic over the
-// storage width (see FitRidge); Ridge.TrainScratch and Ridge.Train run it
-// at float64, the f32 backend's CV loop at float32. SVM.TrainScratch is
-// the single SMO implementation — SVM.Train delegates to it with a private
-// Scratch — so the two entry points are bit-identical by construction,
-// given the same RNG stream.
+// gather → regularize → factor → fallback → solve routine, generic over
+// the storage width (see FitRidge). SVM.TrainScratch and
+// Perceptron.TrainScratch are the single SMO and perceptron loops — each
+// Train delegates to its TrainScratch with a private Scratch — so the two
+// entry points are bit-identical by construction.
 package kernelmachine
 
 import (
@@ -55,17 +54,19 @@ type Scratch struct {
 	v1    []float64 // alpha (svm)
 	v2    []float64 // fy (svm)
 	v3    []float64 // error cache E_i (svm)
-	v4    []float64 // dual coefficients (svm)
+	v4    []float64 // dual coefficients (svm, perceptron)
 	model dualModel
 }
 
 // RidgeScratch holds the buffers of one ridge system at storage width T —
-// the regularized matrix, its Cholesky factor, the right-hand side, and
-// the coefficients. The zero value is ready; it belongs to one goroutine
-// and its buffers are capacity-reused across solves.
+// the regularized matrix, its Cholesky factor, the right-hand side, the
+// coefficients, and the identity indices of whole-matrix solves. The zero
+// value is ready; it belongs to one goroutine and its buffers are
+// capacity-reused across solves.
 type RidgeScratch[T linalg.Float] struct {
 	kreg, chol *linalg.Dense[T]
 	rhs, coef  []T
+	all        []int
 }
 
 // vec returns buf resized to n, reusing capacity. Contents are unspecified.
@@ -84,28 +85,29 @@ func (s *Scratch) finish(coeff []float64, b float64) Model {
 	return &s.model
 }
 
-// TrainScratch implements ScratchTrainer: FitRidge at float64 into the
-// Scratch's buffers.
+// TrainScratch implements ScratchTrainer: FitRidge at float64 on the
+// whole of gram, into the Scratch's buffers.
 //
 //iotml:hotpath
 func (r Ridge) TrainScratch(gram *linalg.Matrix, y []int, s *Scratch) (Model, error) {
 	if err := validate(gram, y); err != nil {
 		return nil, err
 	}
-	coef, err := FitRidge(r, gram, y, &s.ridge)
+	coef, err := FitRidge(r, gram, nil, y, &s.ridge)
 	if err != nil {
 		return nil, err
 	}
 	return s.finish(coef, 0), nil
 }
 
-// FitRidge fits the dual ridge coefficients of labels y on gram at gram's
-// storage width: RidgeScratch.Solve of gram against y with r's λ, scaled
-// by the training-set size. gram is read-only; the coefficients alias s
+// FitRidge fits the dual ridge coefficients of labels y on the training
+// Gram gram[idx][idx] (all of gram when idx is nil) at gram's storage
+// width: RidgeScratch.Solve against y with r's λ, scaled by the
+// training-set size len(y). gram is read-only; the coefficients alias s
 // and are valid until its next use.
 //
 //iotml:hotpath
-func FitRidge[T linalg.Float](r Ridge, gram *linalg.Dense[T], y []int, s *RidgeScratch[T]) ([]T, error) {
+func FitRidge[T linalg.Float](r Ridge, gram *linalg.Dense[T], idx []int, y []int, s *RidgeScratch[T]) ([]T, error) {
 	n := len(y)
 	if cap(s.rhs) < n {
 		s.rhs = make([]T, n)
@@ -114,29 +116,36 @@ func FitRidge[T linalg.Float](r Ridge, gram *linalg.Dense[T], y []int, s *RidgeS
 	for i, v := range y {
 		s.rhs[i] = T(v)
 	}
-	return s.Solve(gram, s.rhs, r.lambda(), n)
+	return s.Solve(gram, idx, s.rhs, r.lambda(), n)
 }
 
-// Solve solves (A + λ·n/10·I)·β = rhs and, when that Cholesky pivot fails,
-// retries with the heavier ridge 1 + λ·n before giving up — the
-// regularization schedule of every ridge fit in the repository, dual (A =
-// K, n training points) or primal (A = FᵀF). The regularized system is
-// assembled by copying a into scratch and adding the ridge to its diagonal
-// (rounded once to T), then factored and solved in place with
-// linalg.CholeskyInto and SolveCholeskyInto. a and rhs are read-only; the
-// returned β aliases s and is valid until its next use.
+// Solve solves (A + λ·n/10·I)·β = rhs for A = a[idx][idx] (all of a when
+// idx is nil) and, when that Cholesky pivot fails, retries with the
+// heavier ridge 1 + λ·n before giving up — the regularization schedule of
+// every ridge fit in the repository, dual (A = K, n training points) or
+// primal (A = FᵀF). Each attempt gathers A's lower triangle, the only
+// half linalg.CholeskyInto reads, straight from a into scratch
+// (linalg.GatherLowerInto) and adds the ridge, rounded once to T, to its
+// diagonal. a and rhs are read-only; β aliases s until its next use.
 //
 //iotml:hotpath
-func (s *RidgeScratch[T]) Solve(a *linalg.Dense[T], rhs []T, lambda float64, n int) ([]T, error) {
-	m := a.Rows
-	s.kreg = linalg.Reshape(s.kreg, m, m)
-	if s.chol == nil {
-		s.chol = linalg.NewDense[T](m, m)
+func (s *RidgeScratch[T]) Solve(a *linalg.Dense[T], idx []int, rhs []T, lambda float64, n int) ([]T, error) {
+	if idx == nil {
+		if len(s.all) < a.Rows {
+			s.all = make([]int, a.Rows)
+			for i := range s.all {
+				s.all[i] = i
+			}
+		}
+		idx = s.all[:a.Rows]
 	}
-	copy(s.kreg.Data, a.Data)
+	if s.chol == nil {
+		s.chol = linalg.NewDense[T](len(idx), len(idx))
+	}
+	s.kreg = linalg.GatherLowerInto(s.kreg, a, idx)
 	s.kreg.AddScaledDiag(lambda * float64(n) / 10)
 	if err := linalg.CholeskyInto(s.chol, s.kreg); err != nil {
-		copy(s.kreg.Data, a.Data)
+		s.kreg = linalg.GatherLowerInto(s.kreg, a, idx)
 		s.kreg.AddScaledDiag(1 + lambda*float64(n))
 		if err := linalg.CholeskyInto(s.chol, s.kreg); err != nil {
 			//iotml:allow hotpathalloc -- cold double-failure path; formatting happens only when the solve is already abandoned
@@ -266,8 +275,42 @@ func (s SVM) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (Model, err
 	return sc.finish(coeff, b), nil
 }
 
+// TrainScratch implements ScratchTrainer: the kernel perceptron's epochs
+// over coefficients held in the Scratch, stopping after an epoch without
+// a mistake.
+//
+//iotml:hotpath
+func (p Perceptron) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (Model, error) {
+	if err := validate(gram, y); err != nil {
+		return nil, err
+	}
+	n := len(y)
+	coeff := vec(&sc.v4, n)
+	clear(coeff)
+	for epoch := 0; epoch < p.epochs(); epoch++ {
+		mistakes := 0
+		for i := 0; i < n; i++ {
+			s := 0.0
+			for j, c := range coeff {
+				if c != 0 {
+					s += c * gram.Data[j*n+i]
+				}
+			}
+			if s*float64(y[i]) <= 0 {
+				coeff[i] += float64(y[i])
+				mistakes++
+			}
+		}
+		if mistakes == 0 {
+			break
+		}
+	}
+	return sc.finish(coeff, 0), nil
+}
+
 var (
 	_ ScratchTrainer = Ridge{}
 	_ ScratchTrainer = SVM{}
+	_ ScratchTrainer = Perceptron{}
 	_ ScratchModel   = (*dualModel)(nil)
 )

@@ -61,6 +61,47 @@ func TestRidgeTrainScratchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPerceptronTrainScratchBitIdentical: the perceptron's scratch path
+// must reproduce the allocating epoch loop it replaced (kept below as the
+// reference) bit-for-bit across a shared Scratch recycled over alternating
+// sizes — coefficients left by an earlier training must not leak in.
+func TestPerceptronTrainScratchBitIdentical(t *testing.T) {
+	sc := &Scratch{}
+	for _, n := range []int{41, 40, 41, 16} {
+		gram, y := scratchWorkload(n, 200+int64(n))
+		p := Perceptron{Epochs: 7}
+		want := make([]float64, n)
+		for epoch := 0; epoch < p.epochs(); epoch++ {
+			mistakes := 0
+			for i := 0; i < n; i++ {
+				s := 0.0
+				for j := 0; j < n; j++ {
+					if want[j] != 0 {
+						s += want[j] * gram.At(j, i)
+					}
+				}
+				if s*float64(y[i]) <= 0 {
+					want[i] += float64(y[i])
+					mistakes++
+				}
+			}
+			if mistakes == 0 {
+				break
+			}
+		}
+		fast, err := p.TrainScratch(gram, y, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fast.(*dualModel).Coefficients(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: scratch perceptron coefficients %v, reference %v", n, got, want)
+		}
+		if fast.(*dualModel).Bias() != 0 {
+			t.Fatalf("n=%d: scratch perceptron bias %v, want 0", n, fast.(*dualModel).Bias())
+		}
+	}
+}
+
 // TestSVMTrainScratchBitIdentical: Train delegates to TrainScratch (one SMO
 // implementation), so a shared recycled Scratch must reproduce Train's
 // model bit-for-bit — stale buffer contents from earlier, larger trainings

@@ -6,6 +6,7 @@
 // allocating per call.
 //
 // The kernels shared by both storage widths — Reshape, GatherInto,
+// GatherLowerInto, AccumulateScaled, AccumulateProduct, MirrorUpper,
 // SyrkInto, RowSquaredNorms, PairwiseSquaredDistancesInto, FromRowsCols,
 // and (in linalg.go) CholeskyInto, SolveCholeskyInto and MulVecInto — are
 // written once, generic over Float: the float64 instantiation is the exact
@@ -13,9 +14,9 @@
 //
 // Determinism contract, at both widths: every sum accumulates in float64
 // and each result is rounded to the storage type once, at its store.
-// A register-tiled or lane-parallel kernel (CholeskyInto, and SyrkTInto's
-// AVX2 row update) interleaves outputs but never reorders the terms within
-// an output. Inner products accumulate
+// A register-tiled or lane-parallel kernel (CholeskyInto, SyrkTInto's
+// AVX2 row update, the AVX2 accumulate kernels) interleaves outputs but
+// never reorders the terms within an output. Inner products accumulate
 // left-to-right in feature order — exactly the order a scalar per-pair
 // kernel evaluation uses — so at float64 SyrkInto and GemmNTInto are
 // bit-identical to pairwise dot products, and at float32 each entry is the
@@ -26,7 +27,10 @@
 // the pairwise path).
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Reshape returns m resized to r×c, reusing m's backing storage whenever its
 // capacity suffices — so hot paths whose working shapes alternate (e.g.
@@ -53,66 +57,91 @@ func Reshape[T Float](m *Dense[T], r, c int) *Dense[T] {
 	return m
 }
 
-// Run is a maximal contiguous index run [Start, Start+Len) — the gather
-// descriptor GatherInto consumes: one Run is one copy() instead of Len
-// scalar loads.
-type Run struct {
-	Start, Len int
-}
-
-// RunsOf compresses an index list into contiguous ascending runs, preserving
-// order: {4, 5, 6, 2, 9, 10} becomes [{4,3}, {2,1}, {9,2}]. Computed once
-// per index set (e.g. per CV fold) and replayed on every gather.
-func RunsOf(idx []int) []Run {
-	if len(idx) == 0 {
-		return nil
-	}
-	runs := make([]Run, 0, len(idx))
-	cur := Run{Start: idx[0], Len: 1}
-	for _, v := range idx[1:] {
-		if v == cur.Start+cur.Len {
-			cur.Len++
-			continue
-		}
-		runs = append(runs, cur)
-		cur = Run{Start: v, Len: 1}
-	}
-	return append(runs, cur)
-}
-
-// GatherInto extracts the submatrix src[rows[i]][cols...] into dst
+// GatherInto extracts the submatrix src[rows[i]][cols[j]] into dst
 // (reshaped via Reshape, so scratch is retained across gathers of
-// alternating shapes) and returns it. The column selection is described by
-// contiguous runs (see RunsOf), so each run of each row is a single copy()
-// over the row-major backing array instead of per-element At/Set — the fold
-// sub- and cross-Gram extraction of the CV fast path. Values are read and
-// written verbatim: the gathered entries are bit-identical to a scalar
-// gather of the same indices.
+// alternating shapes) and returns it, copying values verbatim — the fold
+// sub- and cross-Gram extraction of the CV fast path.
 //
 //iotml:hotpath
-func GatherInto[T Float](dst, src *Dense[T], rows []int, cols []Run) *Dense[T] {
-	nc := 0
-	for _, r := range cols {
-		nc += r.Len
-	}
+func GatherInto[T Float](dst, src *Dense[T], rows, cols []int) *Dense[T] {
+	nc := len(cols)
 	dst = Reshape(dst, len(rows), nc)
 	for i, r := range rows {
 		srcRow := src.Data[r*src.Cols : (r+1)*src.Cols]
 		dstRow := dst.Data[i*nc : (i+1)*nc]
-		pos := 0
-		for _, run := range cols {
-			if run.Len == 1 {
-				// Shuffled index sets compress mostly to singleton runs;
-				// a direct store skips the memmove call overhead.
-				dstRow[pos] = srcRow[run.Start]
-				pos++
-				continue
-			}
-			copy(dstRow[pos:pos+run.Len], srcRow[run.Start:run.Start+run.Len])
-			pos += run.Len
+		for j, c := range cols {
+			dstRow[j] = srcRow[c]
 		}
 	}
 	return dst
+}
+
+// GatherLowerInto is GatherInto(dst, src, idx, idx) restricted to the
+// lower triangle, diagonal included; dst's strict upper triangle keeps
+// whatever it held. It moves a fold's ridge system into CholeskyInto,
+// which reads only that triangle.
+//
+//iotml:hotpath
+func GatherLowerInto[T Float](dst, src *Dense[T], idx []int) *Dense[T] {
+	m := len(idx)
+	dst = Reshape(dst, m, m)
+	for i, r := range idx {
+		srcRow := src.Data[r*src.Cols : (r+1)*src.Cols]
+		dstRow := dst.Data[i*m : i*m+i+1]
+		for j, c := range idx[:i+1] {
+			dstRow[j] = srcRow[c]
+		}
+	}
+	return dst
+}
+
+// AccumulateScaled sets acc[j] += w·g[j] for j < len(acc) in float64, a
+// multiply then a separate add — the sum combiner's step of candidate-Gram
+// assembly. At float64 on an AVX2 host it runs on accScaledAVX2, four
+// lanes with the same two roundings each; the Go loop is the reference
+// and the fallback.
+//
+//iotml:hotpath
+func AccumulateScaled[T Float](acc []float64, w float64, g []T) {
+	g = g[:len(acc)]
+	if useAVX2 && unsafe.Sizeof(T(0)) == 8 && len(acc) > 0 {
+		accScaledAVX2(&acc[0], (*float64)(unsafe.Pointer(&g[0])), w, len(acc))
+		return
+	}
+	for j, v := range g {
+		acc[j] += w * float64(v)
+	}
+}
+
+// AccumulateProduct sets acc[j] *= g[j] for j < len(acc) in float64 — the
+// product combiner's step, on accProductAVX2 where AccumulateScaled runs
+// on lanes.
+//
+//iotml:hotpath
+func AccumulateProduct[T Float](acc []float64, g []T) {
+	g = g[:len(acc)]
+	if useAVX2 && unsafe.Sizeof(T(0)) == 8 && len(acc) > 0 {
+		accProductAVX2(&acc[0], (*float64)(unsafe.Pointer(&g[0])), len(acc))
+		return
+	}
+	for j, v := range g {
+		acc[j] *= float64(v)
+	}
+}
+
+// MirrorUpper copies the strict upper triangle of the square matrix m onto
+// its strict lower triangle (m[j][i] = m[i][j] for i < j), verbatim. A
+// plain row sweep: 32×32 tiles measured no faster at n = 90–1000 on a
+// 2-vCPU Xeon.
+//
+//iotml:hotpath
+func MirrorUpper[T Float](m *Dense[T]) {
+	n, d := m.Rows, m.Data
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d[j*n+i] = d[i*n+j]
+		}
+	}
 }
 
 // SyrkInto computes the symmetric rank-k product X·Xᵀ (dst[i][j] =

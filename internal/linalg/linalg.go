@@ -16,16 +16,17 @@
 // both widths.
 //
 // On amd64 hosts with AVX2 (detected once by CPUID and XGETBV in
-// simd_amd64.s), the float64 CholeskyInto and SyrkTInto run on AVX2
-// micro-kernels. They keep every bit under one rule: vectorize across
-// independent outputs, never along a reduction. Each lane replays one
-// entry's scalar sequence — a float64 accumulator, ascending k, a multiply
-// then a separate subtract or add (never a fused multiply-add), one store.
-// The Cholesky lanes hold four columns of one row and read the finished
-// columns from a transposed copy kept in place, in the factor's own strict
-// upper triangle, which is cleared before CholeskyInto returns. The Go
-// loops are the reference and the fallback: they run at float32, off
-// amd64, on hosts without AVX2, and in builds with the purego tag.
+// simd_amd64.s), the float64 CholeskyInto, SyrkTInto, AccumulateScaled
+// and AccumulateProduct run on AVX2 micro-kernels. They keep every bit
+// under one rule: vectorize across independent outputs, never along a
+// reduction. Each lane replays one entry's scalar sequence — a float64
+// accumulator, ascending k, a multiply then a separate subtract or add
+// (never a fused multiply-add), one store. The Cholesky lanes hold four
+// columns of one row and read the finished columns from a transposed copy
+// kept in place, in the factor's own strict upper triangle, which is
+// cleared before CholeskyInto returns. The Go loops are the reference and
+// the fallback: they run at float32, off amd64, on hosts without AVX2, and
+// in builds with the purego tag.
 package linalg
 
 import (

@@ -107,11 +107,7 @@ func SyrkTInto(dst, x *Matrix) *Matrix {
 			}
 		}
 	}
-	for i := 0; i < c; i++ {
-		for j := i + 1; j < c; j++ {
-			dst.Data[j*c+i] = dst.Data[i*c+j]
-		}
-	}
+	MirrorUpper(dst)
 	return dst
 }
 

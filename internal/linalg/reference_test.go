@@ -270,13 +270,168 @@ func TestGatherIntoMatchesScalarReference(t *testing.T) {
 		// folds do.
 		var dst *Matrix
 		for pass := 0; pass < 2; pass++ {
-			dst = GatherInto(dst, src, rows, RunsOf(cols))
+			dst = GatherInto(dst, src, rows, cols)
 			sameBits64(t, "f64", dst.Data, refGather(src, rows, cols).Data)
 			rows = rows[:1]
 		}
 		src32 := Convert[float32](nil, src)
-		sameBits32(t, "f32", GatherInto(nil, src32, rows, RunsOf(cols)).Data, refGather(Convert[float64](nil, src32), rows, cols).Data)
+		sameBits32(t, "f32", GatherInto(nil, src32, rows, cols).Data, refGather(Convert[float64](nil, src32), rows, cols).Data)
 	}
+}
+
+// refAssemble is the candidate-Gram assembly as it stood before it went
+// upper-triangle only: every entry of the n×n result accumulated across
+// the blocks in order, in float64 — 0 then += w·g for the sum, 1 then
+// *= g for the product.
+func refAssemble(blocks []*Matrix, product bool) *Matrix {
+	n := blocks[0].Rows
+	out := NewMatrix(n, n)
+	w := 1 / float64(len(blocks))
+	for i := range out.Data {
+		acc := 0.0
+		if product {
+			acc = 1
+		}
+		for _, g := range blocks {
+			if product {
+				acc *= g.Data[i]
+			} else {
+				acc += w * g.Data[i]
+			}
+		}
+		out.Data[i] = acc
+	}
+	return out
+}
+
+// assembleUpper is the assembly as internal/kernel runs it: each row
+// segment [i, n) of the upper triangle accumulated across the blocks
+// through AccumulateScaled or AccumulateProduct, in place at float64 and
+// in a float64 row rounded once per entry at float32, then MirrorUpper.
+func assembleUpper[T Float](dst *Dense[T], blocks []*Dense[T], product bool) {
+	n := blocks[0].Rows
+	row := make([]float64, n)
+	w := 1 / float64(len(blocks))
+	for i := 0; i < n; i++ {
+		acc := row[:n-i]
+		for j := range acc {
+			acc[j] = 0
+			if product {
+				acc[j] = 1
+			}
+		}
+		for _, g := range blocks {
+			if product {
+				AccumulateProduct(acc, g.Data[i*n+i:(i+1)*n])
+			} else {
+				AccumulateScaled(acc, w, g.Data[i*n+i:(i+1)*n])
+			}
+		}
+		for j, v := range acc {
+			dst.Data[i*n+i+j] = T(v)
+		}
+	}
+	MirrorUpper(dst)
+}
+
+// TestAccumulateMatchesScalarReference pins the upper-triangle assembly —
+// the lane accumulate kernels plus the mirror — to the full entry-by-entry
+// loop, on both dispatch paths, at both widths, for the sum and product
+// combiners over 1–18 symmetric blocks (as every block formula stores
+// them), at orders below, at and past the 4- and 8-entry lane blocks and
+// the 32-entry mirror tile.
+func TestAccumulateMatchesScalarReference(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(10))
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 63, 64, 65, 130} {
+			for nb := 1; nb <= 18; nb++ {
+				blocks := make([]*Matrix, nb)
+				blocks32 := make([]*Dense[float32], nb)
+				for b := range blocks {
+					// A Gram-like symmetric block with entries near 1, so
+					// an 18-fold product stays in range.
+					blocks[b] = refSyrk(randMatrix(n, 3, rng))
+					for i := range blocks[b].Data {
+						blocks[b].Data[i] = 1 + blocks[b].Data[i]/16
+					}
+					blocks32[b] = Convert[float32](nil, blocks[b])
+				}
+				for _, product := range []bool{false, true} {
+					what := fmt.Sprintf("n=%d blocks=%d product=%v", n, nb, product)
+					dst := NewMatrix(n, n)
+					assembleUpper(dst, blocks, product)
+					sameBits64(t, what+" f64", dst.Data, refAssemble(blocks, product).Data)
+					wide := make([]*Matrix, nb)
+					for b := range wide {
+						wide[b] = Convert[float64](nil, blocks32[b])
+					}
+					dst32 := NewDense[float32](n, n)
+					assembleUpper(dst32, blocks32, product)
+					sameBits32(t, what+" f32", dst32.Data, refAssemble(wide, product).Data)
+				}
+			}
+		}
+	})
+}
+
+// TestGatherLowerIntoMatchesScalarReference pins the fold system's path
+// into the factor: the lower triangle GatherLowerInto writes over a
+// recycled buffer whose strict upper triangle holds NaN equals the scalar
+// gather's, and CholeskyInto of it equals the reference factor of the
+// full scalar gather, on both dispatch paths and at both widths.
+func TestGatherLowerIntoMatchesScalarReference(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		var dst, l *Matrix
+		var dst32, l32, ref32 *Dense[float32]
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 63, 64, 65, 130} {
+			src := refSyrk(randMatrix(n, n+2, rng))
+			src.AddScaledDiag(float64(n))
+			src32 := Convert[float32](nil, src)
+			for _, m := range []int{n, (n + 1) / 2, 1 + rng.Intn(n)} {
+				idx := rng.Perm(n)[:m]
+				what := fmt.Sprintf("n=%d m=%d", n, m)
+				want := refGather(src, idx, idx)
+				dst = Reshape(dst, m, m)
+				for i := range dst.Data {
+					dst.Data[i] = math.NaN()
+				}
+				dst = GatherLowerInto(dst, src, idx)
+				for i := 0; i < m; i++ {
+					sameBits64(t, what+" lower row", dst.Data[i*m:i*m+i+1], want.Data[i*m:i*m+i+1])
+				}
+				wantL, err := refCholesky(want)
+				if err != nil {
+					t.Fatalf("%s: reference factor: %v", what, err)
+				}
+				l = Reshape(l, m, m)
+				if err := CholeskyInto(l, dst); err != nil {
+					t.Fatalf("%s: CholeskyInto: %v", what, err)
+				}
+				sameBits64(t, what+" factor", l.Data, wantL.Data)
+
+				dst32 = Reshape(dst32, m, m)
+				for i := range dst32.Data {
+					dst32.Data[i] = float32(math.NaN())
+				}
+				dst32 = GatherLowerInto(dst32, src32, idx)
+				want32 := Convert[float32](nil, refGather(Convert[float64](nil, src32), idx, idx))
+				ref32 = Reshape(ref32, m, m)
+				if err := refCholeskyInto(ref32, want32); err != nil {
+					t.Fatalf("%s: f32 reference factor: %v", what, err)
+				}
+				l32 = Reshape(l32, m, m)
+				if err := CholeskyInto(l32, dst32); err != nil {
+					t.Fatalf("%s: f32 CholeskyInto: %v", what, err)
+				}
+				for i, v := range ref32.Data {
+					if math.Float32bits(l32.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("%s f32 factor: entry %d = %v, reference %v", what, i, l32.Data[i], v)
+					}
+				}
+			}
+		}
+	})
 }
 
 // cholTileShapes are the orders the Cholesky property test adds to the
@@ -349,6 +504,32 @@ func testCholeskyIntoMatchesScalarReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCholeskyIntoUpperNaNMatchesScalarReference pins the precondition
+// the fold ridge solve rests on: CholeskyInto reads only the lower
+// triangle of a (the AVX2 diagonal tile loads the tile's upper entries
+// into lanes it then discards), so a strict upper triangle of NaN changes
+// no bit of the factor or the pivot outcome, on both dispatch paths and
+// at both widths. refCholesky and refCholeskyInto read only the lower
+// triangle too, so cholChecker compares against the clean factor.
+func TestCholeskyIntoUpperNaNMatchesScalarReference(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		ck := newCholChecker()
+		for _, n := range cholTileShapes {
+			for _, shift := range []float64{0.5, 0} {
+				a := refSyrk(randMatrix(n, 1+rng.Intn(12), rng))
+				a.AddScaledDiag(shift)
+				for i := 0; i < n; i++ {
+					for j := i + 1; j < n; j++ {
+						a.Data[i*n+j] = math.NaN()
+					}
+				}
+				ck.check(t, fmt.Sprintf("n=%d shift=%v upper NaN", n, shift), a)
+			}
+		}
+	})
 }
 
 // staleEntry is what cholChecker writes into every factor buffer before a
@@ -474,6 +655,8 @@ func TestSyrkTIntoMatchesScalarReference(t *testing.T) {
 // TestCholeskyAsmHasNoFusedOps keeps fused multiply-add out of the
 // package's assembly: a fused operation rounds once where the Go loops
 // round twice, so the AVX2 kernels would no longer match them bit for bit.
+// It also checks that every kernel the Go side dispatches to is defined in
+// the files it scans.
 func TestCholeskyAsmHasNoFusedOps(t *testing.T) {
 	files, err := filepath.Glob("*.s")
 	if err != nil {
@@ -482,18 +665,30 @@ func TestCholeskyAsmHasNoFusedOps(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no assembly files found in the package directory")
 	}
+	kernels := []string{"cholTileAVX2", "cholPanelAVX2", "syrkTRowAVX2", "accScaledAVX2", "accProductAVX2"}
+	defined := make([]bool, len(kernels))
 	for _, f := range files {
 		src, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(src), "\n") {
+			for k, name := range kernels {
+				if strings.HasPrefix(line, "TEXT ·"+name+"(SB)") {
+					defined[k] = true
+				}
+			}
 			op := strings.ToUpper(line)
 			for _, fused := range []string{"VFMADD", "VFMSUB", "VFNMADD", "VFNMSUB"} {
 				if strings.Contains(op, fused) {
 					t.Errorf("%s:%d: fused multiply-add %s: %s", f, i+1, fused, strings.TrimSpace(line))
 				}
 			}
+		}
+	}
+	for k, name := range kernels {
+		if !defined[k] {
+			t.Errorf("kernel %s is not defined in the scanned assembly", name)
 		}
 	}
 }

@@ -40,33 +40,6 @@ func TestReshapeReusesCapacity(t *testing.T) {
 	}
 }
 
-func TestRunsOf(t *testing.T) {
-	cases := []struct {
-		idx  []int
-		want []Run
-	}{
-		{nil, nil},
-		{[]int{3}, []Run{{3, 1}}},
-		{[]int{4, 5, 6, 2, 9, 10}, []Run{{4, 3}, {2, 1}, {9, 2}}},
-		{[]int{0, 1, 2, 3}, []Run{{0, 4}}},
-		{[]int{5, 3, 1}, []Run{{5, 1}, {3, 1}, {1, 1}}},
-		{[]int{7, 8, 8}, []Run{{7, 2}, {8, 1}}}, // duplicates break runs
-	}
-	for _, tc := range cases {
-		got := RunsOf(tc.idx)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("RunsOf(%v) = %v, want %v", tc.idx, got, tc.want)
-		}
-		total := 0
-		for _, r := range got {
-			total += r.Len
-		}
-		if total != len(tc.idx) {
-			t.Errorf("RunsOf(%v) covers %d indices, want %d", tc.idx, total, len(tc.idx))
-		}
-	}
-}
-
 // TestGatherIntoMatchesScalarGather checks GatherInto against the
 // per-element gather it replaces, including scratch reuse across
 // alternating shapes.
@@ -80,7 +53,7 @@ func TestGatherIntoMatchesScalarGather(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rows := rng.Perm(12)[:3+rng.Intn(9)]
 		cols := rng.Perm(12)[:3+rng.Intn(9)]
-		dst = GatherInto(dst, src, rows, RunsOf(cols))
+		dst = GatherInto(dst, src, rows, cols)
 		if dst.Rows != len(rows) || dst.Cols != len(cols) {
 			t.Fatalf("trial %d: got %dx%d, want %dx%d", trial, dst.Rows, dst.Cols, len(rows), len(cols))
 		}

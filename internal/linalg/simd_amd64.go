@@ -2,9 +2,10 @@
 
 package linalg
 
-// useAVX2 routes the float64 CholeskyInto and SyrkTInto through the AVX2
-// kernels of simd_amd64.s. It is detected once, by CPUID and XGETBV, and
-// the tests flip it to run the Go loops on the same host.
+// useAVX2 routes the float64 CholeskyInto, SyrkTInto, AccumulateScaled
+// and AccumulateProduct through the AVX2 kernels of simd_amd64.s. It is
+// detected once, by CPUID and XGETBV, and the tests flip it to run the Go
+// loops on the same host.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state.
@@ -18,3 +19,9 @@ func cholPanelAVX2(l, a *float64, n, j0 int)
 
 //go:noescape
 func syrkTRowAVX2(d, row *float64, c int)
+
+//go:noescape
+func accScaledAVX2(acc, src *float64, w float64, n int)
+
+//go:noescape
+func accProductAVX2(acc, src *float64, n int)

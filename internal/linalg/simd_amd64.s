@@ -2,13 +2,14 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels for CholeskyInto and SyrkTInto at float64. Every
-// kernel vectorizes across independent outputs, never along a reduction:
-// each lane replays one entry's scalar sequence (a float64 accumulator,
-// ascending k, a multiply then a separate subtract or add, one store), so
-// the results are the Go loops' bit for bit. No fused multiply-add appears
-// here, and scalar work uses VEX forms only (a legacy-SSE instruction after
-// 256-bit work pays a state-transition penalty).
+// AVX2 micro-kernels for CholeskyInto, SyrkTInto, AccumulateScaled and
+// AccumulateProduct at float64. Every kernel vectorizes across independent
+// outputs, never along a reduction: each lane replays one entry's scalar
+// sequence (a float64 accumulator, ascending k, a multiply then a separate
+// subtract or add, one store), so the results are the Go loops' bit for
+// bit. No fused multiply-add appears here, and scalar work uses VEX forms
+// only (a legacy-SSE instruction after 256-bit work pays a
+// state-transition penalty).
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -320,5 +321,106 @@ syrknext:
 	JMP  syrki
 
 syrkdone:
+	VZEROUPPER
+	RET
+
+// func accScaledAVX2(acc, src *float64, w float64, n int)
+//
+// The sum combiner's step of AccumulateScaled: acc[j] += w * src[j] for
+// j < n, with w broadcast. Each entry is a VMULPD then a separate VADDPD,
+// the Go loop's two roundings; eight entries per iteration, then four,
+// then a scalar tail.
+TEXT ·accScaledAVX2(SB), NOSPLIT, $0-32
+	MOVQ         acc+0(FP), DI
+	MOVQ         src+8(FP), SI
+	VBROADCASTSD w+16(FP), Y0
+	MOVQ         n+24(FP), CX
+
+scaled8:
+	CMPQ    CX, $8
+	JLT     scaled4
+	VMULPD  (SI), Y0, Y1
+	VMULPD  32(SI), Y0, Y2
+	VADDPD  (DI), Y1, Y1
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JMP     scaled8
+
+scaled4:
+	CMPQ    CX, $4
+	JLT     scaled1
+	VMULPD  (SI), Y0, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+
+scaled1:
+	TESTQ  CX, CX
+	JZ     scaleddone
+	VMOVSD (SI), X1
+	VMULSD X1, X0, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    scaled1
+
+scaleddone:
+	VZEROUPPER
+	RET
+
+// func accProductAVX2(acc, src *float64, n int)
+//
+// The product combiner's step of AccumulateProduct: acc[j] *= src[j] for
+// j < n, one VMULPD per four entries, in the same blocking as
+// accScaledAVX2.
+TEXT ·accProductAVX2(SB), NOSPLIT, $0-24
+	MOVQ acc+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+
+product8:
+	CMPQ    CX, $8
+	JLT     product4
+	VMOVUPD (DI), Y1
+	VMOVUPD 32(DI), Y2
+	VMULPD  (SI), Y1, Y1
+	VMULPD  32(SI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JMP     product8
+
+product4:
+	CMPQ    CX, $4
+	JLT     product1
+	VMOVUPD (DI), Y1
+	VMULPD  (SI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+
+product1:
+	TESTQ  CX, CX
+	JZ     productdone
+	VMOVSD (DI), X1
+	VMULSD (SI), X1, X1
+	VMOVSD X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    product1
+
+productdone:
 	VZEROUPPER
 	RET

@@ -128,17 +128,17 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 	if lam <= 0 {
 		lam = 1e-2
 	}
-	r := f.Cols
-	if len(e.lrColRuns) != 1 || e.lrColRuns[0].Len != r {
-		e.lrColRuns = []linalg.Run{{Start: 0, Len: r}}
+	for len(e.lrCols) < f.Cols {
+		e.lrCols = append(e.lrCols, len(e.lrCols))
 	}
+	cols := e.lrCols[:f.Cols]
 	fd := e.folds
 	y := e.labelVec()
 	total := 0.0
 	for fold := range fd.plan.Trains {
 		tr := fd.plan.Trains[fold]
 		nTr := len(tr)
-		e.d64.sub = linalg.GatherInto(e.d64.sub, f, tr, e.lrColRuns)
+		e.d64.sub = linalg.GatherInto(e.d64.sub, f, tr, cols)
 		if cap(e.lrRhs) < nTr {
 			e.lrRhs = linalg.NewVector(nTr)
 		}
@@ -150,7 +150,7 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 		if err != nil {
 			return 0, fmt.Errorf("mkl: fold %d: %w", fold, err)
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, f, fd.plan.Tests[fold], e.lrColRuns)
+		e.d64.cross = linalg.GatherInto(e.d64.cross, f, fd.plan.Tests[fold], cols)
 		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, e.d64.cross, beta)
 		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
 		total += stats.Accuracy(e.predBuf, fd.yTest[fold])
@@ -164,7 +164,7 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, lam float64) (linalg.Vector, error) {
 	e.lrA = linalg.SyrkTInto(e.lrA, f)
 	rhs := linalg.MulTVecInto(nil, f, y)
-	return e.d64.ridge.Solve(e.lrA, rhs, lam, f.Rows)
+	return e.d64.ridge.Solve(e.lrA, nil, rhs, lam, f.Rows)
 }
 
 // SearchFunc is a lattice-search strategy over one evaluator — the shape of

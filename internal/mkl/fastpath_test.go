@@ -10,8 +10,8 @@ import (
 )
 
 // refTrainer hides a trainer's ScratchTrainer implementation behind the
-// plain Trainer interface, forcing the evaluator onto the scalar reference
-// CV loop (per-element fold gathers, allocating Train) so tests can compare
+// plain Trainer interface, forcing the evaluator onto the reference CV
+// loop (KFold-derived split, allocating Train) so tests can compare
 // the two paths on identical Gram matrices.
 type refTrainer struct{ kernelmachine.Trainer }
 
@@ -23,16 +23,17 @@ func fastPathWorkload(seed int64) *dataset.Dataset {
 	return d
 }
 
-// TestFastPathMatchesReference is the tentpole equivalence suite: for Ridge
-// and SMO, across seeds × folds × workers, the zero-alloc CV fast path
-// (cached fold plan, gather-based fold Grams, scratch-aware training and
-// scoring) must produce CV scores bit-identical to the scalar reference
-// path on the same Gram engine, and searches must select the same
-// partition.
+// TestFastPathMatchesReference is the tentpole equivalence suite: for
+// Ridge, SMO and the perceptron, across seeds × folds × workers, the
+// zero-alloc CV fast path (cached fold plan, index-gathered fold Grams,
+// scratch-aware training and scoring) must produce CV scores
+// bit-identical to the reference path on the same Gram engine, and
+// searches must select the same partition.
 func TestFastPathMatchesReference(t *testing.T) {
 	trainers := []kernelmachine.Trainer{
 		kernelmachine.Ridge{},
 		kernelmachine.SVM{C: 1, Seed: 2, MaxIter: 40},
+		kernelmachine.Perceptron{Epochs: 5},
 	}
 	for _, trainer := range trainers {
 		for _, seed := range []int64{1, 2, 3} {

@@ -194,7 +194,7 @@ type Evaluator struct {
 	lrRhs       linalg.Vector
 	lrBeta      linalg.Vector
 	lrY         linalg.Vector
-	lrColRuns   []linalg.Run
+	lrCols      []int
 }
 
 // dense is the worker-owned scratch of the full-Gram scoring body at
@@ -415,25 +415,24 @@ func (s *dense[T]) score(e *Evaluator, gram *linalg.Dense[T]) (float64, error) {
 }
 
 // cvRidge runs the evaluator's k-fold CV with ridge at the Gram's storage
-// width: fold sub- and cross-Grams are gathered through the shared fold
-// plan's run descriptors, kernelmachine.FitRidge solves each fold under
-// the λ·n/10 → 1+λ·n schedule, and scores re-enter float64 at the
-// scores-into step, so classification and accuracy are shared with every
-// other backend. At float64 every operation is Ridge.TrainScratch's, so
-// the scores are bit-identical to the reference CV loop.
+// width: kernelmachine.FitRidge solves each fold's system straight from
+// gram's train rows under the λ·n/10 → 1+λ·n schedule, and scores
+// re-enter float64 at the scores-into step, so classification and
+// accuracy are shared with every other backend. At float64 every
+// operation is Ridge.TrainScratch's on the fold's Gram, so the scores are
+// bit-identical to the reference CV loop.
 //
 //iotml:hotpath
 func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.Ridge) (float64, error) {
 	fd := e.folds
 	total := 0.0
-	for f := range fd.plan.Trains {
-		s.sub = linalg.GatherInto(s.sub, gram, fd.plan.Trains[f], fd.plan.TrainRuns[f])
-		beta, err := kernelmachine.FitRidge(r, s.sub, fd.yTrain[f], &s.ridge)
+	for f, tr := range fd.plan.Trains {
+		beta, err := kernelmachine.FitRidge(r, gram, tr, fd.yTrain[f], &s.ridge)
 		if err != nil {
 			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
 			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
 		}
-		s.cross = linalg.GatherInto(s.cross, gram, fd.plan.Tests[f], fd.plan.TrainRuns[f])
+		s.cross = linalg.GatherInto(s.cross, gram, fd.plan.Tests[f], tr)
 		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, s.cross, beta)
 		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
 		total += stats.Accuracy(e.predBuf, fd.yTest[f])
@@ -443,10 +442,10 @@ func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.
 
 // cvAccuracy runs k-fold CV re-using one precomputed full Gram matrix.
 // Trainers that implement kernelmachine.ScratchTrainer take the
-// allocation-free fast path: the precomputed fold plan's gather descriptors
-// extract sub- and cross-Grams by row-run copies, labels come from the
+// allocation-free fast path: the precomputed fold plan's index sets
+// extract sub- and cross-Grams (linalg.GatherInto), labels come from the
 // plan's precomputed slices, and training/scoring run in evaluator-owned
-// scratch. Every other trainer takes the scalar reference path below, whose
+// scratch. Every other trainer takes the reference path below, whose
 // scores the fast path reproduces bit-for-bit (see the equivalence suite in
 // fastpath_test.go).
 func (e *Evaluator) cvAccuracy(gram *linalg.Matrix) (float64, error) {
@@ -471,13 +470,14 @@ func (e *Evaluator) cvAccuracyFast(gram *linalg.Matrix, st kernelmachine.Scratch
 	}
 	total := 0.0
 	for f := range fd.plan.Trains {
-		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, fd.plan.Trains[f], fd.plan.TrainRuns[f])
+		tr := fd.plan.Trains[f]
+		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, tr, tr)
 		model, err := st.TrainScratch(e.d64.sub, fd.yTrain[f], e.kmScratch)
 		if err != nil {
 			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
 			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, fd.plan.Tests[f], fd.plan.TrainRuns[f])
+		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, fd.plan.Tests[f], tr)
 		if sm, ok := model.(kernelmachine.ScratchModel); ok {
 			e.scoreBuf = sm.ScoresInto(e.scoreBuf, e.d64.cross)
 		} else {
@@ -489,10 +489,10 @@ func (e *Evaluator) cvAccuracyFast(gram *linalg.Matrix, st kernelmachine.Scratch
 	return total / float64(len(fd.plan.Trains)), nil
 }
 
-// cvAccuracyRef is the scalar reference CV path: per-element fold gathers
-// and the plain Trainer interface. The fold sub- and cross-Gram buffers
-// live on the evaluator and are reused across candidates via
-// linalg.Reshape — capacity-based, so alternating fold shapes (n/k vs
+// cvAccuracyRef is the reference CV path: the split re-derived by KFold,
+// per-fold label slices, and the plain Trainer interface. The fold sub-
+// and cross-Gram buffers live on the evaluator and are refilled by
+// linalg.GatherInto — capacity-based, so alternating fold shapes (n/k vs
 // n/k+1 when k does not divide n) stop reallocating every fold (trainers
 // clone what they keep, and each fold's model is consumed before the
 // buffers are rewritten).
@@ -503,33 +503,21 @@ func (e *Evaluator) cvAccuracyRef(gram *linalg.Matrix) (float64, error) {
 	total := 0.0
 	for f := range trains {
 		tr, te := trains[f], tests[f]
-		e.d64.sub = linalg.Reshape(e.d64.sub, len(tr), len(tr))
-		sub := e.d64.sub
-		for i, a := range tr {
-			for j, b := range tr {
-				sub.Set(i, j, gram.At(a, b))
-			}
-		}
+		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, tr, tr)
 		yTr := make([]int, len(tr))
 		for i, a := range tr {
 			yTr[i] = e.data.Y[a]
 		}
-		model, err := e.cfg.Trainer.Train(sub, yTr)
+		model, err := e.cfg.Trainer.Train(e.d64.sub, yTr)
 		if err != nil {
 			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
 		}
-		e.d64.cross = linalg.Reshape(e.d64.cross, len(te), len(tr))
-		cross := e.d64.cross
-		for i, a := range te {
-			for j, b := range tr {
-				cross.Set(i, j, gram.At(a, b))
-			}
-		}
+		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, te, tr)
 		yTe := make([]int, len(te))
 		for i, a := range te {
 			yTe[i] = e.data.Y[a]
 		}
-		pred := kernelmachine.Classify(model.Scores(cross))
+		pred := kernelmachine.Classify(model.Scores(e.d64.cross))
 		total += stats.Accuracy(pred, yTe)
 	}
 	return total / float64(len(trains)), nil

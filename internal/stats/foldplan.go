@@ -1,17 +1,13 @@
 package stats
 
-import (
-	"math/rand"
-
-	"repro/internal/linalg"
-)
+import "math/rand"
 
 // FoldPlan is a precomputed k-fold CV split: the train/test index sets of
-// every fold plus their contiguous-run gather descriptors (linalg.RunsOf),
-// ready for linalg.GatherInto. A lattice search evaluates one identical CV
-// split per candidate configuration, so the plan is computed once per
-// evaluator and replayed allocation-free for every candidate, instead of
-// re-deriving the split (and reallocating its index sets) per evaluation.
+// every fold, which the CV fast path gathers fold Grams by. A lattice
+// search evaluates one identical CV split per candidate configuration, so
+// the plan is computed once per evaluator and replayed allocation-free for
+// every candidate, instead of re-deriving the split (and reallocating its
+// index sets) per evaluation.
 type FoldPlan struct {
 	// N and K are the item count and effective fold count (K is clamped to
 	// N, matching KFold).
@@ -19,9 +15,6 @@ type FoldPlan struct {
 	// Trains[f] and Tests[f] are fold f's train and test index sets, in
 	// exactly the order KFold emits them.
 	Trains, Tests [][]int
-	// TrainRuns[f] and TestRuns[f] are the contiguous-run compressions of
-	// Trains[f] and Tests[f].
-	TrainRuns, TestRuns [][]linalg.Run
 }
 
 // NewFoldPlan builds the plan for n items and k folds by calling KFold on
@@ -29,17 +22,7 @@ type FoldPlan struct {
 // same order, same rng consumption — to a direct KFold(n, k, rng) call.
 func NewFoldPlan(n, k int, rng *rand.Rand) *FoldPlan {
 	trains, tests := KFold(n, k, rng)
-	p := &FoldPlan{
-		N: n, K: len(tests),
-		Trains: trains, Tests: tests,
-		TrainRuns: make([][]linalg.Run, len(trains)),
-		TestRuns:  make([][]linalg.Run, len(tests)),
-	}
-	for f := range trains {
-		p.TrainRuns[f] = linalg.RunsOf(trains[f])
-		p.TestRuns[f] = linalg.RunsOf(tests[f])
-	}
-	return p
+	return &FoldPlan{N: n, K: len(tests), Trains: trains, Tests: tests}
 }
 
 // GatherLabels returns per-fold label slices (out[f][i] = y[idx[f][i]]) for
