@@ -326,6 +326,63 @@ func Alignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
 	return kyy / (math.Sqrt(kk) * yy)
 }
 
+// CenteredAlignment returns the centered kernel-target alignment of g —
+// Alignment of the Center-ed matrix, bit for bit at either width — without
+// writing g: one pass takes the row sums as Center does, a second rebuilds
+// each centered entry, rounded to T as Center stores it, and accumulates it
+// as Alignment does. g may be a shared, read-only cache block.
+func CenteredAlignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
+	n := g.Rows
+	if n == 0 || len(y) != n {
+		return 0
+	}
+	// Row sums four rows per sweep, one accumulator each: the same sums,
+	// with four latency chains in flight instead of one.
+	rowMean := make([]float64, n)
+	total := 0.0
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0 := g.Data[i*n:][:n]
+		r1 := g.Data[(i+1)*n:][:n]
+		r2 := g.Data[(i+2)*n:][:n]
+		r3 := g.Data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j := range r0 {
+			s0 += float64(r0[j])
+			s1 += float64(r1[j])
+			s2 += float64(r2[j])
+			s3 += float64(r3[j])
+		}
+		for r, s := range [4]float64{s0, s1, s2, s3} {
+			rowMean[i+r] = s / float64(n)
+			total += s
+		}
+	}
+	for ; i < n; i++ {
+		s := 0.0
+		for _, v := range g.Data[i*n : (i+1)*n] {
+			s += float64(v)
+		}
+		rowMean[i] = s / float64(n)
+		total += s
+	}
+	total /= float64(n * n)
+	var kyy, kk float64
+	for i := 0; i < n; i++ {
+		row := g.Data[i*n : (i+1)*n]
+		mi := rowMean[i]
+		for j, f := range row {
+			v := float64(T(float64(f) - mi - rowMean[j] + total))
+			kyy += v * float64(y[i]*y[j])
+			kk += v * v
+		}
+	}
+	if kk <= 0 {
+		return 0
+	}
+	return kyy / (math.Sqrt(kk) * float64(n))
+}
+
 // Normalized wraps a kernel with cosine normalization:
 // K'(x,y) = K(x,y) / sqrt(K(x,x) K(y,y)), mapping every point to the unit
 // sphere in feature space. Useful when block kernels of different scales

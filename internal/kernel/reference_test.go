@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/linalg"
@@ -322,5 +323,52 @@ func TestBoundCrossGramMatchesScalarReference(t *testing.T) {
 	}
 	if sc.top != 0 {
 		t.Fatalf("fills left %d scratch slots taken", sc.top)
+	}
+}
+
+// TestCenteredAlignmentMatchesScalarReference pins the fused read-only
+// objective to the two-step reference — Center on a copy, then Alignment —
+// bit for bit at both widths, on symmetric Grams and on arbitrary square
+// matrices (rowMean[j] stands in for the column mean only by symmetry),
+// and checks that the input is left untouched.
+func TestCenteredAlignmentMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{0, 1, 2, 3, 7, 16, 41} {
+		y := make([]int, n)
+		for i := range y {
+			y[i] = 1 - 2*rng.Intn(2)
+		}
+		sq := linalg.NewMatrix(n, n)
+		for i := range sq.Data {
+			sq.Data[i] = rng.NormFloat64()
+		}
+		x := make([][]float64, n)
+		for i := range x {
+			x[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		for _, g := range []*linalg.Matrix{Gram(RBF{Gamma: 0.7}, x), sq, linalg.NewMatrix(n, n)} {
+			checkCenteredAlignment(t, n, g, y)
+			checkCenteredAlignment(t, n, linalg.Convert[float32](nil, g), y)
+		}
+	}
+	if got := CenteredAlignment(linalg.NewMatrix(2, 2), []int{1}); got != 0 {
+		t.Errorf("label length mismatch: got %v, want 0", got)
+	}
+}
+
+func checkCenteredAlignment[T linalg.Float](t *testing.T, n int, g *linalg.Dense[T], y []int) {
+	t.Helper()
+	before := g.Clone()
+	c := g.Clone()
+	Center(c)
+	want := Alignment(c, y)
+	got := CenteredAlignment(g, y)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("n=%d %T: CenteredAlignment = %v, Center+Alignment = %v", n, g.Data, got, want)
+	}
+	for i, v := range g.Data {
+		if math.Float64bits(float64(v)) != math.Float64bits(float64(before.Data[i])) {
+			t.Fatalf("n=%d %T: entry %d changed from %v to %v", n, g.Data, i, before.Data[i], v)
+		}
 	}
 }

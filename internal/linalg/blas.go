@@ -14,9 +14,11 @@
 //
 // Determinism contract, at both widths: every sum accumulates in float64
 // and each result is rounded to the storage type once, at its store.
-// A register-tiled or lane-parallel kernel (CholeskyInto, SyrkTInto's
-// AVX2 row update, the AVX2 accumulate kernels) interleaves outputs but
-// never reorders the terms within an output. Inner products accumulate
+// A register-tiled or lane-parallel kernel (CholeskyInto on either SIMD
+// tier, SolveCholeskyInto's forward substitution, MulVecInto,
+// PairwiseSquaredDistancesInto, SyrkTInto's AVX2 row update, the AVX2
+// accumulate kernels) interleaves outputs but never reorders the terms
+// within an output. Inner products accumulate
 // left-to-right in feature order — exactly the order a scalar per-pair
 // kernel evaluation uses — so at float64 SyrkInto and GemmNTInto are
 // bit-identical to pairwise dot products, and at float32 each entry is the
@@ -208,38 +210,67 @@ func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 	return out
 }
 
-// PairwiseSquaredDistancesInto computes ‖xᵢ − xⱼ‖² for all row pairs via the
-// expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩, writing into dst (reallocated if nil
-// or mis-sized) and returning it. The row norms are summed separately in
-// float64 (RowSquaredNorms, the same order as SyrkInto's diagonal) and
-// each distance is rounded to T once. Cancellation residue is clamped at
-// zero and the diagonal is exactly zero; off-diagonal entries agree with
-// the direct Σ(xᵢ−yᵢ)² loop to rounding only (see the package determinism
-// contract).
+// PairwiseSquaredDistancesInto computes ‖xᵢ − xⱼ‖² for every row pair
+// i ≤ j via the expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩, writing the upper
+// triangle and the diagonal of dst (reallocated if nil or mis-sized) and
+// returning it; the strict lower triangle is left as it was, for the
+// caller to mirror after its own entrywise map (rbfGram does). The row
+// norms are summed separately in float64 (RowSquaredNorms, the same order
+// as SyrkInto's diagonal) and each distance is rounded to T once.
+// Cancellation residue is clamped at zero and the diagonal is exactly
+// zero; off-diagonal entries agree with the direct Σ(xᵢ−yᵢ)² loop to
+// rounding only (see the package determinism contract). Each row's
+// columns are register-tiled, four per sweep, with one float64 dot
+// accumulator each over ascending features.
 func PairwiseSquaredDistancesInto[T Float](dst, x *Dense[T]) *Dense[T] {
 	n, d := x.Rows, x.Cols
 	dst = Reshape(dst, n, n)
 	norms := RowSquaredNorms(nil, x)
-	xd, out := x.Data, dst.Data
+	xd := x.Data
 	for i := 0; i < n; i++ {
 		ri := xd[i*d : (i+1)*d]
-		out[i*n+i] = 0
-		for j := i + 1; j < n; j++ {
-			rj := xd[j*d : (j+1)*d]
-			dot := 0.0
+		ni := norms[i]
+		row := dst.Data[i*n : (i+1)*n]
+		row[i] = 0
+		j := i + 1
+		for ; j+4 <= n; j += 4 {
+			r0 := xd[j*d:][:len(ri)]
+			r1 := xd[(j+1)*d:][:len(ri)]
+			r2 := xd[(j+2)*d:][:len(ri)]
+			r3 := xd[(j+3)*d:][:len(ri)]
+			var s0, s1, s2, s3 float64
 			for k, v := range ri {
-				dot += float64(v) * float64(rj[k])
+				vk := float64(v)
+				s0 += vk * float64(r0[k])
+				s1 += vk * float64(r1[k])
+				s2 += vk * float64(r2[k])
+				s3 += vk * float64(r3[k])
 			}
-			v := norms[i] + norms[j] - 2*dot
-			if v < 0 {
-				v = 0
+			nj := norms[j : j+4 : j+4]
+			row[j] = squaredDistance[T](ni, nj[0], s0)
+			row[j+1] = squaredDistance[T](ni, nj[1], s1)
+			row[j+2] = squaredDistance[T](ni, nj[2], s2)
+			row[j+3] = squaredDistance[T](ni, nj[3], s3)
+		}
+		for ; j < n; j++ {
+			dot := 0.0
+			for k, v := range xd[j*d:][:len(ri)] {
+				dot += float64(ri[k]) * float64(v)
 			}
-			f := T(v)
-			out[i*n+j] = f
-			out[j*n+i] = f
+			row[j] = squaredDistance[T](ni, norms[j], dot)
 		}
 	}
 	return dst
+}
+
+// squaredDistance is the expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩, clamped at
+// zero and rounded to T.
+func squaredDistance[T Float](ni, nj, dot float64) T {
+	v := ni + nj - 2*dot
+	if v < 0 {
+		v = 0
+	}
+	return T(v)
 }
 
 // CrossSquaredDistancesInto computes ‖aᵢ − bⱼ‖² for all row pairs of two

@@ -17,16 +17,20 @@
 //
 // On amd64 hosts with AVX2 (detected once by CPUID and XGETBV in
 // simd_amd64.s), the float64 CholeskyInto, SyrkTInto, AccumulateScaled
-// and AccumulateProduct run on AVX2 micro-kernels. They keep every bit
-// under one rule: vectorize across independent outputs, never along a
-// reduction. Each lane replays one entry's scalar sequence — a float64
-// accumulator, ascending k, a multiply then a separate subtract or add
-// (never a fused multiply-add), one store. The Cholesky lanes hold four
-// columns of one row and read the finished columns from a transposed copy
-// kept in place, in the factor's own strict upper triangle, which is
-// cleared before CholeskyInto returns. The Go loops are the reference and
-// the fallback: they run at float32, off amd64, on hosts without AVX2, and
-// in builds with the purego tag.
+// and AccumulateProduct run on AVX2 micro-kernels. Where the same CPUID
+// pass also finds AVX512F (leaf 7 EBX bit 16) and XGETBV reports the
+// opmask and ZMM state saved (XCR0 bits 5–7), CholeskyInto takes its
+// column blocks eight at a time on AVX-512 kernels first and finishes the
+// last n mod 8 columns on the AVX2 block and the Go loop. Every tier keeps
+// every bit under one rule: vectorize across independent outputs, never
+// along a reduction. Each lane replays one entry's scalar sequence — a
+// float64 accumulator, ascending k, a multiply then a separate subtract or
+// add (never a fused multiply-add), one store. The Cholesky lanes hold
+// four or eight columns of one row and read the finished columns from a
+// transposed copy kept in place, in the factor's own strict upper
+// triangle, which is cleared before CholeskyInto returns. The Go loops are
+// the reference and the fallback: they run at float32, off amd64, on hosts
+// without AVX2, and in builds with the purego tag.
 package linalg
 
 import (
@@ -69,30 +73,12 @@ func (v Vector) Dot(w Vector) float64 {
 // Norm returns the Euclidean norm of v.
 func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// AddScaled sets v = v + a*w in place and returns v.
-func (v Vector) AddScaled(a float64, w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: AddScaled length mismatch %d vs %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
-	return v
-}
-
 // Scale multiplies v by a in place and returns v.
 func (v Vector) Scale(a float64) Vector {
 	for i := range v {
 		v[i] *= a
 	}
 	return v
-}
-
-// Sub returns v - w as a new vector.
-func (v Vector) Sub(w Vector) Vector {
-	out := v.Clone()
-	out.AddScaled(-1, w)
-	return out
 }
 
 // Float is the element type of the dense kernels: float64 is the exact
@@ -194,6 +180,8 @@ func (m *Dense[T]) MulVec(v []T) Vector {
 // cross-Gram rows times coefficients. Each entry accumulates the row dot
 // product left-to-right in float64 (the scores are float64 at every
 // storage width), bit-identical to MulVec and, at float64, to Vector.Dot.
+// Rows are register-tiled, four per sweep over v, one accumulator each, so
+// the four latency chains overlap.
 //
 //iotml:hotpath
 func MulVecInto[T Float](dst []float64, m *Dense[T], v []T) []float64 {
@@ -206,9 +194,25 @@ func MulVecInto[T Float](dst []float64, m *Dense[T], v []T) []float64 {
 	}
 	dst = dst[:m.Rows]
 	d := m.Cols
-	for i := range dst {
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := m.Data[i*d:][:len(v)]
+		r1 := m.Data[(i+1)*d:][:len(v)]
+		r2 := m.Data[(i+2)*d:][:len(v)]
+		r3 := m.Data[(i+3)*d:][:len(v)]
+		var s0, s1, s2, s3 float64
+		for k, x := range v {
+			vk := float64(x)
+			s0 += float64(r0[k]) * vk
+			s1 += float64(r1[k]) * vk
+			s2 += float64(r2[k]) * vk
+			s3 += float64(r3[k]) * vk
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
 		s := 0.0
-		for k, x := range m.Data[i*d : (i+1)*d] {
+		for k, x := range m.Data[i*d:][:len(v)] {
 			s += float64(x) * float64(v[k])
 		}
 		dst[i] = s
@@ -248,11 +252,11 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 // contents are unspecified after an error.
 //
 // At float64 on an AVX2 host (amd64, not built with the purego tag) the
-// factor is computed by choleskyLanes, four columns per sweep; everywhere
-// else by choleskyColumns, the Go column loop, which is also the reference
-// the lanes are tested against. Both interleave outputs but never reorder
-// the terms within an output, so every entry is the scalar column loop's,
-// bit for bit.
+// factor is computed by choleskyLanes, eight columns per sweep on an
+// AVX-512 host and four otherwise; everywhere else by choleskyColumns, the
+// Go column loop, which is also the reference the lanes are tested
+// against. Both interleave outputs but never reorder the terms within an
+// output, so every entry is the scalar column loop's, bit for bit.
 //
 //iotml:hotpath
 func CholeskyInto[T Float](l, a *Dense[T]) error {
@@ -332,48 +336,56 @@ func choleskyColumns[T Float](ld, ad []T, n, from int) error {
 	return nil
 }
 
-// choleskyLanes is the float64 factorization on the AVX2 kernels, for
-// n >= 4. Columns go in blocks j0..j0+3, and each block takes three steps:
+// choleskyLanes is the float64 factorization on the SIMD kernels, for
+// n >= 4. Columns go in blocks of w = 8 (AVX-512, while useAVX512 and
+// eight columns remain), then w = 4 (AVX2, while four remain), and each
+// block takes three steps:
 //
-//   - cholTileAVX2 sums the diagonal 4×4 tile over k < j0, four columns
-//     in the lanes of one register per row;
+//   - the tile kernel sums the diagonal w×w tile over k < j0, w columns in
+//     the lanes of one register per row;
 //   - the diagonal block is finished here in scalar: the terms
 //     k = j0..c-1 in ascending order, the pivot test and square root, the
 //     division;
-//   - cholPanelAVX2 does the same for every row below, four rows per
-//     sweep over k, then finishes each row's within-block terms and
-//     divisions in scalar, in the column loop's order.
+//   - the panel kernel does the same for every row below, several rows
+//     per sweep over k, then finishes each row's within-block terms and
+//     divisions in the column loop's order.
 //
-// The lane operand L[j0..j0+3][k] is a row of the transposed copy of the
-// finished columns, which the panel writes into the factor's own strict
-// upper triangle (ld[k*n+i] = L[i][k]) and which is cleared at the end, so
-// nothing is allocated. The last n mod 4 columns go through
-// choleskyColumns.
+// The lane operand L[j0..j0+w-1][k] is a row of the transposed copy of
+// the finished columns, which the diagonal step and the panels write into
+// the factor's own strict upper triangle (ld[k*n+i] = L[i][k]) and which
+// is cleared at the end, so nothing is allocated and the two widths mix
+// freely. The last n mod 4 columns go through choleskyColumns.
 func choleskyLanes(ld, ad []float64, n int) error {
 	tol := pivotTol[float64]()
 	j0 := 0
-	for ; j0+4 <= n; j0 += 4 {
-		cholTileAVX2(&ld[0], &ad[0], n, j0)
-		for c := j0; c < j0+4; c++ {
-			d := ld[c*n+c]
-			for _, v := range ld[c*n+j0 : c*n+c] {
-				d -= v * v
-			}
-			if d <= tol {
-				return ErrSingular
-			}
-			piv := math.Sqrt(d)
-			ld[c*n+c] = piv
-			for i := c + 1; i < j0+4; i++ {
-				s := ld[i*n+c]
-				for k := j0; k < c; k++ {
-					s -= ld[i*n+k] * ld[c*n+k]
-				}
-				ld[i*n+c] = s / piv
-			}
+	for _, t := range laneTiers {
+		if t.w == 8 && !useAVX512 {
+			continue
 		}
-		if j0+4 < n {
-			cholPanelAVX2(&ld[0], &ad[0], n, j0)
+		for ; j0+t.w <= n; j0 += t.w {
+			t.tile(&ld[0], &ad[0], n, j0)
+			for c := j0; c < j0+t.w; c++ {
+				d := ld[c*n+c]
+				for _, v := range ld[c*n+j0 : c*n+c] {
+					d -= v * v
+				}
+				if d <= tol {
+					return ErrSingular
+				}
+				piv := math.Sqrt(d)
+				ld[c*n+c] = piv
+				for i := c + 1; i < j0+t.w; i++ {
+					s := ld[i*n+c]
+					for k := j0; k < c; k++ {
+						s -= ld[i*n+k] * ld[c*n+k]
+					}
+					ld[i*n+c] = s / piv
+					ld[c*n+i] = ld[i*n+c]
+				}
+			}
+			if j0+t.w < n {
+				t.panel(&ld[0], &ad[0], n, j0)
+			}
 		}
 	}
 	if err := choleskyColumns(ld, ad, n, j0); err != nil {
@@ -383,6 +395,15 @@ func choleskyLanes(ld, ad []float64, n int) error {
 		clear(ld[k*n+k+1 : (k+1)*n])
 	}
 	return nil
+}
+
+// laneTiers are choleskyLanes' column-block kernels, widest first.
+var laneTiers = [...]struct {
+	w           int
+	tile, panel func(l, a *float64, n, j0 int)
+}{
+	{8, cholTileAVX512, cholPanelAVX512},
+	{4, cholTileAVX2, cholPanelAVX2},
 }
 
 // pivotTol is the Cholesky pivot tolerance at T's precision: 1e-14 for
@@ -398,10 +419,14 @@ func pivotTol[T Float]() float64 {
 
 // SolveCholeskyInto solves A x = b given the Cholesky factor L of A,
 // writing the solution into dst (reused when its capacity suffices,
-// reallocated otherwise) and returning it. Sums accumulate in float64 and
-// each solution entry is rounded to T once. The substitutions run in place
-// over one buffer in an order that never reads an overwritten entry, so the
-// result does not depend on dst's prior contents. dst must not alias b.
+// reallocated otherwise) and returning it. Sums accumulate in float64 over
+// ascending k and each solution entry is rounded to T once; the forward
+// substitution is register-tiled, four rows per sweep. The backward
+// substitution stays one entry at a time: x[i] reads L[k][i] down a column
+// and its first term needs x[i+1], the entry just finished. The
+// substitutions run in place over one buffer in an order that never reads
+// an overwritten entry, so the result does not depend on dst's prior
+// contents. dst must not alias b.
 //
 //iotml:hotpath
 func SolveCholeskyInto[T Float](dst []T, l *Dense[T], b []T) []T {
@@ -411,8 +436,41 @@ func SolveCholeskyInto[T Float](dst []T, l *Dense[T], b []T) []T {
 	}
 	dst = dst[:n]
 	ld := l.Data
-	// Forward substitution: dst holds y.
-	for i := 0; i < n; i++ {
+	// Forward substitution, dst holding y: four rows per sweep over the
+	// finished y[k], k < i, one float64 accumulator each, then the rows
+	// finish their within-tile terms in order.
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		y := dst[:i]
+		r0 := ld[i*n:][:len(y)]
+		r1 := ld[(i+1)*n:][:len(y)]
+		r2 := ld[(i+2)*n:][:len(y)]
+		r3 := ld[(i+3)*n:][:len(y)]
+		s0 := float64(b[i])
+		s1 := float64(b[i+1])
+		s2 := float64(b[i+2])
+		s3 := float64(b[i+3])
+		for k, v := range y {
+			yk := float64(v)
+			s0 -= float64(r0[k]) * yk
+			s1 -= float64(r1[k]) * yk
+			s2 -= float64(r2[k]) * yk
+			s3 -= float64(r3[k]) * yk
+		}
+		t := ld[i*n+i:]
+		y0 := float64(T(s0 / float64(t[0])))
+		s1 -= float64(t[n]) * y0
+		y1 := float64(T(s1 / float64(t[n+1])))
+		s2 -= float64(t[2*n]) * y0
+		s2 -= float64(t[2*n+1]) * y1
+		y2 := float64(T(s2 / float64(t[2*n+2])))
+		s3 -= float64(t[3*n]) * y0
+		s3 -= float64(t[3*n+1]) * y1
+		s3 -= float64(t[3*n+2]) * y2
+		dst[i], dst[i+1], dst[i+2] = T(y0), T(y1), T(y2)
+		dst[i+3] = T(s3 / float64(t[3*n+3]))
+	}
+	for ; i < n; i++ {
 		s := float64(b[i])
 		for k, v := range ld[i*n : i*n+i] {
 			s -= float64(v) * float64(dst[k])
@@ -429,57 +487,6 @@ func SolveCholeskyInto[T Float](dst []T, l *Dense[T], b []T) []T {
 		dst[i] = T(s / float64(ld[i*n+i]))
 	}
 	return dst
-}
-
-// Solve solves the square system A x = b by Gaussian elimination with
-// partial pivoting. A is not modified.
-func Solve(a *Matrix, b Vector) (Vector, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Solve on non-square %dx%d matrix", a.Rows, a.Cols)
-	}
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: Solve rhs length %d, want %d", len(b), a.Rows)
-	}
-	n := a.Rows
-	m := a.Clone()
-	x := b.Clone()
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv, best := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > best {
-				piv, best = r, v
-			}
-		}
-		if best < 1e-12 {
-			return nil, ErrSingular
-		}
-		if piv != col {
-			for j := 0; j < n; j++ {
-				m.Data[col*n+j], m.Data[piv*n+j] = m.Data[piv*n+j], m.Data[col*n+j]
-			}
-			x[col], x[piv] = x[piv], x[col]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Data[r*n+j] -= f * m.Data[col*n+j]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
 }
 
 // PowerIteration returns the dominant eigenvalue and unit eigenvector of a

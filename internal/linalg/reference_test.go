@@ -133,6 +133,30 @@ func refCholeskyInto[T Float](l, a *Dense[T]) error {
 	return nil
 }
 
+// refSolveCholeskyInto is SolveCholeskyInto's substitution loops as they
+// stood before the forward substitution was register-tiled, generic over
+// Float: the reference of the float32 solve (at float64 it is
+// refSolveCholesky's arithmetic).
+func refSolveCholeskyInto[T Float](l *Dense[T], b []T) []T {
+	n := l.Rows
+	x := make([]T, n)
+	for i := 0; i < n; i++ {
+		s := float64(b[i])
+		for k := 0; k < i; k++ {
+			s -= float64(l.Data[i*n+k]) * float64(x[k])
+		}
+		x[i] = T(s / float64(l.Data[i*n+i]))
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := float64(x[i])
+		for k := i + 1; k < n; k++ {
+			s -= float64(l.Data[k*n+i]) * float64(x[k])
+		}
+		x[i] = T(s / float64(l.Data[i*n+i]))
+	}
+	return x
+}
+
 // refSyrkT is SyrkTInto's row-streaming loop as it stood before the AVX2
 // row update, the reference of both dispatch paths.
 func refSyrkT(x *Matrix) *Matrix {
@@ -239,14 +263,37 @@ func TestSyrkIntoMatchesScalarReference(t *testing.T) {
 	}
 }
 
+// TestPairwiseSquaredDistancesIntoMatchesScalarReference checks the upper
+// triangle and diagonal against the per-pair reference bit for bit, at
+// both widths and at every column tail of the four-column tiles, and that
+// the strict lower triangle of a recycled destination is left untouched.
 func TestPairwiseSquaredDistancesIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, sh := range propertyShapes(rng) {
+	for _, sh := range tiledRowShapes(rng) {
 		x := randMatrix(sh[0], sh[1], rng)
-		sameBits64(t, "f64", PairwiseSquaredDistancesInto(nil, x).Data, refPairwiseSquaredDistances(x).Data)
+		n := sh[0]
+		want := upperWithLower(refPairwiseSquaredDistances(x).Data, n, staleEntry)
+		got := NewMatrix(n, n)
+		for i := range got.Data {
+			got.Data[i] = staleEntry
+		}
+		sameBits64(t, "f64", PairwiseSquaredDistancesInto(got, x).Data, want)
 		x32 := Convert[float32](nil, x)
-		sameBits32(t, "f32", PairwiseSquaredDistancesInto(nil, x32).Data, refPairwiseSquaredDistances(Convert[float64](nil, x32)).Data)
+		got32 := Convert[float32](nil, got)
+		want32 := upperWithLower(refPairwiseSquaredDistances(Convert[float64](nil, x32)).Data, n, staleEntry)
+		sameBits32(t, "f32", PairwiseSquaredDistancesInto(got32, x32).Data, want32)
 	}
+}
+
+// upperWithLower overwrites the strict lower triangle of the n×n matrix
+// data with v and returns data.
+func upperWithLower(data []float64, n int, v float64) []float64 {
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			data[i*n+j] = v
+		}
+	}
+	return data
 }
 
 func TestRowSquaredNormsMatchesScalarReference(t *testing.T) {
@@ -435,29 +482,30 @@ func TestGatherLowerIntoMatchesScalarReference(t *testing.T) {
 }
 
 // cholTileShapes are the orders the Cholesky property test adds to the
-// random shapes: every order below two 4-row groups, orders on either side
-// of larger multiples of four, and fold orders of the fit workloads (90,
-// 150, 450) with their neighbours, so both the Go loop's row groups and
-// the AVX2 path's column blocks meet every tail length 0–3 after full
-// blocks.
-var cholTileShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 90, 130, 150, 448, 449, 450, 451}
+// random shapes: every order below two 8-column blocks, orders on either
+// side of larger multiples of eight, and fold orders of the fit workloads
+// (90, 150, 450) with their neighbours, so both the Go loop's row groups
+// and the SIMD paths' column blocks meet every tail length after full
+// blocks: 0–3 after 4-column blocks, 0–7 after 8-column ones.
+var cholTileShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 63, 64, 65, 90, 130, 150, 448, 449, 450, 451, 452, 453, 454, 455, 456, 457}
 
 // forEachKernelPath runs f once per dispatch path of the float64 kernels:
-// through the AVX2 kernels (skipped when this host or build has none),
-// then through the Go loops, restoring the detected path afterwards.
+// through the AVX-512 and AVX2 kernels (each skipped when this host or
+// build lacks it), then through the Go loops, restoring the detected paths
+// afterwards.
 func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	detected := useAVX2
-	t.Cleanup(func() { useAVX2 = detected })
+	detected2, detected512 := useAVX2, useAVX512
+	t.Cleanup(func() { useAVX2, useAVX512 = detected2, detected512 })
 	for _, path := range []struct {
-		name string
-		avx2 bool
-	}{{"avx2", true}, {"go", false}} {
+		name         string
+		avx2, avx512 bool
+	}{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}} {
 		t.Run(path.name, func(t *testing.T) {
-			if path.avx2 && !detected {
-				t.Skip("no AVX2 kernels on this host or in this build")
+			if (path.avx2 && !detected2) || (path.avx512 && !detected512) {
+				t.Skipf("no %s kernels on this host or in this build", path.name)
 			}
-			useAVX2 = path.avx2
+			useAVX2, useAVX512 = path.avx2, path.avx512
 			f(t)
 		})
 	}
@@ -490,8 +538,8 @@ func testCholeskyIntoMatchesScalarReference(t *testing.T) {
 	}
 	// A zeroed diagonal entry makes pivot p the first to fail. Over every
 	// p of these orders the failing pivot lands at every offset of a 4-row
-	// group and of a 4-column block, after zero and after several full
-	// blocks, and in the scalar tail.
+	// group and of a 4- and an 8-column block, after zero and after several
+	// full blocks, and in the scalar tail.
 	for _, n := range []int{9, 17, 22, 90} {
 		for p := 0; p < n; p++ {
 			a := refSyrk(randMatrix(n, n, rng))
@@ -589,10 +637,22 @@ func (c *cholChecker) check(t *testing.T, what string, a *Matrix) error {
 	return wantErr
 }
 
+// tiledRowShapes adds to the random property shapes every row count up to
+// three 4-row sweeps, so the register-tiled loops meet every tail length
+// 0–3 after zero, one and two full sweeps.
+func tiledRowShapes(rng *rand.Rand) [][2]int {
+	shapes := propertyShapes(rng)
+	for n := 4; n <= 13; n++ {
+		shapes = append(shapes, [2]int{n, 1 + rng.Intn(12)})
+	}
+	return shapes
+}
+
 func TestSolveCholeskyIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var dst Vector
-	for _, sh := range propertyShapes(rng) {
+	var dst32 []float32
+	for _, sh := range tiledRowShapes(rng) {
 		n := sh[0]
 		a := refSyrk(randMatrix(n, n, rng))
 		for i := 0; i < n; i++ {
@@ -604,14 +664,26 @@ func TestSolveCholeskyIntoMatchesScalarReference(t *testing.T) {
 		}
 		b := Vector(randMatrix(1, n, rng).Data)
 		dst = SolveCholeskyInto(dst, l, b)
-		sameBits64(t, "solve", dst, refSolveCholesky(l, b))
+		sameBits64(t, fmt.Sprintf("n=%d f64", n), dst, refSolveCholesky(l, b))
+		// The float32 solve on the float32 factor of the same system.
+		l32 := NewDense[float32](0, 0)
+		if err := refCholeskyInto(l32, Convert[float32](nil, a)); err != nil {
+			t.Fatal(err)
+		}
+		b32 := Convert[float32](nil, &Matrix{Rows: 1, Cols: n, Data: b}).Data
+		dst32 = SolveCholeskyInto(dst32, l32, b32)
+		for i, v := range refSolveCholeskyInto(l32, b32) {
+			if math.Float32bits(dst32[i]) != math.Float32bits(v) {
+				t.Fatalf("n=%d f32: entry %d = %v, reference %v", n, i, dst32[i], v)
+			}
+		}
 	}
 }
 
 func TestMulVecIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var dst []float64
-	for _, sh := range propertyShapes(rng) {
+	for _, sh := range tiledRowShapes(rng) {
 		m := randMatrix(sh[0], sh[1], rng)
 		v := Vector(randMatrix(1, sh[1], rng).Data)
 		dst = MulVecInto(dst, m, v)
@@ -654,7 +726,7 @@ func TestSyrkTIntoMatchesScalarReference(t *testing.T) {
 
 // TestCholeskyAsmHasNoFusedOps keeps fused multiply-add out of the
 // package's assembly: a fused operation rounds once where the Go loops
-// round twice, so the AVX2 kernels would no longer match them bit for bit.
+// round twice, so the SIMD kernels would no longer match them bit for bit.
 // It also checks that every kernel the Go side dispatches to is defined in
 // the files it scans.
 func TestCholeskyAsmHasNoFusedOps(t *testing.T) {
@@ -665,7 +737,7 @@ func TestCholeskyAsmHasNoFusedOps(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no assembly files found in the package directory")
 	}
-	kernels := []string{"cholTileAVX2", "cholPanelAVX2", "syrkTRowAVX2", "accScaledAVX2", "accProductAVX2"}
+	kernels := []string{"cholTileAVX2", "cholPanelAVX2", "cholTileAVX512", "cholPanelAVX512", "syrkTRowAVX2", "accScaledAVX2", "accProductAVX2"}
 	defined := make([]bool, len(kernels))
 	for _, f := range files {
 		src, err := os.ReadFile(f)

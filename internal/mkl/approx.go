@@ -58,8 +58,8 @@ func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {
 // factor.
 func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 	n, r := f.Rows, f.Cols
-	e.d64.center = linalg.Reshape(e.d64.center, n, r)
-	copy(e.d64.center.Data, f.Data)
+	e.lrCentered = linalg.Reshape(e.lrCentered, n, r)
+	copy(e.lrCentered.Data, f.Data)
 	// Column-center in place: lrBeta doubles as the column-mean buffer.
 	if cap(e.lrBeta) < r {
 		e.lrBeta = linalg.NewVector(r)
@@ -69,7 +69,7 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 		mean[j] = 0
 	}
 	for i := 0; i < n; i++ {
-		row := e.d64.center.Data[i*r : (i+1)*r]
+		row := e.lrCentered.Data[i*r : (i+1)*r]
 		for j, v := range row {
 			mean[j] += v
 		}
@@ -78,19 +78,19 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 		mean[j] /= float64(n)
 	}
 	for i := 0; i < n; i++ {
-		row := e.d64.center.Data[i*r : (i+1)*r]
+		row := e.lrCentered.Data[i*r : (i+1)*r]
 		for j := range row {
 			row[j] -= mean[j]
 		}
 	}
 	// ⟨K̃, yyᵀ⟩ = ‖F̃ᵀy‖².
-	e.lrRhs = linalg.MulTVecInto(e.lrRhs, e.d64.center, e.labelVec())
+	e.lrRhs = linalg.MulTVecInto(e.lrRhs, e.lrCentered, e.labelVec())
 	kyy := 0.0
 	for _, v := range e.lrRhs {
 		kyy += v * v
 	}
 	// ‖K̃‖_F = ‖F̃ᵀF̃‖_F (same nonzero singular values, squared).
-	e.lrA = linalg.SyrkTInto(e.lrA, e.d64.center)
+	e.lrA = linalg.SyrkTInto(e.lrA, e.lrCentered)
 	kk := 0.0
 	for _, v := range e.lrA.Data {
 		kk += v * v
@@ -176,7 +176,9 @@ type SearchFunc func(e *Evaluator, seed partition.Partition) (*Result, error)
 // whole lattice cheaply, then re-scores only the top-K distinct candidates
 // (by approximate score, ties broken by first-evaluation order — canonical
 // at every worker count) on the exact evaluator, which decides the final
-// selection. The returned Result carries the exact scores and trace of the
+// selection. With a retaining exact block cache the re-score runs on the
+// exact evaluator's worker pool (or attached scorer), else one candidate
+// at a time. The returned Result carries the exact scores and trace of the
 // re-scoring phase; Evaluations sums both phases — the cost the budget
 // actually paid.
 //
@@ -206,16 +208,21 @@ func BudgetedSearch(approx, exact *Evaluator, seed partition.Partition, search S
 	if len(cands) > topK {
 		cands = cands[:topK]
 	}
-	start := exact.Calls()
-	res := &Result{Score: -1}
-	for _, st := range cands {
-		s, err := exact.Score(st.Partition)
-		if err != nil {
-			res.Evaluations = ares.Evaluations + exact.Calls() - start
-			return res, err
-		}
-		exact.observe(res, st.Partition, s)
+	// The survivors go through the exact evaluator's search core, observed
+	// in the sorted order: on its worker pool, which shares the retained
+	// blocks, or one at a time when the cache retains none, since each
+	// worker would then build a whole n×n Gram in buffers of its own.
+	parts := make([]partition.Partition, len(cands))
+	for i, st := range cands {
+		parts[i] = st.Partition
 	}
-	res.Evaluations = ares.Evaluations + exact.Calls() - start
-	return res, nil
+	r := exact.beginSearch()
+	r.seq = r.seq || !exact.gramCache.Retains()
+	res := &Result{Score: -1}
+	err = r.sweep(parts, true, func(i int, s float64) bool {
+		exact.observe(res, parts[i], s)
+		return true
+	})
+	res.Evaluations = ares.Evaluations + r.evaluations()
+	return res, err
 }

@@ -191,6 +191,7 @@ type Evaluator struct {
 	approxCache *kernel.ApproxGramCache
 	factorBuf   *linalg.Matrix
 	lrA         *linalg.Matrix
+	lrCentered  *linalg.Matrix
 	lrRhs       linalg.Vector
 	lrBeta      linalg.Vector
 	lrY         linalg.Vector
@@ -198,13 +199,13 @@ type Evaluator struct {
 }
 
 // dense is the worker-owned scratch of the full-Gram scoring body at
-// storage width T: the assembled Gram, the centering buffer, the CV fold
-// sub- and cross-Gram gathers, the block-assembly scratch, and the ridge
+// storage width T: the assembled Gram, the CV fold sub- and cross-Gram
+// gathers, the block-assembly scratch, and the ridge
 // factor/solve buffers.
 type dense[T linalg.Float] struct {
-	gram, center, sub, cross *linalg.Dense[T]
-	asm                      kernel.BlockScratch[*linalg.Dense[T]]
-	ridge                    kernelmachine.RidgeScratch[T]
+	gram, sub, cross *linalg.Dense[T]
+	asm              kernel.BlockScratch[*linalg.Dense[T]]
+	ridge            kernelmachine.RidgeScratch[T]
 }
 
 // foldData bundles the precomputed CV split with the per-fold label slices
@@ -317,10 +318,6 @@ func (e *Evaluator) DeploymentGram(p partition.Partition) *linalg.Matrix {
 // computed (cache hits excluded) — the true computational cost.
 func (e *Evaluator) Evaluations() int { return e.evals }
 
-// Calls returns the number of Score invocations including cache hits —
-// the number of lattice points a search visited.
-func (e *Evaluator) Calls() int { return e.calls }
-
 // ClearScoreCache drops every memoized partition score (counters, the
 // Gram-block cache, and all scratch buffers persist). Long-lived evaluators
 // re-scoring after label updates — and the BenchmarkScore_* suite, which
@@ -394,13 +391,8 @@ func (s *dense[T]) assemble(c *kernel.DenseGramCache[T], p partition.Partition, 
 func (s *dense[T]) score(e *Evaluator, gram *linalg.Dense[T]) (float64, error) {
 	switch e.cfg.Objective {
 	case KernelAlignment:
-		// Center into the worker-owned scratch instead of cloning the Gram
-		// per candidate (centering mutates, and gram may be a shared cache
-		// buffer). Same values, same arithmetic, no allocation.
-		s.center = linalg.Reshape(s.center, gram.Rows, gram.Cols)
-		copy(s.center.Data, gram.Data)
-		kernel.Center(s.center)
-		return kernel.Alignment(s.center, e.data.Y), nil
+		// Read-only: gram may be a shared cache buffer.
+		return kernel.CenteredAlignment(gram, e.data.Y), nil
 	default:
 		if r, ok := e.cfg.Trainer.(kernelmachine.Ridge); ok {
 			return s.cvRidge(e, gram, r)

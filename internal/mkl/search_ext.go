@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/parsearch"
 	"repro/internal/partition"
 )
@@ -109,11 +108,8 @@ func (r *searchRun) alignments(feats []int) ([]float64, error) {
 
 // singletonAlignment returns the centered kernel-target alignment of the
 // single-feature kernel for 1-based feature f. The singleton block Gram
-// comes from the evaluator's exact block cache. A retained block is shared
-// read-only, so it is centered as a copy in the evaluator's full-Gram
-// scratch, which the next candidate's assembly overwrites anyway; a cache
-// that retains nothing (always, outside Float64) hands over a fresh block,
-// centered in place.
+// comes from the evaluator's exact block cache and is only read, so a
+// retained block is shared as it is.
 func singletonAlignment(e *Evaluator, f int) float64 {
 	if e.approxCache != nil {
 		// Approximate modes rank features on their cached singleton block
@@ -124,11 +120,5 @@ func singletonAlignment(e *Evaluator, f int) float64 {
 		}
 	}
 	g, _ := e.gramCache.Block([]int{f - 1}) // exact builds never fail
-	if e.gramCache.Retains() {
-		e.d64.gram = linalg.Reshape(e.d64.gram, g.Rows, g.Cols)
-		copy(e.d64.gram.Data, g.Data)
-		g = e.d64.gram
-	}
-	kernel.Center(g)
-	return kernel.Alignment(g, e.data.Y)
+	return kernel.CenteredAlignment(g, e.data.Y)
 }
