@@ -140,7 +140,7 @@ func polynomialGram[T linalg.Float](p Polynomial, dst, x *linalg.Dense[T]) {
 // contiguous, so it goes through expScaled four entries at a time before
 // it is mirrored below the diagonal.
 func rbfGram[T linalg.Float](r RBF, dst, x *linalg.Dense[T]) {
-	linalg.PairwiseSquaredDistancesInto(dst, x)
+	linalg.PairwiseSquaredDistancesUpperInto(dst, x)
 	n, d := x.Rows, dst.Data
 	d64, wide := any(d).([]float64)
 	for i := 0; i < n; i++ {

@@ -274,63 +274,15 @@ func CrossGramPairwise(k Kernel, a, b [][]float64) *linalg.Matrix {
 	return g
 }
 
-// Center applies the feature-space centering transform
-// K' = K - 1K/n - K1/n + 1K1/n² in place, with the row means and total
-// accumulated in float64 and each entry rounded to T once.
-func Center[T linalg.Float](g *linalg.Dense[T]) {
-	n := g.Rows
-	if n == 0 {
-		return
-	}
-	rowMean := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for _, v := range g.Data[i*n : (i+1)*n] {
-			s += float64(v)
-		}
-		rowMean[i] = s / float64(n)
-		total += s
-	}
-	total /= float64(n * n)
-	for i := 0; i < n; i++ {
-		row := g.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			row[j] = T(float64(v) - rowMean[i] - rowMean[j] + total)
-		}
-	}
-}
-
-// Alignment returns the centered kernel-target alignment between the Gram
-// matrix and the label vector y ∈ {-1,+1}: <K, yyᵀ>_F / (||K||_F · ||yyᵀ||_F),
-// accumulated in float64 at either storage width. Higher alignment
-// predicts better kernel quality at negligible cost — used as the cheap
-// objective in lattice search ablations.
-func Alignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
-	n := g.Rows
-	if n == 0 || len(y) != n {
-		return 0
-	}
-	var kyy, kk float64
-	for i := 0; i < n; i++ {
-		for j, f := range g.Data[i*n : (i+1)*n] {
-			v := float64(f)
-			kyy += v * float64(y[i]*y[j])
-			kk += v * v
-		}
-	}
-	yy := float64(n) // ||yyᵀ||_F = n for ±1 labels
-	if kk <= 0 {
-		return 0
-	}
-	return kyy / (math.Sqrt(kk) * yy)
-}
-
-// CenteredAlignment returns the centered kernel-target alignment of g —
-// Alignment of the Center-ed matrix, bit for bit at either width — without
-// writing g: one pass takes the row sums as Center does, a second rebuilds
-// each centered entry, rounded to T as Center stores it, and accumulates it
-// as Alignment does. g may be a shared, read-only cache block.
+// CenteredAlignment returns the centered kernel-target alignment between
+// the Gram matrix g and the label vector y ∈ {-1,+1}:
+// <K', yyᵀ>_F / (||K'||_F · ||yyᵀ||_F), where K' = K - 1K/n - K1/n + 1K1/n²
+// is the feature-space centering of K. Higher alignment predicts better
+// kernel quality at negligible cost — the cheap objective of the lattice
+// search. g is only read, so it may be a shared cache block: one pass
+// takes the row means and the total in float64, a second rebuilds each
+// centered entry, rounded to T once as a stored centered Gram would hold
+// it, and accumulates both sums in float64 at either storage width.
 func CenteredAlignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
 	n := g.Rows
 	if n == 0 || len(y) != n {

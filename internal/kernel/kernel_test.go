@@ -153,6 +153,8 @@ func TestCrossGram(t *testing.T) {
 	}
 }
 
+// TestCenter checks the centering oracle that CenteredAlignment is pinned
+// to: the rows of a centered Gram sum to zero.
 func TestCenter(t *testing.T) {
 	rng := stats.NewRNG(2)
 	x := make([][]float64, 8)
@@ -160,7 +162,7 @@ func TestCenter(t *testing.T) {
 		x[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 	}
 	g := Gram(Linear{}, x)
-	Center(g)
+	refCenter(g)
 	// Row sums of a centered Gram matrix vanish.
 	for i := 0; i < g.Rows; i++ {
 		s := 0.0
@@ -191,8 +193,8 @@ func TestAlignmentDiscriminates(t *testing.T) {
 	}
 	gSig := Gram(Subspace{Base: Linear{}, Features: []int{0}}, x)
 	gNoise := Gram(Subspace{Base: Linear{}, Features: []int{1}}, x)
-	aSig := Alignment(gSig, y)
-	aNoise := Alignment(gNoise, y)
+	aSig := CenteredAlignment(gSig, y)
+	aNoise := CenteredAlignment(gNoise, y)
 	if aSig <= aNoise {
 		t.Errorf("alignment: signal %v <= noise %v", aSig, aNoise)
 	}
@@ -202,11 +204,11 @@ func TestAlignmentDiscriminates(t *testing.T) {
 }
 
 func TestAlignmentDegenerate(t *testing.T) {
-	if Alignment(linalg.NewMatrix(0, 0), nil) != 0 {
+	if CenteredAlignment(linalg.NewMatrix(0, 0), nil) != 0 {
 		t.Error("empty alignment should be 0")
 	}
 	z := linalg.NewMatrix(2, 2)
-	if Alignment(z, []int{1, -1}) != 0 {
+	if CenteredAlignment(z, []int{1, -1}) != 0 {
 		t.Error("zero kernel alignment should be 0")
 	}
 }

@@ -132,7 +132,7 @@ func refGramInto(dst, x *linalg.Matrix, k Kernel) bool {
 			}
 		}
 	case RBF:
-		linalg.PairwiseSquaredDistancesInto(dst, x)
+		linalg.PairwiseSquaredDistancesUpperInto(dst, x)
 		for i := 0; i < n; i++ {
 			dst.Data[i*n+i] = 1
 			for j := i + 1; j < n; j++ {
@@ -326,8 +326,60 @@ func TestBoundCrossGramMatchesScalarReference(t *testing.T) {
 	}
 }
 
+// refCenter applies the feature-space centering transform
+// K' = K - 1K/n - K1/n + 1K1/n² in place, with the row means and total
+// accumulated in float64 and each entry rounded to T once: the first half
+// of the two-step alignment that CenteredAlignment fuses.
+func refCenter[T linalg.Float](g *linalg.Dense[T]) {
+	n := g.Rows
+	if n == 0 {
+		return
+	}
+	rowMean := make([]float64, n)
+	total := 0.0
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for _, v := range g.Data[i*n : (i+1)*n] {
+			s += float64(v)
+		}
+		rowMean[i] = s / float64(n)
+		total += s
+	}
+	total /= float64(n * n)
+	for i := 0; i < n; i++ {
+		row := g.Data[i*n : (i+1)*n]
+		for j, v := range row {
+			row[j] = T(float64(v) - rowMean[i] - rowMean[j] + total)
+		}
+	}
+}
+
+// refAlignment is <K, yyᵀ>_F / (||K||_F · ||yyᵀ||_F) of an already
+// centered Gram, accumulated in float64 row by row: the second half of the
+// two-step alignment.
+func refAlignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
+	n := g.Rows
+	if n == 0 || len(y) != n {
+		return 0
+	}
+	var kyy, kk float64
+	for i := 0; i < n; i++ {
+		for j, f := range g.Data[i*n : (i+1)*n] {
+			v := float64(f)
+			kyy += v * float64(y[i]*y[j])
+			kk += v * v
+		}
+	}
+	yy := float64(n) // ||yyᵀ||_F = n for ±1 labels
+	if kk <= 0 {
+		return 0
+	}
+	return kyy / (math.Sqrt(kk) * yy)
+}
+
 // TestCenteredAlignmentMatchesScalarReference pins the fused read-only
-// objective to the two-step reference — Center on a copy, then Alignment —
+// objective to the two-step reference — refCenter on a copy, then
+// refAlignment —
 // bit for bit at both widths, on symmetric Grams and on arbitrary square
 // matrices (rowMean[j] stands in for the column mean only by symmetry),
 // and checks that the input is left untouched.
@@ -360,11 +412,11 @@ func checkCenteredAlignment[T linalg.Float](t *testing.T, n int, g *linalg.Dense
 	t.Helper()
 	before := g.Clone()
 	c := g.Clone()
-	Center(c)
-	want := Alignment(c, y)
+	refCenter(c)
+	want := refAlignment(c, y)
 	got := CenteredAlignment(g, y)
 	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("n=%d %T: CenteredAlignment = %v, Center+Alignment = %v", n, g.Data, got, want)
+		t.Errorf("n=%d %T: CenteredAlignment = %v, refCenter+refAlignment = %v", n, g.Data, got, want)
 	}
 	for i, v := range g.Data {
 		if math.Float64bits(float64(v)) != math.Float64bits(float64(before.Data[i])) {

@@ -7,7 +7,7 @@
 //
 // The kernels shared by both storage widths — Reshape, GatherInto,
 // GatherLowerInto, AccumulateScaled, AccumulateProduct, MirrorUpper,
-// SyrkInto, RowSquaredNorms, PairwiseSquaredDistancesInto, FromRowsCols,
+// SyrkInto, RowSquaredNorms, PairwiseSquaredDistancesUpperInto, FromRowsCols,
 // and (in linalg.go) CholeskyInto, SolveCholeskyInto and MulVecInto — are
 // written once, generic over Float: the float64 instantiation is the exact
 // reference, the float32 instantiation the f32 backend's arithmetic.
@@ -16,14 +16,14 @@
 // and each result is rounded to the storage type once, at its store.
 // A register-tiled or lane-parallel kernel (CholeskyInto on either SIMD
 // tier, SolveCholeskyInto's forward substitution, MulVecInto,
-// PairwiseSquaredDistancesInto, SyrkTInto's AVX2 row update, the AVX2
+// PairwiseSquaredDistancesUpperInto, SyrkTInto's AVX2 row update, the AVX2
 // accumulate kernels) interleaves outputs but never reorders the terms
 // within an output. Inner products accumulate
 // left-to-right in feature order — exactly the order a scalar per-pair
 // kernel evaluation uses — so at float64 SyrkInto and GemmNTInto are
 // bit-identical to pairwise dot products, and at float32 each entry is the
 // correctly rounded float64 result. The distance
-// expansion in PairwiseSquaredDistancesInto reorders floating-point
+// expansion in PairwiseSquaredDistancesUpperInto reorders floating-point
 // operations relative to a direct Σ(xᵢ−yᵢ)² loop and is therefore only
 // accurate to rounding (callers that need the exact scalar result must use
 // the pairwise path).
@@ -210,11 +210,12 @@ func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 	return out
 }
 
-// PairwiseSquaredDistancesInto computes ‖xᵢ − xⱼ‖² for every row pair
+// PairwiseSquaredDistancesUpperInto computes ‖xᵢ − xⱼ‖² for every row pair
 // i ≤ j via the expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩, writing the upper
 // triangle and the diagonal of dst (reallocated if nil or mis-sized) and
-// returning it; the strict lower triangle is left as it was, for the
-// caller to mirror after its own entrywise map (rbfGram does). The row
+// returning it. The strict lower triangle is not written — it keeps
+// whatever dst held, zeros for a fresh matrix — so the caller must mirror
+// it after its own entrywise map, as rbfGram does. The row
 // norms are summed separately in float64 (RowSquaredNorms, the same order
 // as SyrkInto's diagonal) and each distance is rounded to T once.
 // Cancellation residue is clamped at zero and the diagonal is exactly
@@ -222,7 +223,7 @@ func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 // rounding only (see the package determinism contract). Each row's
 // columns are register-tiled, four per sweep, with one float64 dot
 // accumulator each over ascending features.
-func PairwiseSquaredDistancesInto[T Float](dst, x *Dense[T]) *Dense[T] {
+func PairwiseSquaredDistancesUpperInto[T Float](dst, x *Dense[T]) *Dense[T] {
 	n, d := x.Rows, x.Cols
 	dst = Reshape(dst, n, n)
 	norms := RowSquaredNorms(nil, x)
@@ -274,7 +275,7 @@ func squaredDistance[T Float](ni, nj, dot float64) T {
 }
 
 // CrossSquaredDistancesInto computes ‖aᵢ − bⱼ‖² for all row pairs of two
-// matrices via the same expansion as PairwiseSquaredDistancesInto, writing
+// matrices via the same expansion as PairwiseSquaredDistancesUpperInto, writing
 // into dst (reallocated if nil or mis-sized) and returning it. na and nb
 // are the row norms of a and b as RowSquaredNorms computes them, so a
 // caller with fixed rows norms them once instead of per call.

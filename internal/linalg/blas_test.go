@@ -90,7 +90,7 @@ func TestPairwiseSquaredDistancesInto(t *testing.T) {
 	for i := range d.Data {
 		d.Data[i] = -3
 	}
-	d = PairwiseSquaredDistancesInto(d, x)
+	d = PairwiseSquaredDistancesUpperInto(d, x)
 	for i := 0; i < x.Rows; i++ {
 		if d.At(i, i) != 0 {
 			t.Errorf("diagonal (%d,%d) = %v, want exactly 0", i, i, d.At(i, i))
@@ -123,7 +123,7 @@ func TestPairwiseSquaredDistancesClampsCancellation(t *testing.T) {
 		{1e8, 1e8, 1e8},
 		{1e8, 1e8, 1e8 + 1e-4},
 	})
-	d := PairwiseSquaredDistancesInto(nil, x)
+	d := PairwiseSquaredDistancesUpperInto(nil, x)
 	if d.At(0, 1) < 0 {
 		t.Errorf("distance %v < 0 after clamp", d.At(0, 1))
 	}

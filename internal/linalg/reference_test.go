@@ -277,11 +277,11 @@ func TestPairwiseSquaredDistancesIntoMatchesScalarReference(t *testing.T) {
 		for i := range got.Data {
 			got.Data[i] = staleEntry
 		}
-		sameBits64(t, "f64", PairwiseSquaredDistancesInto(got, x).Data, want)
+		sameBits64(t, "f64", PairwiseSquaredDistancesUpperInto(got, x).Data, want)
 		x32 := Convert[float32](nil, x)
 		got32 := Convert[float32](nil, got)
 		want32 := upperWithLower(refPairwiseSquaredDistances(Convert[float64](nil, x32)).Data, n, staleEntry)
-		sameBits32(t, "f32", PairwiseSquaredDistancesInto(got32, x32).Data, want32)
+		sameBits32(t, "f32", PairwiseSquaredDistancesUpperInto(got32, x32).Data, want32)
 	}
 }
 

@@ -98,7 +98,7 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 	if kk == 0 {
 		return 0
 	}
-	// Mirrors kernel.Alignment: ⟨K̃,yyᵀ⟩ / (‖K̃‖_F · ‖yyᵀ‖_F) with
+	// Mirrors kernel.CenteredAlignment: ⟨K̃,yyᵀ⟩ / (‖K̃‖_F · ‖yyᵀ‖_F) with
 	// ‖yyᵀ‖_F = n for ±1 labels.
 	return kyy / (math.Sqrt(kk) * float64(n))
 }
@@ -176,9 +176,7 @@ type SearchFunc func(e *Evaluator, seed partition.Partition) (*Result, error)
 // whole lattice cheaply, then re-scores only the top-K distinct candidates
 // (by approximate score, ties broken by first-evaluation order — canonical
 // at every worker count) on the exact evaluator, which decides the final
-// selection. With a retaining exact block cache the re-score runs on the
-// exact evaluator's worker pool (or attached scorer), else one candidate
-// at a time. The returned Result carries the exact scores and trace of the
+// selection. The returned Result carries the exact scores and trace of the
 // re-scoring phase; Evaluations sums both phases — the cost the budget
 // actually paid.
 //
@@ -208,21 +206,16 @@ func BudgetedSearch(approx, exact *Evaluator, seed partition.Partition, search S
 	if len(cands) > topK {
 		cands = cands[:topK]
 	}
-	// The survivors go through the exact evaluator's search core, observed
-	// in the sorted order: on its worker pool, which shares the retained
-	// blocks, or one at a time when the cache retains none, since each
-	// worker would then build a whole n×n Gram in buffers of its own.
-	parts := make([]partition.Partition, len(cands))
-	for i, st := range cands {
-		parts[i] = st.Partition
-	}
-	r := exact.beginSearch()
-	r.seq = r.seq || !exact.gramCache.Retains()
+	start := exact.Calls()
 	res := &Result{Score: -1}
-	err = r.sweep(parts, true, func(i int, s float64) bool {
-		exact.observe(res, parts[i], s)
-		return true
-	})
-	res.Evaluations = ares.Evaluations + r.evaluations()
-	return res, err
+	for _, st := range cands {
+		s, err := exact.Score(st.Partition)
+		if err != nil {
+			res.Evaluations = ares.Evaluations + exact.Calls() - start
+			return res, err
+		}
+		exact.observe(res, st.Partition, s)
+	}
+	res.Evaluations = ares.Evaluations + exact.Calls() - start
+	return res, nil
 }

@@ -142,51 +142,6 @@ func TestBudgetedSearchAgreesWithExact(t *testing.T) {
 	}
 }
 
-// TestBudgetedRescorePathsAgree runs the top-K exact re-score on a
-// one-worker evaluator (the sequential path), on a three-worker pool, and
-// on a cache that retains no blocks (the one-at-a-time loop): the exact
-// trace, selection, score and evaluation count must be identical.
-func TestBudgetedRescorePathsAgree(t *testing.T) {
-	d := smallFacetData(60, 9)
-	seedPart, err := TwoBlockSeed(d.D(), []int{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want *Result
-	for _, cfg := range []Config{
-		{Seed: 3, Parallelism: 1},
-		{Seed: 3, Parallelism: 3},
-		{Seed: 3, Parallelism: 3, GramCacheBlocks: -1},
-	} {
-		approxEval, err := NewEvaluator(d, Config{Seed: 3, Backend: engine.Nystrom(32)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactEval, err := NewEvaluator(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BudgetedSearch(approxEval, exactEval, seedPart, func(e *Evaluator, s partition.Partition) (*Result, error) {
-			return ExhaustiveCone(e, s)
-		}, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		if !got.Best.Equal(want.Best) || got.Score != want.Score || got.Evaluations != want.Evaluations || len(got.Trace) != len(want.Trace) {
-			t.Fatalf("%+v: best %v score %v evaluations %d trace %d, want %v %v %d %d", cfg, got.Best, got.Score, got.Evaluations, len(got.Trace), want.Best, want.Score, want.Evaluations, len(want.Trace))
-		}
-		for i, st := range got.Trace {
-			if !st.Partition.Equal(want.Trace[i].Partition) || st.Score != want.Trace[i].Score {
-				t.Fatalf("%+v: trace[%d] = %v %v, want %v %v", cfg, i, st.Partition, st.Score, want.Trace[i].Partition, want.Trace[i].Score)
-			}
-		}
-	}
-}
-
 // Incompatible configurations must fail construction loudly.
 func TestApproxConfigValidation(t *testing.T) {
 	d := smallFacetData(20, 1)

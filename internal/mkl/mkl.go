@@ -318,6 +318,10 @@ func (e *Evaluator) DeploymentGram(p partition.Partition) *linalg.Matrix {
 // computed (cache hits excluded) — the true computational cost.
 func (e *Evaluator) Evaluations() int { return e.evals }
 
+// Calls returns the number of Score invocations including cache hits —
+// the number of lattice points a search visited.
+func (e *Evaluator) Calls() int { return e.calls }
+
 // ClearScoreCache drops every memoized partition score (counters, the
 // Gram-block cache, and all scratch buffers persist). Long-lived evaluators
 // re-scoring after label updates — and the BenchmarkScore_* suite, which
