@@ -111,13 +111,14 @@ contracts:
 	$(CONTRACT) 'TestSpecBackendSpellings' ./internal/distsearch
 	$(CONTRACT) 'TestFitDistributedBudgetedMatchesLocal' ./internal/core
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
-	$(CONTRACT) 'MatchesScalarReference' ./internal/linalg
-	$(CONTRACT) 'MatchesScalarReference|TestExpLanesMatchesMathExp|TestExpLanesFollowMathExpBranch|TestExpAsmFusedOpsArePinned' ./internal/kernel
+	$(CONTRACT) 'MatchesScalarReference|TestExpLanesMatchesMathExp|TestExpLanesFollowMathExpBranch|TestAsmAudit' ./internal/linalg
+	$(CONTRACT) 'MatchesScalarReference' ./internal/kernel
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
-# fallback keeps the Go loops behind linalg's AVX2 kernels and the scalar
-# math.Exp behind kernel's packed exp compiled and tested: the purego tag
-# runs them on this host, and an arm64 vet checks the build without
+# fallback keeps the Go loops and the scalar math.Exp behind linalg's SIMD
+# kernels compiled and tested: the purego tag runs them on this host, in
+# linalg's own tests and in kernel's RBF tests (which run whichever exp
+# path the build dispatches to), and an arm64 vet checks the build without
 # assembly (the amd64 vet in `vet` runs asmdecl over the .s frame
 # declarations). Mirrors the CI test job's fallback step.
 fallback:

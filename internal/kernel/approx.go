@@ -152,18 +152,9 @@ func nystromFactor(base Kernel, xb *linalg.Matrix, rank int, rng *rand.Rand) (*l
 		fast = blockGramInto(w, base, xl)
 	}
 	if !fast {
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				cm.Set(i, j, base.Eval(xb.Row(i), xl.Row(j)))
-			}
-		}
-		for i := 0; i < m; i++ {
-			for j := i; j < m; j++ {
-				v := base.Eval(xl.Row(i), xl.Row(j))
-				w.Set(i, j, v)
-				w.Set(j, i, v)
-			}
-		}
+		lr := matrixRows(xl)
+		cm = CrossGramPairwise(base, matrixRows(xb), lr)
+		pairwiseGramInto(w, base, lr)
 	}
 	var f *linalg.Matrix
 	var err error
@@ -174,6 +165,16 @@ func nystromFactor(base Kernel, xb *linalg.Matrix, rank int, rng *rand.Rand) (*l
 		}
 	}
 	return nil, fmt.Errorf("kernel: nystrom landmark Gram stayed singular up to jitter %g: %w", nystromJitterMax, err)
+}
+
+// matrixRows returns the rows of m as slices over its storage, the shape
+// the pairwise Gram loops take.
+func matrixRows(m *linalg.Matrix) [][]float64 {
+	rows := make([][]float64, m.Rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
+	}
+	return rows
 }
 
 // FactorForPartitionScratch assembles F = [√w·F_1 … √w·F_k] (n×Σr_b, with

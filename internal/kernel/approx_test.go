@@ -87,6 +87,30 @@ func TestApproxRFFNonRBFFallsBackToNystrom(t *testing.T) {
 	}
 }
 
+// A base kernel without a block formula takes nystromFactor's pairwise
+// route. Linear's block path (SyrkInto, GemmNTInto) equals its pairwise
+// Eval bit for bit, so an Eval-only Linear must give Linear's factor bit
+// for bit, landmarks and all.
+func TestApproxNystromPairwiseMatchesBlockPath(t *testing.T) {
+	x := randomRows(23, 5, 25)
+	evalOnly := func([]int) Kernel { return hideBlock{Linear{}} }
+	for _, feats := range [][]int{{0, 1}, {1, 3, 4}, {0, 1, 2, 3, 4}} {
+		want, err := NewApproxGramCache(x, LinearFactory(), ApproxNystrom, 6, 1, 0).Block(feats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewApproxGramCache(x, evalOnly, ApproxNystrom, 6, 1, 0).Block(feats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("features %v entry %d: pairwise factor %v, block factor %v", feats, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 // CombineProduct has no low-rank structure and must be rejected loudly.
 func TestApproxRejectsProductCombiner(t *testing.T) {
 	x := randomRows(8, 3, 24)

@@ -136,26 +136,17 @@ func polynomialGram[T linalg.Float](p Polynomial, dst, x *linalg.Dense[T]) {
 }
 
 // rbfGram is exp(−γ·dist²) over the pairwise squared-distance expansion,
-// with an exact unit diagonal. At float64 each row's upper segment is
-// contiguous, so it goes through expScaled four entries at a time before
-// it is mirrored below the diagonal.
+// with an exact unit diagonal. Each row's upper segment is contiguous, so
+// it goes through linalg.ExpScaled before it is mirrored below the
+// diagonal.
 func rbfGram[T linalg.Float](r RBF, dst, x *linalg.Dense[T]) {
 	linalg.PairwiseSquaredDistancesUpperInto(dst, x)
 	n, d := x.Rows, dst.Data
-	d64, wide := any(d).([]float64)
 	for i := 0; i < n; i++ {
 		d[i*n+i] = 1
-		if wide {
-			expScaled(d64[i*n+i+1:(i+1)*n], -r.Gamma)
-			for j := i + 1; j < n; j++ {
-				d[j*n+i] = d[i*n+j]
-			}
-			continue
-		}
+		linalg.ExpScaled(d[i*n+i+1:(i+1)*n], -r.Gamma)
 		for j := i + 1; j < n; j++ {
-			v := T(math.Exp(-r.Gamma * float64(d[i*n+j])))
-			d[i*n+j] = v
-			d[j*n+i] = v
+			d[j*n+i] = d[i*n+j]
 		}
 	}
 }
@@ -237,7 +228,7 @@ func (br *boundRBF) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 	top := sc.top
 	na := linalg.RowSquaredNorms(sc.take(1, a.Rows).Data, a)
 	linalg.CrossSquaredDistancesInto(dst, a, br.b, na, br.nb)
-	expScaled(dst.Data, -br.gamma)
+	linalg.ExpScaled(dst.Data, -br.gamma)
 	sc.top = top
 }
 

@@ -275,38 +275,36 @@ func TestGramDispatchMatchesFromPartitionConfigurations(t *testing.T) {
 // TestBlockGramSymmetricBitwise pins the precondition of upper-triangle
 // assembly (GramForPartitionScratch accumulates only the upper triangle
 // and mirrors it): every block formula — SyrkInto, polynomialGram,
-// rbfGram on both exp paths, normalizedGram — and the pairwise path store
-// a bitwise-symmetric block, at both storage widths.
+// rbfGram, normalizedGram — and the pairwise path store a
+// bitwise-symmetric block, at both storage widths.
 func TestBlockGramSymmetricBitwise(t *testing.T) {
-	forEachExpPath(t, func(t *testing.T) {
-		kernels := []Kernel{
-			Linear{},
-			Polynomial{Degree: 3, Gamma: 0.5, Coef0: 1},
-			RBF{Gamma: 0.7},
-			Normalized{Base: RBF{Gamma: 0.3}},
-			Normalized{Base: Polynomial{Degree: 2, Gamma: 1, Coef0: 0}},
-		}
-		for _, n := range []int{1, 2, 5, 17, 64, 65} {
-			x := testRows(n, 3, int64(n))
-			xb := linalg.FromRows(x)
-			xb32 := linalg.FromRowsCols[float32](x, []int{0, 1, 2})
-			for _, k := range kernels {
-				g := linalg.NewMatrix(n, n)
-				if !blockGramInto(g, k, xb) {
-					t.Fatalf("%v: no block formula", k)
-				}
-				checkSymmetric(t, fmt.Sprintf("%v n=%d f64", k, n), g)
-				g32 := linalg.NewDense[float32](n, n)
-				if !blockGramInto(g32, k, xb32) {
-					t.Fatalf("%v: no f32 block formula", k)
-				}
-				checkSymmetric(t, fmt.Sprintf("%v n=%d f32", k, n), g32)
-				pw := linalg.NewDense[float32](n, n)
-				pairwiseGramInto(pw, k, x)
-				checkSymmetric(t, fmt.Sprintf("%v n=%d pairwise", k, n), pw)
+	kernels := []Kernel{
+		Linear{},
+		Polynomial{Degree: 3, Gamma: 0.5, Coef0: 1},
+		RBF{Gamma: 0.7},
+		Normalized{Base: RBF{Gamma: 0.3}},
+		Normalized{Base: Polynomial{Degree: 2, Gamma: 1, Coef0: 0}},
+	}
+	for _, n := range []int{1, 2, 5, 17, 64, 65} {
+		x := testRows(n, 3, int64(n))
+		xb := linalg.FromRows(x)
+		xb32 := linalg.FromRowsCols[float32](x, []int{0, 1, 2})
+		for _, k := range kernels {
+			g := linalg.NewMatrix(n, n)
+			if !blockGramInto(g, k, xb) {
+				t.Fatalf("%v: no block formula", k)
 			}
+			checkSymmetric(t, fmt.Sprintf("%v n=%d f64", k, n), g)
+			g32 := linalg.NewDense[float32](n, n)
+			if !blockGramInto(g32, k, xb32) {
+				t.Fatalf("%v: no f32 block formula", k)
+			}
+			checkSymmetric(t, fmt.Sprintf("%v n=%d f32", k, n), g32)
+			pw := linalg.NewDense[float32](n, n)
+			pairwiseGramInto(pw, k, x)
+			checkSymmetric(t, fmt.Sprintf("%v n=%d pairwise", k, n), pw)
 		}
-	})
+	}
 }
 
 func checkSymmetric[T linalg.Float](t *testing.T, what string, g *linalg.Dense[T]) {

@@ -424,3 +424,45 @@ func checkCenteredAlignment[T linalg.Float](t *testing.T, n int, g *linalg.Dense
 		}
 	}
 }
+
+// TestRBFGramMatchesScalarReference pins the two exp sites of the RBF
+// block path — rbfGram (each row's upper segment, then the mirror store)
+// and boundRBF.Fill — to the scalar reference chains bit for bit on the
+// detected linalg.ExpScaled path; linalg's own tests flip that path, and
+// the purego build runs this test on the scalar exp. The orders put every
+// segment length 0–9 after the groups of four, and the bandwidths push
+// some arguments below −708 so mixed groups take the scalar fallback
+// inside a row.
+func TestRBFGramMatchesScalarReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 31, 64, 97} {
+		for _, gamma := range []float64{0.05, 1, 40, 900} {
+			x := linalg.FromRows(testRows(n, 3, int64(n)*7+1))
+			k := RBF{Gamma: gamma}
+			got := linalg.NewMatrix(n, n)
+			if !blockGramInto(got, k, x) {
+				t.Fatal("RBF has no block formula")
+			}
+			want := linalg.NewMatrix(n, n)
+			refGramInto(want, x, k)
+			checkBits(t, "rbfGram", n, gamma, got, want)
+
+			a := linalg.FromRows(testRows(n+3, 3, int64(n)*7+2))
+			bound, _ := k.BindCross(x)
+			var sc CrossScratch
+			gotX := linalg.NewMatrix(a.Rows, n)
+			bound.Fill(gotX, a, &sc)
+			wantX := linalg.NewMatrix(a.Rows, n)
+			refCrossGramInto(wantX, a, x, k)
+			checkBits(t, "boundRBF.Fill", n, gamma, gotX, wantX)
+		}
+	}
+}
+
+func checkBits(t *testing.T, what string, n int, gamma float64, got, want *linalg.Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s n=%d γ=%g entry %d: got %#x, want %#x", what, n, gamma, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		}
+	}
+}

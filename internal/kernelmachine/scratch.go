@@ -116,20 +116,22 @@ func FitRidge[T linalg.Float](r Ridge, gram *linalg.Dense[T], idx []int, y []int
 	for i, v := range y {
 		s.rhs[i] = T(v)
 	}
-	return s.Solve(gram, idx, s.rhs, r.lambda(), n)
+	return s.Solve(r, gram, idx, s.rhs, n)
 }
 
 // Solve solves (A + λ·n/10·I)·β = rhs for A = a[idx][idx] (all of a when
-// idx is nil) and, when that Cholesky pivot fails, retries with the
-// heavier ridge 1 + λ·n before giving up — the regularization schedule of
-// every ridge fit in the repository, dual (A = K, n training points) or
-// primal (A = FᵀF). Each attempt gathers A's lower triangle, the only
-// half linalg.CholeskyInto reads, straight from a into scratch
-// (linalg.GatherLowerInto) and adds the ridge, rounded once to T, to its
-// diagonal. a and rhs are read-only; β aliases s until its next use.
+// idx is nil), with r's λ (default 1e-2), and, when that Cholesky pivot
+// fails, retries with the heavier ridge 1 + λ·n before giving up — the
+// regularization schedule of every ridge fit in the repository, dual
+// (A = K, n training points) or primal (A = FᵀF). Each attempt gathers
+// A's lower triangle, the only half linalg.CholeskyInto reads, straight
+// from a into scratch (linalg.GatherLowerInto) and adds the ridge,
+// rounded once to T, to its diagonal. a and rhs are read-only; β aliases
+// s until its next use.
 //
 //iotml:hotpath
-func (s *RidgeScratch[T]) Solve(a *linalg.Dense[T], idx []int, rhs []T, lambda float64, n int) ([]T, error) {
+func (s *RidgeScratch[T]) Solve(r Ridge, a *linalg.Dense[T], idx []int, rhs []T, n int) ([]T, error) {
+	lambda := r.lambda()
 	if idx == nil {
 		if len(s.all) < a.Rows {
 			s.all = make([]int, a.Rows)

@@ -31,7 +31,7 @@ package linalg
 
 import (
 	"fmt"
-	"unsafe"
+	"math"
 )
 
 // Reshape returns m resized to r×c, reusing m's backing storage whenever its
@@ -106,8 +106,8 @@ func GatherLowerInto[T Float](dst, src *Dense[T], idx []int) *Dense[T] {
 //iotml:hotpath
 func AccumulateScaled[T Float](acc []float64, w float64, g []T) {
 	g = g[:len(acc)]
-	if useAVX2 && unsafe.Sizeof(T(0)) == 8 && len(acc) > 0 {
-		accScaledAVX2(&acc[0], (*float64)(unsafe.Pointer(&g[0])), w, len(acc))
+	if g64, wide := asFloat64(g); wide && useAVX2 && len(acc) > 0 {
+		accScaledAVX2(&acc[0], &g64[0], w, len(acc))
 		return
 	}
 	for j, v := range g {
@@ -122,12 +122,39 @@ func AccumulateScaled[T Float](acc []float64, w float64, g []T) {
 //iotml:hotpath
 func AccumulateProduct[T Float](acc []float64, g []T) {
 	g = g[:len(acc)]
-	if useAVX2 && unsafe.Sizeof(T(0)) == 8 && len(acc) > 0 {
-		accProductAVX2(&acc[0], (*float64)(unsafe.Pointer(&g[0])), len(acc))
+	if g64, wide := asFloat64(g); wide && useAVX2 && len(acc) > 0 {
+		accProductAVX2(&acc[0], &g64[0], len(acc))
 		return
 	}
 	for j, v := range g {
 		acc[j] *= float64(v)
+	}
+}
+
+// ExpScaled overwrites each x[i] with T(math.Exp(m·float64(x[i]))), bit
+// for bit — the RBF map of a Gram row segment, with m = −γ. At float64,
+// while useExp, groups of four go through expLanesAVX2, a packed copy of
+// math.Exp's FMA branch whose lanes equal math.Exp on every host it is
+// dispatched on; a group with an argument outside [-708, 0], the tail,
+// float32 entries, and every entry on other hosts and builds take
+// math.Exp itself.
+//
+//iotml:hotpath
+func ExpScaled[T Float](x []T, m float64) {
+	i := 0
+	if x64, wide := asFloat64(x); wide && useExp {
+		for len(x64)-i >= 4 {
+			i += expLanesAVX2(&x64[i], len(x64)-i, m)
+			if len(x64)-i < 4 {
+				break
+			}
+			for end := i + 4; i < end; i++ {
+				x64[i] = math.Exp(m * x64[i])
+			}
+		}
+	}
+	for ; i < len(x); i++ {
+		x[i] = T(math.Exp(m * float64(x[i])))
 	}
 }
 
@@ -284,12 +311,9 @@ func squaredDistance[T Float](ni, nj, dot float64) T {
 func CrossSquaredDistancesInto(dst, a, b *Matrix, na, nb []float64) *Matrix {
 	dst = GemmNTInto(dst, a, b)
 	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Rows; j++ {
-			v := na[i] + nb[j] - 2*dst.Data[i*dst.Cols+j]
-			if v < 0 {
-				v = 0
-			}
-			dst.Data[i*dst.Cols+j] = v
+		row := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		for j, dot := range row {
+			row[j] = squaredDistance[float64](na[i], nb[j], dot)
 		}
 	}
 	return dst

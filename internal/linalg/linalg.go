@@ -15,13 +15,15 @@
 // once, generic over T, and the determinism contract in blas.go covers
 // both widths.
 //
-// On amd64 hosts with AVX2 (detected once by CPUID and XGETBV in
-// simd_amd64.s), the float64 CholeskyInto, SyrkTInto, AccumulateScaled
-// and AccumulateProduct run on AVX2 micro-kernels. Where the same CPUID
-// pass also finds AVX512F (leaf 7 EBX bit 16) and XGETBV reports the
-// opmask and ZMM state saved (XCR0 bits 5–7), CholeskyInto takes its
-// column blocks eight at a time on AVX-512 kernels first and finishes the
-// last n mod 8 columns on the AVX2 block and the Go loop. Every tier keeps
+// This package holds all of the module's assembly (simd_amd64.s) and its
+// one CPU probe, cpuFeatures, which runs CPUID and XGETBV once and sets
+// every dispatch flag. On amd64 hosts with AVX2 the float64 CholeskyInto,
+// SyrkTInto, AccumulateScaled and AccumulateProduct run on AVX2
+// micro-kernels. Where the same pass also finds AVX512F (leaf 7 EBX bit
+// 16) and XGETBV reports the opmask and ZMM state saved (XCR0 bits 5–7),
+// CholeskyInto takes its column blocks eight at a time on AVX-512 kernels
+// first and finishes the last n mod 8 columns on the AVX2 block and the
+// Go loop. Every tier keeps
 // every bit under one rule: vectorize across independent outputs, never
 // along a reduction. Each lane replays one entry's scalar sequence — a
 // float64 accumulator, ascending k, a multiply then a separate subtract or
@@ -31,6 +33,11 @@
 // triangle, which is cleared before CholeskyInto returns. The Go loops are
 // the reference and the fallback: they run at float32, off amd64, on hosts
 // without AVX2, and in builds with the purego tag.
+//
+// ExpScaled, the RBF map of a Gram row segment, is the one kernel with
+// fused operations: where the probe also finds FMA, its float64 lanes
+// replay math.Exp's FMA branch, and they switch on only after a start-up
+// check shows them equal to this process's math.Exp.
 package linalg
 
 import (
@@ -266,10 +273,8 @@ func CholeskyInto[T Float](l, a *Dense[T]) error {
 	}
 	n := a.Rows
 	*l = *Reshape(l, n, n)
-	if useAVX2 && unsafe.Sizeof(T(0)) == 8 && n >= 4 {
-		// T is float64 (or a type defined over it): the same bits.
-		ld := unsafe.Slice((*float64)(unsafe.Pointer(&l.Data[0])), n*n)
-		ad := unsafe.Slice((*float64)(unsafe.Pointer(&a.Data[:n*n][0])), n*n)
+	if ld, wide := asFloat64(l.Data); wide && useAVX2 && n >= 4 {
+		ad, _ := asFloat64(a.Data[:n*n])
 		return choleskyLanes(ld, ad, n)
 	}
 	return choleskyColumns(l.Data, a.Data, n, 0)
@@ -404,6 +409,16 @@ var laneTiers = [...]struct {
 }{
 	{8, cholTileAVX512, cholPanelAVX512},
 	{4, cholTileAVX2, cholPanelAVX2},
+}
+
+// asFloat64 returns s as a []float64 over the same memory when T is
+// float64 (or a type defined over it, which has the same bits), so the
+// float64 SIMD kernels can take it; wide is false at float32.
+func asFloat64[T Float](s []T) (f []float64, wide bool) {
+	if unsafe.Sizeof(T(0)) != 8 {
+		return nil, false
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(s))), len(s)), true
 }
 
 // pivotTol is the Cholesky pivot tolerance at T's precision: 1e-14 for

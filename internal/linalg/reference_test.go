@@ -489,14 +489,15 @@ func TestGatherLowerIntoMatchesScalarReference(t *testing.T) {
 // blocks: 0–3 after 4-column blocks, 0–7 after 8-column ones.
 var cholTileShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 63, 64, 65, 90, 130, 150, 448, 449, 450, 451, 452, 453, 454, 455, 456, 457}
 
-// forEachKernelPath runs f once per dispatch path of the float64 kernels:
+// forEachKernelPath runs f once per dispatch path of the SIMD kernels:
 // through the AVX-512 and AVX2 kernels (each skipped when this host or
 // build lacks it), then through the Go loops, restoring the detected paths
-// afterwards.
+// afterwards. The exp lanes are AVX2 code: both SIMD paths run them where
+// they were detected, and the Go path runs scalar math.Exp.
 func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	detected2, detected512 := useAVX2, useAVX512
-	t.Cleanup(func() { useAVX2, useAVX512 = detected2, detected512 })
+	detected2, detected512, detectedExp := useAVX2, useAVX512, useExp
+	t.Cleanup(func() { useAVX2, useAVX512, useExp = detected2, detected512, detectedExp })
 	for _, path := range []struct {
 		name         string
 		avx2, avx512 bool
@@ -505,7 +506,7 @@ func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
 			if (path.avx2 && !detected2) || (path.avx512 && !detected512) {
 				t.Skipf("no %s kernels on this host or in this build", path.name)
 			}
-			useAVX2, useAVX512 = path.avx2, path.avx512
+			useAVX2, useAVX512, useExp = path.avx2, path.avx512, path.avx2 && detectedExp
 			f(t)
 		})
 	}
@@ -724,43 +725,105 @@ func TestSyrkTIntoMatchesScalarReference(t *testing.T) {
 	})
 }
 
-// TestCholeskyAsmHasNoFusedOps keeps fused multiply-add out of the
-// package's assembly: a fused operation rounds once where the Go loops
-// round twice, so the SIMD kernels would no longer match them bit for bit.
-// It also checks that every kernel the Go side dispatches to is defined in
-// the files it scans.
-func TestCholeskyAsmHasNoFusedOps(t *testing.T) {
-	files, err := filepath.Glob("*.s")
+// expFusedOps is the fused-operation set of math.Exp's FMA branch that
+// expLanesAVX2 replays in packed form: two VFNMADD231 in the argument
+// reduction, seven VFMADD213 in the Taylor polynomial and one in the last
+// square step. Every other instruction there rounds once per operation.
+var expFusedOps = map[string]int{"VFNMADD231PD": 2, "VFMADD213PD": 8}
+
+// TestAsmAudit holds the module's assembly to four rules, one subtest
+// each:
+//   - placement: assembly lives in this package only;
+//   - fused-ops: fused multiply-adds appear only in expLanesAVX2, exactly
+//     expFusedOps there (every other kernel replays Go loops that round
+//     twice, so a fused operation would break their bit-identity);
+//   - probe: CPUID and XGETBV appear only in cpuFeatures, the one CPU
+//     probe behind the one set of dispatch flags;
+//   - routines: every routine the Go side declares is defined.
+//
+// Lines are attributed to the TEXT routine they follow, and lines of a
+// #define body to no routine, so a macro may hold neither a fused
+// operation nor a probe.
+func TestAsmAudit(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".s") {
+			files = append(files, path)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) == 0 {
-		t.Fatal("no assembly files found in the package directory")
+		t.Fatal("no assembly files found in the module")
 	}
-	kernels := []string{"cholTileAVX2", "cholPanelAVX2", "cholTileAVX512", "cholPanelAVX512", "syrkTRowAVX2", "accScaledAVX2", "accProductAVX2"}
-	defined := make([]bool, len(kernels))
+	routines := map[string]bool{"cpuFeatures": false, "cholTileAVX2": false, "cholPanelAVX2": false, "cholTileAVX512": false, "cholPanelAVX512": false, "syrkTRowAVX2": false, "accScaledAVX2": false, "accProductAVX2": false, "expLanesAVX2": false}
+	fused := map[string]int{}
+	var placement, fusedOps, probe, undefined []string
 	for _, f := range files {
+		if filepath.Dir(f) != filepath.Join(root, "internal", "linalg") {
+			placement = append(placement, fmt.Sprintf("%s: assembly outside internal/linalg", f))
+		}
 		src, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
+		routine, inMacro := "", false
 		for i, line := range strings.Split(string(src), "\n") {
-			for k, name := range kernels {
-				if strings.HasPrefix(line, "TEXT ·"+name+"(SB)") {
-					defined[k] = true
+			code, _, _ := strings.Cut(line, "//")
+			if name, ok := strings.CutPrefix(code, "TEXT ·"); ok {
+				routine, _, _ = strings.Cut(name, "(")
+				if _, ok := routines[routine]; ok {
+					routines[routine] = true
 				}
 			}
-			op := strings.ToUpper(line)
-			for _, fused := range []string{"VFMADD", "VFMSUB", "VFNMADD", "VFNMSUB"} {
-				if strings.Contains(op, fused) {
-					t.Errorf("%s:%d: fused multiply-add %s: %s", f, i+1, fused, strings.TrimSpace(line))
+			where := routine
+			if strings.HasPrefix(code, "#define") || inMacro {
+				where = "a macro"
+			}
+			inMacro = strings.HasSuffix(strings.TrimSpace(code), "\\")
+			for _, tok := range strings.Fields(strings.ToUpper(strings.ReplaceAll(code, ";", " "))) {
+				switch {
+				case tok == "CPUID" || tok == "XGETBV":
+					if where != "cpuFeatures" {
+						probe = append(probe, fmt.Sprintf("%s:%d: %s in %s, outside cpuFeatures", f, i+1, tok, where))
+					}
+				case strings.HasPrefix(tok, "VFMADD") || strings.HasPrefix(tok, "VFMSUB") || strings.HasPrefix(tok, "VFNMADD") || strings.HasPrefix(tok, "VFNMSUB"):
+					if _, ok := expFusedOps[tok]; !ok || where != "expLanesAVX2" {
+						fusedOps = append(fusedOps, fmt.Sprintf("%s:%d: fused operation %s in %s, outside math.Exp's FMA branch set in expLanesAVX2", f, i+1, tok, where))
+						continue
+					}
+					fused[tok]++
 				}
 			}
 		}
 	}
-	for k, name := range kernels {
-		if !defined[k] {
-			t.Errorf("kernel %s is not defined in the scanned assembly", name)
+	for op, want := range expFusedOps {
+		if fused[op] != want {
+			fusedOps = append(fusedOps, fmt.Sprintf("expLanesAVX2: %d %s, want %d", fused[op], op, want))
 		}
+	}
+	for name, defined := range routines {
+		if !defined {
+			undefined = append(undefined, fmt.Sprintf("routine %s is not defined in the scanned assembly", name))
+		}
+	}
+	for _, rule := range []struct {
+		name     string
+		findings []string
+	}{{"placement", placement}, {"fused-ops", fusedOps}, {"probe", probe}, {"routines", undefined}} {
+		t.Run(rule.name, func(t *testing.T) {
+			for _, f := range rule.findings {
+				t.Error(f)
+			}
+		})
 	}
 }

@@ -2,33 +2,41 @@
 
 #include "textflag.h"
 
-// AVX2 micro-kernels for CholeskyInto, SyrkTInto, AccumulateScaled and
-// AccumulateProduct at float64, and AVX-512 ones for CholeskyInto's
-// eight-column blocks. Every kernel vectorizes across independent outputs,
-// never along a reduction: each lane replays one entry's scalar sequence
-// (a float64 accumulator, ascending k, a multiply then a separate subtract
-// or add, one store), so the results are the Go loops' bit for bit. No
-// fused multiply-add appears here, and scalar work uses VEX forms (EVEX
-// for X16..X31) only: a legacy-SSE instruction after 256-bit work pays a
-// state-transition penalty.
-
-// func cpuFeatures() (avx2, avx512 bool)
+// The module's SIMD kernels: AVX2 ones for CholeskyInto, SyrkTInto,
+// AccumulateScaled and AccumulateProduct at float64, AVX-512 ones for
+// CholeskyInto's eight-column blocks, a packed exp for ExpScaled, and the
+// one CPU probe that decides which of them run (cpuFeatures).
 //
-// avx2: the CPU has AVX2 and the OS saves YMM state. avx512: AVX2 as
-// well, AVX512F, and the OS saves the opmask and ZMM state too.
-TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+// The linear-algebra kernels vectorize across independent outputs, never
+// along a reduction: each lane replays one entry's scalar sequence (a
+// float64 accumulator, ascending k, a multiply then a separate subtract
+// or add, one store), so the results are the Go loops' bit for bit. No
+// fused multiply-add appears in them. The exp kernel is the one exception:
+// it replays math.Exp's own fused operations (see expLanesAVX2). Scalar
+// work uses VEX forms (EVEX for X16..X31) only: a legacy-SSE instruction
+// after 256-bit work pays a state-transition penalty.
+
+// func cpuFeatures() (avx2, fma, avx512 bool)
+//
+// avx2: the CPU has AVX2 and the OS saves YMM state. fma: AVX2 as well,
+// and FMA. avx512: AVX2 as well, AVX512F, and the OS saves the opmask and
+// ZMM state too.
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-3
 	MOVB  $0, avx2+0(FP)
-	MOVB  $0, avx512+1(FP)
+	MOVB  $0, fma+1(FP)
+	MOVB  $0, avx512+2(FP)
 	XORL  AX, AX
 	XORL  CX, CX
 	CPUID
 	CMPL  AX, $7
 	JLT   nosimd
 
-	// Leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX).
+	// Leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX). R10 keeps ECX for
+	// the FMA test below.
 	MOVL  $1, AX
 	XORL  CX, CX
 	CPUID
+	MOVL  CX, R10
 	ANDL  $0x18000000, CX
 	CMPL  CX, $0x18000000
 	JNE   nosimd
@@ -51,6 +59,12 @@ TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
 	JZ    nosimd
 	MOVB  $1, avx2+0(FP)
 
+	// Leaf 1 ECX bit 12 (FMA).
+	ANDL  $0x1000, R10
+	JZ    probe512
+	MOVB  $1, fma+1(FP)
+
+probe512:
 	// EBX bit 16 (AVX512F), and XCR0 bits 5..7: the OS saves the opmask
 	// registers, the upper halves of ZMM0..15 and ZMM16..31.
 	ANDL  $0x10000, R9
@@ -58,29 +72,142 @@ TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
 	ANDL  $0xe6, R8
 	CMPL  R8, $0xe6
 	JNE   nosimd
-	MOVB  $1, avx512+1(FP)
+	MOVB  $1, avx512+2(FP)
 
 nosimd:
 	RET
 
-// CHOL_K4 is one k step of a 4-row tile: Y4 = the lane vector
-// L[j0..j0+3][k] (row k of the transposed copy, at CX), and for each row r
-// of the tile Yr -= L[i+r][k] * Y4, with L[i+r][k] at R14 + r*stride. Y5
-// is the only temporary (the panel keeps its constants in X6..X15).
-#define CHOL_K4 \
-	VMOVUPD      (CX), Y4;         \
-	VBROADCASTSD (R14), Y5;        \
-	VMULPD       Y4, Y5, Y5;       \
-	VSUBPD       Y5, Y0, Y0;       \
-	VBROADCASTSD (R14)(R10*1), Y5; \
-	VMULPD       Y4, Y5, Y5;       \
-	VSUBPD       Y5, Y1, Y1;       \
-	VBROADCASTSD (R14)(R10*2), Y5; \
-	VMULPD       Y4, Y5, Y5;       \
-	VSUBPD       Y5, Y2, Y2;       \
-	VBROADCASTSD (R14)(R11*1), Y5; \
-	VMULPD       Y4, Y5, Y5;       \
-	VSUBPD       Y5, Y3, Y3
+// The Cholesky kernels take (l, a *float64, n, j0 int) and share one
+// register plan: DI = l, SI = a, R8 = n, R9 = j0, R10 = the row stride in
+// bytes and R11 = 3 * stride. In a sweep over k < j0, CX walks the lane
+// operand L[j0..][k] down the transposed copy (row k, from &l[0][j0]),
+// R14 walks the swept rows' finished columns L[i][k], and AX counts k
+// down. The macros below serve both tiers; the four-column one passes Y
+// registers, the eight-column one Z registers.
+
+// CHOL_ROW is one row's term of a k step: A -= L[i][k] * V, with L[i][k]
+// at P, the lane vector in V and T as the only temporary.
+#define CHOL_ROW(P, V, T, A) \
+	VBROADCASTSD P, T;    \
+	VMULPD       V, T, T; \
+	VSUBPD       T, A, A
+
+// CHOL_ROWS4 is CHOL_ROW for four rows at P + r*stride, r in 0..3, into
+// A..D.
+#define CHOL_ROWS4(P, V, T, A, B, C, D) \
+	CHOL_ROW((P), V, T, A);        \
+	CHOL_ROW((P)(R10*1), V, T, B); \
+	CHOL_ROW((P)(R10*2), V, T, C); \
+	CHOL_ROW((P)(R11*1), V, T, D)
+
+// CHOL_K is one k step of a four-row sweep: V = the lane vector at CX,
+// then CHOL_ROWS4 on the rows at R14.
+#define CHOL_K(V, T, A, B, C, D) \
+	VMOVUPD (CX), V; \
+	CHOL_ROWS4(R14, V, T, A, B, C, D)
+
+// CHOL_KNEXT steps R14 and CX to the next k and counts it off.
+#define CHOL_KNEXT \
+	ADDQ $8, R14;   \
+	ADDQ R10, CX;   \
+	DECQ AX
+
+// CHOL_KSTART points CX at the lane operand of k = 0 and sets AX = j0, the
+// number of k steps, leaving the flags for a JZ past the sweep.
+#define CHOL_KSTART \
+	LEAQ  (DI)(R9*8), CX; \
+	MOVQ  R9, AX;         \
+	TESTQ AX, AX
+
+// CHOL_ROWAT points R14 = &l[I][0] and R13 = &a[I][0].
+#define CHOL_ROWAT(I) \
+	MOVQ  I, AX;          \
+	IMULQ R8, AX;         \
+	LEAQ  (DI)(AX*8), R14; \
+	LEAQ  (SI)(AX*8), R13
+
+// CHOL_LOAD4 and CHOL_STORE4 move four rows' lanes, at P + r*stride.
+#define CHOL_LOAD4(P, A, B, C, D) \
+	VMOVUPD (P), A;        \
+	VMOVUPD (P)(R10*1), B; \
+	VMOVUPD (P)(R10*2), C; \
+	VMOVUPD (P)(R11*1), D
+
+#define CHOL_STORE4(A, B, C, D, P) \
+	VMOVUPD A, (P);        \
+	VMOVUPD B, (P)(R10*1); \
+	VMOVUPD C, (P)(R10*2); \
+	VMOVUPD D, (P)(R11*1)
+
+// CHOL_SWEEP1 sums the lanes of the single row i = R12 into A:
+// A = a[i][j0..], then CHOL_K's step over every k < j0 at labels LOOP and
+// DONE. R14 = &l[i][j0] afterwards.
+#define CHOL_SWEEP1(V, T, A, LOOP, DONE) \
+	CHOL_ROWAT(R12);         \
+	VMOVUPD (R13)(R9*8), A;  \
+	CHOL_KSTART;             \
+	JZ      DONE;            \
+LOOP:                            \
+	VMOVUPD (CX), V;         \
+	CHOL_ROW((R14), V, T, A); \
+	CHOL_KNEXT;              \
+	JNZ     LOOP;            \
+DONE:
+
+// CHOL_DIAG4 loads the lower triangle of a finished 4×4 diagonal block,
+// row-major from OFF(P) with the row stride, into scalar registers:
+// Drr = L[r][r] and Lrc = L[r][c] for c < r.
+#define CHOL_DIAG4(P, OFF, D0, L10, D1, L20, L21, D2, L30, L31, L32, D3) \
+	VMOVSD OFF(P), D0;            \
+	VMOVSD OFF(P)(R10*1), L10;    \
+	VMOVSD OFF+8(P)(R10*1), D1;   \
+	VMOVSD OFF(P)(R10*2), L20;    \
+	VMOVSD OFF+8(P)(R10*2), L21;  \
+	VMOVSD OFF+16(P)(R10*2), D2;  \
+	VMOVSD OFF(P)(R11*1), L30;    \
+	VMOVSD OFF+8(P)(R11*1), L31;  \
+	VMOVSD OFF+16(P)(R11*1), L32; \
+	VMOVSD OFF+24(P)(R11*1), D3
+
+// CHOL_FINISH4 completes the first four block columns of one row below
+// the diagonal block in scalar, in the scalar column loop's order. On
+// entry R13 = &l[i][j0] holds the lane sums, and the block's first four
+// columns are held as CHOL_DIAG4 loads them. Each L[i][j0+c] is stored in
+// place and at its transposed position l[j0+c][i], at TP + c*stride.
+// X0..X3 keep L[i][j0..j0+3]; X4 is the temporary.
+#define CHOL_FINISH4(TP, D0, L10, D1, L20, L21, D2, L30, L31, L32, D3) \
+	VMOVSD (R13), X0;       \
+	VDIVSD D0, X0, X0;      \
+	VMOVSD X0, (R13);       \
+	VMOVSD X0, (TP);        \
+	VMOVSD 8(R13), X1;      \
+	VMULSD L10, X0, X4;     \
+	VSUBSD X4, X1, X1;      \
+	VDIVSD D1, X1, X1;      \
+	VMOVSD X1, 8(R13);      \
+	VMOVSD X1, (TP)(R10*1); \
+	VMOVSD 16(R13), X2;     \
+	VMULSD L20, X0, X4;     \
+	VSUBSD X4, X2, X2;      \
+	VMULSD L21, X1, X4;     \
+	VSUBSD X4, X2, X2;      \
+	VDIVSD D2, X2, X2;      \
+	VMOVSD X2, 16(R13);     \
+	VMOVSD X2, (TP)(R10*2); \
+	VMOVSD 24(R13), X3;     \
+	VMULSD L30, X0, X4;     \
+	VSUBSD X4, X3, X3;      \
+	VMULSD L31, X1, X4;     \
+	VSUBSD X4, X3, X3;      \
+	VMULSD L32, X2, X4;     \
+	VSUBSD X4, X3, X3;      \
+	VDIVSD D3, X3, X3;      \
+	VMOVSD X3, 24(R13);     \
+	VMOVSD X3, (TP)(R11*1)
+
+// The four-column tier keeps its diagonal block in X6..X15 and its
+// transposed pointer in BX.
+#define CHOL_FINISH CHOL_FINISH4(BX, X6, X7, X8, X9, X10, X11, X12, X13, X14, X15)
 
 // func cholTileAVX2(l, a *float64, n, j0 int)
 //
@@ -96,77 +223,29 @@ TEXT ·cholTileAVX2(SB), NOSPLIT, $0-32
 	SHLQ $3, R10              // R10 = row stride in bytes
 	LEAQ (R10)(R10*2), R11    // R11 = 3 * stride
 
-	MOVQ R9, AX
-	IMULQ R8, AX
-	LEAQ (DI)(AX*8), R14      // R14 = &l[j0][0]
-	LEAQ (SI)(AX*8), R13
+	CHOL_ROWAT(R9)
 	LEAQ (R13)(R9*8), R13     // R13 = &a[j0][j0]
-	VMOVUPD (R13), Y0
-	VMOVUPD (R13)(R10*1), Y1
-	VMOVUPD (R13)(R10*2), Y2
-	VMOVUPD (R13)(R11*1), Y3
-	LEAQ (DI)(R9*8), CX       // CX = &l[0][j0]
-	MOVQ R9, AX
-	TESTQ AX, AX
+	CHOL_LOAD4(R13, Y0, Y1, Y2, Y3)
+	CHOL_KSTART
 	JZ   tilestore
 
 tilek:
-	CHOL_K4
-	ADDQ $8, R14
-	ADDQ R10, CX
-	DECQ AX
+	CHOL_K(Y4, Y5, Y0, Y1, Y2, Y3)
+	CHOL_KNEXT
 	JNZ  tilek
 
 tilestore:
 	MOVQ R14, R13             // R13 = &l[j0][j0]
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, (R13)(R10*1)
-	VMOVUPD Y2, (R13)(R10*2)
-	VMOVUPD Y3, (R13)(R11*1)
+	CHOL_STORE4(Y0, Y1, Y2, Y3, R13)
 	VZEROUPPER
 	RET
-
-// CHOL_FINISH completes one row below the diagonal block in scalar, in the
-// scalar column loop's order. On entry R13 = &l[i][j0] holds the four lane
-// sums; X6..X15 hold the finished diagonal block (X6 = L[j0][j0],
-// X7 = L[j0+1][j0], X8 = L[j0+1][j0+1], X9..X11 = L[j0+2][j0..j0+2],
-// X12..X15 = L[j0+3][j0..j0+3]). Each L[i][j0+c] is stored in place and at
-// its transposed position l[j0+c][i], at BX + c*stride.
-#define CHOL_FINISH \
-	VMOVSD (R13), X0;          \
-	VDIVSD X6, X0, X0;         \
-	VMOVSD X0, (R13);          \
-	VMOVSD X0, (BX);           \
-	VMOVSD 8(R13), X1;         \
-	VMULSD X7, X0, X4;         \
-	VSUBSD X4, X1, X1;         \
-	VDIVSD X8, X1, X1;         \
-	VMOVSD X1, 8(R13);         \
-	VMOVSD X1, (BX)(R10*1);    \
-	VMOVSD 16(R13), X2;        \
-	VMULSD X9, X0, X4;         \
-	VSUBSD X4, X2, X2;         \
-	VMULSD X10, X1, X4;        \
-	VSUBSD X4, X2, X2;         \
-	VDIVSD X11, X2, X2;        \
-	VMOVSD X2, 16(R13);        \
-	VMOVSD X2, (BX)(R10*2);    \
-	VMOVSD 24(R13), X3;        \
-	VMULSD X12, X0, X4;        \
-	VSUBSD X4, X3, X3;         \
-	VMULSD X13, X1, X4;        \
-	VSUBSD X4, X3, X3;         \
-	VMULSD X14, X2, X4;        \
-	VSUBSD X4, X3, X3;         \
-	VDIVSD X15, X3, X3;        \
-	VMOVSD X3, 24(R13);        \
-	VMOVSD X3, (BX)(R11*1)
 
 // func cholPanelAVX2(l, a *float64, n, j0 int)
 //
 // Finishes columns j0..j0+3 of every row i >= j0+4, given the finished
 // diagonal block and the transposed copy of columns < j0: four rows per
-// sweep over k, then the remaining rows one at a time.
+// sweep over k, then the remaining rows one at a time. CHOL_FINISH reads
+// the block from X6..X15, loaded from DX = &l[j0][j0].
 TEXT ·cholPanelAVX2(SB), NOSPLIT, $0-32
 	MOVQ l+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -176,21 +255,11 @@ TEXT ·cholPanelAVX2(SB), NOSPLIT, $0-32
 	SHLQ $3, R10              // R10 = row stride in bytes
 	LEAQ (R10)(R10*2), R11    // R11 = 3 * stride
 
-	// The finished diagonal block, from DX = &l[j0][j0].
 	MOVQ R9, AX
 	IMULQ R8, AX
 	ADDQ R9, AX
 	LEAQ (DI)(AX*8), DX
-	VMOVSD (DX), X6
-	VMOVSD (DX)(R10*1), X7
-	VMOVSD 8(DX)(R10*1), X8
-	VMOVSD (DX)(R10*2), X9
-	VMOVSD 8(DX)(R10*2), X10
-	VMOVSD 16(DX)(R10*2), X11
-	VMOVSD (DX)(R11*1), X12
-	VMOVSD 8(DX)(R11*1), X13
-	VMOVSD 16(DX)(R11*1), X14
-	VMOVSD 24(DX)(R11*1), X15
+	CHOL_DIAG4(DX, 0, X6, X7, X8, X9, X10, X11, X12, X13, X14, X15)
 
 	LEAQ 4(R9), R12           // R12 = i
 
@@ -198,34 +267,21 @@ panel4:
 	LEAQ 4(R12), AX
 	CMPQ AX, R8
 	JGT  panel1
-	MOVQ R12, AX
-	IMULQ R8, AX
-	LEAQ (DI)(AX*8), R14      // R14 = &l[i][0]
-	LEAQ (SI)(AX*8), R13
+	CHOL_ROWAT(R12)
 	LEAQ (R13)(R9*8), R13     // R13 = &a[i][j0]
-	VMOVUPD (R13), Y0
-	VMOVUPD (R13)(R10*1), Y1
-	VMOVUPD (R13)(R10*2), Y2
-	VMOVUPD (R13)(R11*1), Y3
-	LEAQ (DI)(R9*8), CX       // CX = &l[0][j0]
-	MOVQ R9, AX
-	TESTQ AX, AX
+	CHOL_LOAD4(R13, Y0, Y1, Y2, Y3)
+	CHOL_KSTART
 	JZ   panel4fin
 
 panel4k:
-	CHOL_K4
-	ADDQ $8, R14
-	ADDQ R10, CX
-	DECQ AX
+	CHOL_K(Y4, Y5, Y0, Y1, Y2, Y3)
+	CHOL_KNEXT
 	JNZ  panel4k
 
 panel4fin:
 	// R14 = &l[i][j0] now: store the lane sums in place and finish.
 	MOVQ R14, R13
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, (R13)(R10*1)
-	VMOVUPD Y2, (R13)(R10*2)
-	VMOVUPD Y3, (R13)(R11*1)
+	CHOL_STORE4(Y0, Y1, Y2, Y3, R13)
 	MOVQ R12, AX
 	SUBQ R9, AX
 	LEAQ (DX)(AX*8), BX       // BX = &l[j0][i]
@@ -245,27 +301,7 @@ panel4fin:
 panel1:
 	CMPQ R12, R8
 	JGE  paneldone
-	MOVQ R12, AX
-	IMULQ R8, AX
-	LEAQ (DI)(AX*8), R14      // R14 = &l[i][0]
-	LEAQ (SI)(AX*8), R13
-	VMOVUPD (R13)(R9*8), Y0   // a[i][j0..j0+3]
-	LEAQ (DI)(R9*8), CX       // CX = &l[0][j0]
-	MOVQ R9, AX
-	TESTQ AX, AX
-	JZ   panel1fin
-
-panel1k:
-	VMOVUPD      (CX), Y4
-	VBROADCASTSD (R14), Y5
-	VMULPD       Y4, Y5, Y5
-	VSUBPD       Y5, Y0, Y0
-	ADDQ $8, R14
-	ADDQ R10, CX
-	DECQ AX
-	JNZ  panel1k
-
-panel1fin:
+	CHOL_SWEEP1(Y4, Y5, Y0, panel1k, panel1fin)
 	MOVQ R14, R13
 	VMOVUPD Y0, (R13)
 	MOVQ R12, AX
@@ -279,40 +315,10 @@ paneldone:
 	VZEROUPPER
 	RET
 
-// CHOL_K8 is CHOL_K4 on eight columns: Z8 = the lane vector
-// L[j0..j0+7][k] (row k of the transposed copy, at CX), and for each row r
-// of a four-row sweep Zr -= L[i+r][k] * Z8, with L[i+r][k] at
-// R14 + r*stride. Z9 is the only temporary.
-#define CHOL_K8 \
-	VMOVUPD      (CX), Z8;         \
-	VBROADCASTSD (R14), Z9;        \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z0, Z0;       \
-	VBROADCASTSD (R14)(R10*1), Z9; \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z1, Z1;       \
-	VBROADCASTSD (R14)(R10*2), Z9; \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z2, Z2;       \
-	VBROADCASTSD (R14)(R11*1), Z9; \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z3, Z3
-
-// CHOL_K8_HIGH continues CHOL_K8 on rows 4..7 of an eight-row sweep, at
-// BX + (r-4)*stride, into Z4..Z7, with the lane vector already in Z8.
-#define CHOL_K8_HIGH \
-	VBROADCASTSD (BX), Z9;         \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z4, Z4;       \
-	VBROADCASTSD (BX)(R10*1), Z9;  \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z5, Z5;       \
-	VBROADCASTSD (BX)(R10*2), Z9;  \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z6, Z6;       \
-	VBROADCASTSD (BX)(R11*1), Z9;  \
-	VMULPD       Z8, Z9, Z9;       \
-	VSUBPD       Z9, Z7, Z7
+// CHOL_K8_HIGH continues an eight-column CHOL_K on rows 4..7 of an
+// eight-row sweep, at BX + (r-4)*stride, into Z4..Z7, with the lane
+// vector already in Z8.
+#define CHOL_K8_HIGH CHOL_ROWS4(BX, Z8, Z9, Z4, Z5, Z6, Z7)
 
 // CHOL_LOAD8 loads the eight-row sweep's starting values, a[i+r][j0..j0+7]
 // from R13 = &a[i][j0], into Z0..Z7, and points R14 = &l[i][0] and
@@ -322,27 +328,15 @@ paneldone:
 	LEAQ    (R14)(R10*4), BX;      \
 	LEAQ    (SI)(AX*8), R13;       \
 	LEAQ    (R13)(R9*8), R13;      \
-	VMOVUPD (R13), Z0;             \
-	VMOVUPD (R13)(R10*1), Z1;      \
-	VMOVUPD (R13)(R10*2), Z2;      \
-	VMOVUPD (R13)(R11*1), Z3;      \
+	CHOL_LOAD4(R13, Z0, Z1, Z2, Z3); \
 	LEAQ    (R13)(R10*4), R13;     \
-	VMOVUPD (R13), Z4;             \
-	VMOVUPD (R13)(R10*1), Z5;      \
-	VMOVUPD (R13)(R10*2), Z6;      \
-	VMOVUPD (R13)(R11*1), Z7
+	CHOL_LOAD4(R13, Z4, Z5, Z6, Z7)
 
 // CHOL_STORE8 stores the eight rows' lane sums at R14 = &l[i][j0] and
 // BX = &l[i+4][j0].
 #define CHOL_STORE8 \
-	VMOVUPD Z0, (R14);             \
-	VMOVUPD Z1, (R14)(R10*1);      \
-	VMOVUPD Z2, (R14)(R10*2);      \
-	VMOVUPD Z3, (R14)(R11*1);      \
-	VMOVUPD Z4, (BX);              \
-	VMOVUPD Z5, (BX)(R10*1);       \
-	VMOVUPD Z6, (BX)(R10*2);       \
-	VMOVUPD Z7, (BX)(R11*1)
+	CHOL_STORE4(Z0, Z1, Z2, Z3, R14); \
+	CHOL_STORE4(Z4, Z5, Z6, Z7, BX)
 
 // The lane operand steps down the transposed copy by a whole row per k,
 // a stride the hardware prefetchers do not follow, so the eight- and
@@ -366,13 +360,11 @@ TEXT ·cholTileAVX512(SB), NOSPLIT, $0-32
 	MOVQ R9, AX
 	IMULQ R8, AX
 	CHOL_LOAD8
-	LEAQ (DI)(R9*8), CX       // CX = &l[0][j0]
-	MOVQ R9, AX
-	TESTQ AX, AX
+	CHOL_KSTART
 	JZ   tile8store
 
 tile8k:
-	CHOL_K8
+	CHOL_K(Z8, Z9, Z0, Z1, Z2, Z3)
 	CHOL_K8_HIGH
 	PREFETCHT0 (CX)(R10*8)
 	PREFETCHT0 63(CX)(R10*8)
@@ -394,40 +386,13 @@ tile8store:
 // in X16..X23; L10, L20, L21, L30, L31, L32 in X24..X29; L54, L64, L65 in
 // X30, X31, X15 and L74, L75, L76 in X14, X13, X12. For m in 0..3 the
 // column slice (L4m, L5m, L6m, L7m) is read from the block's own transposed
-// copy, at DX + m*stride + 32 (DX = &l[j0][j0]). Columns 0..3 go as
-// CHOL_FINISH does. Columns 4..7 then subtract the terms k = j0..j0+3 in
+// copy, at DX + m*stride + 32 (DX = &l[j0][j0]). Columns 0..3 go through
+// CHOL_FINISH4. Columns 4..7 then subtract the terms k = j0..j0+3 in
 // four lanes, in ascending k, and finish their own terms in scalar. Each
 // L[i][j0+c] is stored in place and at its transposed position
 // l[j0+c][i], at CX + c*stride for c < 4 and R14 + (c-4)*stride after.
 #define CHOL8_FINISH \
-	VMOVSD       (R13), X0;             \
-	VDIVSD       X16, X0, X0;           \
-	VMOVSD       X0, (R13);             \
-	VMOVSD       X0, (CX);              \
-	VMOVSD       8(R13), X1;            \
-	VMULSD       X24, X0, X4;           \
-	VSUBSD       X4, X1, X1;            \
-	VDIVSD       X17, X1, X1;           \
-	VMOVSD       X1, 8(R13);            \
-	VMOVSD       X1, (CX)(R10*1);       \
-	VMOVSD       16(R13), X2;           \
-	VMULSD       X25, X0, X4;           \
-	VSUBSD       X4, X2, X2;            \
-	VMULSD       X26, X1, X4;           \
-	VSUBSD       X4, X2, X2;            \
-	VDIVSD       X18, X2, X2;           \
-	VMOVSD       X2, 16(R13);           \
-	VMOVSD       X2, (CX)(R10*2);       \
-	VMOVSD       24(R13), X3;           \
-	VMULSD       X27, X0, X4;           \
-	VSUBSD       X4, X3, X3;            \
-	VMULSD       X28, X1, X4;           \
-	VSUBSD       X4, X3, X3;            \
-	VMULSD       X29, X2, X4;           \
-	VSUBSD       X4, X3, X3;            \
-	VDIVSD       X19, X3, X3;           \
-	VMOVSD       X3, 24(R13);           \
-	VMOVSD       X3, (CX)(R11*1);       \
+	CHOL_FINISH4(CX, X16, X24, X17, X25, X26, X18, X27, X28, X29, X19); \
 	VMOVUPD      32(R13), Y5;           \
 	VBROADCASTSD X0, Y6;                \
 	VMULPD       32(DX), Y6, Y6;        \
@@ -493,27 +458,9 @@ TEXT ·cholPanelAVX512(SB), NOSPLIT, $0-32
 	IMULQ R8, AX
 	ADDQ R9, AX
 	LEAQ (DI)(AX*8), DX
-	VMOVSD (DX), X16
-	VMOVSD (DX)(R10*1), X24
-	VMOVSD 8(DX)(R10*1), X17
-	VMOVSD (DX)(R10*2), X25
-	VMOVSD 8(DX)(R10*2), X26
-	VMOVSD 16(DX)(R10*2), X18
-	VMOVSD (DX)(R11*1), X27
-	VMOVSD 8(DX)(R11*1), X28
-	VMOVSD 16(DX)(R11*1), X29
-	VMOVSD 24(DX)(R11*1), X19
+	CHOL_DIAG4(DX, 0, X16, X24, X17, X25, X26, X18, X27, X28, X29, X19)
 	LEAQ (DX)(R10*4), BX
-	VMOVSD 32(BX), X20
-	VMOVSD 32(BX)(R10*1), X30
-	VMOVSD 40(BX)(R10*1), X21
-	VMOVSD 32(BX)(R10*2), X31
-	VMOVSD 40(BX)(R10*2), X15
-	VMOVSD 48(BX)(R10*2), X22
-	VMOVSD 32(BX)(R11*1), X14
-	VMOVSD 40(BX)(R11*1), X13
-	VMOVSD 48(BX)(R11*1), X12
-	VMOVSD 56(BX)(R11*1), X23
+	CHOL_DIAG4(BX, 32, X20, X30, X21, X31, X15, X22, X14, X13, X12, X23)
 
 	LEAQ 8(R9), R12           // R12 = i, the next row to sweep
 
@@ -524,13 +471,11 @@ panel8x8:
 	MOVQ R12, AX
 	IMULQ R8, AX
 	CHOL_LOAD8
-	LEAQ (DI)(R9*8), CX       // CX = &l[0][j0]
-	MOVQ R9, AX
-	TESTQ AX, AX
+	CHOL_KSTART
 	JZ   panel8x8store
 
 panel8x8k:
-	CHOL_K8
+	CHOL_K(Z8, Z9, Z0, Z1, Z2, Z3)
 	CHOL_K8_HIGH
 	PREFETCHT0 (CX)(R10*8)
 	PREFETCHT0 63(CX)(R10*8)
@@ -551,34 +496,21 @@ panel8x4:
 	LEAQ 4(R12), AX
 	CMPQ AX, R8
 	JGT  panel8x1             // fewer than four rows left
-	MOVQ R12, AX
-	IMULQ R8, AX
-	LEAQ (DI)(AX*8), R14      // R14 = &l[i][0]
-	LEAQ (SI)(AX*8), R13
+	CHOL_ROWAT(R12)
 	LEAQ (R13)(R9*8), R13     // R13 = &a[i][j0]
-	VMOVUPD (R13), Z0
-	VMOVUPD (R13)(R10*1), Z1
-	VMOVUPD (R13)(R10*2), Z2
-	VMOVUPD (R13)(R11*1), Z3
-	LEAQ (DI)(R9*8), CX       // CX = &l[0][j0]
-	MOVQ R9, AX
-	TESTQ AX, AX
+	CHOL_LOAD4(R13, Z0, Z1, Z2, Z3)
+	CHOL_KSTART
 	JZ   panel8x4store
 
 panel8x4k:
-	CHOL_K8
+	CHOL_K(Z8, Z9, Z0, Z1, Z2, Z3)
 	PREFETCHT0 (CX)(R10*8)
 	PREFETCHT0 63(CX)(R10*8)
-	ADDQ $8, R14
-	ADDQ R10, CX
-	DECQ AX
+	CHOL_KNEXT
 	JNZ  panel8x4k
 
 panel8x4store:
-	VMOVUPD Z0, (R14)
-	VMOVUPD Z1, (R14)(R10*1)
-	VMOVUPD Z2, (R14)(R10*2)
-	VMOVUPD Z3, (R14)(R11*1)
+	CHOL_STORE4(Z0, Z1, Z2, Z3, R14)
 	MOVQ R12, BX
 	ADDQ $4, R12
 	JMP  panel8fin
@@ -586,27 +518,7 @@ panel8x4store:
 panel8x1:
 	CMPQ R12, R8
 	JGE  panel8done
-	MOVQ R12, AX
-	IMULQ R8, AX
-	LEAQ (DI)(AX*8), R14      // R14 = &l[i][0]
-	LEAQ (SI)(AX*8), R13
-	VMOVUPD (R13)(R9*8), Z0   // a[i][j0..j0+7]
-	LEAQ (DI)(R9*8), CX       // CX = &l[0][j0]
-	MOVQ R9, AX
-	TESTQ AX, AX
-	JZ   panel8x1store
-
-panel8x1k:
-	VMOVUPD      (CX), Z8
-	VBROADCASTSD (R14), Z9
-	VMULPD       Z8, Z9, Z9
-	VSUBPD       Z9, Z0, Z0
-	ADDQ $8, R14
-	ADDQ R10, CX
-	DECQ AX
-	JNZ  panel8x1k
-
-panel8x1store:
+	CHOL_SWEEP1(Z8, Z9, Z0, panel8x1k, panel8x1store)
 	VMOVUPD Z0, (R14)
 	MOVQ R12, BX
 	INCQ R12
@@ -795,5 +707,120 @@ product1:
 	JMP    product1
 
 productdone:
+	VZEROUPPER
+	RET
+
+// A packed copy of the FMA branch of math.Exp (math/exp_amd64.s, taken
+// when the CPU has AVX and FMA). Each of the four lanes is one independent
+// output and replays the scalar instruction sequence exactly: the same
+// constants, the same multiplies, adds and fused multiply-adds in the same
+// order, the same round-to-nearest conversion of the exponent and the same
+// ldexp by a shifted exponent. So on a host where math.Exp takes that
+// branch — every host this kernel is dispatched on — each lane equals
+// math.Exp bit for bit. Only groups whose four arguments all lie in
+// [-708, 0] come through here: that range has no NaN or infinity, no
+// overflow, and no denormal result, so the scalar code's special-case
+// branches are never taken on it.
+
+#define EXP_LOG2E 1.4426950408889634073599246810018920
+#define EXP_LN2U 0.69314718055966295651160180568695068359375
+#define EXP_LN2L 0.28235290563031577122588448175013436025525412068e-12
+
+// Each constant is broadcast to four lanes (32 bytes).
+#define EXP_CONST(off, v) \
+	DATA expconst<>+(off)(SB)/8, v; \
+	DATA expconst<>+(off+8)(SB)/8, v; \
+	DATA expconst<>+(off+16)(SB)/8, v; \
+	DATA expconst<>+(off+24)(SB)/8, v
+
+EXP_CONST(0, $EXP_LOG2E)
+EXP_CONST(32, $EXP_LN2U)
+EXP_CONST(64, $EXP_LN2L)
+EXP_CONST(96, $0.0625)
+EXP_CONST(128, $2.4801587301587301587e-5)
+EXP_CONST(160, $1.9841269841269841270e-4)
+EXP_CONST(192, $1.3888888888888888889e-3)
+EXP_CONST(224, $8.3333333333333333333e-3)
+EXP_CONST(256, $4.1666666666666666667e-2)
+EXP_CONST(288, $1.6666666666666666667e-1)
+EXP_CONST(320, $0.5)
+EXP_CONST(352, $1.0)
+EXP_CONST(384, $2.0)
+EXP_CONST(416, $-708.0)
+EXP_CONST(448, $0x3FF)
+GLOBL expconst<>(SB), RODATA|NOPTR, $480
+
+// func expLanesAVX2(x *float64, n int, m float64) int
+//
+// Overwrites x[i] with exp(m·x[i]) four entries at a time, from the start,
+// and returns how many entries it wrote: a multiple of four, which stops
+// short of n at the first group with an argument m·x[i] outside [-708, 0]
+// (NaN included) or where fewer than four entries are left. That group and
+// the tail are the caller's, for scalar math.Exp.
+TEXT ·expLanesAVX2(SB), NOSPLIT, $0-32
+	MOVQ         x+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD m+16(FP), Y15
+	VMOVUPD      expconst<>+416(SB), Y14 // -708
+	VXORPD       Y13, Y13, Y13           // 0
+	XORQ         AX, AX
+
+loop:
+	MOVQ CX, DX
+	SUBQ AX, DX
+	CMPQ DX, $4
+	JLT  done
+
+	// Y0 = m·x; every lane must satisfy -708 <= Y0 <= 0 (ordered).
+	VMULPD    (DI)(AX*8), Y15, Y0
+	VCMPPD    $0x1d, Y14, Y0, Y4 // GE_OQ
+	VCMPPD    $0x12, Y13, Y0, Y5 // LE_OQ
+	VANDPD    Y5, Y4, Y4
+	VMOVMSKPD Y4, DX
+	CMPL      DX, $15
+	JNE       done
+
+	// k = round(x·log2(e)); x -= k·ln2 in two fused steps.
+	VMULPD       expconst<>+0(SB), Y0, Y1
+	VCVTPD2DQY   Y1, X3
+	VCVTDQ2PD    X3, Y2
+	VFNMADD231PD expconst<>+32(SB), Y2, Y0
+	VFNMADD231PD expconst<>+64(SB), Y2, Y0
+
+	// Reduce by 16 and evaluate the Taylor polynomial.
+	VMULPD      expconst<>+96(SB), Y0, Y0
+	VMOVUPD     expconst<>+128(SB), Y1
+	VFMADD213PD expconst<>+160(SB), Y0, Y1
+	VFMADD213PD expconst<>+192(SB), Y0, Y1
+	VFMADD213PD expconst<>+224(SB), Y0, Y1
+	VFMADD213PD expconst<>+256(SB), Y0, Y1
+	VFMADD213PD expconst<>+288(SB), Y0, Y1
+	VFMADD213PD expconst<>+320(SB), Y0, Y1
+	VFMADD213PD expconst<>+352(SB), Y0, Y1
+
+	// Undo the reduction: four square steps y = y·(y+2), the last one
+	// fused with the final +1.
+	VMULPD      Y1, Y0, Y0
+	VADDPD      expconst<>+384(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      expconst<>+384(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      expconst<>+384(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      expconst<>+384(SB), Y0, Y1
+	VFMADD213PD expconst<>+352(SB), Y1, Y0
+
+	// Scale by 2^k: (k + 1023) << 52 is the bit pattern of 2^k.
+	VPMOVSXDQ X3, Y3
+	VPADDQ    expconst<>+448(SB), Y3, Y3
+	VPSLLQ    $52, Y3, Y3
+	VMULPD    Y3, Y0, Y0
+
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     loop
+
+done:
+	MOVQ       AX, ret+24(FP)
 	VZEROUPPER
 	RET

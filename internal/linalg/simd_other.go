@@ -2,10 +2,10 @@
 
 package linalg
 
-// useAVX2 and useAVX512 are false off amd64 and under the purego tag:
-// CholeskyInto, SyrkTInto, AccumulateScaled and AccumulateProduct run
-// their Go loops.
-var useAVX2, useAVX512 = false, false
+// The dispatch flags are false off amd64 and under the purego tag:
+// CholeskyInto, SyrkTInto, AccumulateScaled, AccumulateProduct and
+// ExpScaled run their Go loops.
+var useAVX2, useAVX512, useExp = false, false, false
 
 func cholTileAVX2(l, a *float64, n, j0 int)    { panic("linalg: no AVX2 kernels in this build") }
 func cholPanelAVX2(l, a *float64, n, j0 int)   { panic("linalg: no AVX2 kernels in this build") }
@@ -15,4 +15,5 @@ func syrkTRowAVX2(d, row *float64, c int)      { panic("linalg: no AVX2 kernels 
 func accScaledAVX2(acc, src *float64, w float64, n int) {
 	panic("linalg: no AVX2 kernels in this build")
 }
-func accProductAVX2(acc, src *float64, n int) { panic("linalg: no AVX2 kernels in this build") }
+func accProductAVX2(acc, src *float64, n int)       { panic("linalg: no AVX2 kernels in this build") }
+func expLanesAVX2(x *float64, n int, m float64) int { panic("linalg: no AVX2 exp in this build") }

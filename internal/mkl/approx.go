@@ -60,11 +60,11 @@ func (e *Evaluator) alignmentFromFactor(f *linalg.Matrix) float64 {
 	n, r := f.Rows, f.Cols
 	e.lrCentered = linalg.Reshape(e.lrCentered, n, r)
 	copy(e.lrCentered.Data, f.Data)
-	// Column-center in place: lrBeta doubles as the column-mean buffer.
-	if cap(e.lrBeta) < r {
-		e.lrBeta = linalg.NewVector(r)
+	// Column-center in place, with lrWork as the column-mean buffer.
+	if cap(e.lrWork) < r {
+		e.lrWork = linalg.NewVector(r)
 	}
-	mean := e.lrBeta[:r]
+	mean := e.lrWork[:r]
 	for j := range mean {
 		mean[j] = 0
 	}
@@ -124,10 +124,6 @@ func (e *Evaluator) labelVec() linalg.Vector {
 // the same precomputed plan as the exact paths, so approximate and exact
 // scores are comparable fold-for-fold.
 func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridge) (float64, error) {
-	lam := ridge.Lambda
-	if lam <= 0 {
-		lam = 1e-2
-	}
 	for len(e.lrCols) < f.Cols {
 		e.lrCols = append(e.lrCols, len(e.lrCols))
 	}
@@ -146,7 +142,7 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 		for i, a := range tr {
 			ytr[i] = y[a]
 		}
-		beta, err := e.lowRankRidgeSolve(e.d64.sub, ytr, lam)
+		beta, err := e.lowRankRidgeSolve(e.d64.sub, ytr, ridge)
 		if err != nil {
 			return 0, fmt.Errorf("mkl: fold %d: %w", fold, err)
 		}
@@ -159,12 +155,13 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 }
 
 // lowRankRidgeSolve solves (FᵀF + λ'I)β = Fᵀy in the evaluator's ridge
-// scratch, under Ridge's regularization and fallback schedule
+// scratch, under ridge's regularization and fallback schedule
 // (kernelmachine.RidgeScratch.Solve) scaled by the n_tr training rows.
-func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, lam float64) (linalg.Vector, error) {
+// Fᵀy goes into lrWork.
+func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, ridge kernelmachine.Ridge) (linalg.Vector, error) {
 	e.lrA = linalg.SyrkTInto(e.lrA, f)
-	rhs := linalg.MulTVecInto(nil, f, y)
-	return e.d64.ridge.Solve(e.lrA, nil, rhs, lam, f.Rows)
+	e.lrWork = linalg.MulTVecInto(e.lrWork, f, y)
+	return e.d64.ridge.Solve(ridge, e.lrA, nil, e.lrWork, f.Rows)
 }
 
 // SearchFunc is a lattice-search strategy over one evaluator — the shape of

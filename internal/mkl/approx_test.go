@@ -175,3 +175,31 @@ func TestApproxNonRidgeTrainerMaterializes(t *testing.T) {
 		t.Fatalf("SVM approx score %v vs exact %v", wa, we)
 	}
 }
+
+// A warm low-rank ridge score reuses the evaluator's scratch in every
+// fold (the Fᵀy right-hand side included), so it allocates no more per
+// Score than a warm exact one.
+func TestApproxLowRankScoreAllocsMatchExact(t *testing.T) {
+	d := smallFacetData(60, 1)
+	p := d.ViewPartition()
+	allocs := func(cfg Config) float64 {
+		e, err := NewEvaluator(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Score(p); err != nil { // warm caches and scratch
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			e.ClearScoreCache()
+			if _, err := e.Score(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	exact := allocs(Config{Objective: CVAccuracy, Seed: 1, Parallelism: 1})
+	lowRank := allocs(Config{Objective: CVAccuracy, Seed: 1, Parallelism: 1, Backend: engine.Nystrom(16)})
+	if lowRank > exact {
+		t.Fatalf("low-rank CV score: %v allocs/op, exact: %v", lowRank, exact)
+	}
+}

@@ -193,7 +193,7 @@ type Evaluator struct {
 	lrA         *linalg.Matrix
 	lrCentered  *linalg.Matrix
 	lrRhs       linalg.Vector
-	lrBeta      linalg.Vector
+	lrWork      linalg.Vector
 	lrY         linalg.Vector
 	lrCols      []int
 }
