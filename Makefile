@@ -129,8 +129,8 @@ fallback:
 
 # fuzz gives each untrusted-input decoder — the partition parser, the
 # CSV and JSONL ingesters, the search-worker boundaries, the artifact
-# kernel-spec decoder and the serving predict route — a short run, one go
-# test -fuzz invocation per target (the fuzz engine takes one target at a
+# kernel-spec decoder, the serving predict route and the artifact loader —
+# a short run, one go test -fuzz invocation per target (the fuzz engine takes one target at a
 # time). Mirrors the CI test job's fuzz step.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/partition
@@ -140,6 +140,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScoreRequest$$' -fuzztime 10s ./internal/distsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelSpec$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictBody$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadArtifact$$' -fuzztime 10s ./internal/model
 
 # shuffle re-runs the suite with randomized test and subtest order, so
 # inter-test state dependencies fail loudly instead of hiding behind

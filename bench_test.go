@@ -408,8 +408,8 @@ func BenchmarkGram_SingleRBF_Vector(b *testing.B) {
 // evaluator and Gram-block cache per iteration, so every iteration pays the
 // block Gram computations) with the engine toggled between scalar and
 // vectorized, sequential and parallel. The scalar leg builds Eval-only
-// block kernels (pairwise Grams) and hides the trainer's scratch path
-// (reference CV loop).
+// block kernels (pairwise Grams) and hides the trainer's scratch path, so
+// each fold trains through the allocating Train.
 func benchGramSearch(b *testing.B, workers int, scalar bool) {
 	d := parallelBenchData(b)
 	seed := partition.Coarsest(d.D())
@@ -441,14 +441,15 @@ func BenchmarkGram_ChainSearch_VectorW4(b *testing.B)  { benchGramSearch(b, 4, f
 // BenchmarkScore_* measures one steady-state candidate evaluation — the
 // unit of work the lattice search repeats per lattice point: Gram assembly
 // from the block cache plus the objective (k-fold CV or centered
-// alignment). The *_Reference variants force the scalar reference path
-// (per-element fold gathers, allocating trainers) by hiding the trainer's
-// ScratchTrainer implementation, so the committed BENCH_gram.json carries
-// the fast-vs-reference delta. The score cache is cleared inside the loop
-// so every iteration pays a full evaluation from warmed scratch.
+// alignment). The *_Reference variants hide the trainer's ScratchTrainer
+// implementation, so the one CV fold loop trains each fold through the
+// allocating Train (a fresh Scratch per fold) instead of TrainScratch in
+// evaluator scratch; the gap to the plain variants is the cost of those
+// per-fold training buffers. The score cache is cleared inside the loop so
+// every iteration pays a full evaluation from warmed scratch.
 
-// plainTrainer hides a trainer's ScratchTrainer implementation, pinning the
-// evaluator to the reference CV loop.
+// plainTrainer hides a trainer's ScratchTrainer implementation, so the
+// evaluator's fold body trains through plain Train.
 type plainTrainer struct{ kernelmachine.Trainer }
 
 // evalOnlyKernel hides a kernel's BlockGramKernel implementation, pinning
@@ -582,7 +583,6 @@ func BenchmarkScore_ServeBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	df := m.(kernelmachine.DualForm)
 	spec, err := kernel.ToSpec(k)
 	if err != nil {
 		b.Fatal(err)
@@ -592,8 +592,8 @@ func BenchmarkScore_ServeBatch(b *testing.B) {
 		Partition:   p,
 		KernelSpec:  spec,
 		TrainX:      d.Matrix(),
-		Coeff:       df.Coefficients(),
-		Bias:        df.Bias(),
+		Coeff:       m.Coefficients(),
+		Bias:        m.Bias(),
 	}
 	pred, err := model.NewPredictor(art)
 	if err != nil {
@@ -629,7 +629,6 @@ func serveBenchArtifact(b *testing.B) (*model.Artifact, *dataset.Dataset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	df := m.(kernelmachine.DualForm)
 	spec, err := kernel.ToSpec(k)
 	if err != nil {
 		b.Fatal(err)
@@ -639,8 +638,8 @@ func serveBenchArtifact(b *testing.B) (*model.Artifact, *dataset.Dataset) {
 		Partition:   p,
 		KernelSpec:  spec,
 		TrainX:      d.Matrix(),
-		Coeff:       df.Coefficients(),
-		Bias:        df.Bias(),
+		Coeff:       m.Coefficients(),
+		Bias:        m.Bias(),
 	}, d
 }
 

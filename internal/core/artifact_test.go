@@ -150,7 +150,7 @@ func TestArtifactModelMatchesHoldoutModel(t *testing.T) {
 		}
 	}
 	selfAcc := float64(agree) / float64(len(labels))
-	holdout, err := Deploy(d, d, res.Best, res.cfg.MKL)
+	holdout, err := mkl.HoldoutAccuracy(d, d, res.Best, res.cfg.MKL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/distsearch"
 	"repro/internal/engine"
 	"repro/internal/kernel"
-	"repro/internal/kernelmachine"
 	"repro/internal/linalg"
 	"repro/internal/mkl"
 	"repro/internal/model"
@@ -128,10 +127,6 @@ func (r *FitResult) Artifact() (*model.Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: deployment fit: %w", err)
 	}
-	df, ok := m.(kernelmachine.DualForm)
-	if !ok {
-		return nil, fmt.Errorf("core: %T model has no extractable dual form", m)
-	}
 	spec, err := kernel.ToSpec(k)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -143,8 +138,8 @@ func (r *FitResult) Artifact() (*model.Artifact, error) {
 		KernelSpec:   spec,
 		FeatureNames: r.data.FeatureNames,
 		TrainX:       r.data.Matrix(),
-		Coeff:        df.Coefficients(),
-		Bias:         df.Bias(),
+		Coeff:        m.Coefficients(),
+		Bias:         m.Bias(),
 	}
 	if err := art.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -301,10 +296,4 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		cfg:         cfg,
 		gram:        gram,
 	}, nil
-}
-
-// Deploy retrains the chosen configuration on train and reports holdout
-// accuracy on test.
-func Deploy(train, test *dataset.Dataset, p partition.Partition, cfg mkl.Config) (float64, error) {
-	return mkl.HoldoutAccuracy(train, test, p, cfg)
 }

@@ -35,7 +35,7 @@ func TestFitEndToEnd(t *testing.T) {
 	if res.Evaluations <= 0 {
 		t.Error("no evaluations recorded")
 	}
-	acc, err := Deploy(train, test, res.Best, mkl.Config{})
+	acc, err := mkl.HoldoutAccuracy(train, test, res.Best, mkl.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,7 @@ func TestDualFormRoundTripScoresBitIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", tr, err)
 		}
-		df, ok := model.(DualForm)
-		if !ok {
-			t.Fatalf("%v: model %T does not implement DualForm", tr, model)
-		}
-		rebuilt := NewDualModel(df.Coefficients(), df.Bias())
+		rebuilt := NewDualModel(model.Coefficients(), model.Bias())
 		want := model.Scores(cross)
 		got := rebuilt.Scores(cross)
 		for i := range want {

@@ -3,7 +3,9 @@
 // precomputed Gram matrix, kernel ridge regression/classification, and a
 // kernel perceptron. Working on precomputed Grams is the natural interface
 // for the lattice search, which evaluates many kernel configurations on one
-// training set.
+// training set. Every learner returns the same trained form, a DualModel
+// (dual coefficients and a bias), which scores, persists and reloads the
+// same way whichever learner fitted it.
 package kernelmachine
 
 import (
@@ -13,18 +15,11 @@ import (
 	"repro/internal/linalg"
 )
 
-// Model is a trained kernel machine: it scores test points given the
-// cross-Gram matrix (rows = test points, cols = training points).
-type Model interface {
-	// Scores returns the real-valued decision scores for the rows of cross.
-	Scores(cross *linalg.Matrix) []float64
-}
-
-// Trainer fits a Model from a training Gram matrix and ±1 labels. Train
-// only reads gram: the deployment fit may hand it a Gram it keeps and
-// trains on again.
+// Trainer fits a DualModel from a training Gram matrix and ±1 labels.
+// Train only reads gram: the deployment fit may hand it a Gram it keeps
+// and trains on again.
 type Trainer interface {
-	Train(gram *linalg.Matrix, y []int) (Model, error)
+	Train(gram *linalg.Matrix, y []int) (*DualModel, error)
 	String() string
 }
 
@@ -69,50 +64,41 @@ func validate(gram *linalg.Matrix, y []int) error {
 	return nil
 }
 
-// DualForm is the extraction interface of models in dual representation:
-// score(x) = Σ coeff_i K(x_i, x) + bias. Every trainer in this package
-// returns a model implementing it; model persistence (internal/model) uses
-// it to lift the fitted coefficients out of the process.
-type DualForm interface {
-	Model
-	// Coefficients returns a copy of the dual coefficients (one per
-	// training row, alpha_i y_i for SVM, alpha_i for ridge/perceptron).
-	Coefficients() []float64
-	// Bias returns the intercept.
-	Bias() float64
-}
-
 // NewDualModel rebuilds a prediction-ready model from extracted dual
-// coefficients and bias — the load-time inverse of DualForm. The returned
-// model scores through the exact code path the trainers' models use, so a
-// persisted model's scores are bit-identical to the fitted one's. The
-// coefficient slice is copied.
-func NewDualModel(coeff []float64, bias float64) DualForm {
-	return &dualModel{coeff: append([]float64(nil), coeff...), b: bias}
+// coefficients and bias — the load-time inverse of Coefficients and Bias.
+// The returned model scores through the exact code path the trainers'
+// models use, so a persisted model's scores are bit-identical to the
+// fitted one's. The coefficient slice is copied.
+func NewDualModel(coeff []float64, bias float64) *DualModel {
+	return &DualModel{coeff: append([]float64(nil), coeff...), b: bias}
 }
 
-// dualModel is the shared prediction form: score(x) = Σ coeff_i K(x_i, x) + b.
-type dualModel struct {
-	coeff []float64 // alpha_i * y_i for SVM; alpha_i for ridge
+// DualModel is the one trained form of every learner in this package:
+// score(x) = Σ coeff_i K(x_i, x) + b over the cross-Gram of x against the
+// training rows (rows = test points, cols = training points). Model
+// persistence (internal/model) lifts it out of the process through
+// Coefficients and Bias, and NewDualModel rebuilds it.
+type DualModel struct {
+	coeff []float64 // alpha_i * y_i for SVM; alpha_i for ridge/perceptron
 	b     float64
 }
 
-// Scores implements Model.
-func (m *dualModel) Scores(cross *linalg.Matrix) []float64 {
+// Scores returns the decision scores for the rows of cross in a new slice.
+func (m *DualModel) Scores(cross *linalg.Matrix) []float64 {
 	return m.ScoresInto(nil, cross)
 }
 
-// ScoresInto implements ScratchModel: decision scores for the rows of cross
-// written into dst (reused when its capacity suffices). Scoring is one
-// matrix-vector product over the row-major cross-Gram (linalg.MulVecInto)
-// when the bias is zero and the shapes agree exactly; otherwise each row
-// accumulates from b over the first len(coeff) columns in the same
-// left-to-right order (some callers, e.g. co-training, score against a
-// cross-Gram with trailing extra columns). Both routes are bit-identical to
-// the historical per-element loop.
+// ScoresInto writes the decision scores for the rows of cross into dst
+// (reused when its capacity suffices, reallocated otherwise) and returns
+// it. Scoring is one matrix-vector product over the row-major cross-Gram
+// (linalg.MulVecInto) when the bias is zero and the shapes agree exactly;
+// otherwise each row accumulates from b over the first len(coeff) columns
+// in the same left-to-right order (some callers, e.g. co-training, score
+// against a cross-Gram with trailing extra columns). Both routes are
+// bit-identical to the historical per-element loop.
 //
 //iotml:hotpath
-func (m *dualModel) ScoresInto(dst []float64, cross *linalg.Matrix) []float64 {
+func (m *DualModel) ScoresInto(dst []float64, cross *linalg.Matrix) []float64 {
 	if cross.Cols < len(m.coeff) {
 		// Historically this fell through to an opaque slice-bounds panic;
 		// fail with the actual shape mismatch instead. (More columns than
@@ -139,11 +125,12 @@ func (m *dualModel) ScoresInto(dst []float64, cross *linalg.Matrix) []float64 {
 	return dst
 }
 
-// Coefficients returns a copy of the dual coefficients (alpha_i y_i).
-func (m *dualModel) Coefficients() []float64 { return append([]float64(nil), m.coeff...) }
+// Coefficients returns a copy of the dual coefficients, one per training
+// row (alpha_i y_i for SVM, alpha_i for ridge/perceptron).
+func (m *DualModel) Coefficients() []float64 { return append([]float64(nil), m.coeff...) }
 
 // Bias returns the intercept.
-func (m *dualModel) Bias() float64 { return m.b }
+func (m *DualModel) Bias() float64 { return m.b }
 
 // SVM trains a soft-margin binary SVM with simplified SMO (Platt's
 // heuristics reduced to random second-choice, as in the classic CS229
@@ -170,7 +157,7 @@ func (s SVM) c() float64 {
 // so the two entry points are bit-identical by construction; callers on hot
 // paths pass their own Scratch to TrainScratch to skip the per-call buffer
 // allocations.
-func (s SVM) Train(gram *linalg.Matrix, y []int) (Model, error) {
+func (s SVM) Train(gram *linalg.Matrix, y []int) (*DualModel, error) {
 	return s.TrainScratch(gram, y, &Scratch{})
 }
 
@@ -192,7 +179,7 @@ func (r Ridge) lambda() float64 {
 
 // Train implements Trainer: TrainScratch on a private Scratch the
 // returned model takes ownership of, as SVM.Train does.
-func (r Ridge) Train(gram *linalg.Matrix, y []int) (Model, error) {
+func (r Ridge) Train(gram *linalg.Matrix, y []int) (*DualModel, error) {
 	return r.TrainScratch(gram, y, &Scratch{})
 }
 
@@ -212,7 +199,7 @@ func (p Perceptron) epochs() int {
 
 // Train implements Trainer: TrainScratch on a private Scratch the
 // returned model takes ownership of, as SVM.Train does.
-func (p Perceptron) Train(gram *linalg.Matrix, y []int) (Model, error) {
+func (p Perceptron) Train(gram *linalg.Matrix, y []int) (*DualModel, error) {
 	return p.TrainScratch(gram, y, &Scratch{})
 }
 
@@ -238,9 +225,7 @@ func absf(a float64) float64 {
 }
 
 var (
-	_ Trainer  = SVM{}
-	_ Trainer  = Ridge{}
-	_ Trainer  = Perceptron{}
-	_ Model    = (*dualModel)(nil)
-	_ DualForm = (*dualModel)(nil)
+	_ Trainer = SVM{}
+	_ Trainer = Ridge{}
+	_ Trainer = Perceptron{}
 )

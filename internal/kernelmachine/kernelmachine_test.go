@@ -162,8 +162,7 @@ func TestDualModelAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm := m.(*dualModel)
-	coeff := dm.Coefficients()
+	coeff := m.Coefficients()
 	if len(coeff) != 30 {
 		t.Fatalf("coefficients = %d, want 30", len(coeff))
 	}
@@ -175,7 +174,7 @@ func TestDualModelAccessors(t *testing.T) {
 	if math.Abs(sum) > 1e-6 {
 		t.Errorf("sum of dual coefficients = %v, want ≈ 0", sum)
 	}
-	_ = dm.Bias()
+	_ = m.Bias()
 }
 
 func TestRidgeScoresSignalMargin(t *testing.T) {
@@ -245,7 +244,7 @@ func TestSVMRespectsBoxConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, coeff := range m.(*dualModel).Coefficients() {
+	for i, coeff := range m.Coefficients() {
 		alpha := coeff * float64(yTr[i]) // alpha_i = coeff_i * y_i
 		if alpha < -1e-9 || alpha > c+1e-9 {
 			t.Errorf("alpha[%d] = %v outside [0, %v]", i, alpha, c)

@@ -6,7 +6,7 @@
 //
 //   - A Scratch belongs to exactly one goroutine; trainers never retain it
 //     beyond the TrainScratch call.
-//   - The returned Model aliases the Scratch's buffers. It is valid until
+//   - The returned DualModel aliases the Scratch's buffers. It is valid until
 //     the next TrainScratch call with the same Scratch — consume (score)
 //     each model before training the next, or use distinct Scratches.
 //   - The gram matrix passed to TrainScratch is read-only: TrainScratch
@@ -32,17 +32,7 @@ import (
 // package notes in this file for the ownership and exactness rules.
 type ScratchTrainer interface {
 	Trainer
-	TrainScratch(gram *linalg.Matrix, y []int, s *Scratch) (Model, error)
-}
-
-// ScratchModel is implemented by models that can score into a caller-owned
-// buffer.
-type ScratchModel interface {
-	Model
-	// ScoresInto writes the decision scores for the rows of cross into dst
-	// (reused when its capacity suffices, reallocated otherwise) and
-	// returns it.
-	ScoresInto(dst []float64, cross *linalg.Matrix) []float64
+	TrainScratch(gram *linalg.Matrix, y []int, s *Scratch) (*DualModel, error)
 }
 
 // Scratch holds the reusable buffers of scratch-aware trainers. The zero
@@ -55,7 +45,7 @@ type Scratch struct {
 	v2    []float64 // fy (svm)
 	v3    []float64 // error cache E_i (svm)
 	v4    []float64 // dual coefficients (svm, perceptron)
-	model dualModel
+	model DualModel
 }
 
 // RidgeScratch holds the buffers of one ridge system at storage width T —
@@ -79,7 +69,7 @@ func vec(buf *[]float64, n int) []float64 {
 }
 
 // finish points the Scratch's reusable model at the given coefficients.
-func (s *Scratch) finish(coeff []float64, b float64) Model {
+func (s *Scratch) finish(coeff []float64, b float64) *DualModel {
 	s.model.coeff = coeff
 	s.model.b = b
 	return &s.model
@@ -89,7 +79,7 @@ func (s *Scratch) finish(coeff []float64, b float64) Model {
 // whole of gram, into the Scratch's buffers.
 //
 //iotml:hotpath
-func (r Ridge) TrainScratch(gram *linalg.Matrix, y []int, s *Scratch) (Model, error) {
+func (r Ridge) TrainScratch(gram *linalg.Matrix, y []int, s *Scratch) (*DualModel, error) {
 	if err := validate(gram, y); err != nil {
 		return nil, err
 	}
@@ -168,7 +158,7 @@ func (s *RidgeScratch[T]) Solve(r Ridge, a *linalg.Dense[T], idx []int, rhs []T,
 // SMO implementation; Train wraps it with a private Scratch.
 //
 //iotml:hotpath
-func (s SVM) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (Model, error) {
+func (s SVM) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (*DualModel, error) {
 	if err := validate(gram, y); err != nil {
 		return nil, err
 	}
@@ -282,7 +272,7 @@ func (s SVM) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (Model, err
 // a mistake.
 //
 //iotml:hotpath
-func (p Perceptron) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (Model, error) {
+func (p Perceptron) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (*DualModel, error) {
 	if err := validate(gram, y); err != nil {
 		return nil, err
 	}
@@ -314,5 +304,4 @@ var (
 	_ ScratchTrainer = Ridge{}
 	_ ScratchTrainer = SVM{}
 	_ ScratchTrainer = Perceptron{}
-	_ ScratchModel   = (*dualModel)(nil)
 )

@@ -50,12 +50,12 @@ func TestRidgeTrainScratchBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refC := ref.(*dualModel).Coefficients()
-		fastC := fast.(*dualModel).Coefficients()
+		refC := ref.Coefficients()
+		fastC := fast.Coefficients()
 		if !reflect.DeepEqual(refC, fastC) {
 			t.Fatalf("n=%d: scratch ridge coefficients differ from Train", n)
 		}
-		if fast.(*dualModel).Bias() != ref.(*dualModel).Bias() {
+		if fast.Bias() != ref.Bias() {
 			t.Fatalf("n=%d: scratch ridge bias differs", n)
 		}
 	}
@@ -93,11 +93,11 @@ func TestPerceptronTrainScratchBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fast.(*dualModel).Coefficients(); !reflect.DeepEqual(got, want) {
+		if got := fast.Coefficients(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: scratch perceptron coefficients %v, reference %v", n, got, want)
 		}
-		if fast.(*dualModel).Bias() != 0 {
-			t.Fatalf("n=%d: scratch perceptron bias %v, want 0", n, fast.(*dualModel).Bias())
+		if fast.Bias() != 0 {
+			t.Fatalf("n=%d: scratch perceptron bias %v, want 0", n, fast.Bias())
 		}
 	}
 }
@@ -118,13 +118,13 @@ func TestSVMTrainScratchBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refC := ref.(*dualModel).Coefficients()
-		fastC := fast.(*dualModel).Coefficients()
+		refC := ref.Coefficients()
+		fastC := fast.Coefficients()
 		if !reflect.DeepEqual(refC, fastC) {
 			t.Fatalf("n=%d: scratch SMO coefficients differ from Train", n)
 		}
-		if fast.(*dualModel).Bias() != ref.(*dualModel).Bias() {
-			t.Fatalf("n=%d: bias %v (scratch) vs %v (ref)", n, fast.(*dualModel).Bias(), ref.(*dualModel).Bias())
+		if fast.Bias() != ref.Bias() {
+			t.Fatalf("n=%d: bias %v (scratch) vs %v (ref)", n, fast.Bias(), ref.Bias())
 		}
 		if got, want := Classify(fast.Scores(gram)), Classify(ref.Scores(gram)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: scratch SMO classifications differ from Train", n)
@@ -146,7 +146,7 @@ func TestScoresIntoMatchesScores(t *testing.T) {
 	}
 	var buf []float64
 	for _, b := range []float64{0, -0.37} {
-		m := &dualModel{coeff: coeff, b: b}
+		m := &DualModel{coeff: coeff, b: b}
 		want := m.Scores(cross)
 		buf = m.ScoresInto(buf, cross)
 		if !reflect.DeepEqual(buf, want) {
@@ -175,7 +175,7 @@ func TestScratchModelAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := m1.(*dualModel).Coefficients()
+	first := m1.Coefficients()
 	m2, err := Ridge{Lambda: 5}.TrainScratch(gram, y, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestScratchModelAliasing(t *testing.T) {
 	if m1 != m2 {
 		t.Fatal("TrainScratch should reuse the Scratch-owned model")
 	}
-	second := m2.(*dualModel).Coefficients()
+	second := m2.Coefficients()
 	if reflect.DeepEqual(first, second) {
 		t.Fatal("expected different solutions for different lambdas (sanity)")
 	}

@@ -14,14 +14,12 @@
 package mkl
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/kernelmachine"
 	"repro/internal/linalg"
 	"repro/internal/partition"
-	"repro/internal/stats"
 )
 
 // DefaultBudgetTopK is the survivor count used when a budgeted search is
@@ -120,38 +118,32 @@ func (e *Evaluator) labelVec() linalg.Vector {
 // regularization schedule as kernelmachine.Ridge.Train (λ' = λ·n_tr/10,
 // heavier 1 + λ·n_tr fallback), and test scores F_te·β — algebraically the
 // kernel ridge scores on K̂ = F·Fᵀ (push-through identity), at
-// O(n_tr·R² + R³) per fold instead of O(n_tr³). Fold membership comes from
-// the same precomputed plan as the exact paths, so approximate and exact
-// scores are comparable fold-for-fold.
+// O(n_tr·R² + R³) per fold instead of O(n_tr³). The folds come from the
+// same loop and plan as the exact paths (cvFolds), so approximate and
+// exact scores are comparable fold-for-fold.
 func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridge) (float64, error) {
 	for len(e.lrCols) < f.Cols {
 		e.lrCols = append(e.lrCols, len(e.lrCols))
 	}
 	cols := e.lrCols[:f.Cols]
-	fd := e.folds
 	y := e.labelVec()
-	total := 0.0
-	for fold := range fd.plan.Trains {
-		tr := fd.plan.Trains[fold]
-		nTr := len(tr)
-		e.d64.sub = linalg.GatherInto(e.d64.sub, f, tr, cols)
-		if cap(e.lrRhs) < nTr {
-			e.lrRhs = linalg.NewVector(nTr)
+	return e.cvFolds(func(_ int, train, test []int) ([]float64, error) {
+		e.d64.sub = linalg.GatherInto(e.d64.sub, f, train, cols)
+		if cap(e.lrRhs) < len(train) {
+			e.lrRhs = linalg.NewVector(len(train))
 		}
-		ytr := e.lrRhs[:nTr]
-		for i, a := range tr {
+		ytr := e.lrRhs[:len(train)]
+		for i, a := range train {
 			ytr[i] = y[a]
 		}
 		beta, err := e.lowRankRidgeSolve(e.d64.sub, ytr, ridge)
 		if err != nil {
-			return 0, fmt.Errorf("mkl: fold %d: %w", fold, err)
+			return nil, err
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, f, fd.plan.Tests[fold], cols)
+		e.d64.cross = linalg.GatherInto(e.d64.cross, f, test, cols)
 		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, e.d64.cross, beta)
-		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
-		total += stats.Accuracy(e.predBuf, fd.yTest[fold])
-	}
-	return total / float64(len(fd.plan.Trains)), nil
+		return e.scoreBuf, nil
+	})
 }
 
 // lowRankRidgeSolve solves (FᵀF + λ'I)β = Fᵀy in the evaluator's ridge

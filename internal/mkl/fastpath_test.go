@@ -5,15 +5,50 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/kernelmachine"
+	"repro/internal/linalg"
 	"repro/internal/partition"
 	"repro/internal/stats"
 )
 
 // refTrainer hides a trainer's ScratchTrainer implementation behind the
-// plain Trainer interface, forcing the evaluator onto the reference CV
-// loop (KFold-derived split, allocating Train) so tests can compare
-// the two paths on identical Gram matrices.
+// plain Trainer interface, so the evaluator's fold body trains each fold
+// through the allocating Train instead of TrainScratch.
 type refTrainer struct{ kernelmachine.Trainer }
+
+// referenceCV is the reference k-fold CV every evaluator score must
+// reproduce bit for bit: the split re-derived by stats.KFold from the
+// evaluator's seed, fold Grams and labels gathered element by element,
+// plain Train on each fold, and allocating Scores.
+func referenceCV(t *testing.T, d *dataset.Dataset, gram *linalg.Matrix, tr kernelmachine.Trainer, folds int, seed int64) float64 {
+	t.Helper()
+	gather := func(rows, cols []int) *linalg.Matrix {
+		m := linalg.NewMatrix(len(rows), len(cols))
+		for i, a := range rows {
+			for j, b := range cols {
+				m.Set(i, j, gram.At(a, b))
+			}
+		}
+		return m
+	}
+	labels := func(rows []int) []int {
+		y := make([]int, len(rows))
+		for i, a := range rows {
+			y[i] = d.Y[a]
+		}
+		return y
+	}
+	trains, tests := stats.KFold(d.N(), folds, stats.NewRNG(seed+17))
+	total := 0.0
+	for f := range trains {
+		model, err := tr.Train(gather(trains[f], trains[f]), labels(trains[f]))
+		if err != nil {
+			t.Fatalf("reference fold %d: %v", f, err)
+		}
+		pred := kernelmachine.Classify(model.Scores(gather(tests[f], trains[f])))
+		total += stats.Accuracy(pred, labels(tests[f]))
+	}
+	return total / float64(len(trains))
+}
 
 func fastPathWorkload(seed int64) *dataset.Dataset {
 	cfg := dataset.DefaultBiometricConfig()
@@ -23,12 +58,13 @@ func fastPathWorkload(seed int64) *dataset.Dataset {
 	return d
 }
 
-// TestFastPathMatchesReference is the tentpole equivalence suite: for
-// Ridge, SMO and the perceptron, across seeds × folds × workers, the
-// zero-alloc CV fast path (cached fold plan, index-gathered fold Grams,
-// scratch-aware training and scoring) must produce CV scores
-// bit-identical to the reference path on the same Gram engine, and
-// searches must select the same partition.
+// TestFastPathMatchesReference is the equivalence suite of the CV fold
+// loop: for Ridge, SMO and the perceptron, across seeds × folds × workers,
+// every trace score of a chain search — through TrainScratch (the ridge
+// one through the native ridge body) and through plain Train (refTrainer)
+// — must be bit-identical to referenceCV on the same Gram, so a drift in
+// the loop's split, labels or scratch reuse fails here, and both searches
+// must select the same partition.
 func TestFastPathMatchesReference(t *testing.T) {
 	trainers := []kernelmachine.Trainer{
 		kernelmachine.Ridge{},
@@ -39,6 +75,15 @@ func TestFastPathMatchesReference(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			d := fastPathWorkload(seed)
 			for _, folds := range []int{3, 4, 5} {
+				want := map[string]float64{}
+				oracle := func(e *Evaluator, p partition.Partition) float64 {
+					k := p.Key()
+					if s, ok := want[k]; ok {
+						return s
+					}
+					want[k] = referenceCV(t, d, e.gramCache.GramForPartition(p, e.cfg.Combiner, nil), trainer, folds, seed)
+					return want[k]
+				}
 				for _, workers := range []int{1, 2, 8} {
 					mk := func(tr kernelmachine.Trainer) *Evaluator {
 						e, err := NewEvaluator(d, Config{
@@ -51,29 +96,29 @@ func TestFastPathMatchesReference(t *testing.T) {
 						return e
 					}
 					fast := mk(trainer)
-					ref := mk(refTrainer{trainer})
+					plain := mk(refTrainer{trainer})
 					p := partition.Coarsest(d.D())
 					fastRes, err := ChainSearch(fast, p, BestOfChain)
 					if err != nil {
 						t.Fatal(err)
 					}
-					refRes, err := ChainSearch(ref, p, BestOfChain)
+					plainRes, err := ChainSearch(plain, p, BestOfChain)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if fastRes.Score != refRes.Score || !fastRes.Best.Equal(refRes.Best) {
-						t.Fatalf("%v seed %d folds %d workers %d: fast (%v, %v) != reference (%v, %v)",
-							trainer, seed, folds, workers, fastRes.Best, fastRes.Score, refRes.Best, refRes.Score)
+					if fastRes.Score != plainRes.Score || !fastRes.Best.Equal(plainRes.Best) {
+						t.Fatalf("%v seed %d folds %d workers %d: scratch (%v, %v) != plain Train (%v, %v)",
+							trainer, seed, folds, workers, fastRes.Best, fastRes.Score, plainRes.Best, plainRes.Score)
 					}
-					if len(fastRes.Trace) != len(refRes.Trace) {
+					if len(fastRes.Trace) != len(plainRes.Trace) {
 						t.Fatalf("%v seed %d folds %d workers %d: trace lengths %d vs %d",
-							trainer, seed, folds, workers, len(fastRes.Trace), len(refRes.Trace))
+							trainer, seed, folds, workers, len(fastRes.Trace), len(plainRes.Trace))
 					}
-					for i := range fastRes.Trace {
-						if fastRes.Trace[i].Score != refRes.Trace[i].Score {
-							t.Fatalf("%v seed %d folds %d workers %d: trace[%d] score %v (fast) != %v (reference) at %v",
-								trainer, seed, folds, workers, i,
-								fastRes.Trace[i].Score, refRes.Trace[i].Score, fastRes.Trace[i].Partition)
+					for i, st := range fastRes.Trace {
+						ref := oracle(fast, st.Partition)
+						if st.Score != ref || plainRes.Trace[i].Score != ref {
+							t.Fatalf("%v seed %d folds %d workers %d: trace[%d] at %v: scratch %v, plain Train %v, reference %v",
+								trainer, seed, folds, workers, i, st.Partition, st.Score, plainRes.Trace[i].Score, ref)
 						}
 					}
 				}

@@ -62,9 +62,10 @@ const (
 // deployment fit's — is assembled by a kernel.BlockGramCache from per-block
 // Grams, which come from the vectorized block formulas for the base
 // kernels and from pairwise Eval — the scalar reference arithmetic — for a
-// block kernel without one. Likewise a Trainer implementing
-// kernelmachine.ScratchTrainer takes the zero-alloc CV fast path, and any
-// other trainer the reference CV loop.
+// block kernel without one. Every Trainer is cross-validated by the one
+// fold loop (cvFolds): ridge natively at the backend's storage width, a
+// kernelmachine.ScratchTrainer in evaluator scratch without allocating,
+// and any other trainer through plain Train.
 type Config struct {
 	Factory   kernel.BlockKernelFactory
 	Combiner  kernel.Combiner
@@ -169,7 +170,7 @@ type Evaluator struct {
 	// body at each storage width (see dense). Each worker of a parallel
 	// search owns its evaluator, so the buffers are reused across
 	// candidates without reallocation and without races. The approximate
-	// backends and the float64 CV loops reuse d64's buffers too.
+	// backends and the float64 fold body reuse d64's buffers too.
 	d64 dense[float64]
 	d32 dense[float32]
 	// folds is the CV fold plan plus per-fold label slices, computed once in
@@ -177,8 +178,8 @@ type Evaluator struct {
 	// parallel search (every candidate uses the identical split).
 	folds *foldData
 	// kmScratch, scoreBuf, and predBuf are the per-evaluator learner and
-	// prediction scratch of the CV fast path (lazily created, worker-owned).
-	kmScratch *kernelmachine.Scratch
+	// prediction scratch of the CV fold loop (worker-owned).
+	kmScratch kernelmachine.Scratch
 	scoreBuf  []float64
 	predBuf   []int
 
@@ -390,7 +391,7 @@ func (s *dense[T]) assemble(c *kernel.DenseGramCache[T], p partition.Partition, 
 // storage width. Alignment centers and aligns at the Gram's width; ridge
 // CV gathers, solves and scores natively at it (cvRidge). Learners without
 // a native loop at T (SVM's SMO, the perceptron, a caller's trainer) run
-// the float64 CV paths on the float64 Gram — the f32 Gram widened once,
+// the float64 fold body on the float64 Gram — the f32 Gram widened once,
 // exactly, so only assembly pays the f32 rounding there.
 func (s *dense[T]) score(e *Evaluator, gram *linalg.Dense[T]) (float64, error) {
 	switch e.cfg.Objective {
@@ -410,113 +411,77 @@ func (s *dense[T]) score(e *Evaluator, gram *linalg.Dense[T]) (float64, error) {
 	}
 }
 
-// cvRidge runs the evaluator's k-fold CV with ridge at the Gram's storage
-// width: kernelmachine.FitRidge solves each fold's system straight from
-// gram's train rows under the λ·n/10 → 1+λ·n schedule, and scores
-// re-enter float64 at the scores-into step, so classification and
-// accuracy are shared with every other backend. At float64 every
-// operation is Ridge.TrainScratch's on the fold's Gram, so the scores are
-// bit-identical to the reference CV loop.
+// cvFolds is the evaluator's one k-fold CV loop. It walks the precomputed
+// fold plan; for fold f, body fits on the fold's training rows and returns
+// the scores of its test rows, which cvFolds classifies and scores against
+// the plan's test labels. The result is the mean accuracy, summed in fold
+// order. Each body's model and scores live in evaluator scratch and are
+// consumed here before the next fold rewrites them.
 //
 //iotml:hotpath
-func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.Ridge) (float64, error) {
+func (e *Evaluator) cvFolds(body func(f int, train, test []int) ([]float64, error)) (float64, error) {
 	fd := e.folds
 	total := 0.0
 	for f, tr := range fd.plan.Trains {
-		beta, err := kernelmachine.FitRidge(r, gram, tr, fd.yTrain[f], &s.ridge)
+		scores, err := body(f, tr, fd.plan.Tests[f])
 		if err != nil {
 			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
 			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
 		}
-		s.cross = linalg.GatherInto(s.cross, gram, fd.plan.Tests[f], tr)
-		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, s.cross, beta)
-		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
+		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, scores)
 		total += stats.Accuracy(e.predBuf, fd.yTest[f])
 	}
 	return total / float64(len(fd.plan.Trains)), nil
 }
 
-// cvAccuracy runs k-fold CV re-using one precomputed full Gram matrix.
-// Trainers that implement kernelmachine.ScratchTrainer take the
-// allocation-free fast path: the precomputed fold plan's index sets
-// extract sub- and cross-Grams (linalg.GatherInto), labels come from the
-// plan's precomputed slices, and training/scoring run in evaluator-owned
-// scratch. Every other trainer takes the reference path below, whose
-// scores the fast path reproduces bit-for-bit (see the equivalence suite in
-// fastpath_test.go).
-func (e *Evaluator) cvAccuracy(gram *linalg.Matrix) (float64, error) {
-	if st, ok := e.cfg.Trainer.(kernelmachine.ScratchTrainer); ok {
-		return e.cvAccuracyFast(gram, st)
-	}
-	return e.cvAccuracyRef(gram)
-}
-
-// cvAccuracyFast is the zero-allocation CV path. Per candidate it performs
-// no fold-split derivation and no per-fold allocations in steady state: the
-// fold plan, label slices, Gram scratch, learner scratch, and prediction
-// buffers all persist on the evaluator. Each fold's model aliases the
-// learner scratch and is consumed (scored) before the next fold rewrites it,
-// per the kernelmachine scratch-ownership rules.
+// cvRidge is the ridge fold body at the Gram's storage width:
+// kernelmachine.FitRidge solves each fold's system straight from gram's
+// train rows under the λ·n/10 → 1+λ·n schedule, and scores re-enter
+// float64 at the scores-into step, so classification and accuracy are
+// shared with every other backend. At float64 every operation is
+// Ridge.TrainScratch's on the fold's Gram, so the scores are bit-identical
+// to those of cvAccuracy.
 //
 //iotml:hotpath
-func (e *Evaluator) cvAccuracyFast(gram *linalg.Matrix, st kernelmachine.ScratchTrainer) (float64, error) {
-	fd := e.folds
-	if e.kmScratch == nil {
-		e.kmScratch = &kernelmachine.Scratch{}
-	}
-	total := 0.0
-	for f := range fd.plan.Trains {
-		tr := fd.plan.Trains[f]
-		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, tr, tr)
-		model, err := st.TrainScratch(e.d64.sub, fd.yTrain[f], e.kmScratch)
+func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.Ridge) (float64, error) {
+	return e.cvFolds(func(f int, train, test []int) ([]float64, error) {
+		beta, err := kernelmachine.FitRidge(r, gram, train, e.folds.yTrain[f], &s.ridge)
 		if err != nil {
-			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
-			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
+			return nil, err
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, fd.plan.Tests[f], tr)
-		if sm, ok := model.(kernelmachine.ScratchModel); ok {
-			e.scoreBuf = sm.ScoresInto(e.scoreBuf, e.d64.cross)
-		} else {
-			e.scoreBuf = model.Scores(e.d64.cross)
-		}
-		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf)
-		total += stats.Accuracy(e.predBuf, fd.yTest[f])
-	}
-	return total / float64(len(fd.plan.Trains)), nil
+		s.cross = linalg.GatherInto(s.cross, gram, test, train)
+		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, s.cross, beta)
+		return e.scoreBuf, nil
+	})
 }
 
-// cvAccuracyRef is the reference CV path: the split re-derived by KFold,
-// per-fold label slices, and the plain Trainer interface. The fold sub-
-// and cross-Gram buffers live on the evaluator and are refilled by
-// linalg.GatherInto — capacity-based, so alternating fold shapes (n/k vs
-// n/k+1 when k does not divide n) stop reallocating every fold (trainers
-// clone what they keep, and each fold's model is consumed before the
-// buffers are rewritten).
-func (e *Evaluator) cvAccuracyRef(gram *linalg.Matrix) (float64, error) {
-	n := e.data.N()
-	rng := stats.NewRNG(e.cfg.Seed + 17)
-	trains, tests := stats.KFold(n, e.cfg.Folds, rng)
-	total := 0.0
-	for f := range trains {
-		tr, te := trains[f], tests[f]
-		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, tr, tr)
-		yTr := make([]int, len(tr))
-		for i, a := range tr {
-			yTr[i] = e.data.Y[a]
+// cvAccuracy is the fold body of every learner on a float64 Gram: the
+// plan's index sets gather each fold's sub- and cross-Gram
+// (linalg.GatherInto, capacity-reused, so alternating fold sizes n/k and
+// n/k+1 stop reallocating), the learner trains on the sub-Gram, and its
+// model scores the cross-Gram into evaluator scratch. A
+// kernelmachine.ScratchTrainer trains in the evaluator's learner scratch,
+// allocation-free in steady state; any other trainer through plain Train.
+//
+//iotml:hotpath
+func (e *Evaluator) cvAccuracy(gram *linalg.Matrix) (float64, error) {
+	st, scratch := e.cfg.Trainer.(kernelmachine.ScratchTrainer)
+	return e.cvFolds(func(f int, train, test []int) ([]float64, error) {
+		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, train, train)
+		var m *kernelmachine.DualModel
+		var err error
+		if scratch {
+			m, err = st.TrainScratch(e.d64.sub, e.folds.yTrain[f], &e.kmScratch)
+		} else {
+			m, err = e.cfg.Trainer.Train(e.d64.sub, e.folds.yTrain[f])
 		}
-		model, err := e.cfg.Trainer.Train(e.d64.sub, yTr)
 		if err != nil {
-			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
+			return nil, err
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, te, tr)
-		yTe := make([]int, len(te))
-		for i, a := range te {
-			yTe[i] = e.data.Y[a]
-		}
-		pred := kernelmachine.Classify(model.Scores(e.d64.cross))
-		total += stats.Accuracy(pred, yTe)
-	}
-	return total / float64(len(trains)), nil
+		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, test, train)
+		e.scoreBuf = m.ScoresInto(e.scoreBuf, e.d64.cross)
+		return e.scoreBuf, nil
+	})
 }
 
 // Step records one evaluated partition during a search.
@@ -865,7 +830,7 @@ func HoldoutAccuracy(train, test *dataset.Dataset, p partition.Partition, cfg Co
 // reads — and otherwise assembled here exactly like a search candidate's,
 // by a retention-disabled block cache, so the fit holds that Gram plus one
 // block at a time. Both routes give the same bits.
-func TrainDeployed(train *dataset.Dataset, p partition.Partition, cfg Config, gram *linalg.Matrix) (kernel.Kernel, kernelmachine.Model, kernelmachine.Trainer, error) {
+func TrainDeployed(train *dataset.Dataset, p partition.Partition, cfg Config, gram *linalg.Matrix) (kernel.Kernel, *kernelmachine.DualModel, kernelmachine.Trainer, error) {
 	cfg = cfg.withDefaults()
 	if p.N() != train.D() {
 		return nil, nil, nil, fmt.Errorf("mkl: partition over %d features, dataset has %d", p.N(), train.D())

@@ -186,8 +186,8 @@ func TestSearchCoreDeterminism(t *testing.T) {
 
 // cancellingTrainer cancels a context after a fixed number of Train calls,
 // simulating an abort landing mid-search from inside candidate evaluation.
-// Embedding the Trainer interface (not a concrete scratch trainer) pins the
-// evaluator to the reference CV path, so Train is what gets called.
+// Embedding the Trainer interface (not a concrete scratch trainer) hides
+// TrainScratch, so the evaluator's fold body calls Train.
 type cancellingTrainer struct {
 	kernelmachine.Trainer
 	cancel context.CancelFunc
@@ -195,7 +195,7 @@ type cancellingTrainer struct {
 	after  int64
 }
 
-func (c cancellingTrainer) Train(gram *linalg.Matrix, y []int) (kernelmachine.Model, error) {
+func (c cancellingTrainer) Train(gram *linalg.Matrix, y []int) (*kernelmachine.DualModel, error) {
 	if c.calls.Add(1) == c.after {
 		c.cancel()
 	}

@@ -47,7 +47,6 @@ func goldenArtifact(t *testing.T) *Artifact {
 	if err != nil {
 		t.Fatalf("training golden model: %v", err)
 	}
-	df := m.(kernelmachine.DualForm)
 	spec, err := kernel.ToSpec(k)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +60,8 @@ func goldenArtifact(t *testing.T) *Artifact {
 			"color_0", "color_1", "texture_0", "texture_1",
 		},
 		TrainX: linalg.FromRows(x),
-		Coeff:  df.Coefficients(),
-		Bias:   df.Bias(),
+		Coeff:  m.Coefficients(),
+		Bias:   m.Bias(),
 	}
 }
 

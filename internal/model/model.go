@@ -193,21 +193,9 @@ func (a *Artifact) Save(w io.Writer) error {
 		return err
 	}
 	payload := a.payloadBytes()
-	h := header{
-		FormatVersion: FormatVersion,
-		LearnerKind:   a.LearnerKind,
-		Learner:       a.Learner,
-		PartitionRGS:  rgs(a.Partition),
-		Kernel:        a.KernelSpec,
-		FeatureNames:  a.FeatureNames,
-		NumTrain:      a.TrainX.Rows,
-		Dim:           a.TrainX.Cols,
-		Bias:          a.Bias,
-		PayloadCRC32:  crc32.ChecksumIEEE(payload),
-	}
-	hdr, err := json.Marshal(h)
+	hdr, err := a.header(crc32.ChecksumIEEE(payload))
 	if err != nil {
-		return fmt.Errorf("model: encoding header: %w", err)
+		return err
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -225,6 +213,27 @@ func (a *Artifact) Save(w io.Writer) error {
 		return fmt.Errorf("model: %w", err)
 	}
 	return bw.Flush()
+}
+
+// header encodes the artifact's JSON header for a payload with the given
+// checksum — the one encoding Save writes and Load accepts.
+func (a *Artifact) header(crc uint32) ([]byte, error) {
+	hdr, err := json.Marshal(header{
+		FormatVersion: FormatVersion,
+		LearnerKind:   a.LearnerKind,
+		Learner:       a.Learner,
+		PartitionRGS:  rgs(a.Partition),
+		Kernel:        a.KernelSpec,
+		FeatureNames:  a.FeatureNames,
+		NumTrain:      a.TrainX.Rows,
+		Dim:           a.TrainX.Cols,
+		Bias:          a.Bias,
+		PayloadCRC32:  crc,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("model: encoding header: %w", err)
+	}
+	return hdr, nil
 }
 
 // SaveFile writes the artifact to path, creating or truncating it.
@@ -253,8 +262,23 @@ const maxHeaderBytes = 16 << 20
 // overflow the size arithmetic into a makeslice panic.
 const maxPayloadBytes = 2 << 30
 
+// readFull reads exactly n bytes from r into a buffer that grows with
+// the bytes actually read, so a length field claiming more than the input
+// holds costs no more memory than the input does.
+func readFull(r io.Reader, n int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, n))
+	if err == nil && int64(len(b)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
 // Load reads an artifact from r, verifying magic, format version, payload
-// checksum, and structural consistency.
+// checksum, and structural consistency. Only the bytes Save writes load:
+// the header must be the exact encoding Save gives the loaded artifact,
+// and nothing may follow the payload, so Save(Load(b)) reproduces b and
+// two files fingerprint equal exactly when their bytes are equal. Memory
+// grows with the bytes read, never with the sizes a header claims.
 func Load(r io.Reader) (*Artifact, error) {
 	br := bufio.NewReader(r)
 	var magicBuf [len(magic)]byte
@@ -272,8 +296,8 @@ func Load(r io.Reader) (*Artifact, error) {
 	if hlen == 0 || hlen > maxHeaderBytes {
 		return nil, fmt.Errorf("model: implausible header length %d", hlen)
 	}
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	hdr, err := readFull(br, int64(hlen))
+	if err != nil {
 		return nil, fmt.Errorf("model: reading header: %w", err)
 	}
 	var h header
@@ -299,8 +323,8 @@ func Load(r io.Reader) (*Artifact, error) {
 	if cells > maxCells {
 		return nil, fmt.Errorf("model: payload of %dx%d training rows exceeds the %d-byte cap", h.NumTrain, h.Dim, int64(maxPayloadBytes))
 	}
-	payload := make([]byte, 8*cells)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readFull(br, 8*cells)
+	if err != nil {
 		return nil, fmt.Errorf("model: reading payload (%d training rows × %d features): %w", h.NumTrain, h.Dim, err)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != h.PayloadCRC32 {
@@ -332,6 +356,14 @@ func Load(r io.Reader) (*Artifact, error) {
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
+	}
+	if canon, err := a.header(h.PayloadCRC32); err != nil || !bytes.Equal(canon, hdr) {
+		return nil, fmt.Errorf("model: header is not the encoding Save writes for its contents")
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("model: data after the payload")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("model: reading past the payload: %w", err)
 	}
 	return a, nil
 }

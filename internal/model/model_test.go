@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -47,10 +48,6 @@ func fitArtifactWith(t *testing.T, seed int64, trainer kernelmachine.Trainer, fa
 	if err != nil {
 		t.Fatalf("training: %v", err)
 	}
-	df, ok := m.(kernelmachine.DualForm)
-	if !ok {
-		t.Fatalf("model %T is not a DualForm", m)
-	}
 	spec, err := kernel.ToSpec(k)
 	if err != nil {
 		t.Fatalf("ToSpec: %v", err)
@@ -61,8 +58,8 @@ func fitArtifactWith(t *testing.T, seed int64, trainer kernelmachine.Trainer, fa
 		Partition:   p,
 		KernelSpec:  spec,
 		TrainX:      linalg.FromRows(x),
-		Coeff:       df.Coefficients(),
-		Bias:        df.Bias(),
+		Coeff:       m.Coefficients(),
+		Bias:        m.Bias(),
 	}
 }
 
@@ -293,6 +290,56 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 			t.Fatalf("err = %v, want payload-cap error", err)
 		}
 	})
+	t.Run("data after the payload", func(t *testing.T) {
+		bad := append(append([]byte(nil), good...), 0)
+		if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "after the payload") {
+			t.Fatalf("err = %v, want trailing-data error", err)
+		}
+	})
+	t.Run("header in another encoding", func(t *testing.T) {
+		// Same contents, one extra space: it decodes to the same artifact
+		// but is not the bytes Save writes, so it would not save back.
+		bad := rewriteShape(" 30")
+		if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "encoding Save writes") {
+			t.Fatalf("err = %v, want non-canonical-header error", err)
+		}
+	})
+}
+
+// TestLoadAllocatesNoMoreThanTheInput: a short input whose header claims a
+// large artifact — n_train 1,000,000 × dim 12, about 104 MB of payload, or
+// a 16 MiB header — fails with an error after allocating memory in
+// proportion to its own bytes, not to the sizes it claims.
+func TestLoadAllocatesNoMoreThanTheInput(t *testing.T) {
+	hdr, err := json.Marshal(header{
+		FormatVersion: FormatVersion,
+		LearnerKind:   LearnerRidge,
+		Kernel:        &kernel.Spec{Kind: kernel.SpecLinear},
+		NumTrain:      1_000_000,
+		Dim:           12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	claimsPayload := binary.LittleEndian.AppendUint32([]byte(magic), uint32(len(hdr)))
+	claimsPayload = append(append(claimsPayload, hdr...), make([]byte, 16)...)
+	claimsHeader := binary.LittleEndian.AppendUint32([]byte(magic), maxHeaderBytes)
+	claimsHeader = append(claimsHeader, hdr...)
+	for _, tc := range []struct {
+		claims string
+		in     []byte
+	}{{"payload", claimsPayload}, {"header", claimsHeader}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(bytes.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "EOF") {
+			t.Errorf("%s: err = %v, want a truncation error", tc.claims, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: loading a %d-byte input allocated %d bytes", tc.claims, len(tc.in), grew)
+		}
+	}
 }
 
 // TestLoadRejectsOverDeepKernelSpec: an artifact whose kernel spec nests

@@ -39,14 +39,14 @@ type Predictor struct {
 // written after NewPredictor, so Forks share it.
 type bound struct {
 	art   *Artifact
-	k     kernel.Kernel
-	model kernelmachine.ScratchModel
-	// train is k bound to TrainX; nil when k has no block fast path.
+	model *kernelmachine.DualModel
+	// train is the artifact's kernel bound to TrainX.
 	train kernel.BoundCross
 }
 
 // NewPredictor validates the artifact, rebuilds its kernel and dual model,
-// and binds the kernel to the training rows.
+// and binds the kernel to the training rows. Every kernel a spec rebuilds
+// has a block fast path; one that did not would be refused here.
 func NewPredictor(a *Artifact) (*Predictor, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -55,15 +55,11 @@ func NewPredictor(a *Artifact) (*Predictor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model: rebuilding kernel: %w", err)
 	}
-	dm := kernelmachine.NewDualModel(a.Coeff, a.Bias)
-	sm, ok := dm.(kernelmachine.ScratchModel)
+	train, ok := kernel.BindCross(k, a.TrainX)
 	if !ok {
-		// NewDualModel always returns a ScratchModel today; guard the
-		// assumption explicitly rather than panic later.
-		return nil, fmt.Errorf("model: dual model %T does not support scratch scoring", dm)
+		return nil, fmt.Errorf("model: kernel %v has no block fast path to bind", k)
 	}
-	train, _ := kernel.BindCross(k, a.TrainX)
-	return &Predictor{bound: &bound{art: a, k: k, model: sm, train: train}}, nil
+	return &Predictor{bound: &bound{art: a, model: kernelmachine.NewDualModel(a.Coeff, a.Bias), train: train}}, nil
 }
 
 // Fork returns a Predictor over the same artifact that shares p's bound
@@ -132,18 +128,7 @@ func (p *Predictor) ScoresIntoPrevalidated(dst []float64, rows [][]float64) ([]f
 		copy(p.query.Data[i*d:(i+1)*d], r)
 	}
 	p.cross = linalg.Reshape(p.cross, len(rows), p.art.NumTrain())
-	if p.train != nil {
-		p.train.Fill(p.cross, p.query, &p.sc)
-	} else {
-		// Scalar fallback for kernels without a block fast path. The spec
-		// algebra is fully vectorizable today, so this path only runs if a
-		// future spec kind opts out of BlockGramKernel.
-		for i := 0; i < len(rows); i++ {
-			for j := 0; j < p.art.NumTrain(); j++ {
-				p.cross.Set(i, j, p.k.Eval(p.query.Row(i), p.art.TrainX.Row(j)))
-			}
-		}
-	}
+	p.train.Fill(p.cross, p.query, &p.sc)
 	return p.model.ScoresInto(dst, p.cross), nil
 }
 

@@ -67,7 +67,7 @@ func (c CoTraining) withDefaults() CoTraining {
 type CoTrainedModel struct {
 	views    []dataset.View
 	kernels  []kernel.Kernel
-	models   []kernelmachine.Model
+	models   []*kernelmachine.DualModel
 	trainX   [][][]float64 // per view: training rows (view columns)
 	trainLab [][]int
 }
@@ -116,7 +116,7 @@ func (c CoTraining) Fit(d *dataset.Dataset, labeled []int) (*CoTrainedModel, err
 		}
 	}
 
-	train := func(v int) (kernelmachine.Model, error) {
+	train := func(v int) (*kernelmachine.DualModel, error) {
 		x := make([][]float64, len(pools[v]))
 		for i, r := range pools[v] {
 			x[i] = viewX[v][r]
@@ -126,7 +126,7 @@ func (c CoTraining) Fit(d *dataset.Dataset, labeled []int) (*CoTrainedModel, err
 	}
 
 	for round := 0; round < c.Rounds && len(unlabeled) > 0; round++ {
-		models := make([]kernelmachine.Model, nv)
+		models := make([]*kernelmachine.DualModel, nv)
 		for v := 0; v < nv; v++ {
 			m, err := train(v)
 			if err != nil {
@@ -247,7 +247,7 @@ func (s Subspace) withDefaults() Subspace {
 type SubspaceModel struct {
 	viewA, viewB dataset.View
 	wa, wb       []linalg.Vector // per latent dim
-	model        kernelmachine.Model
+	model        *kernelmachine.DualModel
 	trainZ       [][]float64
 	k            kernel.Kernel
 }

@@ -51,7 +51,6 @@ func biometricArtifact(t testing.TB, seed int64, noiseFeatures int) *model.Artif
 	if err != nil {
 		t.Fatal(err)
 	}
-	df := m.(kernelmachine.DualForm)
 	spec, err := kernel.ToSpec(k)
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +62,8 @@ func biometricArtifact(t testing.TB, seed int64, noiseFeatures int) *model.Artif
 		KernelSpec:   spec,
 		FeatureNames: d.FeatureNames,
 		TrainX:       linalg.FromRows(d.X),
-		Coeff:        df.Coefficients(),
-		Bias:         df.Bias(),
+		Coeff:        m.Coefficients(),
+		Bias:         m.Bias(),
 	}
 }
 

@@ -94,7 +94,7 @@ const (
 
 // Deploy retrains a chosen configuration on train and scores it on test.
 func Deploy(train, test *Dataset, p Partition, cfg MKLConfig) (float64, error) {
-	return core.Deploy(train, test, p, cfg)
+	return mkl.HoldoutAccuracy(train, test, p, cfg)
 }
 
 // Data model.
