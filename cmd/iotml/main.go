@@ -193,7 +193,8 @@ commands:
                      large n, auto picks from the workload size),
                      -budget-topk 8 re-scores the top
                      survivors exactly; -v streams live progress,
-                     -progress-jsonl FILE captures the event stream;
+                     -progress-jsonl FILE captures the event stream,
+                     -cpuprofile FILE writes a pprof CPU profile;
                      Ctrl-C aborts at the next candidate; see fit -h)
   predict -m m.iotml score JSON instances offline (reads {"instances": [...]}
                      from -in file or stdin, writes {"scores","labels"})

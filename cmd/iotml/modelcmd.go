@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 
@@ -220,7 +221,7 @@ func progressSink(verbose bool, jsonlPath string) (cb func(iotml.Event), cleanup
 // runFit implements `iotml fit`: run the paper's partition-driven MKL fit
 // on a synthetic workload or a user-supplied CSV/JSONL file and persist
 // the deployment model as an artifact.
-func runFit(args []string, workers int) error {
+func runFit(args []string, workers int) (retErr error) {
 	fs := flag.NewFlagSet("fit", flag.ContinueOnError)
 	out := fs.String("o", "", "output artifact path (required), e.g. model.iotml")
 	workload := fs.String("workload", "biometric", "synthetic workload: biometric|surface (ignored with -data)")
@@ -247,11 +248,25 @@ func runFit(args []string, workers int) error {
 	distDeadline := fs.Duration("dist-deadline", 0, "per-shard attempt deadline for -dist-workers (0 = default 2m)")
 	distAttempts := fs.Int("dist-attempts", 0, "per-worker tries per shard before the worker is marked down (0 = default 3)")
 	distShard := fs.Int("dist-shard", 0, "candidates per dispatched shard (0 = about two shards per worker per batch)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (pprof) of the fit, from loading the data through saving the artifact, to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("fit: -o output path is required")
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return fmt.Errorf("fit: %w", err)
+		}
+		// The profile ends when the fit does, failed or not; a profile
+		// that cannot be written fails a fit that succeeded.
+		defer func() {
+			if err := stop(); err != nil && retErr == nil {
+				retErr = fmt.Errorf("fit: %w", err)
+			}
+		}()
 	}
 	var d *iotml.Dataset
 	var err error
@@ -357,6 +372,26 @@ func runFit(args []string, workers int) error {
 	fmt.Printf("best partition: %v  cv-score=%.4f  evaluations=%d\n", res.Best, res.Score, res.Evaluations)
 	fmt.Printf("artifact: %s (%s, %d training rows, %d features)\n", *out, art.Learner, art.NumTrain(), art.Dim())
 	return nil
+}
+
+// startCPUProfile starts a CPU profile into the file at path and returns
+// the func that stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("cpu profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // runPredict implements `iotml predict`: offline batch scoring of JSON

@@ -48,6 +48,41 @@ func TestFitPredictLifecycle(t *testing.T) {
 	}
 }
 
+// TestFitCPUProfile: -cpuprofile writes a non-empty gzip-compressed pprof
+// profile of the fit next to the artifact, and without the flag the fit
+// writes the artifact alone.
+func TestFitCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "fit.pprof")
+	fit := []string{"-parallel", "1", "fit", "-workload", "biometric", "-n", "40", "-kernel", "linear", "-seed", "1"}
+	if err := run(append(fit, "-o", filepath.Join(dir, "a.iotml"), "-cpuprofile", prof)); err != nil {
+		t.Fatalf("fit -cpuprofile: %v", err)
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is %d bytes and not gzip-compressed", len(b))
+	}
+
+	bare := t.TempDir()
+	if err := run(append(fit, "-o", filepath.Join(bare, "b.iotml"))); err != nil {
+		t.Fatalf("fit: %v", err)
+	}
+	entries, err := os.ReadDir(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "b.iotml" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("fit without -cpuprofile wrote %v, want only b.iotml", names)
+	}
+}
+
 func TestFitSurfaceWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("surface fit is slower; skipped in -short")

@@ -95,7 +95,7 @@ func WithSeedMaxK(k int) Option {
 
 // Backend selects the numeric backend of the lattice search (see
 // WithBackend): Float64Backend is the bit-identical reference,
-// Float32Backend the f32-storage fast path, NystromBackend/RFFBackend the
+// Float32Backend the f32-storage one, NystromBackend/RFFBackend the
 // low-rank approximations. The zero Backend is Float64Backend.
 type Backend = engine.Backend
 
@@ -108,7 +108,11 @@ var (
 	// float32 while accumulating every inner loop in float64: roughly half
 	// the memory traffic of the scoring loop, with assembled Gram entries
 	// within 1e-4·max(1,|K|) of the reference elementwise and selections
-	// bit-identical across worker counts.
+	// bit-identical across worker counts. It is not the faster backend
+	// today: the SIMD Cholesky, exp and accumulate kernels are float64
+	// only, so float32 runs the Go loops, and biometric CLI fits measured
+	// 3.3-4.3x slower than Float64Backend at n=600 (3.7x at n=1500) on a
+	// 2-vCPU AVX-512 Xeon.
 	Float32Backend = engine.Float32
 )
 
@@ -130,8 +134,9 @@ func ParseBackend(s string) (Backend, error) { return engine.Parse(s) }
 
 // WithBackend selects the numeric backend of the lattice search:
 // Float64Backend (the default; bit-identical to every pre-backend fit),
-// Float32Backend (f32 storage with f64 accumulation — the fast path for
-// mid-sized dense workloads), or NystromBackend/RFFBackend (low-rank
+// Float32Backend (f32 storage with f64 accumulation: half the Gram
+// memory, but slower than Float64Backend while the SIMD kernels are
+// float64 only; see Float32Backend), or NystromBackend/RFFBackend (low-rank
 // factor scoring for large n; combine with WithBudget to re-score top
 // survivors exactly). The deployment fit behind Deploy/Artifact always
 // stays exact float64 whatever backend scored the search. Approximate

@@ -232,3 +232,45 @@ func TestShardBatch(t *testing.T) {
 		t.Fatalf("shards cover [0,%d), want [0,8)", lo)
 	}
 }
+
+// TestWorkerBodyLimits: on both routes a body one byte past the worker's
+// limit is refused with 413 and the too-large envelope instead of being
+// decoded in part, while a body at the limit reaches the route's own
+// checks (a job whose fingerprint does not verify, a score for a job the
+// worker does not hold).
+func TestWorkerBodyLimits(t *testing.T) {
+	const limit = 256
+	defer func(job, score int64) { jobBodyLimit, scoreBodyLimit = job, score }(jobBodyLimit, scoreBodyLimit)
+	jobBodyLimit, scoreBodyLimit = limit, limit
+	h := (&WorkerServer{Parallelism: 1}).Handler()
+	for _, route := range []struct {
+		path    string
+		status  int
+		code    string
+		maxDesc string
+	}{
+		{"/v1/job", http.StatusBadRequest, errCodeBadRequest, "job body exceeds 256 bytes"},
+		{"/v1/score", http.StatusNotFound, errCodeUnknownJob, "score request body exceeds 256 bytes"},
+	} {
+		// {"fingerprint":"xx…"} of exactly size bytes: a JSON value
+		// that ends only at its last byte.
+		body := func(size int) []byte {
+			return []byte(`{"fingerprint":"` + strings.Repeat("x", size-len(`{"fingerprint":""}`)) + `"}`)
+		}
+		status, reply := post(h, route.path, body(limit))
+		if status != route.status {
+			t.Fatalf("%s: %d-byte body answered %d %q, want %d", route.path, limit, status, reply, route.status)
+		}
+		checkEnvelope(t, status, reply, route.code)
+
+		status, reply = post(h, route.path, body(limit+1))
+		if status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d-byte body answered %d %q, want 413", route.path, limit+1, status, reply)
+		}
+		checkEnvelope(t, status, reply, errCodeTooLarge)
+		var env errorResponse
+		if err := json.Unmarshal(reply, &env); err != nil || env.Error != route.maxDesc {
+			t.Fatalf("%s: 413 message %q, want %q", route.path, env.Error, route.maxDesc)
+		}
+	}
+}

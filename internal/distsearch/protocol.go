@@ -52,6 +52,9 @@ const (
 	errCodeBadRequest = "bad-request"
 	// errCodeScore marks a scoring failure on an installed job.
 	errCodeScore = "score-failed"
+	// errCodeTooLarge marks a request body past the worker's limit for
+	// its route (jobBodyLimit, scoreBodyLimit).
+	errCodeTooLarge = "too-large"
 )
 
 // errUnknownJob is the transport-level rendering of errCodeUnknownJob.

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -67,6 +66,22 @@ func writeError(rw http.ResponseWriter, status int, code, msg string) {
 	writeJSON(rw, status, errorResponse{Code: code, Error: msg})
 }
 
+// jobBodyLimit and scoreBodyLimit bound a job install's body and a score
+// request's. A longer body is refused with 413 and errCodeTooLarge, never
+// decoded in part.
+var jobBodyLimit, scoreBodyLimit int64 = 1 << 30, 1 << 26
+
+// writeDecodeError answers a body that failed to decode as what: 413 when
+// it ran past its limit, 400 otherwise.
+func writeDecodeError(rw http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(rw, http.StatusRequestEntityTooLarge, errCodeTooLarge, fmt.Sprintf("%s body exceeds %d bytes", what, tooLarge.Limit))
+		return
+	}
+	writeError(rw, http.StatusBadRequest, errCodeBadRequest, fmt.Sprintf("decoding %s: %v", what, err))
+}
+
 func (w *WorkerServer) handleHealthz(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	n := len(w.jobs)
@@ -83,11 +98,11 @@ func (w *WorkerServer) handleJob(rw http.ResponseWriter, r *http.Request) {
 	// speaking a different spec version (say, one still carrying a removed
 	// field) is rejected with a message naming the field, rather than as
 	// an opaque fingerprint mismatch once the spec is re-encoded.
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<30))
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, jobBodyLimit))
 	dec.DisallowUnknownFields()
 	var job Job
 	if err := dec.Decode(&job); err != nil {
-		writeError(rw, http.StatusBadRequest, errCodeBadRequest, fmt.Sprintf("decoding job: %v", err))
+		writeDecodeError(rw, "job", err)
 		return
 	}
 	if err := w.install(&job); err != nil {
@@ -178,8 +193,8 @@ func (w *WorkerServer) handleScore(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req scoreRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<26)).Decode(&req); err != nil {
-		writeError(rw, http.StatusBadRequest, errCodeBadRequest, fmt.Sprintf("decoding score request: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, scoreBodyLimit)).Decode(&req); err != nil {
+		writeDecodeError(rw, "score request", err)
 		return
 	}
 	resp, err := w.score(req.Fingerprint, req.Candidates)

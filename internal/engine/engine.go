@@ -12,12 +12,14 @@
 //     reference, parallel vs sequential, distributed vs local) is stated
 //     against this backend, and it is the zero value: a Config that never
 //     mentions backends gets it.
-//   - Float32 — the fast path: f32 storage for column blocks, per-block
-//     Grams, Cholesky factors, and coefficients, with every inner loop
-//     accumulating in float64 (SYRK/GEMM-style dot products, distance
-//     expansions, substitutions). Halving the memory traffic of the
-//     Gram-bound scoring loop is the win; the cost is a bounded elementwise
-//     error (Tol32). There is no separate f32 code: the dense kernels
+//   - Float32 — f32 storage for column blocks, per-block Grams, Cholesky
+//     factors, and coefficients, with every inner loop accumulating in
+//     float64 (SYRK/GEMM-style dot products, distance expansions,
+//     substitutions). It halves the memory traffic of the
+//     Gram-bound scoring loop at the cost of a bounded elementwise error
+//     (Tol32), but it is not faster today: linalg's SIMD kernels are
+//     float64 only, and biometric fits measured 3.3-4.3x slower than
+//     Float64 at n=600. There is no separate f32 code: the dense kernels
 //     (linalg), the block-Gram cache (kernel.DenseGramCache), the ridge
 //     solve (kernelmachine.RidgeScratch) and the scoring body (mkl) are
 //     each written once, generic over float32|float64, and this backend
@@ -169,8 +171,10 @@ const DefaultAutoRank = 256
 //	                 (≤ 1024)     (≤ 4096)
 //
 // The thresholds keep the exact reference wherever its O(n²) assembly is
-// cheap, switch to the f32 fast path while a dense Gram still fits hot
-// caches, and hand everything larger to the low-rank engine.
+// cheap, switch to f32 storage while a dense Gram still fits hot caches
+// (chosen for the halved memory traffic; it measures slower than Float64
+// while the SIMD kernels are float64 only), and hand everything larger to
+// the low-rank engine.
 func Auto(n int, alignment bool) Backend {
 	small, medium := 1024, 4096
 	if alignment {

@@ -41,10 +41,11 @@ type ScratchTrainer interface {
 // sizes n/k and n/k+1 settle on one allocation).
 type Scratch struct {
 	ridge RidgeScratch[float64]
-	v1    []float64 // alpha (svm)
-	v2    []float64 // fy (svm)
-	v3    []float64 // error cache E_i (svm)
-	v4    []float64 // dual coefficients (svm, perceptron)
+	v1    []float64  // alpha (svm)
+	v2    []float64  // fy (svm)
+	v3    []float64  // error cache E_i (svm)
+	v4    []float64  // dual coefficients (svm, perceptron)
+	rng   *rand.Rand // SMO's partner draws, reseeded per call (svm)
 	model DualModel
 }
 
@@ -176,7 +177,14 @@ func (s SVM) TrainScratch(gram *linalg.Matrix, y []int, sc *Scratch) (*DualModel
 	if maxIter <= 0 {
 		maxIter = 200
 	}
-	rng := rand.New(rand.NewSource(s.Seed + 1))
+	// Reseeding gives the draw stream of a fresh source without
+	// allocating one per fold.
+	if sc.rng == nil {
+		sc.rng = rand.New(rand.NewSource(s.Seed + 1))
+	} else {
+		sc.rng.Seed(s.Seed + 1)
+	}
+	rng := sc.rng
 
 	alpha := vec(&sc.v1, n)
 	fy := vec(&sc.v2, n)

@@ -132,6 +132,42 @@ func TestSVMTrainScratchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSVMReseededScratchMatchesFreshSource: a Scratch reused across
+// trainings with different seeds and sizes reseeds its one random source
+// per call, so every model's scores equal, bit for bit, those of a run on
+// a fresh Scratch, whose source is new. A reused Scratch trains without
+// allocating.
+func TestSVMReseededScratchMatchesFreshSource(t *testing.T) {
+	sc := &Scratch{}
+	for i, n := range []int{41, 40, 41, 16, 40} {
+		gram, y := scratchWorkload(n, 300+int64(n))
+		svm := SVM{C: 1, Seed: int64(i % 3)}
+		fresh, err := svm.TrainScratch(gram, y, &Scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.Scores(gram)
+		got, err := svm.TrainScratch(gram, y, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range got.Scores(gram) {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("n=%d seed=%d: score %d = %v on the reused Scratch, %v on a fresh one", n, svm.Seed, j, v, want[j])
+			}
+		}
+	}
+	gram, y := scratchWorkload(40, 340)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (SVM{C: 1, Seed: 2}).TrainScratch(gram, y, sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("TrainScratch on a reused Scratch: %v allocations per call, want 0", allocs)
+	}
+}
+
 // TestScoresIntoMatchesScores covers both routes of the scratch scorer:
 // zero bias (MulVecInto) and nonzero bias (row loop).
 func TestScoresIntoMatchesScores(t *testing.T) {

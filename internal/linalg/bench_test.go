@@ -22,15 +22,33 @@ func cholBenchMatrix(n int) *Matrix {
 }
 
 func BenchmarkCholeskyInto_F64_450(b *testing.B) {
-	benchCholesky(b, cholBenchMatrix(cholBenchN))
+	a := cholBenchMatrix(cholBenchN)
+	benchKernelPaths(b, func(b *testing.B) { benchCholesky(b, a) })
 }
 
 func BenchmarkCholeskyInto_F64_90(b *testing.B) {
-	benchCholesky(b, cholBenchMatrix(cholBenchSmallN))
+	a := cholBenchMatrix(cholBenchSmallN)
+	benchKernelPaths(b, func(b *testing.B) { benchCholesky(b, a) })
 }
 
 func BenchmarkCholeskyInto_F32_450(b *testing.B) {
 	benchCholesky(b, Convert[float32](nil, cholBenchMatrix(cholBenchN)))
+}
+
+// benchKernelPaths runs f as one sub-benchmark per dispatch path
+// (avx512, avx2, go; a path this host or build lacks is skipped), as
+// forEachKernelPath does for tests, and restores the detected paths
+// afterwards.
+func benchKernelPaths(b *testing.B, f func(b *testing.B)) {
+	defer restoreKernelPaths()
+	for _, path := range kernelPaths {
+		b.Run(path.name, func(b *testing.B) {
+			if !path.use() {
+				b.Skipf("no %s kernels on this host or in this build", path.name)
+			}
+			f(b)
+		})
+	}
 }
 
 func benchCholesky[T Float](b *testing.B, a *Dense[T]) {

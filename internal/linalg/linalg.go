@@ -352,14 +352,15 @@ func choleskyColumns[T Float](ld, ad []T, n, from int) error {
 //     k = j0..c-1 in ascending order, the pivot test and square root, the
 //     division;
 //   - the panel kernel does the same for every row below, several rows
-//     per sweep over k, then finishes each row's within-block terms and
-//     divisions in the column loop's order.
+//     per sweep over k, then finishes w rows at a time in column lanes:
+//     each column's within-block terms in ascending order, then its one
+//     division, in the column loop's order for every entry.
 //
 // The lane operand L[j0..j0+w-1][k] is a row of the transposed copy of
-// the finished columns, which the diagonal step and the panels write into
-// the factor's own strict upper triangle (ld[k*n+i] = L[i][k]) and which
-// is cleared at the end, so nothing is allocated and the two widths mix
-// freely. The last n mod 4 columns go through choleskyColumns.
+// the finished columns, which the panels write into the factor's own
+// strict upper triangle (ld[k*n+i] = L[i][k]) and which is cleared at the
+// end, so nothing is allocated and the two widths mix freely. The last
+// n mod 4 columns go through choleskyColumns.
 func choleskyLanes(ld, ad []float64, n int) error {
 	tol := pivotTol[float64]()
 	j0 := 0
@@ -385,7 +386,6 @@ func choleskyLanes(ld, ad []float64, n int) error {
 						s -= ld[i*n+k] * ld[c*n+k]
 					}
 					ld[i*n+c] = s / piv
-					ld[c*n+i] = ld[i*n+c]
 				}
 			}
 			if j0+t.w < n {

@@ -496,20 +496,44 @@ var cholTileShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16
 // they were detected, and the Go path runs scalar math.Exp.
 func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	detected2, detected512, detectedExp := useAVX2, useAVX512, useExp
-	t.Cleanup(func() { useAVX2, useAVX512, useExp = detected2, detected512, detectedExp })
-	for _, path := range []struct {
-		name         string
-		avx2, avx512 bool
-	}{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}} {
+	t.Cleanup(restoreKernelPaths)
+	for _, path := range kernelPaths {
 		t.Run(path.name, func(t *testing.T) {
-			if (path.avx2 && !detected2) || (path.avx512 && !detected512) {
+			if !path.use() {
 				t.Skipf("no %s kernels on this host or in this build", path.name)
 			}
-			useAVX2, useAVX512, useExp = path.avx2, path.avx512, path.avx2 && detectedExp
 			f(t)
 		})
 	}
+}
+
+// kernelPaths are the dispatch paths forEachKernelPath and
+// benchKernelPaths run, widest first.
+var kernelPaths = []kernelPath{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}}
+
+type kernelPath struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// detectedAVX2, detectedAVX512 and detectedExp are the dispatch flags as
+// the CPU probe set them.
+var detectedAVX2, detectedAVX512, detectedExp = useAVX2, useAVX512, useExp
+
+// use sets the dispatch flags to the path and reports whether this host
+// and build have it; the exp lanes are AVX2 code, so both SIMD paths run
+// them where they were detected.
+func (p kernelPath) use() bool {
+	if (p.avx2 && !detectedAVX2) || (p.avx512 && !detectedAVX512) {
+		return false
+	}
+	useAVX2, useAVX512, useExp = p.avx2, p.avx512, p.avx2 && detectedExp
+	return true
+}
+
+// restoreKernelPaths sets the dispatch flags back to the detected ones.
+func restoreKernelPaths() {
+	useAVX2, useAVX512, useExp = detectedAVX2, detectedAVX512, detectedExp
 }
 
 func TestCholeskyIntoMatchesScalarReference(t *testing.T) {

@@ -84,6 +84,25 @@ nosimd:
 // R14 walks the swept rows' finished columns L[i][k], and AX counts k
 // down. The macros below serve both tiers; the four-column one passes Y
 // registers, the eight-column one Z registers.
+//
+// A panel (the rows below a diagonal block of w = 4 or 8 columns) takes
+// two passes. The first sweeps its rows over k, one row per register and
+// the block's columns across the lanes, and stores the lane sums in
+// place. The second finishes them in windows of w rows, one column per
+// register and the rows across the lanes: the window is transposed in
+// registers (CHOL4_TRANSPOSE, CHOL8_TRANSPOSE), each column subtracts its
+// within-block terms in ascending order and takes its one division by
+// the pivot (CHOL4_LANES, CHOL8_LANES), with the finished block's entries
+// broadcast from its rows at DX = &l[j0][j0] (and BX = &l[j0+4][j0] for
+// rows 4..7), the columns are stored as the transposed copy the next
+// blocks read, and the window is transposed back and stored as rows. A
+// column's division waits on the column before it, so two windows run at
+// once, their chains interleaved; one division then serves w rows, and
+// the divider, not the chain, bounds the finish. Rows that do not fill a
+// window go through the window of the matrix's last w rows (or 4, in a
+// sweep), which stores only them: the other rows it reads are finished
+// or swept rows, or the diagonal block's, so the reads stay inside the
+// matrix and their lanes are dropped.
 
 // CHOL_ROW is one row's term of a k step: A -= L[i][k] * V, with L[i][k]
 // at P, the lane vector in V and T as the only temporary.
@@ -139,75 +158,39 @@ nosimd:
 	VMOVUPD C, (P)(R10*2); \
 	VMOVUPD D, (P)(R11*1)
 
-// CHOL_SWEEP1 sums the lanes of the single row i = R12 into A:
-// A = a[i][j0..], then CHOL_K's step over every k < j0 at labels LOOP and
-// DONE. R14 = &l[i][j0] afterwards.
-#define CHOL_SWEEP1(V, T, A, LOOP, DONE) \
-	CHOL_ROWAT(R12);         \
-	VMOVUPD (R13)(R9*8), A;  \
-	CHOL_KSTART;             \
-	JZ      DONE;            \
-LOOP:                            \
-	VMOVUPD (CX), V;         \
-	CHOL_ROW((R14), V, T, A); \
-	CHOL_KNEXT;              \
-	JNZ     LOOP;            \
-DONE:
+// CHOL_STORELAST4 stores the last rows of four at P + r*stride, D first
+// and A last: a window's rows N+3, N+2, N+1, N counting from its end,
+// each only while the window stores more than that many (S, a register),
+// jumping to DONE at the first it does not.
+#define CHOL_STORELAST4(A, B, C, D, P, S, N, DONE) \
+	CMPQ    S, $(N+1);       \
+	JLT     DONE;            \
+	VMOVUPD D, (P)(R11*1);   \
+	CMPQ    S, $(N+2);       \
+	JLT     DONE;            \
+	VMOVUPD C, (P)(R10*2);   \
+	CMPQ    S, $(N+3);       \
+	JLT     DONE;            \
+	VMOVUPD B, (P)(R10*1);   \
+	CMPQ    S, $(N+4);       \
+	JLT     DONE;            \
+	VMOVUPD A, (P)
 
-// CHOL_DIAG4 loads the lower triangle of a finished 4×4 diagonal block,
-// row-major from OFF(P) with the row stride, into scalar registers:
-// Drr = L[r][r] and Lrc = L[r][c] for c < r.
-#define CHOL_DIAG4(P, OFF, D0, L10, D1, L20, L21, D2, L30, L31, L32, D3) \
-	VMOVSD OFF(P), D0;            \
-	VMOVSD OFF(P)(R10*1), L10;    \
-	VMOVSD OFF+8(P)(R10*1), D1;   \
-	VMOVSD OFF(P)(R10*2), L20;    \
-	VMOVSD OFF+8(P)(R10*2), L21;  \
-	VMOVSD OFF+16(P)(R10*2), D2;  \
-	VMOVSD OFF(P)(R11*1), L30;    \
-	VMOVSD OFF+8(P)(R11*1), L31;  \
-	VMOVSD OFF+16(P)(R11*1), L32; \
-	VMOVSD OFF+24(P)(R11*1), D3
-
-// CHOL_FINISH4 completes the first four block columns of one row below
-// the diagonal block in scalar, in the scalar column loop's order. On
-// entry R13 = &l[i][j0] holds the lane sums, and the block's first four
-// columns are held as CHOL_DIAG4 loads them. Each L[i][j0+c] is stored in
-// place and at its transposed position l[j0+c][i], at TP + c*stride.
-// X0..X3 keep L[i][j0..j0+3]; X4 is the temporary.
-#define CHOL_FINISH4(TP, D0, L10, D1, L20, L21, D2, L30, L31, L32, D3) \
-	VMOVSD (R13), X0;       \
-	VDIVSD D0, X0, X0;      \
-	VMOVSD X0, (R13);       \
-	VMOVSD X0, (TP);        \
-	VMOVSD 8(R13), X1;      \
-	VMULSD L10, X0, X4;     \
-	VSUBSD X4, X1, X1;      \
-	VDIVSD D1, X1, X1;      \
-	VMOVSD X1, 8(R13);      \
-	VMOVSD X1, (TP)(R10*1); \
-	VMOVSD 16(R13), X2;     \
-	VMULSD L20, X0, X4;     \
-	VSUBSD X4, X2, X2;      \
-	VMULSD L21, X1, X4;     \
-	VSUBSD X4, X2, X2;      \
-	VDIVSD D2, X2, X2;      \
-	VMOVSD X2, 16(R13);     \
-	VMOVSD X2, (TP)(R10*2); \
-	VMOVSD 24(R13), X3;     \
-	VMULSD L30, X0, X4;     \
-	VSUBSD X4, X3, X3;      \
-	VMULSD L31, X1, X4;     \
-	VSUBSD X4, X3, X3;      \
-	VMULSD L32, X2, X4;     \
-	VSUBSD X4, X3, X3;      \
-	VDIVSD D3, X3, X3;      \
-	VMOVSD X3, 24(R13);     \
-	VMOVSD X3, (TP)(R11*1)
-
-// The four-column tier keeps its diagonal block in X6..X15 and its
-// transposed pointer in BX.
-#define CHOL_FINISH CHOL_FINISH4(BX, X6, X7, X8, X9, X10, X11, X12, X13, X14, X15)
+// CHOL_WINDOW picks the next window of W rows (W a constant) from R12,
+// the next row to handle, setting S (a register) to the rows left. With
+// none left it jumps to DONE. Otherwise R12 moves W rows on and AX is
+// the window's first row: the old R12, jumping to WIN, when a whole
+// window is left; else n - W, the matrix's last W rows, falling through.
+#define CHOL_WINDOW(W, S, DONE, WIN) \
+	MOVQ R8, S;         \
+	SUBQ R12, S;        \
+	JLE  DONE;          \
+	MOVQ R12, AX;       \
+	ADDQ $W, R12;       \
+	CMPQ S, $W;         \
+	JGE  WIN;           \
+	MOVQ R8, AX;        \
+	SUBQ $W, AX
 
 // func cholTileAVX2(l, a *float64, n, j0 int)
 //
@@ -240,12 +223,84 @@ tilestore:
 	VZEROUPPER
 	RET
 
+// CHOL4_TRANSPOSE transposes the 4×4 block in A..D in place, through
+// Y12..Y15: lane c of the r-th register moves to lane r of the c-th. It is
+// its own inverse.
+#define CHOL4_TRANSPOSE(A, B, C, D) \
+	VUNPCKLPD  B, A, Y12;          \
+	VUNPCKHPD  B, A, Y13;          \
+	VUNPCKLPD  D, C, Y14;          \
+	VUNPCKHPD  D, C, Y15;          \
+	VPERM2F128 $0x20, Y14, Y12, A; \
+	VPERM2F128 $0x20, Y15, Y13, B; \
+	VPERM2F128 $0x31, Y14, Y12, C; \
+	VPERM2F128 $0x31, Y15, Y13, D
+
+// CHOL4_TERM is one within-block term of a window's column, in lanes:
+// C -= M * L, with L broadcast from P into the temporary T.
+#define CHOL4_TERM(P, M, T, C) \
+	VBROADCASTSD P, T;    \
+	VMULPD       T, M, T; \
+	VSUBPD       T, C, C
+
+// CHOL4_DIV divides a window's column C by the pivot at P, through T.
+#define CHOL4_DIV(P, T, C) \
+	VBROADCASTSD P, T; \
+	VDIVPD       T, C, C
+
+// CHOL4_COLc finishes column j0+c of a window whose columns are in A..D:
+// the terms m < c in ascending m, then the division by L[j0+c][j0+c].
+#define CHOL4_COL0(A, T) \
+	CHOL4_DIV((DX), T, A)
+
+#define CHOL4_COL1(A, B, T) \
+	CHOL4_TERM((DX)(R10*1), A, T, B); \
+	CHOL4_DIV(8(DX)(R10*1), T, B)
+
+#define CHOL4_COL2(A, B, C, T) \
+	CHOL4_TERM((DX)(R10*2), A, T, C);  \
+	CHOL4_TERM(8(DX)(R10*2), B, T, C); \
+	CHOL4_DIV(16(DX)(R10*2), T, C)
+
+#define CHOL4_COL3(A, B, C, D, T) \
+	CHOL4_TERM((DX)(R11*1), A, T, D);   \
+	CHOL4_TERM(8(DX)(R11*1), B, T, D);  \
+	CHOL4_TERM(16(DX)(R11*1), C, T, D); \
+	CHOL4_DIV(24(DX)(R11*1), T, D)
+
+// CHOL4_LANES finishes one window's columns, in Y0..Y3.
+#define CHOL4_LANES \
+	CHOL4_COL0(Y0, Y8);             \
+	CHOL4_COL1(Y0, Y1, Y8);         \
+	CHOL4_COL2(Y0, Y1, Y2, Y8);     \
+	CHOL4_COL3(Y0, Y1, Y2, Y3, Y8)
+
+// CHOL4_LANES2 finishes two windows' columns, in Y0..Y3 and Y4..Y7, one
+// column of each in turn.
+#define CHOL4_LANES2 \
+	CHOL4_COL0(Y0, Y8);             \
+	CHOL4_COL0(Y4, Y9);             \
+	CHOL4_COL1(Y0, Y1, Y8);         \
+	CHOL4_COL1(Y4, Y5, Y9);         \
+	CHOL4_COL2(Y0, Y1, Y2, Y8);     \
+	CHOL4_COL2(Y4, Y5, Y6, Y9);     \
+	CHOL4_COL3(Y0, Y1, Y2, Y3, Y8); \
+	CHOL4_COL3(Y4, Y5, Y6, Y7, Y9)
+
+// cholmask<> holds four zero quadwords, then four with every bit set: the
+// four at byte 8*s select the last s lanes of a window, for VMASKMOVPD.
+DATA cholmask<>+32(SB)/8, $-1
+DATA cholmask<>+40(SB)/8, $-1
+DATA cholmask<>+48(SB)/8, $-1
+DATA cholmask<>+56(SB)/8, $-1
+GLOBL cholmask<>(SB), RODATA|NOPTR, $64
+
 // func cholPanelAVX2(l, a *float64, n, j0 int)
 //
 // Finishes columns j0..j0+3 of every row i >= j0+4, given the finished
-// diagonal block and the transposed copy of columns < j0: four rows per
-// sweep over k, then the remaining rows one at a time. CHOL_FINISH reads
-// the block from X6..X15, loaded from DX = &l[j0][j0].
+// diagonal block and the transposed copy of columns < j0. The first pass
+// sweeps four rows at a time; the second finishes eight rows at a time
+// (two windows), then four.
 TEXT ·cholPanelAVX2(SB), NOSPLIT, $0-32
 	MOVQ l+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -255,63 +310,97 @@ TEXT ·cholPanelAVX2(SB), NOSPLIT, $0-32
 	SHLQ $3, R10              // R10 = row stride in bytes
 	LEAQ (R10)(R10*2), R11    // R11 = 3 * stride
 
-	MOVQ R9, AX
-	IMULQ R8, AX
-	ADDQ R9, AX
-	LEAQ (DI)(AX*8), DX
-	CHOL_DIAG4(DX, 0, X6, X7, X8, X9, X10, X11, X12, X13, X14, X15)
-
-	LEAQ 4(R9), R12           // R12 = i
+	LEAQ 4(R9), R12           // R12 = the next row to sweep
 
 panel4:
-	LEAQ 4(R12), AX
-	CMPQ AX, R8
-	JGT  panel1
-	CHOL_ROWAT(R12)
-	LEAQ (R13)(R9*8), R13     // R13 = &a[i][j0]
+	CHOL_WINDOW(4, DX, panel4lanes, panel4sweep)
+
+panel4sweep:
+	CHOL_ROWAT(AX)
+	LEAQ (R13)(R9*8), R13     // R13 = &a[AX][j0]
 	CHOL_LOAD4(R13, Y0, Y1, Y2, Y3)
 	CHOL_KSTART
-	JZ   panel4fin
+	JZ   panel4store
 
 panel4k:
 	CHOL_K(Y4, Y5, Y0, Y1, Y2, Y3)
 	CHOL_KNEXT
 	JNZ  panel4k
 
-panel4fin:
-	// R14 = &l[i][j0] now: store the lane sums in place and finish.
-	MOVQ R14, R13
-	CHOL_STORE4(Y0, Y1, Y2, Y3, R13)
-	MOVQ R12, AX
-	SUBQ R9, AX
-	LEAQ (DX)(AX*8), BX       // BX = &l[j0][i]
-	CHOL_FINISH
-	ADDQ R10, R13
-	ADDQ $8, BX
-	CHOL_FINISH
-	ADDQ R10, R13
-	ADDQ $8, BX
-	CHOL_FINISH
-	ADDQ R10, R13
-	ADDQ $8, BX
-	CHOL_FINISH
-	ADDQ $4, R12
+panel4store:
+	// R14 = &l[window][j0] now.
+	CHOL_STORELAST4(Y0, Y1, Y2, Y3, R14, DX, 0, panel4)
 	JMP  panel4
 
-panel1:
-	CMPQ R12, R8
-	JGE  paneldone
-	CHOL_SWEEP1(Y4, Y5, Y0, panel1k, panel1fin)
-	MOVQ R14, R13
-	VMOVUPD Y0, (R13)
+panel4lanes:
+	MOVQ R9, AX
+	IMULQ R8, AX
+	ADDQ R9, AX
+	LEAQ (DI)(AX*8), DX       // DX = &l[j0][j0]
+	LEAQ 4(R9), R12           // R12 = the next row to finish
+
+panel4pair:
+	// Rows i..i+7: R13 = &l[i][j0], R14 = &l[i+4][j0] and CX = &l[j0][i].
+	LEAQ 8(R12), AX
+	CMPQ AX, R8
+	JGT  panel4window
+	MOVQ R12, AX
+	IMULQ R8, AX
+	ADDQ R9, AX
+	LEAQ (DI)(AX*8), R13
+	LEAQ (R13)(R10*4), R14
 	MOVQ R12, AX
 	SUBQ R9, AX
-	LEAQ (DX)(AX*8), BX       // BX = &l[j0][i]
-	CHOL_FINISH
-	INCQ R12
-	JMP  panel1
+	LEAQ (DX)(AX*8), CX
+	CHOL_LOAD4(R13, Y0, Y1, Y2, Y3)
+	CHOL_LOAD4(R14, Y4, Y5, Y6, Y7)
+	CHOL4_TRANSPOSE(Y0, Y1, Y2, Y3)
+	CHOL4_TRANSPOSE(Y4, Y5, Y6, Y7)
+	CHOL4_LANES2
+	CHOL_STORE4(Y0, Y1, Y2, Y3, CX)
+	LEAQ 32(CX), CX
+	CHOL_STORE4(Y4, Y5, Y6, Y7, CX)
+	CHOL4_TRANSPOSE(Y0, Y1, Y2, Y3)
+	CHOL4_TRANSPOSE(Y4, Y5, Y6, Y7)
+	CHOL_STORE4(Y0, Y1, Y2, Y3, R13)
+	CHOL_STORE4(Y4, Y5, Y6, Y7, R14)
+	ADDQ $8, R12
+	JMP  panel4pair
 
-paneldone:
+panel4window:
+	// One window, of which the last SI rows are stored: R13 = &l[AX][j0]
+	// and CX = &l[j0][AX].
+	CHOL_WINDOW(4, SI, panel4done, panel4win)
+
+panel4win:
+	MOVQ AX, R13
+	IMULQ R8, R13
+	ADDQ R9, R13
+	LEAQ (DI)(R13*8), R13
+	SUBQ R9, AX
+	LEAQ (DX)(AX*8), CX
+	CHOL_LOAD4(R13, Y0, Y1, Y2, Y3)
+	CHOL4_TRANSPOSE(Y0, Y1, Y2, Y3)
+	CHOL4_LANES
+	CMPQ SI, $4
+	JLT  panel4part
+	CHOL_STORE4(Y0, Y1, Y2, Y3, CX)
+	JMP  panel4rows
+
+panel4part:
+	LEAQ    cholmask<>(SB), AX
+	VMOVUPD (AX)(SI*8), Y15
+	VMASKMOVPD Y0, Y15, (CX)
+	VMASKMOVPD Y1, Y15, (CX)(R10*1)
+	VMASKMOVPD Y2, Y15, (CX)(R10*2)
+	VMASKMOVPD Y3, Y15, (CX)(R11*1)
+
+panel4rows:
+	CHOL4_TRANSPOSE(Y0, Y1, Y2, Y3)
+	CHOL_STORELAST4(Y0, Y1, Y2, Y3, R13, SI, 0, panel4window)
+	JMP  panel4window
+
+panel4done:
 	VZEROUPPER
 	RET
 
@@ -379,70 +468,133 @@ tile8store:
 	VZEROUPPER
 	RET
 
-// CHOL8_FINISH completes one row below the diagonal block in scalar, in
-// the scalar column loop's order. On entry R13 = &l[i][j0] holds the eight
-// lane sums and CX = &l[j0][i]. The finished diagonal block L[j0+r][j0+c]
-// (written Lrc) is held as set up by cholPanelAVX512: the pivots L00..L77
-// in X16..X23; L10, L20, L21, L30, L31, L32 in X24..X29; L54, L64, L65 in
-// X30, X31, X15 and L74, L75, L76 in X14, X13, X12. For m in 0..3 the
-// column slice (L4m, L5m, L6m, L7m) is read from the block's own transposed
-// copy, at DX + m*stride + 32 (DX = &l[j0][j0]). Columns 0..3 go through
-// CHOL_FINISH4. Columns 4..7 then subtract the terms k = j0..j0+3 in
-// four lanes, in ascending k, and finish their own terms in scalar. Each
-// L[i][j0+c] is stored in place and at its transposed position
-// l[j0+c][i], at CX + c*stride for c < 4 and R14 + (c-4)*stride after.
-#define CHOL8_FINISH \
-	CHOL_FINISH4(CX, X16, X24, X17, X25, X26, X18, X27, X28, X29, X19); \
-	VMOVUPD      32(R13), Y5;           \
-	VBROADCASTSD X0, Y6;                \
-	VMULPD       32(DX), Y6, Y6;        \
-	VSUBPD       Y6, Y5, Y5;            \
-	VBROADCASTSD X1, Y6;                \
-	VMULPD       32(DX)(R10*1), Y6, Y6; \
-	VSUBPD       Y6, Y5, Y5;            \
-	VBROADCASTSD X2, Y6;                \
-	VMULPD       32(DX)(R10*2), Y6, Y6; \
-	VSUBPD       Y6, Y5, Y5;            \
-	VBROADCASTSD X3, Y6;                \
-	VMULPD       32(DX)(R11*1), Y6, Y6; \
-	VSUBPD       Y6, Y5, Y5;            \
-	LEAQ         (CX)(R10*4), R14;      \
-	VDIVSD       X20, X5, X0;           \
-	VMOVSD       X0, 32(R13);           \
-	VMOVSD       X0, (R14);             \
-	VUNPCKHPD    X5, X5, X1;            \
-	VMULSD       X30, X0, X4;           \
-	VSUBSD       X4, X1, X1;            \
-	VDIVSD       X21, X1, X1;           \
-	VMOVSD       X1, 40(R13);           \
-	VMOVSD       X1, (R14)(R10*1);      \
-	VEXTRACTF128 $1, Y5, X2;            \
-	VUNPCKHPD    X2, X2, X3;            \
-	VMULSD       X31, X0, X4;           \
-	VSUBSD       X4, X2, X2;            \
-	VMULSD       X15, X1, X4;           \
-	VSUBSD       X4, X2, X2;            \
-	VDIVSD       X22, X2, X2;           \
-	VMOVSD       X2, 48(R13);           \
-	VMOVSD       X2, (R14)(R10*2);      \
-	VMULSD       X14, X0, X4;           \
-	VSUBSD       X4, X3, X3;            \
-	VMULSD       X13, X1, X4;           \
-	VSUBSD       X4, X3, X3;            \
-	VMULSD       X12, X2, X4;           \
-	VSUBSD       X4, X3, X3;            \
-	VDIVSD       X23, X3, X3;           \
-	VMOVSD       X3, 56(R13);           \
-	VMOVSD       X3, (R14)(R11*1)
+// CHOL8_TRANSPOSE transposes the 8×8 block in A..H in place, through
+// Z16..Z31: lane c of the r-th register moves to lane r of the c-th.
+// Three rounds of shuffles: the first pairs rows' even and odd lanes, the
+// second and third gather 128-bit lane pairs. It is its own inverse.
+#define CHOL8_TRANSPOSE(A, B, C, D, E, F, G, H) \
+	VUNPCKLPD  B, A, Z16;            \
+	VUNPCKHPD  B, A, Z17;            \
+	VUNPCKLPD  D, C, Z18;            \
+	VUNPCKHPD  D, C, Z19;            \
+	VUNPCKLPD  F, E, Z20;            \
+	VUNPCKHPD  F, E, Z21;            \
+	VUNPCKLPD  H, G, Z22;            \
+	VUNPCKHPD  H, G, Z23;            \
+	VSHUFF64X2 $0x88, Z18, Z16, Z24; \
+	VSHUFF64X2 $0xdd, Z18, Z16, Z25; \
+	VSHUFF64X2 $0x88, Z19, Z17, Z26; \
+	VSHUFF64X2 $0xdd, Z19, Z17, Z27; \
+	VSHUFF64X2 $0x88, Z22, Z20, Z28; \
+	VSHUFF64X2 $0xdd, Z22, Z20, Z29; \
+	VSHUFF64X2 $0x88, Z23, Z21, Z30; \
+	VSHUFF64X2 $0xdd, Z23, Z21, Z31; \
+	VSHUFF64X2 $0x88, Z28, Z24, A;   \
+	VSHUFF64X2 $0xdd, Z28, Z24, E;   \
+	VSHUFF64X2 $0x88, Z30, Z26, B;   \
+	VSHUFF64X2 $0xdd, Z30, Z26, F;   \
+	VSHUFF64X2 $0x88, Z29, Z25, C;   \
+	VSHUFF64X2 $0xdd, Z29, Z25, G;   \
+	VSHUFF64X2 $0x88, Z31, Z27, D;   \
+	VSHUFF64X2 $0xdd, Z31, Z27, H
+
+// CHOL8_TERM is one within-block term of a window's column, in lanes:
+// C -= M * L, with L broadcast from P and T as the temporary.
+#define CHOL8_TERM(P, M, T, C) \
+	VMULPD.BCST P, M, T; \
+	VSUBPD      T, C, C
+
+// CHOL8_COLc finishes column j0+c of a window whose columns are in A..H:
+// the terms m < c in ascending m, then the division by L[j0+c][j0+c].
+#define CHOL8_COL0(A) \
+	VDIVPD.BCST (DX), A, A
+
+#define CHOL8_COL1(A, B, T) \
+	CHOL8_TERM((DX)(R10*1), A, T, B); \
+	VDIVPD.BCST 8(DX)(R10*1), B, B
+
+#define CHOL8_COL2(A, B, C, T) \
+	CHOL8_TERM((DX)(R10*2), A, T, C);  \
+	CHOL8_TERM(8(DX)(R10*2), B, T, C); \
+	VDIVPD.BCST 16(DX)(R10*2), C, C
+
+#define CHOL8_COL3(A, B, C, D, T) \
+	CHOL8_TERM((DX)(R11*1), A, T, D);   \
+	CHOL8_TERM(8(DX)(R11*1), B, T, D);  \
+	CHOL8_TERM(16(DX)(R11*1), C, T, D); \
+	VDIVPD.BCST 24(DX)(R11*1), D, D
+
+#define CHOL8_COL4(A, B, C, D, E, T) \
+	CHOL8_TERM((BX), A, T, E);   \
+	CHOL8_TERM(8(BX), B, T, E);  \
+	CHOL8_TERM(16(BX), C, T, E); \
+	CHOL8_TERM(24(BX), D, T, E); \
+	VDIVPD.BCST 32(BX), E, E
+
+#define CHOL8_COL5(A, B, C, D, E, F, T) \
+	CHOL8_TERM((BX)(R10*1), A, T, F);   \
+	CHOL8_TERM(8(BX)(R10*1), B, T, F);  \
+	CHOL8_TERM(16(BX)(R10*1), C, T, F); \
+	CHOL8_TERM(24(BX)(R10*1), D, T, F); \
+	CHOL8_TERM(32(BX)(R10*1), E, T, F); \
+	VDIVPD.BCST 40(BX)(R10*1), F, F
+
+#define CHOL8_COL6(A, B, C, D, E, F, G, T) \
+	CHOL8_TERM((BX)(R10*2), A, T, G);   \
+	CHOL8_TERM(8(BX)(R10*2), B, T, G);  \
+	CHOL8_TERM(16(BX)(R10*2), C, T, G); \
+	CHOL8_TERM(24(BX)(R10*2), D, T, G); \
+	CHOL8_TERM(32(BX)(R10*2), E, T, G); \
+	CHOL8_TERM(40(BX)(R10*2), F, T, G); \
+	VDIVPD.BCST 48(BX)(R10*2), G, G
+
+#define CHOL8_COL7(A, B, C, D, E, F, G, H, T) \
+	CHOL8_TERM((BX)(R11*1), A, T, H);   \
+	CHOL8_TERM(8(BX)(R11*1), B, T, H);  \
+	CHOL8_TERM(16(BX)(R11*1), C, T, H); \
+	CHOL8_TERM(24(BX)(R11*1), D, T, H); \
+	CHOL8_TERM(32(BX)(R11*1), E, T, H); \
+	CHOL8_TERM(40(BX)(R11*1), F, T, H); \
+	CHOL8_TERM(48(BX)(R11*1), G, T, H); \
+	VDIVPD.BCST 56(BX)(R11*1), H, H
+
+// CHOL8_LANES finishes one window's columns, in Z0..Z7.
+#define CHOL8_LANES \
+	CHOL8_COL0(Z0);                                  \
+	CHOL8_COL1(Z0, Z1, Z16);                         \
+	CHOL8_COL2(Z0, Z1, Z2, Z16);                     \
+	CHOL8_COL3(Z0, Z1, Z2, Z3, Z16);                 \
+	CHOL8_COL4(Z0, Z1, Z2, Z3, Z4, Z16);             \
+	CHOL8_COL5(Z0, Z1, Z2, Z3, Z4, Z5, Z16);         \
+	CHOL8_COL6(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z16);     \
+	CHOL8_COL7(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16)
+
+// CHOL8_LANES2 finishes two windows' columns, in Z0..Z7 and Z8..Z15, one
+// column of each in turn.
+#define CHOL8_LANES2 \
+	CHOL8_COL0(Z0);                                      \
+	CHOL8_COL0(Z8);                                      \
+	CHOL8_COL1(Z0, Z1, Z16);                             \
+	CHOL8_COL1(Z8, Z9, Z17);                             \
+	CHOL8_COL2(Z0, Z1, Z2, Z16);                         \
+	CHOL8_COL2(Z8, Z9, Z10, Z17);                        \
+	CHOL8_COL3(Z0, Z1, Z2, Z3, Z16);                     \
+	CHOL8_COL3(Z8, Z9, Z10, Z11, Z17);                   \
+	CHOL8_COL4(Z0, Z1, Z2, Z3, Z4, Z16);                 \
+	CHOL8_COL4(Z8, Z9, Z10, Z11, Z12, Z17);              \
+	CHOL8_COL5(Z0, Z1, Z2, Z3, Z4, Z5, Z16);             \
+	CHOL8_COL5(Z8, Z9, Z10, Z11, Z12, Z13, Z17);         \
+	CHOL8_COL6(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z16);         \
+	CHOL8_COL6(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z17);    \
+	CHOL8_COL7(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16);     \
+	CHOL8_COL7(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z17)
 
 // func cholPanelAVX512(l, a *float64, n, j0 int)
 //
 // Finishes columns j0..j0+7 of every row i >= j0+8, given the finished
-// diagonal block with its transposed copy, and the transposed copy of
-// columns < j0: eight rows per sweep over k, then four if four remain,
-// then one at a time. Each sweep's rows are finished before the next
-// sweep, so the out-of-order core overlaps their eight independent
-// division chains.
+// diagonal block and the transposed copy of columns < j0. The first pass
+// sweeps eight rows at a time, then four; the second finishes sixteen
+// rows at a time (two windows), then eight.
 TEXT ·cholPanelAVX512(SB), NOSPLIT, $0-32
 	MOVQ l+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -451,16 +603,6 @@ TEXT ·cholPanelAVX512(SB), NOSPLIT, $0-32
 	MOVQ R8, R10
 	SHLQ $3, R10              // R10 = row stride in bytes
 	LEAQ (R10)(R10*2), R11    // R11 = 3 * stride
-
-	// The finished diagonal block's scalars (see CHOL8_FINISH), from
-	// DX = &l[j0][j0] and BX = &l[j0+4][j0].
-	MOVQ R9, AX
-	IMULQ R8, AX
-	ADDQ R9, AX
-	LEAQ (DI)(AX*8), DX
-	CHOL_DIAG4(DX, 0, X16, X24, X17, X25, X26, X18, X27, X28, X29, X19)
-	LEAQ (DX)(R10*4), BX
-	CHOL_DIAG4(BX, 32, X20, X30, X21, X31, X15, X22, X14, X13, X12, X23)
 
 	LEAQ 8(R9), R12           // R12 = i, the next row to sweep
 
@@ -488,16 +630,15 @@ panel8x8k:
 panel8x8store:
 	// R14 = &l[i][j0] and BX = &l[i+4][j0] now.
 	CHOL_STORE8
-	MOVQ R12, BX              // BX = the first row to finish
 	ADDQ $8, R12
-	JMP  panel8fin
+	JMP  panel8x8
 
 panel8x4:
-	LEAQ 4(R12), AX
-	CMPQ AX, R8
-	JGT  panel8x1             // fewer than four rows left
-	CHOL_ROWAT(R12)
-	LEAQ (R13)(R9*8), R13     // R13 = &a[i][j0]
+	CHOL_WINDOW(4, DX, panel8lanes, panel8x4sweep)
+
+panel8x4sweep:
+	CHOL_ROWAT(AX)
+	LEAQ (R13)(R9*8), R13     // R13 = &a[AX][j0]
 	CHOL_LOAD4(R13, Z0, Z1, Z2, Z3)
 	CHOL_KSTART
 	JZ   panel8x4store
@@ -510,38 +651,100 @@ panel8x4k:
 	JNZ  panel8x4k
 
 panel8x4store:
-	CHOL_STORE4(Z0, Z1, Z2, Z3, R14)
-	MOVQ R12, BX
-	ADDQ $4, R12
-	JMP  panel8fin
+	// R14 = &l[window][j0] now.
+	CHOL_STORELAST4(Z0, Z1, Z2, Z3, R14, DX, 0, panel8x4)
+	JMP  panel8x4
 
-panel8x1:
-	CMPQ R12, R8
-	JGE  panel8done
-	CHOL_SWEEP1(Z8, Z9, Z0, panel8x1k, panel8x1store)
-	VMOVUPD Z0, (R14)
-	MOVQ R12, BX
-	INCQ R12
-
-panel8fin:
-	// Finish rows BX..R12-1, from R13 = &l[BX][j0] and CX = &l[j0][BX].
-	MOVQ BX, AX
+panel8lanes:
+	MOVQ R9, AX
 	IMULQ R8, AX
+	ADDQ R9, AX
+	LEAQ (DI)(AX*8), DX       // DX = &l[j0][j0]
+	LEAQ (DX)(R10*4), BX      // BX = &l[j0+4][j0]
+	LEAQ 8(R9), R12           // R12 = the next row to finish
+
+panel8pair:
+	// Rows i..i+15: R13 = &l[i][j0], R14 = &l[i+4][j0] and SI the rows
+	// 8..15 in turn; CX = &l[j0][i] and AX = &l[j0+4][i].
+	LEAQ 16(R12), AX
+	CMPQ AX, R8
+	JGT  panel8single
+	MOVQ R12, AX
+	IMULQ R8, AX
+	ADDQ R9, AX
 	LEAQ (DI)(AX*8), R13
-	LEAQ (R13)(R9*8), R13
-	MOVQ BX, AX
+	LEAQ (R13)(R10*4), R14
+	MOVQ R12, AX
 	SUBQ R9, AX
 	LEAQ (DX)(AX*8), CX
-	MOVQ R12, AX
-	SUBQ BX, AX
+	LEAQ (CX)(R10*4), AX
+	CHOL_LOAD4(R13, Z0, Z1, Z2, Z3)
+	CHOL_LOAD4(R14, Z4, Z5, Z6, Z7)
+	LEAQ (R13)(R10*8), SI
+	CHOL_LOAD4(SI, Z8, Z9, Z10, Z11)
+	LEAQ (R14)(R10*8), SI
+	CHOL_LOAD4(SI, Z12, Z13, Z14, Z15)
+	CHOL8_TRANSPOSE(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	CHOL8_TRANSPOSE(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	CHOL8_LANES2
+	CHOL_STORE4(Z0, Z1, Z2, Z3, CX)
+	CHOL_STORE4(Z4, Z5, Z6, Z7, AX)
+	LEAQ 64(CX), CX
+	LEAQ 64(AX), AX
+	CHOL_STORE4(Z8, Z9, Z10, Z11, CX)
+	CHOL_STORE4(Z12, Z13, Z14, Z15, AX)
+	CHOL8_TRANSPOSE(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	CHOL8_TRANSPOSE(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	CHOL_STORE4(Z0, Z1, Z2, Z3, R13)
+	CHOL_STORE4(Z4, Z5, Z6, Z7, R14)
+	CHOL_STORE4(Z12, Z13, Z14, Z15, SI)
+	LEAQ (R13)(R10*8), SI
+	CHOL_STORE4(Z8, Z9, Z10, Z11, SI)
+	ADDQ $16, R12
+	JMP  panel8pair
 
-panel8row:
-	CHOL8_FINISH
-	ADDQ R10, R13
-	ADDQ $8, CX
-	DECQ AX
-	JNZ  panel8row
-	JMP  panel8x8
+panel8single:
+	// K1 selects every lane until the last window.
+	MOVL  $0xff, AX
+	KMOVW AX, K1
+
+panel8window:
+	// One window, of which the last SI rows are stored, K1 selecting
+	// their lanes of the columns: R13 = &l[AX][j0] and R14 = &l[AX+4][j0]
+	// hold the rows, CX = &l[j0][AX] and AX = &l[j0+4][AX] their
+	// transposed positions.
+	CHOL_WINDOW(8, SI, panel8done, panel8win)
+	MOVQ $8, CX
+	SUBQ SI, CX
+	MOVL $0xff, R13
+	SHLL CX, R13
+	KMOVW R13, K1
+
+panel8win:
+	MOVQ AX, R13
+	IMULQ R8, R13
+	ADDQ R9, R13
+	LEAQ (DI)(R13*8), R13
+	LEAQ (R13)(R10*4), R14
+	SUBQ R9, AX
+	LEAQ (DX)(AX*8), CX
+	LEAQ (CX)(R10*4), AX
+	CHOL_LOAD4(R13, Z0, Z1, Z2, Z3)
+	CHOL_LOAD4(R14, Z4, Z5, Z6, Z7)
+	CHOL8_TRANSPOSE(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	CHOL8_LANES
+	VMOVUPD Z0, K1, (CX)
+	VMOVUPD Z1, K1, (CX)(R10*1)
+	VMOVUPD Z2, K1, (CX)(R10*2)
+	VMOVUPD Z3, K1, (CX)(R11*1)
+	VMOVUPD Z4, K1, (AX)
+	VMOVUPD Z5, K1, (AX)(R10*1)
+	VMOVUPD Z6, K1, (AX)(R10*2)
+	VMOVUPD Z7, K1, (AX)(R11*1)
+	CHOL8_TRANSPOSE(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	CHOL_STORELAST4(Z4, Z5, Z6, Z7, R14, SI, 0, panel8window)
+	CHOL_STORELAST4(Z0, Z1, Z2, Z3, R13, SI, 4, panel8window)
+	JMP  panel8window
 
 panel8done:
 	VZEROUPPER
