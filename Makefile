@@ -1,14 +1,12 @@
-# Local targets mirror the CI jobs in .github/workflows/ci.yml one-to-one,
-# so a green `make ci` locally means a green CI run.
+# The CI jobs in .github/workflows/ci.yml run these targets, so each gate
+# is written once, here, and a green `make ci` locally means a green CI run.
 
 GO ?= go
 
-# Pinned staticcheck release, mirrored by the CI build job; bump both
-# together.
+# Pinned staticcheck release.
 STATICCHECK_VERSION ?= 2025.1.1
 
-# Pinned govulncheck release, mirrored by the CI build job; bump both
-# together.
+# Pinned govulncheck release.
 GOVULNCHECK_VERSION ?= v1.1.4
 
 # The tag-gated smoke suites (load-smoke, scale-smoke) live in _test.go
@@ -39,9 +37,9 @@ fmt:
 	fi
 
 # staticcheck prefers an installed binary (any dev box with one) and falls
-# back to running the pinned release through the module cache — the exact
-# invocation CI uses, so local and CI findings agree. Runs once per tag set
-# so the tag-gated smoke tests are checked too.
+# back to running the pinned release through the module cache, as on a CI
+# runner. Runs once per tag set so the tag-gated smoke tests are checked
+# too.
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		sc="staticcheck"; \
@@ -66,7 +64,7 @@ iotml-lint:
 
 # govulncheck scans the module against the Go vulnerability database. Same
 # pinned-version pattern as staticcheck: prefer an installed binary, fall
-# back to the pinned release CI runs. Needs network for the vuln DB, so it
+# back to the pinned release. Needs network for the vuln DB, so it
 # is a CI step and an on-demand local target, not part of `lint`.
 govulncheck:
 	@if command -v govulncheck >/dev/null 2>&1; then \
@@ -80,39 +78,67 @@ lint: vet fmt iotml-lint
 test:
 	$(GO) test ./...
 
-# contracts runs the CI test job's "Assert …" steps one-to-one, in order.
+# contracts asserts the repository's contracts, one group per comment.
 # scripts/contract.sh fails a check when any |-alternative of its -run
 # pattern matches no test: plain go test passes such a check as "[no tests
 # to run]", so a renamed test would silently void its contract.
 CONTRACT := bash scripts/contract.sh
 
 contracts:
+# Assert vectorized and pairwise Gram paths agree (fixed-seed workload).
 	$(CONTRACT) 'TestBlockGram' ./internal/kernel
 	$(CONTRACT) 'TestScoreVectorizedVsExact' ./internal/mkl
 	$(CONTRACT) 'TestVectorizedAndPairwiseSelectSamePartition' ./internal/core
+# Assert CV fast path is bit-identical to the reference path.
 	$(CONTRACT) 'TestFoldPlanMatchesKFold' ./internal/stats
 	$(CONTRACT) 'TestFastPathMatchesReference' ./internal/mkl
+# Assert model artifacts round-trip bit-identically (golden file +
+# learner/combiner/seed matrix).
 	$(CONTRACT) 'TestGoldenArtifactLoadsAndReproducesScores|TestSaveLoadRoundTripIsBitIdentical' ./internal/model
 	$(CONTRACT) 'TestArtifactRoundTripIsBitIdentical' ./internal/core
 	$(CONTRACT) 'TestPredictMatchesInMemoryScoresBitIdentically' ./internal/serve
+# Assert Fit selection contract (identical to the sequential fit across
+# strategies x workers; CSV round-trip selection; CLI flags select the same
+# with and without a fleet).
 	$(CONTRACT) 'TestFitSelectionIdenticalAcrossWorkers' ./internal/core
 	$(CONTRACT) 'TestFitCSVRoundTripReproducesSelection' .
 	$(CONTRACT) 'TestFitGammaZeroSameWithDistWorkers' ./cmd/iotml
+# Assert cancellation semantics (parsearch + search partial results, no
+# leaked goroutines).
 	$(CONTRACT) 'TestRunContextCancellation|TestDoContextCancellation' ./internal/parsearch -race
 	$(CONTRACT) 'TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
+# Assert search-core contract (strategies x {P=1, P=2, P=8, loopback
+# fleet} bit-identical, sequential evaluation counts, cancellation
+# partials, fault matrix).
 	$(CONTRACT) 'TestSearchCoreDeterminism|TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
 	$(CONTRACT) 'TestFitCancellationReturnsPartialResult|TestFitGreedyCancelledBeforeSearchReturnsEmptyPartial|TestFitPreCancelled' ./internal/core
 	$(CONTRACT) 'TestFaultMatrixSelectionBitIdentical' ./internal/distsearch
+# Assert approximate Gram and block-cache contract (full-rank == exact,
+# seeded determinism across workers, one cache contract for f64/f32/
+# low-rank blocks).
 	$(CONTRACT) 'TestNystromFactorFullRankExact|TestRFFMapApproximatesRBF|TestPrimalDualRidgeEquivalence' ./internal/linalg
 	$(CONTRACT) 'TestApprox|TestBlockGramCache' ./internal/kernel -race
 	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact' ./internal/mkl
+# Assert numeric backend contract (f64 bit-identical, f32 tolerance +
+# worker determinism, spelling equivalence, budgeted fit over a fleet).
 	$(CONTRACT) '.' ./internal/engine
 	$(CONTRACT) 'TestBackend' ./internal/mkl
 	$(CONTRACT) 'TestSpecBackendSpellings' ./internal/distsearch
 	$(CONTRACT) 'TestFitDistributedBudgetedMatchesLocal' ./internal/core
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
+# Assert dense kernels and the exp lanes match their scalar references bit
+# for bit (AVX-512, AVX2 and Go-loop dispatch of Cholesky, SyrkT, the
+# accumulate steps and ExpScaled, both widths, every column-block tail,
+# failing pivots, stale factor buffers; exp lanes off under
+# GODEBUG=cpu.fma=off; one CPU probe and fused ops only in the exp lanes).
 	$(CONTRACT) 'MatchesScalarReference|TestExpLanesMatchesMathExp|TestExpLanesFollowMathExpBranch|TestAsmAudit' ./internal/linalg
+# Assert partition Gram assembly, bound cross-Gram fills and the RBF blocks
+# match their scalar chains bit for bit (every factory and combiner at
+# every retention limit; every kernel shape, changing batch sizes on one
+# bound value; the detected exp dispatch).
 	$(CONTRACT) 'MatchesScalarReference' ./internal/kernel
+# Assert serving contract (queued requests coalesce, drain answers every
+# admitted request).
 	$(CONTRACT) 'TestConcurrentRequestsAreCoalesced|TestShutdownDrainsAdmittedRequests' ./internal/serve -race
 
 # fallback keeps the Go loops and the scalar math.Exp behind linalg's SIMD
@@ -120,7 +146,7 @@ contracts:
 # linalg's own tests and in kernel's RBF tests (which run whichever exp
 # path the build dispatches to), and an arm64 vet checks the build without
 # assembly (the amd64 vet in `vet` runs asmdecl over the .s frame
-# declarations). Mirrors the CI test job's fallback step.
+# declarations).
 fallback:
 	$(GO) test -tags purego ./internal/linalg
 	GOARCH=arm64 $(GO) vet ./internal/linalg
@@ -130,8 +156,8 @@ fallback:
 # fuzz gives each untrusted-input decoder — the partition parser, the
 # CSV and JSONL ingesters, the search-worker boundaries, the artifact
 # kernel-spec decoder, the serving predict route and the artifact loader —
-# a short run, one go test -fuzz invocation per target (the fuzz engine takes one target at a
-# time). Mirrors the CI test job's fuzz step.
+# a short run, one go test -fuzz invocation per target (the fuzz engine
+# takes one target at a time).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/partition
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 10s ./internal/dataset
@@ -144,7 +170,7 @@ fuzz:
 
 # shuffle re-runs the suite with randomized test and subtest order, so
 # inter-test state dependencies fail loudly instead of hiding behind
-# declaration order. Mirrors the CI test job's shuffle step.
+# declaration order.
 shuffle:
 	$(GO) test -shuffle=on -short ./...
 

@@ -44,11 +44,6 @@ type FitConfig struct {
 	// SeedMaxK bounds the size of the rough-set-selected block K
 	// (default 2).
 	SeedMaxK int
-	// SeedObjective selects the rough-set scoring of candidate K sets.
-	SeedObjective rough.SeedObjective
-	// DiscretizeBins is the equal-width bin count for the rough-set table
-	// (default 3).
-	DiscretizeBins int
 	// Search selects the exploration strategy.
 	Search SearchStrategy
 	// MKL configures the evaluator (objective, folds, kernels, learner).
@@ -175,9 +170,6 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 	if cfg.SeedMaxK <= 0 {
 		cfg.SeedMaxK = 2
 	}
-	if cfg.DiscretizeBins <= 0 {
-		cfg.DiscretizeBins = 3
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -193,7 +185,7 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		distCfg.BudgetTopK = cfg.MKL.BudgetTopK
 		cfg.MKL = distCfg
 	}
-	seed, attrs, err := mkl.SeedFromRoughSet(d, cfg.DiscretizeBins, cfg.SeedMaxK, cfg.SeedObjective)
+	seed, attrs, err := mkl.SeedFromRoughSet(d, cfg.SeedMaxK, rough.ByAccuracy)
 	if err != nil {
 		return nil, fmt.Errorf("core: seeding: %w", err)
 	}

@@ -80,7 +80,7 @@ func TestFaultMatrixSelectionBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, _, err := mkl.SeedFromRoughSet(d, 3, 2, 0)
+	seed, _, err := mkl.SeedFromRoughSet(d, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestDeadWorkerShardRedispatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, _, err := mkl.SeedFromRoughSet(d, 3, 2, 0)
+	seed, _, err := mkl.SeedFromRoughSet(d, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestWorkerRestartReinstallsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, _, err := mkl.SeedFromRoughSet(d, 3, 2, 0)
+	seed, _, err := mkl.SeedFromRoughSet(d, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

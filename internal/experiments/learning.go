@@ -205,13 +205,13 @@ func RoughSeeding(seed int64) (*Table, error) {
 	}
 	seedings := []seeding{
 		{"rough accuracy (paper)", func() (partition.Partition, []string, error) {
-			return mkl.SeedFromRoughSet(train, 3, 2, rough.ByAccuracy)
+			return mkl.SeedFromRoughSet(train, 2, rough.ByAccuracy)
 		}},
 		{"rough granules", func() (partition.Partition, []string, error) {
-			return mkl.SeedFromRoughSet(train, 3, 2, rough.ByGranuleAccuracy)
+			return mkl.SeedFromRoughSet(train, 2, rough.ByGranuleAccuracy)
 		}},
 		{"entropy", func() (partition.Partition, []string, error) {
-			return mkl.SeedFromRoughSet(train, 3, 2, rough.ByEntropy)
+			return mkl.SeedFromRoughSet(train, 2, rough.ByEntropy)
 		}},
 		{"static first-half", func() (partition.Partition, []string, error) {
 			half := train.D() / 2

@@ -62,7 +62,6 @@ type ApproxGramCache struct {
 	kind    ApproxKind
 	rank    int
 	seed    int64
-	cols    *BlockCache[*linalg.Matrix]
 }
 
 // NewApproxGramCache returns a factor cache over dataset rows x. rank is
@@ -76,7 +75,6 @@ func NewApproxGramCache(x [][]float64, factory BlockKernelFactory, kind ApproxKi
 	}
 	c := &ApproxGramCache{x: x, factory: factory, kind: kind, rank: rank, seed: seed}
 	c.BlockCache = NewBlockCache(limit, denseBytes[float64], c.buildFactor)
-	c.cols = newColumnCache[float64](x, limit)
 	return c
 }
 
@@ -97,7 +95,7 @@ func blockSeed(seed int64, key []byte) int64 {
 // otherwise.
 func (c *ApproxGramCache) buildFactor(key []byte, feats []int) (*linalg.Matrix, error) {
 	base := c.factory(feats)
-	xb, _ := c.cols.lookup(key, feats) // column extraction never fails
+	xb := linalg.FromRowsCols[float64](c.x, feats)
 	rng := rand.New(rand.NewSource(blockSeed(c.seed, key)))
 	if c.kind == ApproxRFF {
 		if r, ok := base.(RBF); ok {

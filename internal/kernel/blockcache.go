@@ -1,11 +1,11 @@
 // Block caching: sibling partitions in a lattice search share most of
 // their feature blocks, so whatever a scoring backend derives per block —
-// a dense Gram at float64 or float32, a low-rank factor, the contiguous
-// column block feeding any of them — is computed once per dataset and
-// reused across candidates (and across the worker evaluators of a parallel
-// search). BlockCache is that mechanism, written once: the backends
-// (DenseGramCache at either width, ApproxGramCache) supply a build
-// function and combine the blocks they look up, nothing more.
+// a dense Gram at float64 or float32, or a low-rank factor — is computed
+// once per dataset and reused across candidates (and across the worker
+// evaluators of a parallel search). BlockCache is that mechanism, written
+// once: each backend (DenseGramCache at either width, ApproxGramCache)
+// holds exactly one, supplies its build function and combines the blocks
+// it looks up, nothing more.
 //
 // Retention is one policy for every value type: blocks are evicted oldest
 // first (FIFO) once the block count exceeds the limit, so the newest block

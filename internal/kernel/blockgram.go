@@ -4,7 +4,9 @@
 // a whole Gram block as dense matrix operations (blockGramInto), and every
 // kernel tree binds a cross-Gram once and fills it block by block
 // (BlockGramKernel.BindCross). A partition's full Gram is assembled in one
-// place, DenseGramCache, which runs these formulas per feature block.
+// place, DenseGramCache, which runs these formulas per feature block; Sum
+// and Product cross fills (boundCombination) combine their members with
+// the same initRow/accumulate step as that assembly.
 //
 // Determinism contract (the repository's reproduction guarantee):
 //
@@ -303,9 +305,20 @@ func (bn *boundNormalized) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 	sc.top = top
 }
 
-// bindAll binds every member kernel to b, reporting false if any cannot
-// vectorize.
-func bindAll(kernels []Kernel, b *linalg.Matrix) ([]BoundCross, bool) {
+// BindCross implements BlockGramKernel: each member bound to b, summed
+// with Weights (1 each when nil).
+func (c Sum) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	return bindCombination(c.Kernels, c.Weights, CombineSum, b)
+}
+
+// BindCross implements BlockGramKernel: each member bound to b, multiplied.
+func (c Product) BindCross(b *linalg.Matrix) (BoundCross, bool) {
+	return bindCombination(c.Kernels, nil, CombineProduct, b)
+}
+
+// bindCombination binds every member kernel to b, reporting false if any
+// cannot vectorize.
+func bindCombination(kernels []Kernel, weights []float64, combiner Combiner, b *linalg.Matrix) (BoundCross, bool) {
 	members := make([]BoundCross, len(kernels))
 	for i, k := range kernels {
 		var ok bool
@@ -313,72 +326,32 @@ func bindAll(kernels []Kernel, b *linalg.Matrix) ([]BoundCross, bool) {
 			return nil, false
 		}
 	}
-	return members, true
+	return &boundCombination{members: members, weights: weights, combiner: combiner}, true
 }
 
-// BindCross implements BlockGramKernel: each member bound to b.
-func (c Sum) BindCross(b *linalg.Matrix) (BoundCross, bool) {
-	members, ok := bindAll(c.Kernels, b)
-	if !ok {
-		return nil, false
-	}
-	return &boundSum{members: members, weights: c.Weights}, true
+// boundCombination is a Sum or Product bound to b member by member.
+type boundCombination struct {
+	members  []BoundCross
+	weights  []float64
+	combiner Combiner
 }
 
-type boundSum struct {
-	members []BoundCross
-	weights []float64
-}
-
-// Fill implements BoundCross: the weighted sum of member blocks,
-// accumulated in member order as Sum.Eval does.
+// Fill implements BoundCross: the member blocks combined in member order,
+// as Sum.Eval and Product.Eval do, through the Gram assembly's initRow
+// and accumulate steps.
 //
 //iotml:hotpath
-func (bs *boundSum) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
+func (bc *boundCombination) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
 	top := sc.top
 	scratch := sc.take(dst.Rows, dst.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i, m := range bs.members {
+	initRow(dst.Data, bc.combiner)
+	for i, m := range bc.members {
 		m.Fill(scratch, a, sc)
 		w := 1.0
-		if bs.weights != nil {
-			w = bs.weights[i]
+		if bc.weights != nil {
+			w = bc.weights[i]
 		}
-		for j := range dst.Data {
-			dst.Data[j] += w * scratch.Data[j]
-		}
-	}
-	sc.top = top
-}
-
-// BindCross implements BlockGramKernel: each member bound to b.
-func (c Product) BindCross(b *linalg.Matrix) (BoundCross, bool) {
-	members, ok := bindAll(c.Kernels, b)
-	if !ok {
-		return nil, false
-	}
-	return &boundProduct{members: members}, true
-}
-
-type boundProduct struct{ members []BoundCross }
-
-// Fill implements BoundCross: the elementwise product of member blocks,
-// multiplied in member order as Product.Eval does.
-//
-//iotml:hotpath
-func (bp *boundProduct) Fill(dst, a *linalg.Matrix, sc *CrossScratch) {
-	top := sc.top
-	scratch := sc.take(dst.Rows, dst.Cols)
-	for i := range dst.Data {
-		dst.Data[i] = 1
-	}
-	for _, m := range bp.members {
-		m.Fill(scratch, a, sc)
-		for j := range dst.Data {
-			dst.Data[j] *= scratch.Data[j]
-		}
+		accumulate(dst.Data, scratch.Data, bc.combiner, w)
 	}
 	sc.top = top
 }

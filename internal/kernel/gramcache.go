@@ -1,5 +1,5 @@
 // The dense backends of the block cache (see blockcache.go): each block's
-// Gram matrix is built once — vectorized over the cached column block, or
+// Gram matrix is built once — vectorized over the block's columns, or
 // pairwise for a block kernel without a block formula — and candidates
 // combine the cached blocks into a full Gram. One implementation serves
 // both storage widths: DenseGramCache[float64] (BlockGramCache) is the
@@ -26,8 +26,8 @@ import (
 // separate output buffer (see GramForPartition) and never mutate them.
 //
 // Determinism: each block Gram is produced by one deterministic routine
-// over the cached column block — two workers racing on a cold block
-// compute identical matrices and the first store wins — and assembly
+// over the block's columns — two workers racing on a cold block compute
+// identical matrices and the first store wins — and assembly
 // accumulates in float64 in partition-block order, so assembled Grams (and
 // therefore scores) are bit-identical at every worker count, at both
 // widths.
@@ -35,10 +35,6 @@ type DenseGramCache[T linalg.Float] struct {
 	*BlockCache[*linalg.Dense[T]]
 	x       [][]float64
 	factory BlockKernelFactory
-	// cols caches the contiguous column blocks (rounded to T once) feeding
-	// the block formulas, so a block's features are gathered once per
-	// dataset rather than re-sliced per instance pair.
-	cols *BlockCache[*linalg.Dense[T]]
 }
 
 // BlockGramCache is the exact float64 block-Gram cache.
@@ -61,16 +57,7 @@ func NewBlockGramCache(x [][]float64, factory BlockKernelFactory, limit int) *Bl
 func NewDenseGramCache[T linalg.Float](x [][]float64, factory BlockKernelFactory, limit int) *DenseGramCache[T] {
 	c := &DenseGramCache[T]{x: x, factory: factory}
 	c.BlockCache = NewBlockCache(limit, denseBytes[T], c.buildGram)
-	c.cols = newColumnCache[T](x, limit)
 	return c
-}
-
-// newColumnCache returns a cache of the contiguous column blocks of x at
-// width T.
-func newColumnCache[T linalg.Float](x [][]float64, limit int) *BlockCache[*linalg.Dense[T]] {
-	return NewBlockCache(limit, denseBytes[T], func(_ []byte, feats []int) (*linalg.Dense[T], error) {
-		return linalg.FromRowsCols[T](x, feats), nil
-	})
 }
 
 // denseBytes is the cache footprint of a dense matrix.
@@ -79,20 +66,19 @@ func denseBytes[T linalg.Float](m *linalg.Dense[T]) int64 {
 }
 
 // buildGram computes one block's Gram into a fresh matrix (see gramInto).
-func (c *DenseGramCache[T]) buildGram(key []byte, feats []int) (*linalg.Dense[T], error) {
+func (c *DenseGramCache[T]) buildGram(_ []byte, feats []int) (*linalg.Dense[T], error) {
 	g := linalg.NewDense[T](len(c.x), len(c.x))
-	c.gramInto(g, key, feats)
+	c.gramInto(g, feats)
 	return g, nil
 }
 
 // gramInto fills dst (pre-shaped n×n) with one block's Gram: the block
-// formulas (blockGramInto) run over the cached column block; a block
-// kernel without a formula takes the scalar float64 reference path,
-// rounded once per entry.
-func (c *DenseGramCache[T]) gramInto(dst *linalg.Dense[T], key []byte, feats []int) {
+// formulas (blockGramInto) run over the block's contiguous columns,
+// gathered (and rounded to T) once per build; a block kernel without a
+// formula takes the scalar float64 reference path, rounded once per entry.
+func (c *DenseGramCache[T]) gramInto(dst *linalg.Dense[T], feats []int) {
 	base := c.factory(feats)
-	xb, _ := c.cols.lookup(key, feats) // column extraction never fails
-	if !blockGramInto(dst, base, xb) {
+	if !blockGramInto(dst, base, linalg.FromRowsCols[T](c.x, feats)) {
 		pairwiseGramInto(dst, Subspace{Base: base, Features: feats}, c.x)
 	}
 }
@@ -166,7 +152,9 @@ func (c *DenseGramCache[T]) GramForPartitionScratch(p partition.Partition, combi
 }
 
 // initRow sets acc to the combiner's identity: 1 for the product, 0 for
-// the sum.
+// the sum. With accumulate it is the one combine step, shared by Gram
+// assembly (one row segment at a time) and bound Sum/Product cross fills
+// (one whole block at a time).
 func initRow(acc []float64, combiner Combiner) {
 	init := 0.0
 	if combiner == CombineProduct {
@@ -202,7 +190,7 @@ func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []
 	for b := 0; b < k; b++ {
 		sc.load(p, b)
 		sc.buf = linalg.Reshape(sc.buf, n, n)
-		c.gramInto(sc.buf, sc.keyBuf, sc.feats)
+		c.gramInto(sc.buf, sc.feats)
 		for i := 0; i < n; i++ {
 			accumulate(od[i*n+i:(i+1)*n], sc.buf.Data[i*n+i:(i+1)*n], combiner, w)
 		}

@@ -523,12 +523,16 @@ func TwoBlockSeed(d int, k []int) (partition.Partition, error) {
 	return partition.FromRGS(assign), nil
 }
 
+// roughSetBins is the equal-width bin count of the rough-set table
+// SeedFromRoughSet discretizes the dataset into.
+const roughSetBins = 3
+
 // SeedFromRoughSet selects K dynamically via rough-set approximation
-// accuracy of the benchmark concept "class = value" on the discretized
-// dataset (Section III), then returns the two-block seed (K, S−K) along
-// with the selected attribute names.
-func SeedFromRoughSet(d *dataset.Dataset, bins, maxK int, obj rough.SeedObjective) (partition.Partition, []string, error) {
-	tbl := d.Discretize(bins)
+// accuracy of the benchmark concept "class = value" on the dataset
+// discretized into roughSetBins bins (Section III), then returns the
+// two-block seed (K, S−K) along with the selected attribute names.
+func SeedFromRoughSet(d *dataset.Dataset, maxK int, obj rough.SeedObjective) (partition.Partition, []string, error) {
+	tbl := d.Discretize(roughSetBins)
 	// Use the majority class value as the benchmark concept.
 	counts := map[string]int{}
 	for _, r := range tbl.Rows {
@@ -809,7 +813,11 @@ func ViewOracle(e *Evaluator) (*Result, error) {
 // HoldoutAccuracy retrains the configuration p on all of train and reports
 // accuracy on test — the final deployment measurement. The cross-Gram goes
 // through the bound block path (pairwise Eval for kernels without one).
+// test must have train's feature count.
 func HoldoutAccuracy(train, test *dataset.Dataset, p partition.Partition, cfg Config) (float64, error) {
+	if test.D() != train.D() {
+		return 0, fmt.Errorf("mkl: test set has %d features, train set has %d", test.D(), train.D())
+	}
 	k, model, _, err := TrainDeployed(train, p, cfg, nil)
 	if err != nil {
 		return 0, err

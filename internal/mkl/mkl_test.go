@@ -254,7 +254,7 @@ func TestBaselinesRun(t *testing.T) {
 
 func TestSeedFromRoughSet(t *testing.T) {
 	d := smallFacetData(80, 8)
-	seed, attrs, err := SeedFromRoughSet(d, 3, 2, rough.ByAccuracy)
+	seed, attrs, err := SeedFromRoughSet(d, 2, rough.ByAccuracy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package mkl
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -115,5 +117,33 @@ func TestHoldoutAccuracyExactGram(t *testing.T) {
 	}
 	if fast != slow {
 		t.Errorf("holdout accuracy differs: vectorized %v, exact %v", fast, slow)
+	}
+}
+
+// TestHoldoutAccuracyRejectsFeatureMismatch checks that a test set with
+// fewer or more features than train is refused with an error naming both
+// counts, instead of panicking in the cross-Gram or being scored on its
+// first columns.
+func TestHoldoutAccuracyRejectsFeatureMismatch(t *testing.T) {
+	train := exactGramWorkload(4)
+	p := train.ViewPartition()
+	for _, tc := range []struct {
+		name  string
+		extra int
+	}{{"fewer", -2}, {"more", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			test := exactGramWorkload(5)
+			for i, row := range test.X {
+				if tc.extra < 0 {
+					test.X[i] = row[:len(row)+tc.extra]
+				} else {
+					test.X[i] = append(row, make([]float64, tc.extra)...)
+				}
+			}
+			want := fmt.Sprintf("test set has %d features, train set has %d", train.D()+tc.extra, train.D())
+			if _, err := HoldoutAccuracy(train, test, p, Config{}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("err = %v, want it to contain %q", err, want)
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ func TestPanicRecoveredIntoError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			_, err := Run(32, workers, func(worker, index int) (float64, error) {
+			_, err := RunContext(context.Background(), 32, workers, func(worker, index int) (float64, error) {
 				if index == 7 {
 					panic("candidate 7 exploded")
 				}
@@ -46,7 +46,7 @@ func TestPanicRecoveredIntoError(t *testing.T) {
 // the first (lowest-index) panic exactly as it stops at the first error.
 func TestPanicLowestIndexWinsSequential(t *testing.T) {
 	calls := 0
-	_, err := Run(16, 1, func(worker, index int) (float64, error) {
+	_, err := RunContext(context.Background(), 16, 1, func(worker, index int) (float64, error) {
 		calls++
 		if index >= 3 {
 			panic(index)

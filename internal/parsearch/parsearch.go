@@ -7,11 +7,11 @@
 // Every entry point is deterministic regardless of worker count or
 // goroutine scheduling:
 //
-//   - Run returns scores indexed by candidate position, so a caller's
-//     reduction over them — a scan in index order that keeps the incumbent
-//     unless a candidate scores strictly higher, as internal/mkl does — is
-//     independent of completion order and bit-identical to the equivalent
-//     sequential scan.
+//   - RunContext returns scores indexed by candidate position, so a
+//     caller's reduction over them — a scan in index order that keeps the
+//     incumbent unless a candidate scores strictly higher, as internal/mkl
+//     does — is independent of completion order and bit-identical to the
+//     equivalent sequential scan.
 //   - On error, the lowest-indexed error among the candidates that were
 //     evaluated is returned. Candidates abandoned by the early exit may
 //     hide further errors, so callers needing error reports bit-identical
@@ -80,13 +80,6 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// Run evaluates n candidates on a bounded pool of `workers` goroutines and
-// returns their scores in candidate order. It is RunContext with a
-// background (never-cancelled) context.
-func Run(n, workers int, score func(worker, index int) (float64, error)) ([]float64, error) {
-	return RunContext(context.Background(), n, workers, score)
 }
 
 // RunContext evaluates n candidates on a bounded pool of `workers`
@@ -170,9 +163,9 @@ func RunContext(ctx context.Context, n, workers int, score func(worker, index in
 
 // Do runs n independent jobs on a bounded pool of `workers` goroutines and
 // waits for all of them. fn is called as fn(worker, index) with the same
-// worker-id, dynamic-claiming, and error semantics as Run (lowest-indexed
-// error among the jobs that ran; later jobs are abandoned once a failure
-// is observed).
+// worker-id, dynamic-claiming, and error semantics as RunContext
+// (lowest-indexed error among the jobs that ran; later jobs are abandoned
+// once a failure is observed).
 func Do(n, workers int, fn func(worker, index int) error) error {
 	return DoContext(context.Background(), n, workers, fn)
 }

@@ -1,6 +1,7 @@
 package parsearch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -26,7 +27,7 @@ func TestRunReturnsScoresInCandidateOrder(t *testing.T) {
 	// submission order; the result slice must still be index-aligned.
 	const n = 32
 	for _, workers := range []int{1, 2, 4, 16} {
-		scores, err := Run(n, workers, func(_, i int) (float64, error) {
+		scores, err := RunContext(context.Background(), n, workers, func(_, i int) (float64, error) {
 			time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
 			return float64(i * i), nil
 		})
@@ -68,7 +69,7 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 	errFast := errors.New("fast failure at index 3")
 	for trial := 0; trial < 10; trial++ {
 		claimed := make(chan struct{})
-		_, err := Run(4, 4, func(_, i int) (float64, error) {
+		_, err := RunContext(context.Background(), 4, 4, func(_, i int) (float64, error) {
 			switch i {
 			case 1:
 				close(claimed)
@@ -88,7 +89,7 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 }
 
 func TestRunZeroCandidates(t *testing.T) {
-	scores, err := Run(0, 4, func(_, _ int) (float64, error) {
+	scores, err := RunContext(context.Background(), 0, 4, func(_, _ int) (float64, error) {
 		t.Fatal("score called for empty candidate set")
 		return 0, nil
 	})
@@ -116,7 +117,7 @@ func TestRunConcurrentStress(t *testing.T) {
 	// Exercised under -race in CI: many candidates, shared counter.
 	var computed atomic.Int64
 	const n = 500
-	scores, err := Run(n, 8, func(_, i int) (float64, error) {
+	scores, err := RunContext(context.Background(), n, 8, func(_, i int) (float64, error) {
 		computed.Add(1)
 		return float64(i), nil
 	})

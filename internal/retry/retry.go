@@ -109,7 +109,7 @@ func (p Policy) Delay(attempt int, rng *rand.Rand) time.Duration {
 
 // Sleep blocks for the jittered delay of retry `attempt`, or until ctx is
 // done, reporting ctx.Err() in the latter case. It is the cancellable
-// building block Do and the coordinator's dispatch loop share.
+// wait of the coordinator's dispatch loop.
 func Sleep(ctx context.Context, p Policy, attempt int, rng *rand.Rand) error {
 	t := time.NewTimer(p.Delay(attempt, rng))
 	defer t.Stop()
@@ -119,33 +119,4 @@ func Sleep(ctx context.Context, p Policy, attempt int, rng *rand.Rand) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// Do calls fn up to `attempts` times (at least once), sleeping the policy's
-// jittered delay between failures. It returns nil on the first success, the
-// last failure's error once attempts are exhausted, or ctx.Err() if the
-// context ends a backoff sleep early. fn receives the 0-based attempt
-// number.
-func Do(ctx context.Context, attempts int, p Policy, rng *rand.Rand, fn func(attempt int) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for a := 0; a < attempts; a++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if err != nil {
-				return err
-			}
-			return cerr
-		}
-		if err = fn(a); err == nil {
-			return nil
-		}
-		if a+1 < attempts {
-			if serr := Sleep(ctx, p, a, rng); serr != nil {
-				return err
-			}
-		}
-	}
-	return err
 }

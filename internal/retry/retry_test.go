@@ -72,67 +72,29 @@ func TestNilRngFallbackIsSeedable(t *testing.T) {
 	}
 }
 
-// TestDoRetriesUntilSuccess: fn failing twice then succeeding yields nil
-// after exactly three calls.
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	p := Policy{Base: time.Microsecond, Max: time.Microsecond, Jitter: 1e-9}
-	calls := 0
-	err := Do(context.Background(), 5, p, nil, func(a int) error {
-		if a != calls {
-			t.Fatalf("attempt number %d, want %d", a, calls)
-		}
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want nil after 3", err, calls)
-	}
-}
-
-// TestDoExhaustsAttempts: the last failure's error surfaces.
-func TestDoExhaustsAttempts(t *testing.T) {
-	p := Policy{Base: time.Microsecond, Max: time.Microsecond, Jitter: 1e-9}
-	want := errors.New("persistent")
-	calls := 0
-	err := Do(context.Background(), 3, p, nil, func(int) error { calls++; return want })
-	if !errors.Is(err, want) || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want %v after 3", err, calls, want)
-	}
-}
-
-// TestDoHonorsContext: cancellation during a backoff sleep stops retrying
-// and reports the in-flight failure rather than hanging.
-func TestDoHonorsContext(t *testing.T) {
+// TestSleepHonorsContext: cancellation ends a backoff sleep early with the
+// context's error.
+func TestSleepHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{Base: time.Hour, Max: time.Hour} // would sleep forever
-	want := errors.New("boom")
 	done := make(chan error, 1)
-	go func() {
-		done <- Do(ctx, 3, p, nil, func(int) error { return want })
-	}()
+	go func() { done <- Sleep(ctx, Policy{Base: time.Hour, Max: time.Hour}, 0, nil) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
-		if !errors.Is(err, want) {
-			t.Fatalf("Do = %v, want %v", err, want)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Sleep = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do did not return after cancellation")
+		t.Fatal("Sleep did not return after cancellation")
 	}
 }
 
-// TestDoAlreadyCancelled: a context that is done before the first attempt
-// returns the context error without ever invoking fn.
-func TestDoAlreadyCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	called := false
-	err := Do(ctx, 3, Policy{}, nil, func(int) error { called = true; return nil })
-	if !errors.Is(err, context.Canceled) || called {
-		t.Fatalf("Do = %v (called=%v), want context.Canceled without a call", err, called)
+// TestSleepElapsesWithNil: a short backoff sleep on a live context runs
+// out and returns nil.
+func TestSleepElapsesWithNil(t *testing.T) {
+	p := Policy{Base: time.Microsecond, Max: time.Microsecond, Jitter: 1e-9}
+	if err := Sleep(context.Background(), p, 3, nil); err != nil {
+		t.Fatalf("Sleep = %v, want nil", err)
 	}
 }

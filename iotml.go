@@ -93,6 +93,7 @@ const (
 )
 
 // Deploy retrains a chosen configuration on train and scores it on test.
+// It returns an error when test and train have different feature counts.
 func Deploy(train, test *Dataset, p Partition, cfg MKLConfig) (float64, error) {
 	return mkl.HoldoutAccuracy(train, test, p, cfg)
 }

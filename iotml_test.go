@@ -2,6 +2,7 @@ package iotml
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/mkl"
@@ -30,6 +31,25 @@ func TestPublicAPIQuickstartPath(t *testing.T) {
 	}
 	if acc <= 0.5 {
 		t.Errorf("deployed accuracy = %v, want better than chance", acc)
+	}
+}
+
+// TestPublicAPIDeployRejectsFeatureMismatch checks that Deploy returns an
+// error, rather than panicking, when the test set has fewer features than
+// the train set the configuration is fitted on.
+func TestPublicAPIDeployRejectsFeatureMismatch(t *testing.T) {
+	cfg := DefaultBiometricConfig()
+	cfg.N = 60
+	train := SyntheticBiometric(cfg, NewRNG(1))
+	train.Standardize()
+	test := SyntheticBiometric(cfg, NewRNG(2))
+	test.Standardize()
+	for i, row := range test.X {
+		test.X[i] = row[:8]
+	}
+	_, err := Deploy(train, test, FinestPartition(train.D()), MKLConfig{})
+	if err == nil || !strings.Contains(err.Error(), "test set has 8 features") {
+		t.Fatalf("Deploy err = %v, want a feature-count mismatch error", err)
 	}
 }
 
