@@ -14,7 +14,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # set so gated code faces the same checks as the default build.
 BUILD_TAGS := loadsmoke scalesmoke
 
-.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test contracts fallback fuzz shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke dist-smoke load-smoke scale-smoke ci
+.PHONY: all build vet fmt staticcheck iotml-lint govulncheck lint test contracts fallback fuzz shuffle short race bench bench-smoke bench-json serve-smoke fit-smoke artifact-matrix dist-smoke load-smoke scale-smoke ci
 
 all: build
 
@@ -205,6 +205,12 @@ serve-smoke:
 # selected partition. Mirrors the CI fit-smoke job.
 fit-smoke:
 	bash scripts/fit_smoke.sh
+
+# artifact-matrix prints `config seed sha256` for 30 `iotml fit` artifacts
+# (ten configurations, seeds 1-3). It gates nothing by itself: a change
+# meant to keep every bit diffs its output against the parent tree's.
+artifact-matrix:
+	bash scripts/artifact_matrix.sh
 
 # dist-smoke drives the fault-tolerant distributed search end to end: two
 # real search-worker processes, a fit sharded across them with one worker

@@ -260,8 +260,8 @@ func TestCenterAndAlignment32MatchFloat64WithinTolerance(t *testing.T) {
 	g64 := kernel.Gram(kernel.RBF{Gamma: 0.5}, x)
 	g32 := linalg.Convert[float32](nil, g64)
 
-	a64 := kernel.CenteredAlignment(g64, y)
-	a32 := kernel.CenteredAlignment(g32, y)
+	a64 := kernel.CenteredAlignment(g64.UpperRows(nil), y)
+	a32 := kernel.CenteredAlignment(g32.UpperRows(nil), y)
 	if diff := math.Abs(a32 - a64); diff > 5e-4 {
 		t.Fatalf("alignment: f32 %v vs f64 %v (diff %g)", a32, a64, diff)
 	}
@@ -271,7 +271,7 @@ func TestCholesky32SolvesSPDSystem(t *testing.T) {
 	const n = 6
 	// A = B·Bᵀ + I is SPD.
 	b64 := linalg.FromRows(synthRows(n, n, 17))
-	a64 := linalg.SyrkInto(nil, b64)
+	a64 := linalg.UnpackInto(nil, linalg.SyrkInto(nil, b64))
 	a64.AddScaledDiag(1)
 	a32 := linalg.Convert[float32](nil, a64)
 

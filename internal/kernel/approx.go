@@ -51,6 +51,9 @@ const (
 	nystromJitterMax   = 1e-2
 )
 
+// FactorScratch is the per-caller scratch of FactorForPartitionScratch.
+type FactorScratch = BlockScratch[*linalg.Matrix]
+
 // ApproxGramCache memoizes per-block low-rank factors for one fixed dataset
 // and block-kernel factory — the approximate twin of BlockGramCache, with
 // the same BlockCache retention. It is safe for concurrent use; cached
@@ -74,9 +77,12 @@ func NewApproxGramCache(x [][]float64, factory BlockKernelFactory, kind ApproxKi
 		rank = DefaultApproxRank
 	}
 	c := &ApproxGramCache{x: x, factory: factory, kind: kind, rank: rank, seed: seed}
-	c.BlockCache = NewBlockCache(limit, denseBytes[float64], c.buildFactor)
+	c.BlockCache = NewBlockCache(limit, factorBytes, c.buildFactor)
 	return c
 }
+
+// factorBytes is the cache footprint of a block factor.
+func factorBytes(f *linalg.Matrix) int64 { return int64(len(f.Data)) * 8 }
 
 // Rank returns the configured per-block rank.
 func (c *ApproxGramCache) Rank() int { return c.rank }
@@ -143,17 +149,18 @@ func nystromFactor(base Kernel, xb *linalg.Matrix, rank int, rng *rand.Rand) (*l
 		copy(xl.Data[i*xl.Cols:(i+1)*xl.Cols], xb.Data[r*xb.Cols:(r+1)*xb.Cols])
 	}
 	cm := linalg.NewMatrix(n, m)
-	w := linalg.NewMatrix(m, m)
+	wp := linalg.ReshapePacked[float64](nil, m)
 	bound, fast := BindCross(base, xl)
 	if fast {
 		bound.Fill(cm, xb, new(CrossScratch))
-		fast = blockGramInto(w, base, xl)
+		fast = blockGramInto(wp, base, xl)
 	}
 	if !fast {
 		lr := matrixRows(xl)
 		cm = CrossGramPairwise(base, matrixRows(xb), lr)
-		pairwiseGramInto(w, base, lr)
+		pairwiseGramInto(wp, base, lr)
 	}
+	w := linalg.UnpackInto(nil, wp)
 	var f *linalg.Matrix
 	var err error
 	for jitter := nystromJitterStart; jitter <= nystromJitterMax; jitter *= 100 {
@@ -186,7 +193,7 @@ func matrixRows(m *linalg.Matrix) [][]float64 {
 // Only CombineSum has this concatenation structure; CombineProduct is
 // rejected (an elementwise product of low-rank Grams has no low-rank
 // factor).
-func (c *ApproxGramCache) FactorForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Matrix, sc *AssemblyScratch) (*linalg.Matrix, error) {
+func (c *ApproxGramCache) FactorForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Matrix, sc *FactorScratch) (*linalg.Matrix, error) {
 	if combiner == CombineProduct {
 		return nil, fmt.Errorf("kernel: approximate Gram engine supports CombineSum only (a product of low-rank Grams has no low-rank factor)")
 	}

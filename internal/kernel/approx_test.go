@@ -11,7 +11,9 @@ import (
 )
 
 // materialize builds K̂ = F·Fᵀ from a factor.
-func materialize(f *linalg.Matrix) *linalg.Matrix { return linalg.SyrkInto(nil, f) }
+func materialize(f *linalg.Matrix) *linalg.Matrix {
+	return linalg.UnpackInto(nil, linalg.SyrkInto(nil, f))
+}
 
 // Full-rank Nyström (rank >= n) must reconstruct every block Gram and every
 // assembled partition Gram to within the 1e-9 exactness budget, across
@@ -24,7 +26,7 @@ func TestApproxNystromFullRankMatchesExact(t *testing.T) {
 		approx := NewApproxGramCache(x, factory, ApproxNystrom, 20, seed, 0)
 		for _, p := range partition.All(5)[:25] {
 			want := exact.GramForPartition(p, CombineSum, nil)
-			f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
+			f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &FactorScratch{})
 			if err != nil {
 				t.Fatalf("seed %d partition %v: %v", seed, p, err)
 			}
@@ -51,7 +53,7 @@ func TestApproxRFFWithinProbabilisticBound(t *testing.T) {
 		approx := NewApproxGramCache(x, factory, ApproxRFF, rank, seed, 0)
 		for _, p := range []partition.Partition{partition.Coarsest(4), partition.Finest(4)} {
 			want := exact.GramForPartition(p, CombineSum, nil)
-			f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
+			f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &FactorScratch{})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -75,7 +77,7 @@ func TestApproxRFFNonRBFFallsBackToNystrom(t *testing.T) {
 	approx := NewApproxGramCache(x, factory, ApproxRFF, 15, 1, 0)
 	p := partition.Coarsest(4)
 	want := exact.GramForPartition(p, CombineSum, nil)
-	f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
+	f, err := approx.FactorForPartitionScratch(p, CombineSum, nil, &FactorScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestApproxNystromPairwiseMatchesBlockPath(t *testing.T) {
 func TestApproxRejectsProductCombiner(t *testing.T) {
 	x := randomRows(8, 3, 24)
 	approx := NewApproxGramCache(x, RBFFactory(1.0), ApproxNystrom, 4, 1, 0)
-	_, err := approx.FactorForPartitionScratch(partition.Finest(3), CombineProduct, nil, &AssemblyScratch{})
+	_, err := approx.FactorForPartitionScratch(partition.Finest(3), CombineProduct, nil, &FactorScratch{})
 	if err == nil || !strings.Contains(err.Error(), "CombineSum") {
 		t.Fatalf("err = %v, want CombineSum-only error", err)
 	}
@@ -133,7 +135,7 @@ func TestApproxFactorsDeterministicAcrossOrderAndWorkers(t *testing.T) {
 		ref := NewApproxGramCache(x, factory, kind, 8, 42, 0)
 		refF := make([]*linalg.Matrix, len(parts))
 		for i, p := range parts {
-			f, err := ref.FactorForPartitionScratch(p, CombineSum, nil, &AssemblyScratch{})
+			f, err := ref.FactorForPartitionScratch(p, CombineSum, nil, &FactorScratch{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +151,7 @@ func TestApproxFactorsDeterministicAcrossOrderAndWorkers(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					var sc AssemblyScratch
+					var sc FactorScratch
 					for i := range idx {
 						f, err := fresh.FactorForPartitionScratch(parts[i], CombineSum, nil, &sc)
 						if err != nil {

@@ -33,7 +33,8 @@ import (
 // cache retains before it evicts its oldest entries. An exhaustive cone
 // over a free block of m features touches 2^m - 1 distinct blocks, so the
 // default comfortably covers m <= 10 while keeping worst-case memory at
-// DefaultGramCacheBlocks × n² entries for an exact Gram cache.
+// DefaultGramCacheBlocks × n(n+1)/2 entries for an exact Gram cache (each
+// block is its packed upper triangle).
 const DefaultGramCacheBlocks = 1024
 
 // BlockCache memoizes one value per feature block — keyed by the block's
@@ -130,9 +131,10 @@ func (c *BlockCache[V]) lookup(key []byte, feats []int) (V, error) {
 }
 
 // BlockScratch holds the reusable per-caller buffers of Blocks (feature
-// list, block key, and the gathered block values), plus buf, the one block
-// a retention-disabled DenseGramCache builds into during float64 assembly,
-// and row, the float64 row accumulator of float32 assembly. The zero value
+// list, block key, and the gathered block values), plus buf, the one
+// packed block a retention-disabled DenseGramCache builds into during
+// float64 assembly, and row, the float64 row accumulator of float32
+// assembly. The zero value
 // is ready; a scratch belongs to one goroutine — each worker evaluator of
 // a parallel search owns its own while sharing the concurrency-safe cache.
 type BlockScratch[V any] struct {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/partition"
 )
 
@@ -57,13 +56,17 @@ const contractRank = 4
 
 func contractRows() []cacheRow {
 	factory := kernel.RBFFactory(1.0)
-	widen32 := func(m *linalg.Dense[float32]) []float64 {
-		return linalg.Convert[float64](nil, m).Data
+	widen32 := func(d []float32) []float64 {
+		out := make([]float64, len(d))
+		for i, v := range d {
+			out[i] = float64(v)
+		}
+		return out
 	}
 	return []cacheRow{
 		{
 			name:       "f64",
-			blockBytes: func(n int) int64 { return int64(n*n) * 8 },
+			blockBytes: func(n int) int64 { return int64(n*(n+1)/2) * 8 },
 			open: func(t *testing.T, x [][]float64, limit int) cacheSubject {
 				c := kernel.NewBlockGramCache(x, factory, limit)
 				return cacheSubject{
@@ -84,7 +87,7 @@ func contractRows() []cacheRow {
 		},
 		{
 			name:       "f32",
-			blockBytes: func(n int) int64 { return int64(n*n) * 4 },
+			blockBytes: func(n int) int64 { return int64(n*(n+1)/2) * 4 },
 			open: func(t *testing.T, x [][]float64, limit int) cacheSubject {
 				c := kernel.NewDenseGramCache[float32](x, factory, limit)
 				return cacheSubject{
@@ -95,10 +98,10 @@ func contractRows() []cacheRow {
 						if err != nil {
 							return nil, nil, err
 						}
-						return g, widen32(g), nil
+						return g, widen32(g.Data), nil
 					},
 					assemble: func(p partition.Partition) ([]float64, error) {
-						return widen32(c.GramForPartition(p, kernel.CombineSum, nil)), nil
+						return widen32(c.GramForPartition(p, kernel.CombineSum, nil).Data), nil
 					},
 				}
 			},
@@ -119,7 +122,7 @@ func contractRows() []cacheRow {
 						return f, f.Data, nil
 					},
 					assemble: func(p partition.Partition) ([]float64, error) {
-						f, err := c.FactorForPartitionScratch(p, kernel.CombineSum, nil, &kernel.AssemblyScratch{})
+						f, err := c.FactorForPartitionScratch(p, kernel.CombineSum, nil, &kernel.FactorScratch{})
 						if err != nil {
 							return nil, err
 						}

@@ -1,7 +1,8 @@
 // Block-level Gram evaluation: the vectorized fast path of the Gram engine.
 // Instead of one interface dispatch plus per-pair slice gathering for every
 // instance pair, the base kernels (Linear, Polynomial, RBF, Normalized) fill
-// a whole Gram block as dense matrix operations (blockGramInto), and every
+// a whole Gram block as dense matrix operations (blockGramInto), storing
+// only its upper triangle (linalg.Packed), and every
 // kernel tree binds a cross-Gram once and fills it block by block
 // (BlockGramKernel.BindCross). A partition's full Gram is assembled in one
 // place, DenseGramCache, which runs these formulas per feature block; Sum
@@ -100,15 +101,15 @@ func (sc *CrossScratch) take(rows, cols int) *linalg.Matrix {
 }
 
 // blockGramInto fills dst (pre-shaped n×n) with the Gram of k over the
-// rows of x at storage width T. It is the one home of the Linear,
-// Polynomial, RBF and Normalized block formulas, written once, generic
-// over T, and shared by kernel.Gram, both widths of DenseGramCache and the
-// Nyström landmark Gram: each maps the float64 value of an entry and
-// rounds once at its store, so the float64 instantiation is the exact
+// rows of x at storage width T, upper triangle only. It is the one home of
+// the Linear, Polynomial, RBF and Normalized block formulas, written once,
+// generic over T, and shared by kernel.Gram, both widths of DenseGramCache
+// and the Nyström landmark Gram: each maps the float64 value of an entry
+// and rounds once at its store, so the float64 instantiation is the exact
 // reference arithmetic. Any other kernel (a wrapper, or a caller's own)
 // has no block formula: blockGramInto reports false, leaving dst
 // untouched, and the caller takes the pairwise path.
-func blockGramInto[T linalg.Float](dst *linalg.Dense[T], k Kernel, x *linalg.Dense[T]) bool {
+func blockGramInto[T linalg.Float](dst *linalg.Packed[T], k Kernel, x *linalg.Dense[T]) bool {
 	switch k := k.(type) {
 	case Linear:
 		linalg.SyrkInto(dst, x)
@@ -125,31 +126,23 @@ func blockGramInto[T linalg.Float](dst *linalg.Dense[T], k Kernel, x *linalg.Den
 }
 
 // polynomialGram is the polynomial map applied to X·Xᵀ.
-func polynomialGram[T linalg.Float](p Polynomial, dst, x *linalg.Dense[T]) {
+func polynomialGram[T linalg.Float](p Polynomial, dst *linalg.Packed[T], x *linalg.Dense[T]) {
 	linalg.SyrkInto(dst, x)
-	n, d, deg := x.Rows, dst.Data, float64(p.Degree)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := T(math.Pow(p.Gamma*float64(d[i*n+j])+p.Coef0, deg))
-			d[i*n+j] = v
-			d[j*n+i] = v
-		}
+	deg := float64(p.Degree)
+	for i, v := range dst.Data {
+		dst.Data[i] = T(math.Pow(p.Gamma*float64(v)+p.Coef0, deg))
 	}
 }
 
 // rbfGram is exp(−γ·dist²) over the pairwise squared-distance expansion,
-// with an exact unit diagonal. Each row's upper segment is contiguous, so
-// it goes through linalg.ExpScaled before it is mirrored below the
-// diagonal.
-func rbfGram[T linalg.Float](r RBF, dst, x *linalg.Dense[T]) {
+// with an exact unit diagonal. Each row's off-diagonal segment is
+// contiguous, so it goes through linalg.ExpScaled in place.
+func rbfGram[T linalg.Float](r RBF, dst *linalg.Packed[T], x *linalg.Dense[T]) {
 	linalg.PairwiseSquaredDistancesUpperInto(dst, x)
-	n, d := x.Rows, dst.Data
-	for i := 0; i < n; i++ {
-		d[i*n+i] = 1
-		linalg.ExpScaled(d[i*n+i+1:(i+1)*n], -r.Gamma)
-		for j := i + 1; j < n; j++ {
-			d[j*n+i] = d[i*n+j]
-		}
+	for i := 0; i < dst.N; i++ {
+		row := dst.Row(i)
+		row[0] = 1
+		linalg.ExpScaled(row[1:], -r.Gamma)
 	}
 }
 
@@ -157,23 +150,22 @@ func rbfGram[T linalg.Float](r RBF, dst, x *linalg.Dense[T]) {
 // K'ᵢⱼ = Kᵢⱼ / √(Kᵢᵢ·Kⱼⱼ), with Eval's degenerate-diagonal rule
 // (self-similarity ≤ 0 yields 0). It reports false when the base has no
 // block formula at T.
-func normalizedGram[T linalg.Float](nk Normalized, dst, x *linalg.Dense[T]) bool {
+func normalizedGram[T linalg.Float](nk Normalized, dst *linalg.Packed[T], x *linalg.Dense[T]) bool {
 	if !blockGramInto(dst, nk.Base, x) {
 		return false
 	}
-	n, d := x.Rows, dst.Data
-	diag := make([]float64, n)
+	diag := make([]float64, dst.N)
 	for i := range diag {
-		diag[i] = float64(d[i*n+i])
+		diag[i] = float64(dst.Row(i)[0])
 	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
+	for i := range diag {
+		row := dst.Row(i) // row[c] is entry (i, i+c)
+		for c, g := range row {
 			var v T
-			if diag[i] > 0 && diag[j] > 0 {
-				v = T(float64(d[i*n+j]) / math.Sqrt(diag[i]*diag[j]))
+			if diag[i] > 0 && diag[i+c] > 0 {
+				v = T(float64(g) / math.Sqrt(diag[i]*diag[i+c]))
 			}
-			d[i*n+j] = v
-			d[j*n+i] = v
+			row[c] = v
 		}
 	}
 	return true

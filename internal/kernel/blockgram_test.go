@@ -97,11 +97,11 @@ func toleranceConfigs() []blockConfig {
 
 func gramViaBlock(t *testing.T, k Kernel, x [][]float64) *linalg.Matrix {
 	t.Helper()
-	g := linalg.NewMatrix(len(x), len(x))
+	g := linalg.ReshapePacked[float64](nil, len(x))
 	if !blockGramInto(g, k, linalg.FromRows(x)) {
 		t.Fatalf("%v refused the block fast path", k)
 	}
-	return g
+	return linalg.UnpackInto(nil, g)
 }
 
 // gramViaCache is a configuration's Gram as the search assembles it, from
@@ -223,7 +223,7 @@ func TestGramDispatchFallsBackForEvalOnlyKernels(t *testing.T) {
 		Product{Kernels: []Kernel{evalOnly{}, Linear{}}},
 	}
 	for _, k := range wrapped {
-		g := linalg.NewMatrix(len(x), len(x))
+		g := linalg.ReshapePacked[float64](nil, len(x))
 		if blockGramInto(g, k, linalg.FromRows(x)) {
 			t.Errorf("%v accepted the block path over an Eval-only base", k)
 		}
@@ -267,53 +267,6 @@ func TestGramDispatchMatchesFromPartitionConfigurations(t *testing.T) {
 				got := gramViaCache(blockConfig{p, factory, combiner}, x)
 				want := GramPairwise(FromPartition(p, factory, combiner), x)
 				checkGrams(t, fmt.Sprintf("seed %d %s %v", seed, name, combiner), got, want, tol)
-			}
-		}
-	}
-}
-
-// TestBlockGramSymmetricBitwise pins the precondition of upper-triangle
-// assembly (GramForPartitionScratch accumulates only the upper triangle
-// and mirrors it): every block formula — SyrkInto, polynomialGram,
-// rbfGram, normalizedGram — and the pairwise path store a
-// bitwise-symmetric block, at both storage widths.
-func TestBlockGramSymmetricBitwise(t *testing.T) {
-	kernels := []Kernel{
-		Linear{},
-		Polynomial{Degree: 3, Gamma: 0.5, Coef0: 1},
-		RBF{Gamma: 0.7},
-		Normalized{Base: RBF{Gamma: 0.3}},
-		Normalized{Base: Polynomial{Degree: 2, Gamma: 1, Coef0: 0}},
-	}
-	for _, n := range []int{1, 2, 5, 17, 64, 65} {
-		x := testRows(n, 3, int64(n))
-		xb := linalg.FromRows(x)
-		xb32 := linalg.FromRowsCols[float32](x, []int{0, 1, 2})
-		for _, k := range kernels {
-			g := linalg.NewMatrix(n, n)
-			if !blockGramInto(g, k, xb) {
-				t.Fatalf("%v: no block formula", k)
-			}
-			checkSymmetric(t, fmt.Sprintf("%v n=%d f64", k, n), g)
-			g32 := linalg.NewDense[float32](n, n)
-			if !blockGramInto(g32, k, xb32) {
-				t.Fatalf("%v: no f32 block formula", k)
-			}
-			checkSymmetric(t, fmt.Sprintf("%v n=%d f32", k, n), g32)
-			pw := linalg.NewDense[float32](n, n)
-			pairwiseGramInto(pw, k, x)
-			checkSymmetric(t, fmt.Sprintf("%v n=%d pairwise", k, n), pw)
-		}
-	}
-}
-
-func checkSymmetric[T linalg.Float](t *testing.T, what string, g *linalg.Dense[T]) {
-	t.Helper()
-	n := g.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Float64bits(float64(g.Data[i*n+j])) != math.Float64bits(float64(g.Data[j*n+i])) {
-				t.Fatalf("%s: entry (%d,%d) = %v, (%d,%d) = %v", what, i, j, g.Data[i*n+j], j, i, g.Data[j*n+i])
 			}
 		}
 	}

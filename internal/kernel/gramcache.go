@@ -1,7 +1,9 @@
 // The dense backends of the block cache (see blockcache.go): each block's
 // Gram matrix is built once — vectorized over the block's columns, or
 // pairwise for a block kernel without a block formula — and candidates
-// combine the cached blocks into a full Gram. One implementation serves
+// combine the cached blocks into a full Gram. A block is symmetric, so it
+// is built and kept as its upper triangle alone (linalg.Packed, n(n+1)/2
+// entries), which is all that assembly reads. One implementation serves
 // both storage widths: DenseGramCache[float64] (BlockGramCache) is the
 // exact reference backend, DenseGramCache[float32] the Float32 backend,
 // which halves the memory of every cached block and assembled Gram while
@@ -15,7 +17,7 @@ import (
 	"repro/internal/partition"
 )
 
-// DenseGramCache memoizes per-block Gram matrices, stored at width T, for
+// DenseGramCache memoizes per-block Gram matrices, packed at width T, for
 // one fixed dataset and block-kernel factory. It is safe for concurrent
 // use: a parallel search shares one cache across all worker evaluators, so
 // a block computed by any worker is reused by every sibling candidate that
@@ -32,7 +34,7 @@ import (
 // therefore scores) are bit-identical at every worker count, at both
 // widths.
 type DenseGramCache[T linalg.Float] struct {
-	*BlockCache[*linalg.Dense[T]]
+	*BlockCache[*linalg.Packed[T]]
 	x       [][]float64
 	factory BlockKernelFactory
 }
@@ -41,8 +43,8 @@ type DenseGramCache[T linalg.Float] struct {
 type BlockGramCache = DenseGramCache[float64]
 
 // AssemblyScratch is the per-caller scratch of the float64
-// GramForPartitionScratch and ApproxGramCache.FactorForPartitionScratch.
-type AssemblyScratch = BlockScratch[*linalg.Matrix]
+// GramForPartitionScratch.
+type AssemblyScratch = BlockScratch[*linalg.Packed[float64]]
 
 // NewBlockGramCache returns the exact float64 cache over dataset rows x
 // (see NewDenseGramCache).
@@ -56,18 +58,18 @@ func NewBlockGramCache(x [][]float64, factory BlockKernelFactory, limit int) *Bl
 // DefaultGramCacheBlocks, negative disables retention).
 func NewDenseGramCache[T linalg.Float](x [][]float64, factory BlockKernelFactory, limit int) *DenseGramCache[T] {
 	c := &DenseGramCache[T]{x: x, factory: factory}
-	c.BlockCache = NewBlockCache(limit, denseBytes[T], c.buildGram)
+	c.BlockCache = NewBlockCache(limit, packedBytes[T], c.buildGram)
 	return c
 }
 
-// denseBytes is the cache footprint of a dense matrix.
-func denseBytes[T linalg.Float](m *linalg.Dense[T]) int64 {
-	return int64(len(m.Data)) * int64(unsafe.Sizeof(T(0)))
+// packedBytes is the cache footprint of a packed block, n(n+1)/2 entries.
+func packedBytes[T linalg.Float](g *linalg.Packed[T]) int64 {
+	return int64(len(g.Data)) * int64(unsafe.Sizeof(T(0)))
 }
 
 // buildGram computes one block's Gram into a fresh matrix (see gramInto).
-func (c *DenseGramCache[T]) buildGram(_ []byte, feats []int) (*linalg.Dense[T], error) {
-	g := linalg.NewDense[T](len(c.x), len(c.x))
+func (c *DenseGramCache[T]) buildGram(_ []byte, feats []int) (*linalg.Packed[T], error) {
+	g := linalg.ReshapePacked[T](nil, len(c.x))
 	c.gramInto(g, feats)
 	return g, nil
 }
@@ -76,7 +78,7 @@ func (c *DenseGramCache[T]) buildGram(_ []byte, feats []int) (*linalg.Dense[T], 
 // formulas (blockGramInto) run over the block's contiguous columns,
 // gathered (and rounded to T) once per build; a block kernel without a
 // formula takes the scalar float64 reference path, rounded once per entry.
-func (c *DenseGramCache[T]) gramInto(dst *linalg.Dense[T], feats []int) {
+func (c *DenseGramCache[T]) gramInto(dst *linalg.Packed[T], feats []int) {
 	base := c.factory(feats)
 	if !blockGramInto(dst, base, linalg.FromRowsCols[T](c.x, feats)) {
 		pairwiseGramInto(dst, Subspace{Base: base, Features: feats}, c.x)
@@ -97,7 +99,7 @@ func (c *DenseGramCache[T]) gramInto(dst *linalg.Dense[T], feats []int) {
 // count and every retention limit. At float32 the same float64
 // accumulation is rounded once per entry.
 func (c *DenseGramCache[T]) GramForPartition(p partition.Partition, combiner Combiner, out *linalg.Dense[T]) *linalg.Dense[T] {
-	var sc BlockScratch[*linalg.Dense[T]]
+	var sc BlockScratch[*linalg.Packed[T]]
 	return c.GramForPartitionScratch(p, combiner, out, &sc)
 }
 
@@ -107,16 +109,15 @@ func (c *DenseGramCache[T]) GramForPartition(p partition.Partition, combiner Com
 // path of the mkl evaluators.
 //
 // Only the upper triangle is summed, one row segment [i, n) at a time
-// across every gathered block (in place at float64, in sc's float64 row
-// at float32), then mirrored once. That is exact because every block
-// formula and the pairwise path store a bitwise-symmetric block. With
-// retention disabled the float64 assembly instead folds the blocks into
-// out one at a time (fold), so it holds out plus one block, whatever the
-// number of blocks; the float32 one still gathers, since each entry is
-// rounded once.
+// across every gathered block's packed row (in place at float64, in sc's
+// float64 row at float32), then mirrored once: the blocks store nothing
+// else. With retention disabled the float64 assembly instead folds the
+// blocks into out one at a time (fold), so it holds out plus one packed
+// block, whatever the number of blocks; the float32 one still gathers,
+// since each entry is rounded once.
 //
 //iotml:hotpath
-func (c *DenseGramCache[T]) GramForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Dense[T], sc *BlockScratch[*linalg.Dense[T]]) *linalg.Dense[T] {
+func (c *DenseGramCache[T]) GramForPartitionScratch(p partition.Partition, combiner Combiner, out *linalg.Dense[T], sc *BlockScratch[*linalg.Packed[T]]) *linalg.Dense[T] {
 	n := len(c.x)
 	out = linalg.Reshape(out, n, n)
 	out64, exact := any(out).(*linalg.Matrix)
@@ -139,7 +140,7 @@ func (c *DenseGramCache[T]) GramForPartitionScratch(p partition.Partition, combi
 		}
 		initRow(acc, combiner)
 		for _, g := range grams {
-			accumulate(acc, g.Data[i*n+i:(i+1)*n], combiner, w)
+			accumulate(acc, g.Row(i), combiner, w)
 		}
 		if !exact {
 			for j, v := range acc {
@@ -176,12 +177,12 @@ func accumulate[T linalg.Float](acc []float64, seg []T, combiner Combiner, w flo
 }
 
 // fold is the retention-disabled float64 assembly of od's upper triangle:
-// each block of p, in partition-block order, is built into sc's one block
-// buffer and accumulated before the next is built, with exactly the
+// each block of p, in partition-block order, is built into sc's one packed
+// block buffer and accumulated before the next is built, with exactly the
 // gather's float64 operations per entry, so the bits are the gather's.
 //
 //iotml:hotpath
-func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []float64, sc *BlockScratch[*linalg.Dense[T]]) {
+func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []float64, sc *BlockScratch[*linalg.Packed[T]]) {
 	n, k := len(c.x), p.NumBlocks()
 	for i := 0; i < n; i++ {
 		initRow(od[i*n+i:(i+1)*n], combiner)
@@ -189,10 +190,10 @@ func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []
 	w := 1 / float64(k)
 	for b := 0; b < k; b++ {
 		sc.load(p, b)
-		sc.buf = linalg.Reshape(sc.buf, n, n)
+		sc.buf = linalg.ReshapePacked(sc.buf, n)
 		c.gramInto(sc.buf, sc.feats)
 		for i := 0; i < n; i++ {
-			accumulate(od[i*n+i:(i+1)*n], sc.buf.Data[i*n+i:(i+1)*n], combiner, w)
+			accumulate(od[i*n+i:(i+1)*n], sc.buf.Row(i), combiner, w)
 		}
 	}
 }

@@ -78,19 +78,39 @@ func TestBlockGramCacheLimit(t *testing.T) {
 	g, _ := cache.Block([]int{5})
 	want := linalg.NewMatrix(len(x), len(x))
 	refGramInto(want, linalg.FromRows(x), Subspace{Base: RBFFactory(1.0)([]int{5}), Features: []int{5}})
-	for i := range want.Data {
-		if g.Data[i] != want.Data[i] {
+	for i, v := range packOf(want).Data {
+		if g.Data[i] != v {
 			t.Fatal("over-limit block Gram differs from direct computation")
 		}
+	}
+}
+
+// TestCachedBlockBytesArePacked pins the size of a cached block at both
+// widths: its upper triangle alone, n(n+1)/2 entries.
+func TestCachedBlockBytesArePacked(t *testing.T) {
+	const n = 37
+	x := randomRows(n, 3, 12)
+	checkPackedBlockBytes(t, NewDenseGramCache[float64](x, RBFFactory(1.0), 0), 8)
+	checkPackedBlockBytes(t, NewDenseGramCache[float32](x, RBFFactory(1.0), 0), 4)
+}
+
+func checkPackedBlockBytes[T linalg.Float](t *testing.T, c *DenseGramCache[T], size int64) {
+	t.Helper()
+	n := int64(len(c.x))
+	g, _ := c.Block([]int{0, 2})
+	want := n * (n + 1) / 2 * size
+	if c.Len() != 1 || c.Bytes() != want || g.N != int(n) || int64(len(g.Data)) != n*(n+1)/2 {
+		t.Errorf("%T cache: %d blocks, %d B (block order %d, %d entries), want 1 block of %d B",
+			g.Data, c.Len(), c.Bytes(), g.N, len(g.Data), want)
 	}
 }
 
 // TestRetentionDisabledAssemblyHoldsOneBlock pins the memory shape of the
 // retention-disabled float64 assembly (the exact twin of a budgeted fit at
 // scale, the deployment fit): each block is built into the caller's one
-// block buffer and folded before the next, so a warm call allocates less
-// than one n×n matrix however many blocks the partition has, and the
-// cache keeps nothing.
+// packed block buffer and folded before the next, so a warm call allocates less
+// than one packed n×n block, n(n+1)/2 entries, however many blocks the
+// partition has, and the cache keeps nothing.
 func TestRetentionDisabledAssemblyHoldsOneBlock(t *testing.T) {
 	const n, d, calls = 200, 10, 10
 	x := randomRows(n, d, 11)
@@ -105,8 +125,8 @@ func TestRetentionDisabledAssemblyHoldsOneBlock(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	if oneBlock := uint64(n * n * 8); perCall >= oneBlock {
-		t.Errorf("retention-disabled assembly allocated %d B per call, want below one %d×%d block (%d B)", perCall, n, n, oneBlock)
+	if oneBlock := uint64(n * (n + 1) / 2 * 8); perCall >= oneBlock {
+		t.Errorf("retention-disabled assembly allocated %d B per call, want below one packed order-%d block (%d B)", perCall, n, oneBlock)
 	}
 	if cache.Len() != 0 || cache.Bytes() != 0 {
 		t.Errorf("retention-disabled cache holds %d blocks (%d B), want none", cache.Len(), cache.Bytes())

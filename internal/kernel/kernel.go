@@ -219,33 +219,36 @@ func FromPartition(p partition.Partition, factory BlockKernelFactory, combiner C
 // GramPairwise. A partition's configuration Gram comes from
 // DenseGramCache.GramForPartition instead.
 func Gram(k Kernel, x [][]float64) *linalg.Matrix {
-	n := len(x)
-	g := linalg.NewMatrix(n, n)
-	if !blockGramInto(g, k, linalg.FromRows(x)) {
-		pairwiseGramInto(g, k, x)
+	g, p := packedInPlace(len(x))
+	if !blockGramInto(p, k, linalg.FromRows(x)) {
+		pairwiseGramInto(p, k, x)
 	}
-	return g
+	return linalg.UnpackInto(g, p)
 }
 
 // GramPairwise returns the kernel matrix via one Eval call per instance
 // pair — the scalar reference path, kept for kernels without a block fast
 // path.
 func GramPairwise(k Kernel, x [][]float64) *linalg.Matrix {
-	n := len(x)
-	g := linalg.NewMatrix(n, n)
-	pairwiseGramInto(g, k, x)
-	return g
+	g, p := packedInPlace(len(x))
+	pairwiseGramInto(p, k, x)
+	return linalg.UnpackInto(g, p)
 }
 
-// pairwiseGramInto fills dst (pre-shaped n×n) with one Eval call per
-// instance pair, each float64 value rounded once to T at its store.
-func pairwiseGramInto[T linalg.Float](dst *linalg.Dense[T], k Kernel, x [][]float64) {
-	n := len(x)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := T(k.Eval(x[i], x[j]))
-			dst.Data[i*n+j] = v
-			dst.Data[j*n+i] = v
+// packedInPlace returns a fresh n×n matrix and a packed matrix of order n
+// over its leading entries, for linalg.UnpackInto to unpack in place.
+func packedInPlace(n int) (*linalg.Matrix, *linalg.Packed[float64]) {
+	g := linalg.NewMatrix(n, n)
+	return g, &linalg.Packed[float64]{N: n, Data: g.Data[:n*(n+1)/2]}
+}
+
+// pairwiseGramInto fills the packed dst (pre-shaped to order n) with one
+// Eval call per instance pair i ≤ j, each rounded once to T at its store.
+func pairwiseGramInto[T linalg.Float](dst *linalg.Packed[T], k Kernel, x [][]float64) {
+	for i := range x {
+		row := dst.Row(i)
+		for c := range row {
+			row[c] = T(k.Eval(x[i], x[i+c]))
 		}
 	}
 }
@@ -275,55 +278,47 @@ func CrossGramPairwise(k Kernel, a, b [][]float64) *linalg.Matrix {
 }
 
 // CenteredAlignment returns the centered kernel-target alignment between
-// the Gram matrix g and the label vector y ∈ {-1,+1}:
+// the symmetric Gram matrix K and the label vector y ∈ {-1,+1}:
 // <K', yyᵀ>_F / (||K'||_F · ||yyᵀ||_F), where K' = K - 1K/n - K1/n + 1K1/n²
 // is the feature-space centering of K. Higher alignment predicts better
 // kernel quality at negligible cost — the cheap objective of the lattice
-// search. g is only read, so it may be a shared cache block: one pass
-// takes the row means and the total in float64, a second rebuilds each
-// centered entry, rounded to T once as a stored centered Gram would hold
+// search. K is read in place through its upper rows, upper[i] = K[i][i:]
+// (Packed.UpperRows of a cached block, Dense.UpperRows of a full Gram),
+// with K[i][j] = upper[j][i−j] below the diagonal: one pass takes the row
+// means and the total in float64, a second rebuilds each centered entry in
+// row-major order, rounded to T once as a stored centered Gram would hold
 // it, and accumulates both sums in float64 at either storage width.
-func CenteredAlignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
-	n := g.Rows
+func CenteredAlignment[T linalg.Float](upper [][]T, y []int) float64 {
+	n := len(upper)
 	if n == 0 || len(y) != n {
 		return 0
 	}
-	// Row sums four rows per sweep, one accumulator each: the same sums,
-	// with four latency chains in flight instead of one.
+	// Row r's sum runs over ascending columns: the rows above add its
+	// terms left of the diagonal, then its own segment follows.
 	rowMean := make([]float64, n)
 	total := 0.0
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0 := g.Data[i*n:][:n]
-		r1 := g.Data[(i+1)*n:][:n]
-		r2 := g.Data[(i+2)*n:][:n]
-		r3 := g.Data[(i+3)*n:][:n]
-		var s0, s1, s2, s3 float64
-		for j := range r0 {
-			s0 += float64(r0[j])
-			s1 += float64(r1[j])
-			s2 += float64(r2[j])
-			s3 += float64(r3[j])
-		}
-		for r, s := range [4]float64{s0, s1, s2, s3} {
-			rowMean[i+r] = s / float64(n)
-			total += s
-		}
-	}
-	for ; i < n; i++ {
-		s := 0.0
-		for _, v := range g.Data[i*n : (i+1)*n] {
+	for r, row := range upper {
+		s := rowMean[r]
+		for _, v := range row {
 			s += float64(v)
 		}
-		rowMean[i] = s / float64(n)
+		rowMean[r] = s / float64(n)
 		total += s
+		for c, v := range row[1:] {
+			rowMean[r+1+c] += float64(v)
+		}
 	}
 	total /= float64(n * n)
 	var kyy, kk float64
-	for i := 0; i < n; i++ {
-		row := g.Data[i*n : (i+1)*n]
+	for i, row := range upper {
 		mi := rowMean[i]
-		for j, f := range row {
+		for j := 0; j < n; j++ {
+			var f T
+			if j < i {
+				f = upper[j][i-j]
+			} else {
+				f = row[j-i]
+			}
 			v := float64(T(float64(f) - mi - rowMean[j] + total))
 			kyy += v * float64(y[i]*y[j])
 			kk += v * v

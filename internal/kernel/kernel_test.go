@@ -136,7 +136,7 @@ func TestGramSymmetricPSDish(t *testing.T) {
 	// PSD check via Cholesky with jitter.
 	gj := g.Clone()
 	gj.AddScaledDiag(1e-9)
-	if _, err := linalg.Cholesky(gj); err != nil {
+	if err := linalg.CholeskyInto(new(linalg.Matrix), gj); err != nil {
 		t.Errorf("RBF gram not PSD: %v", err)
 	}
 }
@@ -193,8 +193,8 @@ func TestAlignmentDiscriminates(t *testing.T) {
 	}
 	gSig := Gram(Subspace{Base: Linear{}, Features: []int{0}}, x)
 	gNoise := Gram(Subspace{Base: Linear{}, Features: []int{1}}, x)
-	aSig := CenteredAlignment(gSig, y)
-	aNoise := CenteredAlignment(gNoise, y)
+	aSig := CenteredAlignment(gSig.UpperRows(nil), y)
+	aNoise := CenteredAlignment(gNoise.UpperRows(nil), y)
 	if aSig <= aNoise {
 		t.Errorf("alignment: signal %v <= noise %v", aSig, aNoise)
 	}
@@ -204,11 +204,11 @@ func TestAlignmentDiscriminates(t *testing.T) {
 }
 
 func TestAlignmentDegenerate(t *testing.T) {
-	if CenteredAlignment(linalg.NewMatrix(0, 0), nil) != 0 {
+	if CenteredAlignment(linalg.NewMatrix(0, 0).UpperRows(nil), nil) != 0 {
 		t.Error("empty alignment should be 0")
 	}
 	z := linalg.NewMatrix(2, 2)
-	if CenteredAlignment(z, []int{1, -1}) != 0 {
+	if CenteredAlignment(z.UpperRows(nil), []int{1, -1}) != 0 {
 		t.Error("zero kernel alignment should be 0")
 	}
 }

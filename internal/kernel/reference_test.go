@@ -110,33 +110,60 @@ func refGramFromPartition(p partition.Partition, factory BlockKernelFactory, com
 	k := FromPartition(p, factory, combiner)
 	g := linalg.NewMatrix(len(x), len(x))
 	if !refGramInto(g, linalg.FromRows(x), k) {
-		return GramPairwise(k, x)
+		refPairwiseGram(g, k, x)
 	}
 	return g
 }
 
+// refPairwiseGram is the full-storage pairwise Gram: one Eval per pair
+// i ≤ j, rounded once to T and stored in both triangles.
+func refPairwiseGram[T linalg.Float](dst *linalg.Dense[T], k Kernel, x [][]float64) {
+	n := len(x)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := T(k.Eval(x[i], x[j]))
+			dst.Data[i*n+j], dst.Data[j*n+i] = v, v
+		}
+	}
+}
+
+// refDot is ⟨a, b⟩ accumulated in float64 over ascending features.
+func refDot[T linalg.Float](a, b []T) float64 {
+	s := 0.0
+	for k, v := range a {
+		s += float64(v) * float64(b[k])
+	}
+	return s
+}
+
 // refGramInto is one link of the composite chain: dst (n×n) = the Gram of
-// k over the rows of x. It reports false for a kernel without a block
-// formula.
-func refGramInto(dst, x *linalg.Matrix, k Kernel) bool {
-	n := x.Rows
+// k over the rows of x with both triangles stored, the full-storage
+// reference the packed block formulas are pinned to — one scalar loop per
+// formula, generic over the storage width, each stage rounded to T at its
+// store. It reports false for a kernel without a block formula.
+func refGramInto[T linalg.Float](dst, x *linalg.Dense[T], k Kernel) bool {
+	n, d := x.Rows, x.Cols
+	row := func(i int) []T { return x.Data[i*d : (i+1)*d] }
 	switch k := k.(type) {
-	case Linear:
-		linalg.SyrkInto(dst, x)
-	case Polynomial:
-		linalg.SyrkInto(dst, x)
+	case Linear, Polynomial:
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
-				v := math.Pow(k.Gamma*dst.Data[i*n+j]+k.Coef0, float64(k.Degree))
+				v := T(refDot(row(i), row(j)))
+				if p, ok := k.(Polynomial); ok {
+					v = T(math.Pow(p.Gamma*float64(v)+p.Coef0, float64(p.Degree)))
+				}
 				dst.Data[i*n+j], dst.Data[j*n+i] = v, v
 			}
 		}
 	case RBF:
-		linalg.PairwiseSquaredDistancesUpperInto(dst, x)
 		for i := 0; i < n; i++ {
 			dst.Data[i*n+i] = 1
 			for j := i + 1; j < n; j++ {
-				v := math.Exp(-k.Gamma * dst.Data[i*n+j])
+				dist := refDot(row(i), row(i)) + refDot(row(j), row(j)) - 2*refDot(row(i), row(j))
+				if dist < 0 {
+					dist = 0
+				}
+				v := T(math.Exp(-k.Gamma * float64(T(dist))))
 				dst.Data[i*n+j], dst.Data[j*n+i] = v, v
 			}
 		}
@@ -146,21 +173,27 @@ func refGramInto(dst, x *linalg.Matrix, k Kernel) bool {
 		}
 		diag := make([]float64, n)
 		for i := range diag {
-			diag[i] = dst.Data[i*n+i]
+			diag[i] = float64(dst.Data[i*n+i])
 		}
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
-				v := 0.0
+				var v T
 				if diag[i] > 0 && diag[j] > 0 {
-					v = dst.Data[i*n+j] / math.Sqrt(diag[i]*diag[j])
+					v = T(float64(dst.Data[i*n+j]) / math.Sqrt(diag[i]*diag[j]))
 				}
 				dst.Data[i*n+j], dst.Data[j*n+i] = v, v
 			}
 		}
 	case Subspace:
-		return refGramInto(dst, refColumns(x, k.Features), k.Base)
+		cols := linalg.NewDense[T](n, len(k.Features))
+		for i := 0; i < n; i++ {
+			for c, f := range k.Features {
+				cols.Data[i*len(k.Features)+c] = x.Data[i*d+f]
+			}
+		}
+		return refGramInto(dst, cols, k.Base)
 	case Sum:
-		scratch := linalg.NewMatrix(n, n)
+		scratch := linalg.NewDense[T](n, n)
 		for i := range dst.Data {
 			dst.Data[i] = 0
 		}
@@ -173,11 +206,11 @@ func refGramInto(dst, x *linalg.Matrix, k Kernel) bool {
 				w = k.Weights[i]
 			}
 			for j := range dst.Data {
-				dst.Data[j] += w * scratch.Data[j]
+				dst.Data[j] = T(float64(dst.Data[j]) + w*float64(scratch.Data[j]))
 			}
 		}
 	case Product:
-		scratch := linalg.NewMatrix(n, n)
+		scratch := linalg.NewDense[T](n, n)
 		for i := range dst.Data {
 			dst.Data[i] = 1
 		}
@@ -378,11 +411,11 @@ func refAlignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
 }
 
 // TestCenteredAlignmentMatchesScalarReference pins the fused read-only
-// objective to the two-step reference — refCenter on a copy, then
-// refAlignment —
-// bit for bit at both widths, on symmetric Grams and on arbitrary square
-// matrices (rowMean[j] stands in for the column mean only by symmetry),
-// and checks that the input is left untouched.
+// objective to the two-step reference — refCenter on a full copy, then
+// refAlignment — bit for bit at both widths, on symmetric inputs (a block
+// Gram, a random symmetric matrix and zeros) read through their packed
+// upper rows (a cached block) and through a full matrix's upper rows (a
+// candidate Gram), and checks that the input is left untouched.
 func TestCenteredAlignmentMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{0, 1, 2, 3, 7, 16, 41} {
@@ -390,22 +423,34 @@ func TestCenteredAlignmentMatchesScalarReference(t *testing.T) {
 		for i := range y {
 			y[i] = 1 - 2*rng.Intn(2)
 		}
-		sq := linalg.NewMatrix(n, n)
-		for i := range sq.Data {
-			sq.Data[i] = rng.NormFloat64()
+		sym := linalg.NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				v := rng.NormFloat64()
+				sym.Data[i*n+j], sym.Data[j*n+i] = v, v
+			}
 		}
 		x := make([][]float64, n)
 		for i := range x {
 			x[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		for _, g := range []*linalg.Matrix{Gram(RBF{Gamma: 0.7}, x), sq, linalg.NewMatrix(n, n)} {
+		for _, g := range []*linalg.Matrix{Gram(RBF{Gamma: 0.7}, x), sym, linalg.NewMatrix(n, n)} {
 			checkCenteredAlignment(t, n, g, y)
 			checkCenteredAlignment(t, n, linalg.Convert[float32](nil, g), y)
 		}
 	}
-	if got := CenteredAlignment(linalg.NewMatrix(2, 2), []int{1}); got != 0 {
+	if got := CenteredAlignment(linalg.NewMatrix(2, 2).UpperRows(nil), []int{1}); got != 0 {
 		t.Errorf("label length mismatch: got %v, want 0", got)
 	}
+}
+
+// packOf returns the packed upper triangle of the square matrix g.
+func packOf[T linalg.Float](g *linalg.Dense[T]) *linalg.Packed[T] {
+	p := linalg.ReshapePacked[T](nil, g.Rows)
+	for i := 0; i < g.Rows; i++ {
+		copy(p.Row(i), g.Data[i*g.Cols+i:(i+1)*g.Cols])
+	}
+	return p
 }
 
 func checkCenteredAlignment[T linalg.Float](t *testing.T, n int, g *linalg.Dense[T], y []int) {
@@ -414,20 +459,77 @@ func checkCenteredAlignment[T linalg.Float](t *testing.T, n int, g *linalg.Dense
 	c := g.Clone()
 	refCenter(c)
 	want := refAlignment(c, y)
-	got := CenteredAlignment(g, y)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("n=%d %T: CenteredAlignment = %v, refCenter+refAlignment = %v", n, g.Data, got, want)
+	p := packOf(g)
+	packed := append([]T(nil), p.Data...)
+	for _, view := range []struct {
+		name  string
+		upper [][]T
+	}{{"packed", p.UpperRows(nil)}, {"dense", g.UpperRows(nil)}} {
+		got := CenteredAlignment(view.upper, y)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("n=%d %T %s: CenteredAlignment = %v, refCenter+refAlignment = %v", n, g.Data, view.name, got, want)
+		}
 	}
 	for i, v := range g.Data {
 		if math.Float64bits(float64(v)) != math.Float64bits(float64(before.Data[i])) {
 			t.Fatalf("n=%d %T: entry %d changed from %v to %v", n, g.Data, i, before.Data[i], v)
 		}
 	}
+	for i, v := range p.Data {
+		if math.Float64bits(float64(v)) != math.Float64bits(float64(packed[i])) {
+			t.Fatalf("n=%d %T: packed entry %d changed from %v to %v", n, g.Data, i, packed[i], v)
+		}
+	}
+}
+
+// TestBlockFormulasMatchScalarReference pins every block formula's packed
+// output — SyrkInto (linear), polynomialGram, rbfGram, normalizedGram — and
+// the eval-only fallback (pairwiseGramInto) to the full-storage scalar
+// reference (refGramInto, refPairwiseGram) bit for bit at both widths, at
+// orders 1–9 and 37: every packed row length around the four-column
+// distance tiles and the exp lanes' groups of four.
+func TestBlockFormulasMatchScalarReference(t *testing.T) {
+	kernels := []namedKernel{
+		{"linear", Linear{}},
+		{"poly", Polynomial{Degree: 3, Gamma: 0.5, Coef0: 1}},
+		{"rbf", RBF{Gamma: 0.7}},
+		{"norm-rbf", Normalized{Base: RBF{Gamma: 0.3}}},
+		{"norm-poly", Normalized{Base: Polynomial{Degree: 2, Gamma: 1, Coef0: 0}}},
+		{"eval-only", hideBlock{RBF{Gamma: 0.7}}},
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 37} {
+		x := testRows(n, 3, int64(n))
+		for _, nk := range kernels {
+			checkPackedFormula[float64](t, nk, x)
+			checkPackedFormula[float32](t, nk, x)
+		}
+	}
+}
+
+func checkPackedFormula[T linalg.Float](t *testing.T, nk namedKernel, x [][]float64) {
+	t.Helper()
+	n := len(x)
+	xb := linalg.FromRowsCols[T](x, []int{0, 1, 2})
+	got := linalg.ReshapePacked[T](nil, n)
+	if !blockGramInto(got, nk.k, xb) {
+		pairwiseGramInto(got, nk.k, x)
+	}
+	want := linalg.NewDense[T](n, n)
+	if !refGramInto(want, xb, nk.k) {
+		refPairwiseGram(want, nk.k, x)
+	}
+	for i := 0; i < n; i++ {
+		for c, v := range got.Row(i) {
+			if w := want.Data[i*n+i+c]; math.Float64bits(float64(v)) != math.Float64bits(float64(w)) {
+				t.Fatalf("%s n=%d %T: entry (%d,%d) = %v, reference %v", nk.name, n, v, i, i+c, v, w)
+			}
+		}
+	}
 }
 
 // TestRBFGramMatchesScalarReference pins the two exp sites of the RBF
-// block path — rbfGram (each row's upper segment, then the mirror store)
-// and boundRBF.Fill — to the scalar reference chains bit for bit on the
+// block path — rbfGram (each packed row's off-diagonal segment) and
+// boundRBF.Fill — to the scalar reference chains bit for bit on the
 // detected linalg.ExpScaled path; linalg's own tests flip that path, and
 // the purego build runs this test on the scalar exp. The orders put every
 // segment length 0–9 after the groups of four, and the bandwidths push
@@ -438,13 +540,13 @@ func TestRBFGramMatchesScalarReference(t *testing.T) {
 		for _, gamma := range []float64{0.05, 1, 40, 900} {
 			x := linalg.FromRows(testRows(n, 3, int64(n)*7+1))
 			k := RBF{Gamma: gamma}
-			got := linalg.NewMatrix(n, n)
+			got := linalg.ReshapePacked[float64](nil, n)
 			if !blockGramInto(got, k, x) {
 				t.Fatal("RBF has no block formula")
 			}
 			want := linalg.NewMatrix(n, n)
 			refGramInto(want, x, k)
-			checkBits(t, "rbfGram", n, gamma, got, want)
+			checkBits(t, "rbfGram", n, gamma, linalg.UnpackInto(nil, got), want)
 
 			a := linalg.FromRows(testRows(n+3, 3, int64(n)*7+2))
 			bound, _ := k.BindCross(x)

@@ -14,8 +14,7 @@ func randomSPDGram(n, d int, rng *rand.Rand) *linalg.Matrix {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	g := linalg.NewMatrix(n, n)
-	linalg.SyrkInto(g, x)
+	g := linalg.UnpackInto(nil, linalg.SyrkInto(nil, x))
 	g.AddScaledDiag(1e-6)
 	return g
 }

@@ -16,7 +16,7 @@ const (
 // cholBenchMatrix returns a well-conditioned SPD matrix of order n: the
 // Gram of n random points in n dimensions, shifted by the identity.
 func cholBenchMatrix(n int) *Matrix {
-	a := SyrkInto(nil, randMatrix(n, n, rand.New(rand.NewSource(1))))
+	a := UnpackInto(nil, SyrkInto(nil, randMatrix(n, n, rand.New(rand.NewSource(1)))))
 	a.AddScaledDiag(1)
 	return a
 }

@@ -1,14 +1,17 @@
 // Dense level-3 building blocks for the vectorized Gram engine: symmetric
 // rank-k products, rectangular A·Bᵀ products, pairwise squared distances via
 // the ‖x‖² + ‖y‖² − 2⟨x,y⟩ expansion, and contiguous column-block
-// extraction. All routines write into caller-supplied matrices so hot paths
+// extraction. The symmetric products write Packed upper triangles (a Gram
+// block is symmetric, so its lower triangle is never stored). All routines
+// write into caller-supplied matrices so hot paths
 // (candidate scoring in a lattice search) reuse scratch instead of
 // allocating per call.
 //
 // The kernels shared by both storage widths — Reshape, GatherInto,
 // GatherLowerInto, AccumulateScaled, AccumulateProduct, MirrorUpper,
 // SyrkInto, RowSquaredNorms, PairwiseSquaredDistancesUpperInto, FromRowsCols,
-// and (in linalg.go) CholeskyInto, SolveCholeskyInto and MulVecInto — are
+// and (in linalg.go) ReshapePacked, UnpackInto, CholeskyInto,
+// SolveCholeskyInto and MulVecInto — are
 // written once, generic over Float: the float64 instantiation is the exact
 // reference, the float32 instantiation the f32 backend's arithmetic.
 //
@@ -173,25 +176,23 @@ func MirrorUpper[T Float](m *Dense[T]) {
 	}
 }
 
-// SyrkInto computes the symmetric rank-k product X·Xᵀ (dst[i][j] =
-// ⟨row i, row j⟩), writing into dst (reallocated if nil or mis-sized) and
-// returning it. Only the upper triangle is computed; the lower is mirrored,
-// matching the symmetric fill of a pairwise Gram loop.
-func SyrkInto[T Float](dst, x *Dense[T]) *Dense[T] {
+// SyrkInto computes the symmetric rank-k product X·Xᵀ (entry (i, j) =
+// ⟨row i, row j⟩) into the packed dst (reshaped via ReshapePacked) and
+// returns it.
+func SyrkInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 	n, d := x.Rows, x.Cols
-	dst = Reshape(dst, n, n)
-	xd, out := x.Data, dst.Data
+	dst = ReshapePacked(dst, n)
+	xd := x.Data
 	for i := 0; i < n; i++ {
 		ri := xd[i*d : (i+1)*d]
+		row := dst.Row(i)
 		for j := i; j < n; j++ {
 			rj := xd[j*d : (j+1)*d]
 			s := 0.0
 			for k, v := range ri {
 				s += float64(v) * float64(rj[k])
 			}
-			f := T(s)
-			out[i*n+j] = f
-			out[j*n+i] = f
+			row[j-i] = T(s)
 		}
 	}
 	return dst
@@ -238,28 +239,25 @@ func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 }
 
 // PairwiseSquaredDistancesUpperInto computes ‖xᵢ − xⱼ‖² for every row pair
-// i ≤ j via the expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩, writing the upper
-// triangle and the diagonal of dst (reallocated if nil or mis-sized) and
-// returning it. The strict lower triangle is not written — it keeps
-// whatever dst held, zeros for a fresh matrix — so the caller must mirror
-// it after its own entrywise map, as rbfGram does. The row
-// norms are summed separately in float64 (RowSquaredNorms, the same order
-// as SyrkInto's diagonal) and each distance is rounded to T once.
-// Cancellation residue is clamped at zero and the diagonal is exactly
-// zero; off-diagonal entries agree with the direct Σ(xᵢ−yᵢ)² loop to
-// rounding only (see the package determinism contract). Each row's
+// i ≤ j via the expansion ‖xᵢ‖² + ‖xⱼ‖² − 2⟨xᵢ,xⱼ⟩ into the packed dst
+// (reshaped via ReshapePacked) and returns it; rbfGram maps each row in
+// place. The row norms are summed separately in float64 (RowSquaredNorms,
+// the same order as SyrkInto's diagonal) and each distance is rounded to
+// T once. Cancellation residue is clamped at zero and the diagonal is
+// exactly zero; off-diagonal entries agree with the direct Σ(xᵢ−yᵢ)² loop
+// to rounding only (see the package determinism contract). Each row's
 // columns are register-tiled, four per sweep, with one float64 dot
 // accumulator each over ascending features.
-func PairwiseSquaredDistancesUpperInto[T Float](dst, x *Dense[T]) *Dense[T] {
+func PairwiseSquaredDistancesUpperInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 	n, d := x.Rows, x.Cols
-	dst = Reshape(dst, n, n)
+	dst = ReshapePacked(dst, n)
 	norms := RowSquaredNorms(nil, x)
 	xd := x.Data
 	for i := 0; i < n; i++ {
 		ri := xd[i*d : (i+1)*d]
 		ni := norms[i]
-		row := dst.Data[i*n : (i+1)*n]
-		row[i] = 0
+		row := dst.Row(i) // row[c] is entry (i, i+c)
+		row[0] = 0
 		j := i + 1
 		for ; j+4 <= n; j += 4 {
 			r0 := xd[j*d:][:len(ri)]
@@ -275,17 +273,18 @@ func PairwiseSquaredDistancesUpperInto[T Float](dst, x *Dense[T]) *Dense[T] {
 				s3 += vk * float64(r3[k])
 			}
 			nj := norms[j : j+4 : j+4]
-			row[j] = squaredDistance[T](ni, nj[0], s0)
-			row[j+1] = squaredDistance[T](ni, nj[1], s1)
-			row[j+2] = squaredDistance[T](ni, nj[2], s2)
-			row[j+3] = squaredDistance[T](ni, nj[3], s3)
+			out := row[j-i : j-i+4 : j-i+4]
+			out[0] = squaredDistance[T](ni, nj[0], s0)
+			out[1] = squaredDistance[T](ni, nj[1], s1)
+			out[2] = squaredDistance[T](ni, nj[2], s2)
+			out[3] = squaredDistance[T](ni, nj[3], s3)
 		}
 		for ; j < n; j++ {
 			dot := 0.0
 			for k, v := range xd[j*d:][:len(ri)] {
 				dot += float64(ri[k]) * float64(v)
 			}
-			row[j] = squaredDistance[T](ni, norms[j], dot)
+			row[j-i] = squaredDistance[T](ni, norms[j], dot)
 		}
 	}
 	return dst

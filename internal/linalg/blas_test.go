@@ -17,7 +17,7 @@ func randMatrix(rows, cols int, rng *rand.Rand) *Matrix {
 func TestSyrkIntoMatchesPairwiseDots(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := randMatrix(7, 5, rng)
-	g := SyrkInto(nil, x)
+	g := UnpackInto(nil, SyrkInto(nil, x))
 	for i := 0; i < x.Rows; i++ {
 		for j := 0; j < x.Rows; j++ {
 			// Bit-identity with the scalar left-to-right dot product is the
@@ -36,12 +36,12 @@ func TestSyrkIntoMatchesPairwiseDots(t *testing.T) {
 func TestSyrkIntoReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := randMatrix(4, 3, rng)
-	buf := NewMatrix(4, 4)
-	if got := SyrkInto(buf, x); got != buf {
-		t.Error("SyrkInto did not reuse a correctly-sized buffer")
+	buf := ReshapePacked[float64](nil, 5)
+	if got := SyrkInto(buf, x); got != buf || got.N != 4 || len(got.Data) != 10 {
+		t.Error("SyrkInto did not reuse a buffer with room for order 4")
 	}
-	if got := SyrkInto(NewMatrix(2, 2), x); got.Rows != 4 || got.Cols != 4 {
-		t.Errorf("SyrkInto kept a mis-sized buffer: %dx%d", got.Rows, got.Cols)
+	if got := SyrkInto(ReshapePacked[float64](nil, 2), x); got.N != 4 || len(got.Data) != 10 {
+		t.Errorf("SyrkInto kept a short buffer: order %d, %d entries", got.N, len(got.Data))
 	}
 }
 
@@ -84,21 +84,20 @@ func TestRowSquaredNorms(t *testing.T) {
 func TestPairwiseSquaredDistancesInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := randMatrix(9, 6, rng)
-	// A recycled destination: the strict lower triangle must keep its
-	// stale entries, the upper triangle and diagonal must be overwritten.
-	d := NewMatrix(9, 9)
+	// A recycled, larger destination: every packed entry of the order-9
+	// result must be overwritten.
+	d := ReshapePacked[float64](nil, 12)
 	for i := range d.Data {
 		d.Data[i] = -3
 	}
 	d = PairwiseSquaredDistancesUpperInto(d, x)
+	if d.N != 9 || len(d.Data) != 45 {
+		t.Fatalf("order %d with %d entries, want 9 with 45", d.N, len(d.Data))
+	}
 	for i := 0; i < x.Rows; i++ {
-		if d.At(i, i) != 0 {
-			t.Errorf("diagonal (%d,%d) = %v, want exactly 0", i, i, d.At(i, i))
-		}
-		for j := 0; j < i; j++ {
-			if d.At(i, j) != -3 {
-				t.Fatalf("strict lower entry (%d,%d) = %v, want it untouched", i, j, d.At(i, j))
-			}
+		row := d.Row(i)
+		if row[0] != 0 {
+			t.Errorf("diagonal (%d,%d) = %v, want exactly 0", i, i, row[0])
 		}
 		for j := i; j < x.Rows; j++ {
 			direct := 0.0
@@ -106,11 +105,11 @@ func TestPairwiseSquaredDistancesInto(t *testing.T) {
 				dv := x.At(i, k) - x.At(j, k)
 				direct += dv * dv
 			}
-			if math.Abs(d.At(i, j)-direct) > 1e-9 {
-				t.Fatalf("dist²(%d,%d) = %v, direct %v", i, j, d.At(i, j), direct)
+			if math.Abs(row[j-i]-direct) > 1e-9 {
+				t.Fatalf("dist²(%d,%d) = %v, direct %v", i, j, row[j-i], direct)
 			}
-			if d.At(i, j) < 0 {
-				t.Fatalf("negative distance at (%d,%d): %v", i, j, d.At(i, j))
+			if row[j-i] < 0 {
+				t.Fatalf("negative distance at (%d,%d): %v", i, j, row[j-i])
 			}
 		}
 	}
@@ -124,8 +123,8 @@ func TestPairwiseSquaredDistancesClampsCancellation(t *testing.T) {
 		{1e8, 1e8, 1e8 + 1e-4},
 	})
 	d := PairwiseSquaredDistancesUpperInto(nil, x)
-	if d.At(0, 1) < 0 {
-		t.Errorf("distance %v < 0 after clamp", d.At(0, 1))
+	if d.Row(0)[1] < 0 {
+		t.Errorf("distance %v < 0 after clamp", d.Row(0)[1])
 	}
 }
 

@@ -10,7 +10,8 @@
 // carry an explicit determinism contract relied on by internal/kernel.
 //
 // Matrices are Dense[T] over T ∈ Float (float32 | float64); Matrix is the
-// float64 instantiation. The kernels both numeric widths run — the blas.go
+// float64 instantiation. A symmetric Gram block is Packed[T], its upper
+// triangle alone. The kernels both numeric widths run — the blas.go
 // set plus CholeskyInto, SolveCholeskyInto and MulVecInto — are written
 // once, generic over T, and the determinism contract in blas.go covers
 // both widths.
@@ -138,6 +139,74 @@ func (m *Dense[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 // Row returns row i, sharing the matrix's backing storage.
 func (m *Dense[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
+// UpperRows returns the segments [i, n) of the rows of the square matrix
+// m, in place — a symmetric matrix read through its upper triangle — in
+// dst, reused when its capacity suffices.
+func (m *Dense[T]) UpperRows(dst [][]T) [][]T {
+	if cap(dst) < m.Rows {
+		dst = make([][]T, m.Rows)
+	}
+	dst = dst[:m.Rows]
+	for i := range dst {
+		dst[i] = m.Data[i*m.Cols+i : (i+1)*m.Cols]
+	}
+	return dst
+}
+
+// Packed is a symmetric n×n matrix stored as its upper triangle: row i,
+// entries (i, i..n−1), starts at offset i·n − i(i−1)/2, n(n+1)/2 entries
+// in all.
+type Packed[T Float] struct {
+	N    int
+	Data []T
+}
+
+// ReshapePacked is Reshape for Packed: p resized to order n, reusing its
+// storage when the capacity suffices.
+//
+//iotml:hotpath
+func ReshapePacked[T Float](p *Packed[T], n int) *Packed[T] {
+	if size := n * (n + 1) / 2; p == nil || cap(p.Data) < size {
+		p = &Packed[T]{Data: make([]T, size)}
+	} else {
+		p.Data = p.Data[:size]
+	}
+	p.N = n
+	return p
+}
+
+// Row returns row i's upper segment, entries (i, i..n−1), in place.
+func (p *Packed[T]) Row(i int) []T {
+	off := i*p.N - i*(i-1)/2
+	return p.Data[off : off+p.N-i]
+}
+
+// UpperRows returns Row(i) for every row i in dst, reused when its
+// capacity suffices.
+func (p *Packed[T]) UpperRows(dst [][]T) [][]T {
+	if cap(dst) < p.N {
+		dst = make([][]T, p.N)
+	}
+	dst = dst[:p.N]
+	for i := range dst {
+		dst[i] = p.Row(i)
+	}
+	return dst
+}
+
+// UnpackInto writes the full matrix p into dst (reshaped) and returns it:
+// each row copied, last row first, then one MirrorUpper. Row i never
+// moves to an earlier offset, so p may be stored in dst's own leading
+// entries and unpacked in place.
+func UnpackInto[T Float](dst *Dense[T], p *Packed[T]) *Dense[T] {
+	dst = Reshape(dst, p.N, p.N)
+	for i := p.N - 1; i >= 0; i-- {
+		copy(dst.Data[i*p.N+i:], p.Row(i))
+	}
+	MirrorUpper(dst)
+	return dst
+}
+
 // Clone returns a deep copy of m.
 func (m *Dense[T]) Clone() *Dense[T] {
 	out := NewDense[T](m.Rows, m.Cols)
@@ -239,22 +308,11 @@ func (m *Dense[T]) AddScaledDiag(a float64) {
 	}
 }
 
-// Cholesky computes the lower-triangular factor L with A = L Lᵀ for a
-// symmetric positive-definite matrix. It returns ErrSingular if a pivot
-// falls below tolerance.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	l := NewMatrix(a.Rows, a.Cols)
-	if err := CholeskyInto(l, a); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // CholeskyInto factors A = L Lᵀ into the caller-owned matrix l (non-nil),
 // which is resized via Reshape (so hot paths reuse one factor buffer across
 // many solves of alternating sizes). The written factor — lower triangle,
-// diagonal, and zeroed strict upper triangle — is bit-identical to the
-// matrix Cholesky returns. l must not alias a. It returns ErrSingular if a
+// diagonal, and zeroed strict upper triangle — does not depend on what l
+// held before. l must not alias a. It returns ErrSingular if a
 // pivot falls below the tolerance of T's precision (see pivotTol); l's
 // contents are unspecified after an error.
 //

@@ -60,9 +60,18 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// cholesky factors a into a fresh matrix.
+func cholesky(a *Matrix) (*Matrix, error) {
+	l := new(Matrix)
+	if err := CholeskyInto(l, a); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
 func TestCholeskyAndSolve(t *testing.T) {
 	a := FromRows([][]float64{{4, 2, 0}, {2, 5, 3}, {0, 3, 6}})
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +96,10 @@ func TestCholeskyAndSolve(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); !errors.Is(err, ErrSingular) {
+	if _, err := cholesky(a); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
-	if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
+	if _, err := cholesky(NewMatrix(2, 3)); err == nil {
 		t.Error("expected error for non-square input")
 	}
 }
@@ -192,7 +201,7 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 // allocating Cholesky path — the reference the scratch solves are checked
 // against.
 func solveSPD(a *Matrix, b Vector) (Vector, error) {
-	l, err := Cholesky(a)
+	l, err := cholesky(a)
 	if err != nil {
 		return nil, err
 	}

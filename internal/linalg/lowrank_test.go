@@ -45,7 +45,7 @@ func TestNystromFactorFullRankExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NystromFactorInto: %v", seed, err)
 		}
-		rec := SyrkInto(nil, f)
+		rec := UnpackInto(nil, SyrkInto(nil, f))
 		for i := range k.Data {
 			if math.Abs(rec.Data[i]-k.Data[i]) > 1e-9 {
 				t.Fatalf("seed %d: |K̂-K|[%d] = %g > 1e-9", seed, i, math.Abs(rec.Data[i]-k.Data[i]))
@@ -87,7 +87,7 @@ func TestRFFMapApproximatesRBF(t *testing.T) {
 		freq.Data[i] = sd * rng.NormFloat64()
 	}
 	f := RFFMapInto(nil, x, freq, math.Sqrt(1/float64(dHalf)))
-	rec := SyrkInto(nil, f)
+	rec := UnpackInto(nil, SyrkInto(nil, f))
 	maxErr := 0.0
 	for i := range k.Data {
 		if e := math.Abs(rec.Data[i] - k.Data[i]); e > maxErr {
@@ -160,7 +160,7 @@ func TestPrimalDualRidgeEquivalence(t *testing.T) {
 		y[i] = float64(2*(i%2) - 1)
 	}
 	// Dual: α = (FFᵀ + λI)⁻¹ y, scores s_i = row_i(FFᵀ)·α.
-	k := SyrkInto(nil, f)
+	k := UnpackInto(nil, SyrkInto(nil, f))
 	kreg := NewMatrix(n, n)
 	copy(kreg.Data, k.Data)
 	kreg.AddScaledDiag(lam)

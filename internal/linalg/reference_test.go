@@ -257,43 +257,78 @@ func TestSyrkIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, sh := range propertyShapes(rng) {
 		x := randMatrix(sh[0], sh[1], rng)
-		sameBits64(t, "f64", SyrkInto(nil, x).Data, refSyrk(x).Data)
+		sameBits64(t, "f64", SyrkInto(nil, x).Data, packUpper(refSyrk(x)))
 		x32 := Convert[float32](nil, x)
-		sameBits32(t, "f32", SyrkInto(nil, x32).Data, refSyrk(Convert[float64](nil, x32)).Data)
+		sameBits32(t, "f32", SyrkInto(nil, x32).Data, packUpper(refSyrk(Convert[float64](nil, x32))))
 	}
 }
 
-// TestPairwiseSquaredDistancesIntoMatchesScalarReference checks the upper
-// triangle and diagonal against the per-pair reference bit for bit, at
-// both widths and at every column tail of the four-column tiles, and that
-// the strict lower triangle of a recycled destination is left untouched.
+// TestPairwiseSquaredDistancesIntoMatchesScalarReference checks the packed
+// upper triangle and diagonal against the per-pair reference bit for bit,
+// at both widths and at every column tail of the four-column tiles, each
+// written into a recycled, larger destination full of stale entries.
 func TestPairwiseSquaredDistancesIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, sh := range tiledRowShapes(rng) {
 		x := randMatrix(sh[0], sh[1], rng)
 		n := sh[0]
-		want := upperWithLower(refPairwiseSquaredDistances(x).Data, n, staleEntry)
-		got := NewMatrix(n, n)
+		got := ReshapePacked[float64](nil, n+3)
 		for i := range got.Data {
 			got.Data[i] = staleEntry
 		}
-		sameBits64(t, "f64", PairwiseSquaredDistancesUpperInto(got, x).Data, want)
+		sameBits64(t, "f64", PairwiseSquaredDistancesUpperInto(got, x).Data, packUpper(refPairwiseSquaredDistances(x)))
 		x32 := Convert[float32](nil, x)
-		got32 := Convert[float32](nil, got)
-		want32 := upperWithLower(refPairwiseSquaredDistances(Convert[float64](nil, x32)).Data, n, staleEntry)
+		got32 := &Packed[float32]{N: n + 3, Data: make([]float32, len(got.Data))}
+		for i := range got32.Data {
+			got32.Data[i] = staleEntry
+		}
+		want32 := packUpper(refPairwiseSquaredDistances(Convert[float64](nil, x32)))
 		sameBits32(t, "f32", PairwiseSquaredDistancesUpperInto(got32, x32).Data, want32)
 	}
 }
 
-// upperWithLower overwrites the strict lower triangle of the n×n matrix
-// data with v and returns data.
-func upperWithLower(data []float64, n int, v float64) []float64 {
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			data[i*n+j] = v
-		}
+// packUpper lists the upper triangle of the square matrix m row by row,
+// each row from its diagonal: the entries a Packed of m holds, in its
+// order.
+func packUpper(m *Matrix) []float64 {
+	var out []float64
+	for i := 0; i < m.Rows; i++ {
+		out = append(out, m.Data[i*m.Cols+i:(i+1)*m.Cols]...)
 	}
-	return data
+	return out
+}
+
+// TestPackedLayout pins Packed's storage order — Row(i) is entries
+// (i, i..n−1) from offset i·n − i(i−1)/2 — and that UnpackInto rebuilds
+// the symmetric matrix bit for bit, both triangles, into a recycled
+// destination and in place from the destination's own leading entries,
+// while UpperRows views the same storage.
+func TestPackedLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var dst *Matrix
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 9, 37} {
+		sym := refSyrk(randMatrix(n, 3, rng))
+		p := &Packed[float64]{N: n, Data: packUpper(sym)}
+		if len(p.Data) != n*(n+1)/2 {
+			t.Fatalf("n=%d: %d packed entries, want %d", n, len(p.Data), n*(n+1)/2)
+		}
+		dense := sym.UpperRows(nil)
+		for i, row := range p.UpperRows(nil) {
+			if &row[0] != &p.Data[i*n-i*(i-1)/2] || len(row) != n-i {
+				t.Fatalf("n=%d: row %d is not the segment at offset i·n − i(i−1)/2", n, i)
+			}
+			sameBits64(t, fmt.Sprintf("n=%d row %d", n, i), row, dense[i])
+		}
+		dst = UnpackInto(dst, p)
+		sameBits64(t, fmt.Sprintf("n=%d unpack", n), dst.Data, sym.Data)
+		inPlace := NewMatrix(n, n)
+		for i := range inPlace.Data {
+			inPlace.Data[i] = staleEntry
+		}
+		copy(inPlace.Data, p.Data)
+		own := &Packed[float64]{N: n, Data: inPlace.Data[:len(p.Data)]}
+		sameBits64(t, fmt.Sprintf("n=%d unpack in place", n), UnpackInto(inPlace, own).Data, sym.Data)
+	}
 }
 
 func TestRowSquaredNormsMatchesScalarReference(t *testing.T) {

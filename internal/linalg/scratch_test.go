@@ -11,7 +11,7 @@ func randSPD(n int, rng *rand.Rand) *Matrix {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	a := SyrkInto(nil, x)
+	a := UnpackInto(nil, SyrkInto(nil, x))
 	a.AddScaledDiag(float64(n)) // comfortably positive definite
 	return a
 }
@@ -78,7 +78,7 @@ func TestCholeskyIntoMatchesCholesky(t *testing.T) {
 	}
 	for _, n := range []int{1, 5, 12, 11, 12} {
 		a := randSPD(n, rng)
-		want, err := Cholesky(a)
+		want, err := cholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestSolveCholeskyIntoMatchesSolveCholesky(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		lm, err := Cholesky(a)
+		lm, err := cholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}

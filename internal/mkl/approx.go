@@ -30,7 +30,7 @@ const DefaultBudgetTopK = 8
 // assemble the candidate's concatenated factor from the shared block-factor
 // cache, then run the objective on it.
 func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {
-	f, err := e.approxCache.FactorForPartitionScratch(p, e.cfg.Combiner, e.factorBuf, &e.d64.asm)
+	f, err := e.approxCache.FactorForPartitionScratch(p, e.cfg.Combiner, e.factorBuf, &e.factorAsm)
 	if err != nil {
 		return 0, err
 	}
@@ -44,7 +44,8 @@ func (e *Evaluator) scoreApprox(p partition.Partition) (float64, error) {
 		}
 		// No primal form (SVM, perceptron): materialize K̂ = F·Fᵀ once and
 		// reuse the standard CV machinery on the approximate Gram.
-		e.d64.gram = linalg.SyrkInto(e.d64.gram, f)
+		e.lrGram = linalg.SyrkInto(e.lrGram, f)
+		e.d64.gram = linalg.UnpackInto(e.d64.gram, e.lrGram)
 		return e.cvAccuracy(e.d64.gram)
 	}
 }

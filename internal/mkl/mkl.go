@@ -86,13 +86,14 @@ type Config struct {
 	Parallelism int
 
 	// GramCacheBlocks bounds the per-dataset block cache (kernel.BlockCache)
-	// behind every backend — exact block Grams, f32 block Grams, or low-rank
-	// block factors — that lets sibling partitions sharing feature blocks
-	// reuse them: 0 selects kernel.DefaultGramCacheBlocks, negative disables
-	// retention. Beyond the bound the oldest blocks are evicted (FIFO), which
-	// changes which blocks stay resident, never a score. With retention
-	// disabled every block is rebuilt on each use, and the exact assembly
-	// holds the candidate's Gram plus one block at a time.
+	// behind every backend — exact or f32 block Grams (packed, n(n+1)/2
+	// entries each), or low-rank block factors — that lets sibling
+	// partitions sharing feature blocks reuse them: 0 selects
+	// kernel.DefaultGramCacheBlocks, negative disables retention. Beyond
+	// the bound the oldest blocks are evicted (FIFO), which changes which
+	// blocks stay resident, never a score. With retention disabled every
+	// block is rebuilt on each use, and the exact assembly holds the
+	// candidate's Gram plus one packed block at a time.
 	GramCacheBlocks int
 
 	// GramCache optionally injects a shared Gram-block cache (it must have
@@ -186,11 +187,13 @@ type Evaluator struct {
 	// approxCache memoizes per-block low-rank factors under the
 	// approximate backends (nil otherwise); like gramCache it is
 	// concurrency-safe and shared across the scratch evaluators of a
-	// parallel search. factorBuf is the worker-owned concatenated-factor
-	// assembly buffer, and the lr* fields are the worker-owned scratch of
-	// the low-rank ridge / alignment paths (see approx.go).
+	// parallel search. factorBuf and factorAsm are the worker-owned factor
+	// assembly buffers, and the lr* fields the worker-owned scratch of the
+	// low-rank paths: ridge, alignment and F·Fᵀ (see approx.go).
 	approxCache *kernel.ApproxGramCache
 	factorBuf   *linalg.Matrix
+	factorAsm   kernel.FactorScratch
+	lrGram      *linalg.Packed[float64]
 	lrA         *linalg.Matrix
 	lrCentered  *linalg.Matrix
 	lrRhs       linalg.Vector
@@ -200,12 +203,13 @@ type Evaluator struct {
 }
 
 // dense is the worker-owned scratch of the full-Gram scoring body at
-// storage width T: the assembled Gram, the CV fold sub- and cross-Gram
-// gathers, the block-assembly scratch, and the ridge
+// storage width T: the assembled Gram and its upper-row view, the CV fold
+// sub- and cross-Gram gathers, the block-assembly scratch, and the ridge
 // factor/solve buffers.
 type dense[T linalg.Float] struct {
 	gram, sub, cross *linalg.Dense[T]
-	asm              kernel.BlockScratch[*linalg.Dense[T]]
+	upper            [][]T
+	asm              kernel.BlockScratch[*linalg.Packed[T]]
 	ridge            kernelmachine.RidgeScratch[T]
 }
 
@@ -397,7 +401,8 @@ func (s *dense[T]) score(e *Evaluator, gram *linalg.Dense[T]) (float64, error) {
 	switch e.cfg.Objective {
 	case KernelAlignment:
 		// Read-only: gram may be a shared cache buffer.
-		return kernel.CenteredAlignment(gram, e.data.Y), nil
+		s.upper = gram.UpperRows(s.upper)
+		return kernel.CenteredAlignment(s.upper, e.data.Y), nil
 	default:
 		if r, ok := e.cfg.Trainer.(kernelmachine.Ridge); ok {
 			return s.cvRidge(e, gram, r)

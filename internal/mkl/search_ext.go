@@ -120,5 +120,6 @@ func singletonAlignment(e *Evaluator, f int) float64 {
 		}
 	}
 	g, _ := e.gramCache.Block([]int{f - 1}) // exact builds never fail
-	return kernel.CenteredAlignment(g, e.data.Y)
+	e.d64.upper = g.UpperRows(e.d64.upper)
+	return kernel.CenteredAlignment(e.d64.upper, e.data.Y)
 }

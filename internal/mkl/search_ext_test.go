@@ -3,6 +3,7 @@ package mkl
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -197,5 +198,32 @@ func TestChainBeamSearchClampsBeam(t *testing.T) {
 	}
 	if _, err := ChainBeamSearch(e, seed, 0); err != nil {
 		t.Errorf("beam 0 should clamp to 1: %v", err)
+	}
+}
+
+// TestSingletonAlignmentAllocatesNoGram pins the memory of a singleton
+// alignment ranking on a warm exact cache: CenteredAlignment reads the
+// cached packed block in place through its upper rows, so ranking a
+// feature allocates O(n) (row means and row views), below even one packed
+// n×n block, let alone a full n×n copy.
+func TestSingletonAlignmentAllocatesNoGram(t *testing.T) {
+	const calls = 10
+	d := smallFacetData(200, 3)
+	e, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 1, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := singletonAlignment(e, 2) // builds and caches the block
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if got := singletonAlignment(e, 2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("warm ranking %v, cold %v", got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(d.N())
+	if perCall, packed := (after.TotalAlloc-before.TotalAlloc)/calls, n*(n+1)/2*8; perCall >= packed {
+		t.Errorf("singleton alignment allocated %d B per call, want below one packed order-%d block (%d B)", perCall, n, packed)
 	}
 }

@@ -5,6 +5,11 @@
 # IEEE exact) — captures the progress stream as JSONL, and asserts that
 # the selected partition matches the committed golden selection.
 #
+# A second fit of the same CSV with the default kernel (rbf, chain search)
+# pins the RBF block path: its selection lines and the artifact's SHA-256
+# must match testdata/fit-smoke/rbf.golden.txt. Its exp values follow
+# math.Exp's FMA branch, so that diff also assumes an amd64 host with FMA.
+#
 # The full selection lines (scores included) pin amd64 float codegen, so
 # their diff only runs where CI runs; the partition comparison — the
 # paper's actual selection — runs on every architecture.
@@ -29,8 +34,18 @@ echo "fit-smoke: fitting from $FIX/train.csv"
 
 grep -E '^(seed|best) partition:' "$TMP/fit.log" > "$TMP/selection.txt"
 
+echo "fit-smoke: fitting the default (rbf) kernel from $FIX/train.csv"
+"$TMP/iotml" -parallel 1 fit -o "$TMP/rbf.iotml" \
+  -data "$FIX/train.csv" \
+  -views "face:face_0,face_1;fingerprint:fingerprint_0,fingerprint_1;eeg:eeg_0,eeg_1" > "$TMP/rbf.log"
+{
+  grep -E '^(seed|best) partition:' "$TMP/rbf.log"
+  echo "artifact sha256: $(sha256sum "$TMP/rbf.iotml" | cut -d' ' -f1)"
+} > "$TMP/rbf.txt"
+
 if [ "${UPDATE:-}" = 1 ]; then
   cp "$TMP/selection.txt" "$FIX/selection.golden.txt"
+  cp "$TMP/rbf.txt" "$FIX/rbf.golden.txt"
   echo "fit-smoke: golden regenerated under $FIX"
   exit 0
 fi
@@ -47,8 +62,9 @@ echo '{"instances": [[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]]}' > "$TMP/req.json"
 
 if [ "$(go env GOARCH)" = amd64 ]; then
   diff -u "$FIX/selection.golden.txt" "$TMP/selection.txt"
+  diff -u "$FIX/rbf.golden.txt" "$TMP/rbf.txt"
 else
-  echo "fit-smoke: skipping full-line golden diff on $(go env GOARCH) (scores are amd64-pinned)"
+  echo "fit-smoke: skipping full-line golden diffs on $(go env GOARCH) (scores are amd64-pinned)"
 fi
 
 # Architecture-independent check: the selected partition itself.
@@ -59,4 +75,4 @@ if [ -z "$got" ] || [ "$got" != "$want" ]; then
   exit 1
 fi
 
-echo "fit-smoke: OK (selection == golden, progress stream well-formed)"
+echo "fit-smoke: OK (selections == goldens, progress stream well-formed)"
