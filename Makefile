@@ -91,7 +91,7 @@ contracts:
 	$(CONTRACT) 'TestVectorizedAndPairwiseSelectSamePartition' ./internal/core
 # Assert CV fast path is bit-identical to the reference path.
 	$(CONTRACT) 'TestFoldPlanMatchesKFold' ./internal/stats
-	$(CONTRACT) 'TestFastPathMatchesReference' ./internal/mkl
+	$(CONTRACT) 'TestFastPathMatchesReference|TestCVRidgePairsMatchSequentialFolds' ./internal/mkl
 # Assert model artifacts round-trip bit-identically (golden file +
 # learner/combiner/seed matrix).
 	$(CONTRACT) 'TestGoldenArtifactLoadsAndReproducesScores|TestSaveLoadRoundTripIsBitIdentical' ./internal/model
@@ -106,7 +106,7 @@ contracts:
 # Assert cancellation semantics (parsearch + search partial results, no
 # leaked goroutines).
 	$(CONTRACT) 'TestRunContextCancellation|TestDoContextCancellation' ./internal/parsearch -race
-	$(CONTRACT) 'TestSearchCancellationReturnsPartialResult' ./internal/mkl -race
+	$(CONTRACT) 'TestSearchCancellationReturnsPartialResult|TestScoreCancelledMidEvaluation' ./internal/mkl -race
 # Assert search-core contract (strategies x {P=1, P=2, P=8, loopback
 # fleet} bit-identical, sequential evaluation counts, cancellation
 # partials, fault matrix).

@@ -294,11 +294,11 @@ func TestCholesky32SolvesSPDSystem(t *testing.T) {
 			t.Fatalf("residual %d: A·x = %v, want %v", i, s, rhs[i])
 		}
 	}
-	// The strict upper triangle of the factor is zeroed.
+	// The strict upper triangle of the factor holds Lᵀ.
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if l.At(i, j) != 0 {
-				t.Fatalf("upper triangle (%d,%d) = %v, want 0", i, j, l.At(i, j))
+			if math.Float32bits(l.At(i, j)) != math.Float32bits(l.At(j, i)) {
+				t.Fatalf("upper triangle (%d,%d) = %v, want Lᵀ entry %v", i, j, l.At(i, j), l.At(j, i))
 			}
 		}
 	}

@@ -12,9 +12,10 @@
 //   - The gram matrix passed to TrainScratch is read-only: TrainScratch
 //     never writes to it (regularization is applied to a scratch gather).
 //
-// Exactness contract: RidgeScratch.Solve is the single ridge
-// gather → regularize → factor → fallback → solve routine, generic over
-// the storage width (see FitRidge). SVM.TrainScratch and
+// Exactness contract: RidgeScratch.factor is the single ridge
+// gather → regularize → factor → fallback routine, generic over the
+// storage width, and linalg.SolveCholeskyPairInto the single solve behind
+// Solve, FitRidge and SolveRidgePair (see FitRidge). SVM.TrainScratch and
 // Perceptron.TrainScratch are the single SMO and perceptron loops — each
 // Train delegates to its TrainScratch with a private Scratch — so the two
 // entry points are bit-identical by construction.
@@ -50,14 +51,15 @@ type Scratch struct {
 }
 
 // RidgeScratch holds the buffers of one ridge system at storage width T —
-// the regularized matrix, its Cholesky factor, the right-hand side, the
-// coefficients, and the identity indices of whole-matrix solves. The zero
-// value is ready; it belongs to one goroutine and its buffers are
-// capacity-reused across solves.
+// the factor buffer, which takes the regularized matrix's lower triangle
+// and is factored in place, the right-hand side, the coefficients, and the
+// identity indices of whole-matrix solves. The zero value is ready; it
+// belongs to one goroutine and its buffers are capacity-reused across
+// solves.
 type RidgeScratch[T linalg.Float] struct {
-	kreg, chol *linalg.Dense[T]
-	rhs, coef  []T
-	all        []int
+	chol      *linalg.Dense[T]
+	rhs, coef []T
+	all       []int
 }
 
 // vec returns buf resized to n, reusing capacity. Contents are unspecified.
@@ -93,12 +95,26 @@ func (r Ridge) TrainScratch(gram *linalg.Matrix, y []int, s *Scratch) (*DualMode
 
 // FitRidge fits the dual ridge coefficients of labels y on the training
 // Gram gram[idx][idx] (all of gram when idx is nil) at gram's storage
-// width: RidgeScratch.Solve against y with r's λ, scaled by the
-// training-set size len(y). gram is read-only; the coefficients alias s
-// and are valid until its next use.
+// width: Prepare, then SolveRidgePair on this one system — the ridge of
+// r's λ scaled by the training-set size len(y). gram is read-only; the
+// coefficients alias s and are valid until its next use.
 //
 //iotml:hotpath
 func FitRidge[T linalg.Float](r Ridge, gram *linalg.Dense[T], idx []int, y []int, s *RidgeScratch[T]) ([]T, error) {
+	if err := s.Prepare(r, gram, idx, y); err != nil {
+		return nil, err
+	}
+	beta, _ := SolveRidgePair(s, nil)
+	return beta, nil
+}
+
+// Prepare is FitRidge up to the solve: it loads labels y as the
+// right-hand side and factors the regularized system of gram[idx][idx]
+// (factor), so that SolveRidgePair can solve it, alone or alongside a
+// second prepared system.
+//
+//iotml:hotpath
+func (s *RidgeScratch[T]) Prepare(r Ridge, gram *linalg.Dense[T], idx []int, y []int) error {
 	n := len(y)
 	if cap(s.rhs) < n {
 		s.rhs = make([]T, n)
@@ -107,21 +123,49 @@ func FitRidge[T linalg.Float](r Ridge, gram *linalg.Dense[T], idx []int, y []int
 	for i, v := range y {
 		s.rhs[i] = T(v)
 	}
-	return s.Solve(r, gram, idx, s.rhs, n)
+	return s.factor(r, gram, idx, n)
+}
+
+// SolveRidgePair solves the systems s0 and s1 prepared by Prepare as one
+// linalg.SolveCholeskyPairInto, their backward substitutions interleaved,
+// and returns each one's coefficients, bit for bit FitRidge's; they alias
+// their scratch until its next use. s1 may be nil, which solves s0 alone.
+//
+//iotml:hotpath
+func SolveRidgePair[T linalg.Float](s0, s1 *RidgeScratch[T]) (beta0, beta1 []T) {
+	if s1 == nil {
+		s0.coef = linalg.SolveCholeskyInto(s0.coef, s0.chol, s0.rhs)
+		return s0.coef, nil
+	}
+	s0.coef, s1.coef = linalg.SolveCholeskyPairInto(s0.coef, s0.chol, s0.rhs, s1.coef, s1.chol, s1.rhs)
+	return s0.coef, s1.coef
 }
 
 // Solve solves (A + λ·n/10·I)·β = rhs for A = a[idx][idx] (all of a when
-// idx is nil), with r's λ (default 1e-2), and, when that Cholesky pivot
-// fails, retries with the heavier ridge 1 + λ·n before giving up — the
-// regularization schedule of every ridge fit in the repository, dual
-// (A = K, n training points) or primal (A = FᵀF). Each attempt gathers
-// A's lower triangle, the only half linalg.CholeskyInto reads, straight
-// from a into scratch (linalg.GatherLowerInto) and adds the ridge,
-// rounded once to T, to its diagonal. a and rhs are read-only; β aliases
-// s until its next use.
+// idx is nil) under factor's regularization schedule. a and rhs are
+// read-only; β aliases s until its next use.
 //
 //iotml:hotpath
 func (s *RidgeScratch[T]) Solve(r Ridge, a *linalg.Dense[T], idx []int, rhs []T, n int) ([]T, error) {
+	if err := s.factor(r, a, idx, n); err != nil {
+		return nil, err
+	}
+	s.coef = linalg.SolveCholeskyInto(s.coef, s.chol, rhs)
+	return s.coef, nil
+}
+
+// factor factors A + λ·n/10·I for A = a[idx][idx] (all of a when idx is
+// nil), with r's λ (default 1e-2), and, when that Cholesky pivot fails,
+// retries with the heavier ridge 1 + λ·n before giving up — the
+// regularization schedule of every ridge fit in the repository, dual
+// (A = K, n training points) or primal (A = FᵀF). Each attempt gathers
+// A's lower triangle, the only half linalg.CholeskyInto reads, straight
+// from a into the factor buffer (linalg.GatherLowerInto), adds the ridge,
+// rounded once to T, to its diagonal, and factors it there in place; the
+// fallback gathers again, since the failed attempt overwrote it.
+//
+//iotml:hotpath
+func (s *RidgeScratch[T]) factor(r Ridge, a *linalg.Dense[T], idx []int, n int) error {
 	lambda := r.lambda()
 	if idx == nil {
 		if len(s.all) < a.Rows {
@@ -132,21 +176,17 @@ func (s *RidgeScratch[T]) Solve(r Ridge, a *linalg.Dense[T], idx []int, rhs []T,
 		}
 		idx = s.all[:a.Rows]
 	}
-	if s.chol == nil {
-		s.chol = linalg.NewDense[T](len(idx), len(idx))
-	}
-	s.kreg = linalg.GatherLowerInto(s.kreg, a, idx)
-	s.kreg.AddScaledDiag(lambda * float64(n) / 10)
-	if err := linalg.CholeskyInto(s.chol, s.kreg); err != nil {
-		s.kreg = linalg.GatherLowerInto(s.kreg, a, idx)
-		s.kreg.AddScaledDiag(1 + lambda*float64(n))
-		if err := linalg.CholeskyInto(s.chol, s.kreg); err != nil {
+	s.chol = linalg.GatherLowerInto(s.chol, a, idx)
+	s.chol.AddScaledDiag(lambda * float64(n) / 10)
+	if err := linalg.CholeskyInto(s.chol, s.chol); err != nil {
+		s.chol = linalg.GatherLowerInto(s.chol, a, idx)
+		s.chol.AddScaledDiag(1 + lambda*float64(n))
+		if err := linalg.CholeskyInto(s.chol, s.chol); err != nil {
 			//iotml:allow hotpathalloc -- cold double-failure path; formatting happens only when the solve is already abandoned
-			return nil, fmt.Errorf("kernelmachine: ridge solve failed: %w", err)
+			return fmt.Errorf("kernelmachine: ridge solve failed: %w", err)
 		}
 	}
-	s.coef = linalg.SolveCholeskyInto(s.coef, s.chol, rhs)
-	return s.coef, nil
+	return nil
 }
 
 // TrainScratch implements ScratchTrainer: simplified SMO with the standard

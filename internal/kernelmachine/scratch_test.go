@@ -224,3 +224,101 @@ func TestScratchModelAliasing(t *testing.T) {
 		t.Fatal("expected different solutions for different lambdas (sanity)")
 	}
 }
+
+// TestSolveRidgePairMatchesFitRidge: two systems prepared in their own
+// scratch and solved as a pair give each one's FitRidge coefficients bit
+// for bit, at both widths, for CV-fold-like training sets of equal orders
+// and of orders that differ by one, either one first, over recycled
+// scratch. Row 5 is decoupled from the others and its Gram diagonal is
+// negative, so the first ridge of every set that trains on it fails and
+// the heavier 1 + λ·n one solves it, from a fresh gather of the system the
+// failed factor overwrote; at a diagonal no ridge rescues,
+// Prepare fails where FitRidge does.
+func TestSolveRidgePairMatchesFitRidge(t *testing.T) {
+	gram, y := scratchWorkload(41, 9)
+	for j := 0; j < gram.Cols; j++ {
+		gram.Set(5, j, 0)
+		gram.Set(j, 5, 0)
+	}
+	gram.Set(5, 5, -1)
+	span := func(lo, hi int) []int {
+		idx := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	withRow5, wide, narrow := span(0, 20), span(20, 41), span(21, 41)
+	labels := func(idx []int) []int {
+		out := make([]int, len(idx))
+		for i, a := range idx {
+			out[i] = y[a]
+		}
+		return out
+	}
+	r := Ridge{}
+	sys := linalg.GatherLowerInto(nil, gram, withRow5)
+	sys.AddScaledDiag(r.lambda() * float64(len(withRow5)) / 10)
+	if linalg.CholeskyInto(sys, sys) == nil {
+		t.Fatal("premise: the first ridge of row 5's training set factors")
+	}
+	// The fallback's coefficients are the heavier ridge's, solved from a
+	// fresh gather.
+	heavy := linalg.GatherInto(nil, gram, withRow5, withRow5)
+	heavy.AddScaledDiag(1 + r.lambda()*float64(len(withRow5)))
+	if err := linalg.CholeskyInto(heavy, heavy); err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, len(withRow5))
+	for i, v := range labels(withRow5) {
+		rhs[i] = float64(v)
+	}
+	wantHeavy := linalg.SolveCholeskyInto(nil, heavy, rhs)
+	gotHeavy, err := FitRidge(r, gram, withRow5, labels(withRow5), &RidgeScratch[float64]{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotHeavy, wantHeavy) {
+		t.Fatal("the fallback's coefficients are not the heavier ridge's")
+	}
+	gram32 := linalg.Convert[float32](nil, gram)
+	var pair64 [2]RidgeScratch[float64]
+	var pair32 [2]RidgeScratch[float32]
+	for _, sets := range [][2][]int{{withRow5, wide}, {wide, withRow5}, {withRow5, narrow}, {narrow, wide}, {wide, narrow}} {
+		for i, idx := range sets {
+			if err := pair64[i].Prepare(r, gram, idx, labels(idx)); err != nil {
+				t.Fatal(err)
+			}
+			if err := pair32[i].Prepare(r, gram32, idx, labels(idx)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got64 [2][]float64
+		var got32 [2][]float32
+		got64[0], got64[1] = SolveRidgePair(&pair64[0], &pair64[1])
+		got32[0], got32[1] = SolveRidgePair(&pair32[0], &pair32[1])
+		for i, idx := range sets {
+			want, err := FitRidge(r, gram, idx, labels(idx), &RidgeScratch[float64]{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want32, err := FitRidge(r, gram32, idx, labels(idx), &RidgeScratch[float32]{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if math.Float64bits(got64[i][k]) != math.Float64bits(want[k]) || math.Float32bits(got32[i][k]) != math.Float32bits(want32[k]) {
+					t.Fatalf("orders %d,%d system %d: coefficient %d = %v / %v, FitRidge %v / %v",
+						len(sets[0]), len(sets[1]), i, k, got64[i][k], got32[i][k], want[k], want32[k])
+				}
+			}
+		}
+	}
+	gram.Set(5, 5, -100)
+	if err := pair64[0].Prepare(r, gram, withRow5, labels(withRow5)); err == nil {
+		t.Fatal("Prepare succeeded on a system no ridge rescues")
+	}
+	if _, err := FitRidge(r, gram, withRow5, labels(withRow5), &RidgeScratch[float64]{}); err == nil {
+		t.Fatal("FitRidge succeeded on a system no ridge rescues")
+	}
+}

@@ -61,3 +61,38 @@ func benchCholesky[T Float](b *testing.B, a *Dense[T]) {
 		}
 	}
 }
+
+func BenchmarkSolveCholeskyPair_F64_90(b *testing.B) { benchSolvePair(b, cholBenchSmallN) }
+
+func BenchmarkSolveCholeskyPair_F64_450(b *testing.B) { benchSolvePair(b, cholBenchN) }
+
+// benchSolvePair times two CV folds' solves of order n: "pair" runs them
+// as one SolveCholeskyPairInto, "sequential" as two SolveCholeskyInto
+// calls, the same arithmetic one chain at a time.
+func benchSolvePair(b *testing.B, n int) {
+	var l [2]*Matrix
+	var rhs, x [2]Vector
+	for i := range l {
+		l[i] = NewMatrix(n, n)
+		a := cholBenchMatrix(n)
+		a.AddScaledDiag(float64(i))
+		if err := CholeskyInto(l[i], a); err != nil {
+			b.Fatal(err)
+		}
+		rhs[i] = Vector(randMatrix(1, n, rand.New(rand.NewSource(int64(i)))).Data)
+		x[i] = NewVector(n)
+	}
+	b.Run("pair", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			x[0], x[1] = SolveCholeskyPairInto(x[0], l[0], rhs[0], x[1], l[1], rhs[1])
+		}
+	})
+	b.Run("sequential", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			x[0] = SolveCholeskyInto(x[0], l[0], rhs[0])
+			x[1] = SolveCholeskyInto(x[1], l[1], rhs[1])
+		}
+	})
+}

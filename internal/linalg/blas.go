@@ -11,17 +11,20 @@
 // GatherLowerInto, AccumulateScaled, AccumulateProduct, MirrorUpper,
 // SyrkInto, RowSquaredNorms, PairwiseSquaredDistancesUpperInto, FromRowsCols,
 // and (in linalg.go) ReshapePacked, UnpackInto, CholeskyInto,
-// SolveCholeskyInto and MulVecInto — are
+// SolveCholeskyInto, SolveCholeskyPairInto and MulVecInto — are
 // written once, generic over Float: the float64 instantiation is the exact
 // reference, the float32 instantiation the f32 backend's arithmetic.
 //
 // Determinism contract, at both widths: every sum accumulates in float64
 // and each result is rounded to the storage type once, at its store.
 // A register-tiled or lane-parallel kernel (CholeskyInto on either SIMD
-// tier, SolveCholeskyInto's forward substitution, MulVecInto,
+// tier, SolveCholeskyInto's forward substitution, SolveCholeskyPairInto's
+// two interleaved backward substitutions, MulVecInto,
 // PairwiseSquaredDistancesUpperInto, SyrkTInto's AVX2 row update, the AVX2
 // accumulate kernels) interleaves outputs but never reorders the terms
-// within an output. Inner products accumulate
+// within an output. The Cholesky factor keeps L in its lower triangle and
+// Lᵀ in its strict upper one, so a factor's rows serve both
+// substitutions. Inner products accumulate
 // left-to-right in feature order — exactly the order a scalar per-pair
 // kernel evaluation uses — so at float64 SyrkInto and GemmNTInto are
 // bit-identical to pairwise dot products, and at float32 each entry is the
@@ -72,30 +75,41 @@ func GatherInto[T Float](dst, src *Dense[T], rows, cols []int) *Dense[T] {
 	nc := len(cols)
 	dst = Reshape(dst, len(rows), nc)
 	for i, r := range rows {
-		srcRow := src.Data[r*src.Cols : (r+1)*src.Cols]
-		dstRow := dst.Data[i*nc : (i+1)*nc]
-		for j, c := range cols {
-			dstRow[j] = srcRow[c]
-		}
+		gatherRow(dst.Data[i*nc:(i+1)*nc], src.Data[r*src.Cols:(r+1)*src.Cols], cols)
 	}
 	return dst
 }
 
+// gatherRow sets dst[j] = src[cols[j]] for every j < len(dst), four
+// entries per step: one entry per step spent most of its time on the loop
+// itself.
+//
+//iotml:hotpath
+func gatherRow[T Float](dst, src []T, cols []int) {
+	cols = cols[:len(dst)]
+	j := 0
+	for ; j+4 <= len(cols); j += 4 {
+		c := cols[j : j+4 : j+4]
+		d := dst[j : j+4 : j+4]
+		d[0], d[1], d[2], d[3] = src[c[0]], src[c[1]], src[c[2]], src[c[3]]
+	}
+	for ; j < len(cols); j++ {
+		dst[j] = src[cols[j]]
+	}
+}
+
 // GatherLowerInto is GatherInto(dst, src, idx, idx) restricted to the
 // lower triangle, diagonal included; dst's strict upper triangle keeps
-// whatever it held. It moves a fold's ridge system into CholeskyInto,
-// which reads only that triangle.
+// whatever it held. It moves a fold's ridge system into its factor
+// buffer, which CholeskyInto, reading only that triangle, then factors in
+// place.
 //
 //iotml:hotpath
 func GatherLowerInto[T Float](dst, src *Dense[T], idx []int) *Dense[T] {
 	m := len(idx)
 	dst = Reshape(dst, m, m)
 	for i, r := range idx {
-		srcRow := src.Data[r*src.Cols : (r+1)*src.Cols]
-		dstRow := dst.Data[i*m : i*m+i+1]
-		for j, c := range idx[:i+1] {
-			dstRow[j] = srcRow[c]
-		}
+		gatherRow(dst.Data[i*m:i*m+i+1], src.Data[r*src.Cols:(r+1)*src.Cols], idx)
 	}
 	return dst
 }

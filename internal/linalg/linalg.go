@@ -12,7 +12,8 @@
 // Matrices are Dense[T] over T ∈ Float (float32 | float64); Matrix is the
 // float64 instantiation. A symmetric Gram block is Packed[T], its upper
 // triangle alone. The kernels both numeric widths run — the blas.go
-// set plus CholeskyInto, SolveCholeskyInto and MulVecInto — are written
+// set plus CholeskyInto, SolveCholeskyInto, SolveCholeskyPairInto and
+// MulVecInto — are written
 // once, generic over T, and the determinism contract in blas.go covers
 // both widths.
 //
@@ -29,9 +30,11 @@
 // along a reduction. Each lane replays one entry's scalar sequence — a
 // float64 accumulator, ascending k, a multiply then a separate subtract or
 // add (never a fused multiply-add), one store. The Cholesky lanes hold
-// four or eight columns of one row and read the finished columns from a
-// transposed copy kept in place, in the factor's own strict upper
-// triangle, which is cleared before CholeskyInto returns. The Go loops are
+// four or eight columns of one row and read the finished columns from
+// Lᵀ. Every path keeps Lᵀ in the factor's own strict upper triangle, the
+// factor's one storage convention, and the backward substitution of
+// SolveCholeskyInto and SolveCholeskyPairInto reads its rows; the pair
+// runs two systems' substitution chains interleaved. The Go loops are
 // the reference and the fallback: they run at float32, off amd64, on hosts
 // without AVX2, and in builds with the purego tag.
 //
@@ -310,11 +313,16 @@ func (m *Dense[T]) AddScaledDiag(a float64) {
 
 // CholeskyInto factors A = L Lᵀ into the caller-owned matrix l (non-nil),
 // which is resized via Reshape (so hot paths reuse one factor buffer across
-// many solves of alternating sizes). The written factor — lower triangle,
-// diagonal, and zeroed strict upper triangle — does not depend on what l
-// held before. l must not alias a. It returns ErrSingular if a
-// pivot falls below the tolerance of T's precision (see pivotTol); l's
-// contents are unspecified after an error.
+// many solves of alternating sizes). The factor has one storage
+// convention: L in the lower triangle and diagonal, and Lᵀ in the strict
+// upper triangle (l[i][j] = L[j][i] for i < j), so the backward
+// substitution of SolveCholeskyInto reads rows. Every entry is written,
+// so the factor does not depend on what l held before. CholeskyInto reads
+// only a's lower triangle and diagonal, and reads each entry before its
+// own position in l is written, so l may be a itself: the factor then
+// overwrites its input in place. It returns ErrSingular if a pivot falls
+// below the tolerance of T's precision (see pivotTol); l's contents are
+// unspecified after an error.
 //
 // At float64 on an AVX2 host (amd64, not built with the purego tag) the
 // factor is computed by choleskyLanes, eight columns per sweep on an
@@ -340,7 +348,9 @@ func CholeskyInto[T Float](l, a *Dense[T]) error {
 
 // choleskyColumns factors columns from..n-1 of the order-n matrix ad into
 // ld, given the finished columns 0..from-1 (CholeskyInto passes from = 0),
-// and clears the strict upper triangle of rows from..n-1.
+// and writes each column's entries below the pivot twice: as L down the
+// column and as Lᵀ along the pivot's row. ld may be ad: column j reads
+// only ad's entries (i, j), i >= j, each before its own store.
 //
 // Below each pivot the column is register-tiled: one sweep over k updates
 // four rows at once. Every subtraction accumulates in float64 over
@@ -359,6 +369,8 @@ func choleskyColumns[T Float](ld, ad []T, n, from int) error {
 		}
 		ld[j*n+j] = T(math.Sqrt(d))
 		piv := float64(ld[j*n+j])
+		// upper is row j right of the pivot, where Lᵀ goes.
+		upper := ld[j*n : (j+1)*n]
 		// Rows below the pivot in groups of four, one float64 accumulator
 		// each; reslicing to len(rowJ) lets the compiler drop the inner
 		// loop's bounds checks.
@@ -379,10 +391,9 @@ func choleskyColumns[T Float](ld, ad []T, n, from int) error {
 				s2 -= float64(r2[k]) * vk
 				s3 -= float64(r3[k]) * vk
 			}
-			ld[i*n+j] = T(s0 / piv)
-			ld[(i+1)*n+j] = T(s1 / piv)
-			ld[(i+2)*n+j] = T(s2 / piv)
-			ld[(i+3)*n+j] = T(s3 / piv)
+			u := upper[i : i+4 : i+4]
+			u[0], u[1], u[2], u[3] = T(s0/piv), T(s1/piv), T(s2/piv), T(s3/piv)
+			ld[i*n+j], ld[(i+1)*n+j], ld[(i+2)*n+j], ld[(i+3)*n+j] = u[0], u[1], u[2], u[3]
 		}
 		// The rows left over, one at a time.
 		for ; i < n; i++ {
@@ -390,11 +401,9 @@ func choleskyColumns[T Float](ld, ad []T, n, from int) error {
 			for k, v := range ld[i*n:][:len(rowJ)] {
 				s -= float64(v) * float64(rowJ[k])
 			}
-			ld[i*n+j] = T(s / piv)
+			upper[i] = T(s / piv)
+			ld[i*n+j] = upper[i]
 		}
-		// Clear the strict upper triangle of this row so a recycled buffer
-		// carries no stale entries and the factor equals Cholesky's output.
-		clear(ld[j*n+j+1 : (j+1)*n])
 	}
 	return nil
 }
@@ -408,17 +417,20 @@ func choleskyColumns[T Float](ld, ad []T, n, from int) error {
 //     the lanes of one register per row;
 //   - the diagonal block is finished here in scalar: the terms
 //     k = j0..c-1 in ascending order, the pivot test and square root, the
-//     division;
+//     division, and the block's own Lᵀ entries;
 //   - the panel kernel does the same for every row below, several rows
 //     per sweep over k, then finishes w rows at a time in column lanes:
 //     each column's within-block terms in ascending order, then its one
 //     division, in the column loop's order for every entry.
 //
-// The lane operand L[j0..j0+w-1][k] is a row of the transposed copy of
-// the finished columns, which the panels write into the factor's own
-// strict upper triangle (ld[k*n+i] = L[i][k]) and which is cleared at the
-// end, so nothing is allocated and the two widths mix freely. The last
-// n mod 4 columns go through choleskyColumns.
+// The lane operand L[j0..j0+w-1][k] is a row of Lᵀ, which the panels
+// write into the factor's own strict upper triangle (ld[k*n+i] = L[i][k])
+// as the factor's storage convention has it, so nothing is allocated and
+// the two widths mix freely. The last n mod 4 columns go through
+// choleskyColumns. ld may be ad: the kernels read ad's lower triangle
+// only, except for lanes they drop (the tile's upper entries, which the
+// scalar finish overwrites, and a short panel's last window, whose rows
+// above the panel are loaded and not stored).
 func choleskyLanes(ld, ad []float64, n int) error {
 	tol := pivotTol[float64]()
 	j0 := 0
@@ -444,6 +456,7 @@ func choleskyLanes(ld, ad []float64, n int) error {
 						s -= ld[i*n+k] * ld[c*n+k]
 					}
 					ld[i*n+c] = s / piv
+					ld[c*n+i] = ld[i*n+c]
 				}
 			}
 			if j0+t.w < n {
@@ -451,13 +464,7 @@ func choleskyLanes(ld, ad []float64, n int) error {
 			}
 		}
 	}
-	if err := choleskyColumns(ld, ad, n, j0); err != nil {
-		return err
-	}
-	for k := 0; k < j0; k++ {
-		clear(ld[k*n+k+1 : (k+1)*n])
-	}
-	return nil
+	return choleskyColumns(ld, ad, n, j0)
 }
 
 // laneTiers are choleskyLanes' column-block kernels, widest first.
@@ -490,46 +497,66 @@ func pivotTol[T Float]() float64 {
 	return 1e-14
 }
 
-// SolveCholeskyInto solves A x = b given the Cholesky factor L of A,
-// writing the solution into dst (reused when its capacity suffices,
-// reallocated otherwise) and returning it. Sums accumulate in float64 over
-// ascending k and each solution entry is rounded to T once; the forward
-// substitution is register-tiled, four rows per sweep. The backward
-// substitution stays one entry at a time: x[i] reads L[k][i] down a column
-// and its first term needs x[i+1], the entry just finished. The
-// substitutions run in place over one buffer in an order that never reads
-// an overwritten entry, so the result does not depend on dst's prior
-// contents. dst must not alias b.
+// SolveCholeskyInto solves A x = b given A's factor l as CholeskyInto
+// writes it, into dst (reused when its capacity suffices, reallocated
+// otherwise), and returns the solution. It is SolveCholeskyPairInto's
+// one-system case. dst must not alias b.
 //
 //iotml:hotpath
 func SolveCholeskyInto[T Float](dst []T, l *Dense[T], b []T) []T {
+	dst, _ = SolveCholeskyPairInto(dst, l, b, nil, nil, nil)
+	return dst
+}
+
+// SolveCholeskyPairInto solves two factored systems, A₀ x₀ = b₀ and
+// A₁ x₁ = b₁, given their factors l0 and l1 as CholeskyInto writes them,
+// into dst0 and dst1 (each reused when its capacity suffices), and returns
+// both solutions. l1 may be nil: then only the first system is solved and
+// dst1 is returned as given. The orders may differ. Sums accumulate in
+// float64 over ascending k and each solution entry is rounded to T once,
+// so each system's solution is the scalar substitution loops', bit for
+// bit, whatever it is paired with. The substitutions run in place over
+// each dst in an order that never reads an overwritten entry, so the
+// result does not depend on dst's prior contents. Neither dst may alias
+// a b.
+//
+// The forward substitutions run one system after the other, register-
+// tiled four rows per sweep. The backward substitutions run together:
+// x[i]'s sum reads row i of Lᵀ, contiguous, and its first term needs
+// x[i+1], the entry finished just before, so one system's entries form
+// one latency chain, and pairing two systems runs two chains at once
+// (backSubstitutePair).
+//
+//iotml:hotpath
+func SolveCholeskyPairInto[T Float](dst0 []T, l0 *Dense[T], b0 []T, dst1 []T, l1 *Dense[T], b1 []T) ([]T, []T) {
+	dst0 = forwardSubstituteInto(dst0, l0, b0)
+	var ld1 []T
+	n1 := 0
+	if l1 != nil {
+		dst1 = forwardSubstituteInto(dst1, l1, b1)
+		ld1, n1 = l1.Data, l1.Rows
+	}
+	backSubstitutePair(dst0, l0.Data, l0.Rows, dst1, ld1, n1)
+	return dst0, dst1
+}
+
+// forwardSubstituteInto solves L y = b into dst (reused when its capacity
+// suffices) and returns y: four rows per sweep over the finished y[k],
+// k < i, one float64 accumulator each, then the rows finish their
+// within-tile terms in order.
+//
+//iotml:hotpath
+func forwardSubstituteInto[T Float](dst []T, l *Dense[T], b []T) []T {
 	n := l.Rows
 	if cap(dst) < n {
 		dst = make([]T, n)
 	}
 	dst = dst[:n]
 	ld := l.Data
-	// Forward substitution, dst holding y: four rows per sweep over the
-	// finished y[k], k < i, one float64 accumulator each, then the rows
-	// finish their within-tile terms in order.
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y := dst[:i]
-		r0 := ld[i*n:][:len(y)]
-		r1 := ld[(i+1)*n:][:len(y)]
-		r2 := ld[(i+2)*n:][:len(y)]
-		r3 := ld[(i+3)*n:][:len(y)]
-		s0 := float64(b[i])
-		s1 := float64(b[i+1])
-		s2 := float64(b[i+2])
-		s3 := float64(b[i+3])
-		for k, v := range y {
-			yk := float64(v)
-			s0 -= float64(r0[k]) * yk
-			s1 -= float64(r1[k]) * yk
-			s2 -= float64(r2[k]) * yk
-			s3 -= float64(r3[k]) * yk
-		}
+		s0, s1, s2, s3 := sweep4(dst[:i], ld[i*n:], ld[(i+1)*n:], ld[(i+2)*n:], ld[(i+3)*n:],
+			float64(b[i]), float64(b[i+1]), float64(b[i+2]), float64(b[i+3]))
 		t := ld[i*n+i:]
 		y0 := float64(T(s0 / float64(t[0])))
 		s1 -= float64(t[n]) * y0
@@ -550,16 +577,64 @@ func SolveCholeskyInto[T Float](dst []T, l *Dense[T], b []T) []T {
 		}
 		dst[i] = T(s / float64(ld[i*n+i]))
 	}
-	// Backward substitution in place: position i still holds y[i] when it is
-	// read, positions above i already hold x.
-	for i := n - 1; i >= 0; i-- {
-		s := float64(dst[i])
-		for k := i + 1; k < n; k++ {
-			s -= float64(ld[k*n+i]) * float64(dst[k])
-		}
-		dst[i] = T(s / float64(ld[i*n+i]))
-	}
 	return dst
+}
+
+// sweep4 subtracts Σ_k r_m[k]·y[k], over ascending k < len(y), from the
+// accumulator s_m of each of four rows r0..r3 and returns the four. It is
+// kept out of line: inlined into forwardSubstituteInto, the loop ran out
+// of registers and kept its counter on the stack.
+//
+//iotml:hotpath
+//go:noinline
+func sweep4[T Float](y, r0, r1, r2, r3 []T, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	r0, r1, r2, r3 = r0[:len(y)], r1[:len(y)], r2[:len(y)], r3[:len(y)]
+	for k, v := range y {
+		yk := float64(v)
+		s0 -= float64(r0[k]) * yk
+		s1 -= float64(r1[k]) * yk
+		s2 -= float64(r2[k]) * yk
+		s3 -= float64(r3[k]) * yk
+	}
+	return s0, s1, s2, s3
+}
+
+// backSubstitutePair solves Lᵀ x = y in place for two systems: x0 and x1
+// hold y on entry and x on return, and ld0, ld1 are factors of orders n0
+// and n1 (n1 may be 0) in CholeskyInto's storage. Position i still holds
+// y[i] when it is read, positions above i already hold x. The systems'
+// rows are aligned from the end: step t finishes entry n0-1-t of one and
+// n1-1-t of the other, both sums of t terms, their chains interleaved;
+// the larger system's first |n0-n1| entries then finish alone.
+//
+//iotml:hotpath
+func backSubstitutePair[T Float](x0, ld0 []T, n0 int, x1, ld1 []T, n1 int) {
+	if n0 < n1 {
+		x0, ld0, n0, x1, ld1, n1 = x1, ld1, n1, x0, ld0, n0
+	}
+	for t := 0; t < n1; t++ {
+		i0, i1 := n0-1-t, n1-1-t
+		u0 := ld0[i0*n0+i0+1 : (i0+1)*n0]
+		u1 := ld1[i1*n1+i1+1:][:len(u0)]
+		v0 := x0[i0+1:][:len(u0)]
+		v1 := x1[i1+1:][:len(u0)]
+		s0, s1 := float64(x0[i0]), float64(x1[i1])
+		for k, u := range u0 {
+			s0 -= float64(u) * float64(v0[k])
+			s1 -= float64(u1[k]) * float64(v1[k])
+		}
+		x0[i0] = T(s0 / float64(ld0[i0*n0+i0]))
+		x1[i1] = T(s1 / float64(ld1[i1*n1+i1]))
+	}
+	for i := n0 - 1 - n1; i >= 0; i-- {
+		u := ld0[i*n0+i+1 : (i+1)*n0]
+		v := x0[i+1:][:len(u)]
+		s := float64(x0[i])
+		for k, a := range u {
+			s -= float64(a) * float64(v[k])
+		}
+		x0[i] = T(s / float64(ld0[i*n0+i]))
+	}
 }
 
 // PowerIteration returns the dominant eigenvalue and unit eigenvector of a

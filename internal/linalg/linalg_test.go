@@ -75,8 +75,19 @@ func TestCholeskyAndSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Check L Lᵀ = A.
-	rec := l.Mul(l.T())
+	// The factor holds L in its lower triangle and diagonal and Lᵀ in its
+	// strict upper triangle. Check that, and L Lᵀ = A.
+	lower := NewMatrix(3, 3)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			if j <= i {
+				lower.Set(i, j, l.At(i, j))
+			} else if l.At(i, j) != l.At(j, i) {
+				t.Errorf("factor[%d][%d] = %v, want Lᵀ entry %v", i, j, l.At(i, j), l.At(j, i))
+			}
+		}
+	}
+	rec := lower.Mul(lower.T())
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if !almostEqual(rec.At(i, j), a.At(i, j), 1e-9) {

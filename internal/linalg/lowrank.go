@@ -21,7 +21,9 @@ import "math"
 //
 // Row i of F solves L·fᵢ = cᵢ by forward substitution, so at full rank
 // (landmarks = all points, C = W = K) the reconstruction error of F·Fᵀ is
-// bounded by the jitter alone. W is read-only; ErrSingular is returned when
+// bounded by the jitter alone. W is read-only: W + jitter·I is copied into
+// one m×m buffer and factored there in place, and the substitution reads
+// only L, the factor's lower triangle. ErrSingular is returned when
 // W + jitter·I is not positive definite to working precision (duplicate
 // landmark rows — callers escalate the jitter and retry).
 func NystromFactorInto(dst, c, w *Matrix, jitter float64) (*Matrix, error) {
@@ -29,8 +31,7 @@ func NystromFactorInto(dst, c, w *Matrix, jitter float64) (*Matrix, error) {
 	reg := NewMatrix(m, m)
 	copy(reg.Data, w.Data)
 	reg.AddScaledDiag(jitter)
-	l := NewMatrix(m, m)
-	if err := CholeskyInto(l, reg); err != nil {
+	if err := CholeskyInto(reg, reg); err != nil {
 		return dst, err
 	}
 	n := c.Rows
@@ -40,7 +41,7 @@ func NystromFactorInto(dst, c, w *Matrix, jitter float64) (*Matrix, error) {
 		fi := dst.Data[i*m : (i+1)*m]
 		for j := 0; j < m; j++ {
 			s := ci[j]
-			rowJ := l.Data[j*m : (j+1)*m]
+			rowJ := reg.Data[j*m : (j+1)*m]
 			for k, v := range fi[:j] {
 				s -= rowJ[k] * v
 			}

@@ -157,6 +157,20 @@ func refSolveCholeskyInto[T Float](l *Dense[T], b []T) []T {
 	return x
 }
 
+// refFactorStorage writes Lᵀ over the strict upper triangle of a
+// reference factor, which refCholesky and refCholeskyInto leave zero, and
+// returns it: the storage CholeskyInto writes, L in the lower triangle
+// and diagonal and Lᵀ in the strict upper triangle.
+func refFactorStorage[T Float](l *Dense[T]) *Dense[T] {
+	n := l.Rows
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			l.Data[i*n+j] = l.Data[j*n+i]
+		}
+	}
+	return l
+}
+
 // refSyrkT is SyrkTInto's row-streaming loop as it stood before the AVX2
 // row update, the reference of both dispatch paths.
 func refSyrkT(x *Matrix) *Matrix {
@@ -459,13 +473,14 @@ func TestAccumulateMatchesScalarReference(t *testing.T) {
 // TestGatherLowerIntoMatchesScalarReference pins the fold system's path
 // into the factor: the lower triangle GatherLowerInto writes over a
 // recycled buffer whose strict upper triangle holds NaN equals the scalar
-// gather's, and CholeskyInto of it equals the reference factor of the
-// full scalar gather, on both dispatch paths and at both widths.
+// gather's, and CholeskyInto of it, in place in that buffer, equals the
+// reference factor of the full scalar gather in the factor's storage, on
+// every dispatch path and at both widths.
 func TestGatherLowerIntoMatchesScalarReference(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
-		var dst, l *Matrix
-		var dst32, l32, ref32 *Dense[float32]
+		var dst *Matrix
+		var dst32, ref32 *Dense[float32]
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 63, 64, 65, 130} {
 			src := refSyrk(randMatrix(n, n+2, rng))
 			src.AddScaledDiag(float64(n))
@@ -486,11 +501,10 @@ func TestGatherLowerIntoMatchesScalarReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reference factor: %v", what, err)
 				}
-				l = Reshape(l, m, m)
-				if err := CholeskyInto(l, dst); err != nil {
+				if err := CholeskyInto(dst, dst); err != nil {
 					t.Fatalf("%s: CholeskyInto: %v", what, err)
 				}
-				sameBits64(t, what+" factor", l.Data, wantL.Data)
+				sameBits64(t, what+" factor", dst.Data, refFactorStorage(wantL).Data)
 
 				dst32 = Reshape(dst32, m, m)
 				for i := range dst32.Data {
@@ -502,13 +516,12 @@ func TestGatherLowerIntoMatchesScalarReference(t *testing.T) {
 				if err := refCholeskyInto(ref32, want32); err != nil {
 					t.Fatalf("%s: f32 reference factor: %v", what, err)
 				}
-				l32 = Reshape(l32, m, m)
-				if err := CholeskyInto(l32, dst32); err != nil {
+				if err := CholeskyInto(dst32, dst32); err != nil {
 					t.Fatalf("%s: f32 CholeskyInto: %v", what, err)
 				}
-				for i, v := range ref32.Data {
-					if math.Float32bits(l32.Data[i]) != math.Float32bits(v) {
-						t.Fatalf("%s f32 factor: entry %d = %v, reference %v", what, i, l32.Data[i], v)
+				for i, v := range refFactorStorage(ref32).Data {
+					if math.Float32bits(dst32.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("%s f32 factor: entry %d = %v, reference %v", what, i, dst32.Data[i], v)
 					}
 				}
 			}
@@ -616,11 +629,13 @@ func testCholeskyIntoMatchesScalarReference(t *testing.T) {
 
 // TestCholeskyIntoUpperNaNMatchesScalarReference pins the precondition
 // the fold ridge solve rests on: CholeskyInto reads only the lower
-// triangle of a (the AVX2 diagonal tile loads the tile's upper entries
-// into lanes it then discards), so a strict upper triangle of NaN changes
-// no bit of the factor or the pivot outcome, on both dispatch paths and
-// at both widths. refCholesky and refCholeskyInto read only the lower
-// triangle too, so cholChecker compares against the clean factor.
+// triangle of a (the SIMD diagonal tiles load the tile's upper entries
+// into lanes the scalar finish then overwrites), so a strict upper
+// triangle of NaN changes no bit of the factor or the pivot outcome, on
+// every dispatch path and at both widths, both into a separate buffer and
+// in place (l == a, the NaN upper triangle becoming Lᵀ). refCholesky and
+// refCholeskyInto read only the lower triangle too, so cholChecker
+// compares against the clean factor.
 func TestCholeskyIntoUpperNaNMatchesScalarReference(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
@@ -641,56 +656,81 @@ func TestCholeskyIntoUpperNaNMatchesScalarReference(t *testing.T) {
 }
 
 // staleEntry is what cholChecker writes into every factor buffer before a
-// factorization: a recycled buffer whose strict upper triangle holds
-// non-zero values, which the factor (and the AVX2 path's transposed copy
-// kept there) must leave cleared.
+// factorization: a recycled buffer whose entries hold other values, every
+// one of which the factor must overwrite.
 const staleEntry = -7.25
 
 // cholChecker holds the factor buffers of the Cholesky property test,
 // reused across orders as the CV folds reuse theirs.
 type cholChecker struct {
-	l          *Matrix
-	l32, ref32 *Dense[float32]
+	l, inPlace            *Matrix
+	l32, inPlace32, ref32 *Dense[float32]
 }
 
 func newCholChecker() *cholChecker {
-	return &cholChecker{l: NewMatrix(0, 0), l32: NewDense[float32](0, 0), ref32: NewDense[float32](0, 0)}
+	return &cholChecker{
+		l: NewMatrix(0, 0), inPlace: NewMatrix(0, 0),
+		l32: NewDense[float32](0, 0), inPlace32: NewDense[float32](0, 0), ref32: NewDense[float32](0, 0),
+	}
 }
 
-// check factors a at both widths and returns the float64 reference's
-// error. At float64 the factor must equal refCholesky's bit for bit; at
-// float32 it must equal refCholeskyInto's (a factor whose entries feed
-// later ones is not the float64 reference rounded once). Either width
-// must fail with ErrSingular exactly when its reference does.
+// check factors a at both widths, into a stale buffer and in place in a
+// copy of a, and returns the float64 reference's error. The factor's
+// storage is L in the lower triangle and diagonal and Lᵀ in the strict
+// upper triangle: at float64 it must equal refCholesky's factor in that
+// storage bit for bit; at float32 refCholeskyInto's (a factor whose
+// entries feed later ones is not the float64 reference rounded once).
+// Either width must fail with ErrSingular exactly when its reference does.
 func (c *cholChecker) check(t *testing.T, what string, a *Matrix) error {
 	t.Helper()
 	want, wantErr := refCholesky(a)
+	if wantErr == nil {
+		refFactorStorage(want)
+	}
 	n := a.Rows
 	*c.l = *Reshape(c.l, n, n)
 	for i := range c.l.Data {
 		c.l.Data[i] = staleEntry
 	}
-	err := CholeskyInto(c.l, a)
-	if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrSingular)) {
-		t.Fatalf("%s: f64 factor returned %v, reference %v", what, err, wantErr)
-	}
-	if err == nil {
-		sameBits64(t, what+" f64", c.l.Data, want.Data)
+	*c.inPlace = *Reshape(c.inPlace, n, n)
+	copy(c.inPlace.Data, a.Data)
+	for _, f := range []struct {
+		name string
+		l    *Matrix
+		a    *Matrix
+	}{{"f64", c.l, a}, {"f64 in place", c.inPlace, c.inPlace}} {
+		err := CholeskyInto(f.l, f.a)
+		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrSingular)) {
+			t.Fatalf("%s: %s factor returned %v, reference %v", what, f.name, err, wantErr)
+		}
+		if err == nil {
+			sameBits64(t, what+" "+f.name, f.l.Data, want.Data)
+		}
 	}
 	a32 := Convert[float32](nil, a)
 	wantErr32 := refCholeskyInto(c.ref32, a32)
+	if wantErr32 == nil {
+		refFactorStorage(c.ref32)
+	}
 	*c.l32 = *Reshape(c.l32, n, n)
 	for i := range c.l32.Data {
 		c.l32.Data[i] = staleEntry
 	}
-	err32 := CholeskyInto(c.l32, a32)
-	if (err32 == nil) != (wantErr32 == nil) || (err32 != nil && !errors.Is(err32, ErrSingular)) {
-		t.Fatalf("%s: f32 factor returned %v, reference %v", what, err32, wantErr32)
-	}
-	if err32 == nil {
-		for i, v := range c.ref32.Data {
-			if math.Float32bits(c.l32.Data[i]) != math.Float32bits(v) {
-				t.Fatalf("%s f32: entry %d = %v, reference %v", what, i, c.l32.Data[i], v)
+	c.inPlace32 = Convert(c.inPlace32, a32)
+	for _, f := range []struct {
+		name string
+		l    *Dense[float32]
+		a    *Dense[float32]
+	}{{"f32", c.l32, a32}, {"f32 in place", c.inPlace32, c.inPlace32}} {
+		err32 := CholeskyInto(f.l, f.a)
+		if (err32 == nil) != (wantErr32 == nil) || (err32 != nil && !errors.Is(err32, ErrSingular)) {
+			t.Fatalf("%s: %s factor returned %v, reference %v", what, f.name, err32, wantErr32)
+		}
+		if err32 == nil {
+			for i, v := range c.ref32.Data {
+				if math.Float32bits(f.l.Data[i]) != math.Float32bits(v) {
+					t.Fatalf("%s %s: entry %d = %v, reference %v", what, f.name, i, f.l.Data[i], v)
+				}
 			}
 		}
 	}
@@ -708,33 +748,81 @@ func tiledRowShapes(rng *rand.Rand) [][2]int {
 	return shapes
 }
 
+// TestSolveCholeskyIntoMatchesScalarReference feeds the solve the
+// reference factor in CholeskyInto's storage (Lᵀ in the strict upper
+// triangle, which the backward substitution reads) and pins its solution
+// to the scalar substitution loops, which read L, at both widths.
 func TestSolveCholeskyIntoMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var dst Vector
 	var dst32 []float32
 	for _, sh := range tiledRowShapes(rng) {
 		n := sh[0]
-		a := refSyrk(randMatrix(n, n, rng))
-		for i := 0; i < n; i++ {
-			a.Data[i*n+i] += 1
-		}
-		l, err := refCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l, l32 := refSolveSystem(n, rng)
 		b := Vector(randMatrix(1, n, rng).Data)
 		dst = SolveCholeskyInto(dst, l, b)
 		sameBits64(t, fmt.Sprintf("n=%d f64", n), dst, refSolveCholesky(l, b))
 		// The float32 solve on the float32 factor of the same system.
-		l32 := NewDense[float32](0, 0)
-		if err := refCholeskyInto(l32, Convert[float32](nil, a)); err != nil {
-			t.Fatal(err)
-		}
 		b32 := Convert[float32](nil, &Matrix{Rows: 1, Cols: n, Data: b}).Data
 		dst32 = SolveCholeskyInto(dst32, l32, b32)
 		for i, v := range refSolveCholeskyInto(l32, b32) {
 			if math.Float32bits(dst32[i]) != math.Float32bits(v) {
 				t.Fatalf("n=%d f32: entry %d = %v, reference %v", n, i, dst32[i], v)
+			}
+		}
+	}
+}
+
+// refSolveSystem returns a random SPD system of order n with its
+// reference factors, at float64 and float32, in CholeskyInto's storage.
+func refSolveSystem(n int, rng *rand.Rand) (l *Matrix, l32 *Dense[float32]) {
+	a := refSyrk(randMatrix(n, n, rng))
+	a.AddScaledDiag(1)
+	l, err := refCholesky(a)
+	if err != nil {
+		panic(err)
+	}
+	l32 = NewDense[float32](0, 0)
+	if err := refCholeskyInto(l32, Convert[float32](nil, a)); err != nil {
+		panic(err)
+	}
+	return refFactorStorage(l), refFactorStorage(l32)
+}
+
+// TestSolveCholeskyPairIntoMatchesScalarReference pins each system of a
+// pair to the scalar substitution loops bit for bit, at both widths: equal
+// orders and orders that differ by one (either system the larger, as CV
+// folds of n/k and n/k+1 rows pair up), over every 4-row tail of the
+// forward substitution after zero to two sweeps, and fold orders of the fit
+// workloads. The solution buffers are recycled and hold stale values.
+func TestSolveCholeskyPairIntoMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var pairs [][2]int
+	for n := 1; n <= 13; n++ {
+		pairs = append(pairs, [2]int{n, n}, [2]int{n, n + 1}, [2]int{n + 1, n})
+	}
+	pairs = append(pairs, [2]int{90, 90}, [2]int{90, 91}, [2]int{150, 149})
+	dst0, dst1 := Vector{staleEntry}, Vector{staleEntry, staleEntry}
+	var dst32a, dst32b []float32
+	for _, p := range pairs {
+		what := fmt.Sprintf("orders %d,%d", p[0], p[1])
+		l0, l320 := refSolveSystem(p[0], rng)
+		l1, l321 := refSolveSystem(p[1], rng)
+		b0 := Vector(randMatrix(1, p[0], rng).Data)
+		b1 := Vector(randMatrix(1, p[1], rng).Data)
+		dst0, dst1 = SolveCholeskyPairInto(dst0, l0, b0, dst1, l1, b1)
+		sameBits64(t, what+" f64 first", dst0, refSolveCholesky(l0, b0))
+		sameBits64(t, what+" f64 second", dst1, refSolveCholesky(l1, b1))
+
+		b320 := Convert[float32](nil, &Matrix{Rows: 1, Cols: p[0], Data: b0}).Data
+		b321 := Convert[float32](nil, &Matrix{Rows: 1, Cols: p[1], Data: b1}).Data
+		dst32a, dst32b = SolveCholeskyPairInto(dst32a, l320, b320, dst32b, l321, b321)
+		for k, got := range [][]float32{dst32a, dst32b} {
+			want := refSolveCholeskyInto([]*Dense[float32]{l320, l321}[k], [][]float32{b320, b321}[k])
+			for i, v := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(v) {
+					t.Fatalf("%s f32 system %d: entry %d = %v, reference %v", what, k, i, got[i], v)
+				}
 			}
 		}
 	}

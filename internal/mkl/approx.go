@@ -128,7 +128,9 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 	}
 	cols := e.lrCols[:f.Cols]
 	y := e.labelVec()
-	return e.cvFolds(func(_ int, train, test []int) ([]float64, error) {
+	plan := e.folds.plan
+	return e.cvFolds(1, func(fold, _ int) (int, error) {
+		train := plan.Trains[fold]
 		e.d64.sub = linalg.GatherInto(e.d64.sub, f, train, cols)
 		if cap(e.lrRhs) < len(train) {
 			e.lrRhs = linalg.NewVector(len(train))
@@ -139,11 +141,11 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 		}
 		beta, err := e.lowRankRidgeSolve(e.d64.sub, ytr, ridge)
 		if err != nil {
-			return nil, err
+			return fold, err
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, f, test, cols)
-		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, e.d64.cross, beta)
-		return e.scoreBuf, nil
+		e.d64.cross = linalg.GatherInto(e.d64.cross, f, plan.Tests[fold], cols)
+		e.scoreBuf[fold%2] = linalg.MulVecInto(e.scoreBuf[fold%2], e.d64.cross, beta)
+		return fold, nil
 	})
 }
 
@@ -154,7 +156,7 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, ridge kernelmachine.Ridge) (linalg.Vector, error) {
 	e.lrA = linalg.SyrkTInto(e.lrA, f)
 	e.lrWork = linalg.MulTVecInto(e.lrWork, f, y)
-	return e.d64.ridge.Solve(ridge, e.lrA, nil, e.lrWork, f.Rows)
+	return e.d64.ridge[0].Solve(ridge, e.lrA, nil, e.lrWork, f.Rows)
 }
 
 // SearchFunc is a lattice-search strategy over one evaluator — the shape of

@@ -1,9 +1,14 @@
 package mkl
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/kernel"
 	"repro/internal/kernelmachine"
 	"repro/internal/linalg"
 	"repro/internal/partition"
@@ -213,6 +218,144 @@ func TestAlignmentObjectiveScratchCentering(t *testing.T) {
 		}
 		if s != first[i] {
 			t.Fatalf("re-scoring %v: %v, want %v (scratch corruption?)", p, s, first[i])
+		}
+	}
+}
+
+// sentinel marks the dataset row, by its first feature, whose Gram
+// diagonal sentinelKernel sets.
+const sentinel = 1e6
+
+// sentinelKernel is RBF(γ = 1) between ordinary rows; it decouples the
+// sentinel row from every other row and gives it the Gram diagonal entry
+// diag. Its Eval alone makes the evaluator build Grams pairwise.
+type sentinelKernel struct{ diag float64 }
+
+func (k sentinelKernel) Eval(x, y []float64) float64 {
+	switch sx, sy := x[0] == sentinel, y[0] == sentinel; {
+	case sx && sy:
+		return k.diag
+	case sx || sy:
+		return 0
+	}
+	return kernel.RBF{Gamma: 1}.Eval(x, y)
+}
+
+func (k sentinelKernel) String() string { return fmt.Sprintf("sentinel(%v)", k.diag) }
+
+// TestCVRidgePairsMatchSequentialFolds pins cvRidge's paired folds to the
+// sequential fold loop (refTrainer: one Ridge.Train per fold) when one row
+// of the Gram has a negative diagonal, with that row a test row of each
+// fold in turn, at k = 2, 3 and 4 (k = 3 ends on a lone fold). At -1 every
+// fold that trains on the row needs the heavier ridge, and the two loops'
+// scores agree bit for bit; at -100 no ridge rescues those folds, and both
+// loops fail naming the same fold, the first that trains on the row.
+func TestCVRidgePairsMatchSequentialFolds(t *testing.T) {
+	const seed = 1
+	for _, folds := range []int{2, 3, 4} {
+		plan := stats.NewFoldPlan(48, folds, stats.NewRNG(seed+17))
+		for f := 0; f < folds; f++ {
+			d := fastPathWorkload(seed)
+			if d.N() != 48 {
+				t.Fatalf("workload has %d rows, the plan 48", d.N())
+			}
+			d.X[plan.Tests[f][0]][0] = sentinel
+			firstFailing := 0
+			if f == 0 {
+				firstFailing = 1
+			}
+			for _, diag := range []float64{-1, -100} {
+				score := func(tr kernelmachine.Trainer) (float64, error) {
+					e, err := NewEvaluator(d, Config{
+						Trainer: tr, Objective: CVAccuracy, Folds: folds, Seed: seed, Parallelism: 1,
+						Factory: func([]int) kernel.Kernel { return sentinelKernel{diag} },
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e.Score(partition.Coarsest(d.D()))
+				}
+				what := fmt.Sprintf("k=%d sentinel in fold %d diag %v", folds, f, diag)
+				paired, perr := score(kernelmachine.Ridge{})
+				seq, serr := score(refTrainer{kernelmachine.Ridge{}})
+				if diag == -1 {
+					if perr != nil || serr != nil {
+						t.Fatalf("%s: paired %v, sequential %v", what, perr, serr)
+					}
+					if math.Float64bits(paired) != math.Float64bits(seq) {
+						t.Fatalf("%s: paired score %v, sequential %v", what, paired, seq)
+					}
+					continue
+				}
+				want := fmt.Sprintf("mkl: fold %d: ", firstFailing)
+				if perr == nil || serr == nil || perr.Error() != serr.Error() || !strings.HasPrefix(perr.Error(), want) {
+					t.Fatalf("%s: paired error %v, sequential %v, want both to start %q", what, perr, serr, want)
+				}
+			}
+		}
+	}
+}
+
+// countdownCtx is a context whose Err reports nil for its first left calls
+// and context.Canceled from then on: a cancel that lands at a known check.
+type countdownCtx struct {
+	context.Context
+	left, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestScoreCancelledMidEvaluation: a context cancelled while an exact CV
+// score is underway stops it at the next fold step, for the paired ridge
+// folds and the one-fold SMO loop alike. Score returns ctx.Err() itself,
+// and the candidate is neither counted nor cached: once the context is
+// unbound, Score computes it afresh and gets a fresh evaluator's score.
+func TestScoreCancelledMidEvaluation(t *testing.T) {
+	d := fastPathWorkload(2)
+	p := partition.Coarsest(d.D())
+	for _, tr := range []kernelmachine.Trainer{kernelmachine.Ridge{}, kernelmachine.SVM{C: 1, Seed: 2, MaxIter: 40}} {
+		mk := func() *Evaluator {
+			e, err := NewEvaluator(d, Config{Trainer: tr, Objective: CVAccuracy, Folds: 5, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := mk()
+		// Score's entry check and the first fold step pass; the second
+		// step finds the context cancelled.
+		ctx := &countdownCtx{Context: context.Background(), left: 2}
+		e.SetContext(ctx)
+		if _, err := e.Score(p); err != context.Canceled {
+			t.Fatalf("%v: cancelled Score returned %v, want context.Canceled", tr, err)
+		}
+		if ctx.calls != 3 {
+			t.Fatalf("%v: the context was checked %d times, want 3 (entry, two fold steps)", tr, ctx.calls)
+		}
+		if e.Evaluations() != 0 {
+			t.Fatalf("%v: a cancelled evaluation was counted", tr)
+		}
+		e.SetContext(nil)
+		got, err := e.Score(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Evaluations() != 1 {
+			t.Fatalf("%v: %d evaluations after the re-score, want 1: the cancelled score was cached", tr, e.Evaluations())
+		}
+		want, err := mk().Score(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: re-score %v, fresh evaluator %v", tr, got, want)
 		}
 	}
 }

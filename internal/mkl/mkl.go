@@ -152,8 +152,8 @@ type Evaluator struct {
 	cache map[string]float64
 
 	// ctx, when non-nil, bounds every candidate evaluation: once it is
-	// done, Score refuses new work with ctx.Err(), so any search over this
-	// evaluator aborts within one candidate evaluation (SetContext).
+	// done, Score refuses new work with ctx.Err(), and an exact CV score
+	// underway stops at its next fold step (SetContext).
 	ctx context.Context
 
 	// scorer, when non-nil, scores every candidate batch of a search in
@@ -179,9 +179,10 @@ type Evaluator struct {
 	// parallel search (every candidate uses the identical split).
 	folds *foldData
 	// kmScratch, scoreBuf, and predBuf are the per-evaluator learner and
-	// prediction scratch of the CV fold loop (worker-owned).
+	// prediction scratch of the CV fold loop (worker-owned); fold f's test
+	// scores go in scoreBuf[f%2], so a pair of folds has one buffer each.
 	kmScratch kernelmachine.Scratch
-	scoreBuf  []float64
+	scoreBuf  [2][]float64
 	predBuf   []int
 
 	// approxCache memoizes per-block low-rank factors under the
@@ -205,12 +206,13 @@ type Evaluator struct {
 // dense is the worker-owned scratch of the full-Gram scoring body at
 // storage width T: the assembled Gram and its upper-row view, the CV fold
 // sub- and cross-Gram gathers, the block-assembly scratch, and the ridge
-// factor/solve buffers.
+// factor/solve buffers of a pair of folds (cvRidge), the first of which
+// also serves the primal low-rank solve.
 type dense[T linalg.Float] struct {
 	gram, sub, cross *linalg.Dense[T]
 	upper            [][]T
 	asm              kernel.BlockScratch[*linalg.Packed[T]]
-	ridge            kernelmachine.RidgeScratch[T]
+	ridge            [2]kernelmachine.RidgeScratch[T]
 }
 
 // foldData bundles the precomputed CV split with the per-fold label slices
@@ -278,12 +280,14 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 func (e *Evaluator) workers() int { return parsearch.Workers(e.cfg.Parallelism) }
 
 // SetContext binds ctx to the evaluator: once ctx is done, Score refuses
-// new candidate evaluations with ctx.Err(), so every search strategy over
-// this evaluator returns within one candidate evaluation of the
-// cancellation (one batch, on an attached scorer), carrying the partial
-// result accumulated so far. A nil ctx (the default) disables the check.
-// The in-process worker pool stops claiming candidates once ctx is done,
-// and an attached scorer receives ctx with every batch.
+// new candidate evaluations with ctx.Err(), and an exact CV evaluation
+// underway, in Score or on a pool worker, stops at its next fold step
+// (one fold, or a pair of ridge folds) and fails with ctx.Err() too. So
+// every search strategy over this evaluator returns within one fold step
+// of the cancellation (one batch, on an attached scorer), carrying the
+// partial result accumulated so far. A nil ctx (the default) disables the
+// check. The in-process worker pool stops claiming candidates once ctx is
+// done, and an attached scorer receives ctx with every batch.
 func (e *Evaluator) SetContext(ctx context.Context) { e.ctx = ctx }
 
 // searchCtx returns the bound context, or a background context when none
@@ -301,7 +305,7 @@ func (e *Evaluator) searchCtx() context.Context {
 // per-candidate allocations. Pool workers only compute (scoreConfig); the
 // parent's cache front does the caching and counting.
 func (e *Evaluator) scratchClone() *Evaluator {
-	return &Evaluator{cfg: e.cfg, data: e.data, gramCache: e.gramCache, cache32: e.cache32, approxCache: e.approxCache, folds: e.folds}
+	return &Evaluator{cfg: e.cfg, data: e.data, ctx: e.ctx, gramCache: e.gramCache, cache32: e.cache32, approxCache: e.approxCache, folds: e.folds}
 }
 
 // DeploymentGram returns p's float64 training Gram for TrainDeployed,
@@ -336,8 +340,9 @@ func (e *Evaluator) ClearScoreCache() { clear(e.cache) }
 
 // Score evaluates the kernel configuration induced by p. With a bound
 // context (SetContext), a done context fails the call with ctx.Err()
-// before any work happens; an evaluation already underway is never
-// interrupted.
+// before any work happens, and a context done while a CV evaluation is
+// underway fails it with ctx.Err() at its next fold step. A failed
+// evaluation is neither counted nor cached.
 func (e *Evaluator) Score(p partition.Partition) (float64, error) {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
@@ -417,31 +422,45 @@ func (s *dense[T]) score(e *Evaluator, gram *linalg.Dense[T]) (float64, error) {
 }
 
 // cvFolds is the evaluator's one k-fold CV loop. It walks the precomputed
-// fold plan; for fold f, body fits on the fold's training rows and returns
-// the scores of its test rows, which cvFolds classifies and scores against
-// the plan's test labels. The result is the mean accuracy, summed in fold
-// order. Each body's model and scores live in evaluator scratch and are
-// consumed here before the next fold rewrites them.
+// fold plan step folds at a time (1, or 2 for a body that fits two folds
+// together; a lone last fold goes alone): body fits folds f..f+m-1 on
+// their training rows and leaves each fold g's test scores in
+// e.scoreBuf[g%2], or returns the first fold that failed with its error.
+// cvFolds classifies each fold's scores against the plan's test labels
+// and returns the mean accuracy, summed in fold order. Each body's models
+// and scores live in evaluator scratch and are consumed here before the
+// next step rewrites them. Before each step it checks the bound context
+// (SetContext): a cancelled evaluation stops there with ctx.Err().
 //
 //iotml:hotpath
-func (e *Evaluator) cvFolds(body func(f int, train, test []int) ([]float64, error)) (float64, error) {
+func (e *Evaluator) cvFolds(step int, body func(f, m int) (failed int, err error)) (float64, error) {
 	fd := e.folds
+	k := len(fd.plan.Trains)
 	total := 0.0
-	for f, tr := range fd.plan.Trains {
-		scores, err := body(f, tr, fd.plan.Tests[f])
-		if err != nil {
-			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
-			return 0, fmt.Errorf("mkl: fold %d: %w", f, err)
+	for f := 0; f < k; f += step {
+		if e.ctx != nil {
+			if err := e.ctx.Err(); err != nil {
+				return 0, err
+			}
 		}
-		e.predBuf = kernelmachine.ClassifyInto(e.predBuf, scores)
-		total += stats.Accuracy(e.predBuf, fd.yTest[f])
+		m := min(step, k-f)
+		if failed, err := body(f, m); err != nil {
+			//iotml:allow hotpathalloc -- cold fold-failure path; the evaluation is already abandoned when it formats
+			return 0, fmt.Errorf("mkl: fold %d: %w", failed, err)
+		}
+		for g := f; g < f+m; g++ {
+			e.predBuf = kernelmachine.ClassifyInto(e.predBuf, e.scoreBuf[g%2])
+			total += stats.Accuracy(e.predBuf, fd.yTest[g])
+		}
 	}
-	return total / float64(len(fd.plan.Trains)), nil
+	return total / float64(k), nil
 }
 
-// cvRidge is the ridge fold body at the Gram's storage width:
-// kernelmachine.FitRidge solves each fold's system straight from gram's
-// train rows under the λ·n/10 → 1+λ·n schedule, and scores re-enter
+// cvRidge is the ridge fold body at the Gram's storage width, two folds
+// per step: kernelmachine's Prepare factors each fold's system straight
+// from gram's train rows under the λ·n/10 → 1+λ·n schedule, in fold
+// order, and SolveRidgePair solves the pair with their backward
+// substitutions interleaved (a lone last fold alone). Scores re-enter
 // float64 at the scores-into step, so classification and accuracy are
 // shared with every other backend. At float64 every operation is
 // Ridge.TrainScratch's on the fold's Gram, so the scores are bit-identical
@@ -449,14 +468,25 @@ func (e *Evaluator) cvFolds(body func(f int, train, test []int) ([]float64, erro
 //
 //iotml:hotpath
 func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.Ridge) (float64, error) {
-	return e.cvFolds(func(f int, train, test []int) ([]float64, error) {
-		beta, err := kernelmachine.FitRidge(r, gram, train, e.folds.yTrain[f], &s.ridge)
-		if err != nil {
-			return nil, err
+	plan, yTrain := e.folds.plan, e.folds.yTrain
+	return e.cvFolds(2, func(f, m int) (int, error) {
+		for i := range m {
+			if err := s.ridge[i].Prepare(r, gram, plan.Trains[f+i], yTrain[f+i]); err != nil {
+				return f + i, err
+			}
 		}
-		s.cross = linalg.GatherInto(s.cross, gram, test, train)
-		e.scoreBuf = linalg.MulVecInto(e.scoreBuf, s.cross, beta)
-		return e.scoreBuf, nil
+		var second *kernelmachine.RidgeScratch[T]
+		if m == 2 {
+			second = &s.ridge[1]
+		}
+		var beta [2][]T
+		beta[0], beta[1] = kernelmachine.SolveRidgePair(&s.ridge[0], second)
+		for i := range m {
+			g := f + i
+			s.cross = linalg.GatherInto(s.cross, gram, plan.Tests[g], plan.Trains[g])
+			e.scoreBuf[g%2] = linalg.MulVecInto(e.scoreBuf[g%2], s.cross, beta[i])
+		}
+		return f, nil
 	})
 }
 
@@ -471,7 +501,9 @@ func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.
 //iotml:hotpath
 func (e *Evaluator) cvAccuracy(gram *linalg.Matrix) (float64, error) {
 	st, scratch := e.cfg.Trainer.(kernelmachine.ScratchTrainer)
-	return e.cvFolds(func(f int, train, test []int) ([]float64, error) {
+	plan := e.folds.plan
+	return e.cvFolds(1, func(f, _ int) (int, error) {
+		train := plan.Trains[f]
 		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, train, train)
 		var m *kernelmachine.DualModel
 		var err error
@@ -481,11 +513,11 @@ func (e *Evaluator) cvAccuracy(gram *linalg.Matrix) (float64, error) {
 			m, err = e.cfg.Trainer.Train(e.d64.sub, e.folds.yTrain[f])
 		}
 		if err != nil {
-			return nil, err
+			return f, err
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, test, train)
-		e.scoreBuf = m.ScoresInto(e.scoreBuf, e.d64.cross)
-		return e.scoreBuf, nil
+		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, plan.Tests[f], train)
+		e.scoreBuf[f%2] = m.ScoresInto(e.scoreBuf[f%2], e.d64.cross)
+		return f, nil
 	})
 }
 
