@@ -105,7 +105,7 @@ contracts:
 	$(CONTRACT) 'TestFitGammaZeroSameWithDistWorkers' ./cmd/iotml
 # Assert cancellation semantics (parsearch + search partial results, no
 # leaked goroutines).
-	$(CONTRACT) 'TestRunContextCancellation|TestDoContextCancellation' ./internal/parsearch -race
+	$(CONTRACT) 'TestDoCancellation|TestDoPreCancelled' ./internal/parsearch -race
 	$(CONTRACT) 'TestSearchCancellationReturnsPartialResult|TestScoreCancelledMidEvaluation' ./internal/mkl -race
 # Assert search-core contract (strategies x {P=1, P=2, P=8, loopback
 # fleet} bit-identical, sequential evaluation counts, cancellation
@@ -118,7 +118,7 @@ contracts:
 # low-rank blocks).
 	$(CONTRACT) 'TestNystromFactorFullRankExact|TestRFFMapApproximatesRBF|TestPrimalDualRidgeEquivalence' ./internal/linalg
 	$(CONTRACT) 'TestApprox|TestBlockGramCache' ./internal/kernel -race
-	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact' ./internal/mkl
+	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact|TestBudgetedSearchRescoresLikeFloat64' ./internal/mkl
 # Assert numeric backend contract (f64 bit-identical, f32 tolerance +
 # worker determinism, spelling equivalence, budgeted fit over a fleet).
 	$(CONTRACT) '.' ./internal/engine

@@ -314,8 +314,7 @@ func runFit(args []string, workers int) (retErr error) {
 		return fmt.Errorf("fit: %w", err)
 	}
 	mklCfg.Parallelism = workers
-	mklCfg.BudgetTopK = *budgetTopK
-	opts := []iotml.Option{iotml.WithConfig(iotml.FitConfig{Search: strategy, MKL: mklCfg})}
+	opts := []iotml.Option{iotml.WithConfig(iotml.FitConfig{Search: strategy, BudgetTopK: *budgetTopK, MKL: mklCfg})}
 	if *distWorkers != "" {
 		var fleet []string
 		for _, w := range strings.Split(*distWorkers, ",") {

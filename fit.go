@@ -166,10 +166,10 @@ func AutoBackend(d *Dataset, obj Objective) Backend {
 // the exact scores deciding the final selection (see mkl.BudgetedSearch).
 // Values <= 0 disable re-scoring; without an approximate WithBackend the
 // option has no effect. It composes with WithDistributedWorkers: the
-// approximate sweep is scored by the fleet, the exact top-K re-score runs
-// in-process.
+// approximate sweep is scored by the fleet, and the fit's own evaluator
+// re-scores the top K exactly in-process.
 func WithBudget(topK int) Option {
-	return func(c *core.FitConfig) { c.MKL.BudgetTopK = topK }
+	return func(c *core.FitConfig) { c.BudgetTopK = topK }
 }
 
 // Distributed search: the coordinator/worker types of internal/distsearch.

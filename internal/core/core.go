@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/distsearch"
-	"repro/internal/engine"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/mkl"
@@ -46,6 +45,11 @@ type FitConfig struct {
 	SeedMaxK int
 	// Search selects the exploration strategy.
 	Search SearchStrategy
+	// BudgetTopK, with an approximate MKL.Backend, enables the budgeted
+	// search mode: the lattice is scored with the cheap approximation and
+	// only the top-K survivors are re-scored exactly, on the same
+	// evaluator (see mkl.BudgetedSearch). 0 disables re-scoring.
+	BudgetTopK int
 	// MKL configures the evaluator (objective, folds, kernels, learner).
 	MKL mkl.Config
 
@@ -53,15 +57,14 @@ type FitConfig struct {
 	// candidate scoring across remote worker processes
 	// (internal/distsearch). The evaluator configuration is then derived
 	// from Dist.Spec — the serializable form coordinator and workers
-	// expand identically — overriding MKL's Factory/Trainer/Combiner/
-	// Folds/Seed/Objective/Backend fields (Parallelism, Progress, the
-	// Gram cache bound and BudgetTopK are kept: they are local
-	// orchestration, not scoring semantics). Selection is bit-identical
+	// expand identically — replacing MKL, of which only Parallelism and
+	// Progress are kept (local orchestration, not scoring semantics);
+	// BudgetTopK applies as it does in-process. Selection is bit-identical
 	// to the in-process strategies; dead or hung workers are retried,
 	// re-dispatched, and ultimately replaced by scoring on the fit's own
 	// in-process pool, so a fit never fails because its fleet did. In
-	// budgeted mode the fleet scores the approximate sweep and the exact
-	// re-score of the top K runs in-process.
+	// budgeted mode (BudgetTopK) the fleet scores the approximate sweep
+	// and the fit's evaluator re-scores the top K in-process.
 	Dist *distsearch.Options
 }
 
@@ -181,8 +184,6 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		}
 		distCfg.Parallelism = cfg.MKL.Parallelism
 		distCfg.Progress = cfg.MKL.Progress
-		distCfg.GramCacheBlocks = cfg.MKL.GramCacheBlocks
-		distCfg.BudgetTopK = cfg.MKL.BudgetTopK
 		cfg.MKL = distCfg
 	}
 	seed, attrs, err := mkl.SeedFromRoughSet(d, cfg.SeedMaxK, rough.ByAccuracy)
@@ -231,27 +232,13 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		e.SetScorer(coord)
 	}
 	var res *mkl.Result
-	if cfg.MKL.Backend.IsApprox() && cfg.MKL.BudgetTopK > 0 {
+	if cfg.MKL.Backend.IsApprox() && cfg.BudgetTopK > 0 {
 		// Budgeted mode: the approximate evaluator scores the lattice
-		// (through the fleet, when distributed), an in-process exact twin
-		// re-scores the top-K survivors and decides the final selection.
-		// The deployment fit (FitResult.Artifact, Deploy) is always exact
-		// regardless of mode.
-		exactCfg := cfg.MKL
-		exactCfg.Backend = engine.Backend{}
-		// The exact twin retains no blocks: it only ever scores the top-K
-		// survivors, and retaining blocks across them would cost
-		// O(blocks·n²) memory at exactly the scale budgeted mode targets
-		// (one packed block is 400 MB at n=10k). Its block cache then builds each
-		// block into one reused buffer and folds it into the candidate's
-		// Gram, so the peak stays at one assembled Gram plus one block.
-		exactCfg.GramCacheBlocks = -1
-		exactEval, eerr := mkl.NewEvaluator(d, exactCfg)
-		if eerr != nil {
-			return nil, fmt.Errorf("core: %w", eerr)
-		}
-		exactEval.SetContext(ctx)
-		res, err = mkl.BudgetedSearch(e, exactEval, seed, search, cfg.MKL.BudgetTopK)
+		// (through the fleet, when distributed), then re-scores the top-K
+		// survivors in-process on its exact path, and those scores decide
+		// the final selection. The deployment fit (FitResult.Artifact,
+		// Deploy) is always exact regardless of mode.
+		res, err = mkl.BudgetedSearch(e, seed, search, cfg.BudgetTopK)
 	} else {
 		res, err = search(e, seed)
 	}

@@ -36,22 +36,28 @@ func TestArtifactFromSearchCacheMatchesRebuild(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cfg    mkl.Config
-		cached bool
+		topK   int  // FitConfig.BudgetTopK
+		limit  int  // when nonzero, the retention of an injected block cache
+		cached bool // the fit holds a deployment Gram
 	}{
-		{"float64", mkl.Config{}, true},
-		{"product", mkl.Config{Combiner: kernel.CombineProduct}, true},
-		{"no-retention", mkl.Config{GramCacheBlocks: -1}, false},
-		{"small-retention", mkl.Config{GramCacheBlocks: 1}, true},
-		{"f32", mkl.Config{Backend: engine.Float32}, false},
-		{"budgeted-nystrom", mkl.Config{Backend: engine.Nystrom(8), BudgetTopK: 3}, false},
-		{"svm", mkl.Config{Trainer: kernelmachine.SVM{C: 1, Seed: 3}}, true},
-		{"perceptron", mkl.Config{Trainer: kernelmachine.Perceptron{Epochs: 10}}, true},
+		{"float64", mkl.Config{}, 0, 0, true},
+		{"product", mkl.Config{Combiner: kernel.CombineProduct}, 0, 0, true},
+		{"no-retention", mkl.Config{}, 0, -1, false},
+		{"small-retention", mkl.Config{}, 0, 1, true},
+		{"f32", mkl.Config{Backend: engine.Float32}, 0, 0, false},
+		{"budgeted-nystrom", mkl.Config{Backend: engine.Nystrom(8)}, 3, 0, false},
+		{"svm", mkl.Config{Trainer: kernelmachine.SVM{C: 1, Seed: 3}}, 0, 0, true},
+		{"perceptron", mkl.Config{Trainer: kernelmachine.Perceptron{Epochs: 10}}, 0, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
+				d := tinyWorkload(seed)
 				cfg := tc.cfg
 				cfg.Seed, cfg.Parallelism = seed, 2
-				res, err := Fit(context.Background(), tinyWorkload(seed), FitConfig{MKL: cfg})
+				if tc.limit != 0 {
+					cfg.GramCache = kernel.NewBlockGramCache(d.X, kernel.RBFFactory(1.0), tc.limit)
+				}
+				res, err := Fit(context.Background(), d, FitConfig{BudgetTopK: tc.topK, MKL: cfg})
 				if err != nil {
 					t.Fatalf("seed %d: fit: %v", seed, err)
 				}

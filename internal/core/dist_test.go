@@ -127,13 +127,13 @@ func TestFitDistributedDeadFleetFallsBack(t *testing.T) {
 
 // TestFitDistributedBudgetedMatchesLocal: budgeted mode composes with the
 // fleet. The approximate sweep scores through the coordinator and the
-// exact top-K re-score runs in-process, so a budgeted fit over real HTTP
-// workers — live, or all dead and declined to the fit's own pool — equals
-// the in-process budgeted fit in Best, Score and Evaluations.
+// fit's evaluator re-scores the top K exactly in-process, so a budgeted fit
+// over real HTTP workers — live, or all dead and declined to the fit's own
+// pool — equals the in-process budgeted fit in Best, Score and Evaluations.
 func TestFitDistributedBudgetedMatchesLocal(t *testing.T) {
 	d := fitTestData(t)
-	budget := mkl.Config{Seed: 1, Parallelism: 2, Backend: engine.Nystrom(16), BudgetTopK: 4}
-	local, err := Fit(context.Background(), d, FitConfig{MKL: budget})
+	budget := mkl.Config{Seed: 1, Parallelism: 2, Backend: engine.Nystrom(16)}
+	local, err := Fit(context.Background(), d, FitConfig{BudgetTopK: 4, MKL: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFitDistributedBudgetedMatchesLocal(t *testing.T) {
 			cfg := budget
 			fellBack := false
 			cfg.Progress = func(ev mkl.Event) { fellBack = fellBack || ev.Kind == mkl.EventDistFallback }
-			dist, err := Fit(context.Background(), d, FitConfig{MKL: cfg, Dist: &opts})
+			dist, err := Fit(context.Background(), d, FitConfig{BudgetTopK: 4, MKL: cfg, Dist: &opts})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -65,20 +65,27 @@ func TestVectorizedAndPairwiseSelectSamePartition(t *testing.T) {
 }
 
 // TestExactGramNoCacheSelectionMatches exercises the no-cache scoring path
-// (GramCacheBlocks < 0): the vectorized full-configuration Gram must drive
-// the search to the same selection as the pairwise path there too.
+// (an injected block cache with a negative retention limit): the
+// vectorized full-configuration Gram must drive the search to the same
+// selection as the pairwise path there too.
 func TestExactGramNoCacheSelectionMatches(t *testing.T) {
 	train := workload(60, 6)
 	for _, workers := range []int{1, 2} {
 		run := func(exact bool) *FitResult {
 			t.Helper()
+			// The cache takes the resolved factory: nil means RBFFactory(1.0).
+			factory := pairwiseFactory(exact)
+			cacheFactory := factory
+			if cacheFactory == nil {
+				cacheFactory = kernel.RBFFactory(1.0)
+			}
 			res, err := Fit(context.Background(), train, FitConfig{
 				MKL: mkl.Config{
-					Objective:       mkl.KernelAlignment,
-					Seed:            1,
-					Parallelism:     workers,
-					GramCacheBlocks: -1,
-					Factory:         pairwiseFactory(exact),
+					Objective:   mkl.KernelAlignment,
+					Seed:        1,
+					Parallelism: workers,
+					GramCache:   kernel.NewBlockGramCache(train.X, cacheFactory, -1),
+					Factory:     factory,
 				},
 			})
 			if err != nil {

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -29,7 +30,7 @@ func rowWorkers() int { return parsearch.Workers(int(rowParallelism.Load())) }
 // pool. Callers write results into index-addressed slots and assemble the
 // table afterwards, keeping row order deterministic.
 func forEachRow(n int, fn func(index int) error) error {
-	return parsearch.Do(n, rowWorkers(), func(_, index int) error { return fn(index) })
+	return parsearch.Do(context.Background(), n, rowWorkers(), func(_, index int) error { return fn(index) })
 }
 
 // CatalogueResult pairs a catalogue entry with its rendered table (nil when
@@ -50,7 +51,7 @@ type CatalogueResult struct {
 func RunCatalogue(fast bool, workers int) ([]CatalogueResult, error) {
 	all := All()
 	out := make([]CatalogueResult, len(all))
-	err := parsearch.Do(len(all), workers, func(_, i int) error {
+	err := parsearch.Do(context.Background(), len(all), workers, func(_, i int) error {
 		r := all[i]
 		out[i].Runner = r
 		if fast && r.Expensive {

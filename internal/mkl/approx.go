@@ -8,9 +8,10 @@
 // plus O(n³) solves. Learners without a primal form materialize K̂ = F·Fᵀ
 // once per candidate and fall back to the standard CV machinery.
 //
-// BudgetedSearch composes two evaluators: the whole lattice is scored with
-// the cheap approximation, then only the top-K surviving candidates are
-// re-scored on the exact evaluator, which also decides the final selection.
+// BudgetedSearch runs on one approximate evaluator: the whole lattice is
+// scored with the cheap approximation, then only the top-K surviving
+// candidates are re-scored on the evaluator's exact float64 path
+// (scoreExact), and the exact scores decide the final selection.
 package mkl
 
 import (
@@ -164,21 +165,26 @@ func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, ridge k
 // consumed by BudgetedSearch.
 type SearchFunc func(e *Evaluator, seed partition.Partition) (*Result, error)
 
-// BudgetedSearch runs search on the approximate evaluator to score the
+// BudgetedSearch runs search on the approximate evaluator e to score the
 // whole lattice cheaply, then re-scores only the top-K distinct candidates
 // (by approximate score, ties broken by first-evaluation order — canonical
-// at every worker count) on the exact evaluator, which decides the final
-// selection. The returned Result carries the exact scores and trace of the
-// re-scoring phase; Evaluations sums both phases — the cost the budget
-// actually paid.
+// at every worker count) on e's exact float64 path, which decides the
+// final selection. The re-score shares e's dataset, fold plan, learner and
+// exact block cache, which retains nothing unless one was injected
+// (Config.GramCache), so each survivor's Gram is assembled one block at a
+// time. Exact scores stay out of e's score cache and counters: e.Score of
+// a survivor still returns its approximate score. The returned Result
+// carries the exact scores and trace of the re-scoring phase;
+// Evaluations sums both phases — the cost the budget actually paid.
 //
-// On error (including context cancellation) the partial result accumulated
+// Each re-score first checks the context bound to e (SetContext). On
+// error (including context cancellation) the partial result accumulated
 // so far is returned alongside the error, matching every other strategy.
-func BudgetedSearch(approx, exact *Evaluator, seed partition.Partition, search SearchFunc, topK int) (*Result, error) {
+func BudgetedSearch(e *Evaluator, seed partition.Partition, search SearchFunc, topK int) (*Result, error) {
 	if topK <= 0 {
 		topK = DefaultBudgetTopK
 	}
-	ares, err := search(approx, seed)
+	ares, err := search(e, seed)
 	if err != nil {
 		return ares, err
 	}
@@ -198,16 +204,19 @@ func BudgetedSearch(approx, exact *Evaluator, seed partition.Partition, search S
 	if len(cands) > topK {
 		cands = cands[:topK]
 	}
-	start := exact.Calls()
-	res := &Result{Score: -1}
+	res := &Result{Score: -1, Evaluations: ares.Evaluations}
 	for _, st := range cands {
-		s, err := exact.Score(st.Partition)
+		if e.ctx != nil {
+			if err := e.ctx.Err(); err != nil {
+				return res, err
+			}
+		}
+		res.Evaluations++
+		s, err := e.scoreExact(st.Partition)
 		if err != nil {
-			res.Evaluations = ares.Evaluations + exact.Calls() - start
 			return res, err
 		}
-		exact.observe(res, st.Partition, s)
+		e.observe(res, st.Partition, s)
 	}
-	res.Evaluations = ares.Evaluations + exact.Calls() - start
 	return res, nil
 }

@@ -1,6 +1,8 @@
 package mkl
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -118,11 +120,7 @@ func TestBudgetedSearchAgreesWithExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rescoreEval, err := NewEvaluator(d, Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := BudgetedSearch(approxEval, rescoreEval, seedPart, func(e *Evaluator, s partition.Partition) (*Result, error) {
+	got, err := BudgetedSearch(approxEval, seedPart, func(e *Evaluator, s partition.Partition) (*Result, error) {
 		return ExhaustiveCone(e, s)
 	}, 8)
 	if err != nil {
@@ -139,6 +137,108 @@ func TestBudgetedSearchAgreesWithExact(t *testing.T) {
 	}
 	if len(got.Trace) > 8 {
 		t.Fatalf("exact re-score trace has %d entries, want <= topK", len(got.Trace))
+	}
+}
+
+// TestBudgetedSearchRescoresLikeFloat64: the budgeted re-score runs on the
+// approximate evaluator's own exact path, after its sweep has used the
+// same scratch, and must give every survivor a fresh Float64 evaluator's
+// score bit for bit. The exact scores stay out of the evaluator's score
+// cache and counters, and a context cancelled during the re-score (before
+// a survivor, or inside one) returns the partial result with ctx.Err().
+func TestBudgetedSearchRescoresLikeFloat64(t *testing.T) {
+	d := smallFacetData(60, 9)
+	seedPart, err := TwoBlockSeed(d.D(), []int{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ridge", Config{}},
+		{"alignment", Config{Objective: KernelAlignment}},
+		{"svm", Config{Trainer: kernelmachine.SVM{C: 1, Seed: 2}}},
+	} {
+		for _, backend := range []engine.Backend{engine.Nystrom(16), engine.RFF(16)} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s/%v/P=%d", tc.name, backend, workers)
+				cfg := tc.cfg
+				cfg.Seed, cfg.Parallelism = 3, workers
+				fresh, err := NewEvaluator(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Backend = backend
+				e, err := NewEvaluator(d, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sweep *Result
+				var calls, evals int
+				res, err := BudgetedSearch(e, seedPart, func(e *Evaluator, s partition.Partition) (*Result, error) {
+					sweep, err = ExhaustiveCone(e, s)
+					calls, evals = e.calls, e.evals
+					return sweep, err
+				}, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Trace) != 4 || res.Evaluations != sweep.Evaluations+4 {
+					t.Fatalf("%s: re-score trace %d steps, %d evaluations; want 4 and %d", name, len(res.Trace), res.Evaluations, sweep.Evaluations+4)
+				}
+				if e.calls != calls || e.evals != evals {
+					t.Fatalf("%s: the re-score moved the counters: calls %d→%d, evals %d→%d", name, calls, e.calls, evals, e.evals)
+				}
+				approxScore := map[string]float64{}
+				for _, st := range sweep.Trace {
+					approxScore[st.Partition.Key()] = st.Score
+				}
+				for i, st := range res.Trace {
+					want, err := fresh.Score(st.Partition)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(st.Score) != math.Float64bits(want) {
+						t.Fatalf("%s: re-score %d of %v = %v, fresh Float64 evaluator %v", name, i, st.Partition, st.Score, want)
+					}
+					got, err := e.Score(st.Partition)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a := approxScore[st.Partition.Key()]; math.Float64bits(got) != math.Float64bits(a) {
+						t.Fatalf("%s: Score(%v) after the re-score = %v, want the approximate %v", name, st.Partition, got, a)
+					}
+				}
+			}
+		}
+	}
+
+	// Cancellation: the sweep runs unbound, then the re-score phase gets a
+	// context that lets `left` checks pass. Each CV-ridge survivor costs
+	// three checks (one before it, one per pair of its four folds), so 3
+	// cancels before the second survivor and 4 inside it. Both attempts
+	// count, as an exact evaluator's Score calls did.
+	for _, left := range []int{3, 4} {
+		e, err := NewEvaluator(d, Config{Seed: 3, Parallelism: 1, Backend: engine.Nystrom(16)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sweep *Result
+		res, err := BudgetedSearch(e, seedPart, func(e *Evaluator, s partition.Partition) (*Result, error) {
+			sweep, err = ExhaustiveCone(e, s)
+			e.SetContext(&countdownCtx{Context: context.Background(), left: left})
+			return sweep, err
+		}, 4)
+		if err != context.Canceled {
+			t.Fatalf("left=%d: err = %v, want context.Canceled", left, err)
+		}
+		if res == nil || len(res.Trace) != 1 || !res.Best.Equal(res.Trace[0].Partition) {
+			t.Fatalf("left=%d: partial result %+v, want the first survivor alone", left, res)
+		}
+		if want := sweep.Evaluations + left - 2; res.Evaluations != want {
+			t.Fatalf("left=%d: partial evaluations %d, want %d", left, res.Evaluations, want)
+		}
 	}
 }
 

@@ -85,21 +85,16 @@ type Config struct {
 	// number of extra candidates past their stop.
 	Parallelism int
 
-	// GramCacheBlocks bounds the per-dataset block cache (kernel.BlockCache)
-	// behind every backend — exact or f32 block Grams (packed, n(n+1)/2
-	// entries each), or low-rank block factors — that lets sibling
-	// partitions sharing feature blocks reuse them: 0 selects
-	// kernel.DefaultGramCacheBlocks, negative disables retention. Beyond
-	// the bound the oldest blocks are evicted (FIFO), which changes which
-	// blocks stay resident, never a score. With retention disabled every
-	// block is rebuilt on each use, and the exact assembly holds the
-	// candidate's Gram plus one packed block at a time.
-	GramCacheBlocks int
-
-	// GramCache optionally injects a shared Gram-block cache (it must have
-	// been built over this evaluator's dataset rows and factory). Several
-	// evaluators over one dataset — e.g. the per-row evaluators of a
-	// concurrent experiment table — can then share block Grams.
+	// GramCache optionally injects a shared exact Gram-block cache (it
+	// must have been built over this evaluator's dataset rows and
+	// resolved factory). Several evaluators over one dataset — e.g. the
+	// per-row evaluators of a concurrent experiment table — can then share
+	// block Grams, and a caller that needs a retention other than the
+	// evaluator's own sets it here. Without one, the evaluator builds its
+	// caches itself: the cache its backend scores candidates from keeps up
+	// to kernel.DefaultGramCacheBlocks blocks (FIFO eviction, which changes
+	// which blocks stay resident, never a score), and the exact cache of a
+	// Float32 or approximate evaluator retains nothing.
 	GramCache *kernel.BlockGramCache
 
 	// Progress, when non-nil, receives the fit's event stream: one
@@ -119,12 +114,6 @@ type Config struct {
 	// factors (see approx.go). The deployment fit (TrainDeployed /
 	// HoldoutAccuracy) always stays exact float64 regardless of backend.
 	Backend engine.Backend
-
-	// BudgetTopK, with an approximate Backend, enables the budgeted
-	// search mode at the core.Fit layer: the lattice is scored with the
-	// cheap approximation and only the top-K survivors are re-scored
-	// exactly (see BudgetedSearch). 0 disables re-scoring.
-	BudgetTopK int
 }
 
 func (c Config) withDefaults() Config {
@@ -162,9 +151,10 @@ type Evaluator struct {
 	// gramCache is the exact float64 block-Gram cache and is never nil:
 	// under Float64 it assembles every candidate's Gram; under the other
 	// backends it retains nothing and serves only the singleton alignment
-	// ranking. cache32 (Float32 only) memoizes the f32 block Grams. Both
-	// are shared across the scratch evaluators of a parallel search (the
-	// caches are concurrency-safe).
+	// ranking and a budgeted search's exact re-score. cache32 (Float32
+	// only) memoizes the f32 block Grams. Both are shared across the
+	// scratch evaluators of a parallel search (the caches are
+	// concurrency-safe).
 	gramCache *kernel.BlockGramCache
 	cache32   *kernel.DenseGramCache[float32]
 	// d64 and d32 are the worker-owned scratch of the full-Gram scoring
@@ -233,13 +223,13 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 	}
 	cfg = cfg.withDefaults()
 	e := &Evaluator{cfg: cfg, data: d, cache: map[string]float64{}}
-	exactLimit := cfg.GramCacheBlocks
+	exactLimit := 0
 	switch cfg.Backend.Kind {
 	case engine.Float32Kind:
 		// The f32 block cache scores every candidate: assembly, centering,
 		// fold gathers, and ridge solves all run in f32 storage (see
 		// dense.score).
-		e.cache32 = kernel.NewDenseGramCache[float32](d.X, cfg.Factory, cfg.GramCacheBlocks)
+		e.cache32 = kernel.NewDenseGramCache[float32](d.X, cfg.Factory, 0)
 		exactLimit = -1
 	case engine.NystromKind, engine.RFFKind:
 		if cfg.Combiner == kernel.CombineProduct {
@@ -252,13 +242,14 @@ func NewEvaluator(d *dataset.Dataset, cfg Config) (*Evaluator, error) {
 		// The factor cache scores every candidate: no full Gram is
 		// assembled on the approximate path (non-primal trainers
 		// materialize F·Fᵀ from the factor, not from blocks).
-		e.approxCache = kernel.NewApproxGramCache(d.X, cfg.Factory, kind, cfg.Backend.Rank, cfg.Seed, cfg.GramCacheBlocks)
+		e.approxCache = kernel.NewApproxGramCache(d.X, cfg.Factory, kind, cfg.Backend.Rank, cfg.Seed, 0)
 		exactLimit = -1
 	}
-	// An explicitly injected cache always wins — GramCacheBlocks only
-	// governs the cache this evaluator would otherwise create for itself.
-	// Outside Float64 the exact cache only ranks singletons (and stands in
-	// for a degenerate approximate singleton block), so it retains nothing.
+	// An explicitly injected cache always wins. Outside Float64 the exact
+	// cache only ranks singletons (standing in for a degenerate
+	// approximate singleton block) and re-scores a budgeted search's
+	// survivors (scoreExact), so it retains nothing: the re-score holds the
+	// candidate's Gram plus one block at a time.
 	e.gramCache = cfg.GramCache
 	if e.gramCache == nil {
 		e.gramCache = kernel.NewBlockGramCache(d.X, cfg.Factory, exactLimit)
@@ -327,10 +318,6 @@ func (e *Evaluator) DeploymentGram(p partition.Partition) *linalg.Matrix {
 // computed (cache hits excluded) — the true computational cost.
 func (e *Evaluator) Evaluations() int { return e.evals }
 
-// Calls returns the number of Score invocations including cache hits —
-// the number of lattice points a search visited.
-func (e *Evaluator) Calls() int { return e.calls }
-
 // ClearScoreCache drops every memoized partition score (counters, the
 // Gram-block cache, and all scratch buffers persist). Long-lived evaluators
 // re-scoring after label updates — and the BenchmarkScore_* suite, which
@@ -386,6 +373,14 @@ func (e *Evaluator) scoreConfig(p partition.Partition) (float64, error) {
 	case e.cache32 != nil:
 		return e.d32.score(e, e.d32.assemble(e.cache32, p, e.cfg.Combiner))
 	}
+	return e.scoreExact(p)
+}
+
+// scoreExact scores p on the exact float64 path whatever the backend: it
+// assembles p's Gram from the exact block cache and runs the float64
+// scoring body. It is the Float64 backend's scoring body and the
+// budgeted re-score of an approximate evaluator (BudgetedSearch).
+func (e *Evaluator) scoreExact(p partition.Partition) (float64, error) {
 	return e.d64.score(e, e.d64.assemble(e.gramCache, p, e.cfg.Combiner))
 }
 
@@ -817,29 +812,24 @@ func GreedyRefine(e *Evaluator, seed partition.Partition) (*Result, error) {
 // SingleGlobalKernel scores the coarsest partition (one kernel on all
 // features).
 func SingleGlobalKernel(e *Evaluator) (*Result, error) {
-	p := partition.Coarsest(e.data.D())
-	s, err := e.Score(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Best: p, Score: s, Evaluations: 1, Trace: []Step{{p, s}}}, nil
+	return scoreOne(e, partition.Coarsest(e.data.D()))
 }
 
 // UniformPerFeature scores the finest partition (one kernel per feature,
 // uniform sum) — the "uniform MKL" baseline.
 func UniformPerFeature(e *Evaluator) (*Result, error) {
-	p := partition.Finest(e.data.D())
-	s, err := e.Score(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Best: p, Score: s, Evaluations: 1, Trace: []Step{{p, s}}}, nil
+	return scoreOne(e, partition.Finest(e.data.D()))
 }
 
 // ViewOracle scores the partition induced by the dataset's declared views —
 // the structural ground truth the search strategies try to rediscover.
 func ViewOracle(e *Evaluator) (*Result, error) {
-	p := e.data.ViewPartition()
+	return scoreOne(e, e.data.ViewPartition())
+}
+
+// scoreOne is the body of every baseline: score p and wrap it as a
+// one-evaluation Result.
+func scoreOne(e *Evaluator, p partition.Partition) (*Result, error) {
 	s, err := e.Score(p)
 	if err != nil {
 		return nil, err

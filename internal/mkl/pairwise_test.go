@@ -62,12 +62,19 @@ func TestScoreVectorizedVsExact(t *testing.T) {
 					}
 					return e
 				}
+				// The uncached evaluators get a retention-disabled cache
+				// over the resolved factory (nil means RBFFactory(1.0)).
+				factory := tc.factory
+				if factory == nil {
+					factory = kernel.RBFFactory(1.0)
+				}
 				cached := mk(Config{Factory: tc.factory})
-				uncached := mk(Config{Factory: tc.factory, GramCacheBlocks: -1})
+				uncached := mk(Config{Factory: tc.factory, GramCache: kernel.NewBlockGramCache(d.X, factory, -1)})
+				ref := pairwiseFactory(tc.factory)
 				exact := mk(Config{
-					Factory:         pairwiseFactory(tc.factory),
-					Trainer:         refTrainer{kernelmachine.Ridge{Lambda: 1e-2}},
-					GramCacheBlocks: -1,
+					Factory:   ref,
+					Trainer:   refTrainer{kernelmachine.Ridge{Lambda: 1e-2}},
+					GramCache: kernel.NewBlockGramCache(d.X, ref, -1),
 				})
 				for _, p := range []partition.Partition{
 					partition.Coarsest(d.D()),

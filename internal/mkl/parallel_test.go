@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/kernel"
 	"repro/internal/partition"
 	"repro/internal/stats"
 )
@@ -143,7 +144,7 @@ func TestGramCacheDisabledStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eOff, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 4, GramCacheBlocks: -1})
+	eOff, err := NewEvaluator(d, Config{Objective: KernelAlignment, Seed: 4, GramCache: kernel.NewBlockGramCache(d.X, kernel.RBFFactory(1.0), -1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestGramCacheDisabledStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := eOff.gramCache.Len(); n != 0 {
-		t.Fatalf("negative GramCacheBlocks should disable retention, cache holds %d blocks", n)
+		t.Fatalf("a negative retention limit should disable retention, cache holds %d blocks", n)
 	}
 	if !on.Best.Equal(off.Best) || on.Score != off.Score {
 		t.Errorf("cached (%v, %v) vs uncached (%v, %v): must be bit-identical",

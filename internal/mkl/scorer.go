@@ -108,10 +108,10 @@ func (p *pool) ScoreCandidates(ctx context.Context, cands []partition.Partition)
 	// done[i] is written only by the worker that claimed candidate i and
 	// read after the pool's barrier, so it needs no lock.
 	done := make([]bool, len(cands))
-	_, err := parsearch.RunContext(ctx, len(cands), len(p.workers), func(w, i int) (float64, error) {
+	err := parsearch.Do(ctx, len(cands), len(p.workers), func(w, i int) error {
 		scores[i], errs[i] = p.workers[w].scoreConfig(cands[i])
 		done[i] = true
-		return 0, nil
+		return nil
 	})
 	if err != nil {
 		for i := range cands {

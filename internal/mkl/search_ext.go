@@ -99,7 +99,7 @@ func (r *searchRun) alignments(feats []int) ([]float64, error) {
 		workers = p.workers
 	}
 	aligns := make([]float64, len(feats))
-	err := parsearch.DoContext(r.e.searchCtx(), len(feats), len(workers), func(w, i int) error {
+	err := parsearch.Do(r.e.searchCtx(), len(feats), len(workers), func(w, i int) error {
 		aligns[i] = singletonAlignment(workers[w], feats[i])
 		return nil
 	})

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/partition"
 )
 
@@ -29,7 +30,7 @@ func TestSearchCoreDeterminismAlignmentOrder(t *testing.T) {
 		cfg  Config
 	}{
 		{"f64", Config{}},
-		{"f64-uncached", Config{GramCacheBlocks: -1}},
+		{"f64-uncached", Config{GramCache: kernel.NewBlockGramCache(d.X, kernel.RBFFactory(1.0), -1)}},
 		{"f32", Config{Backend: engine.Float32}},
 		{"nystrom", Config{Backend: engine.Nystrom(16)}},
 	}

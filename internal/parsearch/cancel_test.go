@@ -28,11 +28,11 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestRunContextCancellation cancels mid-run at every worker count the
+// TestDoCancellation cancels mid-run at every worker count the
 // determinism suite uses: the pool must return ctx.Err() promptly (without
-// abandoning an in-flight evaluation mid-way), never deadlock, and leave no
+// abandoning an in-flight job mid-way), never deadlock, and leave no
 // worker goroutine behind.
-func TestRunContextCancellation(t *testing.T) {
+func TestDoCancellation(t *testing.T) {
 	const n = 256
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -40,20 +40,22 @@ func TestRunContextCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var evaluated atomic.Int64
-			scores, err := RunContext(ctx, n, workers, func(_, i int) (float64, error) {
+			scores := make([]float64, n)
+			err := Do(ctx, n, workers, func(_, i int) error {
 				if evaluated.Add(1) == 10 {
-					cancel() // cancel mid-search, from inside an evaluation
+					cancel() // cancel mid-run, from inside a job
 				}
-				return float64(i + 1), nil
+				scores[i] = float64(i + 1)
+				return nil
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			got := evaluated.Load()
 			if got >= n {
-				t.Fatalf("all %d candidates evaluated despite cancellation", n)
+				t.Fatalf("all %d jobs ran despite cancellation", n)
 			}
-			// In-flight evaluations finish; their scores land at their index.
+			// In-flight jobs finish; their results land at their index.
 			filled := int64(0)
 			for _, s := range scores {
 				if s != 0 {
@@ -61,70 +63,48 @@ func TestRunContextCancellation(t *testing.T) {
 				}
 			}
 			if filled == 0 || filled > got {
-				t.Fatalf("%d scores filled, %d evaluated", filled, got)
+				t.Fatalf("%d results filled, %d jobs ran", filled, got)
 			}
 			waitForGoroutines(t, baseline)
 		})
 	}
 }
 
-// TestRunContextPreCancelled: a context that is already done evaluates
-// nothing.
-func TestRunContextPreCancelled(t *testing.T) {
+// TestDoPreCancelled: a context that is already done runs nothing.
+func TestDoPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 2, 8} {
 		called := atomic.Int64{}
-		_, err := RunContext(ctx, 64, workers, func(_, i int) (float64, error) {
+		err := Do(ctx, 64, workers, func(_, _ int) error {
 			called.Add(1)
-			return float64(i), nil
+			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		// The multi-worker pool may let a worker claim one candidate in the
+		// The multi-worker pool may let a worker claim one job in the
 		// window before its first poll; it must not get past that.
 		if c := called.Load(); c > int64(workers) {
-			t.Fatalf("workers=%d: %d candidates evaluated on a dead context", workers, c)
+			t.Fatalf("workers=%d: %d jobs ran on a dead context", workers, c)
 		}
 	}
 }
 
-// TestRunContextErrorBeatsCancellation: a score error recorded before the
+// TestDoErrorBeatsCancellation: a job error recorded before the
 // cancellation keeps the lowest-index-error contract.
-func TestRunContextErrorBeatsCancellation(t *testing.T) {
+func TestDoErrorBeatsCancellation(t *testing.T) {
 	want := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := RunContext(ctx, 32, 4, func(_, i int) (float64, error) {
+	err := Do(ctx, 32, 4, func(_, i int) error {
 		if i == 3 {
 			cancel()
-			return 0, want
-		}
-		return 0, nil
-	})
-	if !errors.Is(err, want) {
-		t.Fatalf("err = %v, want the score error", err)
-	}
-}
-
-// TestDoContextCancellation mirrors the Run checks for the job-only wrapper.
-func TestDoContextCancellation(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ran atomic.Int64
-	err := DoContext(ctx, 512, 8, func(_, _ int) error {
-		if ran.Add(1) == 5 {
-			cancel()
+			return want
 		}
 		return nil
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if !errors.Is(err, want) {
+		t.Fatalf("err = %v, want the job error", err)
 	}
-	if ran.Load() >= 512 {
-		t.Fatal("every job ran despite cancellation")
-	}
-	waitForGoroutines(t, baseline)
 }

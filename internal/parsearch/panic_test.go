@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// TestPanicRecoveredIntoError: a panicking score callback must surface as a
+// TestPanicRecoveredIntoError: a panicking job must surface as a
 // *PanicError instead of crashing the process, at every worker count, with
 // the pool draining cleanly (no goroutine leak) and the lowest-indexed
 // panic winning when the panicking candidate is the only failure observed.
@@ -18,11 +18,11 @@ func TestPanicRecoveredIntoError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			_, err := RunContext(context.Background(), 32, workers, func(worker, index int) (float64, error) {
+			err := Do(context.Background(), 32, workers, func(worker, index int) error {
 				if index == 7 {
 					panic("candidate 7 exploded")
 				}
-				return float64(index), nil
+				return nil
 			})
 			var pe *PanicError
 			if !errors.As(err, &pe) {
@@ -46,12 +46,12 @@ func TestPanicRecoveredIntoError(t *testing.T) {
 // the first (lowest-index) panic exactly as it stops at the first error.
 func TestPanicLowestIndexWinsSequential(t *testing.T) {
 	calls := 0
-	_, err := RunContext(context.Background(), 16, 1, func(worker, index int) (float64, error) {
+	err := Do(context.Background(), 16, 1, func(worker, index int) error {
 		calls++
 		if index >= 3 {
 			panic(index)
 		}
-		return 0, nil
+		return nil
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Index != 3 {
@@ -62,12 +62,11 @@ func TestPanicLowestIndexWinsSequential(t *testing.T) {
 	}
 }
 
-// TestPanicEveryCandidate: even when every callback panics concurrently the
-// pool returns one error and drains; Do gets the same protection through
-// its RunContext delegation.
+// TestPanicEveryCandidate: even when every job panics concurrently the
+// pool returns one error and drains.
 func TestPanicEveryCandidate(t *testing.T) {
 	for _, workers := range []int{2, 8} {
-		err := Do(64, workers, func(worker, index int) error {
+		err := Do(context.Background(), 64, workers, func(worker, index int) error {
 			panic(fmt.Sprintf("w%d i%d", worker, index))
 		})
 		var pe *PanicError
@@ -83,12 +82,12 @@ func TestPanicDoesNotMaskContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, 128, 4, func(worker, index int) (float64, error) {
+		err := Do(ctx, 128, 4, func(worker, index int) error {
 			if index == 10 {
 				cancel()
 				panic("mid-cancel panic")
 			}
-			return 0, nil
+			return nil
 		})
 		done <- err
 	}()

@@ -22,14 +22,16 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-func TestRunReturnsScoresInCandidateOrder(t *testing.T) {
-	// Give later candidates shorter work so completion order inverts
-	// submission order; the result slice must still be index-aligned.
+func TestDoResultsInIndexOrder(t *testing.T) {
+	// Give later jobs shorter work so completion order inverts submission
+	// order; results written at each job's index must still line up.
 	const n = 32
 	for _, workers := range []int{1, 2, 4, 16} {
-		scores, err := RunContext(context.Background(), n, workers, func(_, i int) (float64, error) {
+		scores := make([]float64, n)
+		err := Do(context.Background(), n, workers, func(_, i int) error {
 			time.Sleep(time.Duration(n-i) * 100 * time.Microsecond)
-			return float64(i * i), nil
+			scores[i] = float64(i * i)
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -42,10 +44,10 @@ func TestRunReturnsScoresInCandidateOrder(t *testing.T) {
 	}
 }
 
-func TestRunWorkerIDsAreStableAndBounded(t *testing.T) {
+func TestDoWorkerIDsAreStableAndBounded(t *testing.T) {
 	const n, workers = 64, 4
 	var active [workers]atomic.Int32
-	err := Do(n, workers, func(w, _ int) error {
+	err := Do(context.Background(), n, workers, func(w, _ int) error {
 		if w < 0 || w >= workers {
 			return fmt.Errorf("worker id %d out of range", w)
 		}
@@ -61,25 +63,25 @@ func TestRunWorkerIDsAreStableAndBounded(t *testing.T) {
 	}
 }
 
-func TestRunLowestIndexErrorWins(t *testing.T) {
-	// Candidate 3 fails as soon as candidate 1 is running; candidate 1
-	// fails later. The returned error must be candidate 1's (the lowest
-	// failing index) even though candidate 3's worker tripped first.
+func TestDoLowestIndexErrorWins(t *testing.T) {
+	// Job 3 fails as soon as job 1 is running; job 1 fails later. The
+	// returned error must be job 1's (the lowest failing index) even
+	// though job 3's worker tripped first.
 	errSlow := errors.New("slow failure at index 1")
 	errFast := errors.New("fast failure at index 3")
 	for trial := 0; trial < 10; trial++ {
 		claimed := make(chan struct{})
-		_, err := RunContext(context.Background(), 4, 4, func(_, i int) (float64, error) {
+		err := Do(context.Background(), 4, 4, func(_, i int) error {
 			switch i {
 			case 1:
 				close(claimed)
 				time.Sleep(2 * time.Millisecond)
-				return 0, errSlow
+				return errSlow
 			case 3:
 				<-claimed
-				return 0, errFast
+				return errFast
 			default:
-				return 0, nil
+				return nil
 			}
 		})
 		if !errors.Is(err, errSlow) {
@@ -88,19 +90,19 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 	}
 }
 
-func TestRunZeroCandidates(t *testing.T) {
-	scores, err := RunContext(context.Background(), 0, 4, func(_, _ int) (float64, error) {
-		t.Fatal("score called for empty candidate set")
-		return 0, nil
+func TestDoZeroJobs(t *testing.T) {
+	err := Do(context.Background(), 0, 4, func(_, _ int) error {
+		t.Fatal("fn called for an empty job set")
+		return nil
 	})
-	if err != nil || len(scores) != 0 {
-		t.Fatalf("got scores=%v err=%v", scores, err)
+	if err != nil {
+		t.Fatalf("got err=%v", err)
 	}
 }
 
 func TestDoPropagatesError(t *testing.T) {
 	want := errors.New("boom")
-	if err := Do(10, 3, func(_, i int) error {
+	if err := Do(context.Background(), 10, 3, func(_, i int) error {
 		if i == 2 {
 			return want
 		}
@@ -108,24 +110,26 @@ func TestDoPropagatesError(t *testing.T) {
 	}); !errors.Is(err, want) {
 		t.Fatalf("got %v", err)
 	}
-	if err := Do(10, 3, func(_, _ int) error { return nil }); err != nil {
+	if err := Do(context.Background(), 10, 3, func(_, _ int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestRunConcurrentStress(t *testing.T) {
-	// Exercised under -race in CI: many candidates, shared counter.
+func TestDoConcurrentStress(t *testing.T) {
+	// Exercised under -race in CI: many jobs, shared counter.
 	var computed atomic.Int64
 	const n = 500
-	scores, err := RunContext(context.Background(), n, 8, func(_, i int) (float64, error) {
+	scores := make([]float64, n)
+	err := Do(context.Background(), n, 8, func(_, i int) error {
 		computed.Add(1)
-		return float64(i), nil
+		scores[i] = float64(i)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if computed.Load() != n {
-		t.Errorf("computed %d candidates, want %d", computed.Load(), n)
+		t.Errorf("computed %d jobs, want %d", computed.Load(), n)
 	}
 	for i, s := range scores {
 		if s != float64(i) {

@@ -7,12 +7,13 @@
 //   - TestScaleSmoke_Nystrom10k: a synthetic n=10k fit under nystrom:256
 //     finishes inside an explicit wall-clock and MaxRSS budget, and the
 //     top-K exact re-score selects the committed golden partition. The
-//     exact evaluator retains no blocks (GramCacheBlocks < 0): at n=10k one
-//     block is 800 MB, so its block cache builds each block into one
-//     reused buffer and folds it into the candidate's Gram before building
-//     the next — the assembled Gram plus one block, however many blocks —
-//     and this test is what keeps that shape working at scale
-//     (TestRetentionDisabledAssemblyHoldsOneBlock guards it in tier 1).
+//     re-score runs on the approximate evaluator's own exact block cache,
+//     which retains no blocks: at n=10k one block is 400 MB packed, so the
+//     cache builds each block into one reused buffer and folds it into the
+//     candidate's Gram before building the next — the assembled Gram plus
+//     one block, however many blocks — and this test is what keeps that
+//     shape working at scale (TestRetentionDisabledAssemblyHoldsOneBlock
+//     guards it in tier 1).
 //   - TestScaleSmoke_Budgeted1kSpeedup: at n=1k, where the exact
 //     exhaustive cone is still affordable, the budgeted search (approximate
 //     lattice sweep + top-K exact re-score) must select the same partition
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/kernel"
 	"repro/internal/mkl"
 	"repro/internal/partition"
 )
@@ -67,17 +69,11 @@ func TestScaleSmoke_Nystrom10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Exact evaluator retaining no blocks: keeping 10k x 10k blocks (800 MB
-	// each) across candidates would dwarf the RSS budget the test defends.
-	exact, err := mkl.NewEvaluator(d, mkl.Config{
-		Objective: mkl.KernelAlignment, Seed: 1, GramCacheBlocks: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// The re-score's exact cache retains no blocks: keeping 10k x 10k
+	// blocks (400 MB each, packed) across candidates would dwarf the RSS
+	// budget the test defends.
 	start := time.Now()
-	res, err := mkl.BudgetedSearch(approx, exact, seed, func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
+	res, err := mkl.BudgetedSearch(approx, seed, func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
 		return mkl.ChainSearch(e, s, mkl.BestOfChain)
 	}, topK)
 	if err != nil {
@@ -121,20 +117,21 @@ func TestScaleSmoke_Budgeted1kSpeedup(t *testing.T) {
 	// the phase boundary: both phases then start from a settled heap
 	// instead of the second inheriting the first one's GC debt (which
 	// skews the ratio either way on small absolute times).
+	//
+	// The re-score keeps default block retention, the setting this gate
+	// was calibrated with, so its cache is injected: an approximate
+	// evaluator's own exact cache retains nothing.
 	approx, err := mkl.NewEvaluator(d, mkl.Config{
 		Objective: mkl.CVAccuracy, Seed: 1,
-		Backend: engine.Nystrom(rank),
+		Backend:   engine.Nystrom(rank),
+		GramCache: kernel.NewBlockGramCache(d.X, kernel.RBFFactory(1.0), 0),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := mkl.NewEvaluator(d, mkl.Config{Objective: mkl.CVAccuracy, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()
 	t0 := time.Now()
-	res, err := mkl.BudgetedSearch(approx, exact, seed, func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
+	res, err := mkl.BudgetedSearch(approx, seed, func(e *mkl.Evaluator, s partition.Partition) (*mkl.Result, error) {
 		return mkl.ExhaustiveCone(e, s)
 	}, topK)
 	if err != nil {
