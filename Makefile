@@ -115,10 +115,11 @@ contracts:
 	$(CONTRACT) 'TestFaultMatrixSelectionBitIdentical' ./internal/distsearch
 # Assert approximate Gram and block-cache contract (full-rank == exact,
 # seeded determinism across workers, one cache contract for f64/f32/
-# low-rank blocks).
+# low-rank blocks, a budgeted search's factors released before the
+# re-score).
 	$(CONTRACT) 'TestNystromFactorFullRankExact|TestRFFMapApproximatesRBF|TestPrimalDualRidgeEquivalence' ./internal/linalg
 	$(CONTRACT) 'TestApprox|TestBlockGramCache' ./internal/kernel -race
-	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact|TestBudgetedSearchRescoresLikeFloat64' ./internal/mkl
+	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact|TestBudgetedSearchRescoresLikeFloat64|TestBudgetedSearchReleasesFactors' ./internal/mkl
 # Assert numeric backend contract (f64 bit-identical, f32 tolerance +
 # worker determinism, spelling equivalence, budgeted fit over a fleet).
 	$(CONTRACT) '.' ./internal/engine
@@ -128,9 +129,11 @@ contracts:
 	$(CONTRACT) 'TestWithBackend|TestAutoBackendFacade' .
 # Assert dense kernels and the exp lanes match their scalar references bit
 # for bit (AVX-512, AVX2 and Go-loop dispatch of Cholesky, SyrkT, the
-# accumulate steps and ExpScaled, both widths, every column-block tail,
-# failing pivots, stale factor buffers; exp lanes off under
-# GODEBUG=cpu.fma=off; one CPU probe and fused ops only in the exp lanes).
+# Syrk and pairwise-distance dot lanes, the accumulate steps and
+# ExpScaled, both widths, every column-block and row tail, every feature
+# count to 17, ±Inf and NaN through the distance clamp, failing pivots,
+# stale factor and block buffers; exp lanes off under GODEBUG=cpu.fma=off;
+# one CPU probe and fused ops only in the exp lanes).
 	$(CONTRACT) 'MatchesScalarReference|TestExpLanesMatchesMathExp|TestExpLanesFollowMathExpBranch|TestAsmAudit' ./internal/linalg
 # Assert partition Gram assembly, bound cross-Gram fills and the RBF blocks
 # match their scalar chains bit for bit (every factory and combiner at

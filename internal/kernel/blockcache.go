@@ -85,6 +85,17 @@ func (c *BlockCache[V]) Bytes() int64 {
 	return c.bytes
 }
 
+// Clear drops every retained block, as a new cache holds none. Values
+// already handed out stay valid, and a later lookup rebuilds its block by
+// the same deterministic build, so clearing changes residency, never a
+// value.
+func (c *BlockCache[V]) Clear() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	clear(c.m)
+	c.order, c.bytes = nil, 0
+}
+
 // Block returns the value of the block on the given sorted 0-based feature
 // indices, building and caching it on first use. The returned value is
 // shared and must not be mutated, unless the cache does not retain blocks

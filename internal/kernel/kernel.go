@@ -285,19 +285,104 @@ func CrossGramPairwise(k Kernel, a, b [][]float64) *linalg.Matrix {
 // search. K is read in place through its upper rows, upper[i] = K[i][i:]
 // (Packed.UpperRows of a cached block, Dense.UpperRows of a full Gram),
 // with K[i][j] = upper[j][i−j] below the diagonal: one pass takes the row
-// means and the total in float64, a second rebuilds each centered entry in
-// row-major order, rounded to T once as a stored centered Gram would hold
-// it, and accumulates both sums in float64 at either storage width.
+// means and the total in float64 (alignRowSums), a second rebuilds each
+// centered entry in row-major order, rounded to T once as a stored
+// centered Gram would hold it, and accumulates both sums in float64 at
+// either storage width. The second pass takes alignPanel rows at a time:
+// their entries below the diagonal are copied first, alignPanel
+// contiguous entries of each upper[j] above the panel, so one cache line
+// of a row above serves every row of the panel instead of one.
 func CenteredAlignment[T linalg.Float](upper [][]T, y []int) float64 {
 	n := len(upper)
 	if n == 0 || len(y) != n {
 		return 0
 	}
-	// Row r's sum runs over ascending columns: the rows above add its
-	// terms left of the diagonal, then its own segment follows.
-	rowMean := make([]float64, n)
-	total := 0.0
-	for r, row := range upper {
+	rowMean, total := alignRowSums(upper)
+	left := make([]T, alignPanel*n)
+	var kyy, kk float64
+	for i := 0; i < n; i += alignPanel {
+		h := min(alignPanel, n-i)
+		// left[j·h + r] = K[i+r][j] for every j < i+r: whole panels of
+		// upper[j] above the panel, then the panel's own lower triangle.
+		j := 0
+		if h == alignPanel {
+			for ; j < i; j++ {
+				l := left[j*alignPanel : (j+1)*alignPanel : (j+1)*alignPanel]
+				u := upper[j][i-j : i-j+alignPanel : i-j+alignPanel]
+				l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7] = u[0], u[1], u[2], u[3], u[4], u[5], u[6], u[7]
+			}
+		}
+		for ; j < i+h; j++ {
+			r0 := max(j-i, 0)
+			copy(left[j*h+r0:(j+1)*h], upper[j][i+r0-j:])
+		}
+		for r := 0; r < h; r++ {
+			row := i + r
+			mi, yi := rowMean[row], y[row]
+			kyy, kk = alignTerms(kyy, kk, left[r:], h, mi, total, rowMean[:row], yi, y[:row])
+			kyy, kk = alignTerms(kyy, kk, upper[row], 1, mi, total, rowMean[row:], yi, y[row:])
+		}
+	}
+	if kk <= 0 {
+		return 0
+	}
+	return kyy / (math.Sqrt(kk) * float64(n))
+}
+
+// alignTerms adds to CenteredAlignment's two sums the terms of one row
+// of K with mean mi and label yi: its entries f[c·stride], in ascending
+// c, for the columns whose means and labels are rowMean[c] and y[c]. Each
+// centered entry is rounded to T once, as a stored centered Gram would
+// hold it.
+func alignTerms[T linalg.Float](kyy, kk float64, f []T, stride int, mi, total float64, rowMean []float64, yi int, y []int) (float64, float64) {
+	y = y[:len(rowMean)]
+	for c, mj := range rowMean {
+		v := float64(T(float64(f[c*stride]) - mi - mj + total))
+		kyy += v * float64(yi*y[c])
+		kk += v * v
+	}
+	return kyy, kk
+}
+
+// alignPanel is the number of rows CenteredAlignment's second pass takes
+// at a time: eight float64 entries are one cache line.
+const alignPanel = 8
+
+// alignRowSums returns the row means of the symmetric K held as upper rows
+// and its mean, each row's sum taken over ascending columns in float64 and
+// the total over ascending rows. Rows go four per sweep, so four sums are
+// in flight: a row's terms left of the diagonal are gathered into its
+// rowMean slot, in ascending order, by the sweeps above it, then the
+// sweep adds its own 4×4 diagonal block and its segments to the right,
+// while adding each of those columns' terms from the four rows to their
+// slots in row order.
+func alignRowSums[T linalg.Float](upper [][]T) (rowMean []float64, total float64) {
+	n := len(upper)
+	rowMean = make([]float64, n)
+	r := 0
+	for ; r+4 <= n; r += 4 {
+		u0, u1, u2, u3 := upper[r], upper[r+1], upper[r+2], upper[r+3]
+		s0 := rowMean[r] + float64(u0[0]) + float64(u0[1]) + float64(u0[2]) + float64(u0[3])
+		s1 := rowMean[r+1] + float64(u0[1]) + float64(u1[0]) + float64(u1[1]) + float64(u1[2])
+		s2 := rowMean[r+2] + float64(u0[2]) + float64(u1[1]) + float64(u2[0]) + float64(u2[1])
+		s3 := rowMean[r+3] + float64(u0[3]) + float64(u1[2]) + float64(u2[1]) + float64(u3[0])
+		rest := rowMean[r+4:]
+		u0, u1, u2, u3 = u0[4:][:len(rest)], u1[3:][:len(rest)], u2[2:][:len(rest)], u3[1:][:len(rest)]
+		for c := range rest {
+			a, b, d, e := float64(u0[c]), float64(u1[c]), float64(u2[c]), float64(u3[c])
+			s0 += a
+			s1 += b
+			s2 += d
+			s3 += e
+			rest[c] = rest[c] + a + b + d + e
+		}
+		for q, s := range [4]float64{s0, s1, s2, s3} {
+			rowMean[r+q] = s / float64(n)
+			total += s
+		}
+	}
+	for ; r < n; r++ {
+		row := upper[r]
 		s := rowMean[r]
 		for _, v := range row {
 			s += float64(v)
@@ -308,26 +393,7 @@ func CenteredAlignment[T linalg.Float](upper [][]T, y []int) float64 {
 			rowMean[r+1+c] += float64(v)
 		}
 	}
-	total /= float64(n * n)
-	var kyy, kk float64
-	for i, row := range upper {
-		mi := rowMean[i]
-		for j := 0; j < n; j++ {
-			var f T
-			if j < i {
-				f = upper[j][i-j]
-			} else {
-				f = row[j-i]
-			}
-			v := float64(T(float64(f) - mi - rowMean[j] + total))
-			kyy += v * float64(y[i]*y[j])
-			kk += v * v
-		}
-	}
-	if kk <= 0 {
-		return 0
-	}
-	return kyy / (math.Sqrt(kk) * float64(n))
+	return rowMean, total / float64(n*n)
 }
 
 // Normalized wraps a kernel with cosine normalization:

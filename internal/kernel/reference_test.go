@@ -415,10 +415,12 @@ func refAlignment[T linalg.Float](g *linalg.Dense[T], y []int) float64 {
 // refAlignment — bit for bit at both widths, on symmetric inputs (a block
 // Gram, a random symmetric matrix and zeros) read through their packed
 // upper rows (a cached block) and through a full matrix's upper rows (a
-// candidate Gram), and checks that the input is left untouched.
+// candidate Gram), and checks that the input is left untouched. The
+// orders straddle the tails of the four-row sums and the eight-row
+// panels; the last is a real n=600 RBF block, the fit-solve order.
 func TestCenteredAlignmentMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{0, 1, 2, 3, 7, 16, 41} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16, 17, 23, 24, 25, 41, 600} {
 		y := make([]int, n)
 		for i := range y {
 			y[i] = 1 - 2*rng.Intn(2)
@@ -434,7 +436,11 @@ func TestCenteredAlignmentMatchesScalarReference(t *testing.T) {
 		for i := range x {
 			x[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		for _, g := range []*linalg.Matrix{Gram(RBF{Gamma: 0.7}, x), sym, linalg.NewMatrix(n, n)} {
+		grams := []*linalg.Matrix{Gram(RBF{Gamma: 0.7}, x), sym, linalg.NewMatrix(n, n)}
+		if n == 600 {
+			grams = grams[:1]
+		}
+		for _, g := range grams {
 			checkCenteredAlignment(t, n, g, y)
 			checkCenteredAlignment(t, n, linalg.Convert[float32](nil, g), y)
 		}

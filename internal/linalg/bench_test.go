@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -95,4 +96,24 @@ func benchSolvePair(b *testing.B, n int) {
 			x[1] = SolveCholeskyInto(x[1], l[1], rhs[1])
 		}
 	})
+}
+
+// BenchmarkPairwiseSquaredDistancesUpper times one RBF block's distance
+// pass at the fit-solve block order, n=600, for block widths d = 1, 2, 8
+// and 16, on every dispatch path: "go" is the register-tiled Go loop, the
+// SIMD paths the dot lanes.
+func BenchmarkPairwiseSquaredDistancesUpper(b *testing.B) {
+	const n = 600
+	for _, d := range []int{1, 2, 8, 16} {
+		x := randMatrix(n, d, rand.New(rand.NewSource(int64(d))))
+		dst := ReshapePacked[float64](nil, n)
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			benchKernelPaths(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dst = PairwiseSquaredDistancesUpperInto(dst, x)
+				}
+			})
+		})
+	}
 }

@@ -19,12 +19,12 @@
 // and each result is rounded to the storage type once, at its store.
 // A register-tiled or lane-parallel kernel (CholeskyInto on either SIMD
 // tier, SolveCholeskyInto's forward substitution, SolveCholeskyPairInto's
-// two interleaved backward substitutions, MulVecInto,
-// PairwiseSquaredDistancesUpperInto, SyrkTInto's AVX2 row update, the AVX2
-// accumulate kernels) interleaves outputs but never reorders the terms
-// within an output. The Cholesky factor keeps L in its lower triangle and
-// Lᵀ in its strict upper one, so a factor's rows serve both
-// substitutions. Inner products accumulate
+// two interleaved backward substitutions, MulVecInto, the dot lanes of
+// SyrkInto and PairwiseSquaredDistancesUpperInto, SyrkTInto's AVX2 row
+// update, the AVX2 accumulate kernels) interleaves outputs but never
+// reorders the terms within an output. The Cholesky factor keeps L in its
+// lower triangle and Lᵀ in its strict upper one, so a factor's rows serve
+// both substitutions. Inner products accumulate
 // left-to-right in feature order — exactly the order a scalar per-pair
 // kernel evaluation uses — so at float64 SyrkInto and GemmNTInto are
 // bit-identical to pairwise dot products, and at float32 each entry is the
@@ -38,6 +38,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Reshape returns m resized to r×c, reusing m's backing storage whenever its
@@ -192,10 +193,14 @@ func MirrorUpper[T Float](m *Dense[T]) {
 
 // SyrkInto computes the symmetric rank-k product X·Xᵀ (entry (i, j) =
 // ⟨row i, row j⟩) into the packed dst (reshaped via ReshapePacked) and
-// returns it.
+// returns it. At float64 on an AVX2 host the rows run on the dot lanes
+// (dotRowsLanes); the Go loop is the reference and the fallback.
 func SyrkInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 	n, d := x.Rows, x.Cols
 	dst = ReshapePacked(dst, n)
+	if dotRowsLanes(dst, x, nil) {
+		return dst
+	}
 	xd := x.Data
 	for i := 0; i < n; i++ {
 		ri := xd[i*d : (i+1)*d]
@@ -210,6 +215,76 @@ func SyrkInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 		}
 	}
 	return dst
+}
+
+// dotRowsLanes fills the packed dst (already of order x.Rows) with the
+// upper rows of X·Xᵀ on the dot lanes and reports true, when T is float64
+// and the host has AVX2; otherwise it leaves dst untouched and reports
+// false. With norms (RowSquaredNorms of x) it writes the distance
+// expansion instead: each row's diagonal is 0 and entry (i, j), j > i, is
+// squaredDistance(norms[i], norms[j], ⟨xᵢ,xⱼ⟩). The lanes run across the
+// entries of a row, over a d×n transposed copy of x built here (n·d
+// float64s, in a buffer from transposePool), so each entry keeps the Go
+// loop's chain: a float64 sum from zero in ascending k, then the same
+// epilogue.
+func dotRowsLanes[T Float](dst *Packed[T], x *Dense[T], norms []float64) bool {
+	x64, wide := asFloat64(x.Data)
+	if !wide || !useAVX2 || x.Rows == 0 || x.Cols == 0 {
+		return false
+	}
+	p64, _ := asFloat64(dst.Data)
+	n, d := x.Rows, x.Cols
+	buf, _ := transposePool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < n*d {
+		buf = new([]float64)
+		*buf = make([]float64, n*d)
+	}
+	defer transposePool.Put(buf)
+	xt := (*buf)[:n*d]
+	for j := 0; j < n; j++ {
+		for k, v := range x64[j*d : (j+1)*d] {
+			xt[k*n+j] = v
+		}
+	}
+	off := 0
+	for i := 0; i < n; i++ {
+		row := p64[off : off+n-i]
+		off += n - i
+		j0 := i
+		if norms != nil {
+			row[0] = 0
+			row, j0 = row[1:], i+1
+		}
+		dotRow(row, x64[i*d:(i+1)*d], xt, norms, i, j0)
+	}
+	return true
+}
+
+// transposePool recycles dotRowsLanes' transposed copies, so building a
+// block allocates nothing beyond the block itself.
+var transposePool sync.Pool // of *[]float64
+
+// dotRow sets out[c] = ⟨xi, x_{j0+c}⟩ for c < len(out) on dotRowAVX512 or
+// dotRowAVX2, reading columns j0 on of xt, the d×n transposed copy of x;
+// with norms non-nil each entry takes the distance epilogue against row
+// i's norm.
+//
+//iotml:hotpath
+func dotRow(out, xi, xt, norms []float64, i, j0 int) {
+	if len(out) == 0 {
+		return
+	}
+	var nj *float64
+	var ni float64
+	if norms != nil {
+		nj, ni = &norms[j0], norms[i]
+	}
+	n := len(xt) / len(xi)
+	if useAVX512 {
+		dotRowAVX512(&out[0], &xi[0], &xt[j0], nj, ni, len(out), len(xi), n)
+		return
+	}
+	dotRowAVX2(&out[0], &xi[0], &xt[j0], nj, ni, len(out), len(xi), n)
 }
 
 // GemmNTInto computes the rectangular product A·Bᵀ (dst[i][j] =
@@ -259,13 +334,18 @@ func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 // the same order as SyrkInto's diagonal) and each distance is rounded to
 // T once. Cancellation residue is clamped at zero and the diagonal is
 // exactly zero; off-diagonal entries agree with the direct Σ(xᵢ−yᵢ)² loop
-// to rounding only (see the package determinism contract). Each row's
-// columns are register-tiled, four per sweep, with one float64 dot
-// accumulator each over ascending features.
+// to rounding only (see the package determinism contract). At float64 on
+// an AVX2 host the rows run on the dot lanes (dotRowsLanes); the Go loop,
+// the reference and the fallback, register-tiles each row's columns, four
+// per sweep, with one float64 dot accumulator each over ascending
+// features.
 func PairwiseSquaredDistancesUpperInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 	n, d := x.Rows, x.Cols
 	dst = ReshapePacked(dst, n)
 	norms := RowSquaredNorms(nil, x)
+	if dotRowsLanes(dst, x, norms) {
+		return dst
+	}
 	xd := x.Data
 	for i := 0; i < n; i++ {
 		ri := xd[i*d : (i+1)*d]

@@ -20,12 +20,13 @@
 // This package holds all of the module's assembly (simd_amd64.s) and its
 // one CPU probe, cpuFeatures, which runs CPUID and XGETBV once and sets
 // every dispatch flag. On amd64 hosts with AVX2 the float64 CholeskyInto,
-// SyrkTInto, AccumulateScaled and AccumulateProduct run on AVX2
-// micro-kernels. Where the same pass also finds AVX512F (leaf 7 EBX bit
-// 16) and XGETBV reports the opmask and ZMM state saved (XCR0 bits 5–7),
-// CholeskyInto takes its column blocks eight at a time on AVX-512 kernels
-// first and finishes the last n mod 8 columns on the AVX2 block and the
-// Go loop. Every tier keeps
+// SyrkTInto, SyrkInto, PairwiseSquaredDistancesUpperInto,
+// AccumulateScaled and AccumulateProduct run on AVX2 micro-kernels. Where
+// the same pass also finds AVX512F (leaf 7 EBX bit 16) and XGETBV reports
+// the opmask and ZMM state saved (XCR0 bits 5–7), CholeskyInto takes its
+// column blocks eight at a time on AVX-512 kernels first and finishes the
+// last n mod 8 columns on the AVX2 block and the Go loop, and the SyrkInto
+// and distance rows run eight lanes per register. Every tier keeps
 // every bit under one rule: vectorize across independent outputs, never
 // along a reduction. Each lane replays one entry's scalar sequence — a
 // float64 accumulator, ascending k, a multiply then a separate subtract or

@@ -267,38 +267,117 @@ func sameBits32(t *testing.T, what string, got []float32, want []float64) {
 	}
 }
 
+// TestSyrkIntoMatchesScalarReference checks the packed product against the
+// per-pair reference bit for bit on every dispatch path (the dot lanes at
+// float64 on the SIMD ones), at both widths, over dotRowInputs, each
+// written into a recycled, larger destination full of stale entries that
+// must keep those past the result.
 func TestSyrkIntoMatchesScalarReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, sh := range propertyShapes(rng) {
-		x := randMatrix(sh[0], sh[1], rng)
-		sameBits64(t, "f64", SyrkInto(nil, x).Data, packUpper(refSyrk(x)))
-		x32 := Convert[float32](nil, x)
-		sameBits32(t, "f32", SyrkInto(nil, x32).Data, packUpper(refSyrk(Convert[float64](nil, x32))))
-	}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, x := range dotRowInputs(rng) {
+			what := fmt.Sprintf("%d×%d", x.Rows, x.Cols)
+			got := SyrkInto(stalePacked[float64](x.Rows), x)
+			sameBits64(t, what+" f64", got.Data, packUpper(refSyrk(x)))
+			staleTailKept(t, what+" f64", got.Data)
+			x32 := Convert[float32](nil, x)
+			got32 := SyrkInto(stalePacked[float32](x.Rows), x32)
+			sameBits32(t, what+" f32", got32.Data, packUpper(refSyrk(Convert[float64](nil, x32))))
+			staleTailKept(t, what+" f32", got32.Data)
+		}
+	})
 }
 
 // TestPairwiseSquaredDistancesIntoMatchesScalarReference checks the packed
 // upper triangle and diagonal against the per-pair reference bit for bit,
-// at both widths and at every column tail of the four-column tiles, each
-// written into a recycled, larger destination full of stale entries.
+// on every dispatch path, at both widths, over dotRowInputs, each written
+// into a recycled, larger destination full of stale entries that must
+// keep those past the result. Rows repeated to within an ulp drive the expansion's cancellation below zero, where the clamp
+// writes 0, and the ±Inf and NaN features give entries whose expansion is
+// NaN, which the clamp passes through.
 func TestPairwiseSquaredDistancesIntoMatchesScalarReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, sh := range tiledRowShapes(rng) {
-		x := randMatrix(sh[0], sh[1], rng)
-		n := sh[0]
-		got := ReshapePacked[float64](nil, n+3)
-		for i := range got.Data {
-			got.Data[i] = staleEntry
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		for _, x := range dotRowInputs(rng) {
+			what := fmt.Sprintf("%d×%d", x.Rows, x.Cols)
+			got := PairwiseSquaredDistancesUpperInto(stalePacked[float64](x.Rows), x)
+			sameBits64(t, what+" f64", got.Data, packUpper(refPairwiseSquaredDistances(x)))
+			staleTailKept(t, what+" f64", got.Data)
+			x32 := Convert[float32](nil, x)
+			got32 := PairwiseSquaredDistancesUpperInto(stalePacked[float32](x.Rows), x32)
+			sameBits32(t, what+" f32", got32.Data, packUpper(refPairwiseSquaredDistances(Convert[float64](nil, x32))))
+			staleTailKept(t, what+" f32", got32.Data)
 		}
-		sameBits64(t, "f64", PairwiseSquaredDistancesUpperInto(got, x).Data, packUpper(refPairwiseSquaredDistances(x)))
-		x32 := Convert[float32](nil, x)
-		got32 := &Packed[float32]{N: n + 3, Data: make([]float32, len(got.Data))}
-		for i := range got32.Data {
-			got32.Data[i] = staleEntry
-		}
-		want32 := packUpper(refPairwiseSquaredDistances(Convert[float64](nil, x32)))
-		sameBits32(t, "f32", PairwiseSquaredDistancesUpperInto(got32, x32).Data, want32)
+	})
+}
+
+// stalePacked returns a packed destination of order n+3 full of
+// staleEntry, for a kernel of order n to reshape and overwrite.
+func stalePacked[T Float](n int) *Packed[T] {
+	p := ReshapePacked[T](nil, n+3)
+	for i := range p.Data {
+		p.Data[i] = staleEntry
 	}
+	return p
+}
+
+// defaultNaN is the NaN every invalid operation on amd64 returns (∞ − ∞,
+// 0·∞). As the NaN input of the dot-lane tests it makes every NaN in a
+// result this one bit pattern: which NaN operand of a commutative add or
+// multiply propagates depends on the operand order the compiler picks,
+// which Go leaves open (a -race build picks differently), so a NaN
+// payload is no property of the arithmetic to pin.
+var defaultNaN = math.Float64frombits(0xfff8000000000000)
+
+// staleTailKept fails unless every entry of data's capacity past its
+// length still holds staleEntry: a kernel writes only the packed entries
+// of its order.
+func staleTailKept[T Float](t *testing.T, what string, data []T) {
+	t.Helper()
+	for i, v := range data[len(data):cap(data)] {
+		if v != staleEntry {
+			t.Fatalf("%s: wrote %v past the packed entries, at %d", what, v, len(data)+i)
+		}
+	}
+}
+
+// dotRowInputs returns the inputs of the dot-lane tests: every feature
+// count d from 0 to 17 at row counts n whose rows (n−i entries in row i
+// of X·Xᵀ, one fewer off the distance diagonal) leave every tail from 0
+// to 7 after the lanes' wide sweeps (32 and 8 entries on AVX-512, 16 and
+// 4 on AVX2). Every other matrix repeats some rows to within an ulp,
+// and every third
+// carries +Inf, −Inf and NaN features in a few rows.
+func dotRowInputs(rng *rand.Rand) []*Matrix {
+	var out []*Matrix
+	for d := 0; d <= 17; d++ {
+		for _, n := range []int{1, 2, 3, 5, 8, 9, 12, 17, 40, 47} {
+			x := randMatrix(n, d, rng)
+			if len(out)%2 == 1 && n > 2 && d > 0 {
+				// Rows far from the origin, the last third a copy of the
+				// first nudged by one ulp in one feature: their expansion
+				// cancels to a residue of either sign.
+				for i := range x.Data {
+					x.Data[i] += 1e3
+				}
+				for r := 0; r < n/3; r++ {
+					nudged := x.Data[(n-1-r)*d : (n-r)*d]
+					copy(nudged, x.Data[r*d:(r+1)*d])
+					k := rng.Intn(d)
+					nudged[k] = math.Nextafter(nudged[k], math.Inf(1))
+				}
+			}
+			if len(out)%3 == 2 && d > 0 {
+				for r, v := range []float64{math.Inf(1), math.Inf(-1), defaultNaN} {
+					if i := rng.Intn(n); r < n {
+						x.Data[i*d+rng.Intn(d)] = v
+					}
+				}
+			}
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // packUpper lists the upper triangle of the square matrix m row by row,
@@ -912,7 +991,7 @@ func TestAsmAudit(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatal("no assembly files found in the module")
 	}
-	routines := map[string]bool{"cpuFeatures": false, "cholTileAVX2": false, "cholPanelAVX2": false, "cholTileAVX512": false, "cholPanelAVX512": false, "syrkTRowAVX2": false, "accScaledAVX2": false, "accProductAVX2": false, "expLanesAVX2": false}
+	routines := map[string]bool{"cpuFeatures": false, "cholTileAVX2": false, "cholPanelAVX2": false, "cholTileAVX512": false, "cholPanelAVX512": false, "syrkTRowAVX2": false, "dotRowAVX2": false, "dotRowAVX512": false, "accScaledAVX2": false, "accProductAVX2": false, "expLanesAVX2": false}
 	fused := map[string]int{}
 	var placement, fusedOps, probe, undefined []string
 	for _, f := range files {

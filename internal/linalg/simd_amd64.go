@@ -5,10 +5,11 @@ package linalg
 import "math"
 
 // The module's dispatch flags, decided once from cpuFeatures, the one CPU
-// probe. useAVX2 routes the float64 CholeskyInto, SyrkTInto,
-// AccumulateScaled and AccumulateProduct through the AVX2 kernels of
-// simd_amd64.s; useAVX512 routes CholeskyInto's eight-column blocks
-// through the AVX-512 ones (it is set only alongside useAVX2); useExp
+// probe. useAVX2 routes the float64 CholeskyInto, SyrkTInto, SyrkInto,
+// PairwiseSquaredDistancesUpperInto, AccumulateScaled and
+// AccumulateProduct through the AVX2 kernels of simd_amd64.s; useAVX512
+// routes CholeskyInto's eight-column blocks and the SyrkInto and distance
+// rows through the AVX-512 ones (it is set only alongside useAVX2); useExp
 // routes the float64 ExpScaled through the packed exp, on hosts with AVX2
 // and FMA whose math.Exp the lanes reproduce (expLanesAgree). The tests
 // flip them to run the narrower lanes or the Go loops on the same host.
@@ -61,6 +62,12 @@ func cholPanelAVX512(l, a *float64, n, j0 int)
 
 //go:noescape
 func syrkTRowAVX2(d, row *float64, c int)
+
+//go:noescape
+func dotRowAVX2(out, xi, xt, nj *float64, ni float64, m, d, n int)
+
+//go:noescape
+func dotRowAVX512(out, xi, xt, nj *float64, ni float64, m, d, n int)
 
 //go:noescape
 func accScaledAVX2(acc, src *float64, w float64, n int)

@@ -3,9 +3,11 @@
 #include "textflag.h"
 
 // The module's SIMD kernels: AVX2 ones for CholeskyInto, SyrkTInto,
-// AccumulateScaled and AccumulateProduct at float64, AVX-512 ones for
-// CholeskyInto's eight-column blocks, a packed exp for ExpScaled, and the
-// one CPU probe that decides which of them run (cpuFeatures).
+// SyrkInto, PairwiseSquaredDistancesUpperInto, AccumulateScaled and
+// AccumulateProduct at float64, AVX-512 ones for CholeskyInto's
+// eight-column blocks and the SyrkInto and distance rows, a packed exp for
+// ExpScaled, and the one CPU probe that decides which of them run
+// (cpuFeatures).
 //
 // The linear-algebra kernels vectorize across independent outputs, never
 // along a reduction: each lane replays one entry's scalar sequence (a
@@ -910,6 +912,269 @@ product1:
 	JMP    product1
 
 productdone:
+	VZEROUPPER
+	RET
+
+// The dot-row kernels of SyrkInto and PairwiseSquaredDistancesUpperInto
+// take (out, xi, xt, nj *float64, ni float64, m, d, n int) and fill one
+// row segment: out[c] = ⟨xi, x_{j0+c}⟩ for c < m, where xi is the row's d
+// features and xt = &xT[0][j0] points into the d×n transposed copy of x,
+// whose row k holds feature k of every row. Lanes run across c, never
+// along k: each lane starts at zero and adds xi[k]·xT[k][j0+c] in
+// ascending k, a VMULPD then a separate VADDPD, the Go loop's chain.
+// With nj = &norms[j0] non-nil each lane then takes the distance
+// epilogue (DOT_DIST); with nj nil it stores the dot itself. Register
+// plan: DI = out, SI = xi, DX = xt, R8 = nj, CX = entries left, R9 = d,
+// R10 = n in bytes (the stride of xT), BX = the byte offset of the
+// current chunk in out, xt and nj alike; R11 walks the chunk down xT, R12
+// along xi, R13 counts k down.
+
+// DOT_DIST is the distance epilogue of one lane vector: A = (ni + nj) −
+// 2·A, then the clamp: VMAXPD keeps its second source unless the first
+// is greater, so with ZERO first a negative lane becomes 0 while NaN and
+// −0 pass through, as the Go loop's `if v < 0 { v = 0 }` leaves them. N
+// is nj's lanes (a register or memory), NI ni broadcast, T a temporary.
+#define DOT_DIST(A, N, NI, ZERO, T) \
+	VADDPD N, NI, T; \
+	VADDPD A, A, A;  \
+	VSUBPD A, T, A;  \
+	VMAXPD A, ZERO, A
+
+// DOT_KSTART points R11 at the chunk in row 0 of xT, R12 at xi[0] and
+// sets R13 = d.
+#define DOT_KSTART \
+	LEAQ (DX)(BX*1), R11; \
+	MOVQ SI, R12;         \
+	MOVQ R9, R13
+
+// DOT_KNEXT steps R11 and R12 to the next k and counts it off.
+#define DOT_KNEXT \
+	ADDQ $8, R12;  \
+	ADDQ R10, R11; \
+	DECQ R13
+
+// DOT_LANE is one k step of one lane vector: A += B·xT[k][chunk + OFF],
+// with xi[k] broadcast in B and T as the product.
+#define DOT_LANE(OFF, B, T, A) \
+	VMULPD OFF(R11), B, T; \
+	VADDPD T, A, A
+
+// func dotRowAVX512(out, xi, xt, nj *float64, ni float64, m, d, n int)
+//
+// Thirty-two entries per sweep in four ZMM accumulators, then eight in
+// one, then the last m mod 8 under the mask K1.
+TEXT ·dotRowAVX512(SB), NOSPLIT, $0-64
+	MOVQ         out+0(FP), DI
+	MOVQ         xi+8(FP), SI
+	MOVQ         xt+16(FP), DX
+	MOVQ         nj+24(FP), R8
+	VBROADCASTSD ni+32(FP), Z9
+	MOVQ         m+40(FP), CX
+	MOVQ         d+48(FP), R9
+	MOVQ         n+56(FP), R10
+	SHLQ         $3, R10
+	VXORPD       X10, X10, X10 // Z10 = 0, the clamp
+	XORQ         BX, BX
+
+dot512x32:
+	CMPQ   CX, $32
+	JLT    dot512x8
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+	DOT_KSTART
+
+dot512x32k:
+	VBROADCASTSD (R12), Z4
+	DOT_LANE(0, Z4, Z5, Z0)
+	DOT_LANE(64, Z4, Z6, Z1)
+	DOT_LANE(128, Z4, Z7, Z2)
+	DOT_LANE(192, Z4, Z8, Z3)
+	DOT_KNEXT
+	JNZ          dot512x32k
+	TESTQ        R8, R8
+	JZ           dot512x32store
+	LEAQ         (R8)(BX*1), R14
+	DOT_DIST(Z0, (R14), Z9, Z10, Z5)
+	DOT_DIST(Z1, 64(R14), Z9, Z10, Z6)
+	DOT_DIST(Z2, 128(R14), Z9, Z10, Z7)
+	DOT_DIST(Z3, 192(R14), Z9, Z10, Z8)
+
+dot512x32store:
+	LEAQ    (DI)(BX*1), R14
+	VMOVUPD Z0, (R14)
+	VMOVUPD Z1, 64(R14)
+	VMOVUPD Z2, 128(R14)
+	VMOVUPD Z3, 192(R14)
+	ADDQ    $256, BX
+	SUBQ    $32, CX
+	JMP     dot512x32
+
+dot512x8:
+	CMPQ   CX, $8
+	JLT    dot512tail
+	VXORPD X0, X0, X0
+	DOT_KSTART
+
+dot512x8k:
+	VBROADCASTSD (R12), Z4
+	DOT_LANE(0, Z4, Z5, Z0)
+	DOT_KNEXT
+	JNZ          dot512x8k
+	TESTQ        R8, R8
+	JZ           dot512x8store
+	DOT_DIST(Z0, (R8)(BX*1), Z9, Z10, Z5)
+
+dot512x8store:
+	VMOVUPD Z0, (DI)(BX*1)
+	ADDQ    $64, BX
+	SUBQ    $8, CX
+	JMP     dot512x8
+
+dot512tail:
+	// K1 selects the first CX lanes; the masked lanes load zeros and are
+	// never stored, and a masked load does not fault past the end of xT.
+	TESTQ  CX, CX
+	JZ     dot512done
+	MOVL   $1, AX
+	SHLL   CX, AX
+	DECL   AX
+	KMOVW  AX, K1
+	VXORPD X0, X0, X0
+	DOT_KSTART
+
+dot512tailk:
+	VBROADCASTSD (R12), Z4
+	VMULPD.Z     (R11), Z4, K1, Z5
+	VADDPD       Z5, Z0, Z0
+	DOT_KNEXT
+	JNZ          dot512tailk
+	TESTQ        R8, R8
+	JZ           dot512tailstore
+	VMOVUPD.Z    (R8)(BX*1), K1, Z6
+	DOT_DIST(Z0, Z6, Z9, Z10, Z5)
+
+dot512tailstore:
+	VMOVUPD Z0, K1, (DI)(BX*1)
+
+dot512done:
+	VZEROUPPER
+	RET
+
+// dotmask<> holds four quadwords with every bit set, then four zero
+// ones: the four at byte 32 − 8*r select the first r lanes, for
+// VMASKMOVPD.
+DATA dotmask<>+0(SB)/8, $-1
+DATA dotmask<>+8(SB)/8, $-1
+DATA dotmask<>+16(SB)/8, $-1
+DATA dotmask<>+24(SB)/8, $-1
+GLOBL dotmask<>(SB), RODATA|NOPTR, $64
+
+// func dotRowAVX2(out, xi, xt, nj *float64, ni float64, m, d, n int)
+//
+// Sixteen entries per sweep in four YMM accumulators, then four in one,
+// then the last m mod 4 under a VMASKMOVPD mask.
+TEXT ·dotRowAVX2(SB), NOSPLIT, $0-64
+	MOVQ         out+0(FP), DI
+	MOVQ         xi+8(FP), SI
+	MOVQ         xt+16(FP), DX
+	MOVQ         nj+24(FP), R8
+	VBROADCASTSD ni+32(FP), Y9
+	MOVQ         m+40(FP), CX
+	MOVQ         d+48(FP), R9
+	MOVQ         n+56(FP), R10
+	SHLQ         $3, R10
+	VXORPD       Y10, Y10, Y10 // the clamp
+	XORQ         BX, BX
+
+dot256x16:
+	CMPQ   CX, $16
+	JLT    dot256x4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	DOT_KSTART
+
+dot256x16k:
+	VBROADCASTSD (R12), Y4
+	DOT_LANE(0, Y4, Y5, Y0)
+	DOT_LANE(32, Y4, Y6, Y1)
+	DOT_LANE(64, Y4, Y7, Y2)
+	DOT_LANE(96, Y4, Y8, Y3)
+	DOT_KNEXT
+	JNZ          dot256x16k
+	TESTQ        R8, R8
+	JZ           dot256x16store
+	LEAQ         (R8)(BX*1), R14
+	DOT_DIST(Y0, (R14), Y9, Y10, Y5)
+	DOT_DIST(Y1, 32(R14), Y9, Y10, Y6)
+	DOT_DIST(Y2, 64(R14), Y9, Y10, Y7)
+	DOT_DIST(Y3, 96(R14), Y9, Y10, Y8)
+
+dot256x16store:
+	LEAQ    (DI)(BX*1), R14
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, 32(R14)
+	VMOVUPD Y2, 64(R14)
+	VMOVUPD Y3, 96(R14)
+	ADDQ    $128, BX
+	SUBQ    $16, CX
+	JMP     dot256x16
+
+dot256x4:
+	CMPQ   CX, $4
+	JLT    dot256tail
+	VXORPD Y0, Y0, Y0
+	DOT_KSTART
+
+dot256x4k:
+	VBROADCASTSD (R12), Y4
+	DOT_LANE(0, Y4, Y5, Y0)
+	DOT_KNEXT
+	JNZ          dot256x4k
+	TESTQ        R8, R8
+	JZ           dot256x4store
+	DOT_DIST(Y0, (R8)(BX*1), Y9, Y10, Y5)
+
+dot256x4store:
+	VMOVUPD Y0, (DI)(BX*1)
+	ADDQ    $32, BX
+	SUBQ    $4, CX
+	JMP     dot256x4
+
+dot256tail:
+	// Y11 selects the first CX lanes; VMASKMOVPD loads zeros into the
+	// others, stores only the selected ones and does not fault past the
+	// end of xT.
+	TESTQ      CX, CX
+	JZ         dot256done
+	SHLQ       $3, CX
+	NEGQ       CX
+	LEAQ       dotmask<>+32(SB), AX
+	VMOVUPD    (AX)(CX*1), Y11
+	VXORPD     Y0, Y0, Y0
+	DOT_KSTART
+
+dot256tailk:
+	VBROADCASTSD (R12), Y4
+	VMASKMOVPD   (R11), Y11, Y5
+	VMULPD       Y5, Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	DOT_KNEXT
+	JNZ          dot256tailk
+	TESTQ        R8, R8
+	JZ           dot256tailstore
+	LEAQ         (R8)(BX*1), R14
+	VMASKMOVPD   (R14), Y11, Y6
+	DOT_DIST(Y0, Y6, Y9, Y10, Y5)
+
+dot256tailstore:
+	LEAQ       (DI)(BX*1), R14
+	VMASKMOVPD Y0, Y11, (R14)
+
+dot256done:
 	VZEROUPPER
 	RET
 

@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/kernel"
 	"repro/internal/kernelmachine"
 	"repro/internal/linalg"
 	"repro/internal/partition"
@@ -160,6 +161,20 @@ func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, ridge k
 	return e.d64.ridge[0].Solve(ridge, e.lrA, nil, e.lrWork, f.Rows)
 }
 
+// releaseFactors drops what the approximate sweep holds and the exact
+// re-score never reads: the factor cache's retained blocks, the assembly
+// scratch that still points at them, and the assembled factor and F·Fᵀ
+// buffers. The cache itself stays, so a later Score is still approximate:
+// it rebuilds the factors it needs, to the same bits.
+func (e *Evaluator) releaseFactors() {
+	if e.approxCache == nil {
+		return
+	}
+	e.approxCache.Clear()
+	e.factorAsm = kernel.FactorScratch{}
+	e.factorBuf, e.lrGram = nil, nil
+}
+
 // SearchFunc is a lattice-search strategy over one evaluator — the shape of
 // ExhaustiveCone, GreedyRefine, or a ChainSearch closure over its rule, as
 // consumed by BudgetedSearch.
@@ -172,8 +187,9 @@ type SearchFunc func(e *Evaluator, seed partition.Partition) (*Result, error)
 // final selection. The re-score shares e's dataset, fold plan, learner and
 // exact block cache, which retains nothing unless one was injected
 // (Config.GramCache), so each survivor's Gram is assembled one block at a
-// time. Exact scores stay out of e's score cache and counters: e.Score of
-// a survivor still returns its approximate score. The returned Result
+// time. The sweep's factors are released before it (releaseFactors).
+// Exact scores stay out of e's score cache and counters: e.Score of a
+// survivor still returns its approximate score. The returned Result
 // carries the exact scores and trace of the re-scoring phase;
 // Evaluations sums both phases — the cost the budget actually paid.
 //
@@ -185,6 +201,7 @@ func BudgetedSearch(e *Evaluator, seed partition.Partition, search SearchFunc, t
 		topK = DefaultBudgetTopK
 	}
 	ares, err := search(e, seed)
+	e.releaseFactors()
 	if err != nil {
 		return ares, err
 	}

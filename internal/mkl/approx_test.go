@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -239,6 +240,68 @@ func TestBudgetedSearchRescoresLikeFloat64(t *testing.T) {
 		if want := sweep.Evaluations + left - 2; res.Evaluations != want {
 			t.Fatalf("left=%d: partial evaluations %d, want %d", left, res.Evaluations, want)
 		}
+	}
+}
+
+// TestBudgetedSearchReleasesFactors: once the approximate sweep ends, the
+// factor cache retains nothing through the exact re-score, and Score stays
+// approximate, bit for bit: a swept partition keeps its score, and one the
+// sweep never scored rebuilds its factors to a fresh twin evaluator's
+// score.
+func TestBudgetedSearchReleasesFactors(t *testing.T) {
+	d := smallFacetData(60, 9)
+	seedPart, err := TwoBlockSeed(d.D(), []int{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 3, Parallelism: 1, Backend: engine.Nystrom(16)}
+	twin, err := NewEvaluator(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := partition.Coarsest(d.D())
+	want, err := twin.Score(outside)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sweep *Result
+	if _, err := BudgetedSearch(e, seedPart, func(e *Evaluator, s partition.Partition) (*Result, error) {
+		sweep, err = ExhaustiveCone(e, s)
+		if e.approxCache.Bytes() == 0 {
+			t.Fatal("the sweep retained no factors")
+		}
+		return sweep, err
+	}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := e.approxCache.Len(), e.approxCache.Bytes(); n != 0 || b != 0 {
+		t.Fatalf("after the budgeted search the factor cache retains %d blocks, %d bytes; want none", n, b)
+	}
+	if !reflect.ValueOf(e.factorAsm).IsZero() || e.factorBuf != nil {
+		t.Fatal("the assembly scratch still holds factors")
+	}
+	for _, st := range sweep.Trace {
+		if st.Partition.Equal(outside) {
+			t.Fatalf("the sweep scored %v, which must be new to it", outside)
+		}
+		got, err := e.Score(st.Partition)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(st.Score) {
+			t.Fatalf("Score(%v) after the search = %v, the sweep's %v", st.Partition, got, st.Score)
+		}
+	}
+	got, err := e.Score(outside)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Score(%v) after the search = %v, a fresh approximate evaluator's %v", outside, got, want)
 	}
 }
 
