@@ -115,11 +115,12 @@ contracts:
 	$(CONTRACT) 'TestFaultMatrixSelectionBitIdentical' ./internal/distsearch
 # Assert approximate Gram and block-cache contract (full-rank == exact,
 # seeded determinism across workers, one cache contract for f64/f32/
-# low-rank blocks, a budgeted search's factors released before the
-# re-score).
+# low-rank blocks and its single-use row, a scan keeping only the blocks
+# two of its candidates share, a budgeted search's factors released
+# before the re-score).
 	$(CONTRACT) 'TestNystromFactorFullRankExact|TestRFFMapApproximatesRBF|TestPrimalDualRidgeEquivalence' ./internal/linalg
 	$(CONTRACT) 'TestApprox|TestBlockGramCache' ./internal/kernel -race
-	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact|TestBudgetedSearchRescoresLikeFloat64|TestBudgetedSearchReleasesFactors' ./internal/mkl
+	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact|TestBudgetedSearchRescoresLikeFloat64|TestBudgetedSearchReleasesFactors|TestScanRetainsOnlyReusedBlocks' ./internal/mkl
 # Assert numeric backend contract (f64 bit-identical, f32 tolerance +
 # worker determinism, spelling equivalence, budgeted fit over a fleet).
 	$(CONTRACT) '.' ./internal/engine

@@ -260,9 +260,10 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 		return nil, fmt.Errorf("core: search: %w", err)
 	}
 	emit(mkl.EventSearchFinished, res.Best, res.Score, res.Evaluations)
-	// The search has just built every block of Best: assemble its Gram
-	// from them now, before the evaluator and its cache are dropped, so
-	// the deployment fit rebuilds nothing.
+	// The search has just built every block of Best and kept those other
+	// candidates share: assemble its Gram from them now, before the
+	// evaluator and its cache are dropped, so the deployment fit rebuilds
+	// at most Best's single-use blocks.
 	gram := e.DeploymentGram(res.Best)
 	emit(mkl.EventFitFinished, res.Best, res.Score, res.Evaluations)
 	return &FitResult{

@@ -9,7 +9,9 @@
 //
 // Retention is one policy for every value type: blocks are evicted oldest
 // first (FIFO) once the block count exceeds the limit, so the newest block
-// is always kept, and a negative limit retains nothing. Eviction only
+// is always kept, and a negative limit retains nothing; nor does a dense
+// Gram cache keep a block that only one candidate of a search needs, while
+// the search flags it single-use (DenseGramCache.SetSingleUse). Eviction only
 // drops the cache's own reference: values already handed out stay valid
 // (they are shared read-only), and a re-request rebuilds the block through
 // the same deterministic build, so eviction changes which blocks are
@@ -42,8 +44,14 @@ const DefaultGramCacheBlocks = 1024
 // concurrent use; cached values are shared read-only.
 type BlockCache[V any] struct {
 	build func(key []byte, feats []int) (V, error)
-	size  func(V) int64
-	limit int
+	// buildInto builds a block into dst (reshaped, or allocated when its
+	// capacity is short) and must give build's value; singleUse flags the
+	// blocks Blocks builds that way. Only the dense Gram caches set them
+	// (DenseGramCache.SetSingleUse), and never while lookups run.
+	buildInto func(dst V, feats []int) V
+	singleUse BlockSet
+	size      func(V) int64
+	limit     int
 
 	mu    sync.RWMutex
 	bytes int64
@@ -109,12 +117,23 @@ func (c *BlockCache[V]) Block(feats []int) (V, error) {
 // so a warm lookup allocates nothing; the key string is materialized only
 // when a newly built block is stored.
 func (c *BlockCache[V]) lookup(key []byte, feats []int) (V, error) {
+	if v, ok := c.cached(key); ok {
+		return v, nil
+	}
+	return c.store(key, feats)
+}
+
+// cached returns the stored value of the block keyed key, if any.
+func (c *BlockCache[V]) cached(key []byte) (V, bool) {
 	c.mu.RLock()
 	v, ok := c.m[string(key)]
 	c.mu.RUnlock()
-	if ok {
-		return v, nil
-	}
+	return v, ok
+}
+
+// store builds the block keyed key and stores it (retention permitting),
+// or returns the value a racing caller stored first.
+func (c *BlockCache[V]) store(key []byte, feats []int) (V, error) {
 	// Build outside the lock on a private copy: feats may be a caller's
 	// reused scratch, and builds (block-kernel factories) retain it.
 	v, err := c.build(key, append([]int(nil), feats...))
@@ -145,32 +164,62 @@ func (c *BlockCache[V]) lookup(key []byte, feats []int) (V, error) {
 // list, block key, and the gathered block values), plus buf, the one
 // packed block a retention-disabled DenseGramCache builds into during
 // float64 assembly, and row, the float64 row accumulator of float32
-// assembly. The zero value
-// is ready; a scratch belongs to one goroutine — each worker evaluator of
-// a parallel search owns its own while sharing the concurrency-safe cache.
+// assembly, and singleBufs, the buffers Blocks builds a cache's single-use
+// blocks into (DenseGramCache.SetSingleUse): one per single-use block a
+// candidate holds, reused from candidate to candidate. The zero value is ready; a
+// scratch belongs to one goroutine — each worker evaluator of a parallel
+// search owns its own while sharing the concurrency-safe cache.
 type BlockScratch[V any] struct {
-	feats  []int
-	keyBuf []byte
-	vals   []V
-	buf    V
-	row    []float64
+	feats      []int
+	keyBuf     []byte
+	vals       []V
+	buf        V
+	row        []float64
+	singleBufs []V
 }
 
 // Blocks looks up the value of every block of p, in partition.Blocks()
 // order (block index ascending, elements ascending), building missing
-// blocks. Block features and keys are re-derived into the caller-owned
-// scratch by an RGS scan, so once every block of p is cached the call
-// allocates nothing. The returned slice aliases sc and is valid until its
-// next use.
+// blocks. A missing block the cache flags single-use
+// (DenseGramCache.SetSingleUse) is built into one of sc's own buffers
+// instead: it is neither allocated nor stored, so it costs the cache
+// nothing, and the value is the one a stored build gives. A flagged block
+// already cached is returned as stored. With no flags set, sc's single-use
+// buffers are dropped, since nothing reads them. Block features and
+// keys are re-derived into the caller-owned scratch by an RGS scan, so once
+// every block of p is cached, or built into a warm single-use buffer, the
+// call allocates nothing. The returned slice aliases sc and is valid until
+// its next use.
 //
 //iotml:hotpath
 func (c *BlockCache[V]) Blocks(p partition.Partition, sc *BlockScratch[V]) ([]V, error) {
 	sc.vals = sc.vals[:0]
+	if c.singleUse == nil {
+		sc.singleBufs = nil
+	}
+	single := 0 // single-use buffers taken so far
 	for b := 0; b < p.NumBlocks(); b++ {
 		sc.load(p, b)
-		v, err := c.lookup(sc.keyBuf, sc.feats)
-		if err != nil {
-			return nil, err
+		v, ok := c.cached(sc.keyBuf)
+		_, flagged := c.singleUse[string(sc.keyBuf)]
+		switch {
+		case ok:
+		case flagged:
+			// The kernel built from sc.feats lives only for this build, so
+			// it needs no private copy.
+			if single == len(sc.singleBufs) {
+				var zero V
+				//iotml:allow hotpathalloc -- grows once per single-use block of one candidate, never in steady state
+				sc.singleBufs = append(sc.singleBufs, zero)
+			}
+			v = c.buildInto(sc.singleBufs[single], sc.feats)
+			sc.singleBufs[single] = v
+			single++
+		default:
+			var err error
+			if v, err = c.store(sc.keyBuf, sc.feats); err != nil {
+				return nil, err
+			}
 		}
 		sc.vals = append(sc.vals, v)
 	}
@@ -204,4 +253,47 @@ func appendBlockKey(buf []byte, feats []int) []byte {
 		buf = strconv.AppendInt(buf, int64(f), 10)
 	}
 	return buf
+}
+
+// BlockSet is a read-only set of feature blocks, keyed as the block caches
+// key them; goroutines may share one.
+type BlockSet map[string]struct{}
+
+// SingleUseBlocks returns the blocks that exactly one distinct partition of
+// cands contains (a repeated partition counts once, as a search's score
+// cache scores it once). A search that holds its whole candidate list
+// hands the set to its candidate cache (DenseGramCache.SetSingleUse), so
+// the blocks no second candidate reads are not kept.
+func SingleUseBlocks(cands []partition.Partition) BlockSet {
+	// Per distinct block: the first candidate containing it, and whether a
+	// different candidate contains it too. Comparing against the first
+	// candidate (cheap, allocation-free) stands in for a set of candidate
+	// keys, so only the distinct blocks allocate.
+	at := map[string]int{} // block key → index into keys, first, reused
+	var keys []string
+	var first []int
+	var reused []bool
+	var sc BlockScratch[struct{}]
+	for c, p := range cands {
+		for b := 0; b < p.NumBlocks(); b++ {
+			sc.load(p, b)
+			i, ok := at[string(sc.keyBuf)]
+			switch {
+			case !ok:
+				at[string(sc.keyBuf)] = len(keys)
+				keys = append(keys, string(sc.keyBuf))
+				first = append(first, c)
+				reused = append(reused, false)
+			case !reused[i] && !p.Equal(cands[first[i]]):
+				reused[i] = true
+			}
+		}
+	}
+	set := BlockSet{}
+	for i, k := range keys {
+		if !reused[i] {
+			set[k] = struct{}{}
+		}
+	}
+	return set
 }

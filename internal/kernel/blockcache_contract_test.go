@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/linalg"
 	"repro/internal/partition"
 )
 
@@ -22,6 +23,10 @@ type cacheSubject struct {
 	}
 	lookup   func(feats []int) (any, []float64, error)
 	assemble func(p partition.Partition) ([]float64, error)
+	// flagged flags set single-use on the cache, then looks p's blocks up
+	// and assembles p through one scratch that persists across calls. Only
+	// the dense rows have it.
+	flagged func(p partition.Partition, set kernel.BlockSet) (blocks []any, out []float64)
 }
 
 // block is lookup for the test's own goroutine: it fails the test on error.
@@ -69,6 +74,7 @@ func contractRows() []cacheRow {
 			blockBytes: func(n int) int64 { return int64(n*(n+1)/2) * 8 },
 			open: func(t *testing.T, x [][]float64, limit int) cacheSubject {
 				c := kernel.NewBlockGramCache(x, factory, limit)
+				var sc kernel.AssemblyScratch
 				return cacheSubject{
 					t:     t,
 					stats: c,
@@ -82,6 +88,15 @@ func contractRows() []cacheRow {
 					assemble: func(p partition.Partition) ([]float64, error) {
 						return c.GramForPartition(p, kernel.CombineSum, nil).Data, nil
 					},
+					flagged: func(p partition.Partition, set kernel.BlockSet) ([]any, []float64) {
+						c.SetSingleUse(set)
+						gs, _ := c.Blocks(p, &sc)
+						blocks := make([]any, len(gs))
+						for i, g := range gs {
+							blocks[i] = g
+						}
+						return blocks, c.GramForPartitionScratch(p, kernel.CombineSum, nil, &sc).Data
+					},
 				}
 			},
 		},
@@ -90,6 +105,7 @@ func contractRows() []cacheRow {
 			blockBytes: func(n int) int64 { return int64(n*(n+1)/2) * 4 },
 			open: func(t *testing.T, x [][]float64, limit int) cacheSubject {
 				c := kernel.NewDenseGramCache[float32](x, factory, limit)
+				var sc kernel.BlockScratch[*linalg.Packed[float32]]
 				return cacheSubject{
 					t:     t,
 					stats: c,
@@ -102,6 +118,15 @@ func contractRows() []cacheRow {
 					},
 					assemble: func(p partition.Partition) ([]float64, error) {
 						return widen32(c.GramForPartition(p, kernel.CombineSum, nil).Data), nil
+					},
+					flagged: func(p partition.Partition, set kernel.BlockSet) ([]any, []float64) {
+						c.SetSingleUse(set)
+						gs, _ := c.Blocks(p, &sc)
+						blocks := make([]any, len(gs))
+						for i, g := range gs {
+							blocks[i] = g
+						}
+						return blocks, widen32(c.GramForPartitionScratch(p, kernel.CombineSum, nil, &sc).Data)
 					},
 				}
 			},
@@ -161,8 +186,9 @@ func sameBits(a, b []float64) bool {
 // TestBlockGramCacheContract pins the one block cache's contract for every
 // value type it holds: first store wins under concurrency, FIFO eviction by
 // block count keeps the newest blocks, a negative limit retains nothing,
-// byte accounting follows the element width, and eviction never changes an
-// assembled output.
+// byte accounting follows the element width, eviction never changes an
+// assembled output, and (dense rows) a block flagged single-use is built
+// into scratch, not stored, with a stored build's bits.
 func TestBlockGramCacheContract(t *testing.T) {
 	const n, d = 10, 6
 	x := contractData(n, d, 9)
@@ -260,6 +286,47 @@ func TestBlockGramCacheContract(t *testing.T) {
 					t.Fatal("an evicted block was mutated")
 				}
 			})
+
+			// The dense rows only: the low-rank factor cache keeps every
+			// block it builds.
+			if row.open(t, x, 0).flagged != nil {
+				t.Run("single-use", func(t *testing.T) {
+					// {0,1} is shared; {2}, {3,4,5} and {2,3,4,5} are single-use.
+					p1 := partition.FromRGS([]int{0, 0, 1, 2, 2, 2})
+					p2 := partition.FromRGS([]int{0, 0, 1, 1, 1, 1})
+					set := kernel.SingleUseBlocks([]partition.Partition{p1, p2, p1})
+					if len(set) != 3 {
+						t.Fatalf("SingleUseBlocks flagged %d blocks, want 3", len(set))
+					}
+					retained := row.open(t, x, 0)
+					c := row.open(t, x, 0)
+					for pass := 0; pass < 2; pass++ { // the second pass reuses the scratch buffers
+						for _, p := range []partition.Partition{p1, p2} {
+							_, out := c.flagged(p, set)
+							if !sameBits(out, retained.mustAssemble(p)) {
+								t.Fatalf("pass %d partition %v: single-use assembly differs from a retained one", pass, p)
+							}
+							if c.stats.Len() != 1 || c.stats.Bytes() != per {
+								t.Fatalf("pass %d: cache holds %d blocks / %d bytes, want the shared one / %d", pass, c.stats.Len(), c.stats.Bytes(), per)
+							}
+						}
+					}
+					// A flagged block already cached is returned as stored.
+					stored, _ := c.block([]int{2})
+					blocks, _ := c.flagged(p1, set)
+					if blocks[1] != stored {
+						t.Fatal("a flagged block already cached was not returned as stored")
+					}
+					if c.stats.Len() != 2 || c.stats.Bytes() != 2*per {
+						t.Fatalf("cache holds %d blocks / %d bytes, want 2 / %d", c.stats.Len(), c.stats.Bytes(), 2*per)
+					}
+					// Without a set, every missing block is stored again.
+					c.flagged(p2, nil)
+					if c.stats.Len() != 3 {
+						t.Fatalf("cache holds %d blocks after an unflagged lookup, want 3", c.stats.Len())
+					}
+				})
+			}
 
 			t.Run("eviction-bit-identical", func(t *testing.T) {
 				unbounded := row.open(t, x, 0)

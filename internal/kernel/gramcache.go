@@ -11,6 +11,7 @@
 package kernel
 
 import (
+	"sync"
 	"unsafe"
 
 	"repro/internal/linalg"
@@ -59,6 +60,7 @@ func NewBlockGramCache(x [][]float64, factory BlockKernelFactory, limit int) *Bl
 func NewDenseGramCache[T linalg.Float](x [][]float64, factory BlockKernelFactory, limit int) *DenseGramCache[T] {
 	c := &DenseGramCache[T]{x: x, factory: factory}
 	c.BlockCache = NewBlockCache(limit, packedBytes[T], c.buildGram)
+	c.BlockCache.buildInto = c.buildInto
 	return c
 }
 
@@ -67,23 +69,45 @@ func packedBytes[T linalg.Float](g *linalg.Packed[T]) int64 {
 	return int64(len(g.Data)) * int64(unsafe.Sizeof(T(0)))
 }
 
-// buildGram computes one block's Gram into a fresh matrix (see gramInto).
+// buildGram computes one block's Gram into a fresh matrix (see buildInto).
 func (c *DenseGramCache[T]) buildGram(_ []byte, feats []int) (*linalg.Packed[T], error) {
-	g := linalg.ReshapePacked[T](nil, len(c.x))
-	c.gramInto(g, feats)
-	return g, nil
+	return c.buildInto(nil, feats), nil
 }
 
-// gramInto fills dst (pre-shaped n×n) with one block's Gram: the block
-// formulas (blockGramInto) run over the block's contiguous columns,
-// gathered (and rounded to T) once per build; a block kernel without a
-// formula takes the scalar float64 reference path, rounded once per entry.
-func (c *DenseGramCache[T]) gramInto(dst *linalg.Packed[T], feats []int) {
+// buildInto fills dst, reshaped to the packed n×n (allocated when nil or
+// too small), with one block's Gram and returns it: the block formulas
+// (blockGramInto) run over the block's contiguous columns, gathered (and
+// rounded to T) once per build into a recycled buffer (columnPools); a block
+// kernel without a formula takes the scalar float64 reference path,
+// rounded once per entry. Every build of a block — stored, single-use or
+// folded — runs here, so they all give the same bits.
+func (c *DenseGramCache[T]) buildInto(dst *linalg.Packed[T], feats []int) *linalg.Packed[T] {
+	dst = linalg.ReshapePacked(dst, len(c.x))
+	pool := &columnPools[0]
+	if unsafe.Sizeof(T(0)) == 4 {
+		pool = &columnPools[1]
+	}
+	cols, _ := pool.Get().(*linalg.Dense[T])
+	cols = linalg.FromRowsColsInto(cols, c.x, feats)
 	base := c.factory(feats)
-	if !blockGramInto(dst, base, linalg.FromRowsCols[T](c.x, feats)) {
+	if !blockGramInto(dst, base, cols) {
 		pairwiseGramInto(dst, Subspace{Base: base, Features: feats}, c.x)
 	}
+	pool.Put(cols)
+	return dst
 }
+
+// SetSingleUse flags the blocks of set as single-use for Blocks and the
+// scratch assembly (GramForPartitionScratch): a flagged block that misses
+// is built into the caller's scratch and not stored. A search that holds
+// its whole candidate list sets it before its sweep and clears it (nil)
+// after; set is read-only, and SetSingleUse must not run while lookups of
+// c do.
+func (c *DenseGramCache[T]) SetSingleUse(set BlockSet) { c.singleUse = set }
+
+// columnPools recycles buildInto's gathered block columns, one pool per
+// storage width (float64, float32).
+var columnPools [2]sync.Pool // of *linalg.Dense[T]
 
 // GramForPartition assembles the full Gram matrix of the multiple-kernel
 // configuration induced by p from its per-block Grams, writing into out
@@ -104,9 +128,11 @@ func (c *DenseGramCache[T]) GramForPartition(p partition.Partition, combiner Com
 }
 
 // GramForPartitionScratch is GramForPartition with caller-owned scratch:
-// once every block of p is cached, assembling a candidate's Gram performs
-// no allocation at all (see BlockCache.Blocks). It is the per-candidate
-// path of the mkl evaluators.
+// once every block of p is cached, or flagged single-use (SetSingleUse) and
+// built into a warm buffer of sc, assembling a candidate's
+// Gram allocates nothing of its own, only what the factory may allocate
+// for a kernel it returns (see BlockCache.Blocks). It is the
+// per-candidate path of the mkl evaluators.
 //
 // Only the upper triangle is summed, one row segment [i, n) at a time
 // across every gathered block's packed row (in place at float64, in sc's
@@ -190,8 +216,7 @@ func (c *DenseGramCache[T]) fold(p partition.Partition, combiner Combiner, od []
 	w := 1 / float64(k)
 	for b := 0; b < k; b++ {
 		sc.load(p, b)
-		sc.buf = linalg.ReshapePacked(sc.buf, n)
-		c.gramInto(sc.buf, sc.feats)
+		sc.buf = c.buildInto(sc.buf, sc.feats)
 		for i := 0; i < n; i++ {
 			accumulate(od[i*n+i:(i+1)*n], sc.buf.Row(i), combiner, w)
 		}

@@ -234,13 +234,9 @@ func dotRowsLanes[T Float](dst *Packed[T], x *Dense[T], norms []float64) bool {
 	}
 	p64, _ := asFloat64(dst.Data)
 	n, d := x.Rows, x.Cols
-	buf, _ := transposePool.Get().(*[]float64)
-	if buf == nil || cap(*buf) < n*d {
-		buf = new([]float64)
-		*buf = make([]float64, n*d)
-	}
+	buf := pooledFloats(&transposePool, n*d)
 	defer transposePool.Put(buf)
-	xt := (*buf)[:n*d]
+	xt := *buf
 	for j := 0; j < n; j++ {
 		for k, v := range x64[j*d : (j+1)*d] {
 			xt[k*n+j] = v
@@ -260,9 +256,22 @@ func dotRowsLanes[T Float](dst *Packed[T], x *Dense[T], norms []float64) bool {
 	return true
 }
 
-// transposePool recycles dotRowsLanes' transposed copies, so building a
-// block allocates nothing beyond the block itself.
-var transposePool sync.Pool // of *[]float64
+// transposePool and normsPool recycle dotRowsLanes' transposed copies and
+// PairwiseSquaredDistancesUpperInto's row norms, so building a block
+// allocates nothing beyond the block itself.
+var transposePool, normsPool sync.Pool // of *[]float64
+
+// pooledFloats returns a buffer of exactly size float64s from pool,
+// allocated when the pool has none large enough; the caller puts it back.
+func pooledFloats(pool *sync.Pool, size int) *[]float64 {
+	buf, _ := pool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < size {
+		buf = new([]float64)
+		*buf = make([]float64, size)
+	}
+	*buf = (*buf)[:size]
+	return buf
+}
 
 // dotRow sets out[c] = ⟨xi, x_{j0+c}⟩ for c < len(out) on dotRowAVX512 or
 // dotRowAVX2, reading columns j0 on of xt, the d×n transposed copy of x;
@@ -342,7 +351,9 @@ func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 func PairwiseSquaredDistancesUpperInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 	n, d := x.Rows, x.Cols
 	dst = ReshapePacked(dst, n)
-	norms := RowSquaredNorms(nil, x)
+	nb := pooledFloats(&normsPool, n)
+	defer normsPool.Put(nb)
+	norms := RowSquaredNorms(*nb, x)
 	if dotRowsLanes(dst, x, norms) {
 		return dst
 	}
@@ -435,7 +446,12 @@ func ExtractColumnsInto(dst, x *Matrix, cols []int) *Matrix {
 // column indices (0-based) of row-slice data — ExtractColumnsInto for
 // datasets stored as [][]float64 — rounding each entry to T once.
 func FromRowsCols[T Float](rows [][]float64, cols []int) *Dense[T] {
-	out := NewDense[T](len(rows), len(cols))
+	return FromRowsColsInto[T](nil, rows, cols)
+}
+
+// FromRowsColsInto is FromRowsCols into dst, reshaped (see Reshape).
+func FromRowsColsInto[T Float](dst *Dense[T], rows [][]float64, cols []int) *Dense[T] {
+	out := Reshape(dst, len(rows), len(cols))
 	for i, r := range rows {
 		dstRow := out.Data[i*len(cols) : (i+1)*len(cols)]
 		for k, c := range cols {

@@ -442,8 +442,11 @@ func choleskyLanes(ld, ad []float64, n int) error {
 		for ; j0+t.w <= n; j0 += t.w {
 			t.tile(&ld[0], &ad[0], n, j0)
 			for c := j0; c < j0+t.w; c++ {
+				// Row slices keep the k loops free of loop-invariant
+				// reloads: rc is row c's finished entries j0..c-1.
+				rc := ld[c*n+j0 : c*n+c]
 				d := ld[c*n+c]
-				for _, v := range ld[c*n+j0 : c*n+c] {
+				for _, v := range rc {
 					d -= v * v
 				}
 				if d <= tol {
@@ -452,12 +455,13 @@ func choleskyLanes(ld, ad []float64, n int) error {
 				piv := math.Sqrt(d)
 				ld[c*n+c] = piv
 				for i := c + 1; i < j0+t.w; i++ {
-					s := ld[i*n+c]
-					for k := j0; k < c; k++ {
-						s -= ld[i*n+k] * ld[c*n+k]
+					ri := ld[i*n+j0 : i*n+c+1]
+					s := ri[len(rc)]
+					for k, v := range ri[:len(rc)] {
+						s -= v * rc[k]
 					}
-					ld[i*n+c] = s / piv
-					ld[c*n+i] = ld[i*n+c]
+					ri[len(rc)] = s / piv
+					ld[c*n+i] = ri[len(rc)]
 				}
 			}
 			if j0+t.w < n {

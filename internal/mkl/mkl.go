@@ -90,11 +90,14 @@ type Config struct {
 	// resolved factory). Several evaluators over one dataset — e.g. the
 	// per-row evaluators of a concurrent experiment table — can then share
 	// block Grams, and a caller that needs a retention other than the
-	// evaluator's own sets it here. Without one, the evaluator builds its
-	// caches itself: the cache its backend scores candidates from keeps up
-	// to kernel.DefaultGramCacheBlocks blocks (FIFO eviction, which changes
-	// which blocks stay resident, never a score), and the exact cache of a
-	// Float32 or approximate evaluator retains nothing.
+	// evaluator's own sets it here; an injected cache keeps every block it
+	// builds up to its limit, since other evaluators may read them. Without
+	// one, the evaluator builds its caches itself: the cache its backend
+	// scores candidates from keeps up to kernel.DefaultGramCacheBlocks
+	// blocks (FIFO eviction, which changes which blocks stay resident,
+	// never a score) but, during a fixed-list scan on its own pool, not a
+	// block only one of the scan's candidates contains; the exact cache of
+	// a Float32 or approximate evaluator retains nothing.
 	GramCache *kernel.BlockGramCache
 
 	// Progress, when non-nil, receives the fit's event stream: one
@@ -301,10 +304,11 @@ func (e *Evaluator) scratchClone() *Evaluator {
 
 // DeploymentGram returns p's float64 training Gram for TrainDeployed,
 // assembled from the blocks the search left in the evaluator's exact
-// cache, or nil when that cache does not hold them — under the Float32
-// and approximate backends, with retention disabled, or with a scorer
-// attached (the fleet built the blocks) — in which case the deployment
-// fit assembles its own, one block at a time. The route is
+// cache (a block of p the search did not keep, because only p contained
+// it, is rebuilt once), or nil when that cache does not hold them — under
+// the Float32 and approximate backends, with retention disabled, or with a
+// scorer attached (the fleet built the blocks) — in which case the
+// deployment fit assembles its own, one block at a time. The route is
 // GramForPartition either way, so the bits do not depend on which side
 // assembles it.
 func (e *Evaluator) DeploymentGram(p partition.Partition) *linalg.Matrix {
@@ -717,15 +721,44 @@ func ChainSearch(e *Evaluator, seed partition.Partition, rule AscentRule) (*Resu
 // BestOfChain observes every candidate, FirstImprovement stops at the
 // first one after the start that fails to improve. It is the reduction of
 // every strategy that walks a fixed candidate list (ChainSearch,
-// ExhaustiveCone, DendrogramSearch, ChainBeamSearch).
+// ExhaustiveCone, DendrogramSearch, ChainBeamSearch). Holding that list,
+// it keeps only the blocks the list reuses (keepReused).
 func (r *searchRun) scan(cands []partition.Partition, rule AscentRule) (*Result, error) {
 	e := r.e
+	defer r.keepReused(cands)()
 	res := &Result{Score: -1}
 	err := r.sweep(cands, rule == BestOfChain, func(i int, s float64) bool {
 		return e.observe(res, cands[i], s) || rule != FirstImprovement || i == 0
 	})
 	res.Evaluations = r.evaluations()
 	return res, err
+}
+
+// keepReused flags, on the search's candidate cache, the blocks exactly
+// one distinct candidate of cands contains (kernel.SingleUseBlocks), and
+// returns the call that clears the flags again. A flagged block the cache
+// misses is built into the worker's scratch and never stored, since no
+// later candidate would read it; hits, values and scores are unchanged.
+// It applies only where the evaluator built its dense candidate cache
+// itself and scores on its own pool: an injected Config.GramCache may be
+// shared with other evaluators, an attached scorer's fleet builds the
+// blocks remotely, and the low-rank factor cache keeps its retention. The
+// pool's workers share the cache and read the flags only inside the sweep.
+func (r *searchRun) keepReused(cands []partition.Partition) (release func()) {
+	e := r.e
+	var c interface{ SetSingleUse(kernel.BlockSet) }
+	switch {
+	case e.scorer != nil || e.approxCache != nil:
+	case e.cache32 != nil:
+		c = e.cache32
+	case e.cfg.GramCache == nil:
+		c = e.gramCache
+	}
+	if c == nil {
+		return func() {}
+	}
+	c.SetSingleUse(kernel.SingleUseBlocks(cands))
+	return func() { c.SetSingleUse(nil) }
 }
 
 // principalChain returns the full-span symmetric chain of Π_m used by
