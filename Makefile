@@ -115,12 +115,18 @@ contracts:
 	$(CONTRACT) 'TestFaultMatrixSelectionBitIdentical' ./internal/distsearch
 # Assert approximate Gram and block-cache contract (full-rank == exact,
 # seeded determinism across workers, one cache contract for f64/f32/
-# low-rank blocks and its single-use row, a scan keeping only the blocks
-# two of its candidates share, a budgeted search's factors released
-# before the re-score).
+# low-rank blocks with its single-use and clear rows, a scan keeping only
+# the blocks two of its candidates share, a budgeted search's factors
+# released before the re-score).
 	$(CONTRACT) 'TestNystromFactorFullRankExact|TestRFFMapApproximatesRBF|TestPrimalDualRidgeEquivalence' ./internal/linalg
 	$(CONTRACT) 'TestApprox|TestBlockGramCache' ./internal/kernel -race
 	$(CONTRACT) 'TestApprox|TestBudgetedSearchAgreesWithExact|TestBudgetedSearchRescoresLikeFloat64|TestBudgetedSearchReleasesFactors|TestScanRetainsOnlyReusedBlocks' ./internal/mkl
+# Assert buffer recycling keeps every bit and stays bounded (a refit in
+# the same process selects, scores and saves identically and allocates
+# under a third of the first fit; every length maps into a fixed table of
+# size-class pools, and a class reuses storage across its lengths).
+	$(CONTRACT) 'TestRefitIsBitIdenticalAndRecycles' ./internal/core
+	$(CONTRACT) 'TestRecycler' ./internal/linalg -race
 # Assert numeric backend contract (f64 bit-identical, f32 tolerance +
 # worker determinism, spelling equivalence, budgeted fit over a fleet).
 	$(CONTRACT) '.' ./internal/engine
@@ -131,8 +137,9 @@ contracts:
 # Assert dense kernels and the exp lanes match their scalar references bit
 # for bit (AVX-512, AVX2 and Go-loop dispatch of Cholesky, SyrkT, the
 # Syrk and pairwise-distance dot lanes, the accumulate steps and
-# ExpScaled, both widths, every column-block and row tail, every feature
-# count to 17, ±Inf and NaN through the distance clamp, failing pivots,
+# ExpScaled, the gathered fold scoring, both widths, every column-block
+# and row tail, every feature count to 17, ±Inf and NaN through the
+# distance clamp and the gathered product, failing pivots,
 # stale factor and block buffers; exp lanes off under GODEBUG=cpu.fma=off;
 # one CPU probe and fused ops only in the exp lanes).
 	$(CONTRACT) 'MatchesScalarReference|TestExpLanesMatchesMathExp|TestExpLanesFollowMathExpBranch|TestAsmAudit' ./internal/linalg

@@ -36,6 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer e.Release()
 	seed := partition.Coarsest(train.D())
 
 	type entry struct {

@@ -204,6 +204,10 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// Every return below has taken what it needs from the evaluator (the
+	// deployment Gram is the result's own), so its buffers go back to the
+	// recycler for the process's next fit.
+	defer e.Release()
 	e.SetContext(ctx)
 	var search mkl.SearchFunc
 	switch cfg.Search {
@@ -262,8 +266,8 @@ func Fit(ctx context.Context, d *dataset.Dataset, cfg FitConfig) (*FitResult, er
 	emit(mkl.EventSearchFinished, res.Best, res.Score, res.Evaluations)
 	// The search has just built every block of Best and kept those other
 	// candidates share: assemble its Gram from them now, before the
-	// evaluator and its cache are dropped, so the deployment fit rebuilds
-	// at most Best's single-use blocks.
+	// evaluator releases its cache, so the deployment fit rebuilds at most
+	// Best's single-use blocks.
 	gram := e.DeploymentGram(res.Best)
 	emit(mkl.EventFitFinished, res.Best, res.Score, res.Evaluations)
 	return &FitResult{

@@ -55,12 +55,14 @@ func SearchCost(maxN int) (*Table, error) {
 		// tables print the sequential cost (rows already run concurrently).
 		factory := kernel.RBFFactory(1.0)
 		gramCache := kernel.NewBlockGramCache(d.X, factory, 0)
+		defer gramCache.Clear() // the shared blocks go back to the recycler with the row
 		rowCfg := mkl.Config{Objective: mkl.KernelAlignment, Seed: 1, Factory: factory, GramCache: gramCache, Parallelism: 1}
 
 		eChain, err := mkl.NewEvaluator(d, rowCfg)
 		if err != nil {
 			return err
 		}
+		defer eChain.Release()
 		resChain, err := mkl.ChainSearch(eChain, seed, mkl.BestOfChain)
 		if err != nil {
 			return err
@@ -70,6 +72,7 @@ func SearchCost(maxN int) (*Table, error) {
 		if err != nil {
 			return err
 		}
+		defer eGreedy.Release()
 		resGreedy, err := mkl.GreedyRefine(eGreedy, seed)
 		if err != nil {
 			return err
@@ -80,6 +83,7 @@ func SearchCost(maxN int) (*Table, error) {
 			if err != nil {
 				return err
 			}
+			defer eEx.Release()
 			resEx, err := mkl.ExhaustiveCone(eEx, seed)
 			if err != nil {
 				return err
@@ -141,6 +145,7 @@ func HeadlineMKL(seed int64) (*Table, error) {
 	// by any row are reused by all of them.
 	factory := kernel.RBFFactory(1.0)
 	gramCache := kernel.NewBlockGramCache(train.X, factory, 0)
+	defer gramCache.Clear() // once every row is done, its blocks go back to the recycler
 	newEval := func() (*mkl.Evaluator, error) {
 		return mkl.NewEvaluator(train, mkl.Config{
 			Objective: mkl.CVAccuracy, Folds: 4, Seed: seed,
@@ -172,6 +177,7 @@ func HeadlineMKL(seed int64) (*Table, error) {
 		}
 		start := time.Now()
 		res, err := s.run(e)
+		e.Release()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
@@ -198,6 +204,7 @@ func RoughSeeding(seed int64) (*Table, error) {
 	train, test := facetWorkload(180, seed)
 	factory := kernel.RBFFactory(1.0)
 	gramCache := kernel.NewBlockGramCache(train.X, factory, 0)
+	defer gramCache.Clear() // once every row is done, its blocks go back to the recycler
 
 	type seeding struct {
 		name string
@@ -237,6 +244,7 @@ func RoughSeeding(seed int64) (*Table, error) {
 		if err != nil {
 			return err
 		}
+		defer e.Release()
 		res, err := mkl.ChainSearch(e, sp, mkl.BestOfChain)
 		if err != nil {
 			return err
@@ -274,6 +282,7 @@ func MultiViewFamily(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.Release()
 	res, err := mkl.ChainSearch(e, partition.Coarsest(train.D()), mkl.BestOfChain)
 	if err != nil {
 		return nil, err
@@ -337,6 +346,7 @@ func AblationCombiner(seed int64) (*Table, error) {
 			return nil, err
 		}
 		res, err := mkl.ViewOracle(e)
+		e.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -370,6 +380,7 @@ func AblationAscentRule(seed int64) (*Table, error) {
 			return nil, err
 		}
 		res, err := mkl.ChainSearch(e, partition.Coarsest(train.D()), rule.r)
+		e.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -412,6 +423,7 @@ func AblationChainSource(seed int64) (*Table, error) {
 	}
 	factory := kernel.RBFFactory(1.0)
 	gramCache := kernel.NewBlockGramCache(train.X, factory, 0)
+	defer gramCache.Clear() // once every row is done, its blocks go back to the recycler
 	rows := make([][]interface{}, len(sources))
 	err := forEachRow(len(sources), func(i int) error {
 		s := sources[i]
@@ -422,6 +434,7 @@ func AblationChainSource(seed int64) (*Table, error) {
 		if err != nil {
 			return err
 		}
+		defer e.Release()
 		res, err := s.run(e)
 		if err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)
@@ -465,6 +478,7 @@ func ObjectSurface(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.Release()
 	seedPart := partition.Coarsest(train.D())
 	type strat struct {
 		name string

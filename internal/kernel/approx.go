@@ -78,6 +78,7 @@ func NewApproxGramCache(x [][]float64, factory BlockKernelFactory, kind ApproxKi
 	}
 	c := &ApproxGramCache{x: x, factory: factory, kind: kind, rank: rank, seed: seed}
 	c.BlockCache = NewBlockCache(limit, factorBytes, c.buildFactor)
+	c.BlockCache.recycle = (*linalg.Matrix).Release
 	return c
 }
 

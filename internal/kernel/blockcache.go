@@ -50,8 +50,11 @@ type BlockCache[V any] struct {
 	// (DenseGramCache.SetSingleUse), and never while lookups run.
 	buildInto func(dst V, feats []int) V
 	singleUse BlockSet
-	size      func(V) int64
-	limit     int
+	// recycle, when set, hands a value's storage back for reuse (Clear,
+	// and a racing build whose value lost the store).
+	recycle func(V)
+	size    func(V) int64
+	limit   int
 
 	mu    sync.RWMutex
 	bytes int64
@@ -93,13 +96,20 @@ func (c *BlockCache[V]) Bytes() int64 {
 	return c.bytes
 }
 
-// Clear drops every retained block, as a new cache holds none. Values
-// already handed out stay valid, and a later lookup rebuilds its block by
-// the same deterministic build, so clearing changes residency, never a
-// value.
+// Clear drops every retained block, as a new cache holds none, and hands
+// the storage of the dense and low-rank caches' blocks to linalg's
+// recycler: values handed out before Clear must not be read after it. A
+// later lookup rebuilds its block by the same deterministic build, so
+// clearing changes residency, never a value. Only the cache's owner may
+// clear it, once no lookup is under way and nothing reads its values.
 func (c *BlockCache[V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.recycle != nil {
+		for _, k := range c.order {
+			c.recycle(c.m[k])
+		}
+	}
 	clear(c.m)
 	c.order, c.bytes = nil, 0
 }
@@ -142,6 +152,10 @@ func (c *BlockCache[V]) store(key []byte, feats []int) (V, error) {
 	}
 	c.mu.Lock()
 	if prev, ok := c.m[string(key)]; ok {
+		// A racing build stored first; this copy was never handed out.
+		if c.recycle != nil {
+			c.recycle(v)
+		}
 		v = prev
 	} else if c.limit > 0 {
 		ks := string(key)

@@ -20,6 +20,7 @@ type cacheSubject struct {
 	stats interface {
 		Len() int
 		Bytes() int64
+		Clear()
 	}
 	lookup   func(feats []int) (any, []float64, error)
 	assemble func(p partition.Partition) ([]float64, error)
@@ -187,8 +188,9 @@ func sameBits(a, b []float64) bool {
 // value type it holds: first store wins under concurrency, FIFO eviction by
 // block count keeps the newest blocks, a negative limit retains nothing,
 // byte accounting follows the element width, eviction never changes an
-// assembled output, and (dense rows) a block flagged single-use is built
-// into scratch, not stored, with a stored build's bits.
+// assembled output, Clear empties the cache and recycles only what it
+// held, and (dense rows) a block flagged single-use is built into scratch,
+// not stored, with a stored build's bits.
 func TestBlockGramCacheContract(t *testing.T) {
 	const n, d = 10, 6
 	x := contractData(n, d, 9)
@@ -284,6 +286,33 @@ func TestBlockGramCacheContract(t *testing.T) {
 				}
 				if !sameBits(v0, snap) {
 					t.Fatal("an evicted block was mutated")
+				}
+			})
+
+			t.Run("clear", func(t *testing.T) {
+				c := row.open(t, x, 2)
+				held, v0 := c.block([]int{0})
+				snap0 := append([]float64(nil), v0...)
+				_, v12 := c.block([]int{1, 2})
+				first12 := append([]float64(nil), v12...)
+				c.block([]int{3}) // evicts {0}, which the test still holds
+				c.stats.Clear()   // recycles {1,2} and {3}, never the evicted {0}
+				if c.stats.Len() != 0 || c.stats.Bytes() != 0 {
+					t.Fatalf("cleared cache holds %d blocks / %d bytes, want none", c.stats.Len(), c.stats.Bytes())
+				}
+				// The rebuilds draw the recycled buffers (NaN-poisoned in
+				// race builds), so a build that read an entry before
+				// writing it would show here.
+				if _, v := c.block([]int{1, 2}); !sameBits(v, first12) {
+					t.Fatal("a block rebuilt after Clear differs from its first build")
+				}
+				c.block([]int{3})
+				again, v := c.block([]int{0})
+				if again == held || !sameBits(v, snap0) {
+					t.Fatal("a block rebuilt after Clear is not a new value with the first build's bits")
+				}
+				if !sameBits(v0, snap0) {
+					t.Fatal("a block evicted while held changed after Clear")
 				}
 			})
 

@@ -223,12 +223,16 @@ func TestGramDispatchFallsBackForEvalOnlyKernels(t *testing.T) {
 		Product{Kernels: []Kernel{evalOnly{}, Linear{}}},
 	}
 	for _, k := range wrapped {
+		// ReshapePacked's storage is unspecified: mark it, so a write shows.
 		g := linalg.ReshapePacked[float64](nil, len(x))
+		for i := range g.Data {
+			g.Data[i] = -7
+		}
 		if blockGramInto(g, k, linalg.FromRows(x)) {
 			t.Errorf("%v accepted the block path over an Eval-only base", k)
 		}
 		for i, v := range g.Data {
-			if v != 0 {
+			if v != -7 {
 				t.Fatalf("%v: a refused block fill wrote entry %d", k, i)
 			}
 		}

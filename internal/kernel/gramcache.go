@@ -11,7 +11,6 @@
 package kernel
 
 import (
-	"sync"
 	"unsafe"
 
 	"repro/internal/linalg"
@@ -61,6 +60,7 @@ func NewDenseGramCache[T linalg.Float](x [][]float64, factory BlockKernelFactory
 	c := &DenseGramCache[T]{x: x, factory: factory}
 	c.BlockCache = NewBlockCache(limit, packedBytes[T], c.buildGram)
 	c.BlockCache.buildInto = c.buildInto
+	c.BlockCache.recycle = (*linalg.Packed[T]).Release
 	return c
 }
 
@@ -74,26 +74,23 @@ func (c *DenseGramCache[T]) buildGram(_ []byte, feats []int) (*linalg.Packed[T],
 	return c.buildInto(nil, feats), nil
 }
 
-// buildInto fills dst, reshaped to the packed n×n (allocated when nil or
-// too small), with one block's Gram and returns it: the block formulas
-// (blockGramInto) run over the block's contiguous columns, gathered (and
-// rounded to T) once per build into a recycled buffer (columnPools); a block
-// kernel without a formula takes the scalar float64 reference path,
-// rounded once per entry. Every build of a block — stored, single-use or
-// folded — runs here, so they all give the same bits.
+// buildInto fills dst, reshaped to the packed n×n (drawn from linalg's
+// recycler when nil or too small), with one block's Gram and returns it:
+// the block formulas (blockGramInto) run over the block's contiguous
+// columns, gathered (and rounded to T) once per build into a recycled
+// buffer; a block kernel without a formula takes the scalar float64
+// reference path, rounded once per entry. Every build of a block —
+// stored, single-use or folded — runs here, so they all give the same
+// bits.
 func (c *DenseGramCache[T]) buildInto(dst *linalg.Packed[T], feats []int) *linalg.Packed[T] {
 	dst = linalg.ReshapePacked(dst, len(c.x))
-	pool := &columnPools[0]
-	if unsafe.Sizeof(T(0)) == 4 {
-		pool = &columnPools[1]
-	}
-	cols, _ := pool.Get().(*linalg.Dense[T])
-	cols = linalg.FromRowsColsInto(cols, c.x, feats)
+	var cols linalg.Dense[T]
+	linalg.FromRowsColsInto(&cols, c.x, feats)
 	base := c.factory(feats)
-	if !blockGramInto(dst, base, cols) {
+	if !blockGramInto(dst, base, &cols) {
 		pairwiseGramInto(dst, Subspace{Base: base, Features: feats}, c.x)
 	}
-	pool.Put(cols)
+	cols.Release()
 	return dst
 }
 
@@ -104,10 +101,6 @@ func (c *DenseGramCache[T]) buildInto(dst *linalg.Packed[T], feats []int) *linal
 // after; set is read-only, and SetSingleUse must not run while lookups of
 // c do.
 func (c *DenseGramCache[T]) SetSingleUse(set BlockSet) { c.singleUse = set }
-
-// columnPools recycles buildInto's gathered block columns, one pool per
-// storage width (float64, float32).
-var columnPools [2]sync.Pool // of *linalg.Dense[T]
 
 // GramForPartition assembles the full Gram matrix of the multiple-kernel
 // configuration induced by p from its per-block Grams, writing into out
@@ -122,9 +115,25 @@ var columnPools [2]sync.Pool // of *linalg.Dense[T]
 // block kernel at a time over the same block formulas, at every worker
 // count and every retention limit. At float32 the same float64
 // accumulation is rounded once per entry.
+//
+// The assembly's own block buffers go back to linalg's recycler before it
+// returns.
 func (c *DenseGramCache[T]) GramForPartition(p partition.Partition, combiner Combiner, out *linalg.Dense[T]) *linalg.Dense[T] {
 	var sc BlockScratch[*linalg.Packed[T]]
-	return c.GramForPartitionScratch(p, combiner, out, &sc)
+	out = c.GramForPartitionScratch(p, combiner, out, &sc)
+	ReleaseScratch(&sc)
+	return out
+}
+
+// ReleaseScratch hands the storage of the packed buffers sc owns — the fold
+// block and the single-use blocks, never the cached blocks it looked up —
+// to linalg's recycler. sc stays ready for use: the next build into one
+// of those buffers draws its storage again.
+func ReleaseScratch[T linalg.Float](sc *BlockScratch[*linalg.Packed[T]]) {
+	sc.buf.Release()
+	for _, b := range sc.singleBufs {
+		b.Release()
+	}
 }
 
 // GramForPartitionScratch is GramForPartition with caller-owned scratch:

@@ -178,9 +178,13 @@ func (r Ridge) lambda() float64 {
 }
 
 // Train implements Trainer: TrainScratch on a private Scratch the
-// returned model takes ownership of, as SVM.Train does.
+// returned model takes ownership of, as SVM.Train does, except for the
+// factor buffer, which goes back to linalg's recycler.
 func (r Ridge) Train(gram *linalg.Matrix, y []int) (*DualModel, error) {
-	return r.TrainScratch(gram, y, &Scratch{})
+	s := &Scratch{}
+	m, err := r.TrainScratch(gram, y, s)
+	s.Release()
+	return m, err
 }
 
 // Perceptron trains a kernel perceptron for a fixed number of epochs.

@@ -62,6 +62,14 @@ type RidgeScratch[T linalg.Float] struct {
 	all       []int
 }
 
+// Release hands the factor buffer to linalg's recycler; the scratch stays
+// ready for use. Coefficients returned before it stay valid.
+func (s *RidgeScratch[T]) Release() { s.chol.Release() }
+
+// Release hands the scratch's ridge factor buffer to linalg's recycler
+// (RidgeScratch.Release); the scratch stays ready for use.
+func (s *Scratch) Release() { s.ridge.Release() }
+
 // vec returns buf resized to n, reusing capacity. Contents are unspecified.
 func vec(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {

@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -114,6 +115,36 @@ func BenchmarkPairwiseSquaredDistancesUpper(b *testing.B) {
 					dst = PairwiseSquaredDistancesUpperInto(dst, x)
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkFoldScores times scoring one CV fold's test rows from the
+// candidate Gram at the fit-solve (n=600) and fit-search (n=120) sizes of
+// a 4-fold fit: "gather" materializes the n_te×n_tr cross-Gram and runs
+// MulVecInto on it, "direct" is GatherMulVecInto, the same sums without
+// the gather.
+func BenchmarkFoldScores(b *testing.B) {
+	for _, n := range []int{600, 120} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		gram := randMatrix(n, n, rng)
+		perm := rng.Perm(n)
+		test, train := perm[:n/4], perm[n/4:]
+		sort.Ints(test)
+		sort.Ints(train)
+		beta := randMatrix(1, len(train), rng).Data
+		var cross *Matrix
+		var dst []float64
+		b.Run(fmt.Sprintf("n=%d/gather", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cross = GatherInto(cross, gram, test, train)
+				dst = MulVecInto(dst, cross, beta)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/direct", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dst = GatherMulVecInto(dst, gram, test, train, beta)
+			}
 		})
 	}
 }

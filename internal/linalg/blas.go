@@ -38,15 +38,16 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Reshape returns m resized to r×c, reusing m's backing storage whenever its
 // capacity suffices — so hot paths whose working shapes alternate (e.g.
 // CV folds of size n/k and n/k+1) settle on one allocation instead of
-// reallocating every call. A fresh matrix is returned when m is nil or its
-// capacity is short. The contents after a reshape are unspecified; callers
-// must overwrite every entry they read.
+// reallocating every call. When the capacity is short, m takes new storage
+// drawn from the recycler (recycle.go), and a nil m gets a new header too;
+// m's old storage is left to its owner. The contents after a reshape are
+// unspecified, even when the storage is new: callers must overwrite every
+// entry they read.
 //
 //iotml:hotpath
 func Reshape[T Float](m *Dense[T], r, c int) *Dense[T] {
@@ -54,13 +55,12 @@ func Reshape[T Float](m *Dense[T], r, c int) *Dense[T] {
 		panic("linalg: negative matrix dimension")
 	}
 	if m == nil {
-		return NewDense[T](r, c)
-	}
-	if m.Rows == r && m.Cols == c {
+		m = new(Dense[T])
+	} else if m.Rows == r && m.Cols == c {
 		return m
 	}
 	if cap(m.Data) < r*c {
-		return NewDense[T](r, c)
+		m.Data = draw[T](r * c)
 	}
 	m.Rows, m.Cols, m.Data = r, c, m.Data[:r*c]
 	return m
@@ -77,6 +77,54 @@ func GatherInto[T Float](dst, src *Dense[T], rows, cols []int) *Dense[T] {
 	dst = Reshape(dst, len(rows), nc)
 	for i, r := range rows {
 		gatherRow(dst.Data[i*nc:(i+1)*nc], src.Data[r*src.Cols:(r+1)*src.Cols], cols)
+	}
+	return dst
+}
+
+// GatherMulVecInto computes dst[i] = Σⱼ src[rows[i]][cols[j]]·v[j], that
+// is MulVecInto(dst, GatherInto(·, src, rows, cols), v), without
+// materializing the gather: the same four-row tiles, the same float64
+// accumulation from zero in ascending j, so the result is bit for bit
+// MulVecInto's on the gathered matrix. dst's capacity is reused when it
+// suffices. It scores a CV fold's test rows straight from the candidate
+// Gram.
+//
+//iotml:hotpath
+func GatherMulVecInto[T Float](dst []float64, src *Dense[T], rows, cols []int, v []T) []float64 {
+	if len(cols) != len(v) {
+		//iotml:allow hotpathalloc -- cold shape-mismatch panic, never taken in steady state
+		panic(fmt.Sprintf("linalg: GatherMulVec shape mismatch %d columns * %d", len(cols), len(v)))
+	}
+	if cap(dst) < len(rows) {
+		dst = make([]float64, len(rows))
+	}
+	dst = dst[:len(rows)]
+	cols = cols[:len(v)]
+	c := src.Cols
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := src.Data[rows[i]*c:][:c]
+		r1 := src.Data[rows[i+1]*c:][:c]
+		r2 := src.Data[rows[i+2]*c:][:c]
+		r3 := src.Data[rows[i+3]*c:][:c]
+		var s0, s1, s2, s3 float64
+		for k, x := range v {
+			j := cols[k]
+			vk := float64(x)
+			s0 += float64(r0[j]) * vk
+			s1 += float64(r1[j]) * vk
+			s2 += float64(r2[j]) * vk
+			s3 += float64(r3[j]) * vk
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		r := src.Data[rows[i]*c:][:c]
+		s := 0.0
+		for k, x := range v {
+			s += float64(r[cols[k]]) * float64(x)
+		}
+		dst[i] = s
 	}
 	return dst
 }
@@ -224,7 +272,7 @@ func SyrkInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 // expansion instead: each row's diagonal is 0 and entry (i, j), j > i, is
 // squaredDistance(norms[i], norms[j], ⟨xᵢ,xⱼ⟩). The lanes run across the
 // entries of a row, over a d×n transposed copy of x built here (n·d
-// float64s, in a buffer from transposePool), so each entry keeps the Go
+// float64s, drawn from the recycler), so each entry keeps the Go
 // loop's chain: a float64 sum from zero in ascending k, then the same
 // epilogue.
 func dotRowsLanes[T Float](dst *Packed[T], x *Dense[T], norms []float64) bool {
@@ -234,9 +282,7 @@ func dotRowsLanes[T Float](dst *Packed[T], x *Dense[T], norms []float64) bool {
 	}
 	p64, _ := asFloat64(dst.Data)
 	n, d := x.Rows, x.Cols
-	buf := pooledFloats(&transposePool, n*d)
-	defer transposePool.Put(buf)
-	xt := *buf
+	xt := draw[float64](n * d)
 	for j := 0; j < n; j++ {
 		for k, v := range x64[j*d : (j+1)*d] {
 			xt[k*n+j] = v
@@ -253,24 +299,8 @@ func dotRowsLanes[T Float](dst *Packed[T], x *Dense[T], norms []float64) bool {
 		}
 		dotRow(row, x64[i*d:(i+1)*d], xt, norms, i, j0)
 	}
+	recycle(xt)
 	return true
-}
-
-// transposePool and normsPool recycle dotRowsLanes' transposed copies and
-// PairwiseSquaredDistancesUpperInto's row norms, so building a block
-// allocates nothing beyond the block itself.
-var transposePool, normsPool sync.Pool // of *[]float64
-
-// pooledFloats returns a buffer of exactly size float64s from pool,
-// allocated when the pool has none large enough; the caller puts it back.
-func pooledFloats(pool *sync.Pool, size int) *[]float64 {
-	buf, _ := pool.Get().(*[]float64)
-	if buf == nil || cap(*buf) < size {
-		buf = new([]float64)
-		*buf = make([]float64, size)
-	}
-	*buf = (*buf)[:size]
-	return buf
 }
 
 // dotRow sets out[c] = ⟨xi, x_{j0+c}⟩ for c < len(out) on dotRowAVX512 or
@@ -351,9 +381,8 @@ func RowSquaredNorms[T Float](out []float64, x *Dense[T]) []float64 {
 func PairwiseSquaredDistancesUpperInto[T Float](dst *Packed[T], x *Dense[T]) *Packed[T] {
 	n, d := x.Rows, x.Cols
 	dst = ReshapePacked(dst, n)
-	nb := pooledFloats(&normsPool, n)
-	defer normsPool.Put(nb)
-	norms := RowSquaredNorms(*nb, x)
+	norms := RowSquaredNorms(draw[float64](n), x)
+	defer recycle(norms)
 	if dotRowsLanes(dst, x, norms) {
 		return dst
 	}

@@ -166,12 +166,16 @@ type Packed[T Float] struct {
 }
 
 // ReshapePacked is Reshape for Packed: p resized to order n, reusing its
-// storage when the capacity suffices.
+// storage when the capacity suffices and drawing new storage from the
+// recycler when it does not. Its contents are unspecified either way.
 //
 //iotml:hotpath
 func ReshapePacked[T Float](p *Packed[T], n int) *Packed[T] {
-	if size := n * (n + 1) / 2; p == nil || cap(p.Data) < size {
-		p = &Packed[T]{Data: make([]T, size)}
+	if p == nil {
+		p = new(Packed[T])
+	}
+	if size := n * (n + 1) / 2; cap(p.Data) < size {
+		p.Data = draw[T](size)
 	} else {
 		p.Data = p.Data[:size]
 	}
@@ -339,7 +343,7 @@ func CholeskyInto[T Float](l, a *Dense[T]) error {
 		return fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	*l = *Reshape(l, n, n)
+	Reshape(l, n, n)
 	if ld, wide := asFloat64(l.Data); wide && useAVX2 && n >= 4 {
 		ad, _ := asFloat64(a.Data[:n*n])
 		return choleskyLanes(ld, ad, n)

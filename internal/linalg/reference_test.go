@@ -311,12 +311,14 @@ func TestPairwiseSquaredDistancesIntoMatchesScalarReference(t *testing.T) {
 	})
 }
 
-// stalePacked returns a packed destination of order n+3 full of
-// staleEntry, for a kernel of order n to reshape and overwrite.
+// stalePacked returns a packed destination of order n+3 whose whole
+// capacity holds staleEntry, for a kernel of order n to reshape and
+// overwrite.
 func stalePacked[T Float](n int) *Packed[T] {
 	p := ReshapePacked[T](nil, n+3)
-	for i := range p.Data {
-		p.Data[i] = staleEntry
+	full := p.Data[:cap(p.Data)]
+	for i := range full {
+		full[i] = staleEntry
 	}
 	return p
 }
@@ -917,6 +919,34 @@ func TestMulVecIntoMatchesScalarReference(t *testing.T) {
 		sameBits64(t, "f64", dst, refMulVec(m, v))
 		m32, v32 := Convert[float32](nil, m), Convert[float32](nil, &Matrix{Rows: 1, Cols: len(v), Data: v})
 		sameBits64(t, "f32", MulVecInto(nil, m32, v32.Data), refMulVec(Convert[float64](nil, m32), Convert[float64](nil, v32).Data))
+	}
+}
+
+// TestGatherMulVecIntoMatchesScalarReference pins the gathered product to
+// MulVecInto's reference on the materialized gather, bit for bit, at both
+// widths: every row count through three 4-row sweeps and random shapes,
+// rows and columns in random order, and a source carrying NaN and ±Inf so
+// that special values take the reference's exact path.
+func TestGatherMulVecIntoMatchesScalarReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	var dst []float64
+	for _, sh := range tiledRowShapes(rng) {
+		nr, nc := sh[0], sh[1]
+		n := max(nr, nc) + rng.Intn(5)
+		src := randMatrix(n, n, rng)
+		for i := 0; i < n; i += 1 + rng.Intn(7) {
+			src.Data[i*n+rng.Intn(n)] = special[rng.Intn(len(special))]
+		}
+		rows := rng.Perm(n)[:nr]
+		cols := rng.Perm(n)[:nc]
+		v := Vector(randMatrix(1, nc, rng).Data)
+		dst = GatherMulVecInto(dst, src, rows, cols, v)
+		sameBits64(t, "f64", dst, refMulVec(refGather(src, rows, cols), v))
+		src32 := Convert[float32](nil, src)
+		v32 := Convert[float32](nil, &Matrix{Rows: 1, Cols: nc, Data: v})
+		sameBits64(t, "f32", GatherMulVecInto(nil, src32, rows, cols, v32.Data),
+			refMulVec(refGather(Convert[float64](nil, src32), rows, cols), Convert[float64](nil, v32).Data))
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/kernel"
 	"repro/internal/kernelmachine"
 	"repro/internal/linalg"
 	"repro/internal/partition"
@@ -133,7 +132,7 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 	plan := e.folds.plan
 	return e.cvFolds(1, func(fold, _ int) (int, error) {
 		train := plan.Trains[fold]
-		e.d64.sub = linalg.GatherInto(e.d64.sub, f, train, cols)
+		e.sub = linalg.GatherInto(e.sub, f, train, cols)
 		if cap(e.lrRhs) < len(train) {
 			e.lrRhs = linalg.NewVector(len(train))
 		}
@@ -141,12 +140,12 @@ func (e *Evaluator) cvAccuracyLowRank(f *linalg.Matrix, ridge kernelmachine.Ridg
 		for i, a := range train {
 			ytr[i] = y[a]
 		}
-		beta, err := e.lowRankRidgeSolve(e.d64.sub, ytr, ridge)
+		beta, err := e.lowRankRidgeSolve(e.sub, ytr, ridge)
 		if err != nil {
 			return fold, err
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, f, plan.Tests[fold], cols)
-		e.scoreBuf[fold%2] = linalg.MulVecInto(e.scoreBuf[fold%2], e.d64.cross, beta)
+		e.cross = linalg.GatherInto(e.cross, f, plan.Tests[fold], cols)
+		e.scoreBuf[fold%2] = linalg.MulVecInto(e.scoreBuf[fold%2], e.cross, beta)
 		return fold, nil
 	})
 }
@@ -161,20 +160,6 @@ func (e *Evaluator) lowRankRidgeSolve(f *linalg.Matrix, y linalg.Vector, ridge k
 	return e.d64.ridge[0].Solve(ridge, e.lrA, nil, e.lrWork, f.Rows)
 }
 
-// releaseFactors drops what the approximate sweep holds and the exact
-// re-score never reads: the factor cache's retained blocks, the assembly
-// scratch that still points at them, and the assembled factor and F·Fᵀ
-// buffers. The cache itself stays, so a later Score is still approximate:
-// it rebuilds the factors it needs, to the same bits.
-func (e *Evaluator) releaseFactors() {
-	if e.approxCache == nil {
-		return
-	}
-	e.approxCache.Clear()
-	e.factorAsm = kernel.FactorScratch{}
-	e.factorBuf, e.lrGram = nil, nil
-}
-
 // SearchFunc is a lattice-search strategy over one evaluator — the shape of
 // ExhaustiveCone, GreedyRefine, or a ChainSearch closure over its rule, as
 // consumed by BudgetedSearch.
@@ -187,7 +172,7 @@ type SearchFunc func(e *Evaluator, seed partition.Partition) (*Result, error)
 // final selection. The re-score shares e's dataset, fold plan, learner and
 // exact block cache, which retains nothing unless one was injected
 // (Config.GramCache), so each survivor's Gram is assembled one block at a
-// time. The sweep's factors are released before it (releaseFactors).
+// time. The sweep's factors and scratch are released before it.
 // Exact scores stay out of e's score cache and counters: e.Score of a
 // survivor still returns its approximate score. The returned Result
 // carries the exact scores and trace of the re-scoring phase;
@@ -201,7 +186,11 @@ func BudgetedSearch(e *Evaluator, seed partition.Partition, search SearchFunc, t
 		topK = DefaultBudgetTopK
 	}
 	ares, err := search(e, seed)
-	e.releaseFactors()
+	// The re-score never reads the sweep's factors: Release recycles the
+	// factor cache's blocks and the evaluator's scratch. The caches stay,
+	// so a later Score is still approximate and rebuilds the factors it
+	// needs, to the same bits.
+	e.Release()
 	if err != nil {
 		return ares, err
 	}

@@ -281,7 +281,7 @@ func TestBudgetedSearchReleasesFactors(t *testing.T) {
 	if n, b := e.approxCache.Len(), e.approxCache.Bytes(); n != 0 || b != 0 {
 		t.Fatalf("after the budgeted search the factor cache retains %d blocks, %d bytes; want none", n, b)
 	}
-	if !reflect.ValueOf(e.factorAsm).IsZero() || e.factorBuf != nil {
+	if !reflect.ValueOf(e.factorAsm).IsZero() || (e.factorBuf != nil && e.factorBuf.Data != nil) {
 		t.Fatal("the assembly scratch still holds factors")
 	}
 	for _, st := range sweep.Trace {

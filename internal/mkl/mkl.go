@@ -178,6 +178,11 @@ type Evaluator struct {
 	scoreBuf  [2][]float64
 	predBuf   []int
 
+	// sub and cross are the worker-owned CV fold sub- and cross-Gram
+	// gathers of the float64 fold bodies: cvAccuracy's Gram rows and the
+	// low-rank path's factor rows.
+	sub, cross *linalg.Matrix
+
 	// approxCache memoizes per-block low-rank factors under the
 	// approximate backends (nil otherwise); like gramCache it is
 	// concurrency-safe and shared across the scratch evaluators of a
@@ -197,15 +202,14 @@ type Evaluator struct {
 }
 
 // dense is the worker-owned scratch of the full-Gram scoring body at
-// storage width T: the assembled Gram and its upper-row view, the CV fold
-// sub- and cross-Gram gathers, the block-assembly scratch, and the ridge
-// factor/solve buffers of a pair of folds (cvRidge), the first of which
+// storage width T: the assembled Gram and its upper-row view, the
+// block-assembly scratch, and the ridge factor/solve buffers of a pair of folds (cvRidge), the first of which
 // also serves the primal low-rank solve.
 type dense[T linalg.Float] struct {
-	gram, sub, cross *linalg.Dense[T]
-	upper            [][]T
-	asm              kernel.BlockScratch[*linalg.Packed[T]]
-	ridge            [2]kernelmachine.RidgeScratch[T]
+	gram  *linalg.Dense[T]
+	upper [][]T
+	asm   kernel.BlockScratch[*linalg.Packed[T]]
+	ridge [2]kernelmachine.RidgeScratch[T]
 }
 
 // foldData bundles the precomputed CV split with the per-fold label slices
@@ -316,6 +320,54 @@ func (e *Evaluator) DeploymentGram(p partition.Partition) *linalg.Matrix {
 		return nil
 	}
 	return e.gramCache.GramForPartition(p, e.cfg.Combiner, nil)
+}
+
+// Release hands the evaluator's Gram buffers to linalg's recycler, so the
+// next evaluator or fit in the process reuses them instead of allocating:
+// the blocks of the caches the evaluator built itself (an injected
+// Config.GramCache is left alone, since other evaluators may read it) and
+// its own scoring scratch. Call it once the evaluator's results are
+// consumed — after DeploymentGram, whose Gram is the caller's own — and
+// not while a search or Score on it is under way. Scores, counters and
+// settings persist, and a later Score rebuilds what it needs, to the same
+// bits.
+func (e *Evaluator) Release() {
+	if e.cfg.GramCache == nil {
+		e.gramCache.Clear()
+	}
+	if e.cache32 != nil {
+		e.cache32.Clear()
+	}
+	if e.approxCache != nil {
+		e.approxCache.Clear()
+	}
+	e.releaseScratch()
+}
+
+// releaseScratch hands the evaluator's own scoring buffers — both widths'
+// Gram, gather and ridge scratch, the learner scratch and the low-rank
+// buffers — to linalg's recycler. Block caches are not touched, so a pool
+// releases its scratch clones with it.
+func (e *Evaluator) releaseScratch() {
+	e.d64.release()
+	e.d32.release()
+	e.kmScratch.Release()
+	e.sub.Release()
+	e.cross.Release()
+	e.factorBuf.Release()
+	e.lrGram.Release()
+	e.lrA.Release()
+	e.lrCentered.Release()
+	e.factorAsm = kernel.FactorScratch{}
+}
+
+// release hands s's buffers to linalg's recycler.
+func (s *dense[T]) release() {
+	s.gram.Release()
+	kernel.ReleaseScratch(&s.asm)
+	for i := range s.ridge {
+		s.ridge[i].Release()
+	}
 }
 
 // Evaluations returns the number of kernel configurations actually
@@ -459,8 +511,9 @@ func (e *Evaluator) cvFolds(step int, body func(f, m int) (failed int, err error
 // per step: kernelmachine's Prepare factors each fold's system straight
 // from gram's train rows under the λ·n/10 → 1+λ·n schedule, in fold
 // order, and SolveRidgePair solves the pair with their backward
-// substitutions interleaved (a lone last fold alone). Scores re-enter
-// float64 at the scores-into step, so classification and accuracy are
+// substitutions interleaved (a lone last fold alone). Each fold's test
+// rows are scored straight from gram (linalg.GatherMulVecInto, no cross
+// gather), re-entering float64 there, so classification and accuracy are
 // shared with every other backend. At float64 every operation is
 // Ridge.TrainScratch's on the fold's Gram, so the scores are bit-identical
 // to those of cvAccuracy.
@@ -482,8 +535,7 @@ func (s *dense[T]) cvRidge(e *Evaluator, gram *linalg.Dense[T], r kernelmachine.
 		beta[0], beta[1] = kernelmachine.SolveRidgePair(&s.ridge[0], second)
 		for i := range m {
 			g := f + i
-			s.cross = linalg.GatherInto(s.cross, gram, plan.Tests[g], plan.Trains[g])
-			e.scoreBuf[g%2] = linalg.MulVecInto(e.scoreBuf[g%2], s.cross, beta[i])
+			e.scoreBuf[g%2] = linalg.GatherMulVecInto(e.scoreBuf[g%2], gram, plan.Tests[g], plan.Trains[g], beta[i])
 		}
 		return f, nil
 	})
@@ -503,19 +555,19 @@ func (e *Evaluator) cvAccuracy(gram *linalg.Matrix) (float64, error) {
 	plan := e.folds.plan
 	return e.cvFolds(1, func(f, _ int) (int, error) {
 		train := plan.Trains[f]
-		e.d64.sub = linalg.GatherInto(e.d64.sub, gram, train, train)
+		e.sub = linalg.GatherInto(e.sub, gram, train, train)
 		var m *kernelmachine.DualModel
 		var err error
 		if scratch {
-			m, err = st.TrainScratch(e.d64.sub, e.folds.yTrain[f], &e.kmScratch)
+			m, err = st.TrainScratch(e.sub, e.folds.yTrain[f], &e.kmScratch)
 		} else {
-			m, err = e.cfg.Trainer.Train(e.d64.sub, e.folds.yTrain[f])
+			m, err = e.cfg.Trainer.Train(e.sub, e.folds.yTrain[f])
 		}
 		if err != nil {
 			return f, err
 		}
-		e.d64.cross = linalg.GatherInto(e.d64.cross, gram, plan.Tests[f], train)
-		e.scoreBuf[f%2] = m.ScoresInto(e.scoreBuf[f%2], e.d64.cross)
+		e.cross = linalg.GatherInto(e.cross, gram, plan.Tests[f], train)
+		e.scoreBuf[f%2] = m.ScoresInto(e.scoreBuf[f%2], e.cross)
 		return f, nil
 	})
 }

@@ -68,8 +68,9 @@ func (e *Evaluator) SetScorer(sc CandidateScorer) { e.scorer = sc }
 // pool is the in-process CandidateScorer: a bounded parsearch pool over
 // worker-owned evaluators. It only ever sees cache misses (the cache front
 // filters everything else), so its workers compute scores and nothing
-// more. Build one per search or shard: the scratch evaluators' Gram
-// buffers live exactly as long as the pool.
+// more. Build one per search or shard: the scratch evaluators live as long
+// as the pool, and their Gram buffers go back to linalg's recycler at the
+// end of every batch.
 type pool struct {
 	// workers is the parent evaluator itself for a one-worker pool (its
 	// buffers, no goroutines), else one scratch clone per worker.
@@ -113,6 +114,11 @@ func (p *pool) ScoreCandidates(ctx context.Context, cands []partition.Partition)
 		done[i] = true
 		return nil
 	})
+	// Past the barrier no worker reads its scratch: recycle it for the
+	// next batch, search or fit.
+	for _, w := range p.workers {
+		w.releaseScratch()
+	}
 	if err != nil {
 		for i := range cands {
 			if !done[i] {
